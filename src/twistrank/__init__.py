@@ -46,6 +46,7 @@ from .twisting import (
     achievable_range,
     free_energy_gradient,
     kl_divergence,
+    measure_atoms,
     solve_theta_closed,
     solve_theta_numeric,
     twist,
@@ -108,6 +109,7 @@ __all__ = [
     "load_graph",
     "marginal",
     "markov_path_prob",
+    "measure_atoms",
     "measure_for",
     "pagerank_stationary",
     "path_count",

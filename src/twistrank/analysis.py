@@ -8,8 +8,9 @@ import numpy as np
 
 from .errors import TwistrankError
 from .graph import AttributedGraph, GraphStats, stats
-from .centrality import CentralityRanking, centrality, resolve_theta
-from .sampling import DEFAULT_PATH_BUDGET, WalkConfig
+from .centrality import CentralityRanking, measure_for, resolve_theta, start_marginal
+from .sampling import WalkConfig
+from .twisting import TwistConfig, measure_atoms
 
 DEGREE_KINDS = ("positive", "negative", "total")
 
@@ -78,34 +79,36 @@ def sweep(
     walk: WalkConfig | None = None,
     k: int = 100,
     ad_vector=None,
-    max_paths: int = DEFAULT_PATH_BUDGET,
 ) -> list[SweepRow]:
     """Rank at each target and compare the top-k against degree baselines.
 
     ``mode`` selects whether ``values`` are gamma targets or temperatures.
     A failing target produces a row carrying the error message; the other
-    rows are unaffected.  Output order follows the input order.
+    rows are unaffected.  Output order follows the input order.  The graph
+    statistics and the measure's atoms are computed once and shared by all
+    targets.
     """
     if mode not in ("gamma", "theta"):
         raise ValueError(f"mode must be 'gamma' or 'theta', got {mode!r}")
     walk = walk or WalkConfig()
+    measure = measure_for(kind, ad_vector)
     graph_stats = stats(g)
     baselines = {
         name: top_k(degree_ranking(graph_stats, name), k) for name in DEGREE_KINDS
     }
+    atoms = None
     rows: list[SweepRow] = []
     for value in values:
         gamma = float(value) if mode == "gamma" else None
         given_theta = float(value) if mode == "theta" else None
         try:
+            if gamma is not None and atoms is None:
+                atoms = measure_atoms(g, measure, walk, graph_stats=graph_stats)
             theta = resolve_theta(
                 g, kind, theta=given_theta, gamma=gamma, walk=walk,
-                ad_vector=ad_vector, max_paths=max_paths,
+                ad_vector=ad_vector, graph_stats=graph_stats, atoms=atoms,
             )
-            ranking = centrality(
-                g, kind, theta=theta, walk=walk, ad_vector=ad_vector,
-                max_paths=max_paths,
-            )
+            ranking = start_marginal(g, TwistConfig(measure, theta, walk), graph_stats)
             mine = top_k(ranking, k)
             rows.append(
                 SweepRow(

@@ -5,11 +5,14 @@ total tilted mass of the walks that start at u and end at w; its start
 marginal is the centrality score.  The assembly here runs directly over the
 adjacency structure (edges plus wedges through each middle node), which is
 algebraically the same endpoint grouping the path enumeration produces but
-vectorized per node.
+vectorized per node.  Centralities skip the pairs: :func:`start_marginal`
+sums each start node's tilted mass from per-node statistics in O(m) for the
+sign measures and O(m log m) for the advertisement measure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +25,9 @@ from .twisting import (
     SignMin,
     SignProduct,
     TwistConfig,
+    measure_atoms,
+    solve_theta_atoms,
     solve_theta_closed,
-    solve_theta_numeric,
 )
 
 CENTRALITY_KINDS = ("influence", "trust", "advertisement")
@@ -156,14 +160,9 @@ def _sign_terms(g, walk, theta, combine):
 
 
 def _min_inner_terms(g, walk, theta, measure):
-    if g.attr_dim != measure.scores.size:
-        raise GraphError(
-            f"score vector has dimension {measure.scores.size} but node "
-            f"attributes have dimension {g.attr_dim}"
-        )
     n = g.n
     inv_2m = 1.0 / (2 * g.m)
-    zh = g.node_attrs @ measure.scores
+    zh = measure.node_scores(g)
     codes, exps, wts = [], [], []
     if walk.beta1 > 0:
         for u in range(n):
@@ -201,6 +200,101 @@ def marginal(b: BivariateDistribution, side: str = "start") -> CentralityRanking
     return CentralityRanking.from_scores(scores)
 
 
+def start_marginal(
+    g: AttributedGraph,
+    cfg: TwistConfig,
+    graph_stats: GraphStats | None = None,
+) -> CentralityRanking:
+    """Start-node marginal of the tilted walk distribution, as a ranking.
+
+    Equals ``marginal(bivariate(g, cfg))`` without building the pair masses.
+    For the sign measures a walk's tilt depends only on its edge signs, so
+    each start node's mass follows from the signed degrees of itself and its
+    neighbours, in O(m).  For the advertisement measure, each middle node's
+    neighbour scores are sorted once; a two-step walk u-v-w has measure
+    min(t, z_w) with t = min(z_u, z_v), so its sum over w is a prefix sum of
+    exp(theta z_w) below t plus a count at or above it.  Pass
+    ``graph_stats`` to reuse signed degrees already computed.
+    """
+    if g.m == 0:
+        raise GraphError("cannot compute start marginals on an edgeless graph")
+    theta = cfg.theta_vector()
+    if theta.size != 1:
+        raise ValueError("start marginals are defined for scalar-temperature measures")
+    th = float(theta[0])
+    measure = cfg.measure
+    if isinstance(measure, (SignProduct, SignMin)):
+        gs = stats(g) if graph_stats is None else graph_stats
+        scores = _sign_scores(g, gs, cfg.walk, th, isinstance(measure, SignMin))
+    elif isinstance(measure, MinInnerProduct):
+        scores = _min_inner_scores(g, cfg.walk, th, measure)
+    else:
+        raise TypeError(f"no start-marginal kernel for measure {type(measure).__name__}")
+    return CentralityRanking.from_scores(scores / scores.sum())
+
+
+def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool) -> np.ndarray:
+    # Unnormalized start masses, without the common factor 1 / (2 m).
+    # exp(theta) overflows past ~709; shifting by |theta| cancels on normalizing.
+    ep = math.exp(theta - abs(theta))
+    en = math.exp(-theta - abs(theta))
+    kp = gs.pos_degree.astype(float)
+    kn = gs.neg_degree.astype(float)
+    # Tilted weight of the steps out of each node: also the length-1 mass.
+    out = kp * ep + kn * en
+    scores = walk.beta1 * out
+    if walk.beta2 > 0:
+        _, starts, signs = g.csr()
+        k = gs.degree.astype(float)
+        middles = np.repeat(np.arange(g.n), gs.degree)
+        # The second step's weight after a negative first edge u-v.
+        after_neg = k * en if is_min else kn * ep + kp * en
+        inner = np.where(signs > 0, out[middles], after_neg[middles])
+        scores = scores + walk.beta2 * np.bincount(
+            starts, weights=inner / k[middles], minlength=g.n
+        )
+    return scores
+
+
+def _min_inner_scores(g, walk: WalkConfig, theta: float, measure: MinInnerProduct) -> np.ndarray:
+    # Unnormalized start masses, without the common factor 1 / (2 m).
+    middles, starts, capped = measure.capped_rows(g)
+    indptr = g.csr()[0]
+    # Every walk's exponent is theta * capped for some entry (a two-step walk
+    # u-v-u reaches the extreme), so shifting by the largest keeps all <= 0.
+    x = theta * capped
+    weight = np.exp(x - x.max())
+    scores = walk.beta1 * np.bincount(starts, weights=weight, minlength=g.n)
+    if walk.beta2 > 0:
+        k = np.diff(indptr)[middles]
+        prefix = _row_cumsum(weight, indptr)
+        # Entry j is the walk's first step u-v with t = capped[j]; the
+        # neighbours w of v below t sit before the first entry of its run of
+        # equal capped scores in the row.
+        run = np.ones(capped.size, dtype=bool)
+        run[1:] = (middles[1:] != middles[:-1]) | (capped[1:] != capped[:-1])
+        first = np.maximum.accumulate(np.where(run, np.arange(capped.size), 0))
+        below = first - indptr[middles]
+        head = np.where(below > 0, prefix[first - 1], 0.0)
+        inner = head + (k - below) * weight
+        scores = scores + walk.beta2 * np.bincount(starts, weights=inner / k, minlength=g.n)
+    return scores
+
+
+def _row_cumsum(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums of ``x`` restarted at every row of ``indptr``.
+
+    Rows of one length are summed as a 2-D block, so each sum accumulates
+    only its own row and never cancels against earlier rows.
+    """
+    out = np.empty_like(x)
+    lengths = np.diff(indptr)
+    for length in np.unique(lengths[lengths > 0]):
+        cols = indptr[:-1][lengths == length][:, None] + np.arange(length)
+        out[cols] = np.cumsum(x[cols], axis=1)
+    return out
+
+
 def influence_closed_form(graph_stats: GraphStats, theta: float) -> CentralityRanking:
     """Single-step influence scores without any enumeration.
 
@@ -211,12 +305,8 @@ def influence_closed_form(graph_stats: GraphStats, theta: float) -> CentralityRa
     """
     if graph_stats.m == 0:
         raise GraphError("closed-form scores are undefined on an edgeless graph")
-    # exp(theta) overflows past ~709; shifting by |theta| cancels in the ratio.
-    ep = np.exp(theta - abs(theta))
-    en = np.exp(-theta - abs(theta))
-    denom = 2.0 * (graph_stats.m_pos * ep + graph_stats.m_neg * en)
-    scores = (graph_stats.pos_degree * ep + graph_stats.neg_degree * en) / denom
-    return CentralityRanking.from_scores(scores)
+    scores = _sign_scores(None, graph_stats, WalkConfig(1.0, 0.0), float(theta), False)
+    return CentralityRanking.from_scores(scores / scores.sum())
 
 
 def resolve_theta(
@@ -227,13 +317,18 @@ def resolve_theta(
     gamma: float | None = None,
     walk: WalkConfig | None = None,
     ad_vector=None,
-    max_paths: int = DEFAULT_PATH_BUDGET,
+    graph_stats: GraphStats | None = None,
+    atoms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Resolve the temperature for a centrality run.
 
     Exactly one of ``theta`` and ``gamma`` must be given.  A gamma target is
-    inverted through the closed form when only length-1 walks are sampled
-    with a sign measure, and numerically otherwise.
+    inverted on the measure's atoms (:func:`measure_atoms`): in closed form
+    for the sign measures, through :func:`solve_theta_closed` when only
+    length-1 walks are sampled, and by Newton iteration over at most n atoms
+    for the advertisement measure.  No walk is enumerated.  ``graph_stats``
+    and ``atoms`` (the atoms of this graph, measure and walk) reuse work
+    already done, for instance across the targets of a sweep.
     """
     if (theta is None) == (gamma is None):
         raise ValueError("exactly one of theta and gamma must be given")
@@ -242,9 +337,10 @@ def resolve_theta(
     walk = walk or WalkConfig()
     measure = measure_for(kind, ad_vector)
     if walk.beta2 == 0 and isinstance(measure, (SignProduct, SignMin)):
-        return solve_theta_closed(stats(g), float(gamma))
-    solved = solve_theta_numeric(g, measure, walk, float(gamma), max_paths=max_paths)
-    return float(solved)
+        return solve_theta_closed(stats(g) if graph_stats is None else graph_stats, float(gamma))
+    if atoms is None:
+        atoms = measure_atoms(g, measure, walk, graph_stats=graph_stats)
+    return solve_theta_atoms(*atoms, gamma)
 
 
 def centrality(
@@ -255,22 +351,25 @@ def centrality(
     gamma: float | None = None,
     walk: WalkConfig | None = None,
     ad_vector=None,
-    max_paths: int = DEFAULT_PATH_BUDGET,
+    graph_stats: GraphStats | None = None,
 ) -> CentralityRanking:
     """Compute an influence, trust, or advertisement centrality ranking.
 
     Dispatches the path measure for ``kind``, resolves the temperature from
-    ``theta`` or ``gamma``, builds the pair distribution, and returns its
-    start marginal.
+    ``gamma`` unless ``theta`` is given, and returns the start marginal of
+    the tilted walk distribution (:func:`start_marginal`).
     """
     walk = walk or WalkConfig()
-    resolved = resolve_theta(
-        g, kind, theta=theta, gamma=gamma, walk=walk, ad_vector=ad_vector,
-        max_paths=max_paths,
-    )
     measure = measure_for(kind, ad_vector)
-    b = bivariate(g, TwistConfig(measure=measure, theta=resolved, walk=walk), max_paths)
-    return marginal(b, "start")
+    if graph_stats is None:
+        graph_stats = stats(g)
+    if theta is None or gamma is not None:
+        # resolve_theta also rejects giving both or neither.
+        theta = resolve_theta(
+            g, kind, theta=theta, gamma=gamma, walk=walk, ad_vector=ad_vector,
+            graph_stats=graph_stats,
+        )
+    return start_marginal(g, TwistConfig(measure=measure, theta=theta, walk=walk), graph_stats)
 
 
 def measure_for(kind: str, ad_vector=None):

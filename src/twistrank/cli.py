@@ -8,7 +8,6 @@ the same invocation reproduces the outputs byte for byte.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -105,19 +104,9 @@ def _graph_flags(p):
 
 
 def _common_flags(p):
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker bound, recorded in the manifest; the current "
-                        "kernels are vectorized single-process")
-
-
-def _default_threads() -> int:
-    env = os.environ.get("TWISTRANK_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    # Deprecated no-op, still accepted so existing scripts keep working.  It
+    # is left out of the manifest, which must not depend on the machine.
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
 
 def _load(args):
@@ -187,8 +176,12 @@ def cmd_rank(args) -> int:
     ad = _ad_vector(args)
     if kind == "advertisement" and ad is None:
         raise TwistrankError("--measure ad requires --ad-vector")
-    theta = resolve_theta(g, kind, theta=args.theta, gamma=args.gamma, walk=walk, ad_vector=ad)
-    ranking = centrality(g, kind, theta=theta, walk=walk, ad_vector=ad)
+    graph_stats = stats(g)
+    theta = resolve_theta(
+        g, kind, theta=args.theta, gamma=args.gamma, walk=walk, ad_vector=ad,
+        graph_stats=graph_stats,
+    )
+    ranking = centrality(g, kind, theta=theta, walk=walk, ad_vector=ad, graph_stats=graph_stats)
     out = _out_dir(args)
     tio.write_ranking_csv(out / "ranking.csv", ranking, g.original_ids)
     tio.write_ranking_json(out / "ranking.json", ranking, g.original_ids)
@@ -258,7 +251,7 @@ def cmd_verify(args) -> int:
 def _manifest_params(args) -> dict:
     # The output directory is where results land, not an input to them; keep
     # it out so reruns into different directories stay byte-identical.
-    skip = {"handler", "command", "out"}
+    skip = {"handler", "command", "out", "threads"}
     params = {}
     for key, value in sorted(vars(args).items()):
         if key in skip:

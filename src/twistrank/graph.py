@@ -35,7 +35,9 @@ class AttributedGraph:
     dimension shared by all nodes).
     """
 
-    __slots__ = ("n", "original_ids", "node_attrs", "_edge_signs", "_nbr", "_sgn", "_index_of")
+    __slots__ = (
+        "n", "original_ids", "node_attrs", "_edge_signs", "_nbr", "_sgn", "_index_of", "_csr"
+    )
 
     def __init__(
         self,
@@ -60,6 +62,7 @@ class AttributedGraph:
             sgn.append(np.array([s for _, s in lst], dtype=np.int64))
         self._nbr = tuple(nbr)
         self._sgn = tuple(sgn)
+        self._csr = None
 
     @property
     def m(self) -> int:
@@ -78,6 +81,24 @@ class AttributedGraph:
 
     def degree(self, u: int) -> int:
         return self._nbr[u].size
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All neighbour lists in one read-only ``(indptr, indices, signs)`` triple.
+
+        Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]`` (ascending ids) with
+        the matching edge signs; every undirected edge appears in both rows.
+        Built on first use and kept.
+        """
+        if self._csr is None:
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum([a.size for a in self._nbr], out=indptr[1:])
+            empty = np.empty(0, dtype=np.int64)
+            indices = np.concatenate((*self._nbr, empty))
+            signs = np.concatenate((*self._sgn, empty))
+            for arr in (indptr, indices, signs):
+                arr.setflags(write=False)
+            self._csr = (indptr, indices, signs)
+        return self._csr
 
     def has_edge(self, u: int, w: int) -> bool:
         return (min(u, w), max(u, w)) in self._edge_signs
@@ -215,29 +236,18 @@ def load_graph(
 
 def stats(g: AttributedGraph) -> GraphStats:
     """Edge counts and per-node degrees split by sign."""
-    degree = np.zeros(g.n, dtype=np.int64)
-    pos_degree = np.zeros(g.n, dtype=np.int64)
-    neg_degree = np.zeros(g.n, dtype=np.int64)
-    m_pos = 0
-    m_neg = 0
-    for (u, w, s) in g.edge_list():
-        degree[u] += 1
-        degree[w] += 1
-        if s > 0:
-            m_pos += 1
-            pos_degree[u] += 1
-            pos_degree[w] += 1
-        else:
-            m_neg += 1
-            neg_degree[u] += 1
-            neg_degree[w] += 1
+    indptr, _, signs = g.csr()
+    degree = np.diff(indptr)
+    rows = np.repeat(np.arange(g.n), degree)
+    pos_degree = np.bincount(rows[signs > 0], minlength=g.n)
+    m_pos = int(pos_degree.sum()) // 2
     return GraphStats(
         m=g.m,
         m_pos=m_pos,
-        m_neg=m_neg,
+        m_neg=g.m - m_pos,
         degree=degree,
         pos_degree=pos_degree,
-        neg_degree=neg_degree,
+        neg_degree=degree - pos_degree,
     )
 
 

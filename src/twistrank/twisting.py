@@ -6,8 +6,14 @@ distribution to p0 in Kullback-Leibler divergence among those whose mean
 path measure hits a prescribed target.  This module evaluates path
 measures, computes the tilt in the log domain, exposes the free energy
 F = log(1/C) and its gradient (the mean measure), and solves for the
-temperature theta that achieves a target mean, either in closed form for
-the single-step sign-product regime or numerically.
+temperature theta that achieves a target mean.
+
+The tilt sees a walk only through its measure value, so pushing the base
+walk distribution forward through the measure (:func:`measure_atoms`) gives
+a table of at most n atoms on which every solve runs: in closed form for
+the two sign atoms, by Newton iteration otherwise.  The path enumeration
+behind :func:`twist` and :func:`solve_theta_numeric` is the oracle these
+atoms are checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConvergenceError, GraphError, SolveError
-from .graph import AttributedGraph, GraphStats
+from .graph import AttributedGraph, GraphStats, stats
 from .sampling import DEFAULT_PATH_BUDGET, WalkConfig, WalkPath, enumerate_paths
 
 
@@ -68,13 +74,35 @@ class MinInnerProduct:
             raise ValueError("score vector must be a nonempty one-dimensional array")
 
     def evaluate(self, graph: AttributedGraph, nodes) -> float:
-        attrs = graph.node_attrs
-        if attrs.shape[1] != self.scores.size:
+        self._check_dim(graph)
+        return float(min(graph.node_attrs[u] @ self.scores for u in nodes))
+
+    def node_scores(self, graph: AttributedGraph) -> np.ndarray:
+        """Inner product of every node's attribute vector with the score vector."""
+        self._check_dim(graph)
+        return graph.node_attrs @ self.scores
+
+    def capped_rows(self, graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of ``graph.csr()`` as ``(middle, neighbour, capped)`` arrays.
+
+        ``capped`` is min(z[middle], z[neighbour]): the measure of that edge,
+        and the neighbour's score capped at the middle node's.  Rows stay in
+        ``csr()`` order, so its ``indptr`` still delimits them, but within a
+        row the entries are sorted by ascending ``capped``.
+        """
+        z = self.node_scores(graph)
+        indptr, neighbours, _ = graph.csr()
+        middles = np.repeat(np.arange(graph.n), np.diff(indptr))
+        capped = np.minimum(z[middles], z[neighbours])
+        order = np.lexsort((capped, middles))
+        return middles[order], neighbours[order], capped[order]
+
+    def _check_dim(self, graph: AttributedGraph) -> None:
+        if graph.attr_dim != self.scores.size:
             raise GraphError(
                 f"score vector has dimension {self.scores.size} but node "
-                f"attributes have dimension {attrs.shape[1]}"
+                f"attributes have dimension {graph.attr_dim}"
             )
-        return float(min(attrs[u] @ self.scores for u in nodes))
 
 
 @dataclass(frozen=True)
@@ -119,7 +147,9 @@ class _PathTable:
 
 
 def _build_table(g, measure, walk, max_paths) -> _PathTable:
-    paths = tuple(enumerate_paths(g, walk, max_paths))
+    # A tiny walk weight such as beta1 = 5e-324 gives paths whose base mass
+    # underflows to 0; they are not part of the support.
+    paths = tuple(p for p in enumerate_paths(g, walk, max_paths) if p.base_prob > 0)
     dim = getattr(measure, "dim", 1)
     f = np.empty((len(paths), dim), dtype=float)
     logp0 = np.empty(len(paths), dtype=float)
@@ -214,9 +244,102 @@ def solve_theta_closed(graph_stats: GraphStats, gamma: float) -> float:
             "closed-form temperature needs both positive and negative edges "
             f"(m+ = {graph_stats.m_pos}, m- = {graph_stats.m_neg})"
         )
-    return 0.5 * math.log(
-        graph_stats.m_neg * (1.0 + gamma) / (graph_stats.m_pos * (1.0 - gamma))
-    )
+    return _two_atom_theta(-1.0, 1.0, graph_stats.m_neg, graph_stats.m_pos, gamma)
+
+
+def _two_atom_theta(lo: float, hi: float, mass_lo: float, mass_hi: float, gamma: float) -> float:
+    # With Z = mass_lo e^(theta lo) + mass_hi e^(theta hi), the mean hits gamma
+    # where mass_lo e^(theta lo) (gamma - lo) = mass_hi e^(theta hi) (hi - gamma).
+    return math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo)
+
+
+def measure_atoms(
+    g: AttributedGraph,
+    measure,
+    walk: WalkConfig,
+    *,
+    graph_stats: GraphStats | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push the base walk distribution forward through a scalar measure.
+
+    Returns ``(values, masses)``: ascending measure values and the total
+    base mass of the walks taking each, summing to 1.  Since the tilt sees a
+    walk only through its measure, Z(theta) = sum(masses * exp(theta *
+    values)), so a temperature solve needs only this table.
+
+    The sign measures have the two atoms -1 and +1, whose masses follow from
+    the signed degrees k+ and k- in O(m): a middle node v splits the k_v^2
+    two-step walks through it by the signs of their two edges.  The
+    advertisement measure takes at most n values, the node scores; its
+    atoms come from each node's neighbour scores sorted, in O(m log m).
+    Pass ``graph_stats`` to reuse signed degrees already computed.  Atoms of
+    zero mass may be present.
+    """
+    if g.m == 0:
+        raise GraphError("cannot push the walk distribution forward on an edgeless graph")
+    if isinstance(measure, (SignProduct, SignMin)):
+        gs = stats(g) if graph_stats is None else graph_stats
+        return _sign_atoms(gs, walk, isinstance(measure, SignMin))
+    if isinstance(measure, MinInnerProduct):
+        return _min_inner_atoms(g, walk, measure)
+    raise TypeError(f"no push-forward for measure {type(measure).__name__}")
+
+
+def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
+    pos = walk.beta1 * gs.m_pos / gs.m
+    neg = walk.beta1 * gs.m_neg / gs.m
+    if walk.beta2 > 0:
+        live = gs.degree > 0
+        k = gs.degree[live].astype(float)
+        kp = gs.pos_degree[live].astype(float)
+        kn = gs.neg_degree[live].astype(float)
+        # Each ordered neighbour pair of v is one walk of mass beta2 / (2 m k_v).
+        unit = walk.beta2 / (2 * gs.m * k)
+        if is_min:
+            plus, minus = kp * kp, k * k - kp * kp
+        else:
+            plus, minus = kp * kp + kn * kn, 2.0 * kp * kn
+        pos += float(unit @ plus)
+        neg += float(unit @ minus)
+    return np.array([-1.0, 1.0]), np.array([neg, pos])
+
+
+def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, measure: MinInnerProduct):
+    middles, _, capped = measure.capped_rows(g)
+    indptr = g.csr()[0]
+    k = np.diff(indptr)[middles]
+    i = np.arange(capped.size) - indptr[middles]
+    # The edge (v, u) is one length-1 walk of measure capped.  The i-th
+    # smallest capped score of row v is the measure of the 2 (k - 1 - i) + 1
+    # ordered pairs through v whose lower-ranked end it is.
+    masses = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
+    values, inverse = np.unique(capped, return_inverse=True)
+    return values, np.bincount(inverse, weights=masses, minlength=values.size)
+
+
+def solve_theta_atoms(
+    values: np.ndarray,
+    masses: np.ndarray,
+    gamma: float,
+    *,
+    tol: float = 1e-11,
+    max_iter: int = 200,
+) -> float:
+    """Solve mean(theta) = gamma on a :func:`measure_atoms` table.
+
+    Two atoms of positive mass have a closed-form solution; more run the
+    same safeguarded Newton iteration as :func:`solve_theta_numeric`, at
+    O(atoms) per step.  The target must lie strictly between the smallest
+    and largest atom of positive mass.
+    """
+    keep = masses > 0
+    f, p = values[keep], masses[keep]
+    gamma = float(gamma)
+    _check_target(f.min(keepdims=True), f.max(keepdims=True), gamma)
+    if f.size == 2:
+        (lo, hi), (mass_lo, mass_hi) = f.tolist(), p.tolist()
+        return _two_atom_theta(lo, hi, mass_lo, mass_hi, gamma)
+    return _solve_scalar(f, np.log(p), gamma, tol, max_iter)
 
 
 def solve_theta_numeric(
@@ -243,7 +366,14 @@ def solve_theta_numeric(
     dim = table.f.shape[1]
     if gamma_vec.size != dim:
         raise SolveError(f"target has dimension {gamma_vec.size}, measure expects {dim}")
-    fmin, fmax = table.f.min(axis=0), table.f.max(axis=0)
+    _check_target(table.f.min(axis=0), table.f.max(axis=0), gamma)
+    if dim == 1:
+        return _solve_scalar(table.f[:, 0], table.logp0, float(gamma_vec[0]), tol, max_iter)
+    return _solve_vector(table, gamma_vec, tol, max_iter)
+
+
+def _check_target(fmin: np.ndarray, fmax: np.ndarray, gamma) -> None:
+    gamma_vec = np.atleast_1d(np.asarray(gamma, dtype=float))
     degenerate = fmin == fmax
     if np.any(degenerate):
         comp = int(np.argmax(degenerate))
@@ -256,15 +386,10 @@ def solve_theta_numeric(
             f"target mean {np.asarray(gamma)} is outside the achievable range "
             f"({fmin.tolist()}, {fmax.tolist()}) (open interval, componentwise)"
         )
-    if dim == 1:
-        theta = _solve_scalar(table, float(gamma_vec[0]), tol, max_iter)
-        return theta
-    return _solve_vector(table, gamma_vec, tol, max_iter)
 
 
-def _scalar_grad_var(table: _PathTable, theta: float) -> tuple[float, float]:
-    f = table.f[:, 0]
-    logw = theta * f + table.logp0
+def _scalar_grad_var(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, float]:
+    logw = theta * f + logp0
     log_z = float(logsumexp(logw))
     p = np.exp(logw - log_z)
     grad = float(p @ f)
@@ -272,15 +397,16 @@ def _scalar_grad_var(table: _PathTable, theta: float) -> tuple[float, float]:
     return grad, var
 
 
-def _solve_scalar(table: _PathTable, gamma: float, tol: float, max_iter: int) -> float:
+def _solve_scalar(f: np.ndarray, logp0: np.ndarray, gamma: float, tol: float, max_iter: int) -> float:
+    """Root of mean(theta) = gamma over support values ``f`` with log masses ``logp0``."""
     def residual(t: float) -> tuple[float, float]:
-        grad, var = _scalar_grad_var(table, t)
+        grad, var = _scalar_grad_var(f, logp0, t)
         return grad - gamma, var
 
     theta = 0.0
     r, var = residual(theta)
     if abs(r) <= tol:
-        return _polish_scalar(table, gamma, theta, r, var)
+        return _polish_scalar(f, logp0, gamma, theta, r, var)
 
     # Bracket the root: the gradient is nondecreasing in theta.
     lo, hi = -1.0, 1.0
@@ -309,7 +435,7 @@ def _solve_scalar(table: _PathTable, gamma: float, tol: float, max_iter: int) ->
         theta = candidate
         r, var = residual(theta)
         if abs(r) <= tol:
-            return _polish_scalar(table, gamma, theta, r, var)
+            return _polish_scalar(f, logp0, gamma, theta, r, var)
         if r > 0.0:
             hi = theta
         else:
@@ -317,16 +443,16 @@ def _solve_scalar(table: _PathTable, gamma: float, tol: float, max_iter: int) ->
         if hi - lo <= 1e-16 * max(1.0, abs(theta)):
             break
     if abs(r) <= tol:
-        return _polish_scalar(table, gamma, theta, r, var)
+        return _polish_scalar(f, logp0, gamma, theta, r, var)
     raise ConvergenceError("temperature solve did not converge", abs(r))
 
 
-def _polish_scalar(table, gamma, theta, r, var) -> float:
+def _polish_scalar(f, logp0, gamma, theta, r, var) -> float:
     # One extra Newton step tightens the residual to machine precision,
     # which keeps theta accurate even where the gradient saturates.
     if var > 0.0 and r != 0.0:
         candidate = theta - r / var
-        grad2, _ = _scalar_grad_var(table, candidate)
+        grad2, _ = _scalar_grad_var(f, logp0, candidate)
         if abs(grad2 - gamma) < abs(r):
             return candidate
     return theta

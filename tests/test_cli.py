@@ -2,6 +2,8 @@
 
 import json
 import re
+import sys
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,25 @@ def write(path, text):
 
 def read_tree(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
+
+
+def count_calls(monkeypatch, names):
+    """Count calls to the named package functions, wherever they are bound."""
+    calls = Counter()
+    for module in [m for k, m in sys.modules.items() if k.startswith("twistrank.")]:
+        for name in names:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, _counted(calls, name, fn))
+    return calls
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 @pytest.fixture
@@ -199,6 +220,31 @@ class TestRankCommand:
         main(args + ["--out", str(tmp_path / "b")])
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
+    def test_outputs_do_not_depend_on_threads(self, tmp_path, small_edges, monkeypatch, capsys):
+        # --threads is a deprecated no-op; neither it nor TWISTRANK_THREADS
+        # may reach manifest.json, or reruns on other machines would differ.
+        args = [
+            "rank", "--edges", str(small_edges), "--measure", "trust",
+            "--gamma", "0.2", "--beta1", "0.7", "--beta2", "0.3",
+        ]
+        monkeypatch.setenv("TWISTRANK_THREADS", "1")
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setenv("TWISTRANK_THREADS", "7")
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        assert main(args + ["--threads", "3", "--out", str(tmp_path / "c")]) == 0
+        first = read_tree(tmp_path / "a")
+        assert "manifest.json" in first
+        assert first == read_tree(tmp_path / "b") == read_tree(tmp_path / "c")
+
+    def test_resolves_theta_and_stats_once(self, tmp_path, small_edges, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, ("resolve_theta", "stats"))
+        assert main([
+            "rank", "--edges", str(small_edges), "--measure", "trust",
+            "--gamma", "0.2", "--beta1", "0.7", "--beta2", "0.3",
+            "--out", str(tmp_path / "rank"),
+        ]) == 0
+        assert calls == {"resolve_theta": 1, "stats": 1}
+
 
 class TestSweepCommand:
     def test_gamma_sweep_matches_regression_thetas(self, tmp_path, paper_scale_edges, capsys):
@@ -235,6 +281,16 @@ class TestSweepCommand:
         assert rows[2]["error"] is None
         csv_lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(csv_lines) == 4
+
+    def test_resolves_each_target_once_and_stats_once(self, tmp_path, small_edges,
+                                                      monkeypatch, capsys):
+        calls = count_calls(monkeypatch, ("resolve_theta", "stats", "measure_atoms"))
+        assert main([
+            "sweep", "--edges", str(small_edges), "--measure", "influence",
+            "--gammas=-0.2,0,0.3", "--beta1", "0.5", "--beta2", "0.5", "--k", "2",
+            "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        assert calls == {"resolve_theta": 3, "stats": 1, "measure_atoms": 1}
 
     def test_requires_exactly_one_target_list(self, tmp_path, small_edges, capsys):
         code = main([
