@@ -8,9 +8,15 @@ import numpy as np
 
 from .errors import TwistrankError
 from .graph import AttributedGraph, GraphStats, stats
-from .centrality import CentralityRanking, measure_for, resolve_theta, start_marginal
+from .centrality import (
+    CentralityRanking,
+    measure_for,
+    resolve_theta,
+    start_marginal,
+    theta_solver,
+)
 from .sampling import WalkConfig
-from .twisting import TwistConfig, measure_atoms
+from .twisting import TwistConfig
 
 DEGREE_KINDS = ("positive", "negative", "total")
 
@@ -85,8 +91,8 @@ def sweep(
     ``mode`` selects whether ``values`` are gamma targets or temperatures.
     A failing target produces a row carrying the error message; the other
     rows are unaffected.  Output order follows the input order.  The graph
-    statistics and the measure's atoms are computed once and shared by all
-    targets.
+    statistics and the :func:`theta_solver` are built once and shared by
+    all targets.
     """
     if mode not in ("gamma", "theta"):
         raise ValueError(f"mode must be 'gamma' or 'theta', got {mode!r}")
@@ -96,17 +102,17 @@ def sweep(
     baselines = {
         name: top_k(degree_ranking(graph_stats, name), k) for name in DEGREE_KINDS
     }
-    atoms = None
+    solver = None
     rows: list[SweepRow] = []
     for value in values:
         gamma = float(value) if mode == "gamma" else None
         given_theta = float(value) if mode == "theta" else None
         try:
-            if gamma is not None and atoms is None:
-                atoms = measure_atoms(g, measure, walk, graph_stats=graph_stats)
+            if gamma is not None and solver is None:
+                solver = theta_solver(g, measure, walk, graph_stats)
             theta = resolve_theta(
                 g, kind, theta=given_theta, gamma=gamma, walk=walk,
-                ad_vector=ad_vector, graph_stats=graph_stats, atoms=atoms,
+                ad_vector=ad_vector, graph_stats=graph_stats, solver=solver,
             )
             ranking = start_marginal(g, TwistConfig(measure, theta, walk), graph_stats)
             mine = top_k(ranking, k)

@@ -13,6 +13,7 @@ sign measures and O(m log m) for the advertisement measure.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,19 +234,27 @@ def start_marginal(
     return CentralityRanking.from_scores(scores / scores.sum())
 
 
+def _step_weights(theta: float) -> tuple[float, float]:
+    # e^theta and e^-theta, both scaled by e^-|theta|: exp(theta) overflows
+    # past ~709, and the common scale cancels on normalizing.
+    return math.exp(theta - abs(theta)), math.exp(-theta - abs(theta))
+
+
+def _out_weights(gs: GraphStats, theta: float) -> np.ndarray:
+    # Tilted weight k+ e^theta + k- e^-theta of the steps out of each node,
+    # scaled as in _step_weights; also each node's length-1 start mass.
+    ep, en = _step_weights(theta)
+    return gs.pos_degree * ep + gs.neg_degree * en
+
+
 def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool) -> np.ndarray:
     # Unnormalized start masses, without the common factor 1 / (2 m).
-    # exp(theta) overflows past ~709; shifting by |theta| cancels on normalizing.
-    ep = math.exp(theta - abs(theta))
-    en = math.exp(-theta - abs(theta))
-    kp = gs.pos_degree.astype(float)
-    kn = gs.neg_degree.astype(float)
-    # Tilted weight of the steps out of each node: also the length-1 mass.
-    out = kp * ep + kn * en
+    out = _out_weights(gs, theta)
     scores = walk.beta1 * out
     if walk.beta2 > 0:
+        ep, en = _step_weights(theta)
+        kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
         _, starts, signs = g.csr()
-        k = gs.degree.astype(float)
         middles = np.repeat(np.arange(g.n), gs.degree)
         # The second step's weight after a negative first edge u-v.
         after_neg = k * en if is_min else kn * ep + kp * en
@@ -305,7 +314,7 @@ def influence_closed_form(graph_stats: GraphStats, theta: float) -> CentralityRa
     """
     if graph_stats.m == 0:
         raise GraphError("closed-form scores are undefined on an edgeless graph")
-    scores = _sign_scores(None, graph_stats, WalkConfig(1.0, 0.0), float(theta), False)
+    scores = _out_weights(graph_stats, float(theta))
     return CentralityRanking.from_scores(scores / scores.sum())
 
 
@@ -318,29 +327,43 @@ def resolve_theta(
     walk: WalkConfig | None = None,
     ad_vector=None,
     graph_stats: GraphStats | None = None,
-    atoms: tuple[np.ndarray, np.ndarray] | None = None,
+    solver: Callable[[float], float] | None = None,
 ) -> float:
     """Resolve the temperature for a centrality run.
 
     Exactly one of ``theta`` and ``gamma`` must be given.  A gamma target is
-    inverted on the measure's atoms (:func:`measure_atoms`): in closed form
-    for the sign measures, through :func:`solve_theta_closed` when only
-    length-1 walks are sampled, and by Newton iteration over at most n atoms
-    for the advertisement measure.  No walk is enumerated.  ``graph_stats``
-    and ``atoms`` (the atoms of this graph, measure and walk) reuse work
-    already done, for instance across the targets of a sweep.
+    inverted by :func:`theta_solver`; no walk is enumerated.  ``graph_stats``
+    and ``solver`` (a :func:`theta_solver` of this graph, measure and walk)
+    reuse work already done, for instance across the targets of a sweep.
     """
     if (theta is None) == (gamma is None):
         raise ValueError("exactly one of theta and gamma must be given")
     if theta is not None:
         return float(theta)
-    walk = walk or WalkConfig()
-    measure = measure_for(kind, ad_vector)
+    if solver is None:
+        solver = theta_solver(g, measure_for(kind, ad_vector), walk or WalkConfig(), graph_stats)
+    return solver(float(gamma))
+
+
+def theta_solver(
+    g: AttributedGraph,
+    measure,
+    walk: WalkConfig,
+    graph_stats: GraphStats | None = None,
+) -> Callable[[float], float]:
+    """The map from a target mean gamma to its temperature.
+
+    Sign measures with only length-1 walks go through
+    :func:`solve_theta_closed`.  Otherwise the measure's atoms
+    (:func:`measure_atoms`) are built once, here, and each target is
+    inverted on them: in closed form for the two sign atoms, by Newton
+    iteration over at most n atoms for the advertisement measure.
+    """
     if walk.beta2 == 0 and isinstance(measure, (SignProduct, SignMin)):
-        return solve_theta_closed(stats(g) if graph_stats is None else graph_stats, float(gamma))
-    if atoms is None:
-        atoms = measure_atoms(g, measure, walk, graph_stats=graph_stats)
-    return solve_theta_atoms(*atoms, gamma)
+        gs = stats(g) if graph_stats is None else graph_stats
+        return lambda gamma: solve_theta_closed(gs, gamma)
+    atoms = measure_atoms(g, measure, walk, graph_stats=graph_stats)
+    return lambda gamma: solve_theta_atoms(*atoms, gamma)
 
 
 def centrality(
@@ -351,24 +374,20 @@ def centrality(
     gamma: float | None = None,
     walk: WalkConfig | None = None,
     ad_vector=None,
-    graph_stats: GraphStats | None = None,
 ) -> CentralityRanking:
     """Compute an influence, trust, or advertisement centrality ranking.
 
     Dispatches the path measure for ``kind``, resolves the temperature from
-    ``gamma`` unless ``theta`` is given, and returns the start marginal of
-    the tilted walk distribution (:func:`start_marginal`).
+    ``theta`` or ``gamma``, and returns the start marginal of the tilted
+    walk distribution (:func:`start_marginal`).
     """
     walk = walk or WalkConfig()
     measure = measure_for(kind, ad_vector)
-    if graph_stats is None:
-        graph_stats = stats(g)
-    if theta is None or gamma is not None:
-        # resolve_theta also rejects giving both or neither.
-        theta = resolve_theta(
-            g, kind, theta=theta, gamma=gamma, walk=walk, ad_vector=ad_vector,
-            graph_stats=graph_stats,
-        )
+    graph_stats = stats(g)
+    theta = resolve_theta(
+        g, kind, theta=theta, gamma=gamma, walk=walk, ad_vector=ad_vector,
+        graph_stats=graph_stats,
+    )
     return start_marginal(g, TwistConfig(measure=measure, theta=theta, walk=walk), graph_stats)
 
 

@@ -15,8 +15,9 @@ from . import __version__
 from .errors import TwistrankError
 from .graph import NegativeInjection, load_graph, preprocess, stats
 from .sampling import WalkConfig
+from .twisting import TwistConfig
 from .analysis import sweep
-from .centrality import centrality, resolve_theta
+from .centrality import measure_for, resolve_theta, start_marginal
 from . import io as tio
 from .verify import run_checks
 
@@ -181,7 +182,7 @@ def cmd_rank(args) -> int:
         g, kind, theta=args.theta, gamma=args.gamma, walk=walk, ad_vector=ad,
         graph_stats=graph_stats,
     )
-    ranking = centrality(g, kind, theta=theta, walk=walk, ad_vector=ad, graph_stats=graph_stats)
+    ranking = start_marginal(g, TwistConfig(measure_for(kind, ad), theta, walk), graph_stats)
     out = _out_dir(args)
     tio.write_ranking_csv(out / "ranking.csv", ranking, g.original_ids)
     tio.write_ranking_json(out / "ranking.json", ranking, g.original_ids)

@@ -28,6 +28,10 @@ from .errors import ConvergenceError, GraphError, SolveError
 from .graph import AttributedGraph, GraphStats, stats
 from .sampling import DEFAULT_PATH_BUDGET, WalkConfig, WalkPath, enumerate_paths
 
+# Newton iteration: max-norm tolerance on the mean measure, and step limit.
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 200
+
 
 class SignProduct:
     """Product of the edge signs along a path; always +1 or -1.
@@ -321,9 +325,6 @@ def solve_theta_atoms(
     values: np.ndarray,
     masses: np.ndarray,
     gamma: float,
-    *,
-    tol: float = 1e-11,
-    max_iter: int = 200,
 ) -> float:
     """Solve mean(theta) = gamma on a :func:`measure_atoms` table.
 
@@ -339,7 +340,7 @@ def solve_theta_atoms(
     if f.size == 2:
         (lo, hi), (mass_lo, mass_hi) = f.tolist(), p.tolist()
         return _two_atom_theta(lo, hi, mass_lo, mass_hi, gamma)
-    return _solve_scalar(f, np.log(p), gamma, tol, max_iter)
+    return _solve_scalar(f, np.log(p), gamma, NEWTON_TOL, NEWTON_MAX_ITER)
 
 
 def solve_theta_numeric(
@@ -348,8 +349,8 @@ def solve_theta_numeric(
     walk: WalkConfig,
     gamma: float | np.ndarray,
     *,
-    tol: float = 1e-11,
-    max_iter: int = 200,
+    tol: float = NEWTON_TOL,
+    max_iter: int = NEWTON_MAX_ITER,
     max_paths: int = DEFAULT_PATH_BUDGET,
 ) -> float | np.ndarray:
     """Solve grad F(theta) = gamma by Newton iteration on the mean measure.

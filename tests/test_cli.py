@@ -292,6 +292,16 @@ class TestSweepCommand:
         ]) == 0
         assert calls == {"resolve_theta": 3, "stats": 1, "measure_atoms": 1}
 
+    def test_one_step_sign_sweep_builds_no_atoms(self, tmp_path, small_edges,
+                                                 monkeypatch, capsys):
+        calls = count_calls(monkeypatch, ("resolve_theta", "measure_atoms"))
+        assert main([
+            "sweep", "--edges", str(small_edges), "--measure", "trust",
+            "--gammas=-0.2,0,0.3", "--beta1", "1", "--beta2", "0", "--k", "2",
+            "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        assert calls == {"resolve_theta": 3}
+
     def test_requires_exactly_one_target_list(self, tmp_path, small_edges, capsys):
         code = main([
             "sweep", "--edges", str(small_edges), "--measure", "influence",
