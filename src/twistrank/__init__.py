@@ -26,16 +26,11 @@ from .graph import (
     stats,
 )
 from .sampling import (
-    PageRankConfig,
     WalkConfig,
     WalkPath,
     base_walk_prob,
     enumerate_paths,
-    markov_path_prob,
-    pagerank_stationary,
     path_count,
-    transition_matrix,
-    uniform_edge_prob,
 )
 from .twisting import (
     MinInnerProduct,
@@ -82,7 +77,6 @@ __all__ = [
     "GraphStats",
     "MinInnerProduct",
     "NegativeInjection",
-    "PageRankConfig",
     "ParseError",
     "PreprocessReport",
     "PreprocessResult",
@@ -108,10 +102,8 @@ __all__ = [
     "kl_divergence",
     "load_graph",
     "marginal",
-    "markov_path_prob",
     "measure_atoms",
     "measure_for",
-    "pagerank_stationary",
     "path_count",
     "preprocess",
     "resolve_theta",
@@ -120,7 +112,5 @@ __all__ = [
     "stats",
     "sweep",
     "top_k",
-    "transition_matrix",
     "twist",
-    "uniform_edge_prob",
 ]

@@ -108,18 +108,15 @@ def bivariate(
     required = path_count(g, cfg.walk)
     if required > max_paths:
         raise EnumerationBudgetError(required, max_paths)
-    theta = cfg.theta_vector()
-    if theta.size != 1:
-        raise ValueError("pair distributions are defined for scalar-temperature measures")
-    th = float(theta[0])
+    theta = cfg.theta_value()
 
     measure = cfg.measure
     if isinstance(measure, SignProduct):
-        codes, exps, wts = _sign_terms(g, cfg.walk, th, np.multiply)
+        codes, exps, wts = _sign_terms(g, cfg.walk, theta, np.multiply)
     elif isinstance(measure, SignMin):
-        codes, exps, wts = _sign_terms(g, cfg.walk, th, np.minimum)
+        codes, exps, wts = _sign_terms(g, cfg.walk, theta, np.minimum)
     elif isinstance(measure, MinInnerProduct):
-        codes, exps, wts = _min_inner_terms(g, cfg.walk, th, measure)
+        codes, exps, wts = _min_inner_terms(g, cfg.walk, theta, measure)
     else:
         raise TypeError(
             f"no structural pair assembly for measure {type(measure).__name__}; "
@@ -219,16 +216,13 @@ def start_marginal(
     """
     if g.m == 0:
         raise GraphError("cannot compute start marginals on an edgeless graph")
-    theta = cfg.theta_vector()
-    if theta.size != 1:
-        raise ValueError("start marginals are defined for scalar-temperature measures")
-    th = float(theta[0])
+    theta = cfg.theta_value()
     measure = cfg.measure
     if isinstance(measure, (SignProduct, SignMin)):
         gs = stats(g) if graph_stats is None else graph_stats
-        scores = _sign_scores(g, gs, cfg.walk, th, isinstance(measure, SignMin))
+        scores = _sign_scores(g, gs, cfg.walk, theta, isinstance(measure, SignMin))
     elif isinstance(measure, MinInnerProduct):
-        scores = _min_inner_scores(g, cfg.walk, th, measure)
+        scores = _min_inner_scores(g, cfg.walk, theta, measure)
     else:
         raise TypeError(f"no start-marginal kernel for measure {type(measure).__name__}")
     return CentralityRanking.from_scores(scores / scores.sum())

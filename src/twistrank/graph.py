@@ -178,8 +178,9 @@ def load_graph(
     ``edge_records`` are ``(u, w, sign)`` triples (or ``(u, w)`` pairs, which
     default to sign +1).  Duplicate records for the same unordered pair are
     collapsed when their signs agree and rejected otherwise.  Self-loops are
-    rejected.  ``attr_records`` are ``(node, vector)`` pairs; all vectors must
-    share one length, and nodes without a record get the zero vector.
+    rejected.  ``attr_records`` are ``(node, vector)`` pairs of finite values;
+    all vectors must share one length, and nodes without a record get the
+    zero vector.
 
     The node set is the union of edge endpoints and attribute-record ids,
     compacted to ``0..n-1`` in ascending original-id order.
@@ -214,6 +215,8 @@ def load_graph(
             vec = np.asarray(vec, dtype=float)
             if vec.ndim != 1:
                 raise GraphError(f"attribute vector for node {node} must be one-dimensional")
+            if not np.all(np.isfinite(vec)):
+                raise GraphError(f"attribute vector for node {node} must be finite")
             if attrs_by_node and vec.size != attr_dim:
                 raise GraphError(
                     f"ragged attribute vectors: node {node} has length {vec.size}, "

@@ -1,11 +1,9 @@
-"""Base (untwisted) path-sampling distributions.
+"""The base (untwisted) short-walk distribution.
 
-Three samplers are provided: uniform selection of a directed edge, an
-ergodic Markov chain (PageRank-style) over node sequences, and the short
-random walk that picks a start node proportionally to degree and then walks
-one or two steps.  The short walk is the distribution the centralities are
-built on; exhaustive enumeration of its support doubles as the oracle
-substrate for every twisted quantity.
+The short random walk picks a start node proportionally to degree and then
+walks one step with probability beta1 or two steps with probability beta2.
+It is the distribution every centrality tilts; exhaustive enumeration of
+its support is the oracle substrate for every twisted quantity.
 """
 
 from __future__ import annotations
@@ -13,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .errors import ConvergenceError, EnumerationBudgetError, GraphError
+from .errors import EnumerationBudgetError, GraphError
 from .graph import AttributedGraph
 
 DEFAULT_PATH_BUDGET = 20_000_000
@@ -50,119 +46,6 @@ class WalkConfig:
             raise ValueError(
                 f"beta1 + beta2 must equal 1, got {self.beta1} + {self.beta2}"
             )
-
-
-@dataclass(frozen=True)
-class PageRankConfig:
-    """Power-iteration settings for the teleporting random surfer."""
-
-    damping: float = 0.85
-    tolerance: float = 1e-10
-    max_iters: int = 10_000
-
-    def __post_init__(self):
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
-
-
-def uniform_edge_prob(g: AttributedGraph, r: WalkPath | Sequence[int]) -> float:
-    """Probability of a length-1 path under uniform directed-edge sampling.
-
-    The symmetrized graph has ``2 m`` directed edges, so every present edge
-    has mass ``1 / (2 m)``; absent pairs have mass 0.
-    """
-    nodes = _nodes_of(r)
-    if len(nodes) != 2:
-        raise ValueError("uniform edge sampling is defined for length-1 paths only")
-    u, w = nodes
-    if g.m == 0 or u == w or not g.has_edge(u, w):
-        return 0.0
-    return 1.0 / (2 * g.m)
-
-
-def pagerank_stationary(g: AttributedGraph, cfg: PageRankConfig = PageRankConfig()) -> np.ndarray:
-    """Stationary distribution of the teleporting walk, by power iteration.
-
-    Solves pi[u] = (1 - damping)/n + damping * sum_w A[w, u]/deg(w) * pi[w]
-    to within ``cfg.tolerance`` (max-norm residual of one more iteration).
-    Nodes of degree 0 are a hard error when ``damping > 0``, since the
-    transition kernel divides by the out-degree.
-    """
-    n = g.n
-    if n == 0:
-        raise GraphError("empty graph has no stationary distribution")
-    if n == 1:
-        return np.ones(1)
-    if cfg.damping == 0.0:
-        return np.full(n, 1.0 / n)
-    degrees = np.array([g.degree(u) for u in range(n)], dtype=float)
-    if np.any(degrees == 0):
-        bad = int(np.argmin(degrees))
-        raise GraphError(
-            f"node {bad} has degree 0; the transition kernel is undefined for damping > 0"
-        )
-    flat = np.concatenate([g.neighbors(u) for u in range(n)])
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(degrees[:-1].astype(np.int64), out=offsets[1:])
-
-    x = np.full(n, 1.0 / n)
-    base = (1.0 - cfg.damping) / n
-    for _ in range(cfg.max_iters):
-        contrib = (x / degrees)[flat]
-        x_new = base + cfg.damping * np.add.reduceat(contrib, offsets)
-        residual = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if residual <= cfg.tolerance:
-            return x
-    raise ConvergenceError(
-        f"power iteration did not converge in {cfg.max_iters} iterations", residual
-    )
-
-
-def transition_matrix(g: AttributedGraph, damping: float) -> np.ndarray:
-    """Dense row-stochastic transition matrix of the teleporting walk.
-
-    Intended for small graphs (direct solves, oracles); the power iteration
-    above never materializes it.
-    """
-    n = g.n
-    P = np.full((n, n), (1.0 - damping) / n)
-    for u in range(n):
-        nb = g.neighbors(u)
-        if nb.size:
-            P[u, nb] += damping / nb.size
-        elif damping > 0:
-            raise GraphError(f"node {u} has degree 0; transition row is undefined")
-    return P
-
-
-def markov_path_prob(
-    pi: np.ndarray,
-    transitions: np.ndarray,
-    r: Sequence[int],
-    *,
-    row_sum_tol: float = 1e-9,
-) -> float:
-    """Probability that a stationary chain traverses the node sequence ``r``.
-
-    Equals ``pi[r[0]]`` times the product of the step transition
-    probabilities.  A zero-probability step yields 0, not an error.  For a
-    reversible chain this is invariant under reversing ``r``.
-    """
-    pi = np.asarray(pi, dtype=float)
-    transitions = np.asarray(transitions, dtype=float)
-    bad = np.max(np.abs(transitions.sum(axis=1) - 1.0))
-    if bad > row_sum_tol:
-        raise ValueError(f"transition rows must sum to 1 (max deviation {bad:.3e})")
-    nodes = _nodes_of(r)
-    if len(nodes) == 0:
-        raise ValueError("path must contain at least one node")
-    prob = float(pi[nodes[0]])
-    for a, b in zip(nodes, nodes[1:]):
-        prob *= float(transitions[a, b])
-        if prob == 0.0:
-            return 0.0
-    return prob
 
 
 def base_walk_prob(g: AttributedGraph, cfg: WalkConfig, r: WalkPath | Sequence[int]) -> float:

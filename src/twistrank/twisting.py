@@ -1,12 +1,12 @@
-"""Exponential change of measure over sampled paths.
+"""Exponential change of measure over short walks.
 
-Given a base path distribution p0 and a path measure f, the tilted
-distribution p(r) = C * exp(theta . f(r)) * p0(r) is the closest
+Given the base short-walk distribution p0 and a scalar path measure f, the
+tilted distribution p(r) = C * exp(theta * f(r)) * p0(r) is the closest
 distribution to p0 in Kullback-Leibler divergence among those whose mean
 path measure hits a prescribed target.  This module evaluates path
 measures, computes the tilt in the log domain, exposes the free energy
-F = log(1/C) and its gradient (the mean measure), and solves for the
-temperature theta that achieves a target mean.
+F = log(1/C) and its derivative (the mean measure), and solves for the
+scalar temperature theta that achieves a target mean.
 
 The tilt sees a walk only through its measure value, so pushing the base
 walk distribution forward through the measure (:func:`measure_atoms`) gives
@@ -22,13 +22,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError, GraphError, SolveError
 from .graph import AttributedGraph, GraphStats, stats
 from .sampling import DEFAULT_PATH_BUDGET, WalkConfig, WalkPath, enumerate_paths
 
-# Newton iteration: max-norm tolerance on the mean measure, and step limit.
+# Newton iteration: tolerance on the mean measure, and step limit.
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 200
 
@@ -40,8 +39,6 @@ class SignProduct:
     friend-of-friend / enemy-of-enemy propagation rule behind influence
     scoring.
     """
-
-    dim = 1
 
     def evaluate(self, graph: AttributedGraph, nodes) -> float:
         value = 1
@@ -57,8 +54,6 @@ class SignMin:
     edges, so one negative edge poisons the whole walk.
     """
 
-    dim = 1
-
     def evaluate(self, graph: AttributedGraph, nodes) -> float:
         return float(min(graph.sign(a, b) for a, b in zip(nodes, nodes[1:])))
 
@@ -70,12 +65,12 @@ class MinInnerProduct:
     a walk is only as receptive as its least receptive node.
     """
 
-    dim = 1
-
     def __init__(self, scores):
         self.scores = np.asarray(scores, dtype=float)
         if self.scores.ndim != 1 or self.scores.size == 0:
             raise ValueError("score vector must be a nonempty one-dimensional array")
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError("score vector must be finite")
 
     def evaluate(self, graph: AttributedGraph, nodes) -> float:
         self._check_dim(graph)
@@ -111,19 +106,19 @@ class MinInnerProduct:
 
 @dataclass(frozen=True)
 class TwistConfig:
-    """One tilted sampled graph: a measure, a temperature, and a walk mix."""
+    """One tilted short walk: a scalar measure, a scalar temperature, a walk mix."""
 
     measure: object
-    theta: float | np.ndarray
+    theta: float
     walk: WalkConfig = field(default_factory=WalkConfig)
 
-    def theta_vector(self) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        if not np.all(np.isfinite(theta)):
+    def theta_value(self) -> float:
+        """``theta`` as a float; arrays and non-finite values are rejected."""
+        if np.ndim(self.theta) != 0:
+            raise ValueError(f"theta must be a scalar, got dimension {np.ndim(self.theta)}")
+        theta = float(self.theta)
+        if not math.isfinite(theta):
             raise ValueError("theta must be finite")
-        dim = getattr(self.measure, "dim", 1)
-        if theta.size != dim:
-            raise ValueError(f"theta has dimension {theta.size}, measure expects {dim}")
         return theta
 
 
@@ -132,13 +127,13 @@ class TwistResult:
     """Normalization and summary statistics of one tilt.
 
     ``free_energy`` is log(1/C) = -log_c; ``mean_measure`` is the average
-    path measure under the tilted distribution, which equals the gradient of
-    the free energy in theta.
+    path measure under the tilted distribution, which equals the derivative
+    of the free energy in theta.
     """
 
     log_c: float
     free_energy: float
-    mean_measure: float | np.ndarray
+    mean_measure: float
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ class _PathTable:
     """Enumerated support with per-path measures and log base masses."""
 
     paths: tuple[WalkPath, ...]
-    f: np.ndarray       # shape (N, dim)
+    f: np.ndarray       # shape (N,)
     logp0: np.ndarray   # shape (N,)
 
 
@@ -154,8 +149,7 @@ def _build_table(g, measure, walk, max_paths) -> _PathTable:
     # A tiny walk weight such as beta1 = 5e-324 gives paths whose base mass
     # underflows to 0; they are not part of the support.
     paths = tuple(p for p in enumerate_paths(g, walk, max_paths) if p.base_prob > 0)
-    dim = getattr(measure, "dim", 1)
-    f = np.empty((len(paths), dim), dtype=float)
+    f = np.empty(len(paths), dtype=float)
     logp0 = np.empty(len(paths), dtype=float)
     for i, p in enumerate(paths):
         f[i] = measure.evaluate(g, p.nodes)
@@ -163,9 +157,24 @@ def _build_table(g, measure, walk, max_paths) -> _PathTable:
     return _PathTable(paths=paths, f=f, logp0=logp0)
 
 
-def _tilt(table: _PathTable, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    logw = table.f @ theta + table.logp0
-    log_z = float(logsumexp(logw))
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) of a nonempty array of finite values.
+
+    The shifted form of Blanchard, Higham & Higham, "Accurately computing
+    the log-sum-exp and softmax functions" (IMA J. Numer. Anal. 41(4),
+    2021): the entries tied at the maximum leave the sum as a count, and
+    the rest enter through log1p.
+    """
+    top = x.max()
+    at_top = x == top
+    count = np.count_nonzero(at_top)
+    rest = np.exp(np.where(at_top, -np.inf, x) - top).sum()
+    return float(np.log1p(rest / count) + np.log(count) + top)
+
+
+def _tilt(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
+    logw = theta * f + logp0
+    log_z = _logsumexp(logw)
     return log_z, np.exp(logw - log_z)
 
 
@@ -174,21 +183,16 @@ def twist(
     cfg: TwistConfig,
     max_paths: int = DEFAULT_PATH_BUDGET,
 ) -> tuple[TwistResult, list[tuple[WalkPath, float]]]:
-    """Tilt the base walk distribution by exp(theta . f).
+    """Tilt the base walk distribution by exp(theta * f).
 
     Returns the normalization summary and the per-path tilted masses, which
     sum to 1.  All accumulation happens in the log domain, so large
     |theta * f| values do not overflow.
     """
-    theta = cfg.theta_vector()
+    theta = cfg.theta_value()
     table = _build_table(g, cfg.measure, cfg.walk, max_paths)
-    log_z, probs = _tilt(table, theta)
-    mean = probs @ table.f
-    result = TwistResult(
-        log_c=-log_z,
-        free_energy=log_z,
-        mean_measure=float(mean[0]) if mean.size == 1 else mean,
-    )
+    log_z, probs = _tilt(table.f, table.logp0, theta)
+    result = TwistResult(log_c=-log_z, free_energy=log_z, mean_measure=float(probs @ table.f))
     return result, list(zip(table.paths, probs.tolist()))
 
 
@@ -196,17 +200,16 @@ def free_energy_gradient(
     g: AttributedGraph,
     cfg: TwistConfig,
     max_paths: int = DEFAULT_PATH_BUDGET,
-) -> float | np.ndarray:
+) -> float:
     """Mean path measure under the tilted distribution.
 
-    This equals the gradient of the free energy at theta, so it is the
+    This equals the derivative of the free energy at theta, so it is the
     quantity matched against a target mean when solving for theta.
     """
-    theta = cfg.theta_vector()
+    theta = cfg.theta_value()
     table = _build_table(g, cfg.measure, cfg.walk, max_paths)
-    _, probs = _tilt(table, theta)
-    mean = probs @ table.f
-    return float(mean[0]) if mean.size == 1 else mean
+    _, probs = _tilt(table.f, table.logp0, theta)
+    return float(probs @ table.f)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -222,14 +225,14 @@ def achievable_range(
     measure,
     walk: WalkConfig,
     max_paths: int = DEFAULT_PATH_BUDGET,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise (min, max) of the measure over the enumerated support.
+) -> tuple[float, float]:
+    """(min, max) of the measure over the enumerated support.
 
-    Any target mean strictly inside this box is achievable by some finite
-    temperature; values on or outside the boundary are not.
+    Any target mean strictly between the two is achievable by some finite
+    temperature; values on or outside them are not.
     """
     table = _build_table(g, measure, walk, max_paths)
-    return table.f.min(axis=0), table.f.max(axis=0)
+    return float(table.f.min()), float(table.f.max())
 
 
 def solve_theta_closed(graph_stats: GraphStats, gamma: float) -> float:
@@ -336,69 +339,58 @@ def solve_theta_atoms(
     keep = masses > 0
     f, p = values[keep], masses[keep]
     gamma = float(gamma)
-    _check_target(f.min(keepdims=True), f.max(keepdims=True), gamma)
+    _check_target(float(f.min()), float(f.max()), gamma)
     if f.size == 2:
         (lo, hi), (mass_lo, mass_hi) = f.tolist(), p.tolist()
         return _two_atom_theta(lo, hi, mass_lo, mass_hi, gamma)
-    return _solve_scalar(f, np.log(p), gamma, NEWTON_TOL, NEWTON_MAX_ITER)
+    return _solve_scalar(f, np.log(p), gamma)
 
 
 def solve_theta_numeric(
     g: AttributedGraph,
     measure,
     walk: WalkConfig,
-    gamma: float | np.ndarray,
+    gamma: float,
     *,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
     max_paths: int = DEFAULT_PATH_BUDGET,
-) -> float | np.ndarray:
-    """Solve grad F(theta) = gamma by Newton iteration on the mean measure.
+) -> float:
+    """Solve F'(theta) = gamma by Newton iteration on the mean measure.
 
-    The Hessian of the free energy is the covariance of the measure under
-    the tilt, so the scalar gradient is monotone and admits a bisection
-    fallback; the vector case uses damped Newton steps.  The target must lie
-    strictly inside the achievable range (see :func:`achievable_range`).
-    Convergence is declared when the gradient matches gamma within ``tol``
-    in the max norm, followed by one polishing step.
+    The second derivative of the free energy is the variance of the measure
+    under the tilt, so the mean is monotone in theta and admits a bisection
+    fallback.  The target must lie strictly inside the achievable range
+    (see :func:`achievable_range`).  Convergence is declared when the mean
+    matches gamma within ``NEWTON_TOL``, followed by one polishing step.
     """
     table = _build_table(g, measure, walk, max_paths)
-    gamma_vec = np.atleast_1d(np.asarray(gamma, dtype=float))
-    dim = table.f.shape[1]
-    if gamma_vec.size != dim:
-        raise SolveError(f"target has dimension {gamma_vec.size}, measure expects {dim}")
-    _check_target(table.f.min(axis=0), table.f.max(axis=0), gamma)
-    if dim == 1:
-        return _solve_scalar(table.f[:, 0], table.logp0, float(gamma_vec[0]), tol, max_iter)
-    return _solve_vector(table, gamma_vec, tol, max_iter)
+    gamma = float(gamma)
+    _check_target(float(table.f.min()), float(table.f.max()), gamma)
+    return _solve_scalar(table.f, table.logp0, gamma)
 
 
-def _check_target(fmin: np.ndarray, fmax: np.ndarray, gamma) -> None:
-    gamma_vec = np.atleast_1d(np.asarray(gamma, dtype=float))
-    degenerate = fmin == fmax
-    if np.any(degenerate):
-        comp = int(np.argmax(degenerate))
+def _check_target(fmin: float, fmax: float, gamma: float) -> None:
+    # sweep.json records these messages, so their wording is part of the
+    # output and is kept unchanged.
+    if fmin == fmax:
         raise SolveError(
-            f"measure component {comp} is constant ({fmin[comp]}) on the support; "
+            f"measure component 0 is constant ({fmin}) on the support; "
             "the mean cannot be steered and the Hessian is singular"
         )
-    if np.any(gamma_vec <= fmin) or np.any(gamma_vec >= fmax):
+    if not fmin < gamma < fmax:
         raise SolveError(
-            f"target mean {np.asarray(gamma)} is outside the achievable range "
-            f"({fmin.tolist()}, {fmax.tolist()}) (open interval, componentwise)"
+            f"target mean {gamma} is outside the achievable range "
+            f"([{fmin}], [{fmax}]) (open interval, componentwise)"
         )
 
 
 def _scalar_grad_var(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, float]:
-    logw = theta * f + logp0
-    log_z = float(logsumexp(logw))
-    p = np.exp(logw - log_z)
+    _, p = _tilt(f, logp0, theta)
     grad = float(p @ f)
     var = float(p @ (f - grad) ** 2)
     return grad, var
 
 
-def _solve_scalar(f: np.ndarray, logp0: np.ndarray, gamma: float, tol: float, max_iter: int) -> float:
+def _solve_scalar(f: np.ndarray, logp0: np.ndarray, gamma: float) -> float:
     """Root of mean(theta) = gamma over support values ``f`` with log masses ``logp0``."""
     def residual(t: float) -> tuple[float, float]:
         grad, var = _scalar_grad_var(f, logp0, t)
@@ -406,7 +398,7 @@ def _solve_scalar(f: np.ndarray, logp0: np.ndarray, gamma: float, tol: float, ma
 
     theta = 0.0
     r, var = residual(theta)
-    if abs(r) <= tol:
+    if abs(r) <= NEWTON_TOL:
         return _polish_scalar(f, logp0, gamma, theta, r, var)
 
     # Bracket the root: the gradient is nondecreasing in theta.
@@ -429,13 +421,13 @@ def _solve_scalar(f: np.ndarray, logp0: np.ndarray, gamma: float, tol: float, ma
     else:
         lo = max(lo, theta)
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         candidate = theta - r / var if var > 0.0 else None
         if candidate is None or not lo < candidate < hi:
             candidate = 0.5 * (lo + hi)
         theta = candidate
         r, var = residual(theta)
-        if abs(r) <= tol:
+        if abs(r) <= NEWTON_TOL:
             return _polish_scalar(f, logp0, gamma, theta, r, var)
         if r > 0.0:
             hi = theta
@@ -443,7 +435,7 @@ def _solve_scalar(f: np.ndarray, logp0: np.ndarray, gamma: float, tol: float, ma
             lo = theta
         if hi - lo <= 1e-16 * max(1.0, abs(theta)):
             break
-    if abs(r) <= tol:
+    if abs(r) <= NEWTON_TOL:
         return _polish_scalar(f, logp0, gamma, theta, r, var)
     raise ConvergenceError("temperature solve did not converge", abs(r))
 
@@ -456,54 +448,4 @@ def _polish_scalar(f, logp0, gamma, theta, r, var) -> float:
         grad2, _ = _scalar_grad_var(f, logp0, candidate)
         if abs(grad2 - gamma) < abs(r):
             return candidate
-    return theta
-
-
-def _solve_vector(table: _PathTable, gamma: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    theta = np.zeros(gamma.size)
-
-    def state(t: np.ndarray):
-        _, p = _tilt(table, t)
-        grad = p @ table.f
-        centered = table.f - grad
-        cov = centered.T @ (centered * p[:, None])
-        return grad - gamma, cov
-
-    r, cov = state(theta)
-    norm = float(np.max(np.abs(r)))
-    for _ in range(max_iter):
-        if norm <= tol:
-            return _polish_vector(table, gamma, theta, r, cov, norm)
-        try:
-            step = np.linalg.solve(cov, -r)
-        except np.linalg.LinAlgError:
-            raise SolveError(
-                "singular Hessian: the measure components are linearly "
-                "dependent on the support"
-            ) from None
-        scale = 1.0
-        while scale >= 2.0**-40:
-            cand = theta + scale * step
-            r_cand, cov_cand = state(cand)
-            cand_norm = float(np.max(np.abs(r_cand)))
-            if cand_norm < norm:
-                theta, r, cov, norm = cand, r_cand, cov_cand, cand_norm
-                break
-            scale /= 2.0
-        else:
-            raise ConvergenceError("Newton step stalled before reaching tolerance", norm)
-    if norm <= tol:
-        return _polish_vector(table, gamma, theta, r, cov, norm)
-    raise ConvergenceError("temperature solve did not converge", norm)
-
-
-def _polish_vector(table, gamma, theta, r, cov, norm) -> np.ndarray:
-    try:
-        cand = theta + np.linalg.solve(cov, -r)
-    except np.linalg.LinAlgError:
-        return theta
-    _, p = _tilt(table, cand)
-    r2 = p @ table.f - gamma
-    if float(np.max(np.abs(r2))) < norm:
-        return cand
     return theta

@@ -141,10 +141,10 @@ def _check_gamma_round_trip(g, measures, max_paths) -> CheckResult:
         for walk in WALK_MIXES:
             try:
                 fmin, fmax = achievable_range(g, measure, walk, max_paths)
-                if fmax[0] - fmin[0] <= 0:
+                if fmax - fmin <= 0:
                     continue
                 for frac in (0.25, 0.5, 0.8):
-                    gamma = float(fmin[0] + frac * (fmax[0] - fmin[0]))
+                    gamma = fmin + frac * (fmax - fmin)
                     theta = solve_theta_numeric(g, measure, walk, gamma, max_paths=max_paths)
                     back = free_energy_gradient(g, TwistConfig(measure, theta, walk), max_paths)
                     worst = max(worst, abs(back - gamma))

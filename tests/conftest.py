@@ -80,19 +80,3 @@ def paper_scale_graph():
     ]
     return tr.load_graph(edges)
 
-
-def endpoint_oracle(g, cfg, max_paths=tr.sampling.DEFAULT_PATH_BUDGET):
-    """Brute-force pair masses: tilted enumeration grouped by endpoints."""
-    _, dist = tr.twist(g, cfg, max_paths)
-    grouped = {}
-    for path, prob in dist:
-        key = (path.nodes[0], path.nodes[-1])
-        grouped[key] = grouped.get(key, 0.0) + prob
-    return grouped
-
-
-def max_pair_deviation(a, b):
-    return max(
-        (abs(a.get(key, 0.0) - b.get(key, 0.0)) for key in set(a) | set(b)),
-        default=0.0,
-    )

@@ -6,7 +6,9 @@ import pytest
 import twistrank as tr
 from twistrank.errors import EnumerationBudgetError, GraphError
 
-from conftest import endpoint_oracle, max_pair_deviation, random_signed_graph
+from twistrank.verify import endpoint_grouped, pair_mass_deviation
+
+from conftest import random_signed_graph
 
 
 class TestBivariate:
@@ -29,8 +31,8 @@ class TestBivariate:
         for g, z in corpus100[:8]:
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
                 cfg = tr.TwistConfig(measure, -1.2, walk)
-                assert max_pair_deviation(
-                    tr.bivariate(g, cfg).to_dict(), endpoint_oracle(g, cfg)
+                assert pair_mass_deviation(
+                    tr.bivariate(g, cfg).to_dict(), endpoint_grouped(g, cfg)
                 ) <= 1e-12
 
     def test_total_mass_one(self, corpus100):

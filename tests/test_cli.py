@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,29 @@ class TestRankCommand:
         ])
         assert code == 0
         assert (tmp_path / "rank" / "ranking.csv").exists()
+
+    @pytest.mark.parametrize(
+        "attrs_text, z_text, bad_file",
+        [
+            ("0 0.9 0.1\n1 nan 0.8\n2 0.2 0.3\n", "1.0 0.5\n", "attribute vector"),
+            ("0 0.9 0.1\n1 0.4 0.8\n2 0.2 0.3\n", "1.0 nan\n", "score vector"),
+        ],
+        ids=["attrs", "ad-vector"],
+    )
+    def test_nan_input_is_a_data_error(self, tmp_path, capsys, attrs_text, z_text, bad_file):
+        edges = tmp_path / "edges.txt"
+        attrs = tmp_path / "attrs.txt"
+        z = tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n0 2 1\n")
+        write(attrs, attrs_text)
+        write(z, z_text)
+        code = main([
+            "rank", "--edges", str(edges), "--attrs", str(attrs), "--measure", "ad",
+            "--ad-vector", str(z), "--theta", "0.5", "--out", str(tmp_path / "rank"),
+        ])
+        assert code == 2
+        assert bad_file in capsys.readouterr().err
+        assert not (tmp_path / "rank" / "ranking.csv").exists()
 
     def test_combined_ad_vectors_sum(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
@@ -326,6 +352,21 @@ class TestVerifyCommand:
         code = main(["verify", "--edges", str(edges)])
         assert code == 2
         assert "sign" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        # A fresh interpreter: this test process may have imported scipy already.
+        src = str(Path(tr.__file__).resolve().parents[1])
+        code = (
+            "import sys, twistrank.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestUsageErrors:

@@ -1,110 +1,12 @@
-"""Base path distributions: uniform edges, Markov chains, short walks."""
-
-import itertools
+"""The base short-walk distribution and its enumeration."""
 
 import numpy as np
 import pytest
 
 import twistrank as tr
-from twistrank.errors import ConvergenceError, EnumerationBudgetError, GraphError
+from twistrank.errors import EnumerationBudgetError, GraphError
 
 from conftest import random_signed_graph
-
-
-class TestUniformEdge:
-    def test_triangle_edge(self, triangle_pos):
-        assert tr.uniform_edge_prob(triangle_pos, (0, 1)) == pytest.approx(1 / 6)
-
-    def test_absent_pair_is_zero(self, path3):
-        assert tr.uniform_edge_prob(path3, (0, 2)) == 0.0
-
-    def test_single_edge_graph(self):
-        g = tr.load_graph([(0, 1, 1)])
-        assert tr.uniform_edge_prob(g, (1, 0)) == pytest.approx(0.5)
-
-
-class TestPageRank:
-    def test_single_node(self):
-        g = tr.load_graph([], [(0, [])])
-        assert np.array_equal(tr.pagerank_stationary(g), [1.0])
-
-    def test_two_nodes_symmetric(self):
-        g = tr.load_graph([(0, 1, 1)])
-        for damping in (0.0, 0.5, 0.85):
-            pi = tr.pagerank_stationary(g, tr.PageRankConfig(damping=damping))
-            assert pi == pytest.approx([0.5, 0.5], abs=1e-12)
-
-    def test_path_graph_matches_linear_solve(self, path3):
-        # Oracle: solve the stationarity equations directly.
-        lam = 0.85
-        n = path3.n
-        M = np.zeros((n, n))
-        for u in range(n):
-            M[u, path3.neighbors(u)] = 1.0 / path3.degree(u)
-        pi_exact = np.linalg.solve(np.eye(n) - lam * M.T, np.full(n, (1 - lam) / n))
-        pi = tr.pagerank_stationary(path3, tr.PageRankConfig(damping=lam, tolerance=1e-13))
-        assert np.max(np.abs(pi - pi_exact)) < 1e-10
-
-    def test_invariants_on_random_graph(self):
-        g = random_signed_graph(np.random.default_rng(11))
-        cfg = tr.PageRankConfig(damping=0.85, tolerance=1e-12)
-        pi = tr.pagerank_stationary(g, cfg)
-        assert np.all(pi >= 0)
-        assert pi.sum() == pytest.approx(1.0, abs=1e-9)
-        P = tr.transition_matrix(g, 0.85)
-        assert np.max(np.abs(pi @ P - pi)) <= cfg.tolerance * 10
-
-    def test_zero_degree_node_is_an_error(self):
-        g = tr.load_graph([(0, 1, 1)], [(2, [0.0])])
-        with pytest.raises(GraphError, match="degree 0"):
-            tr.pagerank_stationary(g)
-
-    def test_nonconvergence_reports_residual(self, path3):
-        with pytest.raises(ConvergenceError) as err:
-            tr.pagerank_stationary(path3, tr.PageRankConfig(max_iters=1, tolerance=1e-30))
-        assert err.value.residual > 0
-
-
-class TestMarkovPathProb:
-    def test_single_node_path_is_stationary_mass(self):
-        pi = np.array([0.25, 0.75])
-        P = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert tr.markov_path_prob(pi, P, [1]) == pytest.approx(0.75)
-
-    def test_two_node_deterministic_chain(self):
-        pi = np.array([0.5, 0.5])
-        P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert tr.markov_path_prob(pi, P, [0, 1]) == pytest.approx(0.5)
-
-    def test_zero_probability_step_returns_zero(self):
-        pi = np.array([0.5, 0.5])
-        P = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert tr.markov_path_prob(pi, P, [0, 1]) == 0.0
-
-    def test_non_stochastic_rows_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            tr.markov_path_prob(np.array([1.0]), np.array([[0.5]]), [0])
-
-    def test_reversible_walk_on_triangle(self, triangle_pos):
-        # Plain random walk: stationary mass k_u / 2m, transitions 1 / k_u.
-        n = triangle_pos.n
-        pi = np.array([triangle_pos.degree(u) for u in range(n)]) / (2 * triangle_pos.m)
-        P = np.zeros((n, n))
-        for u in range(n):
-            P[u, triangle_pos.neighbors(u)] = 1.0 / triangle_pos.degree(u)
-        fwd = tr.markov_path_prob(pi, P, [0, 1, 2])
-        rev = tr.markov_path_prob(pi, P, [2, 1, 0])
-        assert fwd == pytest.approx(rev, abs=1e-15)
-        assert fwd == pytest.approx(1 / 12)
-
-    def test_length_two_sequences_sum_to_one(self, triangle_one_neg):
-        pi = tr.pagerank_stationary(triangle_one_neg, tr.PageRankConfig(tolerance=1e-13))
-        P = tr.transition_matrix(triangle_one_neg, 0.85)
-        total = sum(
-            tr.markov_path_prob(pi, P, [u, w])
-            for u, w in itertools.product(range(3), repeat=2)
-        )
-        assert total == pytest.approx(1.0, abs=1e-10)
 
 
 class TestBaseWalk:

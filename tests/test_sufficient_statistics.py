@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 import twistrank as tr
 from twistrank import sampling, twisting
@@ -49,7 +48,9 @@ class TestMeasureAtoms:
                 assert values.tolist() == [-1.0, 1.0]
             for theta in THETAS:
                 result, _ = tr.twist(g, tr.TwistConfig(measure, theta, walk))
-                free_energy = logsumexp(theta * values[masses > 0] + np.log(masses[masses > 0]))
+                free_energy = np.logaddexp.reduce(
+                    theta * values[masses > 0] + np.log(masses[masses > 0])
+                )
                 worst = max(worst, abs(free_energy - result.free_energy))
         assert worst <= 1e-12
 
@@ -83,9 +84,9 @@ class TestSolveFromAtoms:
         solved = 0
         for i, (g, z, kind, measure, walk) in enumerate(configs(corpus100)):
             fmin, fmax = tr.achievable_range(g, measure, walk)
-            if fmax[0] - fmin[0] < 1e-9:
+            if fmax - fmin < 1e-9:
                 continue
-            gamma = float(fmin[0] + FRACTIONS[i % 3] * (fmax[0] - fmin[0]))
+            gamma = fmin + FRACTIONS[i % 3] * (fmax - fmin)
             theta = twisting.solve_theta_atoms(*tr.measure_atoms(g, measure, walk), gamma)
             back = tr.free_energy_gradient(g, tr.TwistConfig(measure, theta, walk))
             numeric = tr.solve_theta_numeric(g, measure, walk, gamma)
@@ -107,8 +108,8 @@ class TestSolveFromAtoms:
         atoms = tr.measure_atoms(g, measure, walk)
         _, fmax = tr.achievable_range(g, measure, walk)
         for solve in (
-            lambda: twisting.solve_theta_atoms(*atoms, fmax[0] + 0.1),
-            lambda: tr.solve_theta_numeric(g, measure, walk, fmax[0] + 0.1),
+            lambda: twisting.solve_theta_atoms(*atoms, fmax + 0.1),
+            lambda: tr.solve_theta_numeric(g, measure, walk, fmax + 0.1),
         ):
             with pytest.raises(SolveError, match="achievable range"):
                 solve()
@@ -177,7 +178,7 @@ def test_production_path_never_enumerates(monkeypatch, corpus100):
     targets = {}
     for i, (g, z, kind, measure, walk) in enumerate(configs(corpus)):
         fmin, fmax = tr.achievable_range(g, measure, walk)
-        if fmax[0] - fmin[0] >= 1e-9:
+        if fmax - fmin >= 1e-9:
             targets[i] = tr.free_energy_gradient(g, tr.TwistConfig(measure, 0.4, walk))
     assert len(targets) > 90
 
