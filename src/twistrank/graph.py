@@ -14,9 +14,8 @@ between partitions, and iteratively removes low-degree nodes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,9 +34,7 @@ class AttributedGraph:
     dimension shared by all nodes).
     """
 
-    __slots__ = (
-        "n", "original_ids", "node_attrs", "_edge_signs", "_nbr", "_sgn", "_index_of", "_csr"
-    )
+    __slots__ = ("n", "original_ids", "node_attrs", "_edge_signs", "_index_of", "_csr")
 
     def __init__(
         self,
@@ -51,18 +48,17 @@ class AttributedGraph:
         self._edge_signs = dict(edge_signs)
         self.node_attrs = node_attrs
 
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for (u, w), s in self._edge_signs.items():
-            buckets[u].append((w, s))
-            buckets[w].append((u, s))
-        nbr, sgn = [], []
-        for lst in buckets:
-            lst.sort()
-            nbr.append(np.array([w for w, _ in lst], dtype=np.int64))
-            sgn.append(np.array([s for _, s in lst], dtype=np.int64))
-        self._nbr = tuple(nbr)
-        self._sgn = tuple(sgn)
-        self._csr = None
+        m = len(self._edge_signs)
+        pairs = np.array(list(self._edge_signs), dtype=np.int64).reshape(m, 2)
+        signs = np.fromiter(self._edge_signs.values(), dtype=np.int64, count=m)
+        rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
+        cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        self._csr = (indptr, cols[order], np.concatenate((signs, signs))[order])
+        for arr in self._csr:
+            arr.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -74,30 +70,24 @@ class AttributedGraph:
         return self.node_attrs.shape[1]
 
     def neighbors(self, u: int) -> np.ndarray:
-        return self._nbr[u]
+        indptr, indices, _ = self._csr
+        return indices[indptr[u]:indptr[u + 1]]
 
     def neighbor_signs(self, u: int) -> np.ndarray:
-        return self._sgn[u]
+        indptr, _, signs = self._csr
+        return signs[indptr[u]:indptr[u + 1]]
 
     def degree(self, u: int) -> int:
-        return self._nbr[u].size
+        indptr = self._csr[0]
+        return int(indptr[u + 1] - indptr[u])
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All neighbour lists in one read-only ``(indptr, indices, signs)`` triple.
 
         Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]`` (ascending ids) with
         the matching edge signs; every undirected edge appears in both rows.
-        Built on first use and kept.
+        :meth:`neighbors` and :meth:`neighbor_signs` return views of it.
         """
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum([a.size for a in self._nbr], out=indptr[1:])
-            empty = np.empty(0, dtype=np.int64)
-            indices = np.concatenate((*self._nbr, empty))
-            signs = np.concatenate((*self._sgn, empty))
-            for arr in (indptr, indices, signs):
-                arr.setflags(write=False)
-            self._csr = (indptr, indices, signs)
         return self._csr
 
     def has_edge(self, u: int, w: int) -> bool:
@@ -185,56 +175,10 @@ def load_graph(
     The node set is the union of edge endpoints and attribute-record ids,
     compacted to ``0..n-1`` in ascending original-id order.
     """
-    pair_signs: dict[tuple[int, int], int] = {}
-    node_ids: set[int] = set()
-    for rec in edge_records:
-        if len(rec) == 2:
-            u, w = rec
-            s = 1
-        elif len(rec) == 3:
-            u, w, s = rec
-        else:
-            raise GraphError(f"edge record {tuple(rec)!r} must have 2 or 3 fields")
-        u, w = _check_node_id(u), _check_node_id(w)
-        s = _check_sign(s, u, w)
-        if u == w:
-            raise GraphError(f"self-loop on node {u} is not allowed")
-        key = (min(u, w), max(u, w))
-        prev = pair_signs.get(key)
-        if prev is not None and prev != s:
-            raise GraphError(f"conflicting signs for edge {key}: {prev} and {s}")
-        pair_signs[key] = s
-        node_ids.add(u)
-        node_ids.add(w)
-
-    attrs_by_node: dict[int, np.ndarray] = {}
-    attr_dim = 0
-    if attr_records is not None:
-        for node, vec in attr_records:
-            node = _check_node_id(node)
-            vec = np.asarray(vec, dtype=float)
-            if vec.ndim != 1:
-                raise GraphError(f"attribute vector for node {node} must be one-dimensional")
-            if not np.all(np.isfinite(vec)):
-                raise GraphError(f"attribute vector for node {node} must be finite")
-            if attrs_by_node and vec.size != attr_dim:
-                raise GraphError(
-                    f"ragged attribute vectors: node {node} has length {vec.size}, "
-                    f"expected {attr_dim}"
-                )
-            attr_dim = vec.size
-            attrs_by_node[node] = vec
-            node_ids.add(node)
-
-    original_ids = sorted(node_ids)
-    index_of = {orig: i for i, orig in enumerate(original_ids)}
-    edge_signs = {
-        (index_of[u], index_of[w]): s for (u, w), s in pair_signs.items()
-    }
-    node_attrs = np.zeros((len(original_ids), attr_dim), dtype=float)
-    for node, vec in attrs_by_node.items():
-        node_attrs[index_of[node]] = vec
-    return AttributedGraph(original_ids, edge_signs, node_attrs)
+    edges = _validate_edges(edge_records, drop_self_loops=False)
+    attrs = _validate_attrs(attr_records)
+    ids, lo, hi = _with_attr_nodes(edges, attrs)
+    return _build_graph(ids, lo, hi, edges.signs, attrs)
 
 
 def stats(g: AttributedGraph) -> GraphStats:
@@ -259,13 +203,19 @@ class NegativeInjection:
     """Seeded injection of negative edges between partitions.
 
     ``partition`` maps every (original) node id to a partition label; the
-    injected edges connect uniformly random non-adjacent node pairs whose
-    labels differ.
+    injected edges are a uniformly random set of ``count`` non-adjacent node
+    pairs whose labels differ.
     """
 
     count: int
     seed: int
     partition: Mapping[int, object]
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise GraphError(
+                f"cannot inject {self.count} negative edges: the count must be nonnegative"
+            )
 
 
 @dataclass
@@ -311,6 +261,10 @@ def preprocess(
     stable.  Surviving nodes are compacted; the report lists the removals in
     terms of the original ids.
 
+    Records are checked exactly as :func:`load_graph` checks them, except
+    that self-loops are counted and dropped.  Time and memory are
+    O(m + inject.count) for m input records.
+
     ``source`` may be raw ``(u, w[, sign])`` records or an already validated
     :class:`AttributedGraph` (whose records are then re-filtered, which makes
     the operation idempotent when injection is disabled).
@@ -325,104 +279,297 @@ def preprocess(
     else:
         records = source
 
-    report = PreprocessReport()
-    pair_signs: dict[tuple[int, int], int] = {}
-    nodes: set[int] = set()
-    for rec in records:
-        if len(rec) == 2:
-            u, w = rec
-            s = 1
-        elif len(rec) == 3:
-            u, w, s = rec
-        else:
-            raise GraphError(f"edge record {tuple(rec)!r} must have 2 or 3 fields")
-        u, w = _check_node_id(u), _check_node_id(w)
-        s = _check_sign(s, u, w)
-        if u == w:
-            report.self_loops_removed += 1
-            nodes.add(u)
-            continue
-        key = (min(u, w), max(u, w))
-        prev = pair_signs.get(key)
-        if prev is None:
-            pair_signs[key] = s
-        elif prev == s:
-            report.duplicate_edges_collapsed += 1
-        else:
-            raise GraphError(f"conflicting signs for edge {key}: {prev} and {s}")
-        nodes.add(u)
-        nodes.add(w)
-
-    if attr_records is not None:
-        attr_records = list(attr_records)
-        nodes.update(_check_node_id(node) for node, _ in attr_records)
+    edges = _validate_edges(records, drop_self_loops=True)
+    attrs = _validate_attrs(attr_records)
+    ids, lo, hi = _with_attr_nodes(edges, attrs)
+    signs = edges.signs
+    report = PreprocessReport(
+        self_loops_removed=edges.self_loops, duplicate_edges_collapsed=edges.duplicates
+    )
 
     if inject is not None:
-        _inject_negative_edges(pair_signs, sorted(nodes), inject, report)
+        new_lo, new_hi = _inject_negative_edges(ids, lo, hi, inject)
+        report.injected_edges = list(zip(ids[new_lo].tolist(), ids[new_hi].tolist()))
+        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
+        signs = np.concatenate((signs, np.full(new_lo.size, -1, dtype=np.int64)))
 
-    adjacency: dict[int, set[int]] = {v: set() for v in nodes}
-    for (u, w) in pair_signs:
-        adjacency[u].add(w)
-        adjacency[w].add(u)
-
-    removed: set[int] = set()
-    while True:
-        doomed = sorted(v for v in adjacency if len(adjacency[v]) < min_degree)
-        if not doomed:
-            break
-        report.filter_rounds += 1
-        for v in doomed:
-            for w in adjacency[v]:
-                adjacency[w].discard(v)
-            del adjacency[v]
-            removed.add(v)
-    report.removed_nodes = sorted(removed)
-
-    surviving_edges = [
-        (u, w, s) for (u, w), s in pair_signs.items() if u in adjacency and w in adjacency
-    ]
-    surviving_attrs = None
-    if attr_records is not None:
-        surviving_attrs = [(node, vec) for node, vec in attr_records if node in adjacency]
-    graph = load_graph(surviving_edges, surviving_attrs)
-    # load_graph only sees edge-incident and attribute nodes; keep surviving
-    # isolated nodes too (possible when min_degree == 0).
-    missing = sorted(set(adjacency) - set(graph.original_ids))
-    if missing:
-        graph = load_graph(
-            surviving_edges,
-            (surviving_attrs or []) + [(v, np.zeros(graph.attr_dim)) for v in missing],
-        )
+    alive, report.filter_rounds = _peel(ids.size, lo, hi, min_degree)
+    report.removed_nodes = ids[~alive].tolist()
+    kept = alive[lo] & alive[hi]
+    new_index = np.cumsum(alive) - 1
+    graph = _build_graph(
+        ids[alive], new_index[lo[kept]], new_index[hi[kept]], signs[kept], attrs
+    )
     return PreprocessResult(graph=graph, report=report)
 
 
+class _Edges(NamedTuple):
+    """Edge records folded into distinct undirected pairs.
+
+    ``ids`` holds every endpoint id, self-loop nodes included, in ascending
+    order.  Pair ``k`` joins ``ids[lo[k]]`` and ``ids[hi[k]]`` with
+    ``lo[k] < hi[k]`` and sign ``signs[k]``; pairs are in ascending order.
+    """
+
+    ids: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    signs: np.ndarray
+    self_loops: int
+    duplicates: int
+
+
+def _validate_edges(records: Iterable[Sequence[int]], *, drop_self_loops: bool) -> _Edges:
+    """Check raw ``(u, w[, sign])`` records and fold them into distinct pairs.
+
+    Each record is checked in turn for its field count, node ids, sign,
+    self-loop (counted instead when ``drop_self_loops``) and a sign that
+    conflicts with an earlier record of the same pair.  The first record in
+    input order that fails any check raises its :class:`GraphError`.
+    """
+    rows, error = _record_rows(list(records))
+    ids, index = np.unique(rows[:, :2].ravel(), return_inverse=True)
+    u, w = index.reshape(-1, 2).T
+    loops = u == w
+    if not drop_self_loops and loops.any():
+        first = int(np.argmax(loops))
+        error = GraphError(f"self-loop on node {rows[first, 0]} is not allowed")
+        rows, u, w, loops = rows[:first], u[:first], w[:first], loops[:first]
+
+    pair = ~loops
+    lo, hi = np.minimum(u, w)[pair], np.maximum(u, w)[pair]
+    signs = rows[pair, 2].astype(np.int64)
+    n = ids.size
+    codes, first_of, pair_of = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    kept_signs = signs[first_of]
+    clash = signs != kept_signs[pair_of]
+    if clash.any():
+        k = int(np.argmax(clash))
+        key = tuple(ids[[lo[k], hi[k]]].tolist())
+        raise GraphError(
+            f"conflicting signs for edge {key}: {kept_signs[pair_of[k]]} and {signs[k]}"
+        )
+    if error is not None:
+        raise error
+    return _Edges(ids, *np.divmod(codes, n), kept_signs, int(loops.sum()), lo.size - codes.size)
+
+
+def _record_rows(records: list) -> tuple[np.ndarray, GraphError | None]:
+    """``(u, w, sign)`` rows of the records before the first one whose fields
+    fail a check, and that record's error (``None`` if every record passes).
+
+    Records of one field count holding only plain ints are checked as one
+    array; any other input, and input that fails, is walked record by record.
+    """
+    rows = _int_rows(records)
+    if rows is not None and (rows[:, :2] >= 0).all() and (np.abs(rows[:, 2]) == 1).all():
+        return rows, None
+    checked = []
+    error = None
+    for rec in records:
+        try:
+            checked.append(_check_record(rec))
+        except GraphError as exc:
+            error = exc
+            break
+    try:
+        return np.array(checked, dtype=np.int64).reshape(-1, 3), error
+    except OverflowError:  # node ids beyond int64 stay Python ints
+        return np.array(checked, dtype=object).reshape(-1, 3), error
+
+
+def _int_rows(records: list) -> np.ndarray | None:
+    """``records`` as a ``(k, 3)`` int64 array, or ``None`` unless all of them
+    have the same field count and hold only ints that fit."""
+    if set(map(len, records)) not in ({2}, {3}):
+        return None
+    if {type(x) for rec in records for x in rec} != {int}:
+        return None
+    try:
+        rows = np.array(records, dtype=np.int64)
+    except OverflowError:
+        return None
+    if rows.shape[1] == 2:
+        rows = np.column_stack((rows, np.ones(len(rows), dtype=np.int64)))
+    return rows
+
+
+def _check_record(rec) -> tuple[int, int, int]:
+    if len(rec) == 2:
+        u, w = rec
+        s = 1
+    elif len(rec) == 3:
+        u, w, s = rec
+    else:
+        raise GraphError(f"edge record {tuple(rec)!r} must have 2 or 3 fields")
+    u, w = _check_node_id(u), _check_node_id(w)
+    return u, w, _check_sign(s, u, w)
+
+
+def _validate_attrs(
+    attr_records: Iterable[tuple[int, Sequence[float]]] | None,
+) -> dict[int, np.ndarray]:
+    """Attribute vectors by node id; later records for a node replace earlier ones."""
+    attrs: dict[int, np.ndarray] = {}
+    attr_dim = 0
+    for node, vec in attr_records or ():
+        node = _check_node_id(node)
+        vec = np.asarray(vec, dtype=float)
+        if vec.ndim != 1:
+            raise GraphError(f"attribute vector for node {node} must be one-dimensional")
+        if not np.all(np.isfinite(vec)):
+            raise GraphError(f"attribute vector for node {node} must be finite")
+        if attrs and vec.size != attr_dim:
+            raise GraphError(
+                f"ragged attribute vectors: node {node} has length {vec.size}, "
+                f"expected {attr_dim}"
+            )
+        attr_dim = vec.size
+        attrs[node] = vec
+    return attrs
+
+
+def _with_attr_nodes(
+    edges: _Edges, attrs: dict[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node ids of the edges and the attribute records, and the pairs re-indexed into them."""
+    if not attrs:
+        return edges.ids, edges.lo, edges.hi
+    ids = np.union1d(edges.ids, np.array(list(attrs)))
+    remap = np.searchsorted(ids, edges.ids)
+    return ids, remap[edges.lo], remap[edges.hi]
+
+
+def _build_graph(
+    ids: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    signs: np.ndarray,
+    attrs: dict[int, np.ndarray],
+) -> AttributedGraph:
+    """The graph on the ascending ``ids`` with pairs ``(lo, hi)`` indexing into them.
+
+    The attribute dimension is that of the records on these nodes, or 0 if
+    none of them has one.
+    """
+    original_ids = ids.tolist()
+    rows = [(i, attrs[v]) for i, v in enumerate(original_ids) if v in attrs]
+    node_attrs = np.zeros((len(original_ids), rows[0][1].size if rows else 0), dtype=float)
+    for i, vec in rows:
+        node_attrs[i] = vec
+    edge_signs = dict(zip(zip(lo.tolist(), hi.tolist()), signs.tolist()))
+    return AttributedGraph(original_ids, edge_signs, node_attrs)
+
+
+def _peel(n: int, lo: np.ndarray, hi: np.ndarray, min_degree: int) -> tuple[np.ndarray, int]:
+    """Nodes that survive removing, in synchronous rounds, every node of degree
+    below ``min_degree``; and the number of rounds that removed any.
+
+    Each round looks only at the edges of the nodes it removes, so all rounds
+    together take O(n + m).
+    """
+    alive = np.ones(n, dtype=bool)
+    ends = np.concatenate((lo, hi))
+    degree = np.bincount(ends, minlength=n)
+    doomed = np.flatnonzero(degree < min_degree)
+    if doomed.size == 0:
+        return alive, 0
+    row_len = degree.copy()
+    row_start = np.cumsum(row_len) - row_len
+    edge_at = np.argsort(ends, kind="stable") % lo.size
+    live = np.ones(lo.size, dtype=bool)
+    rounds = 0
+    while doomed.size:
+        rounds += 1
+        alive[doomed] = False
+        counts = row_len[doomed]
+        slots = np.repeat(row_start[doomed] - np.cumsum(counts) + counts, counts)
+        dying = np.unique(edge_at[slots + np.arange(slots.size)])
+        dying = dying[live[dying]]
+        live[dying] = False
+        touched = np.concatenate((lo[dying], hi[dying]))
+        np.subtract.at(degree, touched, 1)
+        touched = np.unique(touched)
+        doomed = touched[alive[touched] & (degree[touched] < min_degree)]
+    return alive, rounds
+
+
+# Batch sizing for injection: slack on the expected number of draws, and a
+# cap on the draws per candidate pair, which bounds a batch's memory when the
+# count is close to all available pairs.
+_DRAW_SLACK = 1.25
+_MAX_DRAWS_PER_PAIR = 3.0
+
+
 def _inject_negative_edges(
-    pair_signs: dict[tuple[int, int], int],
-    nodes: list[int],
-    inject: NegativeInjection,
-    report: PreprocessReport,
-) -> None:
-    missing = [v for v in nodes if v not in inject.partition]
+    ids: np.ndarray, lo: np.ndarray, hi: np.ndarray, inject: NegativeInjection
+) -> tuple[np.ndarray, np.ndarray]:
+    """``inject.count`` uniformly random cross-partition non-edges, as index
+    pairs ``(lo, hi)`` into ``ids`` in ascending order.
+
+    Rejection sampling: batches of uniformly random cross-partition pairs are
+    drawn from ``default_rng(inject.seed)``, and existing edges, pairs chosen
+    before and repeats within the batch are rejected.  The first ``count``
+    accepted draws form a uniform subset without replacement.  A batch holds
+    the expected number of draws for the pairs still needed, plus slack and
+    capped at a few per cross pair: O(m + count) draws.
+    """
+    original_ids = ids.tolist()
+    missing = [v for v in original_ids if v not in inject.partition]
     if missing:
         raise GraphError(
             f"partition labels missing for {len(missing)} nodes (first: {missing[:5]})"
         )
-    candidates = [
-        (u, w)
-        for u, w in itertools.combinations(nodes, 2)
-        if inject.partition[u] != inject.partition[w] and (u, w) not in pair_signs
-    ]
-    if inject.count > len(candidates):
+    label_of: dict = {}
+    label = np.array(
+        [label_of.setdefault(inject.partition[v], len(label_of)) for v in original_ids],
+        dtype=np.int64,
+    )
+    n = ids.size
+    size = np.bincount(label)
+    existing = np.sort((lo * n + hi)[label[lo] != label[hi]])
+    cross = (n * n - int(size @ size)) // 2
+    available = cross - existing.size
+    if inject.count > available:
         raise GraphError(
             f"cannot inject {inject.count} negative edges: only "
-            f"{len(candidates)} cross-partition non-edges are available"
+            f"{available} cross-partition non-edges are available"
         )
+
+    # An ordered cross pair is uniform when u is drawn with weight equal to its
+    # number of other-label nodes and w uniformly among those.  Sorting the
+    # nodes by label puts each label's nodes in one block of ``by_label``.
+    by_label = np.argsort(label, kind="stable")
+    block_start = np.cumsum(size) - size
+    others = n - size[label]
+    cum_others = np.cumsum(others)
     rng = np.random.default_rng(inject.seed)
-    chosen = rng.choice(len(candidates), size=inject.count, replace=False)
-    for idx in sorted(chosen):
-        u, w = candidates[idx]
-        pair_signs[(u, w)] = -1
-        report.injected_edges.append((u, w))
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < inject.count:
+        need = inject.count - chosen.size
+        left = available - chosen.size
+        # Drawing each of ``left`` pairs at least once takes cross * H(left)
+        # draws on average; ``need`` of them take cross * (H(left) - H(left - need)).
+        per_pair = min(np.log((left + 1) / (left - need + 1)), _MAX_DRAWS_PER_PAIR)
+        draws = int(_DRAW_SLACK * cross * per_pair) + 16
+        u = np.searchsorted(cum_others, rng.integers(0, cum_others[-1], size=draws), side="right")
+        j = rng.integers(0, others[u])
+        a = label[u]
+        w = by_label[np.where(j < block_start[a], j, j + size[a])]
+        codes, first = np.unique(np.minimum(u, w) * n + np.maximum(u, w), return_index=True)
+        fresh = ~_contains(existing, codes) & ~_contains(chosen, codes)
+        codes, first = codes[fresh], first[fresh]
+        # Keep the earliest draws: a batch's pairs are taken in draw order.
+        chosen = np.sort(np.concatenate((chosen, codes[np.argsort(first)[:need]])))
+    return np.divmod(chosen, n)
+
+
+def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Which of ``codes`` occur in the ascending ``sorted_codes``."""
+    pos = np.searchsorted(sorted_codes, codes)
+    hit = pos < sorted_codes.size
+    hit[hit] = sorted_codes[pos[hit]] == codes[hit]
+    return hit
 
 
 def _check_node_id(u) -> int:

@@ -74,16 +74,24 @@ def read_vector(path) -> np.ndarray:
 
 
 def read_partition(path) -> dict[int, str]:
-    """Parse ``u label`` records mapping nodes to partition labels."""
+    """Parse ``u label`` records mapping nodes to partition labels.
+
+    A node may be listed again only with the same label.
+    """
     labels: dict[int, str] = {}
     for line_no, line in _data_lines(path):
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(path, line_no, f"expected 'u label', got {line!r}")
         try:
-            labels[int(tokens[0])] = tokens[1]
+            node = int(tokens[0])
         except ValueError:
             raise ParseError(path, line_no, f"non-integer node id in {line!r}") from None
+        label = labels.setdefault(node, tokens[1])
+        if label != tokens[1]:
+            raise ParseError(
+                path, line_no, f"node {node} has label {tokens[1]!r} here but {label!r} earlier"
+            )
     return labels
 
 

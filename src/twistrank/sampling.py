@@ -8,6 +8,7 @@ its support is the oracle substrate for every twisted quantity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -33,13 +34,15 @@ class WalkConfig:
     """Mixing weights of the short random walk.
 
     ``beta1`` is the probability of walking one step, ``beta2`` of walking
-    two; they must be nonnegative and sum to 1.
+    two; they must be finite, nonnegative and sum to 1.
     """
 
     beta1: float = 1.0
     beta2: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.beta1) and math.isfinite(self.beta2)):
+            raise ValueError(f"beta1 and beta2 must be finite, got {self.beta1} and {self.beta2}")
         if self.beta1 < 0 or self.beta2 < 0:
             raise ValueError("beta1 and beta2 must be nonnegative")
         if abs(self.beta1 + self.beta2 - 1.0) > 1e-12:

@@ -369,17 +369,16 @@ def solve_theta_numeric(
 
 
 def _check_target(fmin: float, fmax: float, gamma: float) -> None:
-    # sweep.json records these messages, so their wording is part of the
-    # output and is kept unchanged.
+    # sweep.json records these messages per failing target.
     if fmin == fmax:
         raise SolveError(
-            f"measure component 0 is constant ({fmin}) on the support; "
+            f"measure is constant ({fmin}) on the support; "
             "the mean cannot be steered and the Hessian is singular"
         )
     if not fmin < gamma < fmax:
         raise SolveError(
             f"target mean {gamma} is outside the achievable range "
-            f"([{fmin}], [{fmax}]) (open interval, componentwise)"
+            f"({fmin}, {fmax}) (open interval)"
         )
 
 

@@ -94,6 +94,17 @@ class TestPreprocessCommand:
         assert code == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_partition_relabel_names_line(self, tmp_path, capsys):
+        args = self._args(tmp_path, "out")
+        labels = tmp_path / "labels.txt"
+        # Line 11 repeats node 4's label, which is allowed; line 12 relabels node 3.
+        write(labels, labels.read_text() + "4 b\n")
+        assert main(args) == 0
+        write(labels, labels.read_text() + "3 b\n")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert ":12:" in err and "node 3" in err
+
     def test_injection_requires_partition(self, tmp_path, small_edges, capsys):
         code = main([
             "preprocess", "--edges", str(small_edges), "--inject-negative", "3",
@@ -183,6 +194,16 @@ class TestRankCommand:
         ])
         assert code == 2
         assert bad_file in capsys.readouterr().err
+        assert not (tmp_path / "rank" / "ranking.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--beta1", "--beta2"])
+    def test_nan_walk_weight_is_a_data_error(self, tmp_path, small_edges, capsys, flag):
+        code = main([
+            "rank", "--edges", str(small_edges), "--measure", "influence", "--theta", "0.5",
+            flag, "nan", "--out", str(tmp_path / "rank"),
+        ])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "rank" / "ranking.csv").exists()
 
     def test_combined_ad_vectors_sum(self, tmp_path, capsys):

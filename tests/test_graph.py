@@ -1,6 +1,9 @@
 """Graph loading, statistics, and the preprocessing pipeline."""
 
+import itertools
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,3 +167,191 @@ class TestPreprocess:
         result = tr.preprocess([(0, 1, 1), (1, 2, 1)], min_degree=2)
         payload = json.dumps(result.report.to_dict())
         assert "removed_nodes" in payload
+
+
+def _messy_records(rng, n_ids=9, count=25):
+    """Scattered-id records with repeats, reversals, self-loops and 2-field records."""
+    ids = [int(v) for v in rng.choice(40, size=n_ids, replace=False)]
+    records = []
+    for _ in range(count):
+        u, w = (ids[int(i)] for i in rng.integers(0, n_ids, size=2))
+        s = 1 if rng.random() < 0.7 else -1
+        records.append((u, w) if s == 1 and rng.random() < 0.2 else (u, w, s))
+    return records
+
+
+def _reference_preprocess(records, min_degree):
+    """The per-record dictionary loop and per-node peeling that preprocess
+    replaces with arrays: (error text) or (edge list, node ids, report dict)."""
+    pair_signs, nodes, loops = {}, set(), 0
+    for rec in records:
+        u, w, s = rec if len(rec) == 3 else (*rec, 1)
+        nodes.update((u, w))
+        if u == w:
+            loops += 1
+            continue
+        key = (min(u, w), max(u, w))
+        prev = pair_signs.setdefault(key, s)
+        if prev != s:
+            return f"conflicting signs for edge {key}: {prev} and {s}"
+    dups = len(records) - loops - len(pair_signs)
+    adjacency = {v: set() for v in nodes}
+    for u, w in pair_signs:
+        adjacency[u].add(w)
+        adjacency[w].add(u)
+    removed, rounds = [], 0
+    while doomed := sorted(v for v in adjacency if len(adjacency[v]) < min_degree):
+        rounds += 1
+        for v in doomed:
+            for w in adjacency.pop(v):
+                adjacency.get(w, set()).discard(v)
+        removed += doomed
+    edges = sorted(
+        (u, w, s) for (u, w), s in pair_signs.items() if u in adjacency and w in adjacency
+    )
+    report = {"self_loops_removed": loops, "duplicate_edges_collapsed": dups,
+              "injected_edges": [], "removed_nodes": sorted(removed), "filter_rounds": rounds}
+    return edges, tuple(sorted(adjacency)), report
+
+
+def _cross_non_edges(records, partition):
+    """Every cross-partition non-adjacent pair, by enumeration."""
+    nodes = sorted({v for rec in records for v in rec[:2]})
+    existing = {(min(u, w), max(u, w)) for u, w, *_ in records}
+    return [
+        (u, w)
+        for u, w in itertools.combinations(nodes, 2)
+        if partition[u] != partition[w] and (u, w) not in existing
+    ]
+
+
+class TestInjectionSampling:
+    def test_count_and_error_match_enumeration(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            count = int(rng.integers(3, 30))
+            records = [(u, w, 1) for u, w, *_ in _messy_records(rng, count=count)]
+            partition = {v: f"L{rng.integers(0, 3)}" for rec in records for v in rec[:2]}
+            candidates = _cross_non_edges(records, partition)
+            inject = tr.NegativeInjection(
+                count=len(candidates) + 1, seed=seed, partition=partition
+            )
+            want = (
+                f"cannot inject {len(candidates) + 1} negative edges: only "
+                f"{len(candidates)} cross-partition non-edges are available"
+            )
+            with pytest.raises(GraphError) as info:
+                tr.preprocess(records, inject=inject)
+            assert str(info.value) == want
+
+    def test_count_equal_to_available_injects_every_candidate(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            count = int(rng.integers(3, 30))
+            records = [(u, w, 1) for u, w, *_ in _messy_records(rng, count=count)]
+            partition = {v: int(rng.integers(0, 3)) for rec in records for v in rec[:2]}
+            candidates = _cross_non_edges(records, partition)
+            inject = tr.NegativeInjection(count=len(candidates), seed=seed, partition=partition)
+            result = tr.preprocess(records, inject=inject)
+            assert result.report.injected_edges == candidates
+
+    def test_single_pick_is_uniform_over_candidates(self):
+        # Labels of unequal size, two same-label edges and two of the eight
+        # cross pairs taken: six candidates remain.
+        records = [(0, 2, 1), (1, 3, 1), (2, 3, 1), (4, 5, 1)]
+        partition = {0: "a", 1: "a", 2: "b", 3: "b", 4: "b", 5: "b"}
+        candidates = _cross_non_edges(records, partition)
+        assert len(candidates) == 6
+        trials = 3000
+        counts = {pair: 0 for pair in candidates}
+        for seed in range(trials):
+            inject = tr.NegativeInjection(count=1, seed=seed, partition=partition)
+            (pair,) = tr.preprocess(records, inject=inject).report.injected_edges
+            counts[pair] += 1
+        p = 1 / len(candidates)
+        sigma = (trials * p * (1 - p)) ** 0.5
+        assert set(counts) == set(candidates)
+        for pair, seen in counts.items():
+            assert abs(seen - trials * p) <= 5 * sigma, (pair, seen)
+
+    def test_memory_grows_with_count_not_pairs(self):
+        n = 4000
+        records = [(i, (i + 1) % n, 1) for i in range(n)]
+        inject = tr.NegativeInjection(count=100, seed=3, partition={i: i % 2 for i in range(n)})
+        tracemalloc.start()
+        try:
+            result = tr.preprocess(records, inject=inject)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.report.injected_edges) == 100
+        assert peak < 20 * 2**20
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(GraphError, match="cannot inject -1 negative edges"):
+            tr.NegativeInjection(count=-1, seed=0, partition={})
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([(0, 1, 1), (0, 1, 1, 1)], r"edge record \(0, 1, 1, 1\) must have 2 or 3 fields"),
+            ([(0, 1, 1), (-1, 2, 1)], "node id -1 must be a nonnegative integer"),
+            ([(0, 1, 1), (2.5, 1, 1)], "node id 2.5 must be a nonnegative integer"),
+            ([(0, 1, 1), (True, 2, 1)], "node id True must be a nonnegative integer"),
+            ([(0, 1, 1), (1, 2, 2)], r"edge \(1, 2\) has sign 2; signs must be \+1 or -1"),
+            ([(0, 1, 1), (3, 4), (1, 0, -1)], r"conflicting signs for edge \(0, 1\): 1 and -1"),
+            ([(0, 1), (1.0, 0, -1)], r"conflicting signs for edge \(0, 1\): 1 and -1"),
+        ],
+        ids=["fields", "node-id", "float-id", "bool-id", "sign", "conflict", "mixed-conflict"],
+    )
+    def test_load_graph_and_preprocess_report_the_same_error(self, records, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            tr.load_graph(records)
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            tr.preprocess(records)
+
+    def test_self_loop_is_an_error_only_in_load_graph(self):
+        with pytest.raises(GraphError, match="^self-loop on node 7 is not allowed$"):
+            tr.load_graph([(0, 1, 1), (7, 7, -1)])
+        assert tr.preprocess([(0, 1, 1), (7, 7, -1)]).report.self_loops_removed == 1
+
+    @pytest.mark.parametrize(
+        "records, load_message, preprocess_message",
+        [
+            ([(0, 1, 1), (1, 0, -1), (2, 2, 1), (3, 4, 5)], "conflicting", "conflicting"),
+            ([(0, 1, 1), (2, 2, 1), (1, 0, -1), (3, 4, 5)], "self-loop", "conflicting"),
+            ([(0, 1, 1), (3, 4, 5), (1, 0, -1)], "sign 5", "sign 5"),
+            ([(0, 1, 1), (3, 3, 1), (4, -5, 1), (1, 0, -1)], "self-loop", "node id -5"),
+        ],
+    )
+    def test_first_bad_record_in_input_order_is_reported(
+        self, records, load_message, preprocess_message
+    ):
+        with pytest.raises(GraphError, match=load_message):
+            tr.load_graph(records)
+        with pytest.raises(GraphError, match=preprocess_message):
+            tr.preprocess(records)
+
+    def test_matches_reference_loop_on_messy_records(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            records = _messy_records(rng)
+            min_degree = int(rng.integers(0, 4))
+            want = _reference_preprocess(records, min_degree)
+            if isinstance(want, str):
+                with pytest.raises(GraphError, match=f"^{re.escape(want)}$"):
+                    tr.preprocess(records, min_degree=min_degree)
+                continue
+            result = tr.preprocess(records, min_degree=min_degree)
+            edges, nodes, report = want
+            assert result.graph.edge_list(original_ids=True) == edges
+            assert result.graph.original_ids == nodes
+            assert result.report.to_dict() == report
+
+    def test_node_ids_beyond_int64_are_kept(self):
+        big = 2**70
+        g = tr.load_graph([(big, 3, -1), (3, big + 1)])
+        assert g.original_ids == (3, big, big + 1)
+        assert g.edge_list(original_ids=True) == [(3, big, -1), (3, big + 1, 1)]

@@ -212,12 +212,16 @@ class TestSolveThetaNumeric:
         assert abs(back - 0.5) <= 1e-10
 
     def test_unachievable_target_names_range(self, triangle_one_neg):
-        with pytest.raises(SolveError, match="achievable range"):
+        with pytest.raises(SolveError, match="achievable range") as info:
             tr.solve_theta_numeric(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0), 1.5)
+        assert str(info.value) == (
+            "target mean 1.5 is outside the achievable range (-1.0, 1.0) (open interval)"
+        )
 
     def test_constant_measure_rejected(self, triangle_pos):
-        with pytest.raises(SolveError, match="constant"):
+        with pytest.raises(SolveError, match="constant") as info:
             tr.solve_theta_numeric(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0), 0.5)
+        assert str(info.value).startswith("measure is constant (1.0) on the support")
 
     def test_achievable_range_brackets_sign_measure(self, triangle_one_neg):
         fmin, fmax = tr.achievable_range(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(0.5, 0.5))
