@@ -5,9 +5,10 @@ total tilted mass of the walks that start at u and end at w; its start
 marginal is the centrality score.  The assembly here runs directly over the
 adjacency structure (edges plus wedges through each middle node), which is
 algebraically the same endpoint grouping the path enumeration produces but
-vectorized per node.  Centralities skip the pairs: :func:`start_marginal`
-sums each start node's tilted mass from per-node statistics in O(m) for the
-sign measures and O(m log m) for the advertisement measure.
+computed in one vectorised pass over the CSR entries.  Centralities skip the
+pairs: :func:`start_marginal` sums each start node's tilted mass from
+per-node statistics in O(m) for the sign measures and O(m log m) for the
+advertisement measure.
 """
 
 from __future__ import annotations
@@ -110,18 +111,21 @@ def bivariate(
         raise EnumerationBudgetError(required, max_paths)
     theta = cfg.theta_value()
 
+    indptr, indices, signs = g.csr()
     measure = cfg.measure
-    if isinstance(measure, SignProduct):
-        codes, exps, wts = _sign_terms(g, cfg.walk, theta, np.multiply)
-    elif isinstance(measure, SignMin):
-        codes, exps, wts = _sign_terms(g, cfg.walk, theta, np.minimum)
+    if isinstance(measure, (SignProduct, SignMin)):
+        edge_f = signs.astype(float)
+        combine = np.multiply if isinstance(measure, SignProduct) else np.minimum
     elif isinstance(measure, MinInnerProduct):
-        codes, exps, wts = _min_inner_terms(g, cfg.walk, theta, measure)
+        z = measure.node_scores(g)
+        edge_f = np.minimum(z[np.repeat(np.arange(g.n), np.diff(indptr))], z[indices])
+        combine = np.minimum
     else:
         raise TypeError(
             f"no structural pair assembly for measure {type(measure).__name__}; "
             "group the twisted path masses by endpoints instead"
         )
+    codes, exps, wts = _pair_terms(g, cfg.walk, theta, edge_f, combine)
 
     shift = exps.max()
     unnorm = np.exp(exps - shift) * wts
@@ -131,56 +135,31 @@ def bivariate(
     return BivariateDistribution(n=g.n, codes=uniq, masses=masses)
 
 
-def _sign_terms(g, walk, theta, combine):
-    n = g.n
+def _pair_terms(g, walk, theta, edge_f, combine):
+    """Pair codes, exponents and base weights of every walk of positive mass.
+
+    ``edge_f`` is the measure of each CSR entry's edge, and ``combine`` joins
+    the two edges' values into a two-step walk's measure.  Length-1 terms
+    follow the CSR entries; length-2 terms follow the middle nodes' rows, each
+    row's ordered entry pairs with the first entry outer.
+    """
+    indptr, indices, _ = g.csr()
+    degree = np.diff(indptr)
+    rows = np.repeat(np.arange(g.n), degree)
     inv_2m = 1.0 / (2 * g.m)
     codes, exps, wts = [], [], []
     if walk.beta1 > 0:
-        for u in range(n):
-            nb = g.neighbors(u)
-            if nb.size == 0:
-                continue
-            s = g.neighbor_signs(u).astype(float)
-            codes.append(u * n + nb)
-            exps.append(theta * s)
-            wts.append(np.full(nb.size, walk.beta1 * inv_2m))
+        codes.append(rows * g.n + indices)
+        exps.append(theta * edge_f)
+        wts.append(np.full(indices.size, walk.beta1 * inv_2m))
     if walk.beta2 > 0:
-        for v in range(n):
-            nb = g.neighbors(v)
-            k = nb.size
-            if k == 0:
-                continue
-            s = g.neighbor_signs(v).astype(float)
-            codes.append((nb[:, None] * n + nb[None, :]).ravel())
-            exps.append(theta * combine(s[:, None], s[None, :]).ravel())
-            wts.append(np.full(k * k, walk.beta2 * inv_2m / k))
-    return np.concatenate(codes), np.concatenate(exps), np.concatenate(wts)
-
-
-def _min_inner_terms(g, walk, theta, measure):
-    n = g.n
-    inv_2m = 1.0 / (2 * g.m)
-    zh = measure.node_scores(g)
-    codes, exps, wts = [], [], []
-    if walk.beta1 > 0:
-        for u in range(n):
-            nb = g.neighbors(u)
-            if nb.size == 0:
-                continue
-            codes.append(u * n + nb)
-            exps.append(theta * np.minimum(zh[u], zh[nb]))
-            wts.append(np.full(nb.size, walk.beta1 * inv_2m))
-    if walk.beta2 > 0:
-        for v in range(n):
-            nb = g.neighbors(v)
-            k = nb.size
-            if k == 0:
-                continue
-            znb = zh[nb]
-            pairf = np.minimum(np.minimum(znb[:, None], znb[None, :]), zh[v])
-            codes.append((nb[:, None] * n + nb[None, :]).ravel())
-            exps.append(theta * pairf.ravel())
-            wts.append(np.full(k * k, walk.beta2 * inv_2m / k))
+        k = degree[rows]
+        first = np.repeat(np.arange(indices.size), k)
+        # Entry ``first`` is paired with every entry of its own row in turn.
+        second = np.arange(first.size) - np.repeat(np.cumsum(k) - k - indptr[rows], k)
+        codes.append(indices[first] * g.n + indices[second])
+        exps.append(theta * combine(edge_f[first], edge_f[second]))
+        wts.append(walk.beta2 * inv_2m / k[first])
     return np.concatenate(codes), np.concatenate(exps), np.concatenate(wts)
 
 

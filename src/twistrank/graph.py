@@ -2,8 +2,9 @@
 
 Graphs are undirected, carry one sign (+1 or -1) per edge, and optionally a
 real-valued attribute vector per node.  An :class:`AttributedGraph` is
-immutable after construction: every numeric kernel in the package reads from
-the compact adjacency arrays built here, so they can be shared freely between
+immutable after construction.  Its edges are stored once, as read-only CSR
+arrays (row pointers, neighbour ids, signs); every numeric kernel and every
+edge lookup in the package reads them, so they can be shared freely between
 workers.
 
 The preprocessing pipeline turns raw (possibly directed, duplicated, or
@@ -14,6 +15,7 @@ between partitions, and iteratively removes low-degree nodes.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -27,32 +29,31 @@ EdgeRecord = tuple[int, int, int]
 class AttributedGraph:
     """Undirected graph with edge signs and per-node attribute vectors.
 
-    Node ids are compacted to ``0..n-1``; the original external ids are kept
-    in :attr:`original_ids`.  Build instances through :func:`load_graph` or
+    Node ids are compacted to ``0..n-1``; the original external ids are kept,
+    in ascending order, in :attr:`original_ids`.  The edges live only in the
+    CSR arrays of :meth:`csr`.  Build instances through :func:`load_graph` or
     :func:`preprocess`, which validate the invariants (no self-loops, one
     sign per unordered pair, signs exactly +1 or -1, a single attribute
     dimension shared by all nodes).
     """
 
-    __slots__ = ("n", "original_ids", "node_attrs", "_edge_signs", "_index_of", "_csr")
+    __slots__ = ("n", "original_ids", "node_attrs", "_csr")
 
     def __init__(
         self,
         original_ids: Sequence[int],
-        edge_signs: Mapping[tuple[int, int], int],
+        lo: np.ndarray,
+        hi: np.ndarray,
+        signs: np.ndarray,
         node_attrs: np.ndarray,
     ):
+        """Edge ``k`` joins compact nodes ``lo[k]`` and ``hi[k]`` with sign ``signs[k]``."""
         self.n = len(original_ids)
         self.original_ids = tuple(original_ids)
-        self._index_of = {orig: i for i, orig in enumerate(self.original_ids)}
-        self._edge_signs = dict(edge_signs)
         self.node_attrs = node_attrs
 
-        m = len(self._edge_signs)
-        pairs = np.array(list(self._edge_signs), dtype=np.int64).reshape(m, 2)
-        signs = np.fromiter(self._edge_signs.values(), dtype=np.int64, count=m)
-        rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
-        cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
+        rows = np.concatenate((lo, hi))
+        cols = np.concatenate((hi, lo))
         order = np.lexsort((cols, rows))
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
@@ -63,7 +64,7 @@ class AttributedGraph:
     @property
     def m(self) -> int:
         """Number of undirected edges."""
-        return len(self._edge_signs)
+        return self._csr[1].size // 2
 
     @property
     def attr_dim(self) -> int:
@@ -72,10 +73,6 @@ class AttributedGraph:
     def neighbors(self, u: int) -> np.ndarray:
         indptr, indices, _ = self._csr
         return indices[indptr[u]:indptr[u + 1]]
-
-    def neighbor_signs(self, u: int) -> np.ndarray:
-        indptr, _, signs = self._csr
-        return signs[indptr[u]:indptr[u + 1]]
 
     def degree(self, u: int) -> int:
         indptr = self._csr[0]
@@ -86,34 +83,47 @@ class AttributedGraph:
 
         Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]`` (ascending ids) with
         the matching edge signs; every undirected edge appears in both rows.
-        :meth:`neighbors` and :meth:`neighbor_signs` return views of it.
+        :meth:`neighbors` returns views of it.
         """
         return self._csr
 
     def has_edge(self, u: int, w: int) -> bool:
-        return (min(u, w), max(u, w)) in self._edge_signs
+        return self._entry(u, w) is not None
 
     def sign(self, u: int, w: int) -> int:
         """Sign of the edge between ``u`` and ``w``; raises if absent."""
-        try:
-            return self._edge_signs[(min(u, w), max(u, w))]
-        except KeyError:
-            raise GraphError(f"no edge between nodes {u} and {w}") from None
+        i = self._entry(u, w)
+        if i is None:
+            raise GraphError(f"no edge between nodes {u} and {w}")
+        return int(self._csr[2][i])
+
+    def _entry(self, u: int, w: int) -> int | None:
+        """Position of ``w`` in row ``u`` of the CSR arrays; ``None`` if not adjacent."""
+        if not 0 <= u < self.n:
+            return None
+        indptr, indices, _ = self._csr
+        start, stop = indptr[u], indptr[u + 1]
+        i = bisect.bisect_left(indices, w, start, stop)
+        return i if i < stop and indices[i] == w else None
 
     def index_of(self, original_id: int) -> int:
-        return self._index_of[original_id]
+        """Compact id of an original node id; raises ``KeyError`` if absent."""
+        i = bisect.bisect_left(self.original_ids, original_id)
+        if i == self.n or self.original_ids[i] != original_id:
+            raise KeyError(original_id)
+        return i
 
     def edge_list(self, original_ids: bool = False) -> list[EdgeRecord]:
         """Edges as sorted ``(u, w, sign)`` triples with ``u < w``."""
-        if original_ids:
-            ids = self.original_ids
-            out = [
-                (min(ids[u], ids[w]), max(ids[u], ids[w]), s)
-                for (u, w), s in self._edge_signs.items()
-            ]
-        else:
-            out = [(u, w, s) for (u, w), s in self._edge_signs.items()]
-        return sorted(out)
+        indptr, indices, signs = self._csr
+        rows = np.repeat(np.arange(self.n), np.diff(indptr))
+        upper = indices > rows
+        edges = zip(rows[upper].tolist(), indices[upper].tolist(), signs[upper].tolist())
+        if not original_ids:
+            return list(edges)
+        # The original ids ascend, so mapping keeps u < w and the order.
+        ids = self.original_ids
+        return [(ids[u], ids[w], s) for u, w, s in edges]
 
     def attr_records(self, original_ids: bool = False) -> list[tuple[int, np.ndarray]]:
         if self.attr_dim == 0:
@@ -126,13 +136,9 @@ class AttributedGraph:
             return NotImplemented
         return (
             self.original_ids == other.original_ids
-            and self._edge_signs == other._edge_signs
-            and self.node_attrs.shape == other.node_attrs.shape
+            and all(np.array_equal(a, b) for a, b in zip(self._csr, other._csr))
             and bool(np.array_equal(self.node_attrs, other.node_attrs))
         )
-
-    def __hash__(self):
-        return hash((self.original_ids, frozenset(self._edge_signs.items())))
 
     def __repr__(self) -> str:
         return f"AttributedGraph(n={self.n}, m={self.m}, attr_dim={self.attr_dim})"
@@ -457,8 +463,7 @@ def _build_graph(
     node_attrs = np.zeros((len(original_ids), rows[0][1].size if rows else 0), dtype=float)
     for i, vec in rows:
         node_attrs[i] = vec
-    edge_signs = dict(zip(zip(lo.tolist(), hi.tolist()), signs.tolist()))
-    return AttributedGraph(original_ids, edge_signs, node_attrs)
+    return AttributedGraph(original_ids, lo, hi, signs, node_attrs)
 
 
 def _peel(n: int, lo: np.ndarray, hi: np.ndarray, min_degree: int) -> tuple[np.ndarray, int]:

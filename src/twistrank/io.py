@@ -127,9 +127,12 @@ def ranking_rows(ranking: CentralityRanking, original_ids=None) -> list[dict]:
 
 
 def write_ranking_csv(path, ranking: CentralityRanking, original_ids=None) -> None:
-    rows = ranking_rows(ranking, original_ids)
+    ids = list(original_ids) if original_ids is not None else range(ranking.scores.size)
     lines = ["rank,node_id,score"]
-    lines += [f"{r['rank']},{r['node_id']},{format_score(r['score'])}" for r in rows]
+    lines += [
+        f"{pos},{ids[u]},{format_score(ranking.scores[u])}"
+        for pos, u in enumerate(ranking.order.tolist(), start=1)
+    ]
     _write_text(path, "\n".join(lines) + "\n")
 
 

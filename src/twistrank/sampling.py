@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import EnumerationBudgetError, GraphError
 from .graph import AttributedGraph
 
@@ -80,7 +82,8 @@ def path_count(g: AttributedGraph, cfg: WalkConfig) -> int:
     if cfg.beta1 > 0:
         count += 2 * g.m
     if cfg.beta2 > 0:
-        count += sum(g.degree(u) ** 2 for u in range(g.n))
+        degree = np.diff(g.csr()[0])
+        count += int(degree @ degree)
     return count
 
 

@@ -28,7 +28,12 @@ class TestBivariate:
     @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)])
     def test_matches_endpoint_grouped_enumeration(self, beta, corpus100):
         walk = tr.WalkConfig(*beta)
-        for g, z in corpus100[:8]:
+        # Isolated attribute-only nodes 0, 5 and 9 leave empty CSR rows at the
+        # start, middle and end; 4 is a leaf; the signs are mixed.
+        edges = [(1, 2, 1), (1, 3, -1), (2, 3, 1), (3, 4, -1), (6, 7, -1), (6, 8, 1), (7, 8, -1)]
+        rng = np.random.default_rng(5)
+        edge_cases = tr.load_graph(edges, [(v, rng.uniform(0.0, 1.0, 2)) for v in range(10)])
+        for g, z in corpus100[:8] + [(edge_cases, np.array([0.6, 0.3]))]:
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
                 cfg = tr.TwistConfig(measure, -1.2, walk)
                 assert pair_mass_deviation(

@@ -349,9 +349,44 @@ class TestRecordValidation:
             assert result.graph.edge_list(original_ids=True) == edges
             assert result.graph.original_ids == nodes
             assert result.report.to_dict() == report
+            _check_csr_accessors(result.graph, edges, nodes, report["removed_nodes"], rng)
 
     def test_node_ids_beyond_int64_are_kept(self):
         big = 2**70
         g = tr.load_graph([(big, 3, -1), (3, big + 1)])
         assert g.original_ids == (3, big, big + 1)
         assert g.edge_list(original_ids=True) == [(3, big, -1), (3, big + 1, 1)]
+
+
+def _check_csr_accessors(g, edges, nodes, removed, rng):
+    """The graph's accessors against the reference pair -> sign dict."""
+    pair_signs = {(nodes.index(u), nodes.index(w)): s for u, w, s in edges}
+    assert g.m == len(pair_signs)
+    for u in range(g.n):
+        for w in range(g.n):
+            s = pair_signs.get((min(u, w), max(u, w)))
+            assert g.has_edge(u, w) == (s is not None)
+            if s is None:
+                with pytest.raises(GraphError, match=f"^no edge between nodes {u} and {w}$"):
+                    g.sign(u, w)
+            else:
+                assert g.sign(u, w) == s
+    assert g.edge_list() == [(u, w, s) for (u, w), s in pair_signs.items()]
+    assert g.edge_list(original_ids=True) == edges
+    assert [g.index_of(v) for v in nodes] == list(range(g.n))
+    for v in (*removed, 40):
+        with pytest.raises(KeyError):
+            g.index_of(v)
+
+    # Rebuilt from the reference pairs, shuffled and half of them reversed.
+    pairs = np.array(list(pair_signs), dtype=np.int64).reshape(-1, 2)
+    signs = np.array(list(pair_signs.values()), dtype=np.int64)
+    order = rng.permutation(signs.size)
+    flip = rng.random(signs.size) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    lo, hi, signs = pairs[order, 0], pairs[order, 1], signs[order]
+    attrs = np.zeros((g.n, 0))
+    assert tr.AttributedGraph(nodes, lo, hi, signs, attrs) == g
+    if signs.size:
+        signs[0] = -signs[0]
+        assert tr.AttributedGraph(nodes, lo, hi, signs, attrs) != g
