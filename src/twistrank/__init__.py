@@ -49,6 +49,7 @@ from .twisting import (
 from .centrality import (
     BivariateDistribution,
     CentralityRanking,
+    TiltModel,
     bivariate,
     centrality,
     influence_closed_form,
@@ -84,6 +85,7 @@ __all__ = [
     "SignProduct",
     "SolveError",
     "SweepRow",
+    "TiltModel",
     "TopKSet",
     "TwistConfig",
     "TwistResult",

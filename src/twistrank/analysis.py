@@ -1,4 +1,9 @@
-"""Ranking comparison machinery: degree baselines, top-k sets, Jaccard, sweeps."""
+"""Ranking comparison machinery: degree baselines, top-k sets, Jaccard, sweeps.
+
+A sweep ranks one graph at many targets through a single
+:class:`~twistrank.centrality.TiltModel`, so the work shared by the targets is
+done once.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TwistrankError
-from .graph import AttributedGraph, GraphStats, stats
-from .centrality import (
-    CentralityRanking,
-    measure_for,
-    resolve_theta,
-    start_marginal,
-    theta_solver,
-)
+from .graph import AttributedGraph, GraphStats
+from .centrality import CentralityRanking, TiltModel, measure_for, resolve_theta
 from .sampling import WalkConfig
-from .twisting import TwistConfig
 
 DEGREE_KINDS = ("positive", "negative", "total")
 
@@ -90,32 +88,25 @@ def sweep(
 
     ``mode`` selects whether ``values`` are gamma targets or temperatures.
     A failing target produces a row carrying the error message; the other
-    rows are unaffected.  Output order follows the input order.  The graph
-    statistics and the :func:`theta_solver` are built once and shared by
-    all targets.
+    rows are unaffected.  Output order follows the input order.  One
+    :class:`TiltModel` serves every target, so the graph statistics, the
+    measure's atoms and its sorted rows are built at most once.
     """
     if mode not in ("gamma", "theta"):
         raise ValueError(f"mode must be 'gamma' or 'theta', got {mode!r}")
-    walk = walk or WalkConfig()
-    measure = measure_for(kind, ad_vector)
-    graph_stats = stats(g)
+    if k < 1:
+        raise ValueError(f"top-k size must be at least 1, got {k}")
+    model = TiltModel(g, measure_for(kind, ad_vector), walk)
     baselines = {
-        name: top_k(degree_ranking(graph_stats, name), k) for name in DEGREE_KINDS
+        name: top_k(degree_ranking(model.stats, name), k) for name in DEGREE_KINDS
     }
-    solver = None
     rows: list[SweepRow] = []
     for value in values:
         gamma = float(value) if mode == "gamma" else None
         given_theta = float(value) if mode == "theta" else None
         try:
-            if gamma is not None and solver is None:
-                solver = theta_solver(g, measure, walk, graph_stats)
-            theta = resolve_theta(
-                g, kind, theta=given_theta, gamma=gamma, walk=walk,
-                ad_vector=ad_vector, graph_stats=graph_stats, solver=solver,
-            )
-            ranking = start_marginal(g, TwistConfig(measure, theta, walk), graph_stats)
-            mine = top_k(ranking, k)
+            theta = resolve_theta(model, theta=given_theta, gamma=gamma)
+            mine = top_k(model.ranking(theta), k)
             rows.append(
                 SweepRow(
                     gamma=gamma,

@@ -6,16 +6,17 @@ marginal is the centrality score.  The assembly here runs directly over the
 adjacency structure (edges plus wedges through each middle node), which is
 algebraically the same endpoint grouping the path enumeration produces but
 computed in one vectorised pass over the CSR entries.  Centralities skip the
-pairs: :func:`start_marginal` sums each start node's tilted mass from
-per-node statistics in O(m) for the sign measures and O(m log m) for the
-advertisement measure.
+pairs: a :class:`TiltModel` prepares one graph, measure and walk, then solves
+each temperature on the measure's atoms and sums each start node's tilted
+mass from per-node statistics, in O(m) for the sign measures and in
+O(m log m), once, for the advertisement measure.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -177,36 +178,6 @@ def marginal(b: BivariateDistribution, side: str = "start") -> CentralityRanking
     return CentralityRanking.from_scores(scores)
 
 
-def start_marginal(
-    g: AttributedGraph,
-    cfg: TwistConfig,
-    graph_stats: GraphStats | None = None,
-) -> CentralityRanking:
-    """Start-node marginal of the tilted walk distribution, as a ranking.
-
-    Equals ``marginal(bivariate(g, cfg))`` without building the pair masses.
-    For the sign measures a walk's tilt depends only on its edge signs, so
-    each start node's mass follows from the signed degrees of itself and its
-    neighbours, in O(m).  For the advertisement measure, each middle node's
-    neighbour scores are sorted once; a two-step walk u-v-w has measure
-    min(t, z_w) with t = min(z_u, z_v), so its sum over w is a prefix sum of
-    exp(theta z_w) below t plus a count at or above it.  Pass
-    ``graph_stats`` to reuse signed degrees already computed.
-    """
-    if g.m == 0:
-        raise GraphError("cannot compute start marginals on an edgeless graph")
-    theta = cfg.theta_value()
-    measure = cfg.measure
-    if isinstance(measure, (SignProduct, SignMin)):
-        gs = stats(g) if graph_stats is None else graph_stats
-        scores = _sign_scores(g, gs, cfg.walk, theta, isinstance(measure, SignMin))
-    elif isinstance(measure, MinInnerProduct):
-        scores = _min_inner_scores(g, cfg.walk, theta, measure)
-    else:
-        raise TypeError(f"no start-marginal kernel for measure {type(measure).__name__}")
-    return CentralityRanking.from_scores(scores / scores.sum())
-
-
 def _step_weights(theta: float) -> tuple[float, float]:
     # e^theta and e^-theta, both scaled by e^-|theta|: exp(theta) overflows
     # past ~709, and the common scale cancels on normalizing.
@@ -238,9 +209,9 @@ def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool
     return scores
 
 
-def _min_inner_scores(g, walk: WalkConfig, theta: float, measure: MinInnerProduct) -> np.ndarray:
+def _min_inner_scores(g, walk: WalkConfig, theta: float, capped_rows) -> np.ndarray:
     # Unnormalized start masses, without the common factor 1 / (2 m).
-    middles, starts, capped = measure.capped_rows(g)
+    middles, starts, capped = capped_rows
     indptr = g.csr()[0]
     # Every walk's exponent is theta * capped for some entry (a two-step walk
     # u-v-u reaches the extreme), so shifting by the largest keeps all <= 0.
@@ -291,52 +262,87 @@ def influence_closed_form(graph_stats: GraphStats, theta: float) -> CentralityRa
     return CentralityRanking.from_scores(scores / scores.sum())
 
 
+class TiltModel:
+    """One graph, path measure and walk mix, ready to be tilted at any temperature.
+
+    The work that does not depend on theta is built lazily, at most once, and
+    shared by every temperature: the signed degrees (``stats``), the
+    advertisement measure's sorted capped rows (``capped_rows``) and the
+    measure's atoms (``atoms``, see :func:`measure_atoms`).  A build that
+    fails raises again on the next use.
+    """
+
+    def __init__(self, g: AttributedGraph, measure, walk: WalkConfig | None = None):
+        if not isinstance(measure, (SignProduct, SignMin, MinInnerProduct)):
+            raise TypeError(f"no tilt model for measure {type(measure).__name__}")
+        self.is_sign = not isinstance(measure, MinInnerProduct)
+        self.is_min = isinstance(measure, SignMin)
+        self.graph = g
+        self.measure = measure
+        self.walk = walk or WalkConfig()
+
+    @cached_property
+    def stats(self) -> GraphStats:
+        return stats(self.graph)
+
+    @cached_property
+    def capped_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.measure.capped_rows(self.graph)
+
+    @cached_property
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        return measure_atoms(self)
+
+    def theta(self, gamma: float) -> float:
+        """The temperature at which the tilted mean measure equals ``gamma``.
+
+        Sign measures with only length-1 walks go through
+        :func:`solve_theta_closed`.  Otherwise the target is inverted on the
+        atoms: in closed form for the two sign atoms, by Newton iteration over
+        at most n atoms for the advertisement measure.
+        """
+        if self.is_sign and self.walk.beta2 == 0:
+            return solve_theta_closed(self.stats, gamma)
+        return solve_theta_atoms(*self.atoms, gamma)
+
+    def ranking(self, theta: float) -> CentralityRanking:
+        """Start-node marginal of the tilted walk distribution, as a ranking.
+
+        Equals ``marginal(bivariate(g, cfg))`` without building the pair
+        masses.  For the sign measures a walk's tilt depends only on its edge
+        signs, so each start node's mass follows from the signed degrees of
+        itself and its neighbours, in O(m).  For the advertisement measure, a
+        two-step walk u-v-w has measure min(t, z_w) with t = min(z_u, z_v), so
+        its sum over w is a prefix sum of exp(theta z_w) below t along v's
+        sorted capped row plus a count at or above it.
+        """
+        g = self.graph
+        if g.m == 0:
+            raise GraphError("cannot compute start marginals on an edgeless graph")
+        theta = TwistConfig(self.measure, theta, self.walk).theta_value()
+        if self.is_sign:
+            scores = _sign_scores(g, self.stats, self.walk, theta, self.is_min)
+        else:
+            scores = _min_inner_scores(g, self.walk, theta, self.capped_rows)
+        return CentralityRanking.from_scores(scores / scores.sum())
+
+
 def resolve_theta(
-    g: AttributedGraph,
-    kind: str,
+    model: TiltModel,
     *,
     theta: float | None = None,
     gamma: float | None = None,
-    walk: WalkConfig | None = None,
-    ad_vector=None,
-    graph_stats: GraphStats | None = None,
-    solver: Callable[[float], float] | None = None,
 ) -> float:
     """Resolve the temperature for a centrality run.
 
     Exactly one of ``theta`` and ``gamma`` must be given.  A gamma target is
-    inverted by :func:`theta_solver`; no walk is enumerated.  ``graph_stats``
-    and ``solver`` (a :func:`theta_solver` of this graph, measure and walk)
-    reuse work already done, for instance across the targets of a sweep.
+    inverted by :meth:`TiltModel.theta`; no walk is enumerated.
     """
     if (theta is None) == (gamma is None):
         raise ValueError("exactly one of theta and gamma must be given")
     if theta is not None:
         return float(theta)
-    if solver is None:
-        solver = theta_solver(g, measure_for(kind, ad_vector), walk or WalkConfig(), graph_stats)
-    return solver(float(gamma))
-
-
-def theta_solver(
-    g: AttributedGraph,
-    measure,
-    walk: WalkConfig,
-    graph_stats: GraphStats | None = None,
-) -> Callable[[float], float]:
-    """The map from a target mean gamma to its temperature.
-
-    Sign measures with only length-1 walks go through
-    :func:`solve_theta_closed`.  Otherwise the measure's atoms
-    (:func:`measure_atoms`) are built once, here, and each target is
-    inverted on them: in closed form for the two sign atoms, by Newton
-    iteration over at most n atoms for the advertisement measure.
-    """
-    if walk.beta2 == 0 and isinstance(measure, (SignProduct, SignMin)):
-        gs = stats(g) if graph_stats is None else graph_stats
-        return lambda gamma: solve_theta_closed(gs, gamma)
-    atoms = measure_atoms(g, measure, walk, graph_stats=graph_stats)
-    return lambda gamma: solve_theta_atoms(*atoms, gamma)
+    return model.theta(float(gamma))
 
 
 def centrality(
@@ -352,16 +358,10 @@ def centrality(
 
     Dispatches the path measure for ``kind``, resolves the temperature from
     ``theta`` or ``gamma``, and returns the start marginal of the tilted
-    walk distribution (:func:`start_marginal`).
+    walk distribution (:meth:`TiltModel.ranking`).
     """
-    walk = walk or WalkConfig()
-    measure = measure_for(kind, ad_vector)
-    graph_stats = stats(g)
-    theta = resolve_theta(
-        g, kind, theta=theta, gamma=gamma, walk=walk, ad_vector=ad_vector,
-        graph_stats=graph_stats,
-    )
-    return start_marginal(g, TwistConfig(measure=measure, theta=theta, walk=walk), graph_stats)
+    model = TiltModel(g, measure_for(kind, ad_vector), walk)
+    return model.ranking(resolve_theta(model, theta=theta, gamma=gamma))
 
 
 def measure_for(kind: str, ad_vector=None):

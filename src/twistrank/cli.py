@@ -15,9 +15,8 @@ from . import __version__
 from .errors import TwistrankError
 from .graph import NegativeInjection, load_graph, preprocess, stats
 from .sampling import WalkConfig
-from .twisting import TwistConfig
 from .analysis import sweep
-from .centrality import measure_for, resolve_theta, start_marginal
+from .centrality import TiltModel, measure_for, resolve_theta
 from . import io as tio
 from .verify import run_checks
 
@@ -116,8 +115,15 @@ def _load(args):
     return load_graph(edges, attrs)
 
 
-def _walk(args) -> WalkConfig:
-    return WalkConfig(args.beta1, args.beta2)
+def _ranking_inputs(args):
+    """The graph, walk mix, centrality kind and ad vector of ``rank`` and ``sweep``."""
+    g = _load(args)
+    walk = WalkConfig(args.beta1, args.beta2)
+    kind = "advertisement" if args.measure == "ad" else args.measure
+    ad = _ad_vector(args)
+    if kind == "advertisement" and ad is None:
+        raise TwistrankError("--measure ad requires --ad-vector")
+    return g, walk, kind, ad
 
 
 def _ad_vector(args):
@@ -171,18 +177,10 @@ def cmd_preprocess(args) -> int:
 def cmd_rank(args) -> int:
     if (args.theta is None) == (args.gamma is None):
         raise TwistrankError("exactly one of --theta and --gamma must be given")
-    g = _load(args)
-    walk = _walk(args)
-    kind = "advertisement" if args.measure == "ad" else args.measure
-    ad = _ad_vector(args)
-    if kind == "advertisement" and ad is None:
-        raise TwistrankError("--measure ad requires --ad-vector")
-    graph_stats = stats(g)
-    theta = resolve_theta(
-        g, kind, theta=args.theta, gamma=args.gamma, walk=walk, ad_vector=ad,
-        graph_stats=graph_stats,
-    )
-    ranking = start_marginal(g, TwistConfig(measure_for(kind, ad), theta, walk), graph_stats)
+    g, walk, kind, ad = _ranking_inputs(args)
+    model = TiltModel(g, measure_for(kind, ad), walk)
+    theta = resolve_theta(model, theta=args.theta, gamma=args.gamma)
+    ranking = model.ranking(theta)
     out = _out_dir(args)
     tio.write_ranking_csv(out / "ranking.csv", ranking, g.original_ids)
     tio.write_ranking_json(out / "ranking.json", ranking, g.original_ids)
@@ -196,12 +194,7 @@ def cmd_rank(args) -> int:
 def cmd_sweep(args) -> int:
     if (args.gammas is None) == (args.thetas is None):
         raise TwistrankError("exactly one of --gammas and --thetas must be given")
-    g = _load(args)
-    walk = _walk(args)
-    kind = "advertisement" if args.measure == "ad" else args.measure
-    ad = _ad_vector(args)
-    if kind == "advertisement" and ad is None:
-        raise TwistrankError("--measure ad requires --ad-vector")
+    g, walk, kind, ad = _ranking_inputs(args)
     mode = "gamma" if args.gammas is not None else "theta"
     raw = args.gammas if mode == "gamma" else args.thetas
     try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, GraphError, SolveError
-from .graph import AttributedGraph, GraphStats, stats
+from .graph import AttributedGraph, GraphStats
 from .sampling import DEFAULT_PATH_BUDGET, WalkConfig, WalkPath, enumerate_paths
 
 # Newton iteration: tolerance on the mean measure, and step limit.
@@ -260,36 +260,28 @@ def _two_atom_theta(lo: float, hi: float, mass_lo: float, mass_hi: float, gamma:
     return math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo)
 
 
-def measure_atoms(
-    g: AttributedGraph,
-    measure,
-    walk: WalkConfig,
-    *,
-    graph_stats: GraphStats | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Push the base walk distribution forward through a scalar measure.
+def measure_atoms(model) -> tuple[np.ndarray, np.ndarray]:
+    """Push a tilt model's base walk distribution forward through its measure.
 
-    Returns ``(values, masses)``: ascending measure values and the total
-    base mass of the walks taking each, summing to 1.  Since the tilt sees a
-    walk only through its measure, Z(theta) = sum(masses * exp(theta *
-    values)), so a temperature solve needs only this table.
+    ``model`` is a :class:`~twistrank.centrality.TiltModel`, whose signed
+    degrees and capped rows are built once and reused here.  Returns
+    ``(values, masses)``: ascending measure values and the total base mass of
+    the walks taking each, summing to 1.  Since the tilt sees a walk only
+    through its measure, Z(theta) = sum(masses * exp(theta * values)), so a
+    temperature solve needs only this table.
 
     The sign measures have the two atoms -1 and +1, whose masses follow from
     the signed degrees k+ and k- in O(m): a middle node v splits the k_v^2
     two-step walks through it by the signs of their two edges.  The
     advertisement measure takes at most n values, the node scores; its
     atoms come from each node's neighbour scores sorted, in O(m log m).
-    Pass ``graph_stats`` to reuse signed degrees already computed.  Atoms of
-    zero mass may be present.
+    Atoms of zero mass may be present.
     """
-    if g.m == 0:
+    if model.graph.m == 0:
         raise GraphError("cannot push the walk distribution forward on an edgeless graph")
-    if isinstance(measure, (SignProduct, SignMin)):
-        gs = stats(g) if graph_stats is None else graph_stats
-        return _sign_atoms(gs, walk, isinstance(measure, SignMin))
-    if isinstance(measure, MinInnerProduct):
-        return _min_inner_atoms(g, walk, measure)
-    raise TypeError(f"no push-forward for measure {type(measure).__name__}")
+    if model.is_sign:
+        return _sign_atoms(model.stats, model.walk, model.is_min)
+    return _min_inner_atoms(model.graph, model.walk, model.capped_rows)
 
 
 def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
@@ -311,8 +303,8 @@ def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
     return np.array([-1.0, 1.0]), np.array([neg, pos])
 
 
-def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, measure: MinInnerProduct):
-    middles, _, capped = measure.capped_rows(g)
+def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, capped_rows):
+    middles, _, capped = capped_rows
     indptr = g.csr()[0]
     k = np.diff(indptr)[middles]
     i = np.arange(capped.size) - indptr[middles]

@@ -180,7 +180,7 @@ class TestCentralityDispatch:
     def test_gamma_resolution_round_trip(self, corpus100):
         g, _ = corpus100[7]
         walk = tr.WalkConfig(0.7, 0.3)
-        theta = tr.resolve_theta(g, "influence", gamma=0.25, walk=walk)
+        theta = tr.resolve_theta(tr.TiltModel(g, tr.SignProduct(), walk), gamma=0.25)
         by_gamma = tr.centrality(g, "influence", gamma=0.25, walk=walk)
         by_theta = tr.centrality(g, "influence", theta=theta, walk=walk)
         assert np.max(np.abs(by_gamma.scores - by_theta.scores)) <= 1e-14

@@ -349,6 +349,70 @@ class TestSweepCommand:
         ]) == 0
         assert calls == {"resolve_theta": 3}
 
+    def test_ad_sweep_sorts_capped_rows_once(self, tmp_path, monkeypatch, capsys):
+        edges = tmp_path / "edges.txt"
+        attrs = tmp_path / "attrs.txt"
+        z = tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 1\n3 4 -1\n")
+        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.2 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
+        write(z, "1.0 0.5\n")
+        calls = Counter()
+        capped_rows = tr.MinInnerProduct.capped_rows
+        monkeypatch.setattr(tr.MinInnerProduct, "capped_rows",
+                            _counted(calls, "capped_rows", capped_rows))
+        assert main([
+            "sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
+            "--measure", "ad", "--gammas=0.4,0.5,0.6", "--beta1", "0.7", "--beta2", "0.3",
+            "--k", "2", "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        assert calls == {"capped_rows": 1}
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_top_k_below_one_is_a_data_error(self, tmp_path, small_edges, capsys, k):
+        code = main([
+            "sweep", "--edges", str(small_edges), "--measure", "influence",
+            "--thetas", "0.1", "--k", k, "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        assert f"top-k size must be at least 1, got {k}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "measure, targets, beta2, error",
+        [
+            ("influence", "--gammas=0.1,-0.4", "0",
+             "closed-form temperature needs both positive and negative edges (m+ = 0, m- = 0)"),
+            ("trust", "--gammas=0.1,-0.4", "0.3",
+             "cannot push the walk distribution forward on an edgeless graph"),
+            ("ad", "--gammas=0.1,-0.4", "0",
+             "cannot push the walk distribution forward on an edgeless graph"),
+            ("trust", "--thetas=0.1,-0.4", "0.3",
+             "cannot compute start marginals on an edgeless graph"),
+        ],
+        ids=["one-step-sign-gamma", "two-step-sign-gamma", "ad-gamma", "theta"],
+    )
+    def test_edgeless_graph_gives_one_error_row_per_target(
+        self, tmp_path, capsys, measure, targets, beta2, error
+    ):
+        # Every node comes from the attribute file; the edge list has none.
+        edges = tmp_path / "edges.txt"
+        attrs = tmp_path / "attrs.txt"
+        z = tmp_path / "z.txt"
+        write(edges, "# no edges\n")
+        write(attrs, "0 0.9 0.1\n5 0.4 0.8\n9 0.2 0.3\n")
+        write(z, "1.0 0.5\n")
+        code = main([
+            "sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
+            "--measure", measure, targets, "--beta1", str(1 - float(beta2)), "--beta2", beta2,
+            "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["sweep"]
+        assert [row["error"] for row in rows] == [error, error]
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"target 0.1: {error}", f"target -0.4: {error}"]
+        assert captured.out == "swept 2 targets, 2 failed\n"
+
     def test_requires_exactly_one_target_list(self, tmp_path, small_edges, capsys):
         code = main([
             "sweep", "--edges", str(small_edges), "--measure", "influence",

@@ -39,7 +39,7 @@ class TestMeasureAtoms:
     def test_free_energy_matches_enumeration(self, corpus100):
         worst = 0.0
         for g, _, kind, measure, walk in configs(corpus100[:20]):
-            values, masses = tr.measure_atoms(g, measure, walk)
+            values, masses = tr.measure_atoms(tr.TiltModel(g, measure, walk))
             assert np.all(np.diff(values) > 0)
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
             if kind == "advertisement":
@@ -57,7 +57,7 @@ class TestMeasureAtoms:
     def test_sign_atoms_by_hand(self, star_two_neg):
         # Center 0 with spokes +, +, -, -; every spoke node has degree 1.
         walk = tr.WalkConfig(0.5, 0.5)
-        values, masses = tr.measure_atoms(star_two_neg, tr.SignProduct(), walk)
+        values, masses = tr.measure_atoms(tr.TiltModel(star_two_neg, tr.SignProduct(), walk))
         # Length 1: m+ / m = 2 / 4.  Length 2: the center is the middle node
         # with probability 4 / 8, and 8 of its 16 ordered neighbour pairs
         # agree in sign; a spoke middle node makes the walk backtrack over
@@ -69,12 +69,12 @@ class TestMeasureAtoms:
     def test_edgeless_graph_rejected(self):
         g = tr.load_graph([], [(0, [1.0])])
         with pytest.raises(tr.GraphError, match="edgeless"):
-            tr.measure_atoms(g, tr.SignMin(), tr.WalkConfig(0.7, 0.3))
+            tr.measure_atoms(tr.TiltModel(g, tr.SignMin(), tr.WalkConfig(0.7, 0.3)))
 
     def test_ad_dimension_mismatch_rejected(self, corpus100):
         g, _ = corpus100[0]
         with pytest.raises(tr.GraphError, match="dimension"):
-            tr.measure_atoms(g, tr.MinInnerProduct([1.0, 2.0, 3.0]), tr.WalkConfig())
+            tr.measure_atoms(tr.TiltModel(g, tr.MinInnerProduct([1.0, 2.0, 3.0]), tr.WalkConfig()))
 
 
 class TestSolveFromAtoms:
@@ -87,10 +87,10 @@ class TestSolveFromAtoms:
             if fmax - fmin < 1e-9:
                 continue
             gamma = fmin + FRACTIONS[i % 3] * (fmax - fmin)
-            theta = twisting.solve_theta_atoms(*tr.measure_atoms(g, measure, walk), gamma)
+            theta = twisting.solve_theta_atoms(*tr.measure_atoms(tr.TiltModel(g, measure, walk)), gamma)
             back = tr.free_energy_gradient(g, tr.TwistConfig(measure, theta, walk))
             numeric = tr.solve_theta_numeric(g, measure, walk, gamma)
-            resolved = tr.resolve_theta(g, kind, gamma=gamma, walk=walk, ad_vector=z)
+            resolved = tr.resolve_theta(tr.TiltModel(g, measure, walk), gamma=gamma)
             worst_round_trip = max(worst_round_trip, abs(back - gamma))
             scale = max(1.0, abs(theta))
             worst_vs_numeric = max(worst_vs_numeric, abs(theta - numeric) / scale)
@@ -105,7 +105,7 @@ class TestSolveFromAtoms:
         g, z = corpus100[9]
         measure = tr.measure_for(kind, z)
         walk = tr.WalkConfig(0.7, 0.3)
-        atoms = tr.measure_atoms(g, measure, walk)
+        atoms = tr.measure_atoms(tr.TiltModel(g, measure, walk))
         _, fmax = tr.achievable_range(g, measure, walk)
         for solve in (
             lambda: twisting.solve_theta_atoms(*atoms, fmax + 0.1),
@@ -117,7 +117,7 @@ class TestSolveFromAtoms:
     def test_constant_measure_rejected(self, triangle_pos):
         walk = tr.WalkConfig(0.7, 0.3)
         with pytest.raises(SolveError, match="constant"):
-            tr.resolve_theta(triangle_pos, "trust", gamma=0.5, walk=walk)
+            tr.resolve_theta(tr.TiltModel(triangle_pos, tr.SignMin(), walk), gamma=0.5)
         with pytest.raises(SolveError, match="constant"):
             tr.solve_theta_numeric(triangle_pos, tr.SignMin(), walk, 0.5)
 
@@ -192,7 +192,7 @@ def test_production_path_never_enumerates(monkeypatch, corpus100):
     for i, (g, z, kind, measure, walk) in enumerate(configs(corpus)):
         if i not in targets:
             continue
-        theta = tr.resolve_theta(g, kind, gamma=targets[i], walk=walk, ad_vector=z)
+        theta = tr.resolve_theta(tr.TiltModel(g, measure, walk), gamma=targets[i])
         assert theta == pytest.approx(0.4, abs=1e-9)
         ranking = tr.centrality(g, kind, gamma=targets[i], walk=walk, ad_vector=z)
         assert ranking.scores.sum() == pytest.approx(1.0, abs=1e-12)
