@@ -35,13 +35,13 @@ from .sampling import (
 from .twisting import (
     MinInnerProduct,
     SignMin,
+    PathTable,
     SignProduct,
-    TwistConfig,
     TwistResult,
     achievable_range,
-    free_energy_gradient,
     kl_divergence,
     measure_atoms,
+    path_table,
     solve_theta_closed,
     solve_theta_numeric,
     twist,
@@ -79,6 +79,7 @@ __all__ = [
     "MinInnerProduct",
     "NegativeInjection",
     "ParseError",
+    "PathTable",
     "PreprocessReport",
     "PreprocessResult",
     "SignMin",
@@ -87,7 +88,6 @@ __all__ = [
     "SweepRow",
     "TiltModel",
     "TopKSet",
-    "TwistConfig",
     "TwistResult",
     "TwistrankError",
     "WalkConfig",
@@ -98,7 +98,6 @@ __all__ = [
     "centrality",
     "degree_ranking",
     "enumerate_paths",
-    "free_energy_gradient",
     "influence_closed_form",
     "jaccard",
     "kl_divergence",
@@ -107,6 +106,7 @@ __all__ = [
     "measure_atoms",
     "measure_for",
     "path_count",
+    "path_table",
     "preprocess",
     "resolve_theta",
     "solve_theta_closed",

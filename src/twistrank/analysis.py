@@ -87,10 +87,11 @@ def sweep(
     """Rank at each target and compare the top-k against degree baselines.
 
     ``mode`` selects whether ``values`` are gamma targets or temperatures.
-    A failing target produces a row carrying the error message; the other
-    rows are unaffected.  Output order follows the input order.  One
-    :class:`TiltModel` serves every target, so the graph statistics, the
-    measure's atoms and its sorted rows are built at most once.
+    A failing target, such as a non-finite temperature, produces a row
+    carrying the error message; the other rows are unaffected.  Output
+    order follows the input order.  One :class:`TiltModel` serves every
+    target, so the graph statistics, the measure's atoms and its sorted rows
+    are built at most once.
     """
     if mode not in ("gamma", "theta"):
         raise ValueError(f"mode must be 'gamma' or 'theta', got {mode!r}")
@@ -116,7 +117,7 @@ def sweep(
                     jaccard_total=jaccard(mine, baselines["total"]),
                 )
             )
-        except TwistrankError as exc:
+        except (TwistrankError, ValueError) as exc:
             rows.append(
                 SweepRow(
                     gamma=gamma, theta=given_theta, jaccard_pos=None,

@@ -27,10 +27,10 @@ from .twisting import (
     MinInnerProduct,
     SignMin,
     SignProduct,
-    TwistConfig,
     measure_atoms,
     solve_theta_atoms,
     solve_theta_closed,
+    theta_value,
 )
 
 CENTRALITY_KINDS = ("influence", "trust", "advertisement")
@@ -93,8 +93,8 @@ class CentralityRanking:
 
 
 def bivariate(
-    g: AttributedGraph,
-    cfg: TwistConfig,
+    model: TiltModel,
+    theta: float,
     max_paths: int = DEFAULT_PATH_BUDGET,
 ) -> BivariateDistribution:
     """Tilted mass of every ordered node pair, assembled structurally.
@@ -103,30 +103,26 @@ def bivariate(
     the edge exists, plus the sum over middle nodes v of
     exp(theta * f(u, v, w)) * beta2 / (2 m * deg(v))].  Exponents are shifted
     by their maximum before exponentiation, so the normalization survives
-    large |theta|.
+    large |theta|.  The pair count grows like the walk count, so a walk mix
+    with more than ``max_paths`` walks is rejected.
     """
+    g = model.graph
     if g.m == 0:
         raise GraphError("cannot build a pair distribution on an edgeless graph")
-    required = path_count(g, cfg.walk)
+    required = path_count(g, model.walk)
     if required > max_paths:
         raise EnumerationBudgetError(required, max_paths)
-    theta = cfg.theta_value()
+    theta = theta_value(theta)
 
     indptr, indices, signs = g.csr()
-    measure = cfg.measure
-    if isinstance(measure, (SignProduct, SignMin)):
+    if model.is_sign:
         edge_f = signs.astype(float)
-        combine = np.multiply if isinstance(measure, SignProduct) else np.minimum
-    elif isinstance(measure, MinInnerProduct):
-        z = measure.node_scores(g)
+        combine = np.minimum if model.is_min else np.multiply
+    else:
+        z = model.measure.node_scores(g)
         edge_f = np.minimum(z[np.repeat(np.arange(g.n), np.diff(indptr))], z[indices])
         combine = np.minimum
-    else:
-        raise TypeError(
-            f"no structural pair assembly for measure {type(measure).__name__}; "
-            "group the twisted path masses by endpoints instead"
-        )
-    codes, exps, wts = _pair_terms(g, cfg.walk, theta, edge_f, combine)
+    codes, exps, wts = _pair_terms(g, model.walk, theta, edge_f, combine)
 
     shift = exps.max()
     unnorm = np.exp(exps - shift) * wts
@@ -274,7 +270,10 @@ class TiltModel:
 
     def __init__(self, g: AttributedGraph, measure, walk: WalkConfig | None = None):
         if not isinstance(measure, (SignProduct, SignMin, MinInnerProduct)):
-            raise TypeError(f"no tilt model for measure {type(measure).__name__}")
+            raise TypeError(
+                f"no tilt model for measure {type(measure).__name__}: it has no "
+                "per-node kernel and no structural pair assembly"
+            )
         self.is_sign = not isinstance(measure, MinInnerProduct)
         self.is_min = isinstance(measure, SignMin)
         self.graph = g
@@ -308,7 +307,7 @@ class TiltModel:
     def ranking(self, theta: float) -> CentralityRanking:
         """Start-node marginal of the tilted walk distribution, as a ranking.
 
-        Equals ``marginal(bivariate(g, cfg))`` without building the pair
+        Equals ``marginal(bivariate(self, theta))`` without building the pair
         masses.  For the sign measures a walk's tilt depends only on its edge
         signs, so each start node's mass follows from the signed degrees of
         itself and its neighbours, in O(m).  For the advertisement measure, a
@@ -319,7 +318,7 @@ class TiltModel:
         g = self.graph
         if g.m == 0:
             raise GraphError("cannot compute start marginals on an edgeless graph")
-        theta = TwistConfig(self.measure, theta, self.walk).theta_value()
+        theta = theta_value(theta)
         if self.is_sign:
             scores = _sign_scores(g, self.stats, self.walk, theta, self.is_min)
         else:

@@ -27,9 +27,6 @@ class WalkPath:
     nodes: tuple[int, ...]
     base_prob: float
 
-    def reversed(self) -> "WalkPath":
-        return WalkPath(self.nodes[::-1], self.base_prob)
-
 
 @dataclass(frozen=True)
 class WalkConfig:

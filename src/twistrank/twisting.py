@@ -11,21 +11,22 @@ scalar temperature theta that achieves a target mean.
 The tilt sees a walk only through its measure value, so pushing the base
 walk distribution forward through the measure (:func:`measure_atoms`) gives
 a table of at most n atoms on which every solve runs: in closed form for
-the two sign atoms, by Newton iteration otherwise.  The path enumeration
-behind :func:`twist` and :func:`solve_theta_numeric` is the oracle these
-atoms are checked against.
+the two sign atoms, by Newton iteration otherwise.  The oracle these atoms
+are checked against enumerates every walk once into a :class:`PathTable`
+(:func:`path_table`), which :func:`twist`, :func:`achievable_range` and
+:func:`solve_theta_numeric` read at any temperature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, GraphError, SolveError
 from .graph import AttributedGraph, GraphStats
-from .sampling import DEFAULT_PATH_BUDGET, WalkConfig, WalkPath, enumerate_paths
+from .sampling import WalkConfig, WalkPath, enumerate_paths
 
 # Newton iteration: tolerance on the mean measure, and step limit.
 NEWTON_TOL = 1e-11
@@ -104,57 +105,61 @@ class MinInnerProduct:
             )
 
 
-@dataclass(frozen=True)
-class TwistConfig:
-    """One tilted short walk: a scalar measure, a scalar temperature, a walk mix."""
-
-    measure: object
-    theta: float
-    walk: WalkConfig = field(default_factory=WalkConfig)
-
-    def theta_value(self) -> float:
-        """``theta`` as a float; arrays and non-finite values are rejected."""
-        if np.ndim(self.theta) != 0:
-            raise ValueError(f"theta must be a scalar, got dimension {np.ndim(self.theta)}")
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise ValueError("theta must be finite")
-        return theta
+def theta_value(theta) -> float:
+    """``theta`` as a float; arrays and non-finite values are rejected."""
+    if np.ndim(theta) != 0:
+        raise ValueError(f"theta must be a scalar, got dimension {np.ndim(theta)}")
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    return theta
 
 
 @dataclass(frozen=True)
 class TwistResult:
     """Normalization and summary statistics of one tilt.
 
-    ``free_energy`` is log(1/C) = -log_c; ``mean_measure`` is the average
-    path measure under the tilted distribution, which equals the derivative
-    of the free energy in theta.
+    ``free_energy`` is log(1/C); ``mean_measure`` is the average path
+    measure under the tilted distribution, which equals the derivative of
+    the free energy in theta.
     """
 
-    log_c: float
     free_energy: float
     mean_measure: float
 
 
-@dataclass(frozen=True)
-class _PathTable:
-    """Enumerated support with per-path measures and log base masses."""
+@dataclass(frozen=True, eq=False)
+class PathTable:
+    """The enumerated walk support of one graph, measure and walk mix.
+
+    ``paths`` are the walks of positive base mass, ``f`` their measures and
+    ``logp0`` their log base masses.  None of it depends on theta, so one
+    table serves :func:`twist`, :func:`achievable_range` and
+    :func:`solve_theta_numeric` at every temperature.
+    """
 
     paths: tuple[WalkPath, ...]
     f: np.ndarray       # shape (N,)
     logp0: np.ndarray   # shape (N,)
 
 
-def _build_table(g, measure, walk, max_paths) -> _PathTable:
+def path_table(g: AttributedGraph, measure, walk: WalkConfig) -> PathTable:
+    """Enumerate every walk of ``walk`` on ``g`` and evaluate ``measure`` on it.
+
+    This is the oracle the vectorised routes are checked against: it holds
+    one Python object per walk, so it fails fast with
+    :class:`~twistrank.errors.EnumerationBudgetError` when the walk count
+    exceeds the default budget of :func:`enumerate_paths`.
+    """
     # A tiny walk weight such as beta1 = 5e-324 gives paths whose base mass
     # underflows to 0; they are not part of the support.
-    paths = tuple(p for p in enumerate_paths(g, walk, max_paths) if p.base_prob > 0)
+    paths = tuple(p for p in enumerate_paths(g, walk) if p.base_prob > 0)
     f = np.empty(len(paths), dtype=float)
     logp0 = np.empty(len(paths), dtype=float)
     for i, p in enumerate(paths):
         f[i] = measure.evaluate(g, p.nodes)
         logp0[i] = math.log(p.base_prob)
-    return _PathTable(paths=paths, f=f, logp0=logp0)
+    return PathTable(paths=paths, f=f, logp0=logp0)
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -178,38 +183,15 @@ def _tilt(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, np.nda
     return log_z, np.exp(logw - log_z)
 
 
-def twist(
-    g: AttributedGraph,
-    cfg: TwistConfig,
-    max_paths: int = DEFAULT_PATH_BUDGET,
-) -> tuple[TwistResult, list[tuple[WalkPath, float]]]:
-    """Tilt the base walk distribution by exp(theta * f).
+def twist(table: PathTable, theta: float) -> tuple[TwistResult, np.ndarray]:
+    """Tilt a path table's base distribution by exp(theta * f).
 
-    Returns the normalization summary and the per-path tilted masses, which
-    sum to 1.  All accumulation happens in the log domain, so large
-    |theta * f| values do not overflow.
+    Returns the normalization summary and the tilted mass of each path,
+    aligned with ``table.paths`` and summing to 1.  All accumulation happens
+    in the log domain, so large |theta * f| values do not overflow.
     """
-    theta = cfg.theta_value()
-    table = _build_table(g, cfg.measure, cfg.walk, max_paths)
-    log_z, probs = _tilt(table.f, table.logp0, theta)
-    result = TwistResult(log_c=-log_z, free_energy=log_z, mean_measure=float(probs @ table.f))
-    return result, list(zip(table.paths, probs.tolist()))
-
-
-def free_energy_gradient(
-    g: AttributedGraph,
-    cfg: TwistConfig,
-    max_paths: int = DEFAULT_PATH_BUDGET,
-) -> float:
-    """Mean path measure under the tilted distribution.
-
-    This equals the derivative of the free energy at theta, so it is the
-    quantity matched against a target mean when solving for theta.
-    """
-    theta = cfg.theta_value()
-    table = _build_table(g, cfg.measure, cfg.walk, max_paths)
-    _, probs = _tilt(table.f, table.logp0, theta)
-    return float(probs @ table.f)
+    log_z, probs = _tilt(table.f, table.logp0, theta_value(theta))
+    return TwistResult(free_energy=log_z, mean_measure=float(probs @ table.f)), probs
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -220,18 +202,12 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
-def achievable_range(
-    g: AttributedGraph,
-    measure,
-    walk: WalkConfig,
-    max_paths: int = DEFAULT_PATH_BUDGET,
-) -> tuple[float, float]:
-    """(min, max) of the measure over the enumerated support.
+def achievable_range(table: PathTable) -> tuple[float, float]:
+    """(min, max) of the measure over a path table's support.
 
     Any target mean strictly between the two is achievable by some finite
     temperature; values on or outside them are not.
     """
-    table = _build_table(g, measure, walk, max_paths)
     return float(table.f.min()), float(table.f.max())
 
 
@@ -338,15 +314,8 @@ def solve_theta_atoms(
     return _solve_scalar(f, np.log(p), gamma)
 
 
-def solve_theta_numeric(
-    g: AttributedGraph,
-    measure,
-    walk: WalkConfig,
-    gamma: float,
-    *,
-    max_paths: int = DEFAULT_PATH_BUDGET,
-) -> float:
-    """Solve F'(theta) = gamma by Newton iteration on the mean measure.
+def solve_theta_numeric(table: PathTable, gamma: float) -> float:
+    """Solve F'(theta) = gamma by Newton iteration on a path table.
 
     The second derivative of the free energy is the variance of the measure
     under the tilt, so the mean is monotone in theta and admits a bisection
@@ -354,9 +323,8 @@ def solve_theta_numeric(
     (see :func:`achievable_range`).  Convergence is declared when the mean
     matches gamma within ``NEWTON_TOL``, followed by one polishing step.
     """
-    table = _build_table(g, measure, walk, max_paths)
     gamma = float(gamma)
-    _check_target(float(table.f.min()), float(table.f.max()), gamma)
+    _check_target(*achievable_range(table), gamma)
     return _solve_scalar(table.f, table.logp0, gamma)
 
 

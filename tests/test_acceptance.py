@@ -45,10 +45,11 @@ def test_02_oracle_equivalence(corpus100):
         for measure in measures_for(g, z):
             for beta in BETA_MIXES:
                 walk = tr.WalkConfig(*beta)
+                model = tr.TiltModel(g, measure, walk)
+                table = tr.path_table(g, measure, walk)
                 for theta in THETAS:
-                    cfg = tr.TwistConfig(measure, theta, walk)
                     dev = pair_mass_deviation(
-                        tr.bivariate(g, cfg).to_dict(), endpoint_grouped(g, cfg)
+                        tr.bivariate(model, theta).to_dict(), endpoint_grouped(table, theta)
                     )
                     worst = max(worst, dev)
     report(2, "pair-distribution oracle equivalence", worst <= 1e-12, f"max dev {worst:.2e}")
@@ -60,9 +61,10 @@ def test_03_closed_form_marginal(corpus100):
     worst = 0.0
     for g, _ in corpus100:
         s = tr.stats(g)
+        table = tr.path_table(g, tr.SignProduct(), walk)
         for theta in THETAS:
             closed = tr.influence_closed_form(s, theta)
-            grouped = endpoint_grouped(g, tr.TwistConfig(tr.SignProduct(), theta, walk))
+            grouped = endpoint_grouped(table, theta)
             scores = np.zeros(g.n)
             for (u, _), mass in grouped.items():
                 scores[u] += mass
@@ -80,10 +82,10 @@ def test_04_free_energy_calculus(corpus100):
         measure = measures_for(g, z)[int(rng.integers(3))]
         beta = BETA_MIXES[int(rng.integers(3))]
         theta = float(rng.uniform(-2.0, 2.0))
-        walk = tr.WalkConfig(*beta)
-        grad = tr.free_energy_gradient(g, tr.TwistConfig(measure, theta, walk))
-        hi, _ = tr.twist(g, tr.TwistConfig(measure, theta + step, walk))
-        lo, _ = tr.twist(g, tr.TwistConfig(measure, theta - step, walk))
+        table = tr.path_table(g, measure, tr.WalkConfig(*beta))
+        grad = tr.twist(table, theta)[0].mean_measure
+        hi, _ = tr.twist(table, theta + step)
+        lo, _ = tr.twist(table, theta - step)
         fd = (hi.free_energy - lo.free_energy) / (2 * step)
         worst = max(worst, abs(grad - fd) / max(1.0, abs(grad)))
     gradient_ok = worst <= 1e-6
@@ -92,10 +94,8 @@ def test_04_free_energy_calculus(corpus100):
     grid = np.linspace(-8.0, 8.0, 50)
     for g, z in corpus100[:3]:
         for measure in measures_for(g, z):
-            grads = [
-                tr.free_energy_gradient(g, tr.TwistConfig(measure, t, tr.WalkConfig(0.7, 0.3)))
-                for t in grid
-            ]
+            table = tr.path_table(g, measure, tr.WalkConfig(0.7, 0.3))
+            grads = [tr.twist(table, t)[0].mean_measure for t in grid]
             monotone_ok = monotone_ok and bool(np.all(np.diff(grads) >= -1e-12))
     report(4, "free-energy calculus", gradient_ok and monotone_ok,
            f"max rel dev {worst:.2e}, monotone {monotone_ok}")
@@ -111,14 +111,14 @@ def test_05_round_trip_solving(corpus100):
         g, z = corpus100[i % len(corpus100)]
         measure = measures_for(g, z)[solved % 3]
         beta = BETA_MIXES[int(rng.integers(3))]
-        walk = tr.WalkConfig(*beta)
+        table = tr.path_table(g, measure, tr.WalkConfig(*beta))
         i += 1
-        fmin, fmax = tr.achievable_range(g, measure, walk)
+        fmin, fmax = tr.achievable_range(table)
         if fmax - fmin < 1e-9:
             continue
         gamma = float(fmin + rng.uniform(0.05, 0.95) * (fmax - fmin))
-        theta = tr.solve_theta_numeric(g, measure, walk, gamma)
-        back = tr.free_energy_gradient(g, tr.TwistConfig(measure, theta, walk))
+        theta = tr.solve_theta_numeric(table, gamma)
+        back = tr.twist(table, theta)[0].mean_measure
         worst = max(worst, abs(back - gamma))
         solved += 1
     report(5, "gamma round trip", worst <= 1e-10, f"max dev {worst:.2e} over {solved} targets")
@@ -133,16 +133,17 @@ def test_06_structural_invariants(corpus100):
         for measure in measures_for(g, z):
             for beta in BETA_MIXES:
                 walk = tr.WalkConfig(*beta)
+                model = tr.TiltModel(g, measure, walk)
+                table = tr.path_table(g, measure, walk)
                 for theta in (-2.0, 1.5):
-                    cfg = tr.TwistConfig(measure, theta, walk)
-                    _, dist = tr.twist(g, cfg)
-                    by_nodes = {path.nodes: prob for path, prob in dist}
+                    _, probs = tr.twist(table, theta)
+                    by_nodes = {path.nodes: prob for path, prob in zip(table.paths, probs.tolist())}
                     worst_sum = max(worst_sum, abs(sum(by_nodes.values()) - 1.0))
                     worst_rev = max(
                         worst_rev,
                         max(abs(p - by_nodes[nodes[::-1]]) for nodes, p in by_nodes.items()),
                     )
-                    b = tr.bivariate(g, cfg)
+                    b = tr.bivariate(model, theta)
                     worst_marg = max(
                         worst_marg,
                         float(np.max(np.abs(b.start_marginal() - b.end_marginal()))),

@@ -13,7 +13,7 @@ from conftest import random_signed_graph
 
 class TestBivariate:
     def test_untwisted_triangle_is_uniform_on_edges(self, triangle_pos):
-        b = tr.bivariate(triangle_pos, tr.TwistConfig(tr.SignProduct(), 0.0, tr.WalkConfig(1.0, 0.0)))
+        b = tr.bivariate(tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
         for u in range(3):
             for w in range(3):
                 expected = 1 / 6 if u != w else 0.0
@@ -21,7 +21,7 @@ class TestBivariate:
 
     def test_single_negative_edge_normalization_cancels(self):
         g = tr.load_graph([(0, 1, -1)])
-        b = tr.bivariate(g, tr.TwistConfig(tr.SignProduct(), 1.0, tr.WalkConfig(1.0, 0.0)))
+        b = tr.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 1.0)
         assert b.pair_mass(0, 1) == pytest.approx(0.5, abs=1e-15)
         assert b.pair_mass(1, 0) == pytest.approx(0.5, abs=1e-15)
 
@@ -35,31 +35,32 @@ class TestBivariate:
         edge_cases = tr.load_graph(edges, [(v, rng.uniform(0.0, 1.0, 2)) for v in range(10)])
         for g, z in corpus100[:8] + [(edge_cases, np.array([0.6, 0.3]))]:
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
-                cfg = tr.TwistConfig(measure, -1.2, walk)
+                model = tr.TiltModel(g, measure, walk)
+                table = tr.path_table(g, measure, walk)
                 assert pair_mass_deviation(
-                    tr.bivariate(g, cfg).to_dict(), endpoint_grouped(g, cfg)
+                    tr.bivariate(model, -1.2).to_dict(), endpoint_grouped(table, -1.2)
                 ) <= 1e-12
 
     def test_total_mass_one(self, corpus100):
         g, z = corpus100[0]
-        cfg = tr.TwistConfig(tr.MinInnerProduct(z), 2.0, tr.WalkConfig(0.3, 0.7))
-        assert tr.bivariate(g, cfg).total_mass() == pytest.approx(1.0, abs=1e-12)
+        model = tr.TiltModel(g, tr.MinInnerProduct(z), tr.WalkConfig(0.3, 0.7))
+        assert tr.bivariate(model, 2.0).total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_pair_masses(self, corpus100):
         g, _ = corpus100[1]
-        b = tr.bivariate(g, tr.TwistConfig(tr.SignMin(), 0.8, tr.WalkConfig(0.5, 0.5)))
+        b = tr.bivariate(tr.TiltModel(g, tr.SignMin(), tr.WalkConfig(0.5, 0.5)), 0.8)
         for (u, w), mass in b.to_dict().items():
             assert b.pair_mass(w, u) == pytest.approx(mass, abs=1e-13)
 
     def test_budget_propagates(self, triangle_pos):
-        cfg = tr.TwistConfig(tr.SignProduct(), 0.0, tr.WalkConfig(1.0, 0.0))
+        model = tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
         with pytest.raises(EnumerationBudgetError):
-            tr.bivariate(triangle_pos, cfg, max_paths=2)
+            tr.bivariate(model, 0.0, max_paths=2)
 
     def test_empty_graph_rejected(self):
         g = tr.load_graph([], [(0, [1.0])])
         with pytest.raises(GraphError, match="edgeless"):
-            tr.bivariate(g, tr.TwistConfig(tr.SignProduct(), 0.0, tr.WalkConfig(1.0, 0.0)))
+            tr.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
 
     def test_unknown_measure_rejected(self, triangle_pos):
         class Odd:
@@ -69,18 +70,18 @@ class TestBivariate:
                 return 0.0
 
         with pytest.raises(TypeError, match="structural pair assembly"):
-            tr.bivariate(triangle_pos, tr.TwistConfig(Odd(), 0.0, tr.WalkConfig(1.0, 0.0)))
+            tr.bivariate(tr.TiltModel(triangle_pos, Odd(), tr.WalkConfig(1.0, 0.0)), 0.0)
 
 
 class TestMarginal:
     def test_triangle_uniform(self, triangle_pos):
-        b = tr.bivariate(triangle_pos, tr.TwistConfig(tr.SignProduct(), 0.0, tr.WalkConfig(1.0, 0.0)))
+        b = tr.bivariate(tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
         ranking = tr.marginal(b)
         assert ranking.scores == pytest.approx([1 / 3] * 3)
 
     def test_star_center_half(self):
         g = tr.load_graph([(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-        b = tr.bivariate(g, tr.TwistConfig(tr.SignProduct(), 0.0, tr.WalkConfig(1.0, 0.0)))
+        b = tr.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
         ranking = tr.marginal(b)
         assert ranking.scores[0] == pytest.approx(0.5)
         assert ranking.scores[1:] == pytest.approx([1 / 6] * 3)
@@ -88,13 +89,13 @@ class TestMarginal:
 
     def test_start_equals_end_for_symmetric(self, corpus100):
         g, z = corpus100[2]
-        b = tr.bivariate(g, tr.TwistConfig(tr.MinInnerProduct(z), -0.7, tr.WalkConfig(0.6, 0.4)))
+        b = tr.bivariate(tr.TiltModel(g, tr.MinInnerProduct(z), tr.WalkConfig(0.6, 0.4)), -0.7)
         start = tr.marginal(b, "start")
         end = tr.marginal(b, "end")
         assert np.max(np.abs(start.scores - end.scores)) <= 1e-12
 
     def test_bad_side_rejected(self, triangle_pos):
-        b = tr.bivariate(triangle_pos, tr.TwistConfig(tr.SignProduct(), 0.0, tr.WalkConfig(1.0, 0.0)))
+        b = tr.bivariate(tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
         with pytest.raises(ValueError, match="side"):
             tr.marginal(b, "middle")
 
@@ -126,9 +127,10 @@ class TestClosedForm:
         walk = tr.WalkConfig(1.0, 0.0)
         for g, _ in corpus100[:10]:
             s = tr.stats(g)
+            model = tr.TiltModel(g, tr.SignProduct(), walk)
             for theta in (-2.0, 0.0, 1.5):
                 closed = tr.influence_closed_form(s, theta)
-                piped = tr.marginal(tr.bivariate(g, tr.TwistConfig(tr.SignProduct(), theta, walk)))
+                piped = tr.marginal(tr.bivariate(model, theta))
                 assert np.max(np.abs(closed.scores - piped.scores)) <= 1e-12
 
     def test_extreme_temperature_does_not_overflow(self, star_two_neg):

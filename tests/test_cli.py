@@ -413,6 +413,40 @@ class TestSweepCommand:
         assert captured.err.splitlines() == [f"target 0.1: {error}", f"target -0.4: {error}"]
         assert captured.out == "swept 2 targets, 2 failed\n"
 
+    @pytest.mark.parametrize("measure", ["influence", "trust", "ad"])
+    def test_non_finite_theta_gives_its_own_error_row(self, tmp_path, capsys, measure):
+        edges = tmp_path / "edges.txt"
+        attrs = tmp_path / "attrs.txt"
+        z = tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 1\n3 4 -1\n")
+        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.2 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
+        write(z, "1.0 0.5\n")
+        code = main([
+            "sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
+            "--measure", measure, "--thetas=0.2,nan,-5,inf", "--beta1", "0.7",
+            "--beta2", "0.3", "--k", "2", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["sweep"]
+        error = "theta must be finite"
+        assert [row["error"] for row in rows] == [None, error, None, error]
+        assert [row["theta"] for row in rows[::2]] == [0.2, -5.0]
+        assert all(row["jaccard_total"] is not None for row in rows[::2])
+        csv_lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in csv_lines[1:]] == ["0.2", "", "-5", ""]
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"target nan: {error}", f"target inf: {error}"]
+        assert captured.out == "swept 4 targets, 2 failed\n"
+
+        # A single rank keeps failing as a whole, with the same text.
+        code = main([
+            "rank", "--edges", str(edges), "--measure", "influence", "--theta", "nan",
+            "--out", str(tmp_path / "rank"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "rank").exists()
+
     def test_requires_exactly_one_target_list(self, tmp_path, small_edges, capsys):
         code = main([
             "sweep", "--edges", str(small_edges), "--measure", "influence",

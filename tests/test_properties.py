@@ -46,8 +46,9 @@ def test_enumeration_mass_and_reversal(g, walk):
 @settings(max_examples=40, deadline=None)
 @given(graphs(), walk_configs(), st.floats(-5, 5))
 def test_twist_normalization_and_reversibility(g, walk, theta):
-    _, dist = tr.twist(g, tr.TwistConfig(tr.SignMin(), theta, walk))
-    by_nodes = {path.nodes: prob for path, prob in dist}
+    table = tr.path_table(g, tr.SignMin(), walk)
+    _, probs = tr.twist(table, theta)
+    by_nodes = {path.nodes: prob for path, prob in zip(table.paths, probs.tolist())}
     assert abs(sum(by_nodes.values()) - 1.0) <= 1e-12
     for nodes, prob in by_nodes.items():
         assert abs(prob - by_nodes[nodes[::-1]]) <= 1e-12
@@ -57,12 +58,13 @@ def test_twist_normalization_and_reversibility(g, walk, theta):
 @given(graphs(), st.floats(0.05, 0.95), st.floats(0.0, 1.0))
 def test_round_trip_on_achievable_targets(g, frac, beta1):
     walk = tr.WalkConfig(beta1, 1.0 - beta1)
-    fmin, fmax = tr.achievable_range(g, tr.SignProduct(), walk)
+    table = tr.path_table(g, tr.SignProduct(), walk)
+    fmin, fmax = tr.achievable_range(table)
     if fmax - fmin < 1e-9:
         return
     gamma = fmin + frac * (fmax - fmin)
-    theta = tr.solve_theta_numeric(g, tr.SignProduct(), walk, gamma)
-    back = tr.free_energy_gradient(g, tr.TwistConfig(tr.SignProduct(), theta, walk))
+    theta = tr.solve_theta_numeric(table, gamma)
+    back = tr.twist(table, theta)[0].mean_measure
     assert abs(back - gamma) <= 1e-10
 
 
@@ -81,6 +83,6 @@ def test_jaccard_bounds_and_symmetry(a, b):
 def test_closed_form_matches_structural_marginal(g, theta):
     closed = tr.influence_closed_form(tr.stats(g), theta)
     piped = tr.marginal(
-        tr.bivariate(g, tr.TwistConfig(tr.SignProduct(), theta, tr.WalkConfig(1.0, 0.0)))
+        tr.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), theta)
     )
     assert np.max(np.abs(closed.scores - piped.scores)) <= 1e-12

@@ -2,7 +2,7 @@
 
 The production path (``resolve_theta``, ``centrality``, ``sweep``) works
 from per-node statistics; these tests pin it to ``solve_theta_numeric``,
-``free_energy_gradient``, ``twist`` and ``bivariate`` on the seeded corpus.
+``twist`` and ``bivariate`` on the seeded corpus.
 """
 
 import importlib
@@ -40,6 +40,7 @@ class TestMeasureAtoms:
         worst = 0.0
         for g, _, kind, measure, walk in configs(corpus100[:20]):
             values, masses = tr.measure_atoms(tr.TiltModel(g, measure, walk))
+            table = tr.path_table(g, measure, walk)
             assert np.all(np.diff(values) > 0)
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
             if kind == "advertisement":
@@ -47,7 +48,7 @@ class TestMeasureAtoms:
             else:
                 assert values.tolist() == [-1.0, 1.0]
             for theta in THETAS:
-                result, _ = tr.twist(g, tr.TwistConfig(measure, theta, walk))
+                result, _ = tr.twist(table, theta)
                 free_energy = np.logaddexp.reduce(
                     theta * values[masses > 0] + np.log(masses[masses > 0])
                 )
@@ -83,13 +84,14 @@ class TestSolveFromAtoms:
         worst_vs_numeric = 0.0
         solved = 0
         for i, (g, z, kind, measure, walk) in enumerate(configs(corpus100)):
-            fmin, fmax = tr.achievable_range(g, measure, walk)
+            table = tr.path_table(g, measure, walk)
+            fmin, fmax = tr.achievable_range(table)
             if fmax - fmin < 1e-9:
                 continue
             gamma = fmin + FRACTIONS[i % 3] * (fmax - fmin)
             theta = twisting.solve_theta_atoms(*tr.measure_atoms(tr.TiltModel(g, measure, walk)), gamma)
-            back = tr.free_energy_gradient(g, tr.TwistConfig(measure, theta, walk))
-            numeric = tr.solve_theta_numeric(g, measure, walk, gamma)
+            back = tr.twist(table, theta)[0].mean_measure
+            numeric = tr.solve_theta_numeric(table, gamma)
             resolved = tr.resolve_theta(tr.TiltModel(g, measure, walk), gamma=gamma)
             worst_round_trip = max(worst_round_trip, abs(back - gamma))
             scale = max(1.0, abs(theta))
@@ -106,10 +108,11 @@ class TestSolveFromAtoms:
         measure = tr.measure_for(kind, z)
         walk = tr.WalkConfig(0.7, 0.3)
         atoms = tr.measure_atoms(tr.TiltModel(g, measure, walk))
-        _, fmax = tr.achievable_range(g, measure, walk)
+        table = tr.path_table(g, measure, walk)
+        _, fmax = tr.achievable_range(table)
         for solve in (
             lambda: twisting.solve_theta_atoms(*atoms, fmax + 0.1),
-            lambda: tr.solve_theta_numeric(g, measure, walk, fmax + 0.1),
+            lambda: tr.solve_theta_numeric(table, fmax + 0.1),
         ):
             with pytest.raises(SolveError, match="achievable range"):
                 solve()
@@ -119,7 +122,7 @@ class TestSolveFromAtoms:
         with pytest.raises(SolveError, match="constant"):
             tr.resolve_theta(tr.TiltModel(triangle_pos, tr.SignMin(), walk), gamma=0.5)
         with pytest.raises(SolveError, match="constant"):
-            tr.solve_theta_numeric(triangle_pos, tr.SignMin(), walk, 0.5)
+            tr.solve_theta_numeric(tr.path_table(triangle_pos, tr.SignMin(), walk), 0.5)
 
     def test_closed_form_is_unchanged(self):
         s = tr.GraphStats(m=16650, m_pos=15225, m_neg=1425, degree=np.array([1]),
@@ -133,9 +136,10 @@ class TestStartMarginal:
     def test_matches_bivariate_marginal(self, corpus100):
         worst = 0.0
         for g, z, kind, measure, walk in configs(corpus100):
+            model = tr.TiltModel(g, measure, walk)
             for theta in THETAS:
                 fast = tr.centrality(g, kind, theta=theta, walk=walk, ad_vector=z)
-                slow = tr.marginal(tr.bivariate(g, tr.TwistConfig(measure, theta, walk)))
+                slow = tr.marginal(tr.bivariate(model, theta))
                 worst = max(worst, float(np.max(np.abs(fast.scores - slow.scores))))
         assert worst <= 1e-12
 
@@ -143,7 +147,7 @@ class TestStartMarginal:
     def test_large_temperatures_match_bivariate(self, theta, corpus100):
         for g, z, kind, measure, walk in configs(corpus100[:10]):
             fast = tr.centrality(g, kind, theta=theta, walk=walk, ad_vector=z)
-            slow = tr.marginal(tr.bivariate(g, tr.TwistConfig(measure, theta, walk)))
+            slow = tr.marginal(tr.bivariate(tr.TiltModel(g, measure, walk), theta))
             assert np.max(np.abs(fast.scores - slow.scores)) <= 1e-12
 
     def test_edgeless_graph_rejected(self):
@@ -177,9 +181,10 @@ def test_production_path_never_enumerates(monkeypatch, corpus100):
     corpus = corpus100[:12]
     targets = {}
     for i, (g, z, kind, measure, walk) in enumerate(configs(corpus)):
-        fmin, fmax = tr.achievable_range(g, measure, walk)
+        table = tr.path_table(g, measure, walk)
+        fmin, fmax = tr.achievable_range(table)
         if fmax - fmin >= 1e-9:
-            targets[i] = tr.free_energy_gradient(g, tr.TwistConfig(measure, 0.4, walk))
+            targets[i] = tr.twist(table, 0.4)[0].mean_measure
     assert len(targets) > 90
 
     def forbidden(*args, **kwargs):
@@ -187,7 +192,7 @@ def test_production_path_never_enumerates(monkeypatch, corpus100):
 
     monkeypatch.setattr(sampling, "enumerate_paths", forbidden)
     monkeypatch.setattr(twisting, "enumerate_paths", forbidden)
-    monkeypatch.setattr(twisting, "_build_table", forbidden)
+    monkeypatch.setattr(twisting, "path_table", forbidden)
     monkeypatch.setattr(centrality_module, "bivariate", forbidden)
     for i, (g, z, kind, measure, walk) in enumerate(configs(corpus)):
         if i not in targets:

@@ -39,58 +39,56 @@ class TestMeasures:
 class TestTwist:
     def test_zero_temperature_is_identity(self):
         g = random_signed_graph(np.random.default_rng(0))
-        cfg = tr.TwistConfig(tr.SignProduct(), 0.0, tr.WalkConfig(0.7, 0.3))
-        result, dist = tr.twist(g, cfg)
-        assert result.log_c == pytest.approx(0.0, abs=1e-12)
+        table = tr.path_table(g, tr.SignProduct(), tr.WalkConfig(0.7, 0.3))
+        result, probs = tr.twist(table, 0.0)
         assert result.free_energy == pytest.approx(0.0, abs=1e-12)
-        for path, prob in dist:
+        for path, prob in zip(table.paths, probs.tolist()):
             assert prob == pytest.approx(path.base_prob, abs=1e-14)
 
     def test_triangle_hand_normalized_masses(self, triangle_one_neg):
         # Tilting the 6 directed edges by exp(theta * sign) with theta = ln 2:
         # positive edges carry 2/6 before normalization and negative edges
         # 1/12, so the normalized masses are 2/9 and 1/18.
-        cfg = tr.TwistConfig(tr.SignProduct(), math.log(2), tr.WalkConfig(1.0, 0.0))
-        _, dist = tr.twist(triangle_one_neg, cfg)
+        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
+        _, probs = tr.twist(table, math.log(2))
         masses = {}
-        for path, prob in dist:
+        for prob in probs.tolist():
             masses.setdefault(round(prob, 14), 0)
             masses[round(prob, 14)] += 1
         assert masses == {round(2 / 9, 14): 4, round(1 / 18, 14): 2}
 
     def test_normalization_and_mean_in_hull(self, corpus100):
         for g, z in corpus100[:20]:
-            cfg = tr.TwistConfig(tr.MinInnerProduct(z), 1.5, tr.WalkConfig(0.7, 0.3))
-            result, dist = tr.twist(g, cfg)
-            probs = np.array([p for _, p in dist])
-            values = np.array([tr.MinInnerProduct(z).evaluate(g, path.nodes) for path, _ in dist])
+            table = tr.path_table(g, tr.MinInnerProduct(z), tr.WalkConfig(0.7, 0.3))
+            result, probs = tr.twist(table, 1.5)
+            values = np.array([tr.MinInnerProduct(z).evaluate(g, path.nodes) for path in table.paths])
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert values.min() - 1e-12 <= result.mean_measure <= values.max() + 1e-12
 
     def test_kl_nonnegative_and_zero_iff_constant_exponent(self, triangle_one_neg, triangle_pos):
         walk = tr.WalkConfig(1.0, 0.0)
-        result, dist = tr.twist(triangle_one_neg, tr.TwistConfig(tr.SignProduct(), 1.2, walk))
-        p = np.array([prob for _, prob in dist])
-        p0 = np.array([path.base_prob for path, _ in dist])
+        table = tr.path_table(triangle_one_neg, tr.SignProduct(), walk)
+        result, p = tr.twist(table, 1.2)
+        p0 = np.array([path.base_prob for path in table.paths])
         d = tr.kl_divergence(p, p0)
         assert d > 0
         assert d == pytest.approx(1.2 * result.mean_measure - result.free_energy, abs=1e-12)
         # Constant measure: the tilt cancels and the divergence vanishes.
-        result0, dist0 = tr.twist(triangle_pos, tr.TwistConfig(tr.SignProduct(), 1.2, walk))
-        q = np.array([prob for _, prob in dist0])
-        q0 = np.array([path.base_prob for path, _ in dist0])
+        table0 = tr.path_table(triangle_pos, tr.SignProduct(), walk)
+        result0, q = tr.twist(table0, 1.2)
+        q0 = np.array([path.base_prob for path in table0.paths])
         assert tr.kl_divergence(q, q0) == pytest.approx(0.0, abs=1e-12)
 
     def test_survives_large_temperatures(self, triangle_one_neg):
-        cfg = tr.TwistConfig(tr.SignProduct(), 400.0, tr.WalkConfig(1.0, 0.0))
-        _, dist = tr.twist(triangle_one_neg, cfg)
-        total = sum(p for _, p in dist)
+        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
+        _, probs = tr.twist(table, 400.0)
+        total = sum(probs.tolist())
         assert abs(total - 1.0) <= 1e-12
 
     def test_theta_dimension_validated(self, triangle_one_neg):
-        cfg = tr.TwistConfig(tr.SignProduct(), np.array([1.0, 2.0]), tr.WalkConfig(1.0, 0.0))
+        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
         with pytest.raises(ValueError, match="dimension"):
-            tr.twist(triangle_one_neg, cfg)
+            tr.twist(table, np.array([1.0, 2.0]))
 
 
 class TestLogSumExp:
@@ -109,7 +107,7 @@ class TestLogSumExp:
 class TestFreeEnergyGradient:
     def test_balanced_graph_gradient_zero(self):
         g = tr.load_graph([(0, 1, 1), (2, 3, -1)])
-        grad = tr.free_energy_gradient(g, tr.TwistConfig(tr.SignProduct(), 0.0, tr.WalkConfig(1.0, 0.0)))
+        grad = tr.twist(tr.path_table(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)[0].mean_measure
         assert grad == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_finite_differences(self):
@@ -119,26 +117,22 @@ class TestFreeEnergyGradient:
             g = random_signed_graph(rng)
             theta = float(rng.uniform(-2, 2))
             walk = tr.WalkConfig(0.7, 0.3)
-            cfg = tr.TwistConfig(tr.SignMin(), theta, walk)
-            grad = tr.free_energy_gradient(g, cfg)
-            hi, _ = tr.twist(g, tr.TwistConfig(tr.SignMin(), theta + step, walk))
-            lo, _ = tr.twist(g, tr.TwistConfig(tr.SignMin(), theta - step, walk))
+            table = tr.path_table(g, tr.SignMin(), walk)
+            grad = tr.twist(table, theta)[0].mean_measure
+            hi, _ = tr.twist(table, theta + step)
+            lo, _ = tr.twist(table, theta - step)
             fd = (hi.free_energy - lo.free_energy) / (2 * step)
             assert abs(grad - fd) <= 1e-6 * max(1.0, abs(grad))
 
     def test_saturates_to_plus_one(self, triangle_one_neg):
-        grad = tr.free_energy_gradient(
-            triangle_one_neg, tr.TwistConfig(tr.SignProduct(), 20.0, tr.WalkConfig(1.0, 0.0))
-        )
+        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
+        grad = tr.twist(table, 20.0)[0].mean_measure
         assert abs(grad - 1.0) <= 1e-6
 
     def test_monotone_in_theta(self):
         g = random_signed_graph(np.random.default_rng(21))
-        walk = tr.WalkConfig(0.5, 0.5)
-        grads = [
-            tr.free_energy_gradient(g, tr.TwistConfig(tr.SignProduct(), t, walk))
-            for t in np.linspace(-6, 6, 50)
-        ]
+        table = tr.path_table(g, tr.SignProduct(), tr.WalkConfig(0.5, 0.5))
+        grads = [tr.twist(table, t)[0].mean_measure for t in np.linspace(-6, 6, 50)]
         assert np.all(np.diff(grads) >= -1e-12)
 
 
@@ -193,38 +187,44 @@ class TestSolveThetaNumeric:
     def test_matches_closed_form(self, corpus100):
         for g, _ in corpus100[:15]:
             s = tr.stats(g)
+            table = tr.path_table(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
             for gamma in (-0.7, 0.0, 0.6, 0.99):
                 closed = tr.solve_theta_closed(s, gamma)
-                numeric = tr.solve_theta_numeric(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0), gamma)
+                numeric = tr.solve_theta_numeric(table, gamma)
                 assert abs(closed - numeric) <= 1e-10
 
     def test_fixed_point_at_zero(self):
         g = random_signed_graph(np.random.default_rng(8))
-        walk = tr.WalkConfig(0.7, 0.3)
-        gamma = tr.free_energy_gradient(g, tr.TwistConfig(tr.SignProduct(), 0.0, walk))
-        assert abs(tr.solve_theta_numeric(g, tr.SignProduct(), walk, gamma)) <= 1e-10
+        table = tr.path_table(g, tr.SignProduct(), tr.WalkConfig(0.7, 0.3))
+        gamma = tr.twist(table, 0.0)[0].mean_measure
+        assert abs(tr.solve_theta_numeric(table, gamma)) <= 1e-10
 
     def test_sign_min_round_trip(self):
         g = tr.load_graph([(0, 1, 1), (1, 2, 1), (2, 3, -1), (3, 4, 1), (0, 4, 1), (1, 3, -1)])
-        walk = tr.WalkConfig(0.5, 0.5)
-        theta = tr.solve_theta_numeric(g, tr.SignMin(), walk, 0.5)
-        back = tr.free_energy_gradient(g, tr.TwistConfig(tr.SignMin(), theta, walk))
+        table = tr.path_table(g, tr.SignMin(), tr.WalkConfig(0.5, 0.5))
+        theta = tr.solve_theta_numeric(table, 0.5)
+        back = tr.twist(table, theta)[0].mean_measure
         assert abs(back - 0.5) <= 1e-10
 
     def test_unachievable_target_names_range(self, triangle_one_neg):
         with pytest.raises(SolveError, match="achievable range") as info:
-            tr.solve_theta_numeric(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0), 1.5)
+            tr.solve_theta_numeric(
+                tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 1.5
+            )
         assert str(info.value) == (
             "target mean 1.5 is outside the achievable range (-1.0, 1.0) (open interval)"
         )
 
     def test_constant_measure_rejected(self, triangle_pos):
         with pytest.raises(SolveError, match="constant") as info:
-            tr.solve_theta_numeric(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0), 0.5)
+            tr.solve_theta_numeric(
+                tr.path_table(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.5
+            )
         assert str(info.value).startswith("measure is constant (1.0) on the support")
 
     def test_achievable_range_brackets_sign_measure(self, triangle_one_neg):
-        fmin, fmax = tr.achievable_range(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(0.5, 0.5))
+        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(0.5, 0.5))
+        fmin, fmax = tr.achievable_range(table)
         assert (fmin, fmax) == (-1.0, 1.0)
 
 
@@ -233,8 +233,9 @@ class TestTwistedStructure:
         walk = tr.WalkConfig(0.4, 0.6)
         for g, z in corpus100[:10]:
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
-                _, dist = tr.twist(g, tr.TwistConfig(measure, 1.3, walk))
-                by_nodes = {path.nodes: prob for path, prob in dist}
+                table = tr.path_table(g, measure, walk)
+                _, probs = tr.twist(table, 1.3)
+                by_nodes = {path.nodes: prob for path, prob in zip(table.paths, probs.tolist())}
                 for nodes, prob in by_nodes.items():
                     assert abs(prob - by_nodes[nodes[::-1]]) <= 1e-12
 
@@ -246,11 +247,11 @@ class TestKLOptimality:
         # sign is exactly the target; none may beat the tilted distribution.
         gamma = 0.3
         walk = tr.WalkConfig(1.0, 0.0)
-        theta = tr.solve_theta_numeric(path3, tr.SignProduct(), walk, gamma)
-        _, dist = tr.twist(path3, tr.TwistConfig(tr.SignProduct(), theta, walk))
-        p = np.array([prob for _, prob in dist])
-        p0 = np.array([path.base_prob for path, _ in dist])
-        f = np.array([tr.SignProduct().evaluate(path3, path.nodes) for path, _ in dist])
+        table = tr.path_table(path3, tr.SignProduct(), walk)
+        theta = tr.solve_theta_numeric(table, gamma)
+        _, p = tr.twist(table, theta)
+        p0 = np.array([path.base_prob for path in table.paths])
+        f = np.array([tr.SignProduct().evaluate(path3, path.nodes) for path in table.paths])
         d_twist = tr.kl_divergence(p, p0)
 
         steps = 60

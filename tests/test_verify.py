@@ -1,28 +1,115 @@
 """The self-verification checks themselves, apart from the graphs they run on."""
 
-from types import SimpleNamespace
+import importlib
+import weakref
+from collections import Counter
 
-import twistrank as tr
-from twistrank import verify
+import numpy as np
+import pytest
+
+from twistrank import sampling, twisting, verify
+from twistrank.cli import main
+from twistrank.errors import ConvergenceError
+
+from conftest import random_signed_graph
+
+# The package binds ``twistrank.centrality`` to the function of that name.
+centrality_module = importlib.import_module("twistrank.centrality")
 
 # 300,000 equal masses, about the path count of a 2,000-node two-step graph.
 # A plain left-to-right sum of them misses 1 by 4.6e-12.
 MASS_COUNT = 300_000
 
 
-def test_normalization_checks_sum_many_masses_exactly(monkeypatch, triangle_pos):
+def test_normalization_checks_sum_many_masses_exactly():
     mass = 1.0 / MASS_COUNT
     assert abs(sum([mass] * MASS_COUNT) - 1.0) > 1e-12
-    monkeypatch.setattr(
-        verify, "enumerate_paths",
-        lambda g, walk, max_paths: [SimpleNamespace(base_prob=mass)] * MASS_COUNT,
-    )
-    monkeypatch.setattr(
-        verify, "twist", lambda g, cfg, max_paths: (None, [(None, mass)] * MASS_COUNT)
-    )
-    for result in (
-        verify._check_base_normalization(triangle_pos, 1),
-        verify._check_twisted_normalization(triangle_pos, [tr.SignProduct()], 1),
+    for name, masses in (
+        ("base_walk_normalization", [mass] * MASS_COUNT),
+        ("twisted_normalization", np.full(MASS_COUNT, mass)),
     ):
-        assert result.passed, result.line()
-        assert result.max_error <= 1e-15
+        error = verify._mass_error(masses)
+        assert error <= verify.BOUNDS[name], name
+        assert error <= 1e-15
+
+
+def _count_tables(monkeypatch):
+    """Count walk enumerations, and check that no earlier path table is alive at a new build."""
+    calls = Counter()
+    enumerate_paths = twisting.enumerate_paths
+    path_table = verify.path_table
+    built = []
+
+    def counted_enumerate(*args, **kwargs):
+        calls["enumerate_paths"] += 1
+        return enumerate_paths(*args, **kwargs)
+
+    def counted_table(*args, **kwargs):
+        calls["alive_at_build"] = max(
+            calls["alive_at_build"], sum(ref() is not None for ref in built)
+        )
+        table = path_table(*args, **kwargs)
+        built.append(weakref.ref(table))
+        return table
+
+    for module in (sampling, twisting, verify):
+        if getattr(module, "enumerate_paths", None) is enumerate_paths:
+            monkeypatch.setattr(module, "enumerate_paths", counted_enumerate)
+    monkeypatch.setattr(verify, "path_table", counted_table)
+    return calls
+
+
+@pytest.mark.parametrize("attributed, pairs", [(False, 6), (True, 9)])
+def test_one_enumeration_per_measure_and_walk(monkeypatch, attributed, pairs):
+    g = random_signed_graph(np.random.default_rng(3), attr_dim=2 if attributed else 0)
+    calls = _count_tables(monkeypatch)
+    results = verify.run_checks(g)
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+    assert calls == {"enumerate_paths": pairs, "alive_at_build": 0}
+
+
+def test_checks_are_reported_in_bound_order(triangle_one_neg):
+    names = [r.name for r in verify.run_checks(triangle_one_neg)]
+    assert names == list(verify.BOUNDS)
+    assert names[-1] == "ranking_vs_pair_marginal"
+
+
+def _drop_two_step_term(g, gs, walk, theta, is_min):
+    return walk.beta1 * centrality_module._out_weights(gs, theta)
+
+
+def _nan_scores(g, gs, walk, theta, is_min):
+    return np.full(g.n, np.nan)
+
+
+@pytest.mark.parametrize("plant", [_drop_two_step_term, _nan_scores])
+def test_planted_ranking_bug_fails_verify(monkeypatch, plant):
+    g = random_signed_graph(np.random.default_rng(11), attr_dim=0)
+    monkeypatch.setattr(centrality_module, "_sign_scores", plant)
+    with np.errstate(invalid="ignore"):
+        results = {r.name: r for r in verify.run_checks(g)}
+    assert not results["ranking_vs_pair_marginal"].passed
+    assert all(r.passed for name, r in results.items() if name != "ranking_vs_pair_marginal")
+
+
+def test_solver_failure_fails_the_round_trip(monkeypatch, tmp_path, capsys):
+    def fail(table, gamma):
+        raise ConvergenceError("temperature solve did not converge", 0.25)
+
+    monkeypatch.setattr(verify, "solve_theta_numeric", fail)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1 1\n1 2 1\n0 2 -1\n", encoding="utf-8")
+    assert main(["verify", "--edges", str(edges)]) == 3
+    line = [s for s in capsys.readouterr().out.splitlines() if s.startswith("gamma_round_trip")]
+    assert line == [
+        "gamma_round_trip: FAIL max error inf (solve failed: SignProduct at "
+        "beta=(1.0, 0.0), gamma=-0.5: temperature solve did not converge "
+        "(final residual 2.500e-01))"
+    ]
+
+
+def test_constant_measure_skips_the_round_trip(triangle_pos):
+    results = {r.name: r for r in verify.run_checks(triangle_pos)}
+    check = results["gamma_round_trip"]
+    assert check.passed
+    assert check.detail == "skipped: no steerable measure on this graph"
