@@ -28,7 +28,6 @@ from .graph import (
 from .sampling import (
     WalkConfig,
     WalkPath,
-    base_walk_prob,
     enumerate_paths,
     path_count,
 )
@@ -39,7 +38,6 @@ from .twisting import (
     SignProduct,
     TwistResult,
     achievable_range,
-    kl_divergence,
     measure_atoms,
     path_table,
     solve_theta_closed,
@@ -93,14 +91,12 @@ __all__ = [
     "WalkConfig",
     "WalkPath",
     "achievable_range",
-    "base_walk_prob",
     "bivariate",
     "centrality",
     "degree_ranking",
     "enumerate_paths",
     "influence_closed_form",
     "jaccard",
-    "kl_divergence",
     "load_graph",
     "marginal",
     "measure_atoms",

@@ -231,7 +231,7 @@ def cmd_verify(args) -> int:
                     {
                         "name": r.name,
                         "passed": r.passed,
-                        "max_error": r.max_error,
+                        "max_error": tio.finite_or_none(r.max_error),
                         "detail": r.detail,
                     }
                     for r in results

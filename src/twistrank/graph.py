@@ -47,17 +47,26 @@ class AttributedGraph:
         signs: np.ndarray,
         node_attrs: np.ndarray,
     ):
-        """Edge ``k`` joins compact nodes ``lo[k]`` and ``hi[k]`` with sign ``signs[k]``."""
+        """Edge ``k`` joins compact nodes ``lo[k]`` and ``hi[k]`` with sign
+        ``signs[k]``; the pairs are distinct."""
         self.n = len(original_ids)
         self.original_ids = tuple(original_ids)
         self.node_attrs = node_attrs
 
-        rows = np.concatenate((lo, hi))
+        # Each edge sits in the rows of both ends.
+        rows = np.concatenate((lo, hi)).astype(np.int64, copy=False)
         cols = np.concatenate((hi, lo))
-        order = np.lexsort((cols, rows))
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        self._csr = (indptr, cols[order], np.concatenate((signs, signs))[order])
+        # The codes row * n + col (made in place, to bound the peak memory) are
+        # distinct, so any sort gives the one row-major order.
+        rows *= self.n
+        rows += cols
+        order = np.argsort(rows)
+        del rows
+        indices = cols[order]
+        del cols
+        self._csr = (indptr, indices, np.concatenate((signs, signs))[order])
         for arr in self._csr:
             arr.setflags(write=False)
 
@@ -172,11 +181,12 @@ def load_graph(
     """Validate raw records and build a compact :class:`AttributedGraph`.
 
     ``edge_records`` are ``(u, w, sign)`` triples (or ``(u, w)`` pairs, which
-    default to sign +1).  Duplicate records for the same unordered pair are
-    collapsed when their signs agree and rejected otherwise.  Self-loops are
-    rejected.  ``attr_records`` are ``(node, vector)`` pairs of finite values;
-    all vectors must share one length, and nodes without a record get the
-    zero vector.
+    default to sign +1), or an integer array with one such record per row.
+    Duplicate records for the same unordered pair are collapsed when their
+    signs agree and rejected otherwise.  Self-loops are rejected.
+    ``attr_records`` are ``(node, vector)`` pairs of finite values; all
+    vectors must share one length, and nodes without a record get the zero
+    vector.
 
     The node set is the union of edge endpoints and attribute-record ids,
     compacted to ``0..n-1`` in ascending original-id order.
@@ -333,8 +343,8 @@ def _validate_edges(records: Iterable[Sequence[int]], *, drop_self_loops: bool) 
     conflicts with an earlier record of the same pair.  The first record in
     input order that fails any check raises its :class:`GraphError`.
     """
-    rows, error = _record_rows(list(records))
-    ids, index = np.unique(rows[:, :2].ravel(), return_inverse=True)
+    rows, error = _record_rows(records)
+    ids, index = np.unique(rows[:, :2], return_inverse=True)
     u, w = index.reshape(-1, 2).T
     loops = u == w
     if not drop_self_loops and loops.any():
@@ -344,6 +354,7 @@ def _validate_edges(records: Iterable[Sequence[int]], *, drop_self_loops: bool) 
 
     pair = ~loops
     lo, hi = np.minimum(u, w)[pair], np.maximum(u, w)[pair]
+    del index, u, w  # before the second sort, which sets the peak memory
     signs = rows[pair, 2].astype(np.int64)
     n = ids.size
     codes, first_of, pair_of = np.unique(lo * n + hi, return_index=True, return_inverse=True)
@@ -360,16 +371,21 @@ def _validate_edges(records: Iterable[Sequence[int]], *, drop_self_loops: bool) 
     return _Edges(ids, *np.divmod(codes, n), kept_signs, int(loops.sum()), lo.size - codes.size)
 
 
-def _record_rows(records: list) -> tuple[np.ndarray, GraphError | None]:
+def _record_rows(records) -> tuple[np.ndarray, GraphError | None]:
     """``(u, w, sign)`` rows of the records before the first one whose fields
     fail a check, and that record's error (``None`` if every record passes).
 
-    Records of one field count holding only plain ints are checked as one
-    array; any other input, and input that fails, is walked record by record.
+    An integer array of 2 or 3 columns, and a list of records of one field
+    count holding only plain ints, are checked as one array; any other input,
+    and input that fails, is walked record by record as Python values.
     """
+    if not isinstance(records, np.ndarray):
+        records = list(records)
     rows = _int_rows(records)
     if rows is not None and (rows[:, :2] >= 0).all() and (np.abs(rows[:, 2]) == 1).all():
         return rows, None
+    if isinstance(records, np.ndarray):
+        records = records.tolist()
     checked = []
     error = None
     for rec in records:
@@ -384,20 +400,27 @@ def _record_rows(records: list) -> tuple[np.ndarray, GraphError | None]:
         return np.array(checked, dtype=object).reshape(-1, 3), error
 
 
-def _int_rows(records: list) -> np.ndarray | None:
-    """``records`` as a ``(k, 3)`` int64 array, or ``None`` unless all of them
-    have the same field count and hold only ints that fit."""
-    if set(map(len, records)) not in ({2}, {3}):
-        return None
-    if {type(x) for rec in records for x in rec} != {int}:
-        return None
-    try:
-        rows = np.array(records, dtype=np.int64)
-    except OverflowError:
-        return None
+def _int_rows(records) -> np.ndarray | None:
+    """``records`` as a ``(k, 3)`` int64 array, or ``None`` unless they are an
+    integer array of 2 or 3 columns whose values fit, or a list of records of
+    one field count holding only ints that fit."""
+    if isinstance(records, np.ndarray):
+        fits = records.dtype.kind in "iu" and np.can_cast(records.dtype, np.int64)
+        if records.ndim != 2 or not fits:
+            return None
+        rows = records.astype(np.int64, copy=False)
+    else:
+        if set(map(len, records)) not in ({2}, {3}):
+            return None
+        if {type(x) for rec in records for x in rec} != {int}:
+            return None
+        try:
+            rows = np.array(records, dtype=np.int64)
+        except OverflowError:
+            return None
     if rows.shape[1] == 2:
         rows = np.column_stack((rows, np.ones(len(rows), dtype=np.int64)))
-    return rows
+    return rows if rows.shape[1] == 3 else None
 
 
 def _check_record(rec) -> tuple[int, int, int]:

@@ -28,8 +28,36 @@ def _data_lines(path):
                 yield line_no, line
 
 
-def read_edge_list(path) -> list[tuple[int, int, int]]:
-    """Parse ``u w [sign]`` records; the sign defaults to +1."""
+def read_edge_list(path) -> np.ndarray:
+    """Parse ``u w [sign]`` records into a ``(k, 3)`` array; the sign defaults to +1.
+
+    A file of only 2-field or only 3-field lines of int64 values is parsed in
+    one ``np.loadtxt`` call.  Anything else is read line by line with
+    Python's ``int``, which gives the same records (``1_000`` included) or
+    the :class:`ParseError` of the first bad line.  Ids beyond int64 make an
+    object array of Python ints.
+    """
+    import warnings
+
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "1.0" as 1 with only a DeprecationWarning.
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except (ValueError, OSError, Warning):  # the line loop gives the records or the error
+        rows = None
+    if rows is None or rows.shape[1] not in (2, 3):
+        records = _read_edge_lines(path)
+        try:
+            return np.array(records, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            return np.array(records, dtype=object).reshape(-1, 3)
+    if rows.shape[1] == 2:
+        rows = np.column_stack((rows, np.ones(len(rows), dtype=np.int64)))
+    return rows
+
+
+def _read_edge_lines(path) -> list[tuple[int, int, int]]:
     records = []
     for line_no, line in _data_lines(path):
         tokens = line.split()
@@ -117,27 +145,59 @@ def write_attributes(path, graph: AttributedGraph) -> None:
     _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def ranking_rows(ranking: CentralityRanking, original_ids=None) -> list[dict]:
-    ids = original_ids if original_ids is not None else range(ranking.scores.size)
-    ids = list(ids)
-    return [
-        {"rank": pos + 1, "node_id": ids[int(u)], "score": float(format_score(ranking.scores[u]))}
-        for pos, u in enumerate(ranking.order)
-    ]
+def _ranking_rows(ranking: CentralityRanking, original_ids) -> tuple[list, np.ndarray, list[str]]:
+    """Node ids and scores in rank order, and each score formatted once."""
+    order = ranking.order.tolist()
+    node_ids = order if original_ids is None else [original_ids[u] for u in order]
+    scores = ranking.scores[ranking.order]
+    return node_ids, scores, [format_score(x) for x in scores.tolist()]
 
 
 def write_ranking_csv(path, ranking: CentralityRanking, original_ids=None) -> None:
-    ids = list(original_ids) if original_ids is not None else range(ranking.scores.size)
-    lines = ["rank,node_id,score"]
-    lines += [
-        f"{pos},{ids[u]},{format_score(ranking.scores[u])}"
-        for pos, u in enumerate(ranking.order.tolist(), start=1)
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    node_ids, _, texts = _ranking_rows(ranking, original_ids)
+    ranks = range(1, len(texts) + 1)
+    _write_text(path, "rank,node_id,score\n" + _fill("%s,%s,%s\n", ranks, node_ids, texts))
 
 
 def write_ranking_json(path, ranking: CentralityRanking, original_ids=None) -> None:
-    _write_text(path, _dumps({"ranking": ranking_rows(ranking, original_ids)}))
+    """``{"ranking": [{"node_id", "rank", "score"}, ...]}`` with the bytes of
+    ``json.dumps(indent=2, sort_keys=True)``.
+
+    A score is the JSON number of its 12-digit text, or ``null`` if it is not
+    finite.
+    """
+    node_ids, scores, texts = _ranking_rows(ranking, original_ids)
+    if not texts:
+        _write_text(path, '{\n  "ranking": []\n}\n')
+        return
+    row = '    {\n      "node_id": %s,\n      "rank": %s,\n      "score": %s\n    },\n'
+    ranks = range(1, len(texts) + 1)
+    body = _fill(row, node_ids, ranks, _json_numbers(scores, texts))
+    _write_text(path, '{\n  "ranking": [\n' + body[:-2] + "\n  ]\n}\n")
+
+
+def _fill(row: str, *columns) -> str:
+    """``row`` once per entry of the equally long columns, filled in one ``%``."""
+    width, count = len(columns), len(columns[0])
+    cells = [None] * (width * count)
+    for i, column in enumerate(columns):
+        cells[i::width] = column
+    return (row * count) % tuple(cells)
+
+
+def _json_numbers(values: np.ndarray, texts: list[str]) -> list[str]:
+    """What ``json.dumps`` writes for ``float(text)``, for the 12-digit texts
+    of ``values``; ``null`` where a value is not finite.
+
+    Where 1e-300 <= |value| < 0.5 the text already is that number: it has a
+    point or an exponent, and ``repr`` finds no shorter digits because a
+    normal double carries more than 12 digits.  Only the rest are converted.
+    """
+    out = list(texts)
+    size = np.abs(values)
+    for i in np.flatnonzero(~((size >= 1e-300) & (size < 0.5))).tolist():
+        out[i] = json.dumps(finite_or_none(float(texts[i])))
+    return out
 
 
 def sweep_rows(rows: list[SweepRow]) -> list[dict]:
@@ -145,11 +205,11 @@ def sweep_rows(rows: list[SweepRow]) -> list[dict]:
     for row in rows:
         out.append(
             {
-                "gamma": row.gamma,
-                "theta": row.theta,
-                "jaccard_pos": row.jaccard_pos,
-                "jaccard_neg": row.jaccard_neg,
-                "jaccard_total": row.jaccard_total,
+                "gamma": finite_or_none(row.gamma),
+                "theta": finite_or_none(row.theta),
+                "jaccard_pos": finite_or_none(row.jaccard_pos),
+                "jaccard_neg": finite_or_none(row.jaccard_neg),
+                "jaccard_total": finite_or_none(row.jaccard_total),
                 "error": row.error,
             }
         )
@@ -200,5 +260,12 @@ def write_json(path, payload: dict) -> None:
     _write_text(path, _dumps(payload))
 
 
+def finite_or_none(x: float | None) -> float | None:
+    """``x``, or ``None`` (JSON ``null``) if it is NaN or infinite, which
+    strict JSON (RFC 8259) cannot hold."""
+    return None if x is None or not abs(x) < float("inf") else x
+
+
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # allow_nan=False: a writer that leaves a NaN or infinity in fails loudly.
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -48,29 +48,6 @@ class WalkConfig:
             raise ValueError(
                 f"beta1 + beta2 must equal 1, got {self.beta1} + {self.beta2}"
             )
-
-
-def base_walk_prob(g: AttributedGraph, cfg: WalkConfig, r: WalkPath | Sequence[int]) -> float:
-    """Mass of a length-1 or length-2 path under the short random walk.
-
-    Length 1: beta1 / (2 m) if the edge exists.  Length 2: beta2 / (2 m)
-    divided by the degree of the middle node, if both edges exist.  The
-    formula is symmetric under path reversal.
-    """
-    nodes = _nodes_of(r)
-    if len(nodes) == 2:
-        u1, u2 = nodes
-        if g.m == 0 or u1 == u2 or not g.has_edge(u1, u2):
-            return 0.0
-        return cfg.beta1 / (2 * g.m)
-    if len(nodes) == 3:
-        u1, u2, u3 = nodes
-        if g.m == 0 or u1 == u2 or u2 == u3:
-            return 0.0
-        if not (g.has_edge(u1, u2) and g.has_edge(u2, u3)):
-            return 0.0
-        return cfg.beta2 / (2 * g.m * g.degree(u2))
-    raise ValueError(f"walk paths have 2 or 3 nodes, got {len(nodes)}")
 
 
 def path_count(g: AttributedGraph, cfg: WalkConfig) -> int:
@@ -121,9 +98,3 @@ def _iter_paths(g: AttributedGraph, cfg: WalkConfig) -> Iterator[WalkPath]:
             for u in nb:
                 for w in nb:
                     yield WalkPath((int(u), v, int(w)), p2)
-
-
-def _nodes_of(r: WalkPath | Sequence[int] | Iterable[int]) -> tuple[int, ...]:
-    if isinstance(r, WalkPath):
-        return r.nodes
-    return tuple(int(x) for x in r)

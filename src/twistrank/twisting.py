@@ -194,14 +194,6 @@ def twist(table: PathTable, theta: float) -> tuple[TwistResult, np.ndarray]:
     return TwistResult(free_energy=log_z, mean_measure=float(probs @ table.f)), probs
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Kullback-Leibler divergence sum(p * log(p / q)) over a shared support."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
 def achievable_range(table: PathTable) -> tuple[float, float]:
     """(min, max) of the measure over a path table's support.
 

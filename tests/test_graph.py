@@ -169,13 +169,18 @@ class TestPreprocess:
         assert "removed_nodes" in payload
 
 
-def _messy_records(rng, n_ids=9, count=25):
-    """Scattered-id records with repeats, reversals, self-loops and 2-field records."""
+def _messy_records(rng, n_ids=9, count=25, bad=0.0):
+    """Scattered-id records with repeats, reversals, self-loops and 2-field records.
+
+    With probability ``bad`` a record gets a negative id or a sign of 2.
+    """
     ids = [int(v) for v in rng.choice(40, size=n_ids, replace=False)]
     records = []
     for _ in range(count):
         u, w = (ids[int(i)] for i in rng.integers(0, n_ids, size=2))
         s = 1 if rng.random() < 0.7 else -1
+        if bad and rng.random() < bad:
+            u, s = (-u - 1, s) if rng.random() < 0.5 else (u, 2)
         records.append((u, w) if s == 1 and rng.random() < 0.2 else (u, w, s))
     return records
 
@@ -186,6 +191,11 @@ def _reference_preprocess(records, min_degree):
     pair_signs, nodes, loops = {}, set(), 0
     for rec in records:
         u, w, s = rec if len(rec) == 3 else (*rec, 1)
+        for v in (u, w):
+            if v < 0:
+                return f"node id {v} must be a nonnegative integer"
+        if s not in (1, -1):
+            return f"edge ({u}, {w}) has sign {s}; signs must be +1 or -1"
         nodes.update((u, w))
         if u == w:
             loops += 1
@@ -303,8 +313,13 @@ class TestRecordValidation:
             ([(0, 1, 1), (1, 2, 2)], r"edge \(1, 2\) has sign 2; signs must be \+1 or -1"),
             ([(0, 1, 1), (3, 4), (1, 0, -1)], r"conflicting signs for edge \(0, 1\): 1 and -1"),
             ([(0, 1), (1.0, 0, -1)], r"conflicting signs for edge \(0, 1\): 1 and -1"),
+            # Arrays name plain ints in their errors, as lists do.
+            (np.array([[0, 1, 1, 1]]), r"edge record \(0, 1, 1, 1\) must have 2 or 3 fields"),
+            (np.array([[0, 1, 1], [-3, 2, 1]]), "node id -3 must be a nonnegative integer"),
+            (np.array([[0, 1, 1], [2, 3, 4]]), r"edge \(2, 3\) has sign 4; signs must be \+1 or -1"),
         ],
-        ids=["fields", "node-id", "float-id", "bool-id", "sign", "conflict", "mixed-conflict"],
+        ids=["fields", "node-id", "float-id", "bool-id", "sign", "conflict", "mixed-conflict",
+             "array-fields", "array-node-id", "array-sign"],
     )
     def test_load_graph_and_preprocess_report_the_same_error(self, records, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
@@ -335,27 +350,68 @@ class TestRecordValidation:
             tr.preprocess(records)
 
     def test_matches_reference_loop_on_messy_records(self):
+        """Each case as given and as an int64 array of 3-field rows."""
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            records = _messy_records(rng)
+            records = _messy_records(rng, bad=0.02 if seed % 2 else 0.0)
             min_degree = int(rng.integers(0, 4))
             want = _reference_preprocess(records, min_degree)
-            if isinstance(want, str):
-                with pytest.raises(GraphError, match=f"^{re.escape(want)}$"):
-                    tr.preprocess(records, min_degree=min_degree)
-                continue
-            result = tr.preprocess(records, min_degree=min_degree)
-            edges, nodes, report = want
-            assert result.graph.edge_list(original_ids=True) == edges
-            assert result.graph.original_ids == nodes
-            assert result.report.to_dict() == report
-            _check_csr_accessors(result.graph, edges, nodes, report["removed_nodes"], rng)
+            rows = np.array([(*rec, 1)[:3] for rec in records], dtype=np.int64)
+            for source in (records, rows):
+                if isinstance(want, str):
+                    with pytest.raises(GraphError, match=f"^{re.escape(want)}$"):
+                        tr.preprocess(source, min_degree=min_degree)
+                    continue
+                result = tr.preprocess(source, min_degree=min_degree)
+                edges, nodes, report = want
+                assert result.graph.edge_list(original_ids=True) == edges
+                assert result.graph.original_ids == nodes
+                assert result.report.to_dict() == report
+                _check_csr_accessors(result.graph, edges, nodes, report["removed_nodes"], rng)
+
+    def test_array_and_list_records_load_alike(self):
+        """load_graph on an int64 array gives the graph or the first error of the list."""
+        seen = set()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            records = [(*rec, 1)[:3] for rec in _messy_records(rng, bad=0.02)]
+            if seed % 2:
+                records = [rec for rec in records if rec[0] != rec[1]]
+            want = _load_outcome(records)
+            seen.add(want.split(" ")[0] if isinstance(want, str) else "graph")
+            for dtype in (np.int64, np.int32, np.int16):
+                assert _load_outcome(np.array(records).astype(dtype)) == want
+            assert _load_outcome(np.array(records)[:, :2]) == _load_outcome(
+                [rec[:2] for rec in records]
+            )
+        assert seen == {"graph", "self-loop", "node", "edge", "conflicting"}
+
+    def test_arrays_that_are_not_int64_are_walked(self):
+        big = 2**64 - 1
+        rows = np.array([[big, 3, 1], [3, 4, 1]], dtype=np.uint64)
+        g = tr.load_graph(rows)
+        assert g.original_ids == (3, 4, big)
+        assert g == tr.load_graph(rows.tolist())
+        assert tr.load_graph(np.array([[0.0, 1.0, -1.0]])) == tr.load_graph([(0, 1, -1)])
+        with pytest.raises(GraphError, match="^node id True must be a nonnegative integer$"):
+            tr.load_graph(np.array([[True, False]]))
+        empty = tr.load_graph(np.empty((0, 3), dtype=np.int64))
+        assert (empty.n, empty.m) == (0, 0)
 
     def test_node_ids_beyond_int64_are_kept(self):
         big = 2**70
         g = tr.load_graph([(big, 3, -1), (3, big + 1)])
         assert g.original_ids == (3, big, big + 1)
         assert g.edge_list(original_ids=True) == [(3, big, -1), (3, big + 1, 1)]
+
+
+def _load_outcome(records):
+    """The loaded graph's ids and edges, or the text of its GraphError."""
+    try:
+        g = tr.load_graph(records)
+    except GraphError as exc:
+        return str(exc)
+    return g.original_ids, g.edge_list(original_ids=True)
 
 
 def _check_csr_accessors(g, edges, nodes, removed, rng):

@@ -1,0 +1,285 @@
+"""The file contract of edge-list parsing and ranking output, pinned.
+
+The parser cases fix the records, ``ParseError`` texts and line numbers of
+the line-by-line reader; the writer fixtures fix the bytes of
+``json.dumps(indent=2, sort_keys=True)`` and of the CSV layout.  A faster
+route through either must reproduce them exactly.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twistrank import io as tio, verify
+from twistrank.centrality import CentralityRanking
+from twistrank.cli import main
+from twistrank.errors import ConvergenceError, ParseError
+
+BIG = 99999999999999999999  # beyond int64
+
+
+def _line_loop(path):
+    """The reference reader: one line at a time, ``int`` on every token."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if len(tokens) not in (2, 3):
+                raise ParseError(path, line_no, f"expected 'u w [sign]', got {line!r}")
+            try:
+                u, w = int(tokens[0]), int(tokens[1])
+                sign = int(tokens[2]) if len(tokens) == 3 else 1
+            except ValueError:
+                raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
+            records.append((u, w, sign))
+    return records
+
+
+def _as_tuples(records):
+    return [tuple(int(v) for v in rec) for rec in records]
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _outcome(reader, path):
+    """Records, or the ``(line_no, message)`` of the ParseError."""
+    try:
+        return _as_tuples(reader(path))
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+PARSED = {
+    "comments-and-blanks": ("# header\n1 2 -1  # note\n\n   \n2 3 # two fields\n#\n",
+                            [(1, 2, -1), (2, 3, 1)]),
+    "crlf": ("# c\r\n1 2 1\r\n\r\n2 3 -1\r\n", [(1, 2, 1), (2, 3, -1)]),
+    "tab-and-nbsp": ("1\t2\t-1\n3\xa04\n5 \t 6\xa0 1\n", [(1, 2, -1), (3, 4, 1), (5, 6, 1)]),
+    "two-field": ("7 8\n9 10\n", [(7, 8, 1), (9, 10, 1)]),
+    "mixed-fields": ("1 2\n2 3 -1\n3 4\n", [(1, 2, 1), (2, 3, -1), (3, 4, 1)]),
+    "plus-sign": ("+1 2 +1\n", [(1, 2, 1)]),
+    "underscore": ("1_000 2 -1\n3 4\n", [(1000, 2, -1), (3, 4, 1)]),
+    "beyond-int64": (f"1 {BIG} -1\n{BIG} 2\n", [(1, BIG, -1), (BIG, 2, 1)]),
+    "int64-edges": ("9223372036854775807 0 1\n", [(9223372036854775807, 0, 1)]),
+    "no-final-newline": ("1 2 1\n3 4 -1", [(1, 2, 1), (3, 4, -1)]),
+    "range-left-to-graph": ("-1 2 5\n", [(-1, 2, 5)]),
+    "empty": ("", []),
+    "comment-only": ("# a\n\n# b\n", []),
+}
+
+FAILED = {
+    "one-field": ("1 2\n3\n", 2, "expected 'u w [sign]', got '3'"),
+    "four-field": ("1 2 1\n# c\n1 2 1 4 # four\n", 3, "expected 'u w [sign]', got '1 2 1 4'"),
+    "float-id": ("1 2\n1.0 2\n", 2, "non-integer field in '1.0 2'"),
+    "float-sign": ("1 2 1.0\n", 1, "non-integer field in '1 2 1.0'"),
+    "hex": ("0x1 2\n", 1, "non-integer field in '0x1 2'"),
+    "crlf-line-number": ("1 2\r\n\r\nx y\r\n", 3, "non-integer field in 'x y'"),
+    "after-big-id": (f"{BIG} 1\n1 2 3 4\n", 2, "expected 'u w [sign]', got '1 2 3 4'"),
+    "comma": ("1 2\n2,3\n", 2, "expected 'u w [sign]', got '2,3'"),
+}
+
+
+@pytest.mark.parametrize("text, records", PARSED.values(), ids=PARSED.keys())
+def test_records(tmp_path, text, records):
+    path = tmp_path / "edges.txt"
+    _write(path, text)
+    assert _as_tuples(tio.read_edge_list(path)) == records
+
+
+@pytest.mark.parametrize("text, line_no, message", FAILED.values(), ids=FAILED.keys())
+def test_parse_errors(tmp_path, text, line_no, message):
+    path = tmp_path / "edges.txt"
+    _write(path, text)
+    with pytest.raises(ParseError) as err:
+        tio.read_edge_list(path)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"{path}:{line_no}: {message}"
+
+
+def test_clean_file_is_parsed_without_the_line_loop(tmp_path, monkeypatch):
+    path = tmp_path / "edges.txt"
+    _write(path, "# c\n1 2\n2 3\n3 1\n")
+
+    def no_loop(path):
+        raise AssertionError("the line loop ran on a clean file")
+
+    monkeypatch.setattr(tio, "_data_lines", no_loop)
+    rows = tio.read_edge_list(path)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [[1, 2, 1], [2, 3, 1], [3, 1, 1]]
+
+
+def test_a_warning_from_the_bulk_parser_means_the_line_loop(tmp_path, monkeypatch):
+    """numpy < 2 reads "1.0" as the int 1 and only warns; the line loop rejects it."""
+    path = tmp_path / "edges.txt"
+    _write(path, "1.0 2 1\n")
+
+    def lenient_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): parsing an integer via a float", DeprecationWarning)
+        return np.array([[1, 2, 1]])
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(ParseError, match=r":1: non-integer field in '1\.0 2 1'$"):
+        tio.read_edge_list(path)
+
+
+def _well_formed_lines():
+    node = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 40), st.just(BIG))
+    sep = st.sampled_from([" ", "\t", "  ", " \t", "\xa0"])
+    record = st.tuples(node, node, st.sampled_from(["", "1", "-1", "+1"]), sep, sep)
+    line = record.map(
+        lambda r: r[3].join(str(v) for v in r[:2]) + (r[4] + r[2] if r[2] else "")
+    )
+    extra = st.sampled_from(["", "# comment", "   ", "\t# x"])
+    return st.lists(st.one_of(line, line, line, extra), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_well_formed_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_well_formed_files_match_the_line_loop(tmp_path_factory, lines, eol, final_eol):
+    path = tmp_path_factory.mktemp("wf") / "edges.txt"
+    _write(path, eol.join(lines) + (eol if final_eol and lines else ""))
+    assert _outcome(tio.read_edge_list, path) == _outcome(_line_loop, path)
+
+
+# Characters on which a bulk parser and Python's ``str.split``/``int`` could
+# disagree: Unicode spaces and digits, separators, signs and number syntax.
+HOSTILE = st.text(
+    st.sampled_from(list("0123456789 \t\r\n#-+_.ex,") + [
+        "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2003", "\u3000", "\u200b",
+        "\u2028", "\ufeff", "\u0661", "\uff11", "\xb2",
+    ]),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(HOSTILE)
+def test_any_text_gives_the_line_loop_outcome(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("hostile") / "edges.txt"
+    _write(path, text)
+    assert _outcome(tio.read_edge_list, path) == _outcome(_line_loop, path)
+
+
+# -- ranking writers -----------------------------------------------------------
+
+
+def _reference_json(ranking, original_ids):
+    """``ranking.json`` as the generic encoder writes it."""
+    ids = list(original_ids) if original_ids is not None else range(ranking.scores.size)
+    rows = [
+        {"rank": pos + 1, "node_id": ids[int(u)], "score": float(f"{ranking.scores[u]:.12g}")}
+        for pos, u in enumerate(ranking.order)
+    ]
+    return json.dumps({"ranking": rows}, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_csv(ranking, original_ids):
+    ids = list(original_ids) if original_ids is not None else range(ranking.scores.size)
+    lines = ["rank,node_id,score"] + [
+        f"{pos},{ids[u]},{ranking.scores[u]:.12g}"
+        for pos, u in enumerate(ranking.order.tolist(), start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+RANKINGS = {
+    "exponents": ([1e-300, 5e-07, 1e20, 0.25, 1 / 3, 123456789012345.0, 1e-05, 3.0, -0.0, 0.0],
+                  [4, 9, 17, 2**62, 2**63 - 1, 100, 12, 5, 6, 7]),
+    "beyond-int64": ([0.5, 0.25, 0.25], [2**64, 3, 2**70 + 1]),
+    "ties-and-negative-zero": ([-0.0, 0.0, 0.5, 0.5, -1e-320], [8, 1, 2, 3, 9]),
+    "default-ids": ([0.1, 0.7, 0.2, 2.5e-17, 6.02e23], None),
+    "empty": ([], None),
+    "empty-with-ids": ([], []),
+}
+
+
+@pytest.mark.parametrize("scores, ids", RANKINGS.values(), ids=RANKINGS.keys())
+def test_ranking_files_match_the_generic_encoders(tmp_path, scores, ids):
+    ranking = CentralityRanking.from_scores(np.array(scores, dtype=float))
+    tio.write_ranking_json(tmp_path / "ranking.json", ranking, ids)
+    tio.write_ranking_csv(tmp_path / "ranking.csv", ranking, ids)
+    assert (tmp_path / "ranking.json").read_bytes() == _reference_json(ranking, ids).encode()
+    assert (tmp_path / "ranking.csv").read_bytes() == _reference_csv(ranking, ids).encode()
+
+
+SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1.0, 1.0),
+    st.floats(1e-320, 1e-4),
+    st.floats(0.49, 0.51),
+    st.integers(-(10**17), 10**17).map(float),
+    st.sampled_from([0.5, 1.0, 0.0, -0.0, 1e11, 1e12, 1e15, 1e16]),
+    st.sampled_from([0.9999999999995, 0.49999999999995, 9.99999999999e-5]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SCORES, max_size=12))
+def test_any_finite_scores_match_the_generic_encoders(tmp_path_factory, scores):
+    ranking = CentralityRanking.from_scores(np.array(scores, dtype=float))
+    ids = [3 * i + 2**62 for i in range(len(scores))]
+    out = tmp_path_factory.mktemp("scores")
+    tio.write_ranking_json(out / "ranking.json", ranking, ids)
+    tio.write_ranking_csv(out / "ranking.csv", ranking, ids)
+    assert (out / "ranking.json").read_bytes() == _reference_json(ranking, ids).encode()
+    assert (out / "ranking.csv").read_bytes() == _reference_csv(ranking, ids).encode()
+
+
+# -- strict JSON ----------------------------------------------------------------
+
+
+def _strict_load(path):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity token."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, capsys):
+    edges = tmp_path / "edges.txt"
+    _write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 -1\n3 4 1\n")
+    common = ["--edges", str(edges), "--measure", "influence", "--k", "2"]
+
+    assert main(["sweep", *common, "--thetas=0.2,-5,nan", "--out", str(tmp_path / "t")]) == 2
+    rows = _strict_load(tmp_path / "t" / "sweep.json")["sweep"]
+    assert [row["theta"] for row in rows] == [0.2, -5.0, None]
+    assert rows[2]["error"] == "theta must be finite"
+
+    assert main(["sweep", *common, "--gammas=0.1,nan", "--out", str(tmp_path / "g")]) == 2
+    rows = _strict_load(tmp_path / "g" / "sweep.json")["sweep"]
+    assert rows[1]["gamma"] is None and rows[1]["error"] is not None
+    _strict_load(tmp_path / "g" / "manifest.json")
+
+    def fail(table, gamma):
+        raise ConvergenceError("temperature solve did not converge", 0.25)
+
+    monkeypatch.setattr(verify, "solve_theta_numeric", fail)
+    assert main(["verify", "--edges", str(edges), "--out", str(tmp_path / "v")]) == 3
+    checks = {c["name"]: c for c in _strict_load(tmp_path / "v" / "verify.json")["checks"]}
+    assert checks["gamma_round_trip"]["passed"] is False
+    assert checks["gamma_round_trip"]["max_error"] is None
+    capsys.readouterr()
+
+
+def test_non_finite_scores_are_null_in_ranking_json(tmp_path):
+    ranking = CentralityRanking(
+        scores=np.array([0.5, np.nan, np.inf, -np.inf]), order=np.arange(4)
+    )
+    tio.write_ranking_json(tmp_path / "ranking.json", ranking)
+    rows = _strict_load(tmp_path / "ranking.json")["ranking"]
+    assert [row["score"] for row in rows] == [0.5, None, None, None]
+    tio.write_ranking_csv(tmp_path / "ranking.csv", ranking)
+    assert (tmp_path / "ranking.csv").read_text().splitlines()[1:] == [
+        "1,0,0.5", "2,1,nan", "3,2,inf", "4,3,-inf"
+    ]

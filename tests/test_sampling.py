@@ -10,29 +10,6 @@ from conftest import random_signed_graph
 
 
 class TestBaseWalk:
-    def test_length_one_mass(self, triangle_pos):
-        cfg = tr.WalkConfig(1.0, 0.0)
-        assert tr.base_walk_prob(triangle_pos, cfg, (0, 1)) == pytest.approx(1 / 6)
-
-    def test_length_two_mass(self, triangle_pos):
-        cfg = tr.WalkConfig(0.0, 1.0)
-        assert tr.base_walk_prob(triangle_pos, cfg, (0, 1, 2)) == pytest.approx(1 / 12)
-
-    def test_reversal_symmetry(self):
-        g = random_signed_graph(np.random.default_rng(2))
-        cfg = tr.WalkConfig(0.6, 0.4)
-        for path in tr.enumerate_paths(g, cfg):
-            assert tr.base_walk_prob(g, cfg, path.nodes[::-1]) == pytest.approx(
-                path.base_prob, abs=1e-15
-            )
-
-    def test_nonadjacent_is_zero(self, path3):
-        assert tr.base_walk_prob(path3, tr.WalkConfig(1.0, 0.0), (0, 2)) == 0.0
-
-    def test_bad_length_rejected(self, path3):
-        with pytest.raises(ValueError, match="2 or 3 nodes"):
-            tr.base_walk_prob(path3, tr.WalkConfig(1.0, 0.0), (0, 1, 2, 1))
-
     def test_beta_validation(self):
         with pytest.raises(ValueError):
             tr.WalkConfig(0.5, 0.6)
