@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (TwistrankError, ValueError) as exc:
+    except (TwistrankError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -182,8 +182,9 @@ def cmd_rank(args) -> int:
     theta = resolve_theta(model, theta=args.theta, gamma=args.gamma)
     ranking = model.ranking(theta)
     out = _out_dir(args)
-    tio.write_ranking_csv(out / "ranking.csv", ranking, g.original_ids)
-    tio.write_ranking_json(out / "ranking.json", ranking, g.original_ids)
+    rows = tio.ranking_rows(ranking, g.original_ids)
+    tio.write_ranking_csv(out / "ranking.csv", rows)
+    tio.write_ranking_json(out / "ranking.json", rows)
     params = _manifest_params(args)
     params["resolved_theta"] = float(tio.format_score(theta))
     tio.write_manifest(out, tio.RunManifest("rank", params))

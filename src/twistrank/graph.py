@@ -24,6 +24,8 @@ import numpy as np
 from .errors import GraphError
 
 EdgeRecord = tuple[int, int, int]
+# ``(node, vector)`` records, or the ``(ids, values)`` arrays of io.read_attributes.
+AttrRecords = Iterable[tuple[int, Sequence[float]]] | tuple[np.ndarray, np.ndarray]
 
 
 class AttributedGraph:
@@ -176,7 +178,7 @@ class GraphStats:
 
 def load_graph(
     edge_records: Iterable[Sequence[int]],
-    attr_records: Iterable[tuple[int, Sequence[float]]] | None = None,
+    attr_records: AttrRecords | None = None,
 ) -> AttributedGraph:
     """Validate raw records and build a compact :class:`AttributedGraph`.
 
@@ -184,9 +186,10 @@ def load_graph(
     default to sign +1), or an integer array with one such record per row.
     Duplicate records for the same unordered pair are collapsed when their
     signs agree and rejected otherwise.  Self-loops are rejected.
-    ``attr_records`` are ``(node, vector)`` pairs of finite values; all
-    vectors must share one length, and nodes without a record get the zero
-    vector.
+    ``attr_records`` are ``(node, vector)`` pairs of finite values, or an
+    ``(ids, values)`` pair of arrays holding one record per row; all vectors
+    must share one length, a later record for a node replaces earlier ones,
+    and nodes without a record get the zero vector.
 
     The node set is the union of edge endpoints and attribute-record ids,
     compacted to ``0..n-1`` in ascending original-id order.
@@ -265,7 +268,7 @@ def preprocess(
     *,
     min_degree: int = 0,
     inject: NegativeInjection | None = None,
-    attr_records: Iterable[tuple[int, Sequence[float]]] | None = None,
+    attr_records: AttrRecords | None = None,
 ) -> PreprocessResult:
     """Clean raw edge records into a validated graph.
 
@@ -291,7 +294,9 @@ def preprocess(
         if attr_records is not None:
             raise ValueError("attr_records cannot be combined with a graph source")
         records: Iterable[Sequence[int]] = source.edge_list(original_ids=True)
-        attr_records = source.attr_records(original_ids=True)
+        attr_records = (
+            (_id_array(source.original_ids), source.node_attrs) if source.attr_dim else None
+        )
     else:
         records = source
 
@@ -435,36 +440,76 @@ def _check_record(rec) -> tuple[int, int, int]:
     return u, w, _check_sign(s, u, w)
 
 
-def _validate_attrs(
-    attr_records: Iterable[tuple[int, Sequence[float]]] | None,
-) -> dict[int, np.ndarray]:
-    """Attribute vectors by node id; later records for a node replace earlier ones."""
-    attrs: dict[int, np.ndarray] = {}
-    attr_dim = 0
-    for node, vec in attr_records or ():
+def _validate_attrs(attrs) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct node ids and their attribute rows, a ``(k, p)`` array.
+
+    ``attrs`` is ``None``, an ``(ids, values)`` pair of arrays, or
+    ``(node, vector)`` records; a later record for a node replaces earlier
+    ones.  Integer ids with a 2-D block of values are checked in one pass.
+    Any other input, and input that fails, is walked record by record as
+    Python values, so the first bad record raises its :class:`GraphError`.
+    """
+    if attrs is None:
+        return np.empty(0, dtype=np.int64), np.empty((0, 0))
+    if isinstance(attrs, tuple) and len(attrs) == 2 and all(
+        isinstance(a, np.ndarray) for a in attrs
+    ):
+        ids, values = attrs
+        if len(ids) != len(values):
+            raise GraphError(
+                f"{len(ids)} attribute node ids but {len(values)} attribute vectors"
+            )
+        fits = ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)
+        if fits and ids.ndim == 1 and values.ndim == 2 and values.dtype.kind in "iuf":
+            values = values.astype(float, copy=False)
+            if (ids >= 0).all() and np.isfinite(values).all():
+                return _last_rows(ids.astype(np.int64, copy=False), values)
+        attrs = zip(ids.tolist(), values.tolist())
+    return _last_rows(*_attr_rows(attrs))
+
+
+def _attr_rows(records) -> tuple[np.ndarray, np.ndarray]:
+    """Node ids and vectors of ``(node, vector)`` records, checked in order."""
+    nodes, vectors = [], []
+    for node, vec in records:
         node = _check_node_id(node)
         vec = np.asarray(vec, dtype=float)
         if vec.ndim != 1:
             raise GraphError(f"attribute vector for node {node} must be one-dimensional")
         if not np.all(np.isfinite(vec)):
             raise GraphError(f"attribute vector for node {node} must be finite")
-        if attrs and vec.size != attr_dim:
+        if vectors and vec.size != vectors[-1].size:
             raise GraphError(
                 f"ragged attribute vectors: node {node} has length {vec.size}, "
-                f"expected {attr_dim}"
+                f"expected {vectors[-1].size}"
             )
-        attr_dim = vec.size
-        attrs[node] = vec
-    return attrs
+        nodes.append(node)
+        vectors.append(vec)
+    dim = vectors[0].size if vectors else 0
+    return _id_array(nodes), np.array(vectors, dtype=float).reshape(len(vectors), dim)
+
+
+def _id_array(nodes: Sequence[int]) -> np.ndarray:
+    """Node ids as int64, or as Python ints in an object array if one is beyond int64."""
+    try:
+        return np.array(nodes, dtype=np.int64)
+    except OverflowError:
+        return np.array(nodes, dtype=object)
+
+
+def _last_rows(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids`` in ascending order, each with its last row of ``values``."""
+    distinct, first_from_end = np.unique(ids[::-1], return_index=True)
+    return distinct, values[ids.size - 1 - first_from_end]
 
 
 def _with_attr_nodes(
-    edges: _Edges, attrs: dict[int, np.ndarray]
+    edges: _Edges, attrs: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node ids of the edges and the attribute records, and the pairs re-indexed into them."""
-    if not attrs:
+    if attrs[0].size == 0:
         return edges.ids, edges.lo, edges.hi
-    ids = np.union1d(edges.ids, np.array(list(attrs)))
+    ids = np.union1d(edges.ids, attrs[0])
     remap = np.searchsorted(ids, edges.ids)
     return ids, remap[edges.lo], remap[edges.hi]
 
@@ -474,19 +519,20 @@ def _build_graph(
     lo: np.ndarray,
     hi: np.ndarray,
     signs: np.ndarray,
-    attrs: dict[int, np.ndarray],
+    attrs: tuple[np.ndarray, np.ndarray],
 ) -> AttributedGraph:
     """The graph on the ascending ``ids`` with pairs ``(lo, hi)`` indexing into them.
 
-    The attribute dimension is that of the records on these nodes, or 0 if
-    none of them has one.
+    ``attrs`` are the ascending attribute ids and their rows.  The attribute
+    dimension is that of the records on these nodes, or 0 if none of them
+    has one.
     """
-    original_ids = ids.tolist()
-    rows = [(i, attrs[v]) for i, v in enumerate(original_ids) if v in attrs]
-    node_attrs = np.zeros((len(original_ids), rows[0][1].size if rows else 0), dtype=float)
-    for i, vec in rows:
-        node_attrs[i] = vec
-    return AttributedGraph(original_ids, lo, hi, signs, node_attrs)
+    attr_ids, values = attrs
+    on_graph = _contains(ids, attr_ids)
+    dim = values.shape[1] if on_graph.any() else 0
+    node_attrs = np.zeros((ids.size, dim))
+    node_attrs[np.searchsorted(ids, attr_ids[on_graph])] = values[on_graph, :dim]
+    return AttributedGraph(ids.tolist(), lo, hi, signs, node_attrs)
 
 
 def _peel(n: int, lo: np.ndarray, hi: np.ndarray, min_degree: int) -> tuple[np.ndarray, int]:

@@ -9,13 +9,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError
 from .analysis import SweepRow
 from .centrality import CentralityRanking
-from .graph import AttributedGraph
+from .graph import AttributedGraph, _id_array
 
 TOOL_VERSION = "0.1.0"
 
@@ -72,9 +73,49 @@ def _read_edge_lines(path) -> list[tuple[int, int, int]]:
     return records
 
 
-def read_attributes(path) -> list[tuple[int, list[float]]]:
-    """Parse ``u v1 v2 ... vp`` records, one node per line."""
-    records = []
+def read_attributes(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse ``u v1 v2 ... vp`` records, one node per line, into ``(ids, values)``.
+
+    ``ids`` holds the node ids in file order and ``values`` their vectors as
+    a ``(k, p)`` float array.  A file whose lines all have ``1 + p`` fields,
+    an int64 id and ``p`` floats, is parsed in one ``np.loadtxt`` call, with
+    ``p`` taken from the first data line.  Anything else is read line by line
+    with Python's ``int`` and ``float``, which gives the same records or the
+    :class:`ParseError` of the first bad line.  There, ids beyond int64 make
+    an object array of Python ints, and lines of differing lengths a ``(k,)``
+    object array of the per-line lists, which :func:`~twistrank.graph.load_graph`
+    rejects as ragged.
+    """
+    import warnings
+    from contextlib import closing
+
+    try:
+        with closing(_data_lines(path)) as lines:
+            _, first = next(lines, (0, ""))
+        dim = len(first.split()) - 1
+        if dim > 0:  # else there is no data, or a bad first line
+            with warnings.catch_warnings():
+                # numpy < 2 reads "1.0" as 1 with only a DeprecationWarning.
+                warnings.simplefilter("error")
+                rows = np.loadtxt(
+                    path, dtype=[("id", np.int64), ("values", np.float64, (dim,))],
+                    comments="#", ndmin=1, encoding="utf-8",
+                )
+            return rows["id"], rows["values"]
+    except (ValueError, OSError, Warning):
+        pass  # the line loop gives the records or the error
+    nodes, vectors = _read_attribute_lines(path)
+    ids = _id_array(nodes)
+    try:
+        values = np.array(vectors, dtype=float).reshape(len(vectors), -1 if vectors else 0)
+    except ValueError:  # lines of differing lengths
+        values = np.empty(len(vectors), dtype=object)
+        values[:] = vectors
+    return ids, values
+
+
+def _read_attribute_lines(path) -> tuple[list[int], list[list[float]]]:
+    nodes, vectors = [], []
     for line_no, line in _data_lines(path):
         tokens = line.split()
         if len(tokens) < 2:
@@ -84,8 +125,9 @@ def read_attributes(path) -> list[tuple[int, list[float]]]:
             vector = [float(t) for t in tokens[1:]]
         except ValueError:
             raise ParseError(path, line_no, f"non-numeric field in {line!r}") from None
-        records.append((node, vector))
-    return records
+        nodes.append(node)
+        vectors.append(vector)
+    return nodes, vectors
 
 
 def read_vector(path) -> np.ndarray:
@@ -145,34 +187,42 @@ def write_attributes(path, graph: AttributedGraph) -> None:
     _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _ranking_rows(ranking: CentralityRanking, original_ids) -> tuple[list, np.ndarray, list[str]]:
-    """Node ids and scores in rank order, and each score formatted once."""
+class RankingRows(NamedTuple):
+    """A ranking in rank order, as its writers print it."""
+
+    node_ids: list
+    scores: np.ndarray
+    texts: list[str]
+
+
+def ranking_rows(ranking: CentralityRanking, original_ids=None) -> RankingRows:
+    """Node ids and scores in rank order, and each score formatted once, for
+    both :func:`write_ranking_csv` and :func:`write_ranking_json`."""
     order = ranking.order.tolist()
     node_ids = order if original_ids is None else [original_ids[u] for u in order]
     scores = ranking.scores[ranking.order]
-    return node_ids, scores, [format_score(x) for x in scores.tolist()]
+    return RankingRows(node_ids, scores, [format_score(x) for x in scores.tolist()])
 
 
-def write_ranking_csv(path, ranking: CentralityRanking, original_ids=None) -> None:
-    node_ids, _, texts = _ranking_rows(ranking, original_ids)
-    ranks = range(1, len(texts) + 1)
-    _write_text(path, "rank,node_id,score\n" + _fill("%s,%s,%s\n", ranks, node_ids, texts))
+def write_ranking_csv(path, rows: RankingRows) -> None:
+    ranks = range(1, len(rows.texts) + 1)
+    body = _fill("%s,%s,%s\n", ranks, rows.node_ids, rows.texts)
+    _write_text(path, "rank,node_id,score\n" + body)
 
 
-def write_ranking_json(path, ranking: CentralityRanking, original_ids=None) -> None:
+def write_ranking_json(path, rows: RankingRows) -> None:
     """``{"ranking": [{"node_id", "rank", "score"}, ...]}`` with the bytes of
     ``json.dumps(indent=2, sort_keys=True)``.
 
     A score is the JSON number of its 12-digit text, or ``null`` if it is not
     finite.
     """
-    node_ids, scores, texts = _ranking_rows(ranking, original_ids)
-    if not texts:
+    if not rows.texts:
         _write_text(path, '{\n  "ranking": []\n}\n')
         return
     row = '    {\n      "node_id": %s,\n      "rank": %s,\n      "score": %s\n    },\n'
-    ranks = range(1, len(texts) + 1)
-    body = _fill(row, node_ids, ranks, _json_numbers(scores, texts))
+    ranks = range(1, len(rows.texts) + 1)
+    body = _fill(row, rows.node_ids, ranks, _json_numbers(rows.scores, rows.texts))
     _write_text(path, '{\n  "ranking": [\n' + body[:-2] + "\n  ]\n}\n")
 
 

@@ -292,6 +292,16 @@ class TestRankCommand:
         ]) == 0
         assert calls == {"resolve_theta": 1, "stats": 1}
 
+    def test_formats_each_score_once(self, tmp_path, small_edges, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, ("format_score",))
+        assert main([
+            "rank", "--edges", str(small_edges), "--measure", "influence",
+            "--theta", "0.5", "--out", str(tmp_path / "rank"),
+        ]) == 0
+        # Five node scores for both ranking files, and theta for the manifest and stdout.
+        assert calls == {"format_score": 5 + 2}
+        assert len((tmp_path / "rank" / "ranking.csv").read_text().splitlines()) == 6
+
 
 class TestSweepCommand:
     def test_gamma_sweep_matches_regression_thetas(self, tmp_path, paper_scale_edges, capsys):
@@ -366,6 +376,22 @@ class TestSweepCommand:
             "--k", "2", "--out", str(tmp_path / "sweep"),
         ]) == 0
         assert calls == {"capped_rows": 1}
+
+    def test_ad_sweep_reads_and_loads_through_the_traced_names(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # The benchmark tracer rebinds these module attributes; a CLI that held
+        # the functions some other way would charge their time to itself.
+        edges, attrs, z = tmp_path / "edges.txt", tmp_path / "attrs.txt", tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 1\n3 4 -1\n")
+        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.2 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
+        write(z, "1.0 0.5\n")
+        calls = count_calls(monkeypatch, ("read_attributes", "load_graph"))
+        assert main([
+            "sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
+            "--measure", "ad", "--gammas=0.4,0.5", "--beta1", "1",
+            "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        assert calls == {"read_attributes": 1, "load_graph": 1}
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_top_k_below_one_is_a_data_error(self, tmp_path, small_edges, capsys, k):
@@ -486,6 +512,47 @@ class TestImport:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+class TestInputFiles:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        paths = {name: tmp_path / f"{name}.txt" for name in ("edges", "attrs", "ad", "part")}
+        write(paths["edges"], "0 1 1\n1 2 -1\n2 3 1\n")
+        write(paths["attrs"], "0 0.5 0.5\n1 0.25 0.75\n2 1 0\n")
+        write(paths["ad"], "1 0.5\n")
+        write(paths["part"], "0 a\n1 b\n2 a\n3 b\n")
+        return paths
+
+    def _argv(self, command, inputs, out):
+        if command == "preprocess":
+            return ["preprocess", "--edges", str(inputs["edges"]),
+                    "--attrs", str(inputs["attrs"]), "--inject-negative", "1",
+                    "--partition", str(inputs["part"]), "--out", str(out)]
+        return ["rank", "--edges", str(inputs["edges"]), "--attrs", str(inputs["attrs"]),
+                "--measure", "ad", "--ad-vector", str(inputs["ad"]), "--theta", "0.5",
+                "--out", str(out)]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("rank", "--edges"), ("rank", "--attrs"), ("rank", "--ad-vector"),
+        ("preprocess", "--partition"), ("preprocess", "--attrs"),
+    ])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_is_a_data_error(self, tmp_path, inputs, capsys, command,
+                                              flag, kind):
+        argv = self._argv(command, inputs, tmp_path / "out")
+        bad = tmp_path / ("nonexistent.txt" if kind == "missing" else "a-directory")
+        if kind == "directory":
+            bad.mkdir()
+        argv[argv.index(flag) + 1] = str(bad)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(bad) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["rank", "preprocess"])
+    def test_the_same_inputs_succeed(self, tmp_path, inputs, capsys, command):
+        assert main(self._argv(command, inputs, tmp_path / "out")) == 0
 
 
 class TestUsageErrors:

@@ -405,6 +405,108 @@ class TestRecordValidation:
         assert g.edge_list(original_ids=True) == [(3, big, -1), (3, big + 1, 1)]
 
 
+NAN, INF, BIG = float("nan"), float("inf"), 2**70
+ATTR_EDGES = [(0, 1, 1), (1, 2, -1), (2, 3, 1)]
+
+# Records, and either the GraphError text or the attribute rows by node id.
+ATTR_CASES = {
+    "negative-id": ([(0, [0.5]), (-1, [0.25])], "node id -1 must be a nonnegative integer"),
+    "nan-in-later-row": ([(0, [0.5, 1.0]), (2, [0.25, NAN])],
+                         "attribute vector for node 2 must be finite"),
+    "inf-in-later-row": ([(0, [0.5]), (1, [0.5]), (3, [-INF])],
+                         "attribute vector for node 3 must be finite"),
+    "first-bad-row-wins": ([(1, [NAN]), (-2, [0.5])],
+                           "attribute vector for node 1 must be finite"),
+    "later-duplicate-wins": ([(0, [0.5]), (1, [0.25]), (0, [0.75])],
+                             {0: [0.75], 1: [0.25], 2: [0.0]}),
+    "attribute-only-nodes": ([(9, [1.0]), (7, [2.0])], {0: [0.0], 7: [2.0], 9: [1.0]}),
+    "beyond-int64": ([(BIG, [1.0]), (2**63, [2.0]), (1, [3.0])],
+                     {1: [3.0], 2**63: [2.0], BIG: [1.0]}),
+    "no-records": ([], {0: [], 3: []}),
+}
+
+
+def _attr_pair(records):
+    """``records`` as the ``(ids, values)`` arrays that ``io.read_attributes`` returns."""
+    nodes = [node for node, _ in records]
+    try:
+        ids = np.array(nodes, dtype=np.int64)
+    except OverflowError:
+        ids = np.array(nodes, dtype=object)
+    vectors = [vec for _, vec in records]
+    return ids, np.array(vectors, dtype=float).reshape(len(vectors), -1 if vectors else 0)
+
+
+def _built(build, attrs):
+    """The graph's ids (by ``repr``, so ints and floats differ), edges and
+    attribute rows, or the text of its GraphError."""
+    try:
+        g = build(ATTR_EDGES, attrs)
+    except GraphError as exc:
+        return str(exc)
+    return repr(g.original_ids), g.edge_list(), g.node_attrs.tolist()
+
+
+ATTR_BUILDS = {
+    "load_graph": tr.load_graph,
+    "preprocess": lambda edges, attrs: tr.preprocess(edges, attr_records=attrs).graph,
+}
+
+
+class TestAttributeArrays:
+    @pytest.mark.parametrize("build", ATTR_BUILDS.values(), ids=ATTR_BUILDS.keys())
+    @pytest.mark.parametrize("records, expected", ATTR_CASES.values(), ids=ATTR_CASES.keys())
+    def test_arrays_and_records_build_the_same_graph(self, build, records, expected):
+        want = _built(build, records)
+        assert _built(build, _attr_pair(records)) == want
+        if isinstance(expected, str):
+            assert want == expected
+            return
+        g = build(ATTR_EDGES, _attr_pair(records))
+        assert all(type(v) is int for v in g.original_ids)
+        assert {v: g.node_attrs[g.index_of(v)].tolist() for v in expected} == expected
+
+    def test_ragged_rows_of_the_line_reader_are_rejected_as_records_are(self):
+        records = [(0, [0.5, 0.25]), (1, [0.5, 1.0]), (2, [0.5])]
+        values = np.empty(3, dtype=object)
+        values[:] = [vec for _, vec in records]
+        pair = (np.array([0, 1, 2]), values)
+        message = "ragged attribute vectors: node 2 has length 1, expected 2"
+        for build in ATTR_BUILDS.values():
+            assert _built(build, records) == message
+            assert _built(build, pair) == message
+
+    def test_integer_values_and_unsigned_ids_load_as_records_do(self):
+        pair = (np.array([2**64 - 1, 1], dtype=np.uint64), np.array([[1, 2], [3, 4]]))
+        records = [(2**64 - 1, [1.0, 2.0]), (1, [3.0, 4.0])]
+        for build in ATTR_BUILDS.values():
+            assert _built(build, pair) == _built(build, records)
+
+    def test_dimension_is_zero_without_records_on_the_graph(self):
+        empty = (np.empty(0, dtype=np.int64), np.empty((0, 3)))
+        assert tr.load_graph(ATTR_EDGES, empty).attr_dim == 0
+        # Node 9 holds the only record and has no edge, so min_degree removes it.
+        for attrs in ([(9, [1.0, 2.0])], _attr_pair([(9, [1.0, 2.0])])):
+            assert tr.preprocess(ATTR_EDGES, min_degree=1, attr_records=attrs).graph.attr_dim == 0
+
+    def test_ids_and_values_of_different_lengths_are_rejected(self):
+        pair = (np.array([0, 1, 2]), np.ones((2, 3)))
+        with pytest.raises(GraphError, match="^3 attribute node ids but 2 attribute vectors$"):
+            tr.load_graph(ATTR_EDGES, pair)
+
+    @pytest.mark.parametrize("offset", [0, BIG])
+    def test_preprocess_of_a_graph_keeps_its_attribute_rows(self, offset):
+        g = random_signed_graph(np.random.default_rng(11), n_min=8)
+        edges = [(u + offset, w + offset, s) for u, w, s in g.edge_list(original_ids=True)]
+        records = [(v + offset, vec) for v, vec in g.attr_records(original_ids=True)]
+        g = tr.load_graph(edges, records)
+        want = tr.preprocess(edges, min_degree=3, attr_records=records)
+        got = tr.preprocess(g, min_degree=3)
+        assert got.graph == want.graph and got.graph.attr_dim == 2
+        assert repr(got.graph.original_ids) == repr(want.graph.original_ids)
+        assert got.report.removed_nodes == want.report.removed_nodes
+
+
 def _load_outcome(records):
     """The loaded graph's ids and edges, or the text of its GraphError."""
     try:

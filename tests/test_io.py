@@ -1,7 +1,7 @@
-"""The file contract of edge-list parsing and ranking output, pinned.
+"""The file contract of edge-list and attribute parsing and of ranking output, pinned.
 
 The parser cases fix the records, ``ParseError`` texts and line numbers of
-the line-by-line reader; the writer fixtures fix the bytes of
+the line-by-line readers; the writer fixtures fix the bytes of
 ``json.dumps(indent=2, sort_keys=True)`` and of the CSV layout.  A faster
 route through either must reproduce them exactly.
 """
@@ -169,6 +169,201 @@ def test_any_text_gives_the_line_loop_outcome(tmp_path_factory, text):
     assert _outcome(tio.read_edge_list, path) == _outcome(_line_loop, path)
 
 
+# -- attribute files -------------------------------------------------------------
+
+
+def _attr_line_loop(path):
+    """The reference attribute reader: one line at a time, ``int`` and ``float``."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if len(tokens) < 2:
+                raise ParseError(path, line_no, f"expected 'u v1 ... vp', got {line!r}")
+            try:
+                node = int(tokens[0])
+                vector = [float(t) for t in tokens[1:]]
+            except ValueError:
+                raise ParseError(path, line_no, f"non-numeric field in {line!r}") from None
+            records.append((node, vector))
+    return records
+
+
+def _attr_records(pair):
+    """``read_attributes``' arrays as ``(node, vector)`` records of Python values."""
+    ids, values = pair
+    assert ids.ndim == 1 and len(ids) == len(values)
+    return list(zip(ids.tolist(), values.tolist()))
+
+
+def _attr_outcome(reader, path):
+    """Records with every value as its ``repr`` (so ``-0.0`` and ``nan`` compare
+    exactly), or the ``(line_no, message)`` of the ParseError."""
+    try:
+        records = reader(path)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+    if isinstance(records, tuple):
+        records = _attr_records(records)
+    for node, _ in records:
+        assert type(node) is int
+    return [(node, [repr(float(v)) for v in vec]) for node, vec in records]
+
+
+ATTRS_PARSED = {
+    "comments-and-blanks": ("# header\n1 0.5 0.25  # note\n\n   \n2 1 2 # x\n#\n",
+                            [(1, [0.5, 0.25]), (2, [1.0, 2.0])]),
+    "crlf": ("# c\r\n1 0.5\r\n\r\n2 -0.25\r\n", [(1, [0.5]), (2, [-0.25])]),
+    "tab-and-nbsp": ("1\t0.5\t2\n3\xa04 5\n5 \t 6\xa0 7\n",
+                     [(1, [0.5, 2.0]), (3, [4.0, 5.0]), (5, [6.0, 7.0])]),
+    "exponents-and-signs": ("+3 +0.5 1E3 .5 5. -1e-5\n", [(3, [0.5, 1000.0, 0.5, 5.0, -1e-05])]),
+    "non-finite-and-subnormal": ("1 nan inf\n2 -inf 1e-320\n3 -0.0 Infinity\n",
+                                 [(1, [float("nan"), float("inf")]),
+                                  (2, [float("-inf"), 1e-320]),
+                                  (3, [-0.0, float("inf")])]),
+    "ragged": ("1 0.5 0.25\n2 0.5\n3 1 2 3\n",
+               [(1, [0.5, 0.25]), (2, [0.5]), (3, [1.0, 2.0, 3.0])]),
+    "underscore": ("1_000 1_0.5\n2 3\n", [(1000, [10.5]), (2, [3.0])]),
+    "beyond-int64": (f"{BIG} 0.5\n1 0.25\n", [(BIG, [0.5]), (1, [0.25])]),
+    "int64-max": ("9223372036854775807 1\n", [(9223372036854775807, [1.0])]),
+    "negative-id-left-to-graph": ("-1 0.5\n", [(-1, [0.5])]),
+    "unicode-digits": ("\u0661 \u0662.5\n", [(1, [2.5])]),
+    "no-final-newline": ("1 0.5\n2 0.25", [(1, [0.5]), (2, [0.25])]),
+    "empty": ("", []),
+    "comment-only": ("# a\n\n# b\n", []),
+}
+
+ATTRS_FAILED = {
+    "one-field": ("1 0.5\n2\n", 2, "expected 'u v1 ... vp', got '2'"),
+    "one-field-first": ("# c\n3\n1 0.5\n", 2, "expected 'u v1 ... vp', got '3'"),
+    "float-id": ("1 0.5\n1.0 0.5\n", 2, "non-numeric field in '1.0 0.5'"),
+    "hex-value": ("1 0x10\n", 1, "non-numeric field in '1 0x10'"),
+    "comma": ("1 0.5\n2 0.5,0.25\n", 2, "non-numeric field in '2 0.5,0.25'"),
+    "word": ("1 0.5 abc\n", 1, "non-numeric field in '1 0.5 abc'"),
+    "crlf-line-number": ("1 0.5\r\n\r\nx 0.5\r\n", 3, "non-numeric field in 'x 0.5'"),
+    "after-ragged": ("1 0.5 0.25\n2 0.5\n3 nope\n", 3, "non-numeric field in '3 nope'"),
+}
+
+
+@pytest.mark.parametrize("text, records", ATTRS_PARSED.values(), ids=ATTRS_PARSED.keys())
+def test_attribute_records(tmp_path, text, records):
+    path = tmp_path / "attrs.txt"
+    _write(path, text)
+    want = [(node, [repr(v) for v in vec]) for node, vec in records]
+    assert _attr_outcome(tio.read_attributes, path) == want
+    assert _attr_outcome(_attr_line_loop, path) == want
+
+
+@pytest.mark.parametrize("text, line_no, message", ATTRS_FAILED.values(),
+                         ids=ATTRS_FAILED.keys())
+def test_attribute_parse_errors(tmp_path, text, line_no, message):
+    path = tmp_path / "attrs.txt"
+    _write(path, text)
+    with pytest.raises(ParseError) as err:
+        tio.read_attributes(path)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"{path}:{line_no}: {message}"
+
+
+def test_clean_attribute_file_is_parsed_without_the_line_loop(tmp_path, monkeypatch):
+    path = tmp_path / "attrs.txt"
+    _write(path, "# c\n3 0.5 0.25\n1 1e-3 -2\n3 7 8\n")
+
+    def no_loop(path):
+        raise AssertionError("the line loop ran on a clean file")
+
+    monkeypatch.setattr(tio, "_read_attribute_lines", no_loop)
+    ids, values = tio.read_attributes(path)
+    assert ids.dtype == np.int64 and values.dtype == np.float64
+    assert ids.tolist() == [3, 1, 3]
+    assert values.tolist() == [[0.5, 0.25], [0.001, -2.0], [7.0, 8.0]]
+
+
+def test_a_warning_from_the_bulk_attribute_parser_means_the_line_loop(tmp_path, monkeypatch):
+    path = tmp_path / "attrs.txt"
+    _write(path, "1.0 0.5\n")
+
+    def lenient_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): parsing an integer via a float", DeprecationWarning)
+        return np.array([(1, [0.5])], dtype=kwargs["dtype"])
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(ParseError, match=r":1: non-numeric field in '1\.0 0\.5'$"):
+        tio.read_attributes(path)
+
+
+def _well_formed_attr_files():
+    node = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 40), st.just(BIG))
+    value = st.one_of(
+        st.floats().map(repr),
+        st.floats(-1e3, 1e3).map(lambda x: f"{x:.6g}"),
+        st.sampled_from(["0", "-0.0", "1e-320", "inf", "-inf", "nan", "+1", ".5", "5.", "1E3"]),
+    )
+    sep = st.sampled_from([" ", "\t", "  ", " \t", "\xa0"])
+    extra = st.sampled_from(["", "# comment", "   ", "\t# x"])
+
+    @st.composite
+    def files(draw):
+        dim = draw(st.integers(1, 4))
+        lines = []
+        for _ in range(draw(st.integers(0, 10))):
+            if draw(st.integers(0, 3)) == 0:
+                lines.append(draw(extra))
+                continue
+            # Now and then a line of another length.
+            width = dim if draw(st.integers(0, 9)) else draw(st.integers(1, 5))
+            fields = [str(draw(node))] + [draw(value) for _ in range(width)]
+            lines.append(draw(sep).join(fields) + draw(st.sampled_from(["", " # c"])))
+        return lines
+
+    return files()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_well_formed_attr_files(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_well_formed_attribute_files_match_the_line_loop(tmp_path_factory, lines, eol,
+                                                         final_eol):
+    path = tmp_path_factory.mktemp("wfa") / "attrs.txt"
+    _write(path, eol.join(lines) + (eol if final_eol and lines else ""))
+    assert _attr_outcome(tio.read_attributes, path) == _attr_outcome(_attr_line_loop, path)
+
+
+# Fragments on which a bulk parser and Python's ``str.split``/``int``/``float``
+# could disagree: Unicode spaces and digits, BOM, separators, number syntax and
+# the spellings of infinity and NaN.
+ATTR_FRAGMENTS = list("0123456789 \t\r\n#-+_.eE,x") + [
+    "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2003", "\u3000", "\u200b",
+    "\u2028", "\ufeff", "\u0661", "\uff11", "\xb2",
+    "0x", "0x1p3", "inf", "Inf", "-inf", "infinity", "INFINITY", "infinit",
+    "nan", "NaN", "-nan", "+nan", "nan(1)", "1e5", "1e", "e5", "-0.0", "1_0", "_1", "1__0",
+]
+_plain_token = st.sampled_from(["0", "1", "2.5", "-0.0", "1e-320", "17"])
+_hostile_token = st.one_of(
+    _plain_token, _plain_token, _plain_token,
+    st.lists(st.sampled_from(ATTR_FRAGMENTS), min_size=1, max_size=3).map("".join),
+)
+# Free text, and lines of equally many tokens that are mostly plain, so that
+# many files reach the bulk parser.
+HOSTILE_ATTRS = st.one_of(
+    st.lists(st.sampled_from(ATTR_FRAGMENTS), max_size=24).map("".join),
+    st.integers(2, 4).flatmap(
+        lambda width: st.lists(st.lists(_hostile_token, min_size=width, max_size=width)
+                               .map(" ".join), max_size=6)
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(HOSTILE_ATTRS)
+def test_any_attribute_text_gives_the_line_loop_outcome(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("hostile-attrs") / "attrs.txt"
+    _write(path, text)
+    assert _attr_outcome(tio.read_attributes, path) == _attr_outcome(_attr_line_loop, path)
+
+
 # -- ranking writers -----------------------------------------------------------
 
 
@@ -205,8 +400,9 @@ RANKINGS = {
 @pytest.mark.parametrize("scores, ids", RANKINGS.values(), ids=RANKINGS.keys())
 def test_ranking_files_match_the_generic_encoders(tmp_path, scores, ids):
     ranking = CentralityRanking.from_scores(np.array(scores, dtype=float))
-    tio.write_ranking_json(tmp_path / "ranking.json", ranking, ids)
-    tio.write_ranking_csv(tmp_path / "ranking.csv", ranking, ids)
+    rows = tio.ranking_rows(ranking, ids)
+    tio.write_ranking_json(tmp_path / "ranking.json", rows)
+    tio.write_ranking_csv(tmp_path / "ranking.csv", rows)
     assert (tmp_path / "ranking.json").read_bytes() == _reference_json(ranking, ids).encode()
     assert (tmp_path / "ranking.csv").read_bytes() == _reference_csv(ranking, ids).encode()
 
@@ -228,8 +424,9 @@ def test_any_finite_scores_match_the_generic_encoders(tmp_path_factory, scores):
     ranking = CentralityRanking.from_scores(np.array(scores, dtype=float))
     ids = [3 * i + 2**62 for i in range(len(scores))]
     out = tmp_path_factory.mktemp("scores")
-    tio.write_ranking_json(out / "ranking.json", ranking, ids)
-    tio.write_ranking_csv(out / "ranking.csv", ranking, ids)
+    rows = tio.ranking_rows(ranking, ids)
+    tio.write_ranking_json(out / "ranking.json", rows)
+    tio.write_ranking_csv(out / "ranking.csv", rows)
     assert (out / "ranking.json").read_bytes() == _reference_json(ranking, ids).encode()
     assert (out / "ranking.csv").read_bytes() == _reference_csv(ranking, ids).encode()
 
@@ -276,10 +473,10 @@ def test_non_finite_scores_are_null_in_ranking_json(tmp_path):
     ranking = CentralityRanking(
         scores=np.array([0.5, np.nan, np.inf, -np.inf]), order=np.arange(4)
     )
-    tio.write_ranking_json(tmp_path / "ranking.json", ranking)
+    tio.write_ranking_json(tmp_path / "ranking.json", tio.ranking_rows(ranking))
     rows = _strict_load(tmp_path / "ranking.json")["ranking"]
     assert [row["score"] for row in rows] == [0.5, None, None, None]
-    tio.write_ranking_csv(tmp_path / "ranking.csv", ranking)
+    tio.write_ranking_csv(tmp_path / "ranking.csv", tio.ranking_rows(ranking))
     assert (tmp_path / "ranking.csv").read_text().splitlines()[1:] == [
         "1,0,0.5", "2,1,nan", "3,2,inf", "4,3,-inf"
     ]
