@@ -136,12 +136,6 @@ class AttributedGraph:
         ids = self.original_ids
         return [(ids[u], ids[w], s) for u, w, s in edges]
 
-    def attr_records(self, original_ids: bool = False) -> list[tuple[int, np.ndarray]]:
-        if self.attr_dim == 0:
-            return []
-        ids = self.original_ids if original_ids else range(self.n)
-        return [(i, self.node_attrs[u]) for u, i in zip(range(self.n), ids)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttributedGraph):
             return NotImplemented
@@ -294,9 +288,9 @@ def preprocess(
         if attr_records is not None:
             raise ValueError("attr_records cannot be combined with a graph source")
         records: Iterable[Sequence[int]] = source.edge_list(original_ids=True)
-        attr_records = (
-            (_id_array(source.original_ids), source.node_attrs) if source.attr_dim else None
-        )
+        # Every node is handed over, with its (possibly 0-wide) attribute row,
+        # so that isolated nodes stay nodes.
+        attr_records = (_id_array(source.original_ids), source.node_attrs)
     else:
         records = source
 

@@ -146,8 +146,31 @@ def read_vector(path) -> np.ndarray:
 def read_partition(path) -> dict[int, str]:
     """Parse ``u label`` records mapping nodes to partition labels.
 
-    A node may be listed again only with the same label.
+    A node may be listed again only with the same label.  A file of only
+    2-field lines with int64 ids and each node listed once is parsed in one
+    ``np.loadtxt`` call.  Anything else is read line by line with Python's
+    ``int``, which gives the same labels or the :class:`ParseError` of the
+    first bad line.
     """
+    import warnings
+
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "1.0" as 1 with only a DeprecationWarning; an
+            # empty file warns too.
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=[("id", np.int64), ("label", object)],
+                              comments="#", ndmin=1, encoding="utf-8")
+    except (ValueError, OSError, Warning):  # the line loop gives the labels or the error
+        rows = None
+    if rows is not None:
+        labels = dict(zip(rows["id"].tolist(), rows["label"].tolist()))
+        if len(labels) == len(rows):  # else a node is listed again
+            return labels
+    return _read_partition_lines(path)
+
+
+def _read_partition_lines(path) -> dict[int, str]:
     labels: dict[int, str] = {}
     for line_no, line in _data_lines(path):
         tokens = line.split()
@@ -175,16 +198,25 @@ def format_score(x: float) -> str:
 
 
 def write_edge_list(path, graph: AttributedGraph) -> None:
-    lines = [f"{u} {w} {s}" for u, w, s in graph.edge_list(original_ids=True)]
-    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """``u w sign`` per edge with ``u < w``, in ascending order, in original ids."""
+    indptr, indices, signs = graph.csr()
+    rows = np.repeat(np.arange(graph.n), np.diff(indptr))
+    upper = indices > rows
+    # The original ids ascend, so mapping keeps u < w and the order.
+    ids = _id_array(graph.original_ids)
+    columns = (ids[rows[upper]].tolist(), ids[indices[upper]].tolist(), signs[upper].tolist())
+    _write_text(path, _fill("%s %s %s\n", *columns))
 
 
 def write_attributes(path, graph: AttributedGraph) -> None:
-    lines = [
-        f"{node} " + " ".join(format_score(v) for v in vec)
-        for node, vec in graph.attr_records(original_ids=True)
-    ]
-    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """``u v1 ... vp`` per node, in original ids, each value as :func:`format_score`
+    prints it; an empty file if the graph has no attribute dimension."""
+    if graph.attr_dim == 0:
+        _write_text(path, "")
+        return
+    # "%.12g" % x is the text of f"{x:.12g}", so the rows fill one template.
+    row = "%s" + " %.12g" * graph.attr_dim + "\n"
+    _write_text(path, _fill(row, graph.original_ids, *graph.node_attrs.T.tolist()))
 
 
 class RankingRows(NamedTuple):
@@ -317,5 +349,63 @@ def finite_or_none(x: float | None) -> float | None:
 
 
 def _dumps(payload: dict) -> str:
-    # allow_nan=False: a writer that leaves a NaN or infinity in fails loudly.
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"``.
+
+    allow_nan=False: a writer that leaves a NaN or infinity in fails loudly.
+    Lists of plain ints, and lists of equally long lists of them, are filled
+    from one template (:func:`_int_list_json`); every other value is left to
+    ``json.dumps``, re-indented at its depth.
+    """
+    text = _templated_json(payload, 0)
+    return (_plain_json(payload, 0) if text is None else text) + "\n"
+
+
+def _plain_json(value, depth: int) -> str:
+    text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    return text.replace("\n", "\n" + "  " * depth) if depth else text
+
+
+def _templated_json(value, depth: int) -> str | None:
+    """The JSON of ``value`` at ``depth`` if a list in it fills a template, else ``None``.
+
+    Only dicts with str keys are entered, so that the keys sort and print as
+    ``json.dumps`` sorts and prints them.
+    """
+    if type(value) is list:
+        return _int_list_json(value, depth)
+    if type(value) is not dict:
+        return None
+    texts = {k: _templated_json(v, depth + 1) for k, v in value.items()}
+    if all(text is None for text in texts.values()) or not all(type(k) is str for k in value):
+        return None
+    pad = "\n" + "  " * (depth + 1)
+    # In key order, so that the first value json.dumps rejects is the one it
+    # would reject in the whole payload.
+    items = ((k, texts[k] or _plain_json(value[k], depth + 1)) for k in sorted(value))
+    body = ",".join(f"{pad}{json.dumps(k)}: {text}" for k, text in items)
+    return "{" + body + pad[:-2] + "}"
+
+
+def _int_list_json(value: list, depth: int) -> str | None:
+    """The JSON of a non-empty list of plain ints, or of equally long non-empty
+    lists of them, at ``depth``, from one ``%`` template; else ``None``.
+
+    ``bool`` is not a plain int here, and numpy scalars are left to
+    ``json.dumps``, which rejects them.
+    """
+    if not value:
+        return None
+    width = len(value[0]) if type(value[0]) is list else 0
+    if width:
+        if not all(type(row) is list and len(row) == width for row in value):
+            return None
+        cells = [x for row in value for x in row]
+    else:
+        cells = value
+    if not all(type(x) is int for x in cells):
+        return None
+    pad = "\n" + "  " * depth
+    item = pad + "  %d"
+    if width:
+        item = pad + "  [" + ",".join([pad + "    %d"] * width) + pad + "  ]"
+    return "[" + ",".join([item] * len(value)) % tuple(cells) + pad + "]"

@@ -57,6 +57,60 @@ def paper_scale_edges(tmp_path, paper_scale_graph):
     return path
 
 
+BIG = 99999999999999999999  # beyond int64
+
+
+def _json_lines(*lines):
+    return "\n".join(lines) + "\n"
+
+
+def _manifest(inject, min_degree, seed):
+    return _json_lines(
+        "{", '  "command": "preprocess",', '  "parameters": {', '    "attrs": "attrs.txt",',
+        '    "edges": "edges.txt",', f'    "inject_negative": {inject},',
+        f'    "min_degree": {min_degree},', '    "partition": "part.txt",',
+        f'    "seed": {seed}', "  },", '  "version": "0.1.0"', "}",
+    )
+
+
+# The files of `preprocess --attrs --inject-negative` on the inputs of
+# test_outputs_match_the_stored_bytes, as the per-line writers and the generic
+# JSON encoder printed them.
+PREPROCESS_EXPECTED = {
+    "inject-3": (
+        ["--inject-negative", "3", "--seed", "5"],
+        ("preprocessed graph: n=7 m=8 (m+=3, m-=5); removed 0 nodes\n", {
+            "attrs.txt": "1 0.5 -0\n2 9.99988867183e-321 1e+300\n3 0.1 0.2\n4 0 0\n5 0 0\n"
+                         f"7 -2.5 1e-05\n{BIG} 3 4\n",
+            "edges.txt": f"1 2 1\n1 3 1\n1 4 -1\n1 {BIG} -1\n2 3 -1\n2 7 -1\n3 5 1\n"
+                         "5 7 -1\n",
+            "manifest.json": _manifest(3, 0, 5),
+            "report.json": _json_lines(
+                "{", '  "duplicate_edges_collapsed": 1,', '  "filter_rounds": 0,',
+                '  "injected_edges": [', "    [", "      1,", "      4", "    ],",
+                "    [", "      2,", "      7", "    ],", "    [", "      5,", "      7",
+                "    ]", "  ],", '  "removed_nodes": [],', '  "self_loops_removed": 1', "}",
+            ),
+        }),
+    ),
+    "inject-2-min-degree-2": (
+        ["--inject-negative", "2", "--seed", "1", "--min-degree", "2"],
+        ("preprocessed graph: n=3 m=3 (m+=2, m-=1); removed 4 nodes\n", {
+            "attrs.txt": "1 0.5 -0\n2 9.99988867183e-321 1e+300\n3 0.1 0.2\n",
+            "edges.txt": "1 2 1\n1 3 1\n2 3 -1\n",
+            "manifest.json": _manifest(2, 2, 1),
+            "report.json": _json_lines(
+                "{", '  "duplicate_edges_collapsed": 1,', '  "filter_rounds": 2,',
+                '  "injected_edges": [', "    [", "      1,", "      4", "    ],",
+                "    [", "      4,", "      7", "    ]", "  ],", '  "removed_nodes": [',
+                "    4,", "    5,", "    7,", f"    {BIG}", "  ],",
+                '  "self_loops_removed": 1', "}",
+            ),
+        }),
+    ),
+}
+
+
 class TestPreprocessCommand:
     def _args(self, tmp_path, out_name):
         edges = tmp_path / "raw.txt"
@@ -111,6 +165,32 @@ class TestPreprocessCommand:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    def test_reads_and_writes_through_the_traced_names(self, tmp_path, monkeypatch, capsys):
+        names = ("read_edge_list", "read_partition", "write_edge_list", "write_json")
+        calls = count_calls(monkeypatch, names)
+        assert main(self._args(tmp_path, "out")) == 0
+        assert calls == dict.fromkeys(names, 1)
+
+    @pytest.mark.parametrize("flags, expected", PREPROCESS_EXPECTED.values(),
+                             ids=PREPROCESS_EXPECTED.keys())
+    def test_outputs_match_the_stored_bytes(self, tmp_path, monkeypatch, capsys, flags,
+                                            expected):
+        """Ids beyond int64, an attribute-only node, a self-loop, a duplicate and
+        the attribute values -0.0, 1e-320 and 1e300, against the stored files."""
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "edges.txt",
+              f"1 2 1\n2 3 -1\n3 1\n{BIG} 1 -1\n4 4 1\n5 3\n2 1 1\n")
+        write(tmp_path / "attrs.txt",
+              f"1 0.5 -0.0\n2 1e-320 1e300\n3 0.1 0.2\n7 -2.5 1e-5\n{BIG} 3 4\n")
+        write(tmp_path / "part.txt", f"# labels\n1 a\n2 b\n3 a\n4 b\n5 b\n7 a\n{BIG} b\n")
+        assert main(["preprocess", "--edges", "edges.txt", "--attrs", "attrs.txt",
+                     "--partition", "part.txt", *flags, "--out", "out"]) == 0
+        stdout, files = expected
+        assert capsys.readouterr().out == stdout
+        assert read_tree(tmp_path / "out") == {
+            name: text.encode() for name, text in files.items()
+        }
 
 
 class TestRankCommand:

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twistrank as tr
 from twistrank.errors import GraphError
@@ -127,6 +128,39 @@ class TestPreprocess:
         once = tr.preprocess(g, min_degree=3)
         twice = tr.preprocess(once.graph, min_degree=3)
         assert twice.graph == once.graph
+        assert twice.report.removed_nodes == []
+
+    def test_isolated_nodes_of_a_graph_survive_at_min_degree_zero(self):
+        g = tr.load_graph([(0, 1, 1)], [(7, [])])
+        assert g.original_ids == (0, 1, 7) and g.attr_dim == 0
+        result = tr.preprocess(g)
+        assert result.graph == g
+        assert result.report.removed_nodes == []
+
+    def test_isolated_nodes_of_a_graph_are_reported_removed(self):
+        g = tr.load_graph([(0, 1, 1)], [(7, [])])
+        result = tr.preprocess(g, min_degree=1)
+        assert result.graph.original_ids == (0, 1)
+        assert result.report.removed_nodes == [7]
+        assert result.report.filter_rounds == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.sampled_from([1, -1])),
+                 max_size=30),
+        st.lists(st.integers(0, 15), max_size=6),
+        st.integers(0, 2),
+        st.integers(0, 3),
+    )
+    def test_idempotent_on_any_records(self, records, attr_nodes, dim, min_degree):
+        # One sign per unordered pair, so that the records are valid.
+        signs = {(min(u, w), max(u, w)): s for u, w, s in records}
+        records = [(u, w, signs[min(u, w), max(u, w)]) for u, w, _ in records]
+        attrs = [(v, [v / 7.0 - j for j in range(dim)]) for v in attr_nodes]
+        once = tr.preprocess(records, min_degree=min_degree, attr_records=attrs)
+        twice = tr.preprocess(once.graph, min_degree=min_degree)
+        assert twice.graph == once.graph
+        assert twice.graph.original_ids == once.graph.original_ids
         assert twice.report.removed_nodes == []
 
     def test_injection_determinism(self):
@@ -498,7 +532,7 @@ class TestAttributeArrays:
     def test_preprocess_of_a_graph_keeps_its_attribute_rows(self, offset):
         g = random_signed_graph(np.random.default_rng(11), n_min=8)
         edges = [(u + offset, w + offset, s) for u, w, s in g.edge_list(original_ids=True)]
-        records = [(v + offset, vec) for v, vec in g.attr_records(original_ids=True)]
+        records = [(v + offset, vec) for v, vec in zip(g.original_ids, g.node_attrs)]
         g = tr.load_graph(edges, records)
         want = tr.preprocess(edges, min_degree=3, attr_records=records)
         got = tr.preprocess(g, min_degree=3)

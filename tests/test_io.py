@@ -1,22 +1,27 @@
-"""The file contract of edge-list and attribute parsing and of ranking output, pinned.
+"""The file contract of edge-list, attribute and partition parsing and of
+graph, ranking and JSON output, pinned.
 
 The parser cases fix the records, ``ParseError`` texts and line numbers of
 the line-by-line readers; the writer fixtures fix the bytes of
-``json.dumps(indent=2, sort_keys=True)`` and of the CSV layout.  A faster
-route through either must reproduce them exactly.
+``json.dumps(indent=2, sort_keys=True)``, of the per-line f-strings and of
+the CSV layout.  A faster route through either must reproduce them exactly.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twistrank as tr
 from twistrank import io as tio, verify
 from twistrank.centrality import CentralityRanking
 from twistrank.cli import main
 from twistrank.errors import ConvergenceError, ParseError
+
+from conftest import random_signed_graph
 
 BIG = 99999999999999999999  # beyond int64
 
@@ -362,6 +367,326 @@ def test_any_attribute_text_gives_the_line_loop_outcome(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("hostile-attrs") / "attrs.txt"
     _write(path, text)
     assert _attr_outcome(tio.read_attributes, path) == _attr_outcome(_attr_line_loop, path)
+
+
+# -- partition files ------------------------------------------------------------
+
+
+def _partition_line_loop(path):
+    """The reference partition reader: one line at a time, ``int`` on the node id."""
+    labels = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ParseError(path, line_no, f"expected 'u label', got {line!r}")
+            try:
+                node = int(tokens[0])
+            except ValueError:
+                raise ParseError(path, line_no, f"non-integer node id in {line!r}") from None
+            label = labels.setdefault(node, tokens[1])
+            if label != tokens[1]:
+                raise ParseError(path, line_no,
+                                 f"node {node} has label {tokens[1]!r} here but {label!r} earlier")
+    return labels
+
+
+def _partition_outcome(reader, path):
+    """The ``(node, label)`` items in dict order, or the ``(line_no, message)``
+    of the ParseError."""
+    try:
+        labels = reader(path)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+    assert type(labels) is dict
+    for node, label in labels.items():
+        assert type(node) is int and type(label) is str
+    return list(labels.items())
+
+
+PARTITION_PARSED = {
+    "comments-and-blanks": ("# header\n1 a  # note\n\n   \n2 b\n#\n", [(1, "a"), (2, "b")]),
+    "crlf": ("# c\r\n1 a\r\n\r\n2 b\r\n", [(1, "a"), (2, "b")]),
+    "tab-and-nbsp": ("1\ta\n3\xa0b\n5 \t c\xa0\n", [(1, "a"), (3, "b"), (5, "c")]),
+    "repeated-label": ("2 b\n1 a\n2 b\n1 a # again\n", [(2, "b"), (1, "a")]),
+    "beyond-int64": (f"{BIG} a\n1 b\n", [(BIG, "a"), (1, "b")]),
+    "int64-max": ("9223372036854775807 a\n", [(9223372036854775807, "a")]),
+    "underscore": ("1_000 a\n2 b\n", [(1000, "a"), (2, "b")]),
+    "signs-and-zeros": ("+3 x\n007 y\n-0 z\n", [(3, "x"), (7, "y"), (0, "z")]),
+    "numeric-and-unicode-labels": ("1 1.5\n2 -0\n3 \xc4\n4 \u0661\n",
+                                   [(1, "1.5"), (2, "-0"), (3, "\xc4"), (4, "\u0661")]),
+    "unicode-digit-id": ("\u0661 a\n", [(1, "a")]),
+    "negative-id-left-to-injection": ("-1 a\n", [(-1, "a")]),
+    "no-final-newline": ("1 a\n2 b", [(1, "a"), (2, "b")]),
+    "empty": ("", []),
+    "comment-only": ("# a\n\n# b\n", []),
+}
+
+PARTITION_FAILED = {
+    "one-field": ("1 a\n2\n", 2, "expected 'u label', got '2'"),
+    "three-field": ("1 a\n# c\n2 b c # x\n", 3, "expected 'u label', got '2 b c'"),
+    "conflicting-label": ("1 a\n2 b\n\n1 b\n", 4, "node 1 has label 'b' here but 'a' earlier"),
+    "conflict-beyond-int64": (f"{BIG} a\n{BIG} b\n", 2,
+                              f"node {BIG} has label 'b' here but 'a' earlier"),
+    "float-id": ("1 a\n1.0 a\n", 2, "non-integer node id in '1.0 a'"),
+    "word-id": ("x a\n", 1, "non-integer node id in 'x a'"),
+    "crlf-line-number": ("1 a\r\n\r\nx y\r\n", 3, "non-integer node id in 'x y'"),
+    "after-big-id": (f"{BIG} a\n1 a b\n", 2, "expected 'u label', got '1 a b'"),
+}
+
+
+@pytest.mark.parametrize("text, labels", PARTITION_PARSED.values(),
+                         ids=PARTITION_PARSED.keys())
+def test_partition_labels(tmp_path, text, labels):
+    path = tmp_path / "partition.txt"
+    _write(path, text)
+    assert _partition_outcome(tio.read_partition, path) == labels
+    assert _partition_outcome(_partition_line_loop, path) == labels
+
+
+@pytest.mark.parametrize("text, line_no, message", PARTITION_FAILED.values(),
+                         ids=PARTITION_FAILED.keys())
+def test_partition_parse_errors(tmp_path, text, line_no, message):
+    path = tmp_path / "partition.txt"
+    _write(path, text)
+    with pytest.raises(ParseError) as err:
+        tio.read_partition(path)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"{path}:{line_no}: {message}"
+    assert _partition_outcome(_partition_line_loop, path) == (line_no, str(err.value))
+
+
+def test_clean_partition_file_is_parsed_without_the_line_loop(tmp_path, monkeypatch):
+    path = tmp_path / "partition.txt"
+    _write(path, "# c\n3 a\n1 b # x\r\n\n2 a\n")
+
+    def no_loop(path):
+        raise AssertionError("the line loop ran on a clean file")
+
+    monkeypatch.setattr(tio, "_read_partition_lines", no_loop)
+    monkeypatch.setattr(tio, "_data_lines", no_loop)
+    assert _partition_outcome(tio.read_partition, path) == [(3, "a"), (1, "b"), (2, "a")]
+
+
+def test_a_warning_from_the_bulk_partition_parser_means_the_line_loop(tmp_path, monkeypatch):
+    path = tmp_path / "partition.txt"
+    _write(path, "1.0 a\n")
+
+    def lenient_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): parsing an integer via a float", DeprecationWarning)
+        return np.array([(1, "a")], dtype=kwargs["dtype"])
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(ParseError, match=r":1: non-integer node id in '1\.0 a'$"):
+        tio.read_partition(path)
+
+
+def _well_formed_partitions():
+    node = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 9), st.just(BIG))
+    label = st.sampled_from(["a", "b", "L0", "L1", "x-y", "1.5", "\xc4"])
+    sep = st.sampled_from([" ", "\t", "  ", " \t", "\xa0"])
+    line = st.tuples(node, label, sep).map(lambda r: f"{r[0]}{r[2]}{r[1]}")
+    extra = st.sampled_from(["", "# comment", "   ", "\t# x"])
+    return st.lists(st.one_of(line, line, line, extra), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_well_formed_partitions(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_well_formed_partition_files_match_the_line_loop(tmp_path_factory, lines, eol,
+                                                         final_eol):
+    path = tmp_path_factory.mktemp("wfp") / "partition.txt"
+    _write(path, eol.join(lines) + (eol if final_eol and lines else ""))
+    assert _partition_outcome(tio.read_partition, path) == _partition_outcome(
+        _partition_line_loop, path
+    )
+
+
+# Fragments on which the bulk parser and Python's ``str.split``/``int`` could
+# disagree: Unicode spaces, digits and format characters, NUL, BOM, comment
+# and line-break characters, signs and number syntax.
+PARTITION_FRAGMENTS = list("0123456789 \t\r\n#-+_.eab") + [
+    "\x00", "\xa0", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2003", "\u3000", "\u200b",
+    "\u2028", "\ufeff", "\u0661", "\uff11", "\xb2", "1_0", "1.0", "'a b'", '"a b"',
+]
+_partition_token = st.one_of(
+    st.sampled_from(["0", "1", "2", "17", "a", "b", "L1"]),
+    st.lists(st.sampled_from(PARTITION_FRAGMENTS), min_size=1, max_size=3).map("".join),
+)
+# Free text, and lines of mostly two tokens drawn from few ids and labels, so
+# that many files reach the bulk parser and repeat or relabel a node.
+HOSTILE_PARTITIONS = st.one_of(
+    st.lists(st.sampled_from(PARTITION_FRAGMENTS), max_size=24).map("".join),
+    st.lists(
+        st.lists(_partition_token, min_size=1, max_size=3).map(" ".join)
+        | st.lists(_partition_token, min_size=2, max_size=2).map(" ".join),
+        max_size=6,
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(HOSTILE_PARTITIONS)
+def test_any_partition_text_gives_the_line_loop_outcome(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("hostile-partition") / "partition.txt"
+    _write(path, text)
+    assert _partition_outcome(tio.read_partition, path) == _partition_outcome(
+        _partition_line_loop, path
+    )
+
+
+# -- graph writers ----------------------------------------------------------------
+
+
+def _reference_edge_file(graph):
+    """``edges.txt`` as the per-line f-string writer printed it."""
+    lines = [f"{u} {w} {s}" for u, w, s in graph.edge_list(original_ids=True)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _reference_attr_file(graph):
+    """``attrs.txt`` as the per-line f-string writer printed it."""
+    if graph.attr_dim == 0:
+        return ""
+    lines = [
+        f"{node} " + " ".join(f"{v:.12g}" for v in vec)
+        for node, vec in zip(graph.original_ids, graph.node_attrs)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _check_graph_files(out, graph):
+    tio.write_edge_list(out / "edges.txt", graph)
+    tio.write_attributes(out / "attrs.txt", graph)
+    assert (out / "edges.txt").read_bytes() == _reference_edge_file(graph).encode()
+    assert (out / "attrs.txt").read_bytes() == _reference_attr_file(graph).encode()
+
+
+EXTREME_VALUES = [-0.0, 1e-320, 1e300, -1e300, 5e-324, 0.1, 1 / 3, 123456789012345678.0]
+
+GRAPHS = {
+    "beyond-int64": ([(1, BIG, -1), (BIG, BIG + 1, 1), (2, 3, 1), (2**63, 1, -1)],
+                     [(BIG, [0.5, -0.0]), (2, [1e-320, 1e300])]),
+    "isolated-nodes": ([(0, 1, 1), (1, 2, -1)], [(7, [1.0, 2.0]), (9, [-0.0, 3.0])]),
+    "isolated-without-attributes": ([(0, 1, 1)], [(7, []), (3, [])]),
+    "no-edges": ([], [(3, [1.0]), (1, [-2.5])]),
+    "empty": ([], None),
+    "no-attributes": ([(5, 2, -1), (2, 9, 1), (9, 5, 1)], None),
+    "extreme-values": ([(0, 1, 1), (1, 2, 1)], [(u, EXTREME_VALUES) for u in range(3)]),
+}
+
+
+@pytest.mark.parametrize("edges, attrs", GRAPHS.values(), ids=GRAPHS.keys())
+def test_graph_files_match_the_per_line_writers(tmp_path, edges, attrs):
+    _check_graph_files(tmp_path, tr.load_graph(edges, attrs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([0, 2**62, BIG]), st.integers(0, 3),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_any_graph_files_match_the_per_line_writers(tmp_path_factory, seed, offset, dim,
+                                                    values):
+    g = random_signed_graph(np.random.default_rng(seed), attr_dim=0)
+    edges = [(u + offset, w + offset, s) for u, w, s in g.edge_list(original_ids=True)]
+    attrs = [(u + offset, [values[(u + j) % len(values)] for j in range(dim)])
+             for u in range(0, g.n + 2, 2)]
+    _check_graph_files(tmp_path_factory.mktemp("graph"), tr.load_graph(edges, attrs))
+
+
+# -- JSON --------------------------------------------------------------------------
+
+
+def _dumps_outcome(dumps, payload):
+    """The text, or the type of the exception raised."""
+    try:
+        return dumps(payload)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def _reference_dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+DUMPS = {
+    "empty-dict": {},
+    "empty-lists": {"a": [], "b": [[]], "c": [[], []]},
+    "int-list": {"ids": [3, 0, -7, BIG, -BIG, 2**63]},
+    "int-rows": {"pairs": [[1, 2], [3, BIG], [0, -1]]},
+    "int-rows-at-depth": {"a": {"b": {"c": [[1, 2, 3]], "d": [4]}, "e": "x"}, "f": 1.5},
+    "ragged-rows": {"a": [[1, 2], [3]]},
+    "mixed-int-and-bool": {"a": [1, True], "b": [False, 0], "c": [[1, True]]},
+    "rows-and-tuples": {"a": [[1, 2], (3, 4)], "b": (1, 2), "c": [(1, 2)]},
+    "floats": {"a": [1.0, 2], "b": -0.0, "c": 1e300},
+    "list-of-dicts": {"a": [{"b": [1, 2]}, {}], "c": [[{"d": [1]}]]},
+    "odd-strings": {"k\n\"\xe9\u2028": ["v\n", "\U0001f600"], "\x00": [1]},
+    "top-level-list": [[1, 2], [3, 4]],
+    "report-like": {"duplicate_edges_collapsed": 1, "filter_rounds": 2,
+                    "injected_edges": [[1, 4], [4, 7]], "removed_nodes": [4, 5, BIG],
+                    "self_loops_removed": 0},
+    "int-keys": {"a": {2: [3], 1: [4]}, "b": {1.5: [[1, 2]]}},
+    "unorderable-keys": {"a": {None: [1], 1.5: [5]}},
+    "mixed-str-and-int-keys": {1: [1, 2], "a": [3]},
+    "mixed-keys": {"a": {1: 1, "b": [2]}},
+    "nan": {"a": [1, 2], "b": float("nan")},
+    "inf-in-list": {"a": [1, float("inf")]},
+    "numpy-int": {"a": [np.int64(1)], "b": [1, np.int64(2)]},
+    "numpy-row": {"a": [[1, np.int64(2)]]},
+    "set": {"a": [1], "b": {1}},
+    "first-error-in-key-order": {"c": [1, 2], "b": np.int64(1), "a": float("nan")},
+}
+
+
+@pytest.mark.parametrize("payload", DUMPS.values(), ids=DUMPS.keys())
+def test_dumps_matches_the_generic_encoder(payload):
+    assert _dumps_outcome(tio._dumps, payload) == _dumps_outcome(_reference_dumps, payload)
+
+
+def test_dumps_errors_are_those_of_the_generic_encoder():
+    assert _dumps_outcome(tio._dumps, DUMPS["nan"]) is ValueError
+    assert _dumps_outcome(tio._dumps, DUMPS["numpy-int"]) is TypeError
+    assert _dumps_outcome(tio._dumps, DUMPS["mixed-keys"]) is TypeError
+
+
+_JSON_INTS = st.one_of(
+    st.integers(-3, 3), st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 2**63 - 1, 2**63, -(2**63) - 1, BIG]),
+)
+_JSON_SCALARS = st.one_of(
+    _JSON_INTS, st.booleans(), st.none(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(st.sampled_from(list("ab\n\"\\/ \t") + ["\xe9", "\u2028", "\U0001f600", "\x00"]),
+            max_size=6),
+)
+_JSON_LISTS = st.one_of(
+    st.lists(_JSON_INTS, max_size=6),
+    st.integers(1, 3).flatmap(
+        lambda width: st.lists(st.lists(_JSON_INTS, min_size=width, max_size=width),
+                               max_size=4)
+    ),
+    st.lists(st.lists(_JSON_INTS, max_size=3), max_size=4),
+    st.lists(st.one_of(_JSON_INTS, st.booleans()), max_size=5),
+    st.lists(st.lists(st.one_of(_JSON_INTS, st.booleans()), min_size=2, max_size=2),
+             max_size=3),
+)
+_JSON_KEYS = st.text(st.sampled_from(list("abz_\n\"") + ["\xe9", "\u2028"]), max_size=4)
+PAYLOADS = st.dictionaries(
+    _JSON_KEYS,
+    st.recursive(
+        st.one_of(_JSON_SCALARS, _JSON_LISTS),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_KEYS, inner, max_size=3),
+        max_leaves=12,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+def test_any_payload_dumps_as_the_generic_encoder(payload):
+    assert _dumps_outcome(tio._dumps, payload) == _dumps_outcome(_reference_dumps, payload)
 
 
 # -- ranking writers -----------------------------------------------------------
