@@ -49,7 +49,7 @@ class BivariateDistribution:
     masses: np.ndarray
 
     def pair_mass(self, u: int, w: int) -> float:
-        code = u * self.n + w
+        code = int(u) * self.n + int(w)  # node ids may come as int32
         i = int(np.searchsorted(self.codes, code))
         if i < self.codes.size and self.codes[i] == code:
             return float(self.masses[i])
@@ -154,7 +154,8 @@ def _pair_terms(g, walk, theta, edge_f, combine):
         first = np.repeat(np.arange(indices.size), k)
         # Entry ``first`` is paired with every entry of its own row in turn.
         second = np.arange(first.size) - np.repeat(np.cumsum(k) - k - indptr[rows], k)
-        codes.append(indices[first] * g.n + indices[second])
+        # int64 codes: the neighbour ids may be int32, and n * n need not fit.
+        codes.append(indices[first].astype(np.int64) * g.n + indices[second])
         exps.append(theta * combine(edge_f[first], edge_f[second]))
         wts.append(walk.beta2 * inv_2m / k[first])
     return np.concatenate(codes), np.concatenate(exps), np.concatenate(wts)

@@ -50,25 +50,48 @@ class AttributedGraph:
         node_attrs: np.ndarray,
     ):
         """Edge ``k`` joins compact nodes ``lo[k]`` and ``hi[k]`` with sign
-        ``signs[k]``; the pairs are distinct."""
-        self.n = len(original_ids)
+        ``signs[k]``; the pairs are distinct, in any order and orientation."""
+        self.n = n = len(original_ids)
         self.original_ids = tuple(original_ids)
         self.node_attrs = node_attrs
 
-        # Each edge sits in the rows of both ends.
-        rows = np.concatenate((lo, hi)).astype(np.int64, copy=False)
-        cols = np.concatenate((hi, lo))
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        # The codes row * n + col (made in place, to bound the peak memory) are
-        # distinct, so any sort gives the one row-major order.
-        rows *= self.n
-        rows += cols
-        order = np.argsort(rows)
-        del rows
-        indices = cols[order]
-        del cols
-        self._csr = (indptr, indices, np.concatenate((signs, signs))[order])
+        node = _index_dtype(n)
+        if not (lo < hi).all():
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        lo, hi = lo.astype(node, copy=False), hi.astype(node, copy=False)
+        codes = _pair_codes(lo, hi, n)
+        if not _ascending(codes):
+            order = np.argsort(codes)
+            lo, hi, signs = lo[order], hi[order], signs[order]
+            del order
+        del codes
+        # Row u holds its lower neighbours (the pairs with hi == u) and then its
+        # upper ones (lo == u), each ascending.  In (lo, hi) order, pair k is
+        # preceded by k upper entries and by the lower entries of rows up to
+        # lo[k]; the j-th pair in stable hi order by j lower entries and by the
+        # upper entries of rows before hi.
+        m = lo.size
+        pos = _index_dtype(2 * m)
+        up = np.cumsum(np.bincount(lo, minlength=n), dtype=pos)
+        down = np.cumsum(np.bincount(hi, minlength=n), dtype=pos)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.add(up, down, out=indptr[1:])
+        indices = np.empty(2 * m, dtype=node)
+        entry_signs = np.empty(2 * m, dtype=np.int8)
+        slot = down[lo]
+        slot += np.arange(m, dtype=pos)
+        indices[slot] = hi
+        entry_signs[slot] = signs
+        del down, slot
+        by_hi = _stable_order(hi, n)
+        lo, signs, hi = lo[by_hi], signs[by_hi], hi[by_hi]
+        del by_hi
+        hi -= 1  # hi > lo >= 0
+        slot = up[hi]
+        slot += np.arange(m, dtype=pos)
+        indices[slot] = lo
+        entry_signs[slot] = signs
+        self._csr = (indptr, indices, entry_signs)
         for arr in self._csr:
             arr.setflags(write=False)
 
@@ -126,15 +149,20 @@ class AttributedGraph:
 
     def edge_list(self, original_ids: bool = False) -> list[EdgeRecord]:
         """Edges as sorted ``(u, w, sign)`` triples with ``u < w``."""
-        indptr, indices, signs = self._csr
-        rows = np.repeat(np.arange(self.n), np.diff(indptr))
-        upper = indices > rows
-        edges = zip(rows[upper].tolist(), indices[upper].tolist(), signs[upper].tolist())
+        edges = zip(*(a.tolist() for a in self._upper_entries()))
         if not original_ids:
             return list(edges)
         # The original ids ascend, so mapping keeps u < w and the order.
         ids = self.original_ids
         return [(ids[u], ids[w], s) for u, w, s in edges]
+
+    def _upper_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR entries with ``row < col``, as ``(row, col, sign)`` arrays: each
+        edge once, in ascending ``(u, w)`` order."""
+        indptr, indices, signs = self._csr
+        rows = np.repeat(np.arange(self.n), np.diff(indptr))
+        upper = indices > rows
+        return rows[upper], indices[upper], signs[upper]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttributedGraph):
@@ -287,10 +315,12 @@ def preprocess(
     if isinstance(source, AttributedGraph):
         if attr_records is not None:
             raise ValueError("attr_records cannot be combined with a graph source")
-        records: Iterable[Sequence[int]] = source.edge_list(original_ids=True)
+        ids = _id_array(source.original_ids)
+        u, w, signs = source._upper_entries()
+        records = np.column_stack((ids[u], ids[w], signs))
         # Every node is handed over, with its (possibly 0-wide) attribute row,
         # so that isolated nodes stay nodes.
-        attr_records = (_id_array(source.original_ids), source.node_attrs)
+        attr_records = (ids, source.node_attrs)
     else:
         records = source
 
@@ -306,7 +336,7 @@ def preprocess(
         new_lo, new_hi = _inject_negative_edges(ids, lo, hi, inject)
         report.injected_edges = list(zip(ids[new_lo].tolist(), ids[new_hi].tolist()))
         lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
-        signs = np.concatenate((signs, np.full(new_lo.size, -1, dtype=np.int64)))
+        signs = np.concatenate((signs, np.full(new_lo.size, -1, dtype=np.int8)))
 
     alive, report.filter_rounds = _peel(ids.size, lo, hi, min_degree)
     report.removed_nodes = ids[~alive].tolist()
@@ -343,31 +373,102 @@ def _validate_edges(records: Iterable[Sequence[int]], *, drop_self_loops: bool) 
     input order that fails any check raises its :class:`GraphError`.
     """
     rows, error = _record_rows(records)
-    ids, index = np.unique(rows[:, :2], return_inverse=True)
-    u, w = index.reshape(-1, 2).T
+    ids, u, w = _compact_ids(rows[:, 0], rows[:, 1])
     loops = u == w
     if not drop_self_loops and loops.any():
         first = int(np.argmax(loops))
         error = GraphError(f"self-loop on node {rows[first, 0]} is not allowed")
         rows, u, w, loops = rows[:first], u[:first], w[:first], loops[:first]
 
-    pair = ~loops
-    lo, hi = np.minimum(u, w)[pair], np.maximum(u, w)[pair]
-    del index, u, w  # before the second sort, which sets the peak memory
-    signs = rows[pair, 2].astype(np.int64)
-    n = ids.size
-    codes, first_of, pair_of = np.unique(lo * n + hi, return_index=True, return_inverse=True)
-    kept_signs = signs[first_of]
-    clash = signs != kept_signs[pair_of]
-    if clash.any():
-        k = int(np.argmax(clash))
-        key = tuple(ids[[lo[k], hi[k]]].tolist())
-        raise GraphError(
-            f"conflicting signs for edge {key}: {kept_signs[pair_of[k]]} and {signs[k]}"
-        )
+    lo, hi, signs = np.minimum(u, w), np.maximum(u, w), rows[:, 2].astype(np.int8)
+    del u, w  # before the pair sort, which sets the peak memory
+    if loops.any():
+        pair = ~loops
+        lo, hi, signs = lo[pair], hi[pair], signs[pair]
+    records = lo.size
+    codes = _pair_codes(lo, hi, ids.size)
+    if not _ascending(codes):  # else the pairs are distinct and in order
+        order = np.argsort(codes)
+        codes = codes[order]
+        head = np.ones(codes.size, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        del codes, head
+        # The sort is not stable: a pair's first record is its least position.
+        first_of = np.minimum.reduceat(order, starts)
+        grouped = signs[order]
+        if (np.minimum.reduceat(grouped, starts) != np.maximum.reduceat(grouped, starts)).any():
+            pair_of = np.empty_like(order)
+            pair_of[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))
+            kept_signs = signs[first_of]
+            k = int(np.argmax(signs != kept_signs[pair_of]))
+            key = tuple(ids[[lo[k], hi[k]]].tolist())
+            raise GraphError(
+                f"conflicting signs for edge {key}: {kept_signs[pair_of[k]]} and {signs[k]}"
+            )
+        lo, hi, signs = lo[first_of], hi[first_of], signs[first_of]
     if error is not None:
         raise error
-    return _Edges(ids, *np.divmod(codes, n), kept_signs, int(loops.sum()), lo.size - codes.size)
+    return _Edges(ids, lo, hi, signs, int(loops.sum()), records - lo.size)
+
+
+# Node ids up to this many times the record count are compacted through a
+# presence mask of that size instead of a sort.
+_DENSE_ID_FACTOR = 4
+
+
+def _compact_ids(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ids of two equally long columns in ascending order, and
+    the position of each entry of ``u`` and of ``w`` among them.
+
+    Dense int64 ids are placed through a presence mask in O(k); sparse ids,
+    and Python ints beyond int64, are sorted.
+    """
+    if u.dtype == np.int64 and u.size:
+        top = max(int(u.max()), int(w.max()))
+        if top < _DENSE_ID_FACTOR * u.size:
+            present = np.zeros(top + 1, dtype=bool)
+            present[u] = True
+            present[w] = True
+            rank = np.cumsum(present, dtype=_index_dtype(top))
+            rank -= 1
+            return np.flatnonzero(present), rank[u], rank[w]
+    ids, index = np.unique(np.concatenate((u, w)), return_inverse=True)
+    index = index.reshape(-1)
+    return ids, index[: u.size], index[u.size :]
+
+
+def _pair_codes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """The int64 codes ``lo * n + hi``, whatever the width of ``lo`` and ``hi``."""
+    codes = lo.astype(np.int64)
+    codes *= n
+    codes += hi
+    return codes
+
+
+def _ascending(codes: np.ndarray) -> bool:
+    return bool((codes[1:] > codes[:-1]).all())
+
+
+def _index_dtype(bound: int):
+    """int32 if it holds every value in ``0..bound``, else int64."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """The positions of ``keys``, each in ``0..n-1``, in stable ascending order.
+
+    One stable pass per 16-bit digit, least significant first: numpy sorts
+    ``uint16`` keys by counting.
+    """
+    order = None
+    for shift in range(0, max(n - 1, 1).bit_length(), 16):
+        digits = ((keys if order is None else keys[order]) >> shift).astype(np.uint16)
+        step = np.argsort(digits, kind="stable")
+        del digits
+        # Positions are kept narrow between passes, to bound the peak memory.
+        order = step.astype(_index_dtype(keys.size)) if order is None else order[step]
+    return order
 
 
 def _record_rows(records) -> tuple[np.ndarray, GraphError | None]:
@@ -595,7 +696,7 @@ def _inject_negative_edges(
     )
     n = ids.size
     size = np.bincount(label)
-    existing = np.sort((lo * n + hi)[label[lo] != label[hi]])
+    existing = np.sort(_pair_codes(lo, hi, n)[label[lo] != label[hi]])
     cross = (n * n - int(size @ size)) // 2
     available = cross - existing.size
     if inject.count > available:

@@ -199,13 +199,11 @@ def format_score(x: float) -> str:
 
 def write_edge_list(path, graph: AttributedGraph) -> None:
     """``u w sign`` per edge with ``u < w``, in ascending order, in original ids."""
-    indptr, indices, signs = graph.csr()
-    rows = np.repeat(np.arange(graph.n), np.diff(indptr))
-    upper = indices > rows
-    # The original ids ascend, so mapping keeps u < w and the order.
-    ids = _id_array(graph.original_ids)
-    columns = (ids[rows[upper]].tolist(), ids[indices[upper]].tolist(), signs[upper].tolist())
-    _write_text(path, _fill("%s %s %s\n", *columns))
+    u, w, signs = graph._upper_entries()
+    # Each id is formatted once; the original ids ascend, so mapping keeps
+    # u < w and the order.
+    names = np.array([str(v) for v in graph.original_ids], dtype=object)
+    _write_text(path, _fill("%s %s %s\n", names[u].tolist(), names[w].tolist(), signs.tolist()))
 
 
 def write_attributes(path, graph: AttributedGraph) -> None:
@@ -228,12 +226,18 @@ class RankingRows(NamedTuple):
 
 
 def ranking_rows(ranking: CentralityRanking, original_ids=None) -> RankingRows:
-    """Node ids and scores in rank order, and each score formatted once, for
-    both :func:`write_ranking_csv` and :func:`write_ranking_json`."""
-    order = ranking.order.tolist()
-    node_ids = order if original_ids is None else [original_ids[u] for u in order]
-    scores = ranking.scores[ranking.order]
-    return RankingRows(node_ids, scores, [format_score(x) for x in scores.tolist()])
+    """Node ids and scores in rank order, and their texts for both
+    :func:`write_ranking_csv` and :func:`write_ranking_json`.
+
+    Each distinct score (bit pattern, so that ``-0.0`` stays apart from
+    ``0.0``) is formatted once.
+    """
+    order = ranking.order
+    node_ids = order if original_ids is None else _id_array(original_ids)[order]
+    scores = ranking.scores[order].astype(np.float64, copy=False)
+    bits, inverse = np.unique(scores.view(np.int64), return_inverse=True)
+    texts = np.array([format_score(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return RankingRows(node_ids.tolist(), scores, texts[inverse].tolist())
 
 
 def write_ranking_csv(path, rows: RankingRows) -> None:

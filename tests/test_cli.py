@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twistrank as tr
@@ -373,14 +374,50 @@ class TestRankCommand:
         assert calls == {"resolve_theta": 1, "stats": 1}
 
     def test_formats_each_score_once(self, tmp_path, small_edges, monkeypatch, capsys):
+        """One format per distinct score bit pattern, plus theta for the manifest
+        and stdout.  Nodes 0 and 3 of small_edges share (k+, k-) = (1, 1), so
+        two of its five scores are equal; the second graph's six are all
+        distinct."""
+        all_distinct = tmp_path / "all_distinct.txt"
+        write(all_distinct, "0 1 1\n0 2 1\n0 3 1\n0 4 -1\n1 2 1\n1 3 -1\n1 4 -1\n2 5 1\n3 5 -1\n")
         calls = count_calls(monkeypatch, ("format_score",))
-        assert main([
-            "rank", "--edges", str(small_edges), "--measure", "influence",
-            "--theta", "0.5", "--out", str(tmp_path / "rank"),
-        ]) == 0
-        # Five node scores for both ranking files, and theta for the manifest and stdout.
-        assert calls == {"format_score": 5 + 2}
-        assert len((tmp_path / "rank" / "ranking.csv").read_text().splitlines()) == 6
+        for edges, distinct in ((small_edges, 4), (all_distinct, 6)):
+            g = tr.load_graph(tio.read_edge_list(edges))
+            scores = tr.centrality(g, "influence", theta=0.5).scores
+            assert np.unique(scores.view(np.int64)).size == distinct
+            calls.clear()
+            out = tmp_path / edges.stem
+            assert main([
+                "rank", "--edges", str(edges), "--measure", "influence",
+                "--theta", "0.5", "--out", str(out),
+            ]) == 0
+            assert calls == {"format_score": distinct + 2}
+            assert len((out / "ranking.csv").read_text().splitlines()) == g.n + 1
+
+    @pytest.mark.parametrize("beta", [("1", "0"), ("0.7", "0.3")],
+                             ids=["beta-1-0", "beta-0.7-0.3"])
+    def test_bytes_do_not_depend_on_the_cpu_dispatch(self, tmp_path, paper_scale_edges, beta):
+        """``rank`` in two child interpreters, one with numpy's AVX-512 kernels
+        disabled, writes the same bytes: a first check that reruns on another
+        machine reproduce the outputs.  ``sweep`` stays out until theta is
+        printed in a machine-independent way: sweep.json prints it at full
+        precision, and the last digits of its Newton solve do depend on the
+        kernels."""
+        src = str(Path(tr.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "twistrank.cli", "rank", "--edges", str(paper_scale_edges),
+                "--measure", "trust", "--gamma", "0.3", "--beta1", beta[0], "--beta2", beta[1]]
+        runs = []
+        for name, disabled in (("default", None), ("no-avx512", "X86_V4 AVX512_ICL AVX512_SPR")):
+            env = {**os.environ, "PYTHONPATH": src}
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            out = tmp_path / name
+            done = subprocess.run([*argv, "--out", str(out)], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, read_tree(out)))
+        assert sorted(runs[0][1]) == ["manifest.json", "ranking.csv", "ranking.json"]
+        assert runs[0] == runs[1]
 
 
 class TestSweepCommand:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistrank as tr
+from twistrank import graph as tg
 from twistrank.errors import GraphError
 
 from conftest import random_signed_graph
@@ -335,6 +336,19 @@ class TestInjectionSampling:
         with pytest.raises(GraphError, match="cannot inject -1 negative edges"):
             tr.NegativeInjection(count=-1, seed=0, partition={})
 
+    def test_existing_edges_are_found_on_more_than_46341_nodes(self):
+        """n * n > 2**31: a star whose centre is the only node of its label has
+        every cross pair but ten as an edge, so only those ten can be injected."""
+        n = 50_001
+        centre, missing = n - 1, list(range(0, 5000, 500))
+        spokes = sorted(set(range(centre)) - set(missing))
+        records = [(v, centre, 1) for v in spokes] + list(zip(missing, missing[1:], [1] * 9))
+        partition = {v: "rest" for v in range(centre)} | {centre: "centre"}
+        result = tr.preprocess(
+            records, inject=tr.NegativeInjection(count=10, seed=3, partition=partition)
+        )
+        assert sorted(result.report.injected_edges) == [(v, centre) for v in missing]
+
 
 class TestRecordValidation:
     @pytest.mark.parametrize(
@@ -437,6 +451,165 @@ class TestRecordValidation:
         g = tr.load_graph([(big, 3, -1), (3, big + 1)])
         assert g.original_ids == (3, big, big + 1)
         assert g.edge_list(original_ids=True) == [(3, big, -1), (3, big + 1, 1)]
+
+
+def _reference_edges(records, drop_self_loops):
+    """``_validate_edges`` by two ``np.unique`` sorts: every endpoint id, then
+    the pair codes with the first record of each (a stable sort)."""
+    rows, error = tg._record_rows(records)
+    ids, index = np.unique(rows[:, :2], return_inverse=True)
+    u, w = index.reshape(-1, 2).T
+    loops = u == w
+    if not drop_self_loops and loops.any():
+        first = int(np.argmax(loops))
+        error = GraphError(f"self-loop on node {rows[first, 0]} is not allowed")
+        rows, u, w, loops = rows[:first], u[:first], w[:first], loops[:first]
+    pair = ~loops
+    lo, hi = np.minimum(u, w)[pair], np.maximum(u, w)[pair]
+    signs = rows[pair, 2].astype(np.int64)
+    n = ids.size
+    codes, first_of, pair_of = np.unique(
+        lo.astype(np.int64) * n + hi, return_index=True, return_inverse=True
+    )
+    kept = signs[first_of]
+    clash = signs != kept[pair_of.reshape(-1)]
+    if clash.any():
+        k = int(np.argmax(clash))
+        key = tuple(ids[[lo[k], hi[k]]].tolist())
+        raise GraphError(f"conflicting signs for edge {key}: {kept[pair_of[k]]} and {signs[k]}")
+    if error is not None:
+        raise error
+    return tg._Edges(ids, *np.divmod(codes, n), kept, int(loops.sum()), lo.size - codes.size)
+
+
+def _edges_outcome(validate, records, drop_self_loops):
+    try:
+        e = validate(records, drop_self_loops=drop_self_loops)
+    except GraphError as exc:
+        return str(exc)
+    return (e.ids.tolist(), e.lo.tolist(), e.hi.tolist(), e.signs.tolist(),
+            e.self_loops, e.duplicates)
+
+
+# Node ids: dense (a mask over them is small), sparse (max id >> record count),
+# near the int64 limit, and beyond it.
+ID_POOLS = {
+    "dense": st.integers(0, 12),
+    "sparse": st.integers(0, 2**40),
+    "near-int64-max": st.integers(2**63 - 20, 2**63 - 1),
+    "beyond-int64": st.integers(2**63 - 3, 2**64 + 3),
+}
+
+
+@st.composite
+def _ingest_records(draw):
+    """Records over a few node ids, so that repeats, reversals, self-loops and
+    conflicts are common, with the odd bad sign; as a list or an int64 array."""
+    pool = draw(st.lists(draw(st.sampled_from(list(ID_POOLS.values()))),
+                         min_size=1, max_size=8, unique=True))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.integers(0, len(pool) - 1),
+                  st.sampled_from([1, -1, 1, -1, 1, 2])),
+        max_size=40,
+    ))
+    records = [(pool[a], pool[b], s) for a, b, s in picks]
+    if draw(st.booleans()) and max(pool) < 2**63:
+        return np.array(records, dtype=np.int64).reshape(-1, 3)
+    return records
+
+
+class TestIngestRoutes:
+    @settings(max_examples=400, deadline=None)
+    @given(_ingest_records(), st.booleans())
+    def test_edges_match_the_sorting_reference(self, records, drop_self_loops):
+        """Dense ids through the presence mask and pairs through one unstable
+        sort give the edges, counts and error texts of the np.unique route."""
+        want = _edges_outcome(_reference_edges, records, drop_self_loops)
+        assert _edges_outcome(tg._validate_edges, records, drop_self_loops) == want
+
+    def test_shuffled_duplicate_heavy_records_match_the_reference(self):
+        rng = np.random.default_rng(11)
+        for n_ids, top in ((30, 60), (30, 10**9), (300, 1000)):
+            ids = rng.choice(top, size=n_ids, replace=False)
+            ends = ids[rng.integers(0, n_ids, size=(2000, 2))]
+            signs = np.where((ends.min(1) + ends.max(1)) % 3 == 0, -1, 1)
+            rows = np.column_stack((ends, signs))
+            for records in (rows, rows[rng.permutation(len(rows))], rows[:0]):
+                for drop in (False, True):
+                    want = _edges_outcome(_reference_edges, records, drop)
+                    assert _edges_outcome(tg._validate_edges, records, drop) == want
+            # A reversed repeat of an edge with the other sign, late in the input.
+            k = int(np.argmax(rows[:, 0] != rows[:, 1]))
+            rows = np.insert(rows, 1500, [rows[k, 1], rows[k, 0], -rows[k, 2]], axis=0)
+            want = _edges_outcome(_reference_edges, rows, True)
+            assert want.startswith("conflicting signs")
+            assert _edges_outcome(tg._validate_edges, rows, True) == want
+
+    @pytest.mark.parametrize("rows", [
+        [[2**62, 2**62 + 5, 1], [2**62 + 5, 3, -1], [3, 2**62, 1]],
+        [[5_000_000, 1, 1], [1, 2, 1], [2, 3, -1], [3, 4, 1], [4, 5, 1]],
+    ], ids=["near-2**62", "one-far-id"])
+    def test_sparse_ids_allocate_no_mask(self, rows):
+        rows = np.array(rows, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            g = tr.load_graph(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.original_ids == tuple(np.unique(rows[:, :2]).tolist())
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [2, 3_000, 140_000])
+    def test_csr_matches_a_lexsort_reference(self, n):
+        """The constructor's placement (one radix pass per 16 bits of n) gives
+        the CSR of a row-major sort of both directions of every edge, from
+        pairs in order or shuffled and reversed."""
+        rng = np.random.default_rng(n)
+        codes = np.unique(rng.integers(0, n * n, size=2 * n))
+        lo, hi = np.divmod(codes, n)
+        lo, hi = lo[lo < hi], hi[lo < hi]
+        signs = rng.choice(np.array([1, -1]), size=lo.size)
+        rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        want = (indptr, cols[order], np.concatenate((signs, signs))[order])
+        shuffle = rng.permutation(lo.size)
+        flip = rng.random(lo.size) < 0.5
+        for pairs in ((lo, hi, signs),
+                      (np.where(flip, hi, lo)[shuffle], np.where(flip, lo, hi)[shuffle],
+                       signs[shuffle])):
+            g = tr.AttributedGraph(range(n), *pairs, np.zeros((n, 0)))
+            indptr, indices, entry_signs = g.csr()
+            assert (indices.dtype, entry_signs.dtype) == (np.int32, np.int8)
+            for got, expected in zip(g.csr(), want):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_codes_beyond_int32_on_a_graph_of_more_than_46341_nodes(self):
+        """n * n > 2**31, with edges among the highest ids: the pair codes
+        and rankings equal those of the same edges on nodes 0..3, shifted."""
+        n = 50_003
+        off = n - 4
+        small_edges = [(0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, -1), (0, 2, 1)]
+        g = tr.load_graph([(u + off, w + off, s) for u, w, s in small_edges],
+                          (np.arange(n), np.ones((n, 1))))
+        small = tr.load_graph(small_edges, (np.arange(4), np.ones((4, 1))))
+        for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct([1.0])):
+            model = tr.TiltModel(g, measure, tr.WalkConfig(0.6, 0.4))
+            reference = tr.TiltModel(small, measure, tr.WalkConfig(0.6, 0.4))
+            b, want = tr.bivariate(model, 0.7), tr.bivariate(reference, 0.7)
+            codes = [(c // 4 + off) * n + c % 4 + off for c in want.codes.tolist()]
+            assert b.codes.tolist() == codes
+            row = g.neighbors(off)  # int32 ids
+            assert b.pair_mass(row[0], row[-1]) == want.pair_mass(1, 3) > 0
+            np.testing.assert_allclose(b.masses, want.masses, rtol=1e-14)
+            ranking = model.ranking(0.7)
+            np.testing.assert_allclose(
+                ranking.scores[off:], reference.ranking(0.7).scores, rtol=1e-14
+            )
+            assert not ranking.scores[:off].any()
+            assert ranking.order[:4].tolist() == (reference.ranking(0.7).order + off).tolist()
+            np.testing.assert_allclose(tr.marginal(b).scores, ranking.scores, rtol=1e-12)
 
 
 NAN, INF, BIG = float("nan"), float("inf"), 2**70

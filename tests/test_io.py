@@ -732,6 +732,24 @@ def test_ranking_files_match_the_generic_encoders(tmp_path, scores, ids):
     assert (tmp_path / "ranking.csv").read_bytes() == _reference_csv(ranking, ids).encode()
 
 
+def test_ranking_texts_are_those_of_format_score():
+    """Each distinct bit pattern is formatted once; every row still gets its
+    own score's text, whatever the ties, signed zeros, NaNs or rank order."""
+    nan = np.float64("nan")
+    scores = np.array([
+        0.25, 1 / 3, 0.25, 0.0, -0.0, nan, -nan, np.inf, -np.inf, 5e-324, 1e-310,
+        1e300, -0.0, 0.25, nan, 0.0, 1e300, 2.5e-17, 1 / 3,
+    ])
+    ids = [2**64 + i for i in range(scores.size)]
+    orders = (np.arange(scores.size), np.random.default_rng(5).permutation(scores.size))
+    for order in orders:
+        rows = tio.ranking_rows(CentralityRanking(scores=scores, order=order), ids)
+        assert rows.texts == [tio.format_score(x) for x in scores[order].tolist()]
+        assert rows.node_ids == [ids[u] for u in order.tolist()]
+        assert rows.scores.tobytes() == scores[order].tobytes()
+    assert {"0", "-0", "nan", "inf", "-inf", "4.94065645841e-324", "1e+300"} <= set(rows.texts)
+
+
 SCORES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(-1.0, 1.0),
