@@ -7,6 +7,9 @@ theta (or solve theta from a target mean measure), and read centralities off
 the endpoint-pair marginals.
 """
 
+# Bound first: submodules (the manifest writer in io) read it.
+__version__ = "0.1.0"
+
 from .errors import (
     ConvergenceError,
     EnumerationBudgetError,
@@ -63,8 +66,6 @@ from .analysis import (
     sweep,
     top_k,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AttributedGraph",

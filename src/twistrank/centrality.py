@@ -196,12 +196,13 @@ def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool
         ep, en = _step_weights(theta)
         kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
         _, starts, signs = g.csr()
-        middles = np.repeat(np.arange(g.n), gs.degree)
         # The second step's weight after a negative first edge u-v.
         after_neg = k * en if is_min else kn * ep + kp * en
-        inner = np.where(signs > 0, out[middles], after_neg[middles])
+        # Entry j of row v is a first step u-v; per-node values are repeated
+        # along the rows.
+        inner = np.where(signs > 0, np.repeat(out, k), np.repeat(after_neg, k))
         scores = scores + walk.beta2 * np.bincount(
-            starts, weights=inner / k[middles], minlength=g.n
+            starts, weights=inner / np.repeat(k, k), minlength=g.n
         )
     return scores
 

@@ -18,7 +18,6 @@ from .sampling import WalkConfig
 from .analysis import sweep
 from .centrality import TiltModel, measure_for, resolve_theta
 from . import io as tio
-from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -219,6 +218,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here, so that the other commands do not load the oracle checks.
+    from .verify import run_checks
+
     g = _load(args)
     results = run_checks(g, ad_vector=_ad_vector(args))
     for result in results:

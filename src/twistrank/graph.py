@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import GraphError
 
-EdgeRecord = tuple[int, int, int]
 # ``(node, vector)`` records, or the ``(ids, values)`` arrays of io.read_attributes.
 AttrRecords = Iterable[tuple[int, Sequence[float]]] | tuple[np.ndarray, np.ndarray]
 
@@ -32,18 +31,19 @@ class AttributedGraph:
     """Undirected graph with edge signs and per-node attribute vectors.
 
     Node ids are compacted to ``0..n-1``; the original external ids are kept,
-    in ascending order, in :attr:`original_ids`.  The edges live only in the
-    CSR arrays of :meth:`csr`.  Build instances through :func:`load_graph` or
-    :func:`preprocess`, which validate the invariants (no self-loops, one
-    sign per unordered pair, signs exactly +1 or -1, a single attribute
-    dimension shared by all nodes).
+    in ascending order, in the read-only array :attr:`original_ids`: int64,
+    or Python ints in an object array once an id is beyond int64.  The edges
+    live only in the CSR arrays of :meth:`csr`.  Build instances through
+    :func:`load_graph` or :func:`preprocess`, which validate the invariants
+    (no self-loops, one sign per unordered pair, signs exactly +1 or -1, a
+    single attribute dimension shared by all nodes).
     """
 
     __slots__ = ("n", "original_ids", "node_attrs", "_csr")
 
     def __init__(
         self,
-        original_ids: Sequence[int],
+        original_ids: Sequence[int] | np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
         signs: np.ndarray,
@@ -51,8 +51,9 @@ class AttributedGraph:
     ):
         """Edge ``k`` joins compact nodes ``lo[k]`` and ``hi[k]`` with sign
         ``signs[k]``; the pairs are distinct, in any order and orientation."""
-        self.n = n = len(original_ids)
-        self.original_ids = tuple(original_ids)
+        self.original_ids = _id_array(original_ids)
+        self.original_ids.setflags(write=False)
+        self.n = n = self.original_ids.size
         self.node_attrs = node_attrs
 
         node = _index_dtype(n)
@@ -104,25 +105,13 @@ class AttributedGraph:
     def attr_dim(self) -> int:
         return self.node_attrs.shape[1]
 
-    def neighbors(self, u: int) -> np.ndarray:
-        indptr, indices, _ = self._csr
-        return indices[indptr[u]:indptr[u + 1]]
-
-    def degree(self, u: int) -> int:
-        indptr = self._csr[0]
-        return int(indptr[u + 1] - indptr[u])
-
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All neighbour lists in one read-only ``(indptr, indices, signs)`` triple.
 
         Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]`` (ascending ids) with
         the matching edge signs; every undirected edge appears in both rows.
-        :meth:`neighbors` returns views of it.
         """
         return self._csr
-
-    def has_edge(self, u: int, w: int) -> bool:
-        return self._entry(u, w) is not None
 
     def sign(self, u: int, w: int) -> int:
         """Sign of the edge between ``u`` and ``w``; raises if absent."""
@@ -140,22 +129,6 @@ class AttributedGraph:
         i = bisect.bisect_left(indices, w, start, stop)
         return i if i < stop and indices[i] == w else None
 
-    def index_of(self, original_id: int) -> int:
-        """Compact id of an original node id; raises ``KeyError`` if absent."""
-        i = bisect.bisect_left(self.original_ids, original_id)
-        if i == self.n or self.original_ids[i] != original_id:
-            raise KeyError(original_id)
-        return i
-
-    def edge_list(self, original_ids: bool = False) -> list[EdgeRecord]:
-        """Edges as sorted ``(u, w, sign)`` triples with ``u < w``."""
-        edges = zip(*(a.tolist() for a in self._upper_entries()))
-        if not original_ids:
-            return list(edges)
-        # The original ids ascend, so mapping keeps u < w and the order.
-        ids = self.original_ids
-        return [(ids[u], ids[w], s) for u, w, s in edges]
-
     def _upper_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The CSR entries with ``row < col``, as ``(row, col, sign)`` arrays: each
         edge once, in ascending ``(u, w)`` order."""
@@ -168,7 +141,7 @@ class AttributedGraph:
         if not isinstance(other, AttributedGraph):
             return NotImplemented
         return (
-            self.original_ids == other.original_ids
+            np.array_equal(self.original_ids, other.original_ids)
             and all(np.array_equal(a, b) for a, b in zip(self._csr, other._csr))
             and bool(np.array_equal(self.node_attrs, other.node_attrs))
         )
@@ -315,7 +288,7 @@ def preprocess(
     if isinstance(source, AttributedGraph):
         if attr_records is not None:
             raise ValueError("attr_records cannot be combined with a graph source")
-        ids = _id_array(source.original_ids)
+        ids = source.original_ids
         u, w, signs = source._upper_entries()
         records = np.column_stack((ids[u], ids[w], signs))
         # Every node is handed over, with its (possibly 0-wide) attribute row,
@@ -584,8 +557,15 @@ def _attr_rows(records) -> tuple[np.ndarray, np.ndarray]:
     return _id_array(nodes), np.array(vectors, dtype=float).reshape(len(vectors), dim)
 
 
-def _id_array(nodes: Sequence[int]) -> np.ndarray:
-    """Node ids as int64, or as Python ints in an object array if one is beyond int64."""
+def _id_array(nodes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Node ids as a new int64 array, or as Python ints in an object array if
+    one is beyond int64.
+
+    An array that does not cast safely to int64 (unsigned, object) is read as
+    its Python ints, so that no id wraps around or turns into a float.
+    """
+    if isinstance(nodes, np.ndarray) and not np.can_cast(nodes.dtype, np.int64):
+        nodes = nodes.tolist()
     try:
         return np.array(nodes, dtype=np.int64)
     except OverflowError:
@@ -627,7 +607,7 @@ def _build_graph(
     dim = values.shape[1] if on_graph.any() else 0
     node_attrs = np.zeros((ids.size, dim))
     node_attrs[np.searchsorted(ids, attr_ids[on_graph])] = values[on_graph, :dim]
-    return AttributedGraph(ids.tolist(), lo, hi, signs, node_attrs)
+    return AttributedGraph(ids, lo, hi, signs, node_attrs)
 
 
 def _peel(n: int, lo: np.ndarray, hi: np.ndarray, min_degree: int) -> tuple[np.ndarray, int]:

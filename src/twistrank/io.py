@@ -13,12 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .errors import ParseError
 from .analysis import SweepRow
 from .centrality import CentralityRanking
 from .graph import AttributedGraph, _id_array
-
-TOOL_VERSION = "0.1.0"
 
 
 def _data_lines(path):
@@ -27,6 +26,21 @@ def _data_lines(path):
             line = raw.split("#", 1)[0].strip()
             if line:
                 yield line_no, line
+
+
+def _loadtxt(path, dtype, ndmin: int) -> np.ndarray | None:
+    """The rows of one ``np.loadtxt`` call, or ``None`` if it fails or warns,
+    in which case a line loop gives the records or the error."""
+    import warnings
+
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "1.0" as 1 with only a DeprecationWarning; an
+            # empty file warns too.
+            warnings.simplefilter("error")
+            return np.loadtxt(path, dtype=dtype, comments="#", ndmin=ndmin, encoding="utf-8")
+    except (ValueError, OSError, Warning):
+        return None
 
 
 def read_edge_list(path) -> np.ndarray:
@@ -38,15 +52,7 @@ def read_edge_list(path) -> np.ndarray:
     the :class:`ParseError` of the first bad line.  Ids beyond int64 make an
     object array of Python ints.
     """
-    import warnings
-
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads "1.0" as 1 with only a DeprecationWarning.
-            warnings.simplefilter("error")
-            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
-    except (ValueError, OSError, Warning):  # the line loop gives the records or the error
-        rows = None
+    rows = _loadtxt(path, np.int64, ndmin=2)
     if rows is None or rows.shape[1] not in (2, 3):
         records = _read_edge_lines(path)
         try:
@@ -86,24 +92,18 @@ def read_attributes(path) -> tuple[np.ndarray, np.ndarray]:
     object array of the per-line lists, which :func:`~twistrank.graph.load_graph`
     rejects as ragged.
     """
-    import warnings
     from contextlib import closing
 
     try:
         with closing(_data_lines(path)) as lines:
             _, first = next(lines, (0, ""))
-        dim = len(first.split()) - 1
-        if dim > 0:  # else there is no data, or a bad first line
-            with warnings.catch_warnings():
-                # numpy < 2 reads "1.0" as 1 with only a DeprecationWarning.
-                warnings.simplefilter("error")
-                rows = np.loadtxt(
-                    path, dtype=[("id", np.int64), ("values", np.float64, (dim,))],
-                    comments="#", ndmin=1, encoding="utf-8",
-                )
+    except (ValueError, OSError):  # the line loop gives the error
+        first = ""
+    dim = len(first.split()) - 1
+    if dim > 0:  # else there is no data, or a bad first line
+        rows = _loadtxt(path, [("id", np.int64), ("values", np.float64, (dim,))], ndmin=1)
+        if rows is not None:
             return rows["id"], rows["values"]
-    except (ValueError, OSError, Warning):
-        pass  # the line loop gives the records or the error
     nodes, vectors = _read_attribute_lines(path)
     ids = _id_array(nodes)
     try:
@@ -152,17 +152,7 @@ def read_partition(path) -> dict[int, str]:
     ``int``, which gives the same labels or the :class:`ParseError` of the
     first bad line.
     """
-    import warnings
-
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads "1.0" as 1 with only a DeprecationWarning; an
-            # empty file warns too.
-            warnings.simplefilter("error")
-            rows = np.loadtxt(path, dtype=[("id", np.int64), ("label", object)],
-                              comments="#", ndmin=1, encoding="utf-8")
-    except (ValueError, OSError, Warning):  # the line loop gives the labels or the error
-        rows = None
+    rows = _loadtxt(path, [("id", np.int64), ("label", object)], ndmin=1)
     if rows is not None:
         labels = dict(zip(rows["id"].tolist(), rows["label"].tolist()))
         if len(labels) == len(rows):  # else a node is listed again
@@ -202,7 +192,7 @@ def write_edge_list(path, graph: AttributedGraph) -> None:
     u, w, signs = graph._upper_entries()
     # Each id is formatted once; the original ids ascend, so mapping keeps
     # u < w and the order.
-    names = np.array([str(v) for v in graph.original_ids], dtype=object)
+    names = np.array([str(v) for v in graph.original_ids.tolist()], dtype=object)
     _write_text(path, _fill("%s %s %s\n", names[u].tolist(), names[w].tolist(), signs.tolist()))
 
 
@@ -214,7 +204,7 @@ def write_attributes(path, graph: AttributedGraph) -> None:
         return
     # "%.12g" % x is the text of f"{x:.12g}", so the rows fill one template.
     row = "%s" + " %.12g" * graph.attr_dim + "\n"
-    _write_text(path, _fill(row, graph.original_ids, *graph.node_attrs.T.tolist()))
+    _write_text(path, _fill(row, graph.original_ids.tolist(), *graph.node_attrs.T.tolist()))
 
 
 class RankingRows(NamedTuple):
@@ -229,11 +219,15 @@ def ranking_rows(ranking: CentralityRanking, original_ids=None) -> RankingRows:
     """Node ids and scores in rank order, and their texts for both
     :func:`write_ranking_csv` and :func:`write_ranking_json`.
 
+    ``original_ids`` is an array of node ids, such as a graph's
+    :attr:`~twistrank.graph.AttributedGraph.original_ids`; without it the
+    compact ids are printed.
+
     Each distinct score (bit pattern, so that ``-0.0`` stays apart from
     ``0.0``) is formatted once.
     """
     order = ranking.order
-    node_ids = order if original_ids is None else _id_array(original_ids)[order]
+    node_ids = order if original_ids is None else original_ids[order]
     scores = ranking.scores[order].astype(np.float64, copy=False)
     bits, inverse = np.unique(scores.view(np.int64), return_inverse=True)
     texts = np.array([format_score(x) for x in bits.view(np.float64).tolist()], dtype=object)
@@ -332,7 +326,7 @@ class RunManifest:
 
     command: str
     parameters: dict
-    version: str = TOOL_VERSION
+    version: str = __version__
 
     def to_dict(self) -> dict:
         return {"command": self.command, "version": self.version, "parameters": self.parameters}

@@ -83,18 +83,20 @@ def enumerate_paths(
 
 
 def _iter_paths(g: AttributedGraph, cfg: WalkConfig) -> Iterator[WalkPath]:
+    indptr, indices, _ = g.csr()
+    indptr, indices = indptr.tolist(), indices.tolist()
+    rows = [indices[start:stop] for start, stop in zip(indptr, indptr[1:])]
     two_m = 2 * g.m
     if cfg.beta1 > 0:
         p1 = cfg.beta1 / two_m
-        for u in range(g.n):
-            for w in g.neighbors(u):
-                yield WalkPath((u, int(w)), p1)
+        for u, nb in enumerate(rows):
+            for w in nb:
+                yield WalkPath((u, w), p1)
     if cfg.beta2 > 0:
-        for v in range(g.n):
-            nb = g.neighbors(v)
-            if nb.size == 0:
+        for v, nb in enumerate(rows):
+            if not nb:
                 continue
-            p2 = cfg.beta2 / (two_m * nb.size)
+            p2 = cfg.beta2 / (two_m * len(nb))
             for u in nb:
                 for w in nb:
-                    yield WalkPath((int(u), v, int(w)), p2)
+                    yield WalkPath((u, v, w), p2)

@@ -32,6 +32,17 @@ def path3():
     return tr.load_graph([(0, 1, 1), (1, 2, -1)])
 
 
+def edge_list(g, original_ids=False):
+    """The graph's edges as ascending ``(u, w, sign)`` triples with ``u < w``,
+    read off its CSR rows; in original node ids if ``original_ids``."""
+    indptr, indices, signs = g.csr()
+    rows = np.repeat(np.arange(g.n), np.diff(indptr))
+    upper = indices > rows
+    ids = g.original_ids.tolist() if original_ids else range(g.n)
+    triples = zip(rows[upper].tolist(), indices[upper].tolist(), signs[upper].tolist())
+    return [(ids[u], ids[w], s) for u, w, s in triples]
+
+
 def random_signed_graph(rng, n_min=4, n_max=12, attr_dim=2, edge_prob=0.45, neg_prob=0.3):
     """A small random graph guaranteed to carry both edge signs."""
     while True:

@@ -15,6 +15,8 @@ import twistrank as tr
 from twistrank import io as tio
 from twistrank.cli import main
 
+from conftest import edge_list
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -53,7 +55,7 @@ def small_edges(tmp_path):
 @pytest.fixture
 def paper_scale_edges(tmp_path, paper_scale_graph):
     path = tmp_path / "blog_scale.txt"
-    lines = [f"{u} {w} {s}" for u, w, s in paper_scale_graph.edge_list(original_ids=True)]
+    lines = [f"{u} {w} {s}" for u, w, s in edge_list(paper_scale_graph, original_ids=True)]
     write(path, "\n".join(lines) + "\n")
     return path
 
@@ -238,7 +240,8 @@ class TestRankCommand:
         for path in tr.enumerate_paths(g, tr.WalkConfig(0.7, 0.3)):
             base[path.nodes[0]] += path.base_prob
         for row in payload["ranking"]:
-            assert row["score"] == pytest.approx(base[g.index_of(row["node_id"])], abs=1e-9)
+            u = int(np.searchsorted(g.original_ids, row["node_id"]))
+            assert row["score"] == pytest.approx(base[u], abs=1e-9)
 
     def test_ad_measure_with_attributes(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
@@ -629,6 +632,22 @@ class TestImport:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_rank_loads_no_oracle_checks(self, tmp_path, small_edges):
+        # A fresh interpreter: this test process has imported twistrank.verify.
+        src = str(Path(tr.__file__).resolve().parents[1])
+        argv = ["rank", "--edges", str(small_edges), "--measure", "trust", "--gamma", "0.3",
+                "--beta1", "0.7", "--beta2", "0.3", "--out", str(tmp_path / "rank")]
+        code = (
+            "import sys, twistrank.cli; "
+            f"code = twistrank.cli.main({argv!r}); "
+            "print(code, 'twistrank.verify' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "0 False"
 
 
 class TestInputFiles:

@@ -20,8 +20,9 @@ from twistrank import io as tio, verify
 from twistrank.centrality import CentralityRanking
 from twistrank.cli import main
 from twistrank.errors import ConvergenceError, ParseError
+from twistrank.graph import _id_array
 
-from conftest import random_signed_graph
+from conftest import edge_list, random_signed_graph
 
 BIG = 99999999999999999999  # beyond int64
 
@@ -542,7 +543,7 @@ def test_any_partition_text_gives_the_line_loop_outcome(tmp_path_factory, text):
 
 def _reference_edge_file(graph):
     """``edges.txt`` as the per-line f-string writer printed it."""
-    lines = [f"{u} {w} {s}" for u, w, s in graph.edge_list(original_ids=True)]
+    lines = [f"{u} {w} {s}" for u, w, s in edge_list(graph, original_ids=True)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -589,10 +590,74 @@ def test_graph_files_match_the_per_line_writers(tmp_path, edges, attrs):
 def test_any_graph_files_match_the_per_line_writers(tmp_path_factory, seed, offset, dim,
                                                     values):
     g = random_signed_graph(np.random.default_rng(seed), attr_dim=0)
-    edges = [(u + offset, w + offset, s) for u, w, s in g.edge_list(original_ids=True)]
+    edges = [(u + offset, w + offset, s) for u, w, s in edge_list(g, original_ids=True)]
     attrs = [(u + offset, [values[(u + j) % len(values)] for j in range(dim)])
              for u in range(0, g.n + 2, 2)]
     _check_graph_files(tmp_path_factory.mktemp("graph"), tr.load_graph(edges, attrs))
+
+
+ID_SETS = {
+    "dense": [0, 1, 2, 3],
+    "sparse": [3, 1000, 10**12, 2**40 + 7],
+    "int64-max": [0, 7, 2**62, 2**63 - 1],
+    "2**63": [0, 7, 2**63 - 1, 2**63],
+    "2**64+1": [0, 7, 2**63, 2**64 + 1],
+}
+
+
+def _id_graphs(ids):
+    """One graph on the ascending ``ids``, built by each route: edges among
+    ids 0, 1 and 3, and id 2 known only from its attribute record."""
+    edges = [(ids[3], ids[0], 1), (ids[0], ids[1], -1), (ids[1], ids[3], 1)]
+    attrs = [(v, [j + 0.5, -j]) for j, v in enumerate(ids)]
+    loaded = tr.load_graph(edges, attrs)
+    node_attrs = np.array([vec for _, vec in attrs])
+    direct = tr.AttributedGraph(list(ids), np.array([3, 0, 1]), np.array([0, 1, 3]),
+                                np.array([1, -1, 1], dtype=np.int8), node_attrs)
+    return {"load_graph": loaded, "constructor": direct,
+            "preprocess": tr.preprocess(loaded).graph}
+
+
+@pytest.mark.parametrize("ids", ID_SETS.values(), ids=ID_SETS.keys())
+def test_original_ids_are_one_read_only_array_from_ingest_to_emit(tmp_path, ids):
+    """int64 ids, or Python ints in an object array once one is beyond int64,
+    and the writers print them as the input gave them."""
+    a, b, c, d = ids
+    want_edges = f"{a} {b} -1\n{a} {d} 1\n{b} {d} 1\n"
+    want_attrs = "".join(f"{v} {j + 0.5:.12g} {-j:.12g}\n" for j, v in enumerate(ids))
+    want_csv = f"rank,node_id,score\n1,{c},0.4\n2,{a},0.3\n3,{d},0.2\n4,{b},0.1\n"
+    ranking = CentralityRanking.from_scores(np.array([0.3, 0.1, 0.4, 0.2]))
+    for route, g in _id_graphs(ids).items():
+        out = tmp_path / route
+        out.mkdir()
+        assert not g.original_ids.flags.writeable
+        assert g.original_ids.dtype == (np.int64 if d < 2**63 else object)
+        assert g.original_ids.tolist() == ids
+        assert all(type(v) is int for v in g.original_ids.tolist())
+        rows = tio.ranking_rows(ranking, g.original_ids)
+        assert rows.node_ids == [c, a, d, b]
+        assert all(type(v) is int for v in rows.node_ids)
+        tio.write_ranking_csv(out / "ranking.csv", rows)
+        tio.write_edge_list(out / "edges.txt", g)
+        tio.write_attributes(out / "attrs.txt", g)
+        assert (out / "ranking.csv").read_text() == want_csv
+        assert (out / "edges.txt").read_text() == want_edges
+        assert (out / "attrs.txt").read_text() == want_attrs
+
+
+@pytest.mark.parametrize("values, given, dtype", [
+    ([3, 2**63], np.uint64, object),
+    ([3, 2**64 + 1], object, object),
+    ([3, 5], object, np.int64),
+    ([3, 5], np.uint32, np.int64),
+])
+def test_constructor_ids_never_wrap_or_turn_into_floats(values, given, dtype):
+    given = np.array(values, dtype=given)
+    g = tr.AttributedGraph(given, np.array([0]), np.array([1]), np.array([1], dtype=np.int8),
+                           np.zeros((2, 0)))
+    assert g.original_ids.dtype == dtype and g.original_ids.tolist() == values
+    # The graph holds its own copy.
+    assert given.flags.writeable and not np.shares_memory(given, g.original_ids)
 
 
 # -- JSON --------------------------------------------------------------------------
@@ -725,7 +790,7 @@ RANKINGS = {
 @pytest.mark.parametrize("scores, ids", RANKINGS.values(), ids=RANKINGS.keys())
 def test_ranking_files_match_the_generic_encoders(tmp_path, scores, ids):
     ranking = CentralityRanking.from_scores(np.array(scores, dtype=float))
-    rows = tio.ranking_rows(ranking, ids)
+    rows = tio.ranking_rows(ranking, None if ids is None else _id_array(ids))
     tio.write_ranking_json(tmp_path / "ranking.json", rows)
     tio.write_ranking_csv(tmp_path / "ranking.csv", rows)
     assert (tmp_path / "ranking.json").read_bytes() == _reference_json(ranking, ids).encode()
@@ -743,7 +808,7 @@ def test_ranking_texts_are_those_of_format_score():
     ids = [2**64 + i for i in range(scores.size)]
     orders = (np.arange(scores.size), np.random.default_rng(5).permutation(scores.size))
     for order in orders:
-        rows = tio.ranking_rows(CentralityRanking(scores=scores, order=order), ids)
+        rows = tio.ranking_rows(CentralityRanking(scores=scores, order=order), _id_array(ids))
         assert rows.texts == [tio.format_score(x) for x in scores[order].tolist()]
         assert rows.node_ids == [ids[u] for u in order.tolist()]
         assert rows.scores.tobytes() == scores[order].tobytes()
@@ -767,7 +832,7 @@ def test_any_finite_scores_match_the_generic_encoders(tmp_path_factory, scores):
     ranking = CentralityRanking.from_scores(np.array(scores, dtype=float))
     ids = [3 * i + 2**62 for i in range(len(scores))]
     out = tmp_path_factory.mktemp("scores")
-    rows = tio.ranking_rows(ranking, ids)
+    rows = tio.ranking_rows(ranking, _id_array(ids))
     tio.write_ranking_json(out / "ranking.json", rows)
     tio.write_ranking_csv(out / "ranking.csv", rows)
     assert (out / "ranking.json").read_bytes() == _reference_json(ranking, ids).encode()
