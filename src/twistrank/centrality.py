@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationBudgetError, GraphError
+from .errors import GraphError
 from .graph import AttributedGraph, GraphStats, stats
-from .sampling import DEFAULT_PATH_BUDGET, WalkConfig, path_count
+from .sampling import WalkConfig, _check_budget
 from .twisting import (
     MinInnerProduct,
     SignMin,
@@ -54,9 +54,6 @@ class BivariateDistribution:
         if i < self.codes.size and self.codes[i] == code:
             return float(self.masses[i])
         return 0.0
-
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
 
     def to_dict(self) -> dict[tuple[int, int], float]:
         return {
@@ -92,11 +89,7 @@ class CentralityRanking:
         return [int(u) for u in self.order[: max(0, k)]]
 
 
-def bivariate(
-    model: TiltModel,
-    theta: float,
-    max_paths: int = DEFAULT_PATH_BUDGET,
-) -> BivariateDistribution:
+def bivariate(model: TiltModel, theta: float) -> BivariateDistribution:
     """Tilted mass of every ordered node pair, assembled structurally.
 
     For each pair the mass is C * [exp(theta * f(u, w)) * beta1 / (2 m) when
@@ -104,14 +97,12 @@ def bivariate(
     exp(theta * f(u, v, w)) * beta2 / (2 m * deg(v))].  Exponents are shifted
     by their maximum before exponentiation, so the normalization survives
     large |theta|.  The pair count grows like the walk count, so a walk mix
-    with more than ``max_paths`` walks is rejected.
+    with more than ``sampling.DEFAULT_PATH_BUDGET`` walks is rejected.
     """
     g = model.graph
     if g.m == 0:
         raise GraphError("cannot build a pair distribution on an edgeless graph")
-    required = path_count(g, model.walk)
-    if required > max_paths:
-        raise EnumerationBudgetError(required, max_paths)
+    _check_budget(g, model.walk)
     theta = theta_value(theta)
 
     indptr, indices, signs = g.csr()
@@ -161,18 +152,12 @@ def _pair_terms(g, walk, theta, edge_f, combine):
     return np.concatenate(codes), np.concatenate(exps), np.concatenate(wts)
 
 
-def marginal(b: BivariateDistribution, side: str = "start") -> CentralityRanking:
-    """Start or end marginal of a pair distribution, as a ranking.
+def marginal(b: BivariateDistribution) -> CentralityRanking:
+    """Start marginal of a pair distribution, as a ranking.
 
-    For the symmetric built-in measures the two sides coincide.
+    For the symmetric built-in measures it equals the end marginal.
     """
-    if side == "start":
-        scores = b.start_marginal()
-    elif side == "end":
-        scores = b.end_marginal()
-    else:
-        raise ValueError(f"side must be 'start' or 'end', got {side!r}")
-    return CentralityRanking.from_scores(scores)
+    return CentralityRanking.from_scores(b.start_marginal())
 
 
 def _step_weights(theta: float) -> tuple[float, float]:

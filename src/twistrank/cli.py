@@ -164,7 +164,7 @@ def cmd_preprocess(args) -> int:
     if attrs is not None:
         tio.write_attributes(out / "attrs.txt", result.graph)
     tio.write_json(out / "report.json", result.report.to_dict())
-    tio.write_manifest(out, tio.RunManifest("preprocess", _manifest_params(args)))
+    tio.write_manifest(out, "preprocess", _manifest_params(args))
     s = stats(result.graph)
     print(
         f"preprocessed graph: n={result.graph.n} m={s.m} "
@@ -186,7 +186,7 @@ def cmd_rank(args) -> int:
     tio.write_ranking_json(out / "ranking.json", rows)
     params = _manifest_params(args)
     params["resolved_theta"] = float(tio.format_score(theta))
-    tio.write_manifest(out, tio.RunManifest("rank", params))
+    tio.write_manifest(out, "rank", params)
     print(f"resolved theta = {tio.format_score(theta)}")
     return EXIT_OK
 
@@ -208,7 +208,7 @@ def cmd_sweep(args) -> int:
     tio.write_sweep_json(out / "sweep.json", rows)
     params = _manifest_params(args)
     params["k"] = k
-    tio.write_manifest(out, tio.RunManifest("sweep", params))
+    tio.write_manifest(out, "sweep", params)
     failures = [row for row in rows if row.error is not None]
     for row in failures:
         target = row.gamma if mode == "gamma" else row.theta
@@ -241,7 +241,7 @@ def cmd_verify(args) -> int:
                 ]
             },
         )
-        tio.write_manifest(out, tio.RunManifest("verify", _manifest_params(args)))
+        tio.write_manifest(out, "verify", _manifest_params(args))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 

@@ -15,7 +15,6 @@ between partitions, and iteratively removes low-degree nodes.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -112,22 +111,6 @@ class AttributedGraph:
         the matching edge signs; every undirected edge appears in both rows.
         """
         return self._csr
-
-    def sign(self, u: int, w: int) -> int:
-        """Sign of the edge between ``u`` and ``w``; raises if absent."""
-        i = self._entry(u, w)
-        if i is None:
-            raise GraphError(f"no edge between nodes {u} and {w}")
-        return int(self._csr[2][i])
-
-    def _entry(self, u: int, w: int) -> int | None:
-        """Position of ``w`` in row ``u`` of the CSR arrays; ``None`` if not adjacent."""
-        if not 0 <= u < self.n:
-            return None
-        indptr, indices, _ = self._csr
-        start, stop = indptr[u], indptr[u + 1]
-        i = bisect.bisect_left(indices, w, start, stop)
-        return i if i < stop and indices[i] == w else None
 
     def _upper_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The CSR entries with ``row < col``, as ``(row, col, sign)`` arrays: each

@@ -7,7 +7,6 @@ printed with 12 significant digits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -320,20 +319,10 @@ def write_sweep_json(path, rows: list[SweepRow]) -> None:
     _write_text(path, _dumps({"sweep": sweep_rows(rows)}))
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce one CLI invocation bit-for-bit."""
-
-    command: str
-    parameters: dict
-    version: str = __version__
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "version": self.version, "parameters": self.parameters}
-
-
-def write_manifest(out_dir, manifest: RunManifest) -> None:
-    _write_text(Path(out_dir) / "manifest.json", _dumps(manifest.to_dict()))
+def write_manifest(out_dir, command: str, parameters: dict) -> None:
+    """``manifest.json``: everything needed to reproduce one CLI invocation bit-for-bit."""
+    manifest = {"command": command, "version": __version__, "parameters": parameters}
+    _write_text(Path(out_dir) / "manifest.json", _dumps(manifest))
 
 
 def write_json(path, payload: dict) -> None:
@@ -350,48 +339,37 @@ def _dumps(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"``.
 
     allow_nan=False: a writer that leaves a NaN or infinity in fails loudly.
-    Lists of plain ints, and lists of equally long lists of them, are filled
-    from one template (:func:`_int_list_json`); every other value is left to
-    ``json.dumps``, re-indented at its depth.
+    Top-level values that are lists of plain ints, or lists of equally long
+    lists of them, are filled from one template (:func:`_int_list_json`);
+    every other value is left to ``json.dumps``.  Only dicts with str keys are
+    entered, so that the keys sort and print as ``json.dumps`` sorts and
+    prints them.
     """
-    text = _templated_json(payload, 0)
-    return (_plain_json(payload, 0) if text is None else text) + "\n"
-
-
-def _plain_json(value, depth: int) -> str:
-    text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
-    return text.replace("\n", "\n" + "  " * depth) if depth else text
-
-
-def _templated_json(value, depth: int) -> str | None:
-    """The JSON of ``value`` at ``depth`` if a list in it fills a template, else ``None``.
-
-    Only dicts with str keys are entered, so that the keys sort and print as
-    ``json.dumps`` sorts and prints them.
-    """
-    if type(value) is list:
-        return _int_list_json(value, depth)
-    if type(value) is not dict:
-        return None
-    texts = {k: _templated_json(v, depth + 1) for k, v in value.items()}
-    if all(text is None for text in texts.values()) or not all(type(k) is str for k in value):
-        return None
-    pad = "\n" + "  " * (depth + 1)
+    texts = {}
+    if type(payload) is dict and all(type(k) is str for k in payload):
+        texts = {k: _int_list_json(v) for k, v in payload.items()}
+    if all(text is None for text in texts.values()):
+        return _plain_json(payload) + "\n"
     # In key order, so that the first value json.dumps rejects is the one it
     # would reject in the whole payload.
-    items = ((k, texts[k] or _plain_json(value[k], depth + 1)) for k in sorted(value))
-    body = ",".join(f"{pad}{json.dumps(k)}: {text}" for k, text in items)
-    return "{" + body + pad[:-2] + "}"
+    items = ((k, texts[k] or _plain_json(payload[k]).replace("\n", "\n  "))
+             for k in sorted(payload))
+    return "{" + ",".join(f"\n  {json.dumps(k)}: {text}" for k, text in items) + "\n}\n"
 
 
-def _int_list_json(value: list, depth: int) -> str | None:
+def _plain_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _int_list_json(value) -> str | None:
     """The JSON of a non-empty list of plain ints, or of equally long non-empty
-    lists of them, at ``depth``, from one ``%`` template; else ``None``.
+    lists of them, as a top-level dict value, from one ``%`` template; else
+    ``None``.
 
     ``bool`` is not a plain int here, and numpy scalars are left to
     ``json.dumps``, which rejects them.
     """
-    if not value:
+    if type(value) is not list or not value:
         return None
     width = len(value[0]) if type(value[0]) is list else 0
     if width:
@@ -402,8 +380,7 @@ def _int_list_json(value: list, depth: int) -> str | None:
         cells = value
     if not all(type(x) is int for x in cells):
         return None
-    pad = "\n" + "  " * depth
-    item = pad + "  %d"
+    item = "\n    %d"
     if width:
-        item = pad + "  [" + ",".join([pad + "    %d"] * width) + pad + "  ]"
-    return "[" + ",".join([item] * len(value)) % tuple(cells) + pad + "]"
+        item = "\n    [" + ",".join(["\n      %d"] * width) + "\n    ]"
+    return "[" + ",".join([item] * len(value)) % tuple(cells) + "\n  ]"

@@ -61,24 +61,25 @@ def path_count(g: AttributedGraph, cfg: WalkConfig) -> int:
     return count
 
 
-def enumerate_paths(
-    g: AttributedGraph,
-    cfg: WalkConfig,
-    max_paths: int = DEFAULT_PATH_BUDGET,
-) -> Iterator[WalkPath]:
+def _check_budget(g: AttributedGraph, cfg: WalkConfig) -> None:
+    """Raise if ``g`` has more walks than ``DEFAULT_PATH_BUDGET`` (read at call time)."""
+    required = path_count(g, cfg)
+    if required > DEFAULT_PATH_BUDGET:
+        raise EnumerationBudgetError(required, DEFAULT_PATH_BUDGET)
+
+
+def enumerate_paths(g: AttributedGraph, cfg: WalkConfig) -> Iterator[WalkPath]:
     """Yield every ordered walk of positive mass exactly once.
 
     Length-1 paths are the ``2 m`` directed edges (emitted when
     ``beta1 > 0``); length-2 paths run over every ordered neighbor pair of
     every middle node, backtracking included (emitted when ``beta2 > 0``).
     The emitted masses sum to 1.  Raises before yielding anything if the
-    enumeration would exceed ``max_paths``.
+    enumeration would exceed ``DEFAULT_PATH_BUDGET`` walks.
     """
     if g.m == 0:
         raise GraphError("cannot enumerate paths of an edgeless graph")
-    required = path_count(g, cfg)
-    if required > max_paths:
-        raise EnumerationBudgetError(required, max_paths)
+    _check_budget(g, cfg)
     return _iter_paths(g, cfg)
 
 

@@ -4,7 +4,8 @@ Given the base short-walk distribution p0 and a scalar path measure f, the
 tilted distribution p(r) = C * exp(theta * f(r)) * p0(r) is the closest
 distribution to p0 in Kullback-Leibler divergence among those whose mean
 path measure hits a prescribed target.  This module evaluates path
-measures, computes the tilt in the log domain, exposes the free energy
+measures, on one walk or on an ``(N, L)`` block of walks with one walk per
+row, computes the tilt in the log domain, exposes the free energy
 F = log(1/C) and its derivative (the mean measure), and solves for the
 scalar temperature theta that achieves a target mean.
 
@@ -41,11 +42,8 @@ class SignProduct:
     scoring.
     """
 
-    def evaluate(self, graph: AttributedGraph, nodes) -> float:
-        value = 1
-        for a, b in zip(nodes, nodes[1:]):
-            value *= graph.sign(a, b)
-        return float(value)
+    def evaluate(self, graph: AttributedGraph, nodes) -> float | np.ndarray:
+        return _per_walk(_step_signs(graph, nodes).prod(axis=-1))
 
 
 class SignMin:
@@ -55,8 +53,35 @@ class SignMin:
     edges, so one negative edge poisons the whole walk.
     """
 
-    def evaluate(self, graph: AttributedGraph, nodes) -> float:
-        return float(min(graph.sign(a, b) for a, b in zip(nodes, nodes[1:])))
+    def evaluate(self, graph: AttributedGraph, nodes) -> float | np.ndarray:
+        return _per_walk(_step_signs(graph, nodes).min(axis=-1))
+
+
+def _step_signs(graph: AttributedGraph, nodes) -> np.ndarray:
+    """Edge signs of the steps of one walk, or of each walk of a block.
+
+    Each step ``u -> w`` is found among the CSR entry codes ``row * n + col``,
+    which ascend because the rows do and so does each row.
+    """
+    n = graph.n
+    indptr, indices, signs = graph.csr()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # The int64 maximum follows every code, so each step lands on an entry.
+    codes = np.append(rows * n + indices, np.iinfo(np.int64).max)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    u, w = nodes[..., :-1], nodes[..., 1:]
+    steps = u * n + w
+    at = np.searchsorted(codes, steps)
+    # A node outside 0..n-1 would read another row: (0, n + w) is coded as (1, w).
+    missing = (codes[at] != steps) | (np.minimum(u, w) < 0) | (np.maximum(u, w) >= n)
+    if missing.any():
+        raise GraphError(f"no edge between nodes {u[missing][0]} and {w[missing][0]}")
+    return signs[at]
+
+
+def _per_walk(values: np.ndarray) -> float | np.ndarray:
+    # A float for one walk, an array of floats for a block of them.
+    return float(values) if values.ndim == 0 else values.astype(float)
 
 
 class MinInnerProduct:
@@ -73,9 +98,12 @@ class MinInnerProduct:
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("score vector must be finite")
 
-    def evaluate(self, graph: AttributedGraph, nodes) -> float:
+    def evaluate(self, graph: AttributedGraph, nodes) -> float | np.ndarray:
         self._check_dim(graph)
-        return float(min(graph.node_attrs[u] @ self.scores for u in nodes))
+        # One dot product per node, not node_scores' matrix product, so that
+        # the oracle shares no kernel with production.
+        z = np.array([row @ self.scores for row in graph.node_attrs])
+        return _per_walk(z[np.asarray(nodes)].min(axis=-1))
 
     def node_scores(self, graph: AttributedGraph) -> np.ndarray:
         """Inner product of every node's attribute vector with the score vector."""
@@ -154,11 +182,12 @@ def path_table(g: AttributedGraph, measure, walk: WalkConfig) -> PathTable:
     # A tiny walk weight such as beta1 = 5e-324 gives paths whose base mass
     # underflows to 0; they are not part of the support.
     paths = tuple(p for p in enumerate_paths(g, walk) if p.base_prob > 0)
-    f = np.empty(len(paths), dtype=float)
-    logp0 = np.empty(len(paths), dtype=float)
-    for i, p in enumerate(paths):
-        f[i] = measure.evaluate(g, p.nodes)
-        logp0[i] = math.log(p.base_prob)
+    # enumerate_paths yields every length-1 walk before any length-2 one, so
+    # each length is one block of node ids, evaluated in one call.
+    split = sum(len(p.nodes) == 2 for p in paths)
+    blocks = [np.array([p.nodes for p in part]) for part in (paths[:split], paths[split:]) if part]
+    f = np.concatenate([measure.evaluate(g, block) for block in blocks])
+    logp0 = np.array([math.log(p.base_prob) for p in paths])
     return PathTable(paths=paths, f=f, logp0=logp0)
 
 

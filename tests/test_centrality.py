@@ -44,7 +44,7 @@ class TestBivariate:
     def test_total_mass_one(self, corpus100):
         g, z = corpus100[0]
         model = tr.TiltModel(g, tr.MinInnerProduct(z), tr.WalkConfig(0.3, 0.7))
-        assert tr.bivariate(model, 2.0).total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert tr.bivariate(model, 2.0).masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_pair_masses(self, corpus100):
         g, _ = corpus100[1]
@@ -52,10 +52,11 @@ class TestBivariate:
         for (u, w), mass in b.to_dict().items():
             assert b.pair_mass(w, u) == pytest.approx(mass, abs=1e-13)
 
-    def test_budget_propagates(self, triangle_pos):
+    def test_budget_propagates(self, triangle_pos, monkeypatch):
+        monkeypatch.setattr(tr.sampling, "DEFAULT_PATH_BUDGET", 2)
         model = tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
         with pytest.raises(EnumerationBudgetError):
-            tr.bivariate(model, 0.0, max_paths=2)
+            tr.bivariate(model, 0.0)
 
     def test_empty_graph_rejected(self):
         g = tr.load_graph([], [(0, [1.0])])
@@ -90,14 +91,8 @@ class TestMarginal:
     def test_start_equals_end_for_symmetric(self, corpus100):
         g, z = corpus100[2]
         b = tr.bivariate(tr.TiltModel(g, tr.MinInnerProduct(z), tr.WalkConfig(0.6, 0.4)), -0.7)
-        start = tr.marginal(b, "start")
-        end = tr.marginal(b, "end")
-        assert np.max(np.abs(start.scores - end.scores)) <= 1e-12
-
-    def test_bad_side_rejected(self, triangle_pos):
-        b = tr.bivariate(tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
-        with pytest.raises(ValueError, match="side"):
-            tr.marginal(b, "middle")
+        assert np.max(np.abs(b.start_marginal() - b.end_marginal())) <= 1e-12
+        assert np.array_equal(tr.marginal(b).scores, b.start_marginal())
 
     def test_scores_sum_to_one_and_order_is_permutation(self, corpus100):
         g, _ = corpus100[3]

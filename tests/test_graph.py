@@ -29,7 +29,7 @@ class TestLoadGraph:
 
     def test_sign_defaults_to_positive(self):
         g = tr.load_graph([(0, 1)])
-        assert g.sign(0, 1) == 1
+        assert edge_list(g) == [(0, 1, 1)]
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
@@ -182,10 +182,11 @@ class TestPreprocess:
         inject = tr.NegativeInjection(count=4, seed=5, partition=partition)
         result = tr.preprocess(edges, inject=inject)
         assert len(result.report.injected_edges) == 4
+        edges = edge_list(result.graph)
         for u, w in result.report.injected_edges:
             assert partition[u] != partition[w]
             a, b = np.searchsorted(result.graph.original_ids, [u, w]).tolist()
-            assert result.graph.sign(a, b) == -1
+            assert (min(a, b), max(a, b), -1) in edges
         assert tr.stats(result.graph).m_neg == 4
 
     def test_injection_exhausting_candidates_rejected(self):
@@ -726,20 +727,15 @@ def _load_outcome(records):
 
 
 def _check_csr_accessors(g, edges, nodes, removed, rng):
-    """The graph's CSR rows and ``sign`` against the reference pair -> sign dict."""
+    """The graph's CSR rows and signs against the reference pair -> sign dict."""
     pair_signs = {(nodes.index(u), nodes.index(w)): s for u, w, s in edges}
     assert g.m == len(pair_signs)
-    indptr, indices, _ = g.csr()
+    indptr, indices, signs = g.csr()
     for u in range(g.n):
         row = indices[indptr[u]:indptr[u + 1]].tolist()
-        for w in range(g.n):
-            s = pair_signs.get((min(u, w), max(u, w)))
-            assert (w in row) == (s is not None)
-            if s is None:
-                with pytest.raises(GraphError, match=f"^no edge between nodes {u} and {w}$"):
-                    g.sign(u, w)
-            else:
-                assert g.sign(u, w) == s
+        row_signs = signs[indptr[u]:indptr[u + 1]].tolist()
+        want = {w: pair_signs.get((min(u, w), max(u, w))) for w in range(g.n)}
+        assert dict(zip(row, row_signs)) == {w: s for w, s in want.items() if s is not None}
     assert edge_list(g) == [(u, w, s) for (u, w), s in pair_signs.items()]
     assert edge_list(g, original_ids=True) == edges
     assert g.original_ids.tolist() == list(nodes)

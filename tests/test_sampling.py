@@ -46,10 +46,11 @@ class TestEnumeration:
         paths = [p.nodes for p in tr.enumerate_paths(g, tr.WalkConfig(0.5, 0.5))]
         assert len(paths) == len(set(paths)) == tr.path_count(g, tr.WalkConfig(0.5, 0.5))
 
-    def test_budget_enforced_before_yielding(self, triangle_pos):
+    def test_budget_enforced_before_yielding(self, triangle_pos, monkeypatch):
+        monkeypatch.setattr(tr.sampling, "DEFAULT_PATH_BUDGET", 3)
         with pytest.raises(EnumerationBudgetError) as err:
-            tr.enumerate_paths(triangle_pos, tr.WalkConfig(1.0, 0.0), max_paths=3)
-        assert err.value.required == 6
+            tr.enumerate_paths(triangle_pos, tr.WalkConfig(1.0, 0.0))
+        assert (err.value.required, err.value.budget) == (6, 3)
 
     def test_edgeless_graph_rejected(self):
         g = tr.load_graph([], [(0, [1.0]), (1, [2.0])])

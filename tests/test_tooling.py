@@ -19,7 +19,10 @@ def _traced_names():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     names = [pair for funcs in spans.SPANS.values() for pair in funcs]
-    return names + [("twistrank.sampling", "enumerate_paths")]
+    # perfbench/child.py calls these directly.
+    direct = [("twistrank.cli", "main"), ("twistrank.sampling", "WalkConfig"),
+              ("twistrank.sampling", "path_count")]
+    return names + [("twistrank.sampling", "enumerate_paths")] + direct
 
 
 @pytest.mark.parametrize("module, name", _traced_names())

@@ -1,5 +1,6 @@
 """Path measures, the exponential tilt, free energy, and temperature solving."""
 
+import bisect
 import itertools
 import math
 
@@ -41,6 +42,51 @@ class TestMeasures:
     def test_single_edge_signs_agree_across_measures(self, path3):
         for nodes in [(0, 1), (1, 2)]:
             assert tr.SignProduct().evaluate(path3, nodes) == tr.SignMin().evaluate(path3, nodes)
+
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)])
+    def test_block_evaluation_equals_the_per_walk_code(self, beta, corpus100):
+        walk = tr.WalkConfig(*beta)
+        for g, z in corpus100:
+            paths = [p.nodes for p in tr.enumerate_paths(g, walk)]
+            blocks = [np.array([p for p in paths if len(p) == length]) for length in (2, 3)]
+            for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
+                want = np.array([_per_walk_measure(g, measure, nodes) for nodes in paths])
+                got = np.concatenate([measure.evaluate(g, b) for b in blocks if b.size])
+                assert np.array_equal(got, want)
+                assert np.array_equal(tr.path_table(g, measure, walk).f, want)
+                one = measure.evaluate(g, paths[-1])
+                assert type(one) is float and one == want[-1]
+
+    @pytest.mark.parametrize("measure", [tr.SignProduct(), tr.SignMin()], ids=["prod", "min"])
+    @pytest.mark.parametrize("bad", [(0, 2), (2, -1), (0, 3 + 2)],
+                             ids=["non-edge", "negative-id", "aliasing-id"])
+    def test_a_step_must_be_an_edge_between_graph_nodes(self, measure, bad, path3):
+        # Path 0 - 1 - 2 has no edge 0-2.  Read as entry codes u * 3 + w, the
+        # steps 2 -> -1 and 0 -> 5 would both hit the code of the edge 1-2.
+        message = f"^no edge between nodes {bad[0]} and {bad[1]}$"
+        with pytest.raises(GraphError, match=message):
+            measure.evaluate(path3, np.array([(1, 2), bad]))
+        with pytest.raises(GraphError, match=message):
+            measure.evaluate(path3, bad)
+
+
+def _per_walk_measure(g, measure, nodes):
+    """A measure of one walk as it was evaluated before blocks: one bisection
+    in the CSR row per step, and one dot product per node."""
+    if isinstance(measure, tr.MinInnerProduct):
+        return float(min(g.node_attrs[u] @ measure.scores for u in nodes))
+    indptr, indices, signs = (a.tolist() for a in g.csr())
+    steps = []
+    for a, b in zip(nodes, nodes[1:]):
+        i = bisect.bisect_left(indices, b, indptr[a], indptr[a + 1])
+        assert i < indptr[a + 1] and indices[i] == b
+        steps.append(signs[i])
+    if isinstance(measure, tr.SignMin):
+        return float(min(steps))
+    value = 1
+    for step in steps:
+        value *= step
+    return float(value)
 
 
 class TestTwist:
