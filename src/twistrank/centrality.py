@@ -24,11 +24,11 @@ from .errors import GraphError
 from .graph import AttributedGraph, GraphStats, stats
 from .sampling import WalkConfig, _check_budget
 from .twisting import (
+    AtomSolver,
     MinInnerProduct,
     SignMin,
     SignProduct,
     measure_atoms,
-    solve_theta_atoms,
     solve_theta_closed,
     theta_value,
 )
@@ -250,9 +250,11 @@ class TiltModel:
 
     The work that does not depend on theta is built lazily, at most once, and
     shared by every temperature: the signed degrees (``stats``), the
-    advertisement measure's sorted capped rows (``capped_rows``) and the
-    measure's atoms (``atoms``, see :func:`measure_atoms`).  A build that
-    fails raises again on the next use.
+    advertisement measure's sorted capped rows (``capped_rows``), the
+    measure's atoms (``atoms``, see :func:`measure_atoms`) and their
+    positive-mass part with its log masses (``solver``), which also keeps the
+    moments at every temperature a solve visits.  A build that fails raises
+    again on the next use.
     """
 
     def __init__(self, g: AttributedGraph, measure, walk: WalkConfig | None = None):
@@ -279,17 +281,23 @@ class TiltModel:
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return measure_atoms(self)
 
+    @cached_property
+    def solver(self) -> AtomSolver:
+        return AtomSolver(*self.atoms)
+
     def theta(self, gamma: float) -> float:
         """The temperature at which the tilted mean measure equals ``gamma``.
 
         Sign measures with only length-1 walks go through
         :func:`solve_theta_closed`.  Otherwise the target is inverted on the
         atoms: in closed form for the two sign atoms, by Newton iteration over
-        at most n atoms for the advertisement measure.
+        at most n atoms for the advertisement measure.  The targets share one
+        :class:`~twistrank.twisting.AtomSolver`, and each gets the theta of a
+        fresh :func:`~twistrank.twisting.solve_theta_atoms`.
         """
         if self.is_sign and self.walk.beta2 == 0:
             return solve_theta_closed(self.stats, gamma)
-        return solve_theta_atoms(*self.atoms, gamma)
+        return self.solver.theta(gamma)
 
     def ranking(self, theta: float) -> CentralityRanking:
         """Start-node marginal of the tilted walk distribution, as a ranking.

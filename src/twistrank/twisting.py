@@ -58,13 +58,19 @@ class SignMin:
 
 
 def _step_signs(graph: AttributedGraph, nodes) -> np.ndarray:
-    """Edge signs of the steps of one walk, or of each walk of a block.
+    """Edge signs of the steps of one walk, or of each walk of a block."""
+    return graph.csr()[2][_step_entries(graph, nodes)]
+
+
+def _step_entries(graph: AttributedGraph, nodes) -> np.ndarray:
+    """CSR entry of each step of one walk, or of each walk of a block.
 
     Each step ``u -> w`` is found among the CSR entry codes ``row * n + col``,
-    which ascend because the rows do and so does each row.
+    which ascend because the rows do and so does each row.  A step that is
+    not an edge between graph nodes raises :class:`GraphError`.
     """
     n = graph.n
-    indptr, indices, signs = graph.csr()
+    indptr, indices, _ = graph.csr()
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     # The int64 maximum follows every code, so each step lands on an entry.
     codes = np.append(rows * n + indices, np.iinfo(np.int64).max)
@@ -76,7 +82,7 @@ def _step_signs(graph: AttributedGraph, nodes) -> np.ndarray:
     missing = (codes[at] != steps) | (np.minimum(u, w) < 0) | (np.maximum(u, w) >= n)
     if missing.any():
         raise GraphError(f"no edge between nodes {u[missing][0]} and {w[missing][0]}")
-    return signs[at]
+    return at
 
 
 def _per_walk(values: np.ndarray) -> float | np.ndarray:
@@ -100,10 +106,12 @@ class MinInnerProduct:
 
     def evaluate(self, graph: AttributedGraph, nodes) -> float | np.ndarray:
         self._check_dim(graph)
+        nodes = np.asarray(nodes)
+        _step_entries(graph, nodes)  # each step must be an edge, as for the sign measures
         # One dot product per node, not node_scores' matrix product, so that
         # the oracle shares no kernel with production.
         z = np.array([row @ self.scores for row in graph.node_attrs])
-        return _per_walk(z[np.asarray(nodes)].min(axis=-1))
+        return _per_walk(z[nodes].min(axis=-1))
 
     def node_scores(self, graph: AttributedGraph) -> np.ndarray:
         """Inner product of every node's attribute vector with the score vector."""
@@ -116,13 +124,23 @@ class MinInnerProduct:
         ``capped`` is min(z[middle], z[neighbour]): the measure of that edge,
         and the neighbour's score capped at the middle node's.  Rows stay in
         ``csr()`` order, so its ``indptr`` still delimits them, but within a
-        row the entries are sorted by ascending ``capped``.
+        row the entries are sorted by ascending ``capped``, ties in ``csr()``
+        order and NaN last.
+
+        The sort is one stable argsort of the int64 key ``middle * r +
+        min(rank[middle], rank[neighbour])``, where ``rank`` numbers the r
+        distinct scores in ascending order.  The rank of a min is the min of
+        the ranks, except that a NaN score passes through ``np.minimum``; its
+        entries take the top rank, which ``np.unique`` gives NaN.
         """
         z = self.node_scores(graph)
         indptr, neighbours, _ = graph.csr()
         middles = np.repeat(np.arange(graph.n), np.diff(indptr))
         capped = np.minimum(z[middles], z[neighbours])
-        order = np.lexsort((capped, middles))
+        levels, rank = np.unique(z, return_inverse=True)
+        key = np.minimum(rank[middles], rank[neighbours])
+        key[np.isnan(capped)] = levels.size - 1
+        order = np.argsort(middles * levels.size + key, kind="stable")
         return middles[order], neighbours[order], capped[order]
 
     def _check_dim(self, graph: AttributedGraph) -> None:
@@ -313,6 +331,40 @@ def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, capped_rows):
     return values, np.bincount(inverse, weights=masses, minlength=values.size)
 
 
+class AtomSolver:
+    """The positive-mass atoms of a :func:`measure_atoms` table, ready for any target.
+
+    The atoms are filtered and their masses logged once, and the tilted
+    ``(mean, variance)`` is kept at every theta a solve visits.  The targets
+    of a sweep then share the bracket points 0, +-1, +-2, ... rather than
+    recomputing them.  A memo entry is the value a fresh evaluation would
+    give, so each target's Newton path and theta are those of its own solve.
+    """
+
+    def __init__(self, values: np.ndarray, masses: np.ndarray):
+        keep = masses > 0
+        self.f, self.p = values[keep], masses[keep]
+        self.logp = np.log(self.p)
+        self.range = float(self.f.min()), float(self.f.max())
+        self.moments: dict[float, tuple[float, float]] = {}
+
+    def theta(self, gamma: float) -> float:
+        """Solve mean(theta) = gamma; see :func:`solve_theta_atoms`."""
+        gamma = float(gamma)
+        _check_target(*self.range, gamma)
+        if self.f.size == 2:
+            (lo, hi), (mass_lo, mass_hi) = self.f.tolist(), self.p.tolist()
+            return _two_atom_theta(lo, hi, mass_lo, mass_hi, gamma)
+        return _solve_scalar(self._grad_var, gamma)
+
+    def _grad_var(self, theta: float) -> tuple[float, float]:
+        # -0.0 and 0.0 share a key; both give logw = theta * f + logp bit for bit.
+        moments = self.moments.get(theta)
+        if moments is None:
+            moments = self.moments[theta] = _scalar_grad_var(self.f, self.logp, theta)
+        return moments
+
+
 def solve_theta_atoms(
     values: np.ndarray,
     masses: np.ndarray,
@@ -323,16 +375,10 @@ def solve_theta_atoms(
     Two atoms of positive mass have a closed-form solution; more run the
     same safeguarded Newton iteration as :func:`solve_theta_numeric`, at
     O(atoms) per step.  The target must lie strictly between the smallest
-    and largest atom of positive mass.
+    and largest atom of positive mass.  To solve many targets on one table,
+    keep one :class:`AtomSolver`.
     """
-    keep = masses > 0
-    f, p = values[keep], masses[keep]
-    gamma = float(gamma)
-    _check_target(float(f.min()), float(f.max()), gamma)
-    if f.size == 2:
-        (lo, hi), (mass_lo, mass_hi) = f.tolist(), p.tolist()
-        return _two_atom_theta(lo, hi, mass_lo, mass_hi, gamma)
-    return _solve_scalar(f, np.log(p), gamma)
+    return AtomSolver(values, masses).theta(gamma)
 
 
 def solve_theta_numeric(table: PathTable, gamma: float) -> float:
@@ -346,7 +392,7 @@ def solve_theta_numeric(table: PathTable, gamma: float) -> float:
     """
     gamma = float(gamma)
     _check_target(*achievable_range(table), gamma)
-    return _solve_scalar(table.f, table.logp0, gamma)
+    return _solve_scalar(lambda t: _scalar_grad_var(table.f, table.logp0, t), gamma)
 
 
 def _check_target(fmin: float, fmax: float, gamma: float) -> None:
@@ -370,16 +416,17 @@ def _scalar_grad_var(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[fl
     return grad, var
 
 
-def _solve_scalar(f: np.ndarray, logp0: np.ndarray, gamma: float) -> float:
-    """Root of mean(theta) = gamma over support values ``f`` with log masses ``logp0``."""
+def _solve_scalar(grad_var, gamma: float) -> float:
+    """Root of mean(theta) = gamma, where ``grad_var(theta)`` is the tilted
+    ``(mean, variance)`` of the measure."""
     def residual(t: float) -> tuple[float, float]:
-        grad, var = _scalar_grad_var(f, logp0, t)
+        grad, var = grad_var(t)
         return grad - gamma, var
 
     theta = 0.0
     r, var = residual(theta)
     if abs(r) <= NEWTON_TOL:
-        return _polish_scalar(f, logp0, gamma, theta, r, var)
+        return _polish_scalar(grad_var, gamma, theta, r, var)
 
     # Bracket the root: the gradient is nondecreasing in theta.
     lo, hi = -1.0, 1.0
@@ -408,7 +455,7 @@ def _solve_scalar(f: np.ndarray, logp0: np.ndarray, gamma: float) -> float:
         theta = candidate
         r, var = residual(theta)
         if abs(r) <= NEWTON_TOL:
-            return _polish_scalar(f, logp0, gamma, theta, r, var)
+            return _polish_scalar(grad_var, gamma, theta, r, var)
         if r > 0.0:
             hi = theta
         else:
@@ -416,16 +463,16 @@ def _solve_scalar(f: np.ndarray, logp0: np.ndarray, gamma: float) -> float:
         if hi - lo <= 1e-16 * max(1.0, abs(theta)):
             break
     if abs(r) <= NEWTON_TOL:
-        return _polish_scalar(f, logp0, gamma, theta, r, var)
+        return _polish_scalar(grad_var, gamma, theta, r, var)
     raise ConvergenceError("temperature solve did not converge", abs(r))
 
 
-def _polish_scalar(f, logp0, gamma, theta, r, var) -> float:
+def _polish_scalar(grad_var, gamma, theta, r, var) -> float:
     # One extra Newton step tightens the residual to machine precision,
     # which keeps theta accurate even where the gradient saturates.
     if var > 0.0 and r != 0.0:
         candidate = theta - r / var
-        grad2, _ = _scalar_grad_var(f, logp0, candidate)
+        grad2, _ = grad_var(candidate)
         if abs(grad2 - gamma) < abs(r):
             return candidate
     return theta

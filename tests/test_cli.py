@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import twistrank as tr
-from twistrank import io as tio
+from twistrank import io as tio, twisting
 from twistrank.cli import main
 
 from conftest import edge_list
@@ -484,18 +484,29 @@ class TestSweepCommand:
         attrs = tmp_path / "attrs.txt"
         z = tmp_path / "z.txt"
         write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 1\n3 4 -1\n")
-        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.2 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
+        # Scores 0.95, 0.8, 0.65, 1.0, 0.35: three atoms, so each target runs Newton.
+        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.5 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
         write(z, "1.0 0.5\n")
         calls = Counter()
         capped_rows = tr.MinInnerProduct.capped_rows
         monkeypatch.setattr(tr.MinInnerProduct, "capped_rows",
                             _counted(calls, "capped_rows", capped_rows))
+        # The three targets share the Newton start at 0 and the bracket points.
+        thetas = []
+        grad_var = twisting._scalar_grad_var
+
+        def recorded(f, logp0, theta):
+            thetas.append(theta)
+            return grad_var(f, logp0, theta)
+
+        monkeypatch.setattr(twisting, "_scalar_grad_var", recorded)
         assert main([
             "sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
             "--measure", "ad", "--gammas=0.4,0.5,0.6", "--beta1", "0.7", "--beta2", "0.3",
             "--k", "2", "--out", str(tmp_path / "sweep"),
         ]) == 0
         assert calls == {"capped_rows": 1}
+        assert 0.0 in thetas and len(set(thetas)) == len(thetas)
 
     def test_ad_sweep_reads_and_loads_through_the_traced_names(self, tmp_path, monkeypatch,
                                                               capsys):

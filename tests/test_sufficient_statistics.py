@@ -132,6 +132,68 @@ class TestSolveFromAtoms:
             assert tr.solve_theta_closed(s, gamma) == expected
 
 
+def _outcome(solve, gamma):
+    """A solve's theta as its exact bits, or its error."""
+    try:
+        return solve(gamma).hex()
+    except (tr.TwistrankError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _target_lists(rng, lo, hi):
+    """Targets across (lo, hi), two rejected ones, and the list repeated and reversed."""
+    gammas = (lo + rng.uniform(0.001, 0.999, 6) * (hi - lo)).tolist()
+    gammas += [lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), hi, lo - 1.0]
+    gammas = [gammas[i] for i in rng.permutation(len(gammas))]
+    return gammas, gammas[::-1], gammas + gammas
+
+
+class TestSharedSolver:
+    """The targets of one model share its atoms and the moments its solves
+    visit, yet each gets the theta of its own fresh solve, bit for bit."""
+
+    def test_random_atom_tables(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            size = int(rng.integers(3, 30))
+            spread = float(rng.choice([1.0, 10.0, 300.0]))
+            values = np.unique(rng.uniform(-spread, spread, size))
+            masses = rng.dirichlet(np.ones(values.size)) * rng.choice([1.0, 1e-12], values.size)
+            masses[rng.random(values.size) < 0.2] = 0.0
+            keep = masses > 0
+            if keep.sum() < 3:
+                continue
+            # The oracle path solves without a memo.
+            table = tr.PathTable(paths=(), f=values[keep], logp0=np.log(masses[keep]))
+            lo, hi = tr.achievable_range(table)
+            for gammas in _target_lists(rng, lo, hi):
+                solver = twisting.AtomSolver(values, masses)
+                shared = [_outcome(solver.theta, g) for g in gammas]
+                fresh = [_outcome(lambda g: twisting.solve_theta_atoms(values, masses, g), g)
+                         for g in gammas]
+                oracle = [_outcome(lambda g: tr.solve_theta_numeric(table, g), g) for g in gammas]
+                assert shared == fresh == oracle
+                assert sum(isinstance(o, str) for o in shared) >= 6
+
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)])
+    def test_one_model_per_sweep(self, beta, corpus100):
+        rng = np.random.default_rng(12)
+        walk = tr.WalkConfig(*beta)
+        for g, z in corpus100[:25]:
+            measure = tr.MinInnerProduct(z)
+            values, masses = tr.measure_atoms(tr.TiltModel(g, measure, walk))
+            live = values[masses > 0]
+            for gammas in _target_lists(rng, float(live.min()), float(live.max())):
+                model = tr.TiltModel(g, measure, walk)
+                shared = [_outcome(model.theta, gamma) for gamma in gammas]
+                fresh = [
+                    _outcome(lambda gamma: twisting.solve_theta_atoms(
+                        *tr.measure_atoms(tr.TiltModel(g, measure, walk)), gamma), gamma)
+                    for gamma in gammas
+                ]
+                assert shared == fresh
+
+
 class TestStartMarginal:
     def test_matches_bivariate_marginal(self, corpus100):
         worst = 0.0

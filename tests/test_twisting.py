@@ -57,12 +57,16 @@ class TestMeasures:
                 one = measure.evaluate(g, paths[-1])
                 assert type(one) is float and one == want[-1]
 
-    @pytest.mark.parametrize("measure", [tr.SignProduct(), tr.SignMin()], ids=["prod", "min"])
+    @pytest.mark.parametrize("measure", [tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct([1.0, 0.5])],
+                             ids=["prod", "min", "ad"])
     @pytest.mark.parametrize("bad", [(0, 2), (2, -1), (0, 3 + 2)],
                              ids=["non-edge", "negative-id", "aliasing-id"])
-    def test_a_step_must_be_an_edge_between_graph_nodes(self, measure, bad, path3):
+    def test_a_step_must_be_an_edge_between_graph_nodes(self, measure, bad):
         # Path 0 - 1 - 2 has no edge 0-2.  Read as entry codes u * 3 + w, the
         # steps 2 -> -1 and 0 -> 5 would both hit the code of the edge 1-2.
+        # Node scores alone would read node 2 for node -1, and raise
+        # IndexError for node 5.
+        path3 = tr.load_graph([(0, 1, 1), (1, 2, -1)], [(u, [0.2, 0.1 * u]) for u in range(3)])
         message = f"^no edge between nodes {bad[0]} and {bad[1]}$"
         with pytest.raises(GraphError, match=message):
             measure.evaluate(path3, np.array([(1, 2), bad]))
@@ -87,6 +91,89 @@ def _per_walk_measure(g, measure, nodes):
     for step in steps:
         value *= step
     return float(value)
+
+
+class _GivenScores(tr.MinInnerProduct):
+    """The advertisement measure with its node scores given outright."""
+
+    def __init__(self, z):
+        super().__init__([1.0])
+        self.z = np.asarray(z, dtype=float)
+
+    def node_scores(self, graph):
+        return self.z
+
+
+def _lexsorted_capped_rows(measure, g):
+    """Capped rows as they were sorted before the integer key: one float lexsort."""
+    z = measure.node_scores(g)
+    indptr, neighbours, _ = g.csr()
+    middles = np.repeat(np.arange(g.n), np.diff(indptr))
+    capped = np.minimum(z[middles], z[neighbours])
+    order = np.lexsort((capped, middles))
+    return middles[order], neighbours[order], capped[order]
+
+
+def _graph_with_isolated_nodes(rng, n, edge_prob, isolated):
+    """A dense random graph on 0..n-1 plus ``isolated`` attribute-only nodes."""
+    u, w = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < edge_prob
+    edges = np.column_stack([u[keep], w[keep], np.where(rng.random(keep.sum()) < 0.2, -1, 1)])
+    ids = np.arange(n + isolated)
+    return tr.load_graph(edges, (ids, np.zeros((ids.size, 1))))
+
+
+class TestCappedRows:
+    # Rows of 20 and more entries with few distinct scores: an unstable sort
+    # reorders the ties, and a key on the neighbour's rank alone misplaces
+    # every neighbour scored above its middle node.
+    SPECIALS = (-0.0, 0.0, np.inf, -np.inf, np.nan)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_float_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        g = _graph_with_isolated_nodes(rng, int(rng.integers(30, 70)), 0.5, int(rng.integers(0, 4)))
+        pool = rng.normal(size=int(rng.integers(1, 6)))
+        if seed % 2:
+            pool = np.concatenate([pool, self.SPECIALS])
+        z = rng.choice(pool, size=g.n)
+        if seed % 2:
+            z[:len(self.SPECIALS)] = self.SPECIALS
+        measure = _GivenScores(z)
+        got = measure.capped_rows(g)
+        want = _lexsorted_capped_rows(measure, g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=True)
+        # Signed zeros compare equal, so check the capped bits as well.
+        assert np.array_equal(np.signbit(got[2]), np.signbit(want[2]))
+
+    def test_overflowing_attributes(self):
+        # Finite attributes whose products with the score vector overflow:
+        # rows of one sign give +-inf, and rows of both signs give inf - inf
+        # = nan, or +-inf, depending on how the matrix product sums them.
+        rng = np.random.default_rng(3)
+        n = 40
+        u, w = np.triu_indices(n, 1)
+        keep = rng.random(u.size) < 0.6
+        big = 1e308
+        rows = np.array([[big] * 4, [-big] * 4, [big, big, -big, -big], [big, -big, big, -big],
+                         [0.5, 0.25, 0.0, 0.0], [0.0] * 4])
+        attrs = rows[rng.integers(0, len(rows), n + 2)]
+        g = tr.load_graph(np.column_stack([u[keep], w[keep]]), (np.arange(n + 2), attrs))
+        measure = tr.MinInnerProduct([2.0] * 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = measure.node_scores(g)
+            got = measure.capped_rows(g)
+            want = _lexsorted_capped_rows(measure, g)
+        assert np.isposinf(z).any() and np.isneginf(z).any()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_edgeless_and_empty_rows(self):
+        g = tr.load_graph([], [(u, [1.0]) for u in range(3)])
+        middles, neighbours, capped = _GivenScores([np.nan, 1.0, 1.0]).capped_rows(g)
+        assert middles.size == neighbours.size == capped.size == 0
 
 
 class TestTwist:
