@@ -275,6 +275,16 @@ class TiltModel:
 
     @cached_property
     def capped_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The measure's capped rows; a node score that is not finite is a
+        :class:`GraphError` naming the first such node by its original id."""
+        z = self.measure.node_scores(self.graph)
+        bad = np.flatnonzero(~np.isfinite(z))
+        if bad.size:
+            u = bad[0]
+            raise GraphError(
+                f"the score of node {self.graph.original_ids[u]} is {z[u]}: the inner "
+                "product of its attributes with the score vector is not finite"
+            )
         return self.measure.capped_rows(self.graph)
 
     @cached_property

@@ -2,6 +2,16 @@
 
 All text is UTF-8 with LF line endings; ``#`` starts a comment.  Scores are
 printed with 12 significant digits.
+
+The bulk writers (edge lists, attribute tables, both ranking files) render
+their rows with one block renderer, :func:`_write_rows`.  Each column is a
+NUL-padded ``(n, width)`` uint8 block of ASCII texts: vectorised base-10
+digits for nonnegative integers, or rows gathered by index from a table of
+distinct texts (scores, attribute values, signs, ids beyond int64).  A
+fixed number of rows at a time, the columns and the row template's literal
+pieces are laid side by side, and the block's non-NUL bytes are written in
+order.  Invariant: no text or literal holds a NUL byte, so dropping the
+padding leaves exactly the per-line text.
 """
 
 from __future__ import annotations
@@ -189,10 +199,11 @@ def format_score(x: float) -> str:
 def write_edge_list(path, graph: AttributedGraph) -> None:
     """``u w sign`` per edge with ``u < w``, in ascending order, in original ids."""
     u, w, signs = graph._upper_entries()
-    # Each id is formatted once; the original ids ascend, so mapping keeps
+    # Each id's text is made once; the original ids ascend, so mapping keeps
     # u < w and the order.
-    names = np.array([str(v) for v in graph.original_ids.tolist()], dtype=object)
-    _write_text(path, _fill("%s %s %s\n", names[u].tolist(), names[w].tolist(), signs.tolist()))
+    names = _int_texts(graph.original_ids)
+    row = [_Column(names, u), " ", _Column(names, w), " ", _int8_column(signs), "\n"]
+    _write_rows(path, row, u.size)
 
 
 def write_attributes(path, graph: AttributedGraph) -> None:
@@ -201,21 +212,31 @@ def write_attributes(path, graph: AttributedGraph) -> None:
     if graph.attr_dim == 0:
         _write_text(path, "")
         return
-    # "%.12g" % x is the text of f"{x:.12g}", so the rows fill one template.
-    row = "%s" + " %.12g" * graph.attr_dim + "\n"
-    _write_text(path, _fill(row, graph.original_ids.tolist(), *graph.node_attrs.T.tolist()))
+    # One table of " v" texts for all p columns; each row gathers its p texts
+    # side by side.
+    _, texts, index = _distinct_texts(graph.node_attrs, lambda x: " " + format_score(x))
+    row = [_Column(_int_texts(graph.original_ids)), _Column(texts, index), "\n"]
+    _write_rows(path, row, graph.n)
 
 
 class RankingRows(NamedTuple):
-    """A ranking in rank order, as its writers print it."""
+    """A ranking in rank order, as its writers print it.
 
-    node_ids: list
+    ``ranks`` and ``node_ids`` are text blocks (see :func:`_write_rows`), one
+    row per rank.  The score of rank ``i + 1`` is ``scores[index[i]]``:
+    ``scores`` holds each distinct bit pattern once, and row ``j`` of the
+    text block ``texts`` is the :func:`format_score` text of ``scores[j]``.
+    """
+
+    ranks: np.ndarray
+    node_ids: np.ndarray
     scores: np.ndarray
-    texts: list[str]
+    texts: np.ndarray
+    index: np.ndarray
 
 
 def ranking_rows(ranking: CentralityRanking, original_ids=None) -> RankingRows:
-    """Node ids and scores in rank order, and their texts for both
+    """Ranks, node ids and scores in rank order, shared by
     :func:`write_ranking_csv` and :func:`write_ranking_json`.
 
     ``original_ids`` is an array of node ids, such as a graph's
@@ -227,16 +248,15 @@ def ranking_rows(ranking: CentralityRanking, original_ids=None) -> RankingRows:
     """
     order = ranking.order
     node_ids = order if original_ids is None else original_ids[order]
-    scores = ranking.scores[order].astype(np.float64, copy=False)
-    bits, inverse = np.unique(scores.view(np.int64), return_inverse=True)
-    texts = np.array([format_score(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return RankingRows(node_ids.tolist(), scores, texts[inverse].tolist())
+    scores, texts, index = _distinct_texts(ranking.scores[order], format_score)
+    ranks = _int_texts(np.arange(1, order.size + 1, dtype=np.int64))
+    return RankingRows(ranks, _int_texts(node_ids), scores, texts, index)
 
 
 def write_ranking_csv(path, rows: RankingRows) -> None:
-    ranks = range(1, len(rows.texts) + 1)
-    body = _fill("%s,%s,%s\n", ranks, rows.node_ids, rows.texts)
-    _write_text(path, "rank,node_id,score\n" + body)
+    score = _Column(rows.texts, rows.index)
+    row = [_Column(rows.ranks), ",", _Column(rows.node_ids), ",", score, "\n"]
+    _write_rows(path, row, rows.index.size, head="rank,node_id,score\n")
 
 
 def write_ranking_json(path, rows: RankingRows) -> None:
@@ -246,36 +266,141 @@ def write_ranking_json(path, rows: RankingRows) -> None:
     A score is the JSON number of its 12-digit text, or ``null`` if it is not
     finite.
     """
-    if not rows.texts:
+    if not rows.index.size:
         _write_text(path, '{\n  "ranking": []\n}\n')
         return
-    row = '    {\n      "node_id": %s,\n      "rank": %s,\n      "score": %s\n    },\n'
-    ranks = range(1, len(rows.texts) + 1)
-    body = _fill(row, rows.node_ids, ranks, _json_numbers(rows.scores, rows.texts))
-    _write_text(path, '{\n  "ranking": [\n' + body[:-2] + "\n  ]\n}\n")
+    score = _Column(_json_numbers(rows.scores, rows.texts), rows.index)
+    row = ['    {\n      "node_id": ', _Column(rows.node_ids), ',\n      "rank": ',
+           _Column(rows.ranks), ',\n      "score": ', score, "\n    },\n"]
+    # The last row drops its ",\n".
+    _write_rows(path, row, rows.index.size, head='{\n  "ranking": [\n', trim=2,
+                tail="\n  ]\n}\n")
 
 
-def _fill(row: str, *columns) -> str:
-    """``row`` once per entry of the equally long columns, filled in one ``%``."""
-    width, count = len(columns), len(columns[0])
-    cells = [None] * (width * count)
-    for i, column in enumerate(columns):
-        cells[i::width] = column
-    return (row * count) % tuple(cells)
+# -- the block renderer (see the module docstring) --------------------------------
+
+# Rows per rendered block; it bounds a writer's memory, whatever the row count.
+_BLOCK_ROWS = 1 << 14
 
 
-def _json_numbers(values: np.ndarray, texts: list[str]) -> list[str]:
-    """What ``json.dumps`` writes for ``float(text)``, for the 12-digit texts
-    of ``values``; ``null`` where a value is not finite.
+class _Column(NamedTuple):
+    """Row ``i`` is ``texts[index[i]]``, or ``texts[i]`` without an index.
+
+    A 2-D ``(n, p)`` index puts ``p`` texts side by side in each row.
+    """
+
+    texts: np.ndarray
+    index: np.ndarray | None = None
+
+
+def _write_rows(path, row: list, count: int, head: str = "", tail: str = "",
+                trim: int = 0) -> None:
+    """Write ``head``, ``count`` rows of the template ``row``, then ``tail``.
+
+    ``row`` lists the row's pieces in order: ``str`` literals and
+    :class:`_Column` s with at least ``count`` rows.  The literals are placed
+    in a block once, the columns' texts each block of rows; the last
+    ``trim`` bytes of the rows are left out.
+    """
+    pieces, offset = [], 0
+    for piece in row:
+        if isinstance(piece, str):
+            piece = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+            width = piece.size
+        else:
+            # Each text as one opaque item, so that a gather moves whole texts.
+            texts = np.ascontiguousarray(piece.texts)
+            items = texts.view(f"V{texts.shape[1]}")[:, 0]
+            per_row = 1 if piece.index is None or piece.index.ndim == 1 else piece.index.shape[1]
+            piece = (items, piece.index)
+            width = items.itemsize * per_row
+        pieces.append((piece, slice(offset, offset + width)))
+        offset += width
+    block = np.empty((min(count, _BLOCK_ROWS), offset), dtype=np.uint8)
+    columns = []
+    for piece, cols in pieces:
+        if isinstance(piece, np.ndarray):
+            block[:, cols] = piece
+        else:
+            items, index = piece
+            columns.append((items, index, block[:, cols].view(items.dtype)))
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii"))
+        for start in range(0, count, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, count)
+            size = stop - start
+            for items, index, slot in columns:
+                texts = items[start:stop] if index is None else items[index[start:stop]]
+                slot[:size] = texts.reshape(size, -1)
+            flat = block[:size].ravel()
+            text = flat[flat != 0]
+            fh.write(text[: text.size - trim] if stop == count else text)
+        fh.write(tail.encode("ascii"))
+
+
+def _text_block(texts: list[str]) -> np.ndarray:
+    """ASCII ``texts`` as the rows of a NUL-padded ``(k, width)`` uint8 block."""
+    block = np.array(texts, dtype=bytes)
+    return block.view(np.uint8).reshape(len(texts), block.dtype.itemsize)
+
+
+def _int_texts(values: np.ndarray) -> np.ndarray:
+    """The base-10 texts of an int array as a text block.
+
+    Nonnegative integer values get their digits in vectorised passes, one per
+    decimal place, right-aligned behind NULs.  Anything else (a negative id,
+    or Python ints beyond int64 in an object array) is printed by ``str``.
+    """
+    if values.dtype.kind not in "iu" or (values.size and values.min() < 0):
+        return _text_block([str(v) for v in values.tolist()])
+    top = int(values.max()) if values.size else 0
+    width = len(str(top))
+    rest = values.astype(np.uint32 if top < 2**32 else np.uint64)
+    block = np.empty((values.size, width), dtype=np.uint8)
+    for j in range(width - 1, -1, -1):
+        quotient = rest // 10
+        digit = (rest - quotient * 10).astype(np.uint8)
+        digit += ord("0")
+        if j < width - 1:  # a NUL before the leading digit
+            digit *= rest > 0
+        block[:, j] = digit
+        rest = quotient
+    return block
+
+
+def _int8_column(values: np.ndarray) -> _Column:
+    """The texts of int8 values, gathered by their bytes from a table of all 256."""
+    table = _text_block([str(b - 256 if b > 127 else b) for b in range(256)])
+    return _Column(table, values.astype(np.int8, copy=False).view(np.uint8))
+
+
+def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct float64 bit pattern in ``values``, a text block of their
+    ``fmt`` texts, and, in ``values``' shape, the index of each value's text."""
+    bits, index = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    distinct = bits.view(np.float64)
+    return distinct, _text_block(list(map(fmt, distinct.tolist()))), index.reshape(values.shape)
+
+
+def _json_numbers(values: np.ndarray, texts: np.ndarray) -> np.ndarray:
+    """What ``json.dumps`` writes for ``float(text)``, for the text block of
+    the 12-digit texts of ``values``; ``null`` where a value is not finite.
 
     Where 1e-300 <= |value| < 0.5 the text already is that number: it has a
     point or an exponent, and ``repr`` finds no shorter digits because a
     normal double carries more than 12 digits.  Only the rest are converted.
     """
-    out = list(texts)
     size = np.abs(values)
-    for i in np.flatnonzero(~((size >= 1e-300) & (size < 0.5))).tolist():
-        out[i] = json.dumps(finite_or_none(float(texts[i])))
+    redo = np.flatnonzero(~((size >= 1e-300) & (size < 0.5)))
+    if not redo.size:
+        return texts
+    numbers = _text_block([json.dumps(finite_or_none(float(texts[i].tobytes().rstrip(b"\0"))))
+                           for i in redo.tolist()])
+    out = np.zeros((len(texts), max(texts.shape[1], numbers.shape[1])), dtype=np.uint8)
+    out[:, : texts.shape[1]] = texts
+    out[redo] = 0
+    out[redo, : numbers.shape[1]] = numbers
     return out
 
 

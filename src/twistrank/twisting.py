@@ -114,9 +114,15 @@ class MinInnerProduct:
         return _per_walk(z[nodes].min(axis=-1))
 
     def node_scores(self, graph: AttributedGraph) -> np.ndarray:
-        """Inner product of every node's attribute vector with the score vector."""
+        """Inner product of every node's attribute vector with the score vector.
+
+        Finite attributes can still overflow it: such a score is +-inf or NaN,
+        without a warning.  :attr:`~twistrank.centrality.TiltModel.capped_rows`
+        rejects them.
+        """
         self._check_dim(graph)
-        return graph.node_attrs @ self.scores
+        with np.errstate(over="ignore", invalid="ignore"):
+            return graph.node_attrs @ self.scores
 
     def capped_rows(self, graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The entries of ``graph.csr()`` as ``(middle, neighbour, capped)`` arrays.

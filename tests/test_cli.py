@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -278,6 +279,35 @@ class TestRankCommand:
         ])
         assert code == 2
         assert bad_file in capsys.readouterr().err
+        assert not (tmp_path / "rank" / "ranking.csv").exists()
+
+    @pytest.mark.parametrize("target", [("--theta", "1.5"), ("--gamma", "0.6")],
+                             ids=["theta", "gamma"])
+    @pytest.mark.parametrize("big, score", [("1e308 1e308", "inf"), ("-1e308 -1e308", "-inf")],
+                             ids=["positive", "negative"])
+    def test_ad_scores_that_overflow_are_a_data_error(self, tmp_path, capsys, target, big,
+                                                      score):
+        """Finite attributes whose inner product with the ad vector is not
+        finite: exit 2 with one line naming the first such node, no warning."""
+        edges = tmp_path / "edges.txt"
+        attrs = tmp_path / "attrs.txt"
+        z = tmp_path / "z.txt"
+        write(edges, "10 11\n11 12\n12 13\n13 10\n")
+        write(attrs, f"10 0.5 0.5\n11 1 1\n13 {big}\n12 {big}\n")
+        write(z, "2 2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "rank", "--edges", str(edges), "--attrs", str(attrs), "--measure", "ad",
+                "--ad-vector", str(z), *target, "--out", str(tmp_path / "rank"),
+            ])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: the score of node 12 is {score}: the inner product of its attributes "
+            "with the score vector is not finite"
+        ]
         assert not (tmp_path / "rank" / "ranking.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--beta1", "--beta2"])

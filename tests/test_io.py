@@ -635,8 +635,7 @@ def test_original_ids_are_one_read_only_array_from_ingest_to_emit(tmp_path, ids)
         assert g.original_ids.tolist() == ids
         assert all(type(v) is int for v in g.original_ids.tolist())
         rows = tio.ranking_rows(ranking, g.original_ids)
-        assert rows.node_ids == [c, a, d, b]
-        assert all(type(v) is int for v in rows.node_ids)
+        assert _block_texts(rows.node_ids) == [str(c), str(a), str(d), str(b)]
         tio.write_ranking_csv(out / "ranking.csv", rows)
         tio.write_edge_list(out / "edges.txt", g)
         tio.write_attributes(out / "attrs.txt", g)
@@ -757,6 +756,11 @@ def test_any_payload_dumps_as_the_generic_encoder(payload):
 # -- ranking writers -----------------------------------------------------------
 
 
+def _block_texts(block):
+    """The texts of a writer's text block, one per row, without the NUL padding."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in block]
+
+
 def _reference_json(ranking, original_ids):
     """``ranking.json`` as the generic encoder writes it."""
     ids = list(original_ids) if original_ids is not None else range(ranking.scores.size)
@@ -809,10 +813,14 @@ def test_ranking_texts_are_those_of_format_score():
     orders = (np.arange(scores.size), np.random.default_rng(5).permutation(scores.size))
     for order in orders:
         rows = tio.ranking_rows(CentralityRanking(scores=scores, order=order), _id_array(ids))
-        assert rows.texts == [tio.format_score(x) for x in scores[order].tolist()]
-        assert rows.node_ids == [ids[u] for u in order.tolist()]
-        assert rows.scores.tobytes() == scores[order].tobytes()
-    assert {"0", "-0", "nan", "inf", "-inf", "4.94065645841e-324", "1e+300"} <= set(rows.texts)
+        texts = _block_texts(rows.texts)
+        want = [tio.format_score(x) for x in scores[order].tolist()]
+        assert [texts[i] for i in rows.index] == want
+        assert len(set(rows.scores.view(np.int64).tolist())) == len(texts)
+        assert _block_texts(rows.node_ids) == [str(ids[u]) for u in order.tolist()]
+        assert _block_texts(rows.ranks) == [str(r) for r in range(1, scores.size + 1)]
+        assert rows.scores[rows.index].tobytes() == scores[order].tobytes()
+    assert {"0", "-0", "nan", "inf", "-inf", "4.94065645841e-324", "1e+300"} <= set(texts)
 
 
 SCORES = st.one_of(
@@ -888,3 +896,79 @@ def test_non_finite_scores_are_null_in_ranking_json(tmp_path):
     assert (tmp_path / "ranking.csv").read_text().splitlines()[1:] == [
         "1,0,0.5", "2,1,nan", "3,2,inf", "4,3,-inf"
     ]
+
+
+# -- block renderer ----------------------------------------------------------------
+
+RENDER_IDS = {
+    # 0, the uint32 edge, the largest int64 and one id of each length from 1
+    # to 19 digits, in no order, so that the first few rows mix lengths.
+    "int64": [0, 2**32, 7, 2**32 - 1, 10**18, 2**63 - 1, 10**9, 42, 10**12]
+             + [10**k for k in range(19) if k not in (9, 12, 18)],
+    "beyond-int64": [0, 2**32, 7, 2**63, 10**25, 2**63 - 1, 2**64 + 1, 10**19, 10**20 + 3],
+}
+RENDER_SCORES = [-0.0, 1e-320, 1e300, math.nan, math.inf, -math.inf, 0.0, 0.25, 5.0, -1e-5]
+RENDER_VALUES = [-0.0, 1e-320, 1e300, -1e300, 5e-324, 0.1, 1 / 3, 7.0]
+
+
+def _rendered(path):
+    data = path.read_bytes()
+    assert data.isascii() and b"\0" not in data
+    return data.decode()
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])
+@pytest.mark.parametrize("ids", RENDER_IDS.values(), ids=RENDER_IDS.keys())
+def test_block_renderer_matches_per_line_f_strings(tmp_path, monkeypatch, ids, count):
+    """Each writer against its per-line f-string, with 4-row blocks: no rows,
+    one row, and counts below, at, just above and past the block size."""
+    monkeypatch.setattr(tio, "_BLOCK_ROWS", 4)
+    pairs = [(u, w) for i, u in enumerate(ids) for w in ids[i + 1:]]
+    edges = [(u, w, (-1) ** j) for j, (u, w) in enumerate(pairs[::3][:count])]
+    attrs = [(u, [RENDER_VALUES[j % 8], RENDER_VALUES[(3 * j + 1) % 8]])
+             for j, u in enumerate(ids[:count])]
+    for name, g in (("edges", tr.load_graph(edges)), ("attrs", tr.load_graph([], attrs))):
+        tio.write_edge_list(tmp_path / f"{name}-edges.txt", g)
+        tio.write_attributes(tmp_path / f"{name}-attrs.txt", g)
+    assert _rendered(tmp_path / "edges-edges.txt") == "".join(
+        f"{u} {w} {s}\n" for u, w, s in sorted((min(e[:2]), max(e[:2]), e[2]) for e in edges))
+    assert _rendered(tmp_path / "attrs-attrs.txt") == "".join(
+        f"{u} {a:.12g} {b:.12g}\n" for u, (a, b) in sorted(attrs))
+    assert _rendered(tmp_path / "edges-attrs.txt") == ""
+    assert _rendered(tmp_path / "attrs-edges.txt") == ""
+
+    scores = np.array([RENDER_SCORES[j % 10] for j in range(count)])
+    order = np.random.default_rng(count).permutation(count)
+    rows = tio.ranking_rows(CentralityRanking(scores=scores, order=order),
+                            _id_array(ids[:count]))
+    tio.write_ranking_csv(tmp_path / "ranking.csv", rows)
+    tio.write_ranking_json(tmp_path / "ranking.json", rows)
+    ranked = [(r, ids[u], scores[u]) for r, u in enumerate(order.tolist(), start=1)]
+    assert _rendered(tmp_path / "ranking.csv") == "rank,node_id,score\n" + "".join(
+        f"{r},{u},{x:.12g}\n" for r, u, x in ranked)
+    numbers = ["null" if not math.isfinite(x) else json.dumps(float(f"{x:.12g}"))
+               for _, _, x in ranked]
+    items = [f'    {{\n      "node_id": {u},\n      "rank": {r},\n      "score": {number}\n    }}'
+             for (r, u, _), number in zip(ranked, numbers)]
+    assert _rendered(tmp_path / "ranking.json") == (
+        '{\n  "ranking": [\n' + ",\n".join(items) + "\n  ]\n}\n" if items
+        else '{\n  "ranking": []\n}\n')
+
+
+def test_writing_a_ranking_peaks_below_the_size_of_its_file(tmp_path):
+    """The JSON writer renders a block of rows at a time: its peak traced
+    memory stays below the bytes it writes."""
+    import tracemalloc
+
+    n = 200_000
+    scores = np.random.default_rng(9).random(n)
+    rows = tio.ranking_rows(CentralityRanking.from_scores(scores / scores.sum()),
+                            np.arange(n, dtype=np.int64) * 7 + 10**9)
+    tracemalloc.start()
+    try:
+        tio.write_ranking_json(tmp_path / "ranking.json", rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "ranking.json").stat().st_size
+    assert peak < size, (peak, size)
