@@ -180,15 +180,17 @@ def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool
     if walk.beta2 > 0:
         ep, en = _step_weights(theta)
         kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
-        _, starts, signs = g.csr()
-        # The second step's weight after a negative first edge u-v.
-        after_neg = k * en if is_min else kn * ep + kp * en
-        # Entry j of row v is a first step u-v; per-node values are repeated
-        # along the rows.
-        inner = np.where(signs > 0, np.repeat(out, k), np.repeat(after_neg, k))
-        scores = scores + walk.beta2 * np.bincount(
-            starts, weights=inner / np.repeat(k, k), minlength=g.n
-        )
+        # The second step's weight after a positive or a negative first edge
+        # u-v, over k_v; an isolated node is no middle node.
+        after_pos, after_neg = np.divide([out, k * en if is_min else kn * ep + kp * en], k,
+                                         out=np.zeros((2, g.n)), where=k > 0)
+        lo, hi, signs = g.pairs()
+        two_step = np.zeros(g.n)
+        # Each start u adds its middles v in ascending order, the v < u (pairs
+        # with hi == u) first: the order of a bincount over the CSR entries.
+        for middle, start in ((lo, hi), (hi, lo)):
+            np.add.at(two_step, start, np.where(signs > 0, after_pos[middle], after_neg[middle]))
+        scores = scores + walk.beta2 * two_step
     return scores
 
 

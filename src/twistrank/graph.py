@@ -2,10 +2,12 @@
 
 Graphs are undirected, carry one sign (+1 or -1) per edge, and optionally a
 real-valued attribute vector per node.  An :class:`AttributedGraph` is
-immutable after construction.  Its edges are stored once, as read-only CSR
-arrays (row pointers, neighbour ids, signs); every numeric kernel and every
-edge lookup in the package reads them, so they can be shared freely between
-workers.
+immutable after construction.  Its edges are stored once, as read-only
+arrays of its sorted pairs (low end, high end, sign), from which the degree
+counts, the sign kernels and the writers work.  The CSR arrays (row
+pointers, neighbour ids, signs) are placed on first use by the kernels that
+walk rows, and kept.  Both can be shared freely between workers: threads
+that race on the first :meth:`AttributedGraph.csr` call place equal arrays.
 
 The preprocessing pipeline turns raw (possibly directed, duplicated, or
 self-looped) edge records into a validated graph: it symmetrizes the input,
@@ -32,13 +34,14 @@ class AttributedGraph:
     Node ids are compacted to ``0..n-1``; the original external ids are kept,
     in ascending order, in the read-only array :attr:`original_ids`: int64,
     or Python ints in an object array once an id is beyond int64.  The edges
-    live only in the CSR arrays of :meth:`csr`.  Build instances through
+    are the sorted pairs of :meth:`pairs`; :meth:`csr` places the neighbour
+    lists from them on its first call.  Build instances through
     :func:`load_graph` or :func:`preprocess`, which validate the invariants
     (no self-loops, one sign per unordered pair, signs exactly +1 or -1, a
     single attribute dimension shared by all nodes).
     """
 
-    __slots__ = ("n", "original_ids", "node_attrs", "_csr")
+    __slots__ = ("n", "original_ids", "node_attrs", "_pairs", "_csr")
 
     def __init__(
         self,
@@ -55,77 +58,49 @@ class AttributedGraph:
         self.n = n = self.original_ids.size
         self.node_attrs = node_attrs
 
+        # New arrays, so that the graph shares no memory with the caller's.
         node = _index_dtype(n)
-        if not (lo < hi).all():
-            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        lo, hi = lo.astype(node, copy=False), hi.astype(node, copy=False)
-        codes = _pair_codes(lo, hi, n)
-        if not _ascending(codes):
-            order = np.argsort(codes)
+        lo, hi = np.minimum(lo, hi, dtype=node), np.maximum(lo, hi, dtype=node)
+        signs = np.array(signs, dtype=np.int8)
+        if not _ascending(lo, hi):
+            order = np.argsort(_pair_codes(lo, hi, n))
             lo, hi, signs = lo[order], hi[order], signs[order]
-            del order
-        del codes
-        # Row u holds its lower neighbours (the pairs with hi == u) and then its
-        # upper ones (lo == u), each ascending.  In (lo, hi) order, pair k is
-        # preceded by k upper entries and by the lower entries of rows up to
-        # lo[k]; the j-th pair in stable hi order by j lower entries and by the
-        # upper entries of rows before hi.
-        m = lo.size
-        pos = _index_dtype(2 * m)
-        up = np.cumsum(np.bincount(lo, minlength=n), dtype=pos)
-        down = np.cumsum(np.bincount(hi, minlength=n), dtype=pos)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add(up, down, out=indptr[1:])
-        indices = np.empty(2 * m, dtype=node)
-        entry_signs = np.empty(2 * m, dtype=np.int8)
-        slot = down[lo]
-        slot += np.arange(m, dtype=pos)
-        indices[slot] = hi
-        entry_signs[slot] = signs
-        del down, slot
-        by_hi = _stable_order(hi, n)
-        lo, signs, hi = lo[by_hi], signs[by_hi], hi[by_hi]
-        del by_hi
-        hi -= 1  # hi > lo >= 0
-        slot = up[hi]
-        slot += np.arange(m, dtype=pos)
-        indices[slot] = lo
-        entry_signs[slot] = signs
-        self._csr = (indptr, indices, entry_signs)
-        for arr in self._csr:
+        self._pairs = (lo, hi, signs)
+        for arr in self._pairs:
             arr.setflags(write=False)
+        self._csr = None
 
     @property
     def m(self) -> int:
         """Number of undirected edges."""
-        return self._csr[1].size // 2
+        return self._pairs[0].size
 
     @property
     def attr_dim(self) -> int:
         return self.node_attrs.shape[1]
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge once, as read-only ``(lo, hi, signs)`` arrays in ascending
+        ``(lo, hi)`` order with ``lo < hi``; ids as in :meth:`csr`'s ``indices``."""
+        return self._pairs
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All neighbour lists in one read-only ``(indptr, indices, signs)`` triple.
 
         Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]`` (ascending ids) with
         the matching edge signs; every undirected edge appears in both rows.
+        The arrays are placed from :meth:`pairs` on the first call and kept.
         """
+        if self._csr is None:
+            self._csr = _place_csr(self.n, *self._pairs)
         return self._csr
-
-    def _upper_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The CSR entries with ``row < col``, as ``(row, col, sign)`` arrays: each
-        edge once, in ascending ``(u, w)`` order."""
-        indptr, indices, signs = self._csr
-        rows = np.repeat(np.arange(self.n), np.diff(indptr))
-        upper = indices > rows
-        return rows[upper], indices[upper], signs[upper]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttributedGraph):
             return NotImplemented
         return (
             np.array_equal(self.original_ids, other.original_ids)
-            and all(np.array_equal(a, b) for a, b in zip(self._csr, other._csr))
+            and all(np.array_equal(a, b) for a, b in zip(self._pairs, other._pairs))
             and bool(np.array_equal(self.node_attrs, other.node_attrs))
         )
 
@@ -180,11 +155,11 @@ def load_graph(
 
 def stats(g: AttributedGraph) -> GraphStats:
     """Edge counts and per-node degrees split by sign."""
-    indptr, _, signs = g.csr()
-    degree = np.diff(indptr)
-    rows = np.repeat(np.arange(g.n), degree)
-    pos_degree = np.bincount(rows[signs > 0], minlength=g.n)
-    m_pos = int(pos_degree.sum()) // 2
+    lo, hi, signs = g.pairs()
+    pos = signs > 0
+    degree = np.bincount(lo, minlength=g.n) + np.bincount(hi, minlength=g.n)
+    pos_degree = np.bincount(lo[pos], minlength=g.n) + np.bincount(hi[pos], minlength=g.n)
+    m_pos = int(np.count_nonzero(pos))
     return GraphStats(
         m=g.m,
         m_pos=m_pos,
@@ -272,7 +247,7 @@ def preprocess(
         if attr_records is not None:
             raise ValueError("attr_records cannot be combined with a graph source")
         ids = source.original_ids
-        u, w, signs = source._upper_entries()
+        u, w, signs = source.pairs()
         records = np.column_stack((ids[u], ids[w], signs))
         # Every node is handed over, with its (possibly 0-wide) attribute row,
         # so that isolated nodes stay nodes.
@@ -342,8 +317,8 @@ def _validate_edges(records: Iterable[Sequence[int]], *, drop_self_loops: bool) 
         pair = ~loops
         lo, hi, signs = lo[pair], hi[pair], signs[pair]
     records = lo.size
-    codes = _pair_codes(lo, hi, ids.size)
-    if not _ascending(codes):  # else the pairs are distinct and in order
+    if not _ascending(lo, hi):  # else the pairs are distinct and in order
+        codes = _pair_codes(lo, hi, ids.size)
         order = np.argsort(codes)
         codes = codes[order]
         head = np.ones(codes.size, dtype=bool)
@@ -402,13 +377,53 @@ def _pair_codes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return codes
 
 
-def _ascending(codes: np.ndarray) -> bool:
-    return bool((codes[1:] > codes[:-1]).all())
+def _ascending(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the pairs strictly ascend in ``(lo, hi)`` order, checked
+    without their 8-byte codes, which would set the peak memory of a load."""
+    same = lo[1:] == lo[:-1]
+    return bool(((lo[1:] > lo[:-1]) | (same & (hi[1:] > hi[:-1]))).all())
 
 
 def _index_dtype(bound: int):
     """int32 if it holds every value in ``0..bound``, else int64."""
     return np.int32 if bound < 2**31 else np.int64
+
+
+def _place_csr(
+    n: int, lo: np.ndarray, hi: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only CSR arrays of the ascending pairs ``lo < hi``.
+
+    Row u holds its lower neighbours (the pairs with hi == u) and then its
+    upper ones (lo == u), each ascending.  In (lo, hi) order, pair k is
+    preceded by k upper entries and by the lower entries of rows up to lo[k];
+    the j-th pair in stable hi order by j lower entries and by the upper
+    entries of rows before hi.
+    """
+    m = lo.size
+    pos = _index_dtype(2 * m)
+    up = np.cumsum(np.bincount(lo, minlength=n), dtype=pos)
+    down = np.cumsum(np.bincount(hi, minlength=n), dtype=pos)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add(up, down, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=lo.dtype)
+    entry_signs = np.empty(2 * m, dtype=np.int8)
+    slot = down[lo]
+    slot += np.arange(m, dtype=pos)
+    indices[slot] = hi
+    entry_signs[slot] = signs
+    del down, slot
+    by_hi = _stable_order(hi, n)
+    lo, signs, hi = lo[by_hi], signs[by_hi], hi[by_hi]
+    del by_hi
+    hi -= 1  # hi > lo >= 0
+    slot = up[hi]
+    slot += np.arange(m, dtype=pos)
+    indices[slot] = lo
+    entry_signs[slot] = signs
+    for arr in (indptr, indices, entry_signs):
+        arr.setflags(write=False)
+    return indptr, indices, entry_signs
 
 
 def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:

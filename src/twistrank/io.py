@@ -198,7 +198,7 @@ def format_score(x: float) -> str:
 
 def write_edge_list(path, graph: AttributedGraph) -> None:
     """``u w sign`` per edge with ``u < w``, in ascending order, in original ids."""
-    u, w, signs = graph._upper_entries()
+    u, w, signs = graph.pairs()
     # Each id's text is made once; the original ids ascend, so mapping keeps
     # u < w and the order.
     names = _int_texts(graph.original_ids)
@@ -376,11 +376,16 @@ def _int8_column(values: np.ndarray) -> _Column:
 
 def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each distinct float64 bit pattern in ``values``, a text block of their
-    ``fmt`` texts, and, in ``values``' shape, the index of each value's text."""
-    bits, index = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
-                            return_inverse=True)
-    distinct = bits.view(np.float64)
-    return distinct, _text_block(list(map(fmt, distinct.tolist()))), index.reshape(values.shape)
+    ``fmt`` texts, and, in ``values``' shape, the index of each value's text.
+    Only the first value of each run of equal bits is sorted."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
+    head = np.ones(bits.size, dtype=bool)
+    head[1:] = bits[1:] != bits[:-1]
+    # A pattern's runs may recur: -0.0 between runs of 0.0, NaN payloads.
+    distinct, inverse = np.unique(bits[head], return_inverse=True)
+    distinct = distinct.view(np.float64)
+    index = inverse[np.cumsum(head) - 1].reshape(values.shape)
+    return distinct, _text_block(list(map(fmt, distinct.tolist()))), index
 
 
 def _json_numbers(values: np.ndarray, texts: np.ndarray) -> np.ndarray:

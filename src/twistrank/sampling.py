@@ -56,7 +56,7 @@ def path_count(g: AttributedGraph, cfg: WalkConfig) -> int:
     if cfg.beta1 > 0:
         count += 2 * g.m
     if cfg.beta2 > 0:
-        degree = np.diff(g.csr()[0])
+        degree = np.bincount(np.concatenate(g.pairs()[:2]), minlength=g.n)
         count += int(degree @ degree)
     return count
 

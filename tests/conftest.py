@@ -62,6 +62,18 @@ def random_signed_graph(rng, n_min=4, n_max=12, attr_dim=2, edge_prob=0.45, neg_
     return tr.load_graph(edges, attrs)
 
 
+def skewed_signed_graph(rng, n, m):
+    """A graph on n nodes with about m edges between few hubs and many leaves,
+    about a fifth of them negative; some nodes are isolated."""
+    u = (n * rng.random(m) ** 3).astype(np.int64)
+    w = rng.integers(0, n, size=m)
+    keep = u != w
+    codes = np.unique(np.minimum(u, w)[keep] * n + np.maximum(u, w)[keep])
+    lo, hi = np.divmod(codes, n)
+    signs = np.where(rng.random(codes.size) < 0.2, -1, 1)
+    return tr.AttributedGraph(np.arange(n), lo, hi, signs, np.zeros((n, 0)))
+
+
 def signed_corpus(count=100, attr_dim=2, seed0=1000):
     """Seeded corpus of (graph, advertisement vector) pairs."""
     out = []

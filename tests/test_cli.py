@@ -281,14 +281,18 @@ class TestRankCommand:
         assert bad_file in capsys.readouterr().err
         assert not (tmp_path / "rank" / "ranking.csv").exists()
 
-    @pytest.mark.parametrize("target", [("--theta", "1.5"), ("--gamma", "0.6")],
-                             ids=["theta", "gamma"])
+    @pytest.mark.parametrize("command", [
+        ("rank", "--measure", "ad", "--theta", "1.5"),
+        ("rank", "--measure", "ad", "--gamma", "0.6"),
+        ("verify",),
+    ], ids=["theta", "gamma", "verify"])
     @pytest.mark.parametrize("big, score", [("1e308 1e308", "inf"), ("-1e308 -1e308", "-inf")],
                              ids=["positive", "negative"])
-    def test_ad_scores_that_overflow_are_a_data_error(self, tmp_path, capsys, target, big,
+    def test_ad_scores_that_overflow_are_a_data_error(self, tmp_path, capsys, command, big,
                                                       score):
         """Finite attributes whose inner product with the ad vector is not
-        finite: exit 2 with one line naming the first such node, no warning."""
+        finite: exit 2 with one line naming the first such node, no warning.
+        ``verify`` rejects them before its oracle runs."""
         edges = tmp_path / "edges.txt"
         attrs = tmp_path / "attrs.txt"
         z = tmp_path / "z.txt"
@@ -298,8 +302,8 @@ class TestRankCommand:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main([
-                "rank", "--edges", str(edges), "--attrs", str(attrs), "--measure", "ad",
-                "--ad-vector", str(z), *target, "--out", str(tmp_path / "rank"),
+                command[0], "--edges", str(edges), "--attrs", str(attrs), *command[1:],
+                "--ad-vector", str(z), "--out", str(tmp_path / "rank"),
             ])
         assert code == 2
         assert caught == []
@@ -640,6 +644,57 @@ class TestSweepCommand:
             "--out", str(tmp_path / "sweep"),
         ])
         assert code == 2
+
+
+class TestCsrPlacement:
+    """Ranking by a sign measure and preprocessing read the graph's sorted
+    pairs; only the ad measure's capped rows place the CSR, once."""
+
+    @pytest.fixture
+    def no_csr(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the CSR was placed")
+
+        monkeypatch.setattr(tr.graph, "_place_csr", refuse)
+
+    @pytest.mark.parametrize("beta", [("1", "0"), ("0.7", "0.3")],
+                             ids=["beta-1-0", "beta-0.7-0.3"])
+    @pytest.mark.parametrize("measure", ["influence", "trust"])
+    def test_sign_rank_places_no_csr(self, tmp_path, small_edges, no_csr, capsys, measure,
+                                     beta):
+        for target in (("--theta", "0.5"), ("--gamma", "0.2")):
+            assert main([
+                "rank", "--edges", str(small_edges), "--measure", measure, *target,
+                "--beta1", beta[0], "--beta2", beta[1], "--out", str(tmp_path / "rank"),
+            ]) == 0
+
+    def test_sign_sweep_places_no_csr(self, tmp_path, small_edges, no_csr, capsys):
+        assert main([
+            "sweep", "--edges", str(small_edges), "--measure", "trust",
+            "--gammas=-0.2,0,0.3", "--beta1", "0.5", "--beta2", "0.5", "--k", "2",
+            "--out", str(tmp_path / "sweep"),
+        ]) == 0
+
+    def test_preprocess_places_no_csr(self, tmp_path, small_edges, no_csr, capsys):
+        assert main([
+            "preprocess", "--edges", str(small_edges), "--min-degree", "2",
+            "--out", str(tmp_path / "pre"),
+        ]) == 0
+        g = tr.load_graph(tio.read_edge_list(tmp_path / "pre" / "edges.txt"))
+        assert tr.preprocess(g).graph == g
+
+    def test_ad_sweep_places_the_csr_once(self, tmp_path, monkeypatch, capsys):
+        edges, attrs, z = tmp_path / "edges.txt", tmp_path / "attrs.txt", tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 1\n3 4 -1\n")
+        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.5 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
+        write(z, "1.0 0.5\n")
+        calls = count_calls(monkeypatch, ("_place_csr",))
+        assert main([
+            "sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
+            "--measure", "ad", "--gammas=0.4,0.5,0.6", "--beta1", "0.7", "--beta2", "0.3",
+            "--k", "2", "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        assert calls == {"_place_csr": 1}
 
 
 class TestVerifyCommand:

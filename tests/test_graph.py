@@ -13,7 +13,7 @@ import twistrank as tr
 from twistrank import graph as tg
 from twistrank.errors import GraphError
 
-from conftest import edge_list, random_signed_graph
+from conftest import edge_list, random_signed_graph, skewed_signed_graph
 
 
 class TestLoadGraph:
@@ -94,6 +94,56 @@ class TestStats:
             assert s.neg_degree.sum() == 2 * s.m_neg
             assert s.m == s.m_pos + s.m_neg
             assert np.array_equal(s.degree, s.pos_degree + s.neg_degree)
+
+    def test_degrees_equal_those_of_the_csr_rows(self):
+        """Counted from the pairs, the signed degrees are the CSR row lengths
+        split by the entries' signs, on graphs with isolated nodes too."""
+        rng = np.random.default_rng(17)
+        graphs = [random_signed_graph(np.random.default_rng(seed)) for seed in range(3)]
+        graphs += [tr.load_graph([(1, 2, 1), (2, 4, -1)], [(v, []) for v in range(6)]),
+                   skewed_signed_graph(rng, 70_000, 150_000)]
+        for g in graphs:
+            indptr, _, signs = g.csr()
+            rows = np.repeat(np.arange(g.n), np.diff(indptr))
+            s = tr.stats(g)
+            np.testing.assert_array_equal(s.degree, np.diff(indptr))
+            np.testing.assert_array_equal(s.pos_degree,
+                                          np.bincount(rows[signs > 0], minlength=g.n))
+            np.testing.assert_array_equal(s.neg_degree,
+                                          np.bincount(rows[signs < 0], minlength=g.n))
+            assert s.m_pos == int((signs > 0).sum()) // 2
+            assert s.degree.dtype == s.pos_degree.dtype == np.int64
+
+
+class TestPairs:
+    def test_pairs_are_the_ascending_upper_entries_of_the_csr(self):
+        rng = np.random.default_rng(23)
+        graphs = [random_signed_graph(np.random.default_rng(seed)) for seed in range(3)]
+        graphs += [tr.load_graph([(9, 3, -1), (3, 5, 1)], [(v, []) for v in range(11)]),
+                   tr.load_graph([]), skewed_signed_graph(rng, 70_000, 150_000)]
+        for g in graphs:
+            lo, hi, signs = g.pairs()
+            assert (lo.dtype, hi.dtype, signs.dtype) == (np.int32, np.int32, np.int8)
+            assert not any(a.flags.writeable for a in g.pairs())
+            assert lo.size == hi.size == signs.size == g.m
+            assert (lo < hi).all()
+            codes = lo.astype(np.int64) * g.n + hi
+            assert (codes[1:] > codes[:-1]).all()
+            indptr, indices, entry_signs = g.csr()
+            assert not any(a.flags.writeable for a in g.csr())
+            rows = np.repeat(np.arange(g.n), np.diff(indptr))
+            upper = indices > rows
+            for got, want in zip(g.pairs(), (rows[upper], indices[upper], entry_signs[upper])):
+                np.testing.assert_array_equal(got, want)
+            assert g.csr() is g.csr()
+
+    def test_the_graph_keeps_no_array_of_its_caller(self):
+        lo, hi = np.array([0, 1], dtype=np.int32), np.array([1, 2], dtype=np.int32)
+        signs = np.array([1, -1], dtype=np.int8)
+        g = tr.AttributedGraph(range(3), lo, hi, signs, np.zeros((3, 0)))
+        assert all(a.flags.writeable for a in (lo, hi, signs))
+        lo[0], signs[0] = 2, -1
+        assert [a.tolist() for a in g.pairs()] == [[0, 1], [1, 2], [1, -1]]
 
 
 class TestPreprocess:
@@ -563,9 +613,10 @@ class TestIngestRoutes:
 
     @pytest.mark.parametrize("n", [2, 3_000, 140_000])
     def test_csr_matches_a_lexsort_reference(self, n):
-        """The constructor's placement (one radix pass per 16 bits of n) gives
-        the CSR of a row-major sort of both directions of every edge, from
-        pairs in order or shuffled and reversed."""
+        """The placement (one radix pass per 16 bits of n) gives the CSR of a
+        row-major sort of both directions of every edge, and the pairs are
+        those in order, from pairs in order, shuffled and reversed, or those
+        of another graph."""
         rng = np.random.default_rng(n)
         codes = np.unique(rng.integers(0, n * n, size=2 * n))
         lo, hi = np.divmod(codes, n)
@@ -577,13 +628,18 @@ class TestIngestRoutes:
         want = (indptr, cols[order], np.concatenate((signs, signs))[order])
         shuffle = rng.permutation(lo.size)
         flip = rng.random(lo.size) < 0.5
+        # A graph's own pairs are read-only, narrow and in order.
+        own = tr.AttributedGraph(range(n), lo, hi, signs, np.zeros((n, 0))).pairs()
         for pairs in ((lo, hi, signs),
                       (np.where(flip, hi, lo)[shuffle], np.where(flip, lo, hi)[shuffle],
-                       signs[shuffle])):
+                       signs[shuffle]),
+                      own):
             g = tr.AttributedGraph(range(n), *pairs, np.zeros((n, 0)))
             indptr, indices, entry_signs = g.csr()
             assert (indices.dtype, entry_signs.dtype) == (np.int32, np.int8)
             for got, expected in zip(g.csr(), want):
+                np.testing.assert_array_equal(got, expected)
+            for got, expected in zip(g.pairs(), (lo, hi, signs)):
                 np.testing.assert_array_equal(got, expected)
 
     def test_codes_beyond_int32_on_a_graph_of_more_than_46341_nodes(self):

@@ -810,9 +810,15 @@ def test_ranking_texts_are_those_of_format_score():
         1e300, -0.0, 0.25, nan, 0.0, 1e300, 2.5e-17, 1 / 3,
     ])
     ids = [2**64 + i for i in range(scores.size)]
-    orders = (np.arange(scores.size), np.random.default_rng(5).permutation(scores.size))
+    # Rank order puts -0.0 among the 0.0 and NaN payloads side by side.
+    orders = (np.arange(scores.size), np.random.default_rng(5).permutation(scores.size),
+              CentralityRanking.from_scores(scores).order)
     for order in orders:
         rows = tio.ranking_rows(CentralityRanking(scores=scores, order=order), _id_array(ids))
+        # The same distinct patterns and indices as one np.unique of all of them.
+        bits, index = np.unique(scores[order].view(np.int64), return_inverse=True)
+        assert rows.scores.tobytes() == bits.tobytes()
+        np.testing.assert_array_equal(rows.index, index)
         texts = _block_texts(rows.texts)
         want = [tio.format_score(x) for x in scores[order].tolist()]
         assert [texts[i] for i in rows.index] == want

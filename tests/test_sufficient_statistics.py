@@ -15,7 +15,7 @@ import twistrank as tr
 from twistrank import sampling, twisting
 from twistrank.errors import SolveError
 
-from conftest import random_signed_graph
+from conftest import random_signed_graph, skewed_signed_graph
 
 # The package binds ``twistrank.centrality`` to the function of that name.
 centrality_module = importlib.import_module("twistrank.centrality")
@@ -237,6 +237,43 @@ class TestStartMarginal:
                     if pairs[u] == pairs[w]:
                         assert ranking.scores[u] == ranking.scores[w]
                         assert position[u] < position[w]
+
+
+def _csr_order_sign_scores(g, gs, walk, theta, is_min):
+    """The unnormalized sign scores as one bincount over the CSR entries in
+    row order: the two-step kernel that ran on the CSR before the pairs."""
+    out = centrality_module._out_weights(gs, theta)
+    scores = walk.beta1 * out
+    ep, en = centrality_module._step_weights(theta)
+    kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
+    _, starts, signs = g.csr()
+    after_neg = k * en if is_min else kn * ep + kp * en
+    inner = np.where(signs > 0, np.repeat(out, k), np.repeat(after_neg, k))
+    return scores + walk.beta2 * np.bincount(
+        starts, weights=inner / np.repeat(k, k), minlength=g.n
+    )
+
+
+class TestSignScoreBits:
+    @pytest.mark.parametrize("beta", [(0.7, 0.3), (0.0, 1.0), (0.2, 0.8)])
+    def test_pair_kernel_keeps_every_bit_of_the_csr_kernel(self, beta):
+        """Over the pairs, each start still adds its middle nodes in ascending
+        order, so every score has the bits of the CSR-order bincount."""
+        rng = np.random.default_rng(31)
+        walk = tr.WalkConfig(*beta)
+        graphs = [skewed_signed_graph(rng, 70_000, 150_000),
+                  tr.load_graph([(1, 2, 1), (1, 3, -1), (2, 3, 1), (3, 4, -1), (6, 7, -1)],
+                                [(v, []) for v in range(9)])]
+        graphs += [random_signed_graph(np.random.default_rng(seed)) for seed in range(4)]
+        for g in graphs:
+            gs = tr.stats(g)
+            for is_min in (False, True):
+                for theta in (-3.0, -0.4, 0.0, 0.9, 2.5):
+                    got = centrality_module._sign_scores(g, gs, walk, theta, is_min)
+                    want = _csr_order_sign_scores(g, gs, walk, theta, is_min)
+                    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+                    assert [(u, float.hex(got[u]), float.hex(want[u]))
+                            for u in differ[:5].tolist()] == []
 
 
 def test_production_path_never_enumerates(monkeypatch, corpus100):
