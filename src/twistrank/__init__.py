@@ -30,7 +30,6 @@ from .graph import (
 )
 from .sampling import (
     WalkConfig,
-    WalkPath,
     enumerate_paths,
     path_count,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "TwistResult",
     "TwistrankError",
     "WalkConfig",
-    "WalkPath",
     "achievable_range",
     "bivariate",
     "centrality",

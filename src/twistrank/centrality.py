@@ -55,12 +55,6 @@ class BivariateDistribution:
             return float(self.masses[i])
         return 0.0
 
-    def to_dict(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(c) // self.n, int(c) % self.n): float(m)
-            for c, m in zip(self.codes, self.masses)
-        }
-
     def start_marginal(self) -> np.ndarray:
         return np.bincount(self.codes // self.n, weights=self.masses, minlength=self.n)
 
@@ -305,7 +299,7 @@ class TiltModel:
         atoms: in closed form for the two sign atoms, by Newton iteration over
         at most n atoms for the advertisement measure.  The targets share one
         :class:`~twistrank.twisting.AtomSolver`, and each gets the theta of a
-        fresh :func:`~twistrank.twisting.solve_theta_atoms`.
+        fresh solver's ``theta``.
         """
         if self.is_sign and self.walk.beta2 == 0:
             return solve_theta_closed(self.stats, gamma)

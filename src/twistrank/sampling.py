@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -18,14 +17,6 @@ from .errors import EnumerationBudgetError, GraphError
 from .graph import AttributedGraph
 
 DEFAULT_PATH_BUDGET = 20_000_000
-
-
-@dataclass(frozen=True)
-class WalkPath:
-    """A concrete walk of length 1 or 2 with its base probability mass."""
-
-    nodes: tuple[int, ...]
-    base_prob: float
 
 
 @dataclass(frozen=True)
@@ -68,36 +59,38 @@ def _check_budget(g: AttributedGraph, cfg: WalkConfig) -> None:
         raise EnumerationBudgetError(required, DEFAULT_PATH_BUDGET)
 
 
-def enumerate_paths(g: AttributedGraph, cfg: WalkConfig) -> Iterator[WalkPath]:
-    """Yield every ordered walk of positive mass exactly once.
+def enumerate_paths(g: AttributedGraph, cfg: WalkConfig) -> tuple:
+    """Every ordered walk of positive base mass once, as ``((one, p1), (two, p2))``.
 
-    Length-1 paths are the ``2 m`` directed edges (emitted when
-    ``beta1 > 0``); length-2 paths run over every ordered neighbor pair of
-    every middle node, backtracking included (emitted when ``beta2 > 0``).
-    The emitted masses sum to 1.  Raises before yielding anything if the
-    enumeration would exceed ``DEFAULT_PATH_BUDGET`` walks.
+    ``one`` is a ``(2 m, 2)`` int block of the length-1 walks ``(u, w)`` in
+    ``g.csr()`` order; ``two`` a ``(sum k_v^2, 3)`` block of the length-2 walks
+    ``(u, v, w)``, backtracking included, by ascending middle ``v``, then ``u``,
+    then ``w`` over ``v``'s row.  ``p1`` and ``p2`` are each row's base mass and
+    sum to 1 together.  A walk whose mass underflows to 0 (as at beta1 =
+    5e-324) is left out, and with it its reverse, which has the same middle node
+    and mass.  Raises before allocating any walk if there are more than
+    ``DEFAULT_PATH_BUDGET``.
     """
     if g.m == 0:
         raise GraphError("cannot enumerate paths of an edgeless graph")
     _check_budget(g, cfg)
-    return _iter_paths(g, cfg)
-
-
-def _iter_paths(g: AttributedGraph, cfg: WalkConfig) -> Iterator[WalkPath]:
     indptr, indices, _ = g.csr()
-    indptr, indices = indptr.tolist(), indices.tolist()
-    rows = [indices[start:stop] for start, stop in zip(indptr, indptr[1:])]
+    nodes = np.arange(g.n, dtype=indices.dtype)
+    k = np.diff(indptr)
     two_m = 2 * g.m
-    if cfg.beta1 > 0:
-        p1 = cfg.beta1 / two_m
-        for u, nb in enumerate(rows):
-            for w in nb:
-                yield WalkPath((u, w), p1)
-    if cfg.beta2 > 0:
-        for v, nb in enumerate(rows):
-            if not nb:
-                continue
-            p2 = cfg.beta2 / (two_m * len(nb))
-            for u in nb:
-                for w in nb:
-                    yield WalkPath((u, v, w), p2)
+
+    p1 = cfg.beta1 / two_m
+    starts = np.repeat(nodes, k if p1 > 0 else 0)
+    one = np.column_stack([starts, indices[: starts.size]])
+
+    # The base mass of a two-step walk through v is beta2 / (2 m k_v).
+    p2 = np.zeros(g.n)
+    np.divide(cfg.beta2, two_m * k, out=p2, where=k > 0)
+    size = np.where(p2 > 0, k * k, 0)
+    middle = np.repeat(nodes, size)
+    # Row j of v's block pairs the (j // k_v)-th and (j % k_v)-th entries of v's row.
+    j = np.arange(middle.size) - np.repeat(np.cumsum(size) - size, size)
+    first, second = np.divmod(j, k[middle])
+    row = indptr[middle]
+    two = np.column_stack([indices[row + first], middle, indices[row + second]])
+    return (one, np.full(len(one), p1)), (two, p2[middle])

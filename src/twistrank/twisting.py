@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, GraphError, SolveError
 from .graph import AttributedGraph, GraphStats
-from .sampling import WalkConfig, WalkPath, enumerate_paths
+from .sampling import WalkConfig, enumerate_paths
 
 # Newton iteration: tolerance on the mean measure, and step limit.
 NEWTON_TOL = 1e-11
@@ -184,14 +184,19 @@ class TwistResult:
 class PathTable:
     """The enumerated walk support of one graph, measure and walk mix.
 
-    ``paths`` are the walks of positive base mass, ``f`` their measures and
-    ``logp0`` their log base masses.  None of it depends on theta, so one
-    table serves :func:`twist`, :func:`achievable_range` and
-    :func:`solve_theta_numeric` at every temperature.
+    ``walks`` holds the two blocks of :func:`enumerate_paths`: the length-1
+    walks as ``(u, w)`` rows and the length-2 walks as ``(u, v, w)`` rows.
+    ``f``, ``p0`` and ``logp0`` give the measure, base mass and log base mass
+    of every row, the length-1 block first.  ``n`` is the graph's node count.
+    None of it depends on theta, so one table serves :func:`twist`,
+    :func:`achievable_range` and :func:`solve_theta_numeric` at every
+    temperature.
     """
 
-    paths: tuple[WalkPath, ...]
+    n: int
+    walks: tuple[np.ndarray, np.ndarray]
     f: np.ndarray       # shape (N,)
+    p0: np.ndarray      # shape (N,)
     logp0: np.ndarray   # shape (N,)
 
 
@@ -199,20 +204,20 @@ def path_table(g: AttributedGraph, measure, walk: WalkConfig) -> PathTable:
     """Enumerate every walk of ``walk`` on ``g`` and evaluate ``measure`` on it.
 
     This is the oracle the vectorised routes are checked against: it holds
-    one Python object per walk, so it fails fast with
+    every walk's nodes, so it fails fast with
     :class:`~twistrank.errors.EnumerationBudgetError` when the walk count
     exceeds the default budget of :func:`enumerate_paths`.
     """
-    # A tiny walk weight such as beta1 = 5e-324 gives paths whose base mass
-    # underflows to 0; they are not part of the support.
-    paths = tuple(p for p in enumerate_paths(g, walk) if p.base_prob > 0)
-    # enumerate_paths yields every length-1 walk before any length-2 one, so
-    # each length is one block of node ids, evaluated in one call.
-    split = sum(len(p.nodes) == 2 for p in paths)
-    blocks = [np.array([p.nodes for p in part]) for part in (paths[:split], paths[split:]) if part]
-    f = np.concatenate([measure.evaluate(g, block) for block in blocks])
-    logp0 = np.array([math.log(p.base_prob) for p in paths])
-    return PathTable(paths=paths, f=f, logp0=logp0)
+    (one, p1), (two, p2) = enumerate_paths(g, walk)
+    f = np.concatenate([measure.evaluate(g, one), measure.evaluate(g, two)])
+    p0 = np.concatenate([p1, p2])
+    # math.log rather than np.log, which can differ from it in the last bit.
+    # The masses come in runs, one for the length-1 walks and one per middle
+    # node, so each run is logged once.
+    start = np.flatnonzero(np.diff(p0, prepend=-1.0))
+    logs = [math.log(p) for p in p0[start].tolist()]
+    logp0 = np.repeat(logs, np.diff(start, append=p0.size))
+    return PathTable(n=g.n, walks=(one, two), f=f, p0=p0, logp0=logp0)
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -239,9 +244,10 @@ def _tilt(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, np.nda
 def twist(table: PathTable, theta: float) -> tuple[TwistResult, np.ndarray]:
     """Tilt a path table's base distribution by exp(theta * f).
 
-    Returns the normalization summary and the tilted mass of each path,
-    aligned with ``table.paths`` and summing to 1.  All accumulation happens
-    in the log domain, so large |theta * f| values do not overflow.
+    Returns the normalization summary and the tilted mass of each walk,
+    aligned with the rows of ``table.walks`` (length-1 block first) and
+    summing to 1.  All accumulation happens in the log domain, so large
+    |theta * f| values do not overflow.
     """
     log_z, probs = _tilt(table.f, table.logp0, theta_value(theta))
     return TwistResult(free_energy=log_z, mean_measure=float(probs @ table.f)), probs
@@ -355,7 +361,9 @@ class AtomSolver:
         self.moments: dict[float, tuple[float, float]] = {}
 
     def theta(self, gamma: float) -> float:
-        """Solve mean(theta) = gamma; see :func:`solve_theta_atoms`."""
+        """Solve mean(theta) = gamma: in closed form on two atoms, else by the
+        Newton iteration of :func:`solve_theta_numeric` at O(atoms) per step.
+        The target must lie strictly inside the atoms' range."""
         gamma = float(gamma)
         _check_target(*self.range, gamma)
         if self.f.size == 2:
@@ -369,22 +377,6 @@ class AtomSolver:
         if moments is None:
             moments = self.moments[theta] = _scalar_grad_var(self.f, self.logp, theta)
         return moments
-
-
-def solve_theta_atoms(
-    values: np.ndarray,
-    masses: np.ndarray,
-    gamma: float,
-) -> float:
-    """Solve mean(theta) = gamma on a :func:`measure_atoms` table.
-
-    Two atoms of positive mass have a closed-form solution; more run the
-    same safeguarded Newton iteration as :func:`solve_theta_numeric`, at
-    O(atoms) per step.  The target must lie strictly between the smallest
-    and largest atom of positive mass.  To solve many targets on one table,
-    keep one :class:`AtomSolver`.
-    """
-    return AtomSolver(values, masses).theta(gamma)
 
 
 def solve_theta_numeric(table: PathTable, gamma: float) -> float:

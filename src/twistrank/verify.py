@@ -24,7 +24,8 @@ from .twisting import (
     solve_theta_numeric,
     twist,
 )
-from .centrality import TiltModel, bivariate, influence_closed_form, marginal
+from .centrality import (BivariateDistribution, TiltModel, bivariate, influence_closed_form,
+                         marginal)
 
 WALK_MIXES = (WalkConfig(1.0, 0.0), WalkConfig(0.7, 0.3), WalkConfig(0.0, 1.0))
 THETAS = (-2.0, 0.0, 1.5)
@@ -99,14 +100,14 @@ def _pair_errors(g, measure, walk, base):
     table = path_table(g, measure, walk)
     model = TiltModel(g, measure, walk)
     if base:
-        yield "base_walk_normalization", _mass_error(p.base_prob for p in table.paths), ""
+        yield "base_walk_normalization", _mass_error(table.p0), ""
     for theta in THETAS:
         result, probs = twist(table, theta)
         yield "twisted_normalization", _mass_error(probs), ""
         yield "twisted_reversibility", _reversal_error(table, probs), ""
         b = bivariate(model, theta)
         oracle = endpoint_grouped(table, theta)
-        yield "pair_distribution_vs_enumeration", pair_mass_deviation(b.to_dict(), oracle), ""
+        yield "pair_distribution_vs_enumeration", pair_mass_deviation(b, oracle), ""
         yield "marginal_symmetry", float(np.max(np.abs(b.start_marginal() - b.end_marginal()))), ""
         piped = marginal(b).scores
         if isinstance(measure, SignProduct) and walk == WalkConfig(1.0, 0.0):
@@ -138,25 +139,39 @@ def _pair_errors(g, measure, walk, base):
 
 def _reversal_error(table, probs) -> float:
     """Largest difference between the tilted masses of a walk and its reverse."""
-    by_nodes = dict(zip((p.nodes for p in table.paths), probs.tolist()))
-    return max(
-        (abs(prob - by_nodes[nodes[::-1]]) for nodes, prob in by_nodes.items()), default=0.0
-    )
+    return float(np.max(np.abs(probs - probs[_reverse_index(table)]), initial=0.0))
 
 
-def endpoint_grouped(table, theta: float) -> dict[tuple[int, int], float]:
-    """Brute-force pair masses: a table's twisted path masses grouped by endpoints."""
+def _reverse_index(table) -> np.ndarray:
+    """Row of each walk's reverse among the rows of ``table.walks``, length-1 block first."""
+    one, two = table.walks
+    # The length-1 walks are the CSR entries, whose codes u * n + w ascend;
+    # the reverse of (u, w) is the mirror entry (w, u).
+    u, w = one.astype(np.int64).T
+    mirror = np.searchsorted(u * table.n + w, w * table.n + u)
+    # The walks through a middle node of degree k are a block of k * k rows,
+    # where (u, v, w) is row a * k + b and its reverse (w, v, u) row b * k + a.
+    _, start, size = np.unique(two[:, 1], return_index=True, return_counts=True)
+    start, k = np.repeat(start, size), np.repeat(np.sqrt(size).astype(np.int64), size)
+    a, b = np.divmod(np.arange(len(two)) - start, k)
+    return np.concatenate([mirror, len(one) + start + b * k + a])
+
+
+def endpoint_grouped(table, theta: float) -> BivariateDistribution:
+    """Brute-force pair masses: a table's twisted walk masses grouped by endpoints.
+
+    Each pair's mass adds its walks' masses in walk order.
+    """
     _, probs = twist(table, theta)
-    grouped: dict[tuple[int, int], float] = {}
-    for path, prob in zip(table.paths, probs.tolist()):
-        key = (path.nodes[0], path.nodes[-1])
-        grouped[key] = grouped.get(key, 0.0) + prob
-    return grouped
+    codes = np.concatenate([w[:, 0].astype(np.int64) * table.n + w[:, -1] for w in table.walks])
+    codes, pair = np.unique(codes, return_inverse=True)
+    return BivariateDistribution(table.n, codes, np.bincount(pair, weights=probs))
 
 
-def pair_mass_deviation(a: dict, b: dict) -> float:
-    """Largest absolute difference between two sparse pair-mass maps."""
-    worst = 0.0
-    for key in set(a) | set(b):
-        worst = max(worst, abs(a.get(key, 0.0) - b.get(key, 0.0)))
-    return worst
+def pair_mass_deviation(a: BivariateDistribution, b: BivariateDistribution) -> float:
+    """Largest absolute difference between the pair masses of two distributions."""
+    codes, at = np.unique(np.concatenate([a.codes, b.codes]), return_inverse=True)
+    gap = np.zeros(codes.size)
+    gap[at[: a.codes.size]] = a.masses
+    gap[at[a.codes.size :]] -= b.masses
+    return float(np.max(np.abs(gap), initial=0.0))

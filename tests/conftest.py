@@ -43,6 +43,18 @@ def edge_list(g, original_ids=False):
     return [(ids[u], ids[w], s) for u, w, s in triples]
 
 
+def walk_masses(blocks):
+    """Each walk of ``enumerate_paths`` blocks, as a tuple of node ids, with its base mass."""
+    for nodes, masses in blocks:
+        yield from zip(map(tuple, nodes.tolist()), masses.tolist())
+
+
+def tilted_masses(table, probs):
+    """A path table's walks, as tuples of node ids, mapped to their masses in ``probs``."""
+    rows = [row for nodes in table.walks for row in map(tuple, nodes.tolist())]
+    return dict(zip(rows, probs.tolist()))
+
+
 def random_signed_graph(rng, n_min=4, n_max=12, attr_dim=2, edge_prob=0.45, neg_prob=0.3):
     """A small random graph guaranteed to carry both edge signs."""
     while True:

@@ -10,6 +10,8 @@ import twistrank as tr
 
 from twistrank.verify import endpoint_grouped, pair_mass_deviation
 
+from conftest import tilted_masses, walk_masses
+
 BETA_MIXES = ((1.0, 0.0), (0.7, 0.3), (0.0, 1.0))
 THETAS = (-2.0, 0.0, 1.5)
 
@@ -49,7 +51,7 @@ def test_02_oracle_equivalence(corpus100):
                 table = tr.path_table(g, measure, walk)
                 for theta in THETAS:
                     dev = pair_mass_deviation(
-                        tr.bivariate(model, theta).to_dict(), endpoint_grouped(table, theta)
+                        tr.bivariate(model, theta), endpoint_grouped(table, theta)
                     )
                     worst = max(worst, dev)
     report(2, "pair-distribution oracle equivalence", worst <= 1e-12, f"max dev {worst:.2e}")
@@ -64,10 +66,7 @@ def test_03_closed_form_marginal(corpus100):
         table = tr.path_table(g, tr.SignProduct(), walk)
         for theta in THETAS:
             closed = tr.influence_closed_form(s, theta)
-            grouped = endpoint_grouped(table, theta)
-            scores = np.zeros(g.n)
-            for (u, _), mass in grouped.items():
-                scores[u] += mass
+            scores = endpoint_grouped(table, theta).start_marginal()
             worst = max(worst, float(np.max(np.abs(closed.scores - scores))))
     report(3, "closed-form marginal", worst <= 1e-12, f"max dev {worst:.2e}")
 
@@ -137,7 +136,7 @@ def test_06_structural_invariants(corpus100):
                 table = tr.path_table(g, measure, walk)
                 for theta in (-2.0, 1.5):
                     _, probs = tr.twist(table, theta)
-                    by_nodes = {path.nodes: prob for path, prob in zip(table.paths, probs.tolist())}
+                    by_nodes = tilted_masses(table, probs)
                     worst_sum = max(worst_sum, abs(sum(by_nodes.values()) - 1.0))
                     worst_rev = max(
                         worst_rev,
@@ -167,8 +166,8 @@ def test_07_degeneracy_identities(corpus100):
     worst_zero = 0.0
     for g, z in corpus100[:25]:
         base = np.zeros(g.n)
-        for path in tr.enumerate_paths(g, walk):
-            base[path.nodes[0]] += path.base_prob
+        for nodes, mass in walk_masses(tr.enumerate_paths(g, walk)):
+            base[nodes[0]] += mass
         for kind, vec in (("influence", None), ("trust", None), ("advertisement", z)):
             ranking = tr.centrality(g, kind, theta=0.0, walk=walk, ad_vector=vec)
             worst_zero = max(worst_zero, float(np.max(np.abs(ranking.scores - base))))

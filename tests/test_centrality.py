@@ -8,7 +8,7 @@ from twistrank.errors import EnumerationBudgetError, GraphError
 
 from twistrank.verify import endpoint_grouped, pair_mass_deviation
 
-from conftest import random_signed_graph
+from conftest import random_signed_graph, walk_masses
 
 
 class TestBivariate:
@@ -38,7 +38,7 @@ class TestBivariate:
                 model = tr.TiltModel(g, measure, walk)
                 table = tr.path_table(g, measure, walk)
                 assert pair_mass_deviation(
-                    tr.bivariate(model, -1.2).to_dict(), endpoint_grouped(table, -1.2)
+                    tr.bivariate(model, -1.2), endpoint_grouped(table, -1.2)
                 ) <= 1e-12
 
     def test_total_mass_one(self, corpus100):
@@ -49,7 +49,8 @@ class TestBivariate:
     def test_symmetric_pair_masses(self, corpus100):
         g, _ = corpus100[1]
         b = tr.bivariate(tr.TiltModel(g, tr.SignMin(), tr.WalkConfig(0.5, 0.5)), 0.8)
-        for (u, w), mass in b.to_dict().items():
+        starts, ends = np.divmod(b.codes, b.n)
+        for u, w, mass in zip(starts.tolist(), ends.tolist(), b.masses.tolist()):
             assert b.pair_mass(w, u) == pytest.approx(mass, abs=1e-13)
 
     def test_budget_propagates(self, triangle_pos, monkeypatch):
@@ -153,8 +154,8 @@ class TestCentralityDispatch:
         walk = tr.WalkConfig(0.7, 0.3)
         ranking = tr.centrality(g, "influence", theta=0.0, walk=walk)
         base = np.zeros(g.n)
-        for path in tr.enumerate_paths(g, walk):
-            base[path.nodes[0]] += path.base_prob
+        for nodes, mass in walk_masses(tr.enumerate_paths(g, walk)):
+            base[nodes[0]] += mass
         assert np.max(np.abs(ranking.scores - base)) <= 1e-12
 
     def test_zero_ad_vector_degenerates_to_untwisted(self, corpus100):

@@ -16,7 +16,7 @@ import twistrank as tr
 from twistrank import io as tio, twisting
 from twistrank.cli import main
 
-from conftest import edge_list
+from conftest import edge_list, walk_masses
 
 
 def write(path, text):
@@ -238,8 +238,8 @@ class TestRankCommand:
         payload = json.loads((tmp_path / "rank" / "ranking.json").read_text())
         g = tr.load_graph(tio.read_edge_list(small_edges))
         base = {u: 0.0 for u in range(g.n)}
-        for path in tr.enumerate_paths(g, tr.WalkConfig(0.7, 0.3)):
-            base[path.nodes[0]] += path.base_prob
+        for nodes, mass in walk_masses(tr.enumerate_paths(g, tr.WalkConfig(0.7, 0.3))):
+            base[nodes[0]] += mass
         for row in payload["ranking"]:
             u = int(np.searchsorted(g.original_ids, row["node_id"]))
             assert row["score"] == pytest.approx(base[u], abs=1e-9)

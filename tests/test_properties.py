@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import twistrank as tr
 
+from conftest import tilted_masses, walk_masses
+
 
 def edge_sets(max_nodes=8):
     pair = st.tuples(st.integers(0, max_nodes - 1), st.integers(0, max_nodes - 1)).filter(
@@ -35,9 +37,7 @@ def test_load_graph_degree_identities(pairs):
 @settings(max_examples=50, deadline=None)
 @given(graphs(), walk_configs())
 def test_enumeration_mass_and_reversal(g, walk):
-    masses = {}
-    for path in tr.enumerate_paths(g, walk):
-        masses[path.nodes] = path.base_prob
+    masses = dict(walk_masses(tr.enumerate_paths(g, walk)))
     assert abs(sum(masses.values()) - 1.0) <= 1e-12
     for nodes, prob in masses.items():
         assert masses[nodes[::-1]] == prob
@@ -48,7 +48,7 @@ def test_enumeration_mass_and_reversal(g, walk):
 def test_twist_normalization_and_reversibility(g, walk, theta):
     table = tr.path_table(g, tr.SignMin(), walk)
     _, probs = tr.twist(table, theta)
-    by_nodes = {path.nodes: prob for path, prob in zip(table.paths, probs.tolist())}
+    by_nodes = tilted_masses(table, probs)
     assert abs(sum(by_nodes.values()) - 1.0) <= 1e-12
     for nodes, prob in by_nodes.items():
         assert abs(prob - by_nodes[nodes[::-1]]) <= 1e-12

@@ -89,7 +89,8 @@ class TestSolveFromAtoms:
             if fmax - fmin < 1e-9:
                 continue
             gamma = fmin + FRACTIONS[i % 3] * (fmax - fmin)
-            theta = twisting.solve_theta_atoms(*tr.measure_atoms(tr.TiltModel(g, measure, walk)), gamma)
+            atoms = tr.measure_atoms(tr.TiltModel(g, measure, walk))
+            theta = twisting.AtomSolver(*atoms).theta(gamma)
             back = tr.twist(table, theta)[0].mean_measure
             numeric = tr.solve_theta_numeric(table, gamma)
             resolved = tr.resolve_theta(tr.TiltModel(g, measure, walk), gamma=gamma)
@@ -111,7 +112,7 @@ class TestSolveFromAtoms:
         table = tr.path_table(g, measure, walk)
         _, fmax = tr.achievable_range(table)
         for solve in (
-            lambda: twisting.solve_theta_atoms(*atoms, fmax + 0.1),
+            lambda: twisting.AtomSolver(*atoms).theta(fmax + 0.1),
             lambda: tr.solve_theta_numeric(table, fmax + 0.1),
         ):
             with pytest.raises(SolveError, match="achievable range"):
@@ -164,12 +165,13 @@ class TestSharedSolver:
             if keep.sum() < 3:
                 continue
             # The oracle path solves without a memo.
-            table = tr.PathTable(paths=(), f=values[keep], logp0=np.log(masses[keep]))
+            table = tr.PathTable(n=0, walks=(), f=values[keep], p0=masses[keep],
+                                 logp0=np.log(masses[keep]))
             lo, hi = tr.achievable_range(table)
             for gammas in _target_lists(rng, lo, hi):
                 solver = twisting.AtomSolver(values, masses)
                 shared = [_outcome(solver.theta, g) for g in gammas]
-                fresh = [_outcome(lambda g: twisting.solve_theta_atoms(values, masses, g), g)
+                fresh = [_outcome(lambda g: twisting.AtomSolver(values, masses).theta(g), g)
                          for g in gammas]
                 oracle = [_outcome(lambda g: tr.solve_theta_numeric(table, g), g) for g in gammas]
                 assert shared == fresh == oracle
@@ -187,8 +189,8 @@ class TestSharedSolver:
                 model = tr.TiltModel(g, measure, walk)
                 shared = [_outcome(model.theta, gamma) for gamma in gammas]
                 fresh = [
-                    _outcome(lambda gamma: twisting.solve_theta_atoms(
-                        *tr.measure_atoms(tr.TiltModel(g, measure, walk)), gamma), gamma)
+                    _outcome(lambda gamma: twisting.AtomSolver(
+                        *tr.measure_atoms(tr.TiltModel(g, measure, walk))).theta(gamma), gamma)
                     for gamma in gammas
                 ]
                 assert shared == fresh

@@ -11,7 +11,7 @@ import twistrank as tr
 from twistrank import twisting
 from twistrank.errors import GraphError, SolveError
 
-from conftest import random_signed_graph
+from conftest import random_signed_graph, tilted_masses, walk_masses
 
 
 def _kl(p, q):
@@ -47,7 +47,7 @@ class TestMeasures:
     def test_block_evaluation_equals_the_per_walk_code(self, beta, corpus100):
         walk = tr.WalkConfig(*beta)
         for g, z in corpus100:
-            paths = [p.nodes for p in tr.enumerate_paths(g, walk)]
+            paths = [nodes for nodes, _ in walk_masses(tr.enumerate_paths(g, walk))]
             blocks = [np.array([p for p in paths if len(p) == length]) for length in (2, 3)]
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
                 want = np.array([_per_walk_measure(g, measure, nodes) for nodes in paths])
@@ -182,8 +182,8 @@ class TestTwist:
         table = tr.path_table(g, tr.SignProduct(), tr.WalkConfig(0.7, 0.3))
         result, probs = tr.twist(table, 0.0)
         assert result.free_energy == pytest.approx(0.0, abs=1e-12)
-        for path, prob in zip(table.paths, probs.tolist()):
-            assert prob == pytest.approx(path.base_prob, abs=1e-14)
+        for base, prob in zip(table.p0.tolist(), probs.tolist()):
+            assert prob == pytest.approx(base, abs=1e-14)
 
     def test_triangle_hand_normalized_masses(self, triangle_one_neg):
         # Tilting the 6 directed edges by exp(theta * sign) with theta = ln 2:
@@ -201,7 +201,8 @@ class TestTwist:
         for g, z in corpus100[:20]:
             table = tr.path_table(g, tr.MinInnerProduct(z), tr.WalkConfig(0.7, 0.3))
             result, probs = tr.twist(table, 1.5)
-            values = np.array([tr.MinInnerProduct(z).evaluate(g, path.nodes) for path in table.paths])
+            values = np.array([tr.MinInnerProduct(z).evaluate(g, nodes)
+                               for nodes in tilted_masses(table, probs)])
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert values.min() - 1e-12 <= result.mean_measure <= values.max() + 1e-12
 
@@ -209,15 +210,13 @@ class TestTwist:
         walk = tr.WalkConfig(1.0, 0.0)
         table = tr.path_table(triangle_one_neg, tr.SignProduct(), walk)
         result, p = tr.twist(table, 1.2)
-        p0 = np.array([path.base_prob for path in table.paths])
-        d = _kl(p, p0)
+        d = _kl(p, table.p0)
         assert d > 0
         assert d == pytest.approx(1.2 * result.mean_measure - result.free_energy, abs=1e-12)
         # Constant measure: the tilt cancels and the divergence vanishes.
         table0 = tr.path_table(triangle_pos, tr.SignProduct(), walk)
         result0, q = tr.twist(table0, 1.2)
-        q0 = np.array([path.base_prob for path in table0.paths])
-        assert _kl(q, q0) == pytest.approx(0.0, abs=1e-12)
+        assert _kl(q, table0.p0) == pytest.approx(0.0, abs=1e-12)
 
     def test_survives_large_temperatures(self, triangle_one_neg):
         table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
@@ -375,7 +374,7 @@ class TestTwistedStructure:
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
                 table = tr.path_table(g, measure, walk)
                 _, probs = tr.twist(table, 1.3)
-                by_nodes = {path.nodes: prob for path, prob in zip(table.paths, probs.tolist())}
+                by_nodes = tilted_masses(table, probs)
                 for nodes, prob in by_nodes.items():
                     assert abs(prob - by_nodes[nodes[::-1]]) <= 1e-12
 
@@ -390,8 +389,9 @@ class TestKLOptimality:
         table = tr.path_table(path3, tr.SignProduct(), walk)
         theta = tr.solve_theta_numeric(table, gamma)
         _, p = tr.twist(table, theta)
-        p0 = np.array([path.base_prob for path in table.paths])
-        f = np.array([tr.SignProduct().evaluate(path3, path.nodes) for path in table.paths])
+        p0 = table.p0
+        f = np.array([tr.SignProduct().evaluate(path3, nodes)
+                      for nodes in tilted_masses(table, p)])
         d_twist = _kl(p, p0)
 
         steps = 60
