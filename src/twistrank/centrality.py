@@ -29,7 +29,6 @@ from .twisting import (
     SignMin,
     SignProduct,
     measure_atoms,
-    solve_theta_closed,
     theta_value,
 )
 
@@ -294,15 +293,12 @@ class TiltModel:
     def theta(self, gamma: float) -> float:
         """The temperature at which the tilted mean measure equals ``gamma``.
 
-        Sign measures with only length-1 walks go through
-        :func:`solve_theta_closed`.  Otherwise the target is inverted on the
-        atoms: in closed form for the two sign atoms, by Newton iteration over
-        at most n atoms for the advertisement measure.  The targets share one
+        Every target is inverted on the measure's atoms, at every walk mix: in
+        closed form for the two sign atoms, by Newton iteration over at most n
+        atoms for the advertisement measure.  The targets share one
         :class:`~twistrank.twisting.AtomSolver`, and each gets the theta of a
         fresh solver's ``theta``.
         """
-        if self.is_sign and self.walk.beta2 == 0:
-            return solve_theta_closed(self.stats, gamma)
         return self.solver.theta(gamma)
 
     def ranking(self, theta: float) -> CentralityRanking:

@@ -58,7 +58,6 @@ def build_parser() -> _Parser:
     p.add_argument("--partition", help="partition-label file (u label), required when injecting")
     p.add_argument("--seed", type=int, default=0, help="seed for negative-edge injection")
     p.add_argument("--out", required=True, help="output directory")
-    _common_flags(p)
     p.set_defaults(handler=cmd_preprocess)
 
     p = sub.add_parser("rank", help="compute a centrality ranking")
@@ -71,7 +70,6 @@ def build_parser() -> _Parser:
                    help="advertisement score-vector file; repeat to combine "
                         "advertisements by elementwise sum")
     p.add_argument("--out", required=True, help="output directory")
-    _common_flags(p)
     p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("sweep", help="rank over a grid of targets and compare to degree baselines")
@@ -83,14 +81,12 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None,
                    help="top-k size (default 100, or 250 for --measure ad)")
     p.add_argument("--out", required=True, help="output directory")
-    _common_flags(p)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle cross-checks on a graph")
     _graph_flags(p)
     p.add_argument("--ad-vector", action="append", metavar="FILE")
     p.add_argument("--out", help="optional output directory for the JSON report")
-    _common_flags(p)
     p.set_defaults(handler=cmd_verify)
     return parser
 
@@ -100,12 +96,6 @@ def _graph_flags(p):
     p.add_argument("--attrs", help="node-attribute file (u v1 ... vp)")
     p.add_argument("--beta1", type=float, default=1.0, help="weight of length-1 walks")
     p.add_argument("--beta2", type=float, default=0.0, help="weight of length-2 walks")
-
-
-def _common_flags(p):
-    # Deprecated no-op, still accepted so existing scripts keep working.  It
-    # is left out of the manifest, which must not depend on the machine.
-    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
 
 def _load(args):
@@ -248,7 +238,7 @@ def cmd_verify(args) -> int:
 def _manifest_params(args) -> dict:
     # The output directory is where results land, not an input to them; keep
     # it out so reruns into different directories stay byte-identical.
-    skip = {"handler", "command", "out", "threads"}
+    skip = {"handler", "command", "out"}
     params = {}
     for key, value in sorted(vars(args).items()):
         if key in skip:

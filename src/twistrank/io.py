@@ -415,7 +415,10 @@ def sweep_rows(rows: list[SweepRow]) -> list[dict]:
         out.append(
             {
                 "gamma": finite_or_none(row.gamma),
-                "theta": finite_or_none(row.theta),
+                # The number of its 12-digit text, as in sweep.csv, so that
+                # the file does not hang on the last bits of a solve.
+                "theta": None if row.theta is None
+                else finite_or_none(float(format_score(row.theta))),
                 "jaccard_pos": finite_or_none(row.jaccard_pos),
                 "jaccard_neg": finite_or_none(row.jaccard_neg),
                 "jaccard_total": finite_or_none(row.jaccard_total),

@@ -108,21 +108,23 @@ class MinInnerProduct:
         self._check_dim(graph)
         nodes = np.asarray(nodes)
         _step_entries(graph, nodes)  # each step must be an edge, as for the sign measures
-        # One dot product per node, not node_scores' matrix product, so that
-        # the oracle shares no kernel with production.
+        # One BLAS dot product per node, not node_scores' multiply-and-sum, so
+        # that the oracle shares no kernel with production.
         z = np.array([row @ self.scores for row in graph.node_attrs])
         return _per_walk(z[nodes].min(axis=-1))
 
     def node_scores(self, graph: AttributedGraph) -> np.ndarray:
         """Inner product of every node's attribute vector with the score vector.
 
-        Finite attributes can still overflow it: such a score is +-inf or NaN,
-        without a warning.  :attr:`~twistrank.centrality.TiltModel.capped_rows`
-        rejects them.
+        It is a numpy multiply-and-sum, not a BLAS product, so neither the BLAS
+        kernel nor its thread count decides a bit of it.  Finite attributes
+        can still overflow it: such a score is +-inf or NaN, without a
+        warning.  :attr:`~twistrank.centrality.TiltModel.capped_rows` rejects
+        them.
         """
         self._check_dim(graph)
         with np.errstate(over="ignore", invalid="ignore"):
-            return graph.node_attrs @ self.scores
+            return (graph.node_attrs * self.scores).sum(axis=1)
 
     def capped_rows(self, graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The entries of ``graph.csr()`` as ``(middle, neighbour, capped)`` arrays.
@@ -325,8 +327,10 @@ def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
             plus, minus = kp * kp, k * k - kp * kp
         else:
             plus, minus = kp * kp + kn * kn, 2.0 * kp * kn
-        pos += float(unit @ plus)
-        neg += float(unit @ minus)
+        # Summed by numpy, not by a BLAS dot product, whose order depends on
+        # the BLAS kernel and thread count.
+        pos += float((unit * plus).sum())
+        neg += float((unit * minus).sum())
     return np.array([-1.0, 1.0]), np.array([neg, pos])
 
 
@@ -363,7 +367,8 @@ class AtomSolver:
     def theta(self, gamma: float) -> float:
         """Solve mean(theta) = gamma: in closed form on two atoms, else by the
         Newton iteration of :func:`solve_theta_numeric` at O(atoms) per step.
-        The target must lie strictly inside the atoms' range."""
+        The target must lie strictly inside the atoms' range.  This is the one
+        solver of ``TiltModel.theta``, for every measure and walk mix."""
         gamma = float(gamma)
         _check_target(*self.range, gamma)
         if self.f.size == 2:
@@ -408,9 +413,11 @@ def _check_target(fmin: float, fmax: float, gamma: float) -> None:
 
 
 def _scalar_grad_var(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, float]:
+    # numpy sums, not BLAS dot products, so that theta's bits do not depend
+    # on the BLAS kernel or thread count.
     _, p = _tilt(f, logp0, theta)
-    grad = float(p @ f)
-    var = float(p @ (f - grad) ** 2)
+    grad = float((p * f).sum())
+    var = float((p * (f - grad) ** 2).sum())
     return grad, var
 
 
@@ -460,8 +467,6 @@ def _solve_scalar(grad_var, gamma: float) -> float:
             lo = theta
         if hi - lo <= 1e-16 * max(1.0, abs(theta)):
             break
-    if abs(r) <= NEWTON_TOL:
-        return _polish_scalar(grad_var, gamma, theta, r, var)
     raise ConvergenceError("temperature solve did not converge", abs(r))
 
 

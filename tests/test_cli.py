@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import twistrank as tr
 from twistrank import io as tio, twisting
 from twistrank.cli import main
 
-from conftest import edge_list, walk_masses
+from conftest import edge_list, skewed_signed_graph, walk_masses
 
 
 def write(path, text):
@@ -59,6 +60,62 @@ def paper_scale_edges(tmp_path, paper_scale_graph):
     lines = [f"{u} {w} {s}" for u, w, s in edge_list(paper_scale_graph, original_ids=True)]
     write(path, "\n".join(lines) + "\n")
     return path
+
+
+def _child_runs(tmp_path, argv, settings):
+    """``twistrank argv`` in one child interpreter per entry of ``settings``, a
+    name mapped to the environment variables to set on top of this process's,
+    less its CPU-dispatch and BLAS-kernel variables.  Returns each run's
+    stdout and output files by name; every run must succeed."""
+    src = str(Path(tr.__file__).resolve().parents[1])
+    runs = {}
+    for name, extra in settings.items():
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+        env.update(PYTHONPATH=src, **extra)
+        out = tmp_path / name
+        done = subprocess.run([sys.executable, "-m", "twistrank.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        runs[name] = (done.stdout, read_tree(out))
+    files = ["manifest.json", *(["sweep.csv", "sweep.json"] if argv[0] == "sweep"
+                                else ["ranking.csv", "ranking.json"])]
+    assert all(sorted(tree) == files for _, tree in runs.values())
+    return runs
+
+
+@pytest.fixture(scope="module")
+def machine_inputs(tmp_path_factory):
+    """The argv, without --out, of a trust ``rank`` at beta = (0.7, 0.3) on a
+    skewed 2,000-node graph and of a 9-target ad ``sweep`` on a skewed
+    1,000-node graph with 8 topic weights per node.  Both are large enough
+    that a theta sum whose order depends on the BLAS kernel or the CPU
+    dispatch moves a printed byte."""
+    root = tmp_path_factory.mktemp("machine")
+    rng = np.random.default_rng(1)
+    skewed = root / "skewed.txt"
+    trust_graph = skewed_signed_graph(rng, 2000, 4000)
+    write(skewed, "".join(f"{u} {w} {s}\n" for u, w, s in edge_list(trust_graph)))
+    g = skewed_signed_graph(rng, 1000, 4000)
+    topics = rng.dirichlet(np.ones(8), size=g.n)
+    ad = rng.dirichlet(np.ones(8))
+    edges, attrs, z = root / "ad_edges.txt", root / "attrs.txt", root / "ad.txt"
+    write(edges, "".join(f"{u} {w} {s}\n" for u, w, s in edge_list(g)))
+    write(attrs, "".join(f"{u} " + " ".join(map(repr, row)) + "\n"
+                         for u, row in enumerate(topics.tolist())))
+    write(z, " ".join(map(repr, ad.tolist())) + "\n")
+    # Targets at 10%, 20%, ..., 90% of the range of the edges' measure min(z_u, z_w).
+    scores = topics @ ad
+    lo, hi, _ = g.pairs()
+    f = np.minimum(scores[lo], scores[hi])
+    gammas = f.min() + np.arange(1, 10) / 10 * (f.max() - f.min())
+    return {
+        "trust-rank": ["rank", "--edges", str(skewed), "--measure", "trust", "--gamma", "0.3",
+                       "--beta1", "0.7", "--beta2", "0.3"],
+        "ad-sweep": ["sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
+                     "--measure", "ad", "--beta1", "1",
+                     "--gammas=" + ",".join(map(repr, gammas.tolist()))],
+    }
 
 
 BIG = 99999999999999999999  # beyond int64
@@ -374,7 +431,7 @@ class TestRankCommand:
             "--gamma", "1.0", "--beta1", "1", "--out", str(tmp_path / "o"),
         ])
         assert code == 2
-        assert "strictly" in capsys.readouterr().err
+        assert "achievable range (-1.0, 1.0)" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, tmp_path, small_edges, capsys):
         args = [
@@ -386,8 +443,8 @@ class TestRankCommand:
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
     def test_outputs_do_not_depend_on_threads(self, tmp_path, small_edges, monkeypatch, capsys):
-        # --threads is a deprecated no-op; neither it nor TWISTRANK_THREADS
-        # may reach manifest.json, or reruns on other machines would differ.
+        # TWISTRANK_THREADS may not reach manifest.json, or reruns on other
+        # machines would differ; the --threads flag is gone.
         args = [
             "rank", "--edges", str(small_edges), "--measure", "trust",
             "--gamma", "0.2", "--beta1", "0.7", "--beta2", "0.3",
@@ -396,10 +453,14 @@ class TestRankCommand:
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         monkeypatch.setenv("TWISTRANK_THREADS", "7")
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
-        assert main(args + ["--threads", "3", "--out", str(tmp_path / "c")]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--threads", "3", "--out", str(tmp_path / "c")])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --threads 3" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
         first = read_tree(tmp_path / "a")
         assert "manifest.json" in first
-        assert first == read_tree(tmp_path / "b") == read_tree(tmp_path / "c")
+        assert first == read_tree(tmp_path / "b")
 
     def test_resolves_theta_and_stats_once(self, tmp_path, small_edges, monkeypatch, capsys):
         calls = count_calls(monkeypatch, ("resolve_theta", "stats"))
@@ -431,30 +492,37 @@ class TestRankCommand:
             assert calls == {"format_score": distinct + 2}
             assert len((out / "ranking.csv").read_text().splitlines()) == g.n + 1
 
-    @pytest.mark.parametrize("beta", [("1", "0"), ("0.7", "0.3")],
-                             ids=["beta-1-0", "beta-0.7-0.3"])
-    def test_bytes_do_not_depend_on_the_cpu_dispatch(self, tmp_path, paper_scale_edges, beta):
-        """``rank`` in two child interpreters, one with numpy's AVX-512 kernels
-        disabled, writes the same bytes: a first check that reruns on another
-        machine reproduce the outputs.  ``sweep`` stays out until theta is
-        printed in a machine-independent way: sweep.json prints it at full
-        precision, and the last digits of its Newton solve do depend on the
-        kernels."""
-        src = str(Path(tr.__file__).resolve().parents[1])
-        argv = [sys.executable, "-m", "twistrank.cli", "rank", "--edges", str(paper_scale_edges),
-                "--measure", "trust", "--gamma", "0.3", "--beta1", beta[0], "--beta2", beta[1]]
-        runs = []
-        for name, disabled in (("default", None), ("no-avx512", "X86_V4 AVX512_ICL AVX512_SPR")):
-            env = {**os.environ, "PYTHONPATH": src}
-            env.pop("NPY_DISABLE_CPU_FEATURES", None)
-            if disabled:
-                env["NPY_DISABLE_CPU_FEATURES"] = disabled
-            out = tmp_path / name
-            done = subprocess.run([*argv, "--out", str(out)], env=env, capture_output=True)
-            assert done.returncode == 0, done.stderr
-            runs.append((done.stdout, read_tree(out)))
-        assert sorted(runs[0][1]) == ["manifest.json", "ranking.csv", "ranking.json"]
-        assert runs[0] == runs[1]
+    @pytest.mark.parametrize("case", ["beta-1-0", "beta-0.7-0.3", "ad-sweep"])
+    def test_bytes_do_not_depend_on_the_cpu_dispatch(self, tmp_path, paper_scale_edges,
+                                                     machine_inputs, case):
+        """A trust ``rank`` at two walk mixes and an ad ``sweep``, each in two
+        child interpreters, one with numpy's AVX-512 kernels disabled, write
+        the same bytes: a first check that reruns on another machine
+        reproduce the outputs.  The last bits of a Newton solve can depend on
+        the kernels, so sweep.json prints theta at 12 digits, as sweep.csv
+        does."""
+        if case == "ad-sweep":
+            argv = machine_inputs["ad-sweep"]
+        else:
+            beta1, beta2 = case.split("-")[1:]
+            argv = ["rank", "--edges", str(paper_scale_edges), "--measure", "trust",
+                    "--gamma", "0.3", "--beta1", beta1, "--beta2", beta2]
+        no_avx512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        runs = _child_runs(tmp_path, argv, {"default": {}, "no-avx512": no_avx512})
+        assert runs["default"] == runs["no-avx512"]
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="OPENBLAS_CORETYPE names x86 cores")
+    @pytest.mark.parametrize("case", ["trust-rank", "ad-sweep"])
+    def test_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path, machine_inputs, case):
+        """The same runs with OpenBLAS's kernel for the running core and with
+        its SSE2-only Prescott kernel write the same bytes: no sum that
+        decides theta or a score goes through BLAS, whose summation order
+        depends on the kernel."""
+        runs = _child_runs(tmp_path, machine_inputs[case], {
+            "default": {}, "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+        })
+        assert runs["default"] == runs["prescott"]
 
 
 class TestSweepCommand:
@@ -503,15 +571,15 @@ class TestSweepCommand:
         ]) == 0
         assert calls == {"resolve_theta": 3, "stats": 1, "measure_atoms": 1}
 
-    def test_one_step_sign_sweep_builds_no_atoms(self, tmp_path, small_edges,
-                                                 monkeypatch, capsys):
+    def test_one_step_sign_sweep_builds_atoms_once(self, tmp_path, small_edges,
+                                                   monkeypatch, capsys):
         calls = count_calls(monkeypatch, ("resolve_theta", "measure_atoms"))
         assert main([
             "sweep", "--edges", str(small_edges), "--measure", "trust",
             "--gammas=-0.2,0,0.3", "--beta1", "1", "--beta2", "0", "--k", "2",
             "--out", str(tmp_path / "sweep"),
         ]) == 0
-        assert calls == {"resolve_theta": 3}
+        assert calls == {"resolve_theta": 3, "measure_atoms": 1}
 
     def test_ad_sweep_sorts_capped_rows_once(self, tmp_path, monkeypatch, capsys):
         edges = tmp_path / "edges.txt"
@@ -572,7 +640,7 @@ class TestSweepCommand:
         "measure, targets, beta2, error",
         [
             ("influence", "--gammas=0.1,-0.4", "0",
-             "closed-form temperature needs both positive and negative edges (m+ = 0, m- = 0)"),
+             "cannot push the walk distribution forward on an edgeless graph"),
             ("trust", "--gammas=0.1,-0.4", "0.3",
              "cannot push the walk distribution forward on an edgeless graph"),
             ("ad", "--gammas=0.1,-0.4", "0",

@@ -132,6 +132,26 @@ class TestSolveFromAtoms:
             expected = 0.5 * math.log(1425 * (1.0 + gamma) / (15225 * (1.0 - gamma)))
             assert tr.solve_theta_closed(s, gamma) == expected
 
+    def test_one_step_sign_theta_is_the_closed_form(self):
+        """At beta = (1, 0) both sign measures solve on the atoms (m-/m, m+/m),
+        which gives the paper's formula on (m-, m+) to within 4 ulp."""
+        rng = np.random.default_rng(2017)
+        eps = np.finfo(float).eps
+        for _ in range(60):
+            m_pos, m_neg = (int(x) for x in rng.integers(1, 3000, size=2))
+            m = m_pos + m_neg
+            # A path of m edges, with the signs shuffled along it.
+            signs = rng.permutation(np.repeat(np.array([1, -1], dtype=np.int8), [m_pos, m_neg]))
+            g = tr.AttributedGraph(np.arange(m + 1), np.arange(m), np.arange(1, m + 1), signs,
+                                  np.zeros((m + 1, 0)))
+            s = tr.stats(g)
+            assert (s.m_pos, s.m_neg) == (m_pos, m_neg)
+            for gamma in rng.uniform(-1.0, 1.0, size=5):
+                closed = tr.solve_theta_closed(s, gamma)
+                for measure in (tr.SignProduct(), tr.SignMin()):
+                    theta = tr.TiltModel(g, measure, tr.WalkConfig(1.0, 0.0)).theta(gamma)
+                    assert abs(theta - closed) <= 4 * eps * max(1.0, abs(closed))
+
 
 def _outcome(solve, gamma):
     """A solve's theta as its exact bits, or its error."""
