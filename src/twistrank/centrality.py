@@ -25,6 +25,7 @@ from .graph import AttributedGraph, GraphStats, stats
 from .sampling import WalkConfig, _check_budget
 from .twisting import (
     AtomSolver,
+    CappedRows,
     MinInnerProduct,
     SignMin,
     SignProduct,
@@ -187,10 +188,9 @@ def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool
     return scores
 
 
-def _min_inner_scores(g, walk: WalkConfig, theta: float, capped_rows) -> np.ndarray:
+def _min_inner_scores(g, walk: WalkConfig, theta: float, rows: CappedRows) -> np.ndarray:
     # Unnormalized start masses, without the common factor 1 / (2 m).
-    middles, starts, capped = capped_rows
-    indptr = g.csr()[0]
+    indptr, middles, starts, capped = rows.indptr, rows.middle, rows.neighbour, rows.capped
     # Every walk's exponent is theta * capped for some entry (a two-step walk
     # u-v-u reaches the extreme), so shifting by the largest keeps all <= 0.
     x = theta * capped
@@ -245,8 +245,8 @@ class TiltModel:
 
     The work that does not depend on theta is built lazily, at most once, and
     shared by every temperature: the signed degrees (``stats``), the
-    advertisement measure's sorted capped rows (``capped_rows``), the
-    measure's atoms (``atoms``, see :func:`measure_atoms`) and their
+    advertisement measure's capped rows and score levels (``capped_rows``),
+    the measure's atoms (``atoms``, see :func:`measure_atoms`) and their
     positive-mass part with its log masses (``solver``), which also keeps the
     moments at every temperature a solve visits.  A build that fails raises
     again on the next use.
@@ -269,9 +269,10 @@ class TiltModel:
         return stats(self.graph)
 
     @cached_property
-    def capped_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The measure's capped rows; a node score that is not finite is a
-        :class:`GraphError` naming the first such node by its original id."""
+    def capped_rows(self) -> CappedRows:
+        """The measure's capped rows, read from the graph's sorted pairs; a
+        node score that is not finite is a :class:`GraphError` naming the
+        first such node by its original id."""
         z = self.measure.node_scores(self.graph)
         bad = np.flatnonzero(~np.isfinite(z))
         if bad.size:

@@ -4,10 +4,11 @@ Graphs are undirected, carry one sign (+1 or -1) per edge, and optionally a
 real-valued attribute vector per node.  An :class:`AttributedGraph` is
 immutable after construction.  Its edges are stored once, as read-only
 arrays of its sorted pairs (low end, high end, sign), from which the degree
-counts, the sign kernels and the writers work.  The CSR arrays (row
-pointers, neighbour ids, signs) are placed on first use by the kernels that
-walk rows, and kept.  Both can be shared freely between workers: threads
-that race on the first :meth:`AttributedGraph.csr` call place equal arrays.
+counts, every centrality kernel and the writers work.  The CSR arrays (row
+pointers, neighbour ids, signs) are placed on first use by the oracle that
+:mod:`twistrank.verify` runs, and kept.  Both can be shared freely between
+workers: threads that race on the first :meth:`AttributedGraph.csr` call
+place equal arrays.
 
 The preprocessing pipeline turns raw (possibly directed, duplicated, or
 self-looped) edge records into a validated graph: it symmetrizes the input,
@@ -35,7 +36,7 @@ class AttributedGraph:
     in ascending order, in the read-only array :attr:`original_ids`: int64,
     or Python ints in an object array once an id is beyond int64.  The edges
     are the sorted pairs of :meth:`pairs`; :meth:`csr` places the neighbour
-    lists from them on its first call.  Build instances through
+    lists from them on its first call, for the oracle.  Build instances through
     :func:`load_graph` or :func:`preprocess`, which validate the invariants
     (no self-loops, one sign per unordered pair, signs exactly +1 or -1, a
     single attribute dimension shared by all nodes).
@@ -89,10 +90,11 @@ class AttributedGraph:
 
         Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]`` (ascending ids) with
         the matching edge signs; every undirected edge appears in both rows.
-        The arrays are placed from :meth:`pairs` on the first call and kept.
+        The arrays are placed from :meth:`pairs` on the first call and kept;
+        only the oracle reads them, never ``rank``, ``sweep`` or ``preprocess``.
         """
         if self._csr is None:
-            self._csr = _place_csr(self.n, *self._pairs)
+            self._csr = _place_csr(self)
         return self._csr
 
     def __eq__(self, other) -> bool:
@@ -389,57 +391,30 @@ def _index_dtype(bound: int):
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _place_csr(
-    n: int, lo: np.ndarray, hi: np.ndarray, signs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only CSR arrays of the ascending pairs ``lo < hi``.
+def _row_entries(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both directions of every pair, as ``(indptr, rows, cols)``: the
+    ``(hi, lo)`` entries, then the ``(lo, hi)`` entries.
 
-    Row u holds its lower neighbours (the pairs with hi == u) and then its
-    upper ones (lo == u), each ascending.  In (lo, hi) order, pair k is
-    preceded by k upper entries and by the lower entries of rows up to lo[k];
-    the j-th pair in stable hi order by j lower entries and by the upper
-    entries of rows before hi.
+    The pairs ascend, so a stable sort of the entries by row lists each row's
+    lower neighbours, then its upper ones, each ascending: the order of
+    :meth:`AttributedGraph.csr`.  ``indptr`` delimits the rows after that sort.
     """
-    m = lo.size
-    pos = _index_dtype(2 * m)
-    up = np.cumsum(np.bincount(lo, minlength=n), dtype=pos)
-    down = np.cumsum(np.bincount(hi, minlength=n), dtype=pos)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add(up, down, out=indptr[1:])
-    indices = np.empty(2 * m, dtype=lo.dtype)
-    entry_signs = np.empty(2 * m, dtype=np.int8)
-    slot = down[lo]
-    slot += np.arange(m, dtype=pos)
-    indices[slot] = hi
-    entry_signs[slot] = signs
-    del down, slot
-    by_hi = _stable_order(hi, n)
-    lo, signs, hi = lo[by_hi], signs[by_hi], hi[by_hi]
-    del by_hi
-    hi -= 1  # hi > lo >= 0
-    slot = up[hi]
-    slot += np.arange(m, dtype=pos)
-    indices[slot] = lo
-    entry_signs[slot] = signs
-    for arr in (indptr, indices, entry_signs):
+    lo, hi, _ = g.pairs()
+    rows = np.concatenate((hi, lo))
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
+    return indptr, rows, np.concatenate((lo, hi))
+
+
+def _place_csr(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only CSR arrays of ``g``: :func:`_row_entries` in one stable sort by row."""
+    indptr, rows, cols = _row_entries(g)
+    order = np.argsort(rows, kind="stable")
+    del rows
+    indices, signs = cols[order], np.tile(g.pairs()[2], 2)[order]
+    for arr in (indptr, indices, signs):
         arr.setflags(write=False)
-    return indptr, indices, entry_signs
-
-
-def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
-    """The positions of ``keys``, each in ``0..n-1``, in stable ascending order.
-
-    One stable pass per 16-bit digit, least significant first: numpy sorts
-    ``uint16`` keys by counting.
-    """
-    order = None
-    for shift in range(0, max(n - 1, 1).bit_length(), 16):
-        digits = ((keys if order is None else keys[order]) >> shift).astype(np.uint16)
-        step = np.argsort(digits, kind="stable")
-        del digits
-        # Positions are kept narrow between passes, to bound the peak memory.
-        order = step.astype(_index_dtype(keys.size)) if order is None else order[step]
-    return order
+    return indptr, indices, signs
 
 
 def _record_rows(records) -> tuple[np.ndarray, GraphError | None]:

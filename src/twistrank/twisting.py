@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, GraphError, SolveError
-from .graph import AttributedGraph, GraphStats
+from .graph import AttributedGraph, GraphStats, _row_entries
 from .sampling import WalkConfig, enumerate_paths
 
 # Newton iteration: tolerance on the mean measure, and step limit.
@@ -90,6 +91,20 @@ def _per_walk(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values.astype(float)
 
 
+class CappedRows(NamedTuple):
+    """Entry ``j`` of row ``v`` (``indptr[v] <= j < indptr[v + 1]``) is the edge
+    from ``middle[j]`` = v to ``neighbour[j]``, of measure ``capped[j]`` =
+    ``levels[level[j]]`` (up to the sign of a zero), where ``levels`` holds
+    the distinct node scores in ascending order."""
+
+    indptr: np.ndarray
+    middle: np.ndarray
+    neighbour: np.ndarray
+    capped: np.ndarray
+    level: np.ndarray
+    levels: np.ndarray
+
+
 class MinInnerProduct:
     """Minimum, over the path's nodes, of the inner product with a score vector.
 
@@ -126,30 +141,32 @@ class MinInnerProduct:
         with np.errstate(over="ignore", invalid="ignore"):
             return (graph.node_attrs * self.scores).sum(axis=1)
 
-    def capped_rows(self, graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries of ``graph.csr()`` as ``(middle, neighbour, capped)`` arrays.
+    def capped_rows(self, graph: AttributedGraph) -> CappedRows:
+        """Every edge in both directions, as the rows of :class:`CappedRows`.
 
         ``capped`` is min(z[middle], z[neighbour]): the measure of that edge,
-        and the neighbour's score capped at the middle node's.  Rows stay in
-        ``csr()`` order, so its ``indptr`` still delimits them, but within a
-        row the entries are sorted by ascending ``capped``, ties in ``csr()``
-        order and NaN last.
+        and the neighbour's score capped at the middle node's.  The rows are
+        those of ``graph.csr()``, built from ``graph.pairs()`` without placing
+        it; each is sorted by ascending ``capped``, ties in ``csr()`` order.
 
         The sort is one stable argsort of the int64 key ``middle * r +
-        min(rank[middle], rank[neighbour])``, where ``rank`` numbers the r
-        distinct scores in ascending order.  The rank of a min is the min of
-        the ranks, except that a NaN score passes through ``np.minimum``; its
-        entries take the top rank, which ``np.unique`` gives NaN.
+        level``, where ``level = min(rank[middle], rank[neighbour])`` and
+        ``rank`` numbers the r distinct scores ``levels`` in ascending order.
+        The rank of a min is the min of the ranks, except that a NaN score
+        passes through ``np.minimum``; its entries take the top level, which
+        ``np.unique`` gives NaN.
         """
         z = self.node_scores(graph)
-        indptr, neighbours, _ = graph.csr()
-        middles = np.repeat(np.arange(graph.n), np.diff(indptr))
-        capped = np.minimum(z[middles], z[neighbours])
+        indptr, middle, neighbour = _row_entries(graph)
+        capped = np.minimum(z[middle], z[neighbour])
         levels, rank = np.unique(z, return_inverse=True)
-        key = np.minimum(rank[middles], rank[neighbours])
-        key[np.isnan(capped)] = levels.size - 1
-        order = np.argsort(middles * levels.size + key, kind="stable")
-        return middles[order], neighbours[order], capped[order]
+        # Ranks are below n, so they take the node ids' width (int32 below 2**31).
+        rank = rank.astype(middle.dtype)
+        level = np.minimum(rank[middle], rank[neighbour])
+        level[np.isnan(capped)] = levels.size - 1
+        order = np.argsort(middle.astype(np.int64) * levels.size + level, kind="stable")
+        return CappedRows(indptr, middle[order], neighbour[order], capped[order], level[order],
+                          levels)
 
     def _check_dim(self, graph: AttributedGraph) -> None:
         if graph.attr_dim != self.scores.size:
@@ -303,8 +320,8 @@ def measure_atoms(model) -> tuple[np.ndarray, np.ndarray]:
     the signed degrees k+ and k- in O(m): a middle node v splits the k_v^2
     two-step walks through it by the signs of their two edges.  The
     advertisement measure takes at most n values, the node scores; its
-    atoms come from each node's neighbour scores sorted, in O(m log m).
-    Atoms of zero mass may be present.
+    atoms come from the capped rows, sorted once in O(m log m), summed by
+    integer score level with no float sort.  Atoms of zero mass may be present.
     """
     if model.graph.m == 0:
         raise GraphError("cannot push the walk distribution forward on an edgeless graph")
@@ -334,17 +351,16 @@ def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
     return np.array([-1.0, 1.0]), np.array([neg, pos])
 
 
-def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, capped_rows):
-    middles, _, capped = capped_rows
-    indptr = g.csr()[0]
-    k = np.diff(indptr)[middles]
-    i = np.arange(capped.size) - indptr[middles]
+def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, rows: CappedRows):
+    k = np.diff(rows.indptr)[rows.middle]
+    i = np.arange(rows.capped.size) - rows.indptr[rows.middle]
     # The edge (v, u) is one length-1 walk of measure capped.  The i-th
     # smallest capped score of row v is the measure of the 2 (k - 1 - i) + 1
     # ordered pairs through v whose lower-ranked end it is.
     masses = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
-    values, inverse = np.unique(capped, return_inverse=True)
-    return values, np.bincount(inverse, weights=masses, minlength=values.size)
+    total = np.bincount(rows.level, weights=masses, minlength=rows.levels.size)
+    occurs = np.bincount(rows.level, minlength=rows.levels.size) > 0
+    return rows.levels[occurs], total[occurs]
 
 
 class AtomSolver:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TwistrankError
-from .graph import AttributedGraph
+from .graph import AttributedGraph, _index_dtype
 from .sampling import WalkConfig
 from .twisting import (
     MinInnerProduct,
@@ -99,17 +99,21 @@ def _pair_errors(g, measure, walk, base):
     """Yield ``(check, error, detail)`` for every check on one (measure, walk) pair."""
     table = path_table(g, measure, walk)
     model = TiltModel(g, measure, walk)
+    # Neither depends on theta, so both are built once per table.
+    reverse, (codes, pair) = _reverse_index(table), _endpoint_pairs(table)
     if base:
         yield "base_walk_normalization", _mass_error(table.p0), ""
     for theta in THETAS:
         result, probs = twist(table, theta)
         yield "twisted_normalization", _mass_error(probs), ""
-        yield "twisted_reversibility", _reversal_error(table, probs), ""
+        reversal = float(np.max(np.abs(probs - probs[reverse]), initial=0.0))
+        yield "twisted_reversibility", reversal, ""
         b = bivariate(model, theta)
-        oracle = endpoint_grouped(table, theta)
+        oracle = BivariateDistribution(table.n, codes, np.bincount(pair, weights=probs))
         yield "pair_distribution_vs_enumeration", pair_mass_deviation(b, oracle), ""
         yield "marginal_symmetry", float(np.max(np.abs(b.start_marginal() - b.end_marginal()))), ""
         piped = marginal(b).scores
+        del b, oracle  # before the next theta's pair assembly, which sets the peak memory
         if isinstance(measure, SignProduct) and walk == WalkConfig(1.0, 0.0):
             closed = influence_closed_form(model.stats, theta).scores
             yield "closed_form_marginal", float(np.max(np.abs(closed - piped))), ""
@@ -137,13 +141,9 @@ def _pair_errors(g, measure, walk, base):
         yield "gamma_round_trip", abs(twist(table, theta)[0].mean_measure - gamma), ""
 
 
-def _reversal_error(table, probs) -> float:
-    """Largest difference between the tilted masses of a walk and its reverse."""
-    return float(np.max(np.abs(probs - probs[_reverse_index(table)]), initial=0.0))
-
-
 def _reverse_index(table) -> np.ndarray:
-    """Row of each walk's reverse among the rows of ``table.walks``, length-1 block first."""
+    """Row of each walk's reverse among the rows of ``table.walks``, length-1
+    block first, in the narrowest index type that holds them."""
     one, two = table.walks
     # The length-1 walks are the CSR entries, whose codes u * n + w ascend;
     # the reverse of (u, w) is the mirror entry (w, u).
@@ -154,7 +154,8 @@ def _reverse_index(table) -> np.ndarray:
     _, start, size = np.unique(two[:, 1], return_index=True, return_counts=True)
     start, k = np.repeat(start, size), np.repeat(np.sqrt(size).astype(np.int64), size)
     a, b = np.divmod(np.arange(len(two)) - start, k)
-    return np.concatenate([mirror, len(one) + start + b * k + a])
+    return np.concatenate([mirror, len(one) + start + b * k + a],
+                          dtype=_index_dtype(len(one) + len(two)))
 
 
 def endpoint_grouped(table, theta: float) -> BivariateDistribution:
@@ -162,10 +163,16 @@ def endpoint_grouped(table, theta: float) -> BivariateDistribution:
 
     Each pair's mass adds its walks' masses in walk order.
     """
-    _, probs = twist(table, theta)
+    codes, pair = _endpoint_pairs(table)
+    return BivariateDistribution(table.n, codes, np.bincount(pair, weights=twist(table, theta)[1]))
+
+
+def _endpoint_pairs(table) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct endpoint codes ``u * n + w`` of a table's walks,
+    and the position of each walk's code among them."""
     codes = np.concatenate([w[:, 0].astype(np.int64) * table.n + w[:, -1] for w in table.walks])
     codes, pair = np.unique(codes, return_inverse=True)
-    return BivariateDistribution(table.n, codes, np.bincount(pair, weights=probs))
+    return codes, pair.astype(_index_dtype(codes.size))
 
 
 def pair_mass_deviation(a: BivariateDistribution, b: BivariateDistribution) -> float:

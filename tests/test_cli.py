@@ -715,8 +715,13 @@ class TestSweepCommand:
 
 
 class TestCsrPlacement:
-    """Ranking by a sign measure and preprocessing read the graph's sorted
-    pairs; only the ad measure's capped rows place the CSR, once."""
+    """Every production command reads the graph's sorted pairs: ranking and
+    sweeping by any measure, the advertisement measure's capped rows
+    included, and preprocessing never place the CSR.  Only the oracle does,
+    once per graph under ``verify``."""
+
+    BETAS = pytest.mark.parametrize("beta", [("1", "0"), ("0.7", "0.3")],
+                                    ids=["beta-1-0", "beta-0.7-0.3"])
 
     @pytest.fixture
     def no_csr(self, monkeypatch):
@@ -725,14 +730,29 @@ class TestCsrPlacement:
 
         monkeypatch.setattr(tr.graph, "_place_csr", refuse)
 
-    @pytest.mark.parametrize("beta", [("1", "0"), ("0.7", "0.3")],
-                             ids=["beta-1-0", "beta-0.7-0.3"])
+    @pytest.fixture
+    def ad_inputs(self, tmp_path):
+        edges, attrs, z = tmp_path / "edges.txt", tmp_path / "attrs.txt", tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 1\n3 4 -1\n")
+        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.5 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
+        write(z, "1.0 0.5\n")
+        return ["--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z)]
+
+    @BETAS
     @pytest.mark.parametrize("measure", ["influence", "trust"])
     def test_sign_rank_places_no_csr(self, tmp_path, small_edges, no_csr, capsys, measure,
                                      beta):
         for target in (("--theta", "0.5"), ("--gamma", "0.2")):
             assert main([
                 "rank", "--edges", str(small_edges), "--measure", measure, *target,
+                "--beta1", beta[0], "--beta2", beta[1], "--out", str(tmp_path / "rank"),
+            ]) == 0
+
+    @BETAS
+    def test_ad_rank_places_no_csr(self, tmp_path, ad_inputs, no_csr, capsys, beta):
+        for target in (("--theta", "0.5"), ("--gamma", "0.5")):
+            assert main([
+                "rank", *ad_inputs, "--measure", "ad", *target,
                 "--beta1", beta[0], "--beta2", beta[1], "--out", str(tmp_path / "rank"),
             ]) == 0
 
@@ -743,6 +763,13 @@ class TestCsrPlacement:
             "--out", str(tmp_path / "sweep"),
         ]) == 0
 
+    @BETAS
+    def test_ad_sweep_places_no_csr(self, tmp_path, ad_inputs, no_csr, capsys, beta):
+        assert main([
+            "sweep", *ad_inputs, "--measure", "ad", "--gammas=0.4,0.5,0.6",
+            "--beta1", beta[0], "--beta2", beta[1], "--k", "2", "--out", str(tmp_path / "sweep"),
+        ]) == 0
+
     def test_preprocess_places_no_csr(self, tmp_path, small_edges, no_csr, capsys):
         assert main([
             "preprocess", "--edges", str(small_edges), "--min-degree", "2",
@@ -751,17 +778,9 @@ class TestCsrPlacement:
         g = tr.load_graph(tio.read_edge_list(tmp_path / "pre" / "edges.txt"))
         assert tr.preprocess(g).graph == g
 
-    def test_ad_sweep_places_the_csr_once(self, tmp_path, monkeypatch, capsys):
-        edges, attrs, z = tmp_path / "edges.txt", tmp_path / "attrs.txt", tmp_path / "z.txt"
-        write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 1\n3 4 -1\n")
-        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.5 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
-        write(z, "1.0 0.5\n")
+    def test_verify_places_the_csr_once(self, tmp_path, ad_inputs, monkeypatch, capsys):
         calls = count_calls(monkeypatch, ("_place_csr",))
-        assert main([
-            "sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
-            "--measure", "ad", "--gammas=0.4,0.5,0.6", "--beta1", "0.7", "--beta2", "0.3",
-            "--k", "2", "--out", str(tmp_path / "sweep"),
-        ]) == 0
+        assert main(["verify", *ad_inputs, "--out", str(tmp_path / "verify")]) == 0
         assert calls == {"_place_csr": 1}
 
 

@@ -613,7 +613,7 @@ class TestIngestRoutes:
 
     @pytest.mark.parametrize("n", [2, 3_000, 140_000])
     def test_csr_matches_a_lexsort_reference(self, n):
-        """The placement (one radix pass per 16 bits of n) gives the CSR of a
+        """The placement (one stable sort by row) gives the CSR of a
         row-major sort of both directions of every edge, and the pairs are
         those in order, from pairs in order, shuffled and reversed, or those
         of another graph."""

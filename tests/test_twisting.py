@@ -142,11 +142,16 @@ class TestCappedRows:
         measure = _GivenScores(z)
         got = measure.capped_rows(g)
         want = _lexsorted_capped_rows(measure, g)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
+        # The middle ids come from the graph's pairs, so they are int32.
+        assert got.middle.dtype == g.pairs()[0].dtype == np.int32
+        assert (got.neighbour.dtype, got.capped.dtype) == (want[1].dtype, want[2].dtype)
+        for a, b in zip((got.middle, got.neighbour, got.capped), want):
             assert np.array_equal(a, b, equal_nan=True)
         # Signed zeros compare equal, so check the capped bits as well.
-        assert np.array_equal(np.signbit(got[2]), np.signbit(want[2]))
+        assert np.array_equal(np.signbit(got.capped), np.signbit(want[2]))
+        np.testing.assert_array_equal(got.indptr, g.csr()[0])
+        finite = np.isfinite(got.capped)
+        assert np.array_equal(got.levels[got.level][finite], got.capped[finite])
 
     def test_overflowing_attributes(self):
         # Finite attributes whose products with the score vector overflow:
@@ -167,13 +172,40 @@ class TestCappedRows:
             got = measure.capped_rows(g)
             want = _lexsorted_capped_rows(measure, g)
         assert np.isposinf(z).any() and np.isneginf(z).any()
-        for a, b in zip(got, want):
+        for a, b in zip((got.middle, got.neighbour, got.capped), want):
             assert np.array_equal(a, b, equal_nan=True)
 
     def test_edgeless_and_empty_rows(self):
         g = tr.load_graph([], [(u, [1.0]) for u in range(3)])
-        middles, neighbours, capped = _GivenScores([np.nan, 1.0, 1.0]).capped_rows(g)
-        assert middles.size == neighbours.size == capped.size == 0
+        rows = _GivenScores([np.nan, 1.0, 1.0]).capped_rows(g)
+        assert rows.middle.size == rows.neighbour.size == rows.capped.size == rows.level.size == 0
+        assert rows.indptr.tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)],
+                             ids=["beta-1-0", "beta-0.7-0.3", "beta-0-1"])
+    def test_atoms_are_the_float_unique_of_the_capped_scores(self, beta):
+        """The atoms summed by integer level equal those of one np.unique over
+        the capped floats, masses bit for bit.  Which zero np.unique keeps of
+        -0.0 and 0.0 depends on where its sort puts them, so a zero value is
+        compared up to its sign."""
+        walk = tr.WalkConfig(*beta)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            g = _graph_with_isolated_nodes(rng, int(rng.integers(5, 60)), rng.uniform(0.05, 0.6),
+                                           int(rng.integers(0, 3)))
+            if g.m == 0:
+                continue
+            z = rng.choice(np.array([-0.0, 0.0, 0.5, -1.5, 2.0, 0.25]), size=g.n)
+            model = tr.TiltModel(g, _GivenScores(z), walk)
+            values, masses = tr.measure_atoms(model)
+            rows = model.capped_rows
+            k = np.diff(rows.indptr)[rows.middle]
+            i = np.arange(rows.capped.size) - rows.indptr[rows.middle]
+            weights = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
+            want, inverse = np.unique(rows.capped, return_inverse=True)
+            want_masses = np.bincount(inverse, weights=weights, minlength=want.size)
+            assert masses.tobytes() == want_masses.tobytes()
+            assert (values + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 class TestTwist:
