@@ -190,21 +190,22 @@ def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool
 
 def _min_inner_scores(g, walk: WalkConfig, theta: float, rows: CappedRows) -> np.ndarray:
     # Unnormalized start masses, without the common factor 1 / (2 m).
-    indptr, middles, starts, capped = rows.indptr, rows.middle, rows.neighbour, rows.capped
-    # Every walk's exponent is theta * capped for some entry (a two-step walk
-    # u-v-u reaches the extreme), so shifting by the largest keeps all <= 0.
-    x = theta * capped
-    weight = np.exp(x - x.max())
+    indptr, middles, starts, level = rows.indptr, rows.middle, rows.neighbour, rows.level
+    # Every walk's exponent is theta times some entry's level (a two-step walk
+    # u-v-u reaches the extreme), and every level is an entry's, so shifting by
+    # the largest keeps all <= 0.
+    x = theta * rows.levels
+    weight = np.exp(x - x.max())[level]
     scores = walk.beta1 * np.bincount(starts, weights=weight, minlength=g.n)
     if walk.beta2 > 0:
         k = np.diff(indptr)[middles]
         prefix = _row_cumsum(weight, indptr)
-        # Entry j is the walk's first step u-v with t = capped[j]; the
+        # Entry j is the walk's first step u-v at level t = level[j]; the
         # neighbours w of v below t sit before the first entry of its run of
-        # equal capped scores in the row.
-        run = np.ones(capped.size, dtype=bool)
-        run[1:] = (middles[1:] != middles[:-1]) | (capped[1:] != capped[:-1])
-        first = np.maximum.accumulate(np.where(run, np.arange(capped.size), 0))
+        # equal levels in the row.
+        run = np.ones(level.size, dtype=bool)
+        run[1:] = (middles[1:] != middles[:-1]) | (level[1:] != level[:-1])
+        first = np.maximum.accumulate(np.where(run, np.arange(level.size), 0))
         below = first - indptr[middles]
         head = np.where(below > 0, prefix[first - 1], 0.0)
         inner = head + (k - below) * weight

@@ -61,62 +61,60 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_preprocess)
 
     p = sub.add_parser("rank", help="compute a centrality ranking")
-    _graph_flags(p)
-    p.add_argument("--measure", required=True, choices=["influence", "trust", "ad"],
-                   help="centrality kind")
+    _ranking_flags(p)
     p.add_argument("--theta", type=float, help="temperature (exclusive with --gamma)")
     p.add_argument("--gamma", type=float, help="target mean path measure (exclusive with --theta)")
-    p.add_argument("--ad-vector", action="append", metavar="FILE",
-                   help="advertisement score-vector file; repeat to combine "
-                        "advertisements by elementwise sum")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("sweep", help="rank over a grid of targets and compare to degree baselines")
-    _graph_flags(p)
-    p.add_argument("--measure", required=True, choices=["influence", "trust", "ad"])
+    _ranking_flags(p)
     p.add_argument("--gammas", help="comma-separated gamma targets (exclusive with --thetas)")
     p.add_argument("--thetas", help="comma-separated temperatures (exclusive with --gammas)")
-    p.add_argument("--ad-vector", action="append", metavar="FILE")
     p.add_argument("--k", type=int, default=None,
                    help="top-k size (default 100, or 250 for --measure ad)")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle cross-checks on a graph")
-    _graph_flags(p)
-    p.add_argument("--ad-vector", action="append", metavar="FILE")
+    _input_flags(p)
     p.add_argument("--out", help="optional output directory for the JSON report")
     p.set_defaults(handler=cmd_verify)
     return parser
 
 
-def _graph_flags(p):
+def _input_flags(p):
     p.add_argument("--edges", required=True, help="edge-list file (u w [sign])")
     p.add_argument("--attrs", help="node-attribute file (u v1 ... vp)")
+    p.add_argument("--ad-vector", action="append", metavar="FILE",
+                   help="advertisement score-vector file; repeat to combine "
+                        "advertisements by elementwise sum")
+
+
+def _ranking_flags(p):
+    _input_flags(p)
     p.add_argument("--beta1", type=float, default=1.0, help="weight of length-1 walks")
     p.add_argument("--beta2", type=float, default=0.0, help="weight of length-2 walks")
+    p.add_argument("--measure", required=True, choices=["influence", "trust", "ad"],
+                   help="centrality kind")
+    p.add_argument("--out", required=True, help="output directory")
 
 
-def _load(args):
+def _records(args):
     edges = tio.read_edge_list(args.edges)
-    attrs = tio.read_attributes(args.attrs) if args.attrs else None
-    return load_graph(edges, attrs)
+    return edges, tio.read_attributes(args.attrs) if args.attrs else None
 
 
 def _ranking_inputs(args):
     """The graph, walk mix, centrality kind and ad vector of ``rank`` and ``sweep``."""
-    g = _load(args)
+    g = load_graph(*_records(args))
     walk = WalkConfig(args.beta1, args.beta2)
-    kind = "advertisement" if args.measure == "ad" else args.measure
     ad = _ad_vector(args)
-    if kind == "advertisement" and ad is None:
+    if args.measure == "ad" and ad is None:
         raise TwistrankError("--measure ad requires --ad-vector")
-    return g, walk, kind, ad
+    return g, walk, args.measure, ad
 
 
 def _ad_vector(args):
-    files = getattr(args, "ad_vector", None)
+    files = args.ad_vector
     if not files:
         return None
     combined = tio.read_vector(files[0])
@@ -139,8 +137,7 @@ def _out_dir(args) -> Path:
 def cmd_preprocess(args) -> int:
     if args.inject_negative and not args.partition:
         raise TwistrankError("--inject-negative requires --partition")
-    edges = tio.read_edge_list(args.edges)
-    attrs = tio.read_attributes(args.attrs) if args.attrs else None
+    edges, attrs = _records(args)
     inject = None
     if args.inject_negative:
         inject = NegativeInjection(
@@ -191,7 +188,7 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in raw.split(",") if v.strip()] if raw.strip() else []
     except ValueError:
         raise TwistrankError(f"could not parse target list {raw!r}") from None
-    k = args.k if args.k is not None else (250 if kind == "advertisement" else 100)
+    k = args.k if args.k is not None else (250 if kind == "ad" else 100)
     rows = sweep(g, kind, mode, values, walk=walk, k=k, ad_vector=ad)
     out = _out_dir(args)
     tio.write_sweep_csv(out / "sweep.csv", rows)
@@ -211,7 +208,7 @@ def cmd_verify(args) -> int:
     # Imported here, so that the other commands do not load the oracle checks.
     from .verify import run_checks
 
-    g = _load(args)
+    g = load_graph(*_records(args))
     results = run_checks(g, ad_vector=_ad_vector(args))
     for result in results:
         print(result.line())

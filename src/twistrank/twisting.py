@@ -93,14 +93,12 @@ def _per_walk(values: np.ndarray) -> float | np.ndarray:
 
 class CappedRows(NamedTuple):
     """Entry ``j`` of row ``v`` (``indptr[v] <= j < indptr[v + 1]``) is the edge
-    from ``middle[j]`` = v to ``neighbour[j]``, of measure ``capped[j]`` =
-    ``levels[level[j]]`` (up to the sign of a zero), where ``levels`` holds
-    the distinct node scores in ascending order."""
+    from ``middle[j]`` = v to ``neighbour[j]``, of measure ``levels[level[j]]``,
+    where ``levels`` holds the distinct measures of the entries, ascending."""
 
     indptr: np.ndarray
     middle: np.ndarray
     neighbour: np.ndarray
-    capped: np.ndarray
     level: np.ndarray
     levels: np.ndarray
 
@@ -144,29 +142,31 @@ class MinInnerProduct:
     def capped_rows(self, graph: AttributedGraph) -> CappedRows:
         """Every edge in both directions, as the rows of :class:`CappedRows`.
 
-        ``capped`` is min(z[middle], z[neighbour]): the measure of that edge,
-        and the neighbour's score capped at the middle node's.  The rows are
-        those of ``graph.csr()``, built from ``graph.pairs()`` without placing
-        it; each is sorted by ascending ``capped``, ties in ``csr()`` order.
+        An edge's measure min(z[middle], z[neighbour]) caps the neighbour's
+        score at the middle node's.  The rows are those of ``graph.csr()``,
+        built from ``graph.pairs()`` without placing it; each is sorted by
+        ascending measure, ties in ``csr()`` order.
 
-        The sort is one stable argsort of the int64 key ``middle * r +
-        level``, where ``level = min(rank[middle], rank[neighbour])`` and
-        ``rank`` numbers the r distinct scores ``levels`` in ascending order.
-        The rank of a min is the min of the ranks, except that a NaN score
-        passes through ``np.minimum``; its entries take the top level, which
-        ``np.unique`` gives NaN.
+        An entry's level is ``min(rank[middle], rank[neighbour])``, where
+        ``rank`` numbers the distinct node scores in ascending order; an entry
+        with a NaN end takes the top level, which ``np.unique`` gives NaN.  The
+        levels no entry takes are dropped, and the rows are one stable argsort
+        of the int64 key ``middle * r + level`` over the r levels left.
         """
         z = self.node_scores(graph)
         indptr, middle, neighbour = _row_entries(graph)
-        capped = np.minimum(z[middle], z[neighbour])
         levels, rank = np.unique(z, return_inverse=True)
         # Ranks are below n, so they take the node ids' width (int32 below 2**31).
         rank = rank.astype(middle.dtype)
         level = np.minimum(rank[middle], rank[neighbour])
-        level[np.isnan(capped)] = levels.size - 1
+        nan = np.isnan(z)
+        level[nan[middle] | nan[neighbour]] = levels.size - 1
+        used = np.zeros(levels.size, dtype=bool)
+        used[level] = True
+        level = (np.cumsum(used, dtype=level.dtype) - 1)[level]
+        levels = levels[used]
         order = np.argsort(middle.astype(np.int64) * levels.size + level, kind="stable")
-        return CappedRows(indptr, middle[order], neighbour[order], capped[order], level[order],
-                          levels)
+        return CappedRows(indptr, middle[order], neighbour[order], level[order], levels)
 
     def _check_dim(self, graph: AttributedGraph) -> None:
         if graph.attr_dim != self.scores.size:
@@ -353,14 +353,12 @@ def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
 
 def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, rows: CappedRows):
     k = np.diff(rows.indptr)[rows.middle]
-    i = np.arange(rows.capped.size) - rows.indptr[rows.middle]
-    # The edge (v, u) is one length-1 walk of measure capped.  The i-th
-    # smallest capped score of row v is the measure of the 2 (k - 1 - i) + 1
-    # ordered pairs through v whose lower-ranked end it is.
+    i = np.arange(rows.level.size) - rows.indptr[rows.middle]
+    # The edge (v, u) is one length-1 walk of its level.  The i-th lowest
+    # level of row v is the measure of the 2 (k - 1 - i) + 1 ordered pairs
+    # through v whose lower-ranked end it is; every level is an atom.
     masses = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
-    total = np.bincount(rows.level, weights=masses, minlength=rows.levels.size)
-    occurs = np.bincount(rows.level, minlength=rows.levels.size) > 0
-    return rows.levels[occurs], total[occurs]
+    return rows.levels, np.bincount(rows.level, weights=masses)
 
 
 class AtomSolver:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TwistrankError
-from .graph import AttributedGraph, _index_dtype
+from .graph import AttributedGraph, _contains, _index_dtype
 from .sampling import WalkConfig
 from .twisting import (
     MinInnerProduct,
@@ -177,8 +177,7 @@ def _endpoint_pairs(table) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_mass_deviation(a: BivariateDistribution, b: BivariateDistribution) -> float:
     """Largest absolute difference between the pair masses of two distributions."""
-    codes, at = np.unique(np.concatenate([a.codes, b.codes]), return_inverse=True)
-    gap = np.zeros(codes.size)
-    gap[at[: a.codes.size]] = a.masses
-    gap[at[a.codes.size :]] -= b.masses
-    return float(np.max(np.abs(gap), initial=0.0))
+    shared = _contains(a.codes, b.codes)
+    gap = a.masses.copy()
+    gap[np.searchsorted(a.codes, b.codes[shared])] -= b.masses[shared]
+    return float(np.max(np.abs(np.concatenate((gap, b.masses[~shared]))), initial=0.0))

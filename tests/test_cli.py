@@ -794,6 +794,16 @@ class TestVerifyCommand:
         assert all(check["passed"] for check in payload["checks"])
         assert max(check["max_error"] for check in payload["checks"]) <= 1e-10
 
+    @pytest.mark.parametrize("flag, value", [("--beta2", "nan"), ("--beta1", "5"),
+                                             ("--measure", "trust")])
+    def test_takes_no_walk_flags(self, tmp_path, small_edges, capsys, flag, value):
+        """verify runs its own three walk mixes, so a walk flag is a usage error."""
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--edges", str(small_edges), flag, value, "--out", str(tmp_path / "v")])
+        assert info.value.code == 1
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "v").exists()
+
     def test_tampered_sign_is_a_data_error(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         write(edges, "0 1 2\n")

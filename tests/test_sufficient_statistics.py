@@ -298,6 +298,60 @@ class TestSignScoreBits:
                             for u in differ[:5].tolist()] == []
 
 
+def _float_capped_ad_scores(g, walk, theta):
+    """The unnormalized ad scores from one float capped score per entry: the
+    kernel that ran before the capped rows kept integer levels only.  Its rows
+    are a float lexsort of the CSR entries, its runs are runs of equal floats,
+    and its shift is the largest entry exponent."""
+    z = g.node_attrs[:, 0]
+    indptr, neighbours, _ = g.csr()
+    middles = np.repeat(np.arange(g.n), np.diff(indptr))
+    capped = np.minimum(z[middles], z[neighbours])
+    order = np.lexsort((capped, middles))
+    starts, capped = neighbours[order], capped[order]
+    x = theta * capped
+    weight = np.exp(x - x.max())
+    scores = walk.beta1 * np.bincount(starts, weights=weight, minlength=g.n)
+    if walk.beta2 > 0:
+        k = np.diff(indptr)[middles]
+        prefix = centrality_module._row_cumsum(weight, indptr)
+        run = np.ones(capped.size, dtype=bool)
+        run[1:] = (middles[1:] != middles[:-1]) | (capped[1:] != capped[:-1])
+        first = np.maximum.accumulate(np.where(run, np.arange(capped.size), 0))
+        below = first - indptr[middles]
+        head = np.where(below > 0, prefix[first - 1], 0.0)
+        inner = head + (k - below) * weight
+        scores = scores + walk.beta2 * np.bincount(starts, weights=inner / k, minlength=g.n)
+    return scores
+
+
+class TestAdScoreBits:
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)])
+    def test_level_kernel_keeps_every_bit_of_the_float_kernel(self, beta):
+        """Exponentiating once per used level and comparing levels gives every
+        score the bits of the float kernel.  The node scores repeat, take both
+        zeros, and have their maximum and minimum on isolated nodes, which no
+        walk reaches: a shift over all node scores moves the bits."""
+        rng = np.random.default_rng(43)
+        walk = tr.WalkConfig(*beta)
+        graphs = [skewed_signed_graph(rng, 20_000, 60_000)]
+        graphs += [random_signed_graph(np.random.default_rng(seed), attr_dim=0)
+                   for seed in range(30)]
+        for base in graphs:
+            lo, hi, signs = base.pairs()
+            n = base.n + 2
+            z = rng.choice(np.array([-0.0, 0.0, 0.5, -1.5, 2.0, 0.25, 2.0 ** -30]), size=n)
+            z[-2:] = 9.0, -9.0
+            g = tr.AttributedGraph(np.arange(n), lo, hi, signs, z[:, None])
+            model = tr.TiltModel(g, tr.MinInnerProduct([1.0]), walk)
+            for theta in (-40.0, -3.0, -0.4, 0.0, 0.9, 2.5, 40.0):
+                got = centrality_module._min_inner_scores(g, walk, theta, model.capped_rows)
+                want = _float_capped_ad_scores(g, walk, theta)
+                differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+                assert [(u, float.hex(got[u]), float.hex(want[u]))
+                        for u in differ[:5].tolist()] == []
+
+
 def test_production_path_never_enumerates(monkeypatch, corpus100):
     corpus = corpus100[:12]
     targets = {}

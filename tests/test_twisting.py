@@ -144,14 +144,16 @@ class TestCappedRows:
         want = _lexsorted_capped_rows(measure, g)
         # The middle ids come from the graph's pairs, so they are int32.
         assert got.middle.dtype == g.pairs()[0].dtype == np.int32
-        assert (got.neighbour.dtype, got.capped.dtype) == (want[1].dtype, want[2].dtype)
-        for a, b in zip((got.middle, got.neighbour, got.capped), want):
+        assert got.neighbour.dtype == want[1].dtype
+        for a, b in zip((got.middle, got.neighbour, got.levels[got.level]), want):
             assert np.array_equal(a, b, equal_nan=True)
-        # Signed zeros compare equal, so check the capped bits as well.
-        assert np.array_equal(np.signbit(got.capped), np.signbit(want[2]))
         np.testing.assert_array_equal(got.indptr, g.csr()[0])
-        finite = np.isfinite(got.capped)
-        assert np.array_equal(got.levels[got.level][finite], got.capped[finite])
+        # The levels ascend strictly, a NaN only last, and every one is an entry's.
+        numbers = got.levels[~np.isnan(got.levels)]
+        assert got.levels.size - numbers.size <= 1
+        assert np.array_equal(got.levels[:numbers.size], numbers)
+        assert np.all(numbers[:-1] < numbers[1:])
+        assert np.array_equal(np.unique(got.level), np.arange(got.levels.size))
 
     def test_overflowing_attributes(self):
         # Finite attributes whose products with the score vector overflow:
@@ -172,13 +174,13 @@ class TestCappedRows:
             got = measure.capped_rows(g)
             want = _lexsorted_capped_rows(measure, g)
         assert np.isposinf(z).any() and np.isneginf(z).any()
-        for a, b in zip((got.middle, got.neighbour, got.capped), want):
+        for a, b in zip((got.middle, got.neighbour, got.levels[got.level]), want):
             assert np.array_equal(a, b, equal_nan=True)
 
     def test_edgeless_and_empty_rows(self):
         g = tr.load_graph([], [(u, [1.0]) for u in range(3)])
         rows = _GivenScores([np.nan, 1.0, 1.0]).capped_rows(g)
-        assert rows.middle.size == rows.neighbour.size == rows.capped.size == rows.level.size == 0
+        assert rows.middle.size == rows.neighbour.size == rows.level.size == rows.levels.size == 0
         assert rows.indptr.tolist() == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)],
@@ -200,9 +202,10 @@ class TestCappedRows:
             values, masses = tr.measure_atoms(model)
             rows = model.capped_rows
             k = np.diff(rows.indptr)[rows.middle]
-            i = np.arange(rows.capped.size) - rows.indptr[rows.middle]
+            i = np.arange(rows.level.size) - rows.indptr[rows.middle]
             weights = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
-            want, inverse = np.unique(rows.capped, return_inverse=True)
+            capped = np.minimum(z[rows.middle], z[rows.neighbour])
+            want, inverse = np.unique(capped, return_inverse=True)
             want_masses = np.bincount(inverse, weights=weights, minlength=want.size)
             assert masses.tobytes() == want_masses.tobytes()
             assert (values + 0.0).tobytes() == (want + 0.0).tobytes()

@@ -33,6 +33,47 @@ def test_normalization_checks_sum_many_masses_exactly():
         assert error <= 1e-15
 
 
+def _union_deviation(a, b):
+    """The pair-mass gap as it was taken on the sorted union of both code arrays."""
+    codes, at = np.unique(np.concatenate([a.codes, b.codes]), return_inverse=True)
+    gap = np.zeros(codes.size)
+    gap[at[: a.codes.size]] = a.masses
+    gap[at[a.codes.size :]] -= b.masses
+    return float(np.max(np.abs(gap), initial=0.0))
+
+
+def test_pair_mass_deviation_equals_the_union_formula():
+    rng = np.random.default_rng(17)
+    pool = np.array([0.0, -0.0, 0.25, 1e-300, 0.5, 3.0, np.nan, np.inf, -np.inf])
+    for trial in range(3000):
+        n = int(rng.integers(1, 7))
+        pair = []
+        for _ in range(2):
+            codes = np.sort(rng.choice(n * n, size=int(rng.integers(0, n * n + 1)), replace=False))
+            masses = rng.choice(pool, size=codes.size) if trial % 2 else rng.random(codes.size)
+            pair.append(centrality_module.BivariateDistribution(n, codes, masses))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = verify.pair_mass_deviation(*pair), _union_deviation(*pair)
+        assert float.hex(got) == float.hex(want), (trial, got, want)
+
+
+class _StartParityProduct(twisting.SignProduct):
+    """The sign product, negated on walks from an odd node: its value on a walk
+    and on the walk's reverse differ, so the tilt is not reversible."""
+
+    def evaluate(self, graph, nodes):
+        nodes = np.asarray(nodes)
+        return super().evaluate(graph, nodes) * np.where(nodes[..., 0] % 2, -1.0, 1.0)
+
+
+def test_reversibility_check_fails_on_an_irreversible_measure():
+    g = random_signed_graph(np.random.default_rng(5), n_min=8, attr_dim=0)
+    checks = verify._pair_errors(g, _StartParityProduct(), sampling.WalkConfig(0.7, 0.3), True)
+    errors = [error for name, error, _ in checks if name == "twisted_reversibility"]
+    assert len(errors) == len(verify.THETAS)
+    assert max(errors) > 100 * verify.BOUNDS["twisted_reversibility"]
+
+
 def _count_tables(monkeypatch):
     """Count walk enumerations, and check that no earlier path table is alive at a new build."""
     calls = Counter()
