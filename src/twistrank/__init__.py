@@ -30,30 +30,18 @@ from .graph import (
 )
 from .sampling import (
     WalkConfig,
-    enumerate_paths,
     path_count,
 )
 from .twisting import (
     MinInnerProduct,
     SignMin,
-    PathTable,
     SignProduct,
-    TwistResult,
-    achievable_range,
     measure_atoms,
-    path_table,
-    solve_theta_closed,
-    solve_theta_numeric,
-    twist,
 )
 from .centrality import (
-    BivariateDistribution,
     CentralityRanking,
     TiltModel,
-    bivariate,
     centrality,
-    influence_closed_form,
-    marginal,
     measure_for,
     resolve_theta,
 )
@@ -68,7 +56,6 @@ from .analysis import (
 
 __all__ = [
     "AttributedGraph",
-    "BivariateDistribution",
     "CentralityRanking",
     "ConvergenceError",
     "EnumerationBudgetError",
@@ -77,7 +64,6 @@ __all__ = [
     "MinInnerProduct",
     "NegativeInjection",
     "ParseError",
-    "PathTable",
     "PreprocessReport",
     "PreprocessResult",
     "SignMin",
@@ -86,28 +72,18 @@ __all__ = [
     "SweepRow",
     "TiltModel",
     "TopKSet",
-    "TwistResult",
     "TwistrankError",
     "WalkConfig",
-    "achievable_range",
-    "bivariate",
     "centrality",
     "degree_ranking",
-    "enumerate_paths",
-    "influence_closed_form",
     "jaccard",
     "load_graph",
-    "marginal",
     "measure_atoms",
     "measure_for",
     "path_count",
-    "path_table",
     "preprocess",
     "resolve_theta",
-    "solve_theta_closed",
-    "solve_theta_numeric",
     "stats",
     "sweep",
     "top_k",
-    "twist",
 ]

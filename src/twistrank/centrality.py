@@ -1,12 +1,9 @@
-"""Twisted endpoint-pair distributions and the centralities they induce.
+"""The centralities induced by twisted endpoint-pair distributions.
 
 The bivariate distribution assigns to every ordered node pair (u, w) the
 total tilted mass of the walks that start at u and end at w; its start
-marginal is the centrality score.  The assembly here runs directly over the
-adjacency structure (edges plus wedges through each middle node), which is
-algebraically the same endpoint grouping the path enumeration produces but
-computed in one vectorised pass over the CSR entries.  Centralities skip the
-pairs: a :class:`TiltModel` prepares one graph, measure and walk, then solves
+marginal is the centrality score.  Centralities skip the pairs: a
+:class:`TiltModel` prepares one graph, measure and walk, then solves
 each temperature on the measure's atoms and sums each start node's tilted
 mass from per-node statistics, in O(m) for the sign measures and in
 O(m log m), once, for the advertisement measure.
@@ -22,7 +19,7 @@ import numpy as np
 
 from .errors import GraphError
 from .graph import AttributedGraph, GraphStats, stats
-from .sampling import WalkConfig, _check_budget
+from .sampling import WalkConfig
 from .twisting import (
     AtomSolver,
     CappedRows,
@@ -34,32 +31,6 @@ from .twisting import (
 )
 
 CENTRALITY_KINDS = ("influence", "trust", "advertisement")
-
-
-@dataclass(frozen=True, eq=False)
-class BivariateDistribution:
-    """Sparse probability mass over ordered node pairs.
-
-    Only pairs connected by a walk of length 1 or 2 carry mass.  Pairs are
-    stored as sorted ``u * n + w`` codes with aligned masses.
-    """
-
-    n: int
-    codes: np.ndarray
-    masses: np.ndarray
-
-    def pair_mass(self, u: int, w: int) -> float:
-        code = int(u) * self.n + int(w)  # node ids may come as int32
-        i = int(np.searchsorted(self.codes, code))
-        if i < self.codes.size and self.codes[i] == code:
-            return float(self.masses[i])
-        return 0.0
-
-    def start_marginal(self) -> np.ndarray:
-        return np.bincount(self.codes // self.n, weights=self.masses, minlength=self.n)
-
-    def end_marginal(self) -> np.ndarray:
-        return np.bincount(self.codes % self.n, weights=self.masses, minlength=self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,77 +52,6 @@ class CentralityRanking:
 
     def top(self, k: int) -> list[int]:
         return [int(u) for u in self.order[: max(0, k)]]
-
-
-def bivariate(model: TiltModel, theta: float) -> BivariateDistribution:
-    """Tilted mass of every ordered node pair, assembled structurally.
-
-    For each pair the mass is C * [exp(theta * f(u, w)) * beta1 / (2 m) when
-    the edge exists, plus the sum over middle nodes v of
-    exp(theta * f(u, v, w)) * beta2 / (2 m * deg(v))].  Exponents are shifted
-    by their maximum before exponentiation, so the normalization survives
-    large |theta|.  The pair count grows like the walk count, so a walk mix
-    with more than ``sampling.DEFAULT_PATH_BUDGET`` walks is rejected.
-    """
-    g = model.graph
-    if g.m == 0:
-        raise GraphError("cannot build a pair distribution on an edgeless graph")
-    _check_budget(g, model.walk)
-    theta = theta_value(theta)
-
-    indptr, indices, signs = g.csr()
-    if model.is_sign:
-        edge_f = signs.astype(float)
-        combine = np.minimum if model.is_min else np.multiply
-    else:
-        z = model.measure.node_scores(g)
-        edge_f = np.minimum(z[np.repeat(np.arange(g.n), np.diff(indptr))], z[indices])
-        combine = np.minimum
-    codes, exps, wts = _pair_terms(g, model.walk, theta, edge_f, combine)
-
-    shift = exps.max()
-    unnorm = np.exp(exps - shift) * wts
-    total = unnorm.sum()
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    masses = np.bincount(inverse, weights=unnorm, minlength=uniq.size) / total
-    return BivariateDistribution(n=g.n, codes=uniq, masses=masses)
-
-
-def _pair_terms(g, walk, theta, edge_f, combine):
-    """Pair codes, exponents and base weights of every walk of positive mass.
-
-    ``edge_f`` is the measure of each CSR entry's edge, and ``combine`` joins
-    the two edges' values into a two-step walk's measure.  Length-1 terms
-    follow the CSR entries; length-2 terms follow the middle nodes' rows, each
-    row's ordered entry pairs with the first entry outer.
-    """
-    indptr, indices, _ = g.csr()
-    degree = np.diff(indptr)
-    rows = np.repeat(np.arange(g.n), degree)
-    inv_2m = 1.0 / (2 * g.m)
-    codes, exps, wts = [], [], []
-    if walk.beta1 > 0:
-        codes.append(rows * g.n + indices)
-        exps.append(theta * edge_f)
-        wts.append(np.full(indices.size, walk.beta1 * inv_2m))
-    if walk.beta2 > 0:
-        k = degree[rows]
-        first = np.repeat(np.arange(indices.size), k)
-        # Entry ``first`` is paired with every entry of its own row in turn.
-        second = np.arange(first.size) - np.repeat(np.cumsum(k) - k - indptr[rows], k)
-        # int64 codes: the neighbour ids may be int32, and n * n need not fit.
-        codes.append(indices[first].astype(np.int64) * g.n + indices[second])
-        exps.append(theta * combine(edge_f[first], edge_f[second]))
-        wts.append(walk.beta2 * inv_2m / k[first])
-    return np.concatenate(codes), np.concatenate(exps), np.concatenate(wts)
-
-
-def marginal(b: BivariateDistribution) -> CentralityRanking:
-    """Start marginal of a pair distribution, as a ranking.
-
-    For the symmetric built-in measures it equals the end marginal.
-    """
-    return CentralityRanking.from_scores(b.start_marginal())
 
 
 def _step_weights(theta: float) -> tuple[float, float]:
@@ -227,20 +127,6 @@ def _row_cumsum(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def influence_closed_form(graph_stats: GraphStats, theta: float) -> CentralityRanking:
-    """Single-step influence scores without any enumeration.
-
-    When only length-1 walks are sampled, the sign-product tilt has the
-    closed form score(u) = (k_u+ e^theta + k_u- e^-theta) /
-    (2 (m+ e^theta + m- e^-theta)).  At theta = 0 this collapses to
-    degree / (2 m).
-    """
-    if graph_stats.m == 0:
-        raise GraphError("closed-form scores are undefined on an edgeless graph")
-    scores = _out_weights(graph_stats, float(theta))
-    return CentralityRanking.from_scores(scores / scores.sum())
-
-
 class TiltModel:
     """One graph, path measure and walk mix, ready to be tilted at any temperature.
 
@@ -306,8 +192,8 @@ class TiltModel:
     def ranking(self, theta: float) -> CentralityRanking:
         """Start-node marginal of the tilted walk distribution, as a ranking.
 
-        Equals ``marginal(bivariate(self, theta))`` without building the pair
-        masses.  For the sign measures a walk's tilt depends only on its edge
+        Equals the start marginal of the oracle's pair masses without building
+        them.  For the sign measures a walk's tilt depends only on its edge
         signs, so each start node's mass follows from the signed degrees of
         itself and its neighbours, in O(m).  For the advertisement measure, a
         two-step walk u-v-w has measure min(t, z_w) with t = min(z_u, z_v), so
@@ -374,3 +260,11 @@ def measure_for(kind: str, ad_vector=None):
             raise ValueError("advertisement centrality requires a score vector")
         return MinInnerProduct(ad_vector)
     raise ValueError(f"unknown centrality kind {kind!r}; expected one of {CENTRALITY_KINDS}")
+
+
+# Forwarded to the oracle for perfbench/spans.py, as in sampling.py.
+def __getattr__(name):
+    if name in ("bivariate", "marginal"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,7 +2,7 @@
 
 Every command writes its outputs plus a manifest.json into --out; re-running
 the same invocation reproduces the outputs byte for byte.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 property-verification failure.
+0 success, 1 usage error, 2 bad data or out of memory, 3 failed verification.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (TwistrankError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TwistrankError, ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError message names the allocation but not the cause.
+        oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {oom}{exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -5,30 +5,26 @@ tilted distribution p(r) = C * exp(theta * f(r)) * p0(r) is the closest
 distribution to p0 in Kullback-Leibler divergence among those whose mean
 path measure hits a prescribed target.  This module evaluates path
 measures, on one walk or on an ``(N, L)`` block of walks with one walk per
-row, computes the tilt in the log domain, exposes the free energy
-F = log(1/C) and its derivative (the mean measure), and solves for the
-scalar temperature theta that achieves a target mean.
+row, computes the tilt in the log domain, and solves for the scalar
+temperature theta at which the mean measure, the derivative of the free
+energy F = log(1/C), hits a target.
 
 The tilt sees a walk only through its measure value, so pushing the base
 walk distribution forward through the measure (:func:`measure_atoms`) gives
 a table of at most n atoms on which every solve runs: in closed form for
-the two sign atoms, by Newton iteration otherwise.  The oracle these atoms
-are checked against enumerates every walk once into a :class:`PathTable`
-(:func:`path_table`), which :func:`twist`, :func:`achievable_range` and
-:func:`solve_theta_numeric` read at any temperature.
+the two sign atoms, by Newton iteration otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, GraphError, SolveError
 from .graph import AttributedGraph, GraphStats, _row_entries
-from .sampling import WalkConfig, enumerate_paths
+from .sampling import WalkConfig
 
 # Newton iteration: tolerance on the mean measure, and step limit.
 NEWTON_TOL = 1e-11
@@ -186,59 +182,6 @@ def theta_value(theta) -> float:
     return theta
 
 
-@dataclass(frozen=True)
-class TwistResult:
-    """Normalization and summary statistics of one tilt.
-
-    ``free_energy`` is log(1/C); ``mean_measure`` is the average path
-    measure under the tilted distribution, which equals the derivative of
-    the free energy in theta.
-    """
-
-    free_energy: float
-    mean_measure: float
-
-
-@dataclass(frozen=True, eq=False)
-class PathTable:
-    """The enumerated walk support of one graph, measure and walk mix.
-
-    ``walks`` holds the two blocks of :func:`enumerate_paths`: the length-1
-    walks as ``(u, w)`` rows and the length-2 walks as ``(u, v, w)`` rows.
-    ``f``, ``p0`` and ``logp0`` give the measure, base mass and log base mass
-    of every row, the length-1 block first.  ``n`` is the graph's node count.
-    None of it depends on theta, so one table serves :func:`twist`,
-    :func:`achievable_range` and :func:`solve_theta_numeric` at every
-    temperature.
-    """
-
-    n: int
-    walks: tuple[np.ndarray, np.ndarray]
-    f: np.ndarray       # shape (N,)
-    p0: np.ndarray      # shape (N,)
-    logp0: np.ndarray   # shape (N,)
-
-
-def path_table(g: AttributedGraph, measure, walk: WalkConfig) -> PathTable:
-    """Enumerate every walk of ``walk`` on ``g`` and evaluate ``measure`` on it.
-
-    This is the oracle the vectorised routes are checked against: it holds
-    every walk's nodes, so it fails fast with
-    :class:`~twistrank.errors.EnumerationBudgetError` when the walk count
-    exceeds the default budget of :func:`enumerate_paths`.
-    """
-    (one, p1), (two, p2) = enumerate_paths(g, walk)
-    f = np.concatenate([measure.evaluate(g, one), measure.evaluate(g, two)])
-    p0 = np.concatenate([p1, p2])
-    # math.log rather than np.log, which can differ from it in the last bit.
-    # The masses come in runs, one for the length-1 walks and one per middle
-    # node, so each run is logged once.
-    start = np.flatnonzero(np.diff(p0, prepend=-1.0))
-    logs = [math.log(p) for p in p0[start].tolist()]
-    logp0 = np.repeat(logs, np.diff(start, append=p0.size))
-    return PathTable(n=g.n, walks=(one, two), f=f, p0=p0, logp0=logp0)
-
-
 def _logsumexp(x: np.ndarray) -> float:
     """log(sum(exp(x))) of a nonempty array of finite values.
 
@@ -258,46 +201,6 @@ def _tilt(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, np.nda
     logw = theta * f + logp0
     log_z = _logsumexp(logw)
     return log_z, np.exp(logw - log_z)
-
-
-def twist(table: PathTable, theta: float) -> tuple[TwistResult, np.ndarray]:
-    """Tilt a path table's base distribution by exp(theta * f).
-
-    Returns the normalization summary and the tilted mass of each walk,
-    aligned with the rows of ``table.walks`` (length-1 block first) and
-    summing to 1.  All accumulation happens in the log domain, so large
-    |theta * f| values do not overflow.
-    """
-    log_z, probs = _tilt(table.f, table.logp0, theta_value(theta))
-    return TwistResult(free_energy=log_z, mean_measure=float(probs @ table.f)), probs
-
-
-def achievable_range(table: PathTable) -> tuple[float, float]:
-    """(min, max) of the measure over a path table's support.
-
-    Any target mean strictly between the two is achievable by some finite
-    temperature; values on or outside them are not.
-    """
-    return float(table.f.min()), float(table.f.max())
-
-
-def solve_theta_closed(graph_stats: GraphStats, gamma: float) -> float:
-    """Closed-form temperature for the single-step sign-product regime.
-
-    With only length-1 walks, the mean sign under the tilt is
-    (m+ e^theta - m- e^-theta) / (m+ e^theta + m- e^-theta); inverting it
-    gives theta = ln sqrt(m- (1 + gamma) / (m+ (1 - gamma))).  Requires both
-    positive and negative edges, otherwise the mean sign is constant and no
-    finite temperature exists.
-    """
-    if not -1.0 < gamma < 1.0:
-        raise SolveError(f"target mean sign must lie strictly in (-1, 1), got {gamma}")
-    if graph_stats.m_pos == 0 or graph_stats.m_neg == 0:
-        raise SolveError(
-            "closed-form temperature needs both positive and negative edges "
-            f"(m+ = {graph_stats.m_pos}, m- = {graph_stats.m_neg})"
-        )
-    return _two_atom_theta(-1.0, 1.0, graph_stats.m_neg, graph_stats.m_pos, gamma)
 
 
 def _two_atom_theta(lo: float, hi: float, mass_lo: float, mass_hi: float, gamma: float) -> float:
@@ -380,7 +283,7 @@ class AtomSolver:
 
     def theta(self, gamma: float) -> float:
         """Solve mean(theta) = gamma: in closed form on two atoms, else by the
-        Newton iteration of :func:`solve_theta_numeric` at O(atoms) per step.
+        Newton iteration of ``verify.solve_theta_numeric`` at O(atoms) per step.
         The target must lie strictly inside the atoms' range.  This is the one
         solver of ``TiltModel.theta``, for every measure and walk mix."""
         gamma = float(gamma)
@@ -396,20 +299,6 @@ class AtomSolver:
         if moments is None:
             moments = self.moments[theta] = _scalar_grad_var(self.f, self.logp, theta)
         return moments
-
-
-def solve_theta_numeric(table: PathTable, gamma: float) -> float:
-    """Solve F'(theta) = gamma by Newton iteration on a path table.
-
-    The second derivative of the free energy is the variance of the measure
-    under the tilt, so the mean is monotone in theta and admits a bisection
-    fallback.  The target must lie strictly inside the achievable range
-    (see :func:`achievable_range`).  Convergence is declared when the mean
-    matches gamma within ``NEWTON_TOL``, followed by one polishing step.
-    """
-    gamma = float(gamma)
-    _check_target(*achievable_range(table), gamma)
-    return _solve_scalar(lambda t: _scalar_grad_var(table.f, table.logp0, t), gamma)
 
 
 def _check_target(fmin: float, fmax: float, gamma: float) -> None:
@@ -493,3 +382,11 @@ def _polish_scalar(grad_var, gamma, theta, r, var) -> float:
         if abs(grad2 - gamma) < abs(r):
             return candidate
     return theta
+
+
+# Forwarded to the oracle for perfbench/spans.py, as in sampling.py.
+def __getattr__(name):
+    if name in ("solve_theta_closed", "solve_theta_numeric"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

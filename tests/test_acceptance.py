@@ -7,6 +7,7 @@ to see them as they execute.
 import numpy as np
 
 import twistrank as tr
+from twistrank import verify
 
 from twistrank.verify import endpoint_grouped, pair_mass_deviation
 
@@ -36,7 +37,7 @@ def test_01_theta_gamma_regression():
         -0.99: -3.8310, -0.9: -2.6566, -0.5: -1.7337, 0.0: -1.1844,
         0.5: -0.6351, 0.9: 0.2878, 0.99: 1.4623,
     }
-    worst = max(abs(tr.solve_theta_closed(s, g) - t) for g, t in targets.items())
+    worst = max(abs(verify.solve_theta_closed(s, g) - t) for g, t in targets.items())
     report(1, "theta(gamma) regression", worst <= 5e-5, f"max dev {worst:.2e}")
 
 
@@ -48,10 +49,10 @@ def test_02_oracle_equivalence(corpus100):
             for beta in BETA_MIXES:
                 walk = tr.WalkConfig(*beta)
                 model = tr.TiltModel(g, measure, walk)
-                table = tr.path_table(g, measure, walk)
+                table = verify.path_table(g, measure, walk)
                 for theta in THETAS:
                     dev = pair_mass_deviation(
-                        tr.bivariate(model, theta), endpoint_grouped(table, theta)
+                        verify.bivariate(model, theta), endpoint_grouped(table, theta)
                     )
                     worst = max(worst, dev)
     report(2, "pair-distribution oracle equivalence", worst <= 1e-12, f"max dev {worst:.2e}")
@@ -63,9 +64,9 @@ def test_03_closed_form_marginal(corpus100):
     worst = 0.0
     for g, _ in corpus100:
         s = tr.stats(g)
-        table = tr.path_table(g, tr.SignProduct(), walk)
+        table = verify.path_table(g, tr.SignProduct(), walk)
         for theta in THETAS:
-            closed = tr.influence_closed_form(s, theta)
+            closed = verify.influence_closed_form(s, theta)
             scores = endpoint_grouped(table, theta).start_marginal()
             worst = max(worst, float(np.max(np.abs(closed.scores - scores))))
     report(3, "closed-form marginal", worst <= 1e-12, f"max dev {worst:.2e}")
@@ -81,10 +82,10 @@ def test_04_free_energy_calculus(corpus100):
         measure = measures_for(g, z)[int(rng.integers(3))]
         beta = BETA_MIXES[int(rng.integers(3))]
         theta = float(rng.uniform(-2.0, 2.0))
-        table = tr.path_table(g, measure, tr.WalkConfig(*beta))
-        grad = tr.twist(table, theta)[0].mean_measure
-        hi, _ = tr.twist(table, theta + step)
-        lo, _ = tr.twist(table, theta - step)
+        table = verify.path_table(g, measure, tr.WalkConfig(*beta))
+        grad = verify.twist(table, theta)[0].mean_measure
+        hi, _ = verify.twist(table, theta + step)
+        lo, _ = verify.twist(table, theta - step)
         fd = (hi.free_energy - lo.free_energy) / (2 * step)
         worst = max(worst, abs(grad - fd) / max(1.0, abs(grad)))
     gradient_ok = worst <= 1e-6
@@ -93,8 +94,8 @@ def test_04_free_energy_calculus(corpus100):
     grid = np.linspace(-8.0, 8.0, 50)
     for g, z in corpus100[:3]:
         for measure in measures_for(g, z):
-            table = tr.path_table(g, measure, tr.WalkConfig(0.7, 0.3))
-            grads = [tr.twist(table, t)[0].mean_measure for t in grid]
+            table = verify.path_table(g, measure, tr.WalkConfig(0.7, 0.3))
+            grads = [verify.twist(table, t)[0].mean_measure for t in grid]
             monotone_ok = monotone_ok and bool(np.all(np.diff(grads) >= -1e-12))
     report(4, "free-energy calculus", gradient_ok and monotone_ok,
            f"max rel dev {worst:.2e}, monotone {monotone_ok}")
@@ -110,14 +111,14 @@ def test_05_round_trip_solving(corpus100):
         g, z = corpus100[i % len(corpus100)]
         measure = measures_for(g, z)[solved % 3]
         beta = BETA_MIXES[int(rng.integers(3))]
-        table = tr.path_table(g, measure, tr.WalkConfig(*beta))
+        table = verify.path_table(g, measure, tr.WalkConfig(*beta))
         i += 1
-        fmin, fmax = tr.achievable_range(table)
+        fmin, fmax = verify.achievable_range(table)
         if fmax - fmin < 1e-9:
             continue
         gamma = float(fmin + rng.uniform(0.05, 0.95) * (fmax - fmin))
-        theta = tr.solve_theta_numeric(table, gamma)
-        back = tr.twist(table, theta)[0].mean_measure
+        theta = verify.solve_theta_numeric(table, gamma)
+        back = verify.twist(table, theta)[0].mean_measure
         worst = max(worst, abs(back - gamma))
         solved += 1
     report(5, "gamma round trip", worst <= 1e-10, f"max dev {worst:.2e} over {solved} targets")
@@ -133,16 +134,16 @@ def test_06_structural_invariants(corpus100):
             for beta in BETA_MIXES:
                 walk = tr.WalkConfig(*beta)
                 model = tr.TiltModel(g, measure, walk)
-                table = tr.path_table(g, measure, walk)
+                table = verify.path_table(g, measure, walk)
                 for theta in (-2.0, 1.5):
-                    _, probs = tr.twist(table, theta)
+                    _, probs = verify.twist(table, theta)
                     by_nodes = tilted_masses(table, probs)
                     worst_sum = max(worst_sum, abs(sum(by_nodes.values()) - 1.0))
                     worst_rev = max(
                         worst_rev,
                         max(abs(p - by_nodes[nodes[::-1]]) for nodes, p in by_nodes.items()),
                     )
-                    b = tr.bivariate(model, theta)
+                    b = verify.bivariate(model, theta)
                     worst_marg = max(
                         worst_marg,
                         float(np.max(np.abs(b.start_marginal() - b.end_marginal()))),
@@ -166,7 +167,7 @@ def test_07_degeneracy_identities(corpus100):
     worst_zero = 0.0
     for g, z in corpus100[:25]:
         base = np.zeros(g.n)
-        for nodes, mass in walk_masses(tr.enumerate_paths(g, walk)):
+        for nodes, mass in walk_masses(verify.enumerate_paths(g, walk)):
             base[nodes[0]] += mass
         for kind, vec in (("influence", None), ("trust", None), ("advertisement", z)):
             ranking = tr.centrality(g, kind, theta=0.0, walk=walk, ad_vector=vec)

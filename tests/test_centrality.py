@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import twistrank as tr
+from twistrank import verify
 from twistrank.errors import EnumerationBudgetError, GraphError
 
 from twistrank.verify import endpoint_grouped, pair_mass_deviation
@@ -13,7 +14,7 @@ from conftest import random_signed_graph, walk_masses
 
 class TestBivariate:
     def test_untwisted_triangle_is_uniform_on_edges(self, triangle_pos):
-        b = tr.bivariate(tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
+        b = verify.bivariate(tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
         for u in range(3):
             for w in range(3):
                 expected = 1 / 6 if u != w else 0.0
@@ -21,7 +22,7 @@ class TestBivariate:
 
     def test_single_negative_edge_normalization_cancels(self):
         g = tr.load_graph([(0, 1, -1)])
-        b = tr.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 1.0)
+        b = verify.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 1.0)
         assert b.pair_mass(0, 1) == pytest.approx(0.5, abs=1e-15)
         assert b.pair_mass(1, 0) == pytest.approx(0.5, abs=1e-15)
 
@@ -36,19 +37,19 @@ class TestBivariate:
         for g, z in corpus100[:8] + [(edge_cases, np.array([0.6, 0.3]))]:
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
                 model = tr.TiltModel(g, measure, walk)
-                table = tr.path_table(g, measure, walk)
+                table = verify.path_table(g, measure, walk)
                 assert pair_mass_deviation(
-                    tr.bivariate(model, -1.2), endpoint_grouped(table, -1.2)
+                    verify.bivariate(model, -1.2), endpoint_grouped(table, -1.2)
                 ) <= 1e-12
 
     def test_total_mass_one(self, corpus100):
         g, z = corpus100[0]
         model = tr.TiltModel(g, tr.MinInnerProduct(z), tr.WalkConfig(0.3, 0.7))
-        assert tr.bivariate(model, 2.0).masses.sum() == pytest.approx(1.0, abs=1e-12)
+        assert verify.bivariate(model, 2.0).masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_pair_masses(self, corpus100):
         g, _ = corpus100[1]
-        b = tr.bivariate(tr.TiltModel(g, tr.SignMin(), tr.WalkConfig(0.5, 0.5)), 0.8)
+        b = verify.bivariate(tr.TiltModel(g, tr.SignMin(), tr.WalkConfig(0.5, 0.5)), 0.8)
         starts, ends = np.divmod(b.codes, b.n)
         for u, w, mass in zip(starts.tolist(), ends.tolist(), b.masses.tolist()):
             assert b.pair_mass(w, u) == pytest.approx(mass, abs=1e-13)
@@ -57,12 +58,12 @@ class TestBivariate:
         monkeypatch.setattr(tr.sampling, "DEFAULT_PATH_BUDGET", 2)
         model = tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
         with pytest.raises(EnumerationBudgetError):
-            tr.bivariate(model, 0.0)
+            verify.bivariate(model, 0.0)
 
     def test_empty_graph_rejected(self):
         g = tr.load_graph([], [(0, [1.0])])
         with pytest.raises(GraphError, match="edgeless"):
-            tr.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
+            verify.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
 
     def test_unknown_measure_rejected(self, triangle_pos):
         class Odd:
@@ -72,28 +73,28 @@ class TestBivariate:
                 return 0.0
 
         with pytest.raises(TypeError, match="structural pair assembly"):
-            tr.bivariate(tr.TiltModel(triangle_pos, Odd(), tr.WalkConfig(1.0, 0.0)), 0.0)
+            verify.bivariate(tr.TiltModel(triangle_pos, Odd(), tr.WalkConfig(1.0, 0.0)), 0.0)
 
 
 class TestMarginal:
     def test_triangle_uniform(self, triangle_pos):
-        b = tr.bivariate(tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
-        ranking = tr.marginal(b)
+        b = verify.bivariate(tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
+        ranking = verify.marginal(b)
         assert ranking.scores == pytest.approx([1 / 3] * 3)
 
     def test_star_center_half(self):
         g = tr.load_graph([(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-        b = tr.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
-        ranking = tr.marginal(b)
+        b = verify.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)
+        ranking = verify.marginal(b)
         assert ranking.scores[0] == pytest.approx(0.5)
         assert ranking.scores[1:] == pytest.approx([1 / 6] * 3)
         assert ranking.order[0] == 0
 
     def test_start_equals_end_for_symmetric(self, corpus100):
         g, z = corpus100[2]
-        b = tr.bivariate(tr.TiltModel(g, tr.MinInnerProduct(z), tr.WalkConfig(0.6, 0.4)), -0.7)
+        b = verify.bivariate(tr.TiltModel(g, tr.MinInnerProduct(z), tr.WalkConfig(0.6, 0.4)), -0.7)
         assert np.max(np.abs(b.start_marginal() - b.end_marginal())) <= 1e-12
-        assert np.array_equal(tr.marginal(b).scores, b.start_marginal())
+        assert np.array_equal(verify.marginal(b).scores, b.start_marginal())
 
     def test_scores_sum_to_one_and_order_is_permutation(self, corpus100):
         g, _ = corpus100[3]
@@ -109,14 +110,14 @@ class TestMarginal:
 class TestClosedForm:
     def test_zero_temperature_is_degree_over_2m(self, star_two_neg):
         s = tr.stats(star_two_neg)
-        ranking = tr.influence_closed_form(s, 0.0)
+        ranking = verify.influence_closed_form(s, 0.0)
         assert ranking.scores == pytest.approx(s.degree / (2 * s.m))
 
     def test_hand_evaluated_case(self):
         # Node 0 has two positive edges; m+ = 3, m- = 1, theta = ln 2 gives
         # (2 * 2) / (2 * (3 * 2 + 1 * 0.5)) = 4 / 13.
         g = tr.load_graph([(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, -1)])
-        ranking = tr.influence_closed_form(tr.stats(g), np.log(2))
+        ranking = verify.influence_closed_form(tr.stats(g), np.log(2))
         assert ranking.scores[0] == pytest.approx(4 / 13, abs=1e-15)
 
     def test_matches_enumeration_pipeline(self, corpus100):
@@ -125,19 +126,19 @@ class TestClosedForm:
             s = tr.stats(g)
             model = tr.TiltModel(g, tr.SignProduct(), walk)
             for theta in (-2.0, 0.0, 1.5):
-                closed = tr.influence_closed_form(s, theta)
-                piped = tr.marginal(tr.bivariate(model, theta))
+                closed = verify.influence_closed_form(s, theta)
+                piped = verify.marginal(verify.bivariate(model, theta))
                 assert np.max(np.abs(closed.scores - piped.scores)) <= 1e-12
 
     def test_extreme_temperature_does_not_overflow(self, star_two_neg):
-        ranking = tr.influence_closed_form(tr.stats(star_two_neg), 800.0)
+        ranking = verify.influence_closed_form(tr.stats(star_two_neg), 800.0)
         assert np.isfinite(ranking.scores).all()
         assert ranking.scores.sum() == pytest.approx(1.0)
 
     def test_empty_graph_rejected(self):
         g = tr.load_graph([], [(0, [1.0])])
         with pytest.raises(GraphError, match="edgeless"):
-            tr.influence_closed_form(tr.stats(g), 0.0)
+            verify.influence_closed_form(tr.stats(g), 0.0)
 
 
 class TestCentralityDispatch:
@@ -154,7 +155,7 @@ class TestCentralityDispatch:
         walk = tr.WalkConfig(0.7, 0.3)
         ranking = tr.centrality(g, "influence", theta=0.0, walk=walk)
         base = np.zeros(g.n)
-        for nodes, mass in walk_masses(tr.enumerate_paths(g, walk)):
+        for nodes, mass in walk_masses(verify.enumerate_paths(g, walk)):
             base[nodes[0]] += mass
         assert np.max(np.abs(ranking.scores - base)) <= 1e-12
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import twistrank as tr
-from twistrank import io as tio, twisting
+from twistrank import io as tio, twisting, verify
 from twistrank.cli import main
 
 from conftest import edge_list, skewed_signed_graph, walk_masses
@@ -295,7 +295,7 @@ class TestRankCommand:
         payload = json.loads((tmp_path / "rank" / "ranking.json").read_text())
         g = tr.load_graph(tio.read_edge_list(small_edges))
         base = {u: 0.0 for u in range(g.n)}
-        for nodes, mass in walk_masses(tr.enumerate_paths(g, tr.WalkConfig(0.7, 0.3))):
+        for nodes, mass in walk_masses(verify.enumerate_paths(g, tr.WalkConfig(0.7, 0.3))):
             base[nodes[0]] += mass
         for row in payload["ranking"]:
             u = int(np.searchsorted(g.original_ids, row["node_id"]))
@@ -424,6 +424,22 @@ class TestRankCommand:
             "--theta", "1", "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    def test_out_of_memory_is_a_data_error(self, tmp_path, small_edges, monkeypatch, capsys):
+        """Running out of memory exits 2 with one line, not a traceback."""
+        message = ("Unable to allocate 7.45 GiB for an array with shape (1000000000,) "
+                   "and data type float64")
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("twistrank.cli.load_graph", exhausted)
+        code = main(["rank", "--edges", str(small_edges), "--measure", "trust",
+                     "--theta", "0.5", "--out", str(tmp_path / "rank")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: out of memory: {message}"]
+        assert "Traceback" not in err
 
     def test_unachievable_gamma_reports_range(self, tmp_path, small_edges, capsys):
         code = main([
@@ -804,6 +820,23 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "v").exists()
 
+    @pytest.mark.parametrize("command", [("rank", "--measure", "ad", "--theta", "1.5"),
+                                         ("verify",)], ids=["rank", "verify"])
+    def test_ad_vector_without_attributes_is_a_data_error(self, tmp_path, small_edges, capsys,
+                                                          command):
+        """An ad vector needs node attributes of its dimension, under ``verify``
+        as under ``rank``."""
+        z = tmp_path / "z.txt"
+        write(z, "1.0\n")
+        code = main([command[0], "--edges", str(small_edges), *command[1:],
+                     "--ad-vector", str(z), "--out", str(tmp_path / "o")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: score vector has dimension 1 but node attributes have dimension 0"
+        ]
+
     def test_tampered_sign_is_a_data_error(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         write(edges, "0 1 2\n")
@@ -826,11 +859,24 @@ class TestImport:
         )
         assert out.stdout.strip() == "[]"
 
-    def test_rank_loads_no_oracle_checks(self, tmp_path, small_edges):
+    @pytest.mark.parametrize("command", [
+        ["rank", "--measure", "trust", "--gamma", "0.3", "--beta1", "0.7", "--beta2", "0.3"],
+        ["rank", "--measure", "influence", "--gamma", "0.3", "--beta1", "1", "--beta2", "0"],
+        ["sweep", "--attrs", "{attrs}", "--ad-vector", "{ad}", "--measure", "ad",
+         "--gammas", "0.5,0.7"],
+        ["preprocess", "--partition", "{part}", "--inject-negative", "2"],
+    ], ids=["trust-rank", "influence-rank", "ad-sweep", "preprocess-inject"])
+    def test_production_command_loads_no_oracle(self, tmp_path, small_edges, command):
+        """The oracle lives in twistrank.verify, which only ``verify`` loads."""
         # A fresh interpreter: this test process has imported twistrank.verify.
         src = str(Path(tr.__file__).resolve().parents[1])
-        argv = ["rank", "--edges", str(small_edges), "--measure", "trust", "--gamma", "0.3",
-                "--beta1", "0.7", "--beta2", "0.3", "--out", str(tmp_path / "rank")]
+        files = {"attrs": "0 0.9 0.1\n1 0.4 0.8\n2 0.5 0.3\n3 0.7 0.6\n4 0.1 0.5\n",
+                 "ad": "1.0 0.5\n", "part": "0 a\n1 b\n2 a\n3 b\n4 a\n"}
+        for name, text in files.items():
+            write(tmp_path / f"{name}.txt", text)
+        paths = {name: str(tmp_path / f"{name}.txt") for name in files}
+        argv = [command[0], "--edges", str(small_edges),
+                *(arg.format(**paths) for arg in command[1:]), "--out", str(tmp_path / "out")]
         code = (
             "import sys, twistrank.cli; "
             f"code = twistrank.cli.main({argv!r}); "

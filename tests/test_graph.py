@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistrank as tr
-from twistrank import graph as tg
+from twistrank import graph as tg, verify
 from twistrank.errors import GraphError
 
 from conftest import edge_list, random_signed_graph, skewed_signed_graph
@@ -654,7 +654,7 @@ class TestIngestRoutes:
         for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct([1.0])):
             model = tr.TiltModel(g, measure, tr.WalkConfig(0.6, 0.4))
             reference = tr.TiltModel(small, measure, tr.WalkConfig(0.6, 0.4))
-            b, want = tr.bivariate(model, 0.7), tr.bivariate(reference, 0.7)
+            b, want = verify.bivariate(model, 0.7), verify.bivariate(reference, 0.7)
             codes = [(c // 4 + off) * n + c % 4 + off for c in want.codes.tolist()]
             assert b.codes.tolist() == codes
             indptr, indices, _ = g.csr()
@@ -667,7 +667,7 @@ class TestIngestRoutes:
             )
             assert not ranking.scores[:off].any()
             assert ranking.order[:4].tolist() == (reference.ranking(0.7).order + off).tolist()
-            np.testing.assert_allclose(tr.marginal(b).scores, ranking.scores, rtol=1e-12)
+            np.testing.assert_allclose(verify.marginal(b).scores, ranking.scores, rtol=1e-12)
 
 
 NAN, INF, BIG = float("nan"), float("inf"), 2**70

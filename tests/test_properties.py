@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import twistrank as tr
+from twistrank import verify
 
 from conftest import tilted_masses, walk_masses
 
@@ -37,7 +38,7 @@ def test_load_graph_degree_identities(pairs):
 @settings(max_examples=50, deadline=None)
 @given(graphs(), walk_configs())
 def test_enumeration_mass_and_reversal(g, walk):
-    masses = dict(walk_masses(tr.enumerate_paths(g, walk)))
+    masses = dict(walk_masses(verify.enumerate_paths(g, walk)))
     assert abs(sum(masses.values()) - 1.0) <= 1e-12
     for nodes, prob in masses.items():
         assert masses[nodes[::-1]] == prob
@@ -46,8 +47,8 @@ def test_enumeration_mass_and_reversal(g, walk):
 @settings(max_examples=40, deadline=None)
 @given(graphs(), walk_configs(), st.floats(-5, 5))
 def test_twist_normalization_and_reversibility(g, walk, theta):
-    table = tr.path_table(g, tr.SignMin(), walk)
-    _, probs = tr.twist(table, theta)
+    table = verify.path_table(g, tr.SignMin(), walk)
+    _, probs = verify.twist(table, theta)
     by_nodes = tilted_masses(table, probs)
     assert abs(sum(by_nodes.values()) - 1.0) <= 1e-12
     for nodes, prob in by_nodes.items():
@@ -58,13 +59,13 @@ def test_twist_normalization_and_reversibility(g, walk, theta):
 @given(graphs(), st.floats(0.05, 0.95), st.floats(0.0, 1.0))
 def test_round_trip_on_achievable_targets(g, frac, beta1):
     walk = tr.WalkConfig(beta1, 1.0 - beta1)
-    table = tr.path_table(g, tr.SignProduct(), walk)
-    fmin, fmax = tr.achievable_range(table)
+    table = verify.path_table(g, tr.SignProduct(), walk)
+    fmin, fmax = verify.achievable_range(table)
     if fmax - fmin < 1e-9:
         return
     gamma = fmin + frac * (fmax - fmin)
-    theta = tr.solve_theta_numeric(table, gamma)
-    back = tr.twist(table, theta)[0].mean_measure
+    theta = verify.solve_theta_numeric(table, gamma)
+    back = verify.twist(table, theta)[0].mean_measure
     assert abs(back - gamma) <= 1e-10
 
 
@@ -81,8 +82,8 @@ def test_jaccard_bounds_and_symmetry(a, b):
 @settings(max_examples=40, deadline=None)
 @given(graphs(), st.floats(-3, 3))
 def test_closed_form_matches_structural_marginal(g, theta):
-    closed = tr.influence_closed_form(tr.stats(g), theta)
-    piped = tr.marginal(
-        tr.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), theta)
+    closed = verify.influence_closed_form(tr.stats(g), theta)
+    piped = verify.marginal(
+        verify.bivariate(tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), theta)
     )
     assert np.max(np.abs(closed.scores - piped.scores)) <= 1e-12

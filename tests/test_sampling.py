@@ -23,17 +23,17 @@ class TestBaseWalk:
 
 class TestEnumeration:
     def test_triangle_length_one_count(self, triangle_pos):
-        (one, p1), (two, p2) = tr.enumerate_paths(triangle_pos, tr.WalkConfig(1.0, 0.0))
+        (one, p1), (two, p2) = verify.enumerate_paths(triangle_pos, tr.WalkConfig(1.0, 0.0))
         assert (one.shape, p1.shape, two.shape, p2.shape) == ((6, 2), (6,), (0, 3), (0,))
 
     def test_triangle_length_two_count_with_backtracking(self, triangle_pos):
-        (one, _), (two, _) = tr.enumerate_paths(triangle_pos, tr.WalkConfig(0.0, 1.0))
+        (one, _), (two, _) = verify.enumerate_paths(triangle_pos, tr.WalkConfig(0.0, 1.0))
         assert (one.shape, two.shape) == ((0, 2), (12, 3))
         assert np.any(two[:, 0] == two[:, 2])
 
     def test_single_edge(self):
         g = tr.load_graph([(0, 1, 1)])
-        (one, p1), _ = tr.enumerate_paths(g, tr.WalkConfig(1.0, 0.0))
+        (one, p1), _ = verify.enumerate_paths(g, tr.WalkConfig(1.0, 0.0))
         assert sorted(map(tuple, one.tolist())) == [(0, 1), (1, 0)]
         assert all(p == pytest.approx(0.5) for p in p1)
 
@@ -42,26 +42,26 @@ class TestEnumeration:
         cfg = tr.WalkConfig(beta1, 1.0 - beta1)
         for seed in range(10):
             g = random_signed_graph(np.random.default_rng(seed))
-            (_, p1), (_, p2) = tr.enumerate_paths(g, cfg)
+            (_, p1), (_, p2) = verify.enumerate_paths(g, cfg)
             total = sum(p1.tolist() + p2.tolist())
             assert abs(total - 1.0) <= 1e-12
 
     def test_each_path_emitted_once(self):
         g = random_signed_graph(np.random.default_rng(4))
-        blocks = tr.enumerate_paths(g, tr.WalkConfig(0.5, 0.5))
+        blocks = verify.enumerate_paths(g, tr.WalkConfig(0.5, 0.5))
         paths = [tuple(row) for nodes, _ in blocks for row in nodes.tolist()]
         assert len(paths) == len(set(paths)) == tr.path_count(g, tr.WalkConfig(0.5, 0.5))
 
     def test_budget_enforced_before_yielding(self, triangle_pos, monkeypatch):
         monkeypatch.setattr(tr.sampling, "DEFAULT_PATH_BUDGET", 3)
         with pytest.raises(EnumerationBudgetError) as err:
-            tr.enumerate_paths(triangle_pos, tr.WalkConfig(1.0, 0.0))
+            verify.enumerate_paths(triangle_pos, tr.WalkConfig(1.0, 0.0))
         assert (err.value.required, err.value.budget) == (6, 3)
 
     def test_edgeless_graph_rejected(self):
         g = tr.load_graph([], [(0, [1.0]), (1, [2.0])])
         with pytest.raises(GraphError, match="edgeless"):
-            tr.enumerate_paths(g, tr.WalkConfig(1.0, 0.0))
+            verify.enumerate_paths(g, tr.WalkConfig(1.0, 0.0))
 
 
 def _walk_loop(g, cfg):
@@ -108,9 +108,9 @@ class TestBlocks:
         walk = tr.WalkConfig(*beta)
         for g in _block_graphs():
             want = [(nodes, p) for nodes, p in _walk_loop(g, walk) if p > 0]
-            table = tr.path_table(g, tr.SignMin(), walk)
+            table = verify.path_table(g, tr.SignMin(), walk)
             got = []
-            for nodes, _ in tr.enumerate_paths(g, walk):
+            for nodes, _ in verify.enumerate_paths(g, walk):
                 assert nodes.dtype == g.csr()[1].dtype
                 got += map(tuple, nodes.tolist())
             assert got == [nodes for nodes, _ in want]
@@ -124,7 +124,7 @@ class TestBlocks:
     def test_reverse_index_finds_each_walks_reverse(self, beta):
         walk = tr.WalkConfig(*beta)
         for g in _block_graphs():
-            table = tr.path_table(g, tr.SignProduct(), walk)
+            table = verify.path_table(g, tr.SignProduct(), walk)
             one, two = table.walks
             rev = verify._reverse_index(table)
             assert np.array_equal(one[rev[: len(one)]], one[:, ::-1])
@@ -137,7 +137,7 @@ def test_path_table_keeps_under_100_bytes_per_walk():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = tr.path_table(g, tr.SignMin(), tr.WalkConfig(0.5, 0.5))
+        table = verify.path_table(g, tr.SignMin(), tr.WalkConfig(0.5, 0.5))
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

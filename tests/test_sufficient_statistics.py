@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import twistrank as tr
-from twistrank import sampling, twisting
+from twistrank import twisting, verify
 from twistrank.errors import SolveError
 
 from conftest import random_signed_graph, skewed_signed_graph
@@ -40,7 +40,7 @@ class TestMeasureAtoms:
         worst = 0.0
         for g, _, kind, measure, walk in configs(corpus100[:20]):
             values, masses = tr.measure_atoms(tr.TiltModel(g, measure, walk))
-            table = tr.path_table(g, measure, walk)
+            table = verify.path_table(g, measure, walk)
             assert np.all(np.diff(values) > 0)
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
             if kind == "advertisement":
@@ -48,7 +48,7 @@ class TestMeasureAtoms:
             else:
                 assert values.tolist() == [-1.0, 1.0]
             for theta in THETAS:
-                result, _ = tr.twist(table, theta)
+                result, _ = verify.twist(table, theta)
                 free_energy = np.logaddexp.reduce(
                     theta * values[masses > 0] + np.log(masses[masses > 0])
                 )
@@ -84,15 +84,15 @@ class TestSolveFromAtoms:
         worst_vs_numeric = 0.0
         solved = 0
         for i, (g, z, kind, measure, walk) in enumerate(configs(corpus100)):
-            table = tr.path_table(g, measure, walk)
-            fmin, fmax = tr.achievable_range(table)
+            table = verify.path_table(g, measure, walk)
+            fmin, fmax = verify.achievable_range(table)
             if fmax - fmin < 1e-9:
                 continue
             gamma = fmin + FRACTIONS[i % 3] * (fmax - fmin)
             atoms = tr.measure_atoms(tr.TiltModel(g, measure, walk))
             theta = twisting.AtomSolver(*atoms).theta(gamma)
-            back = tr.twist(table, theta)[0].mean_measure
-            numeric = tr.solve_theta_numeric(table, gamma)
+            back = verify.twist(table, theta)[0].mean_measure
+            numeric = verify.solve_theta_numeric(table, gamma)
             resolved = tr.resolve_theta(tr.TiltModel(g, measure, walk), gamma=gamma)
             worst_round_trip = max(worst_round_trip, abs(back - gamma))
             scale = max(1.0, abs(theta))
@@ -109,11 +109,11 @@ class TestSolveFromAtoms:
         measure = tr.measure_for(kind, z)
         walk = tr.WalkConfig(0.7, 0.3)
         atoms = tr.measure_atoms(tr.TiltModel(g, measure, walk))
-        table = tr.path_table(g, measure, walk)
-        _, fmax = tr.achievable_range(table)
+        table = verify.path_table(g, measure, walk)
+        _, fmax = verify.achievable_range(table)
         for solve in (
             lambda: twisting.AtomSolver(*atoms).theta(fmax + 0.1),
-            lambda: tr.solve_theta_numeric(table, fmax + 0.1),
+            lambda: verify.solve_theta_numeric(table, fmax + 0.1),
         ):
             with pytest.raises(SolveError, match="achievable range"):
                 solve()
@@ -123,14 +123,14 @@ class TestSolveFromAtoms:
         with pytest.raises(SolveError, match="constant"):
             tr.resolve_theta(tr.TiltModel(triangle_pos, tr.SignMin(), walk), gamma=0.5)
         with pytest.raises(SolveError, match="constant"):
-            tr.solve_theta_numeric(tr.path_table(triangle_pos, tr.SignMin(), walk), 0.5)
+            verify.solve_theta_numeric(verify.path_table(triangle_pos, tr.SignMin(), walk), 0.5)
 
     def test_closed_form_is_unchanged(self):
         s = tr.GraphStats(m=16650, m_pos=15225, m_neg=1425, degree=np.array([1]),
                           pos_degree=np.array([1]), neg_degree=np.array([0]))
         for gamma in (-0.99, -0.5, 0.0, 0.9):
             expected = 0.5 * math.log(1425 * (1.0 + gamma) / (15225 * (1.0 - gamma)))
-            assert tr.solve_theta_closed(s, gamma) == expected
+            assert verify.solve_theta_closed(s, gamma) == expected
 
     def test_one_step_sign_theta_is_the_closed_form(self):
         """At beta = (1, 0) both sign measures solve on the atoms (m-/m, m+/m),
@@ -147,7 +147,7 @@ class TestSolveFromAtoms:
             s = tr.stats(g)
             assert (s.m_pos, s.m_neg) == (m_pos, m_neg)
             for gamma in rng.uniform(-1.0, 1.0, size=5):
-                closed = tr.solve_theta_closed(s, gamma)
+                closed = verify.solve_theta_closed(s, gamma)
                 for measure in (tr.SignProduct(), tr.SignMin()):
                     theta = tr.TiltModel(g, measure, tr.WalkConfig(1.0, 0.0)).theta(gamma)
                     assert abs(theta - closed) <= 4 * eps * max(1.0, abs(closed))
@@ -185,15 +185,15 @@ class TestSharedSolver:
             if keep.sum() < 3:
                 continue
             # The oracle path solves without a memo.
-            table = tr.PathTable(n=0, walks=(), f=values[keep], p0=masses[keep],
+            table = verify.PathTable(n=0, walks=(), f=values[keep], p0=masses[keep],
                                  logp0=np.log(masses[keep]))
-            lo, hi = tr.achievable_range(table)
+            lo, hi = verify.achievable_range(table)
             for gammas in _target_lists(rng, lo, hi):
                 solver = twisting.AtomSolver(values, masses)
                 shared = [_outcome(solver.theta, g) for g in gammas]
                 fresh = [_outcome(lambda g: twisting.AtomSolver(values, masses).theta(g), g)
                          for g in gammas]
-                oracle = [_outcome(lambda g: tr.solve_theta_numeric(table, g), g) for g in gammas]
+                oracle = [_outcome(lambda g: verify.solve_theta_numeric(table, g), g) for g in gammas]
                 assert shared == fresh == oracle
                 assert sum(isinstance(o, str) for o in shared) >= 6
 
@@ -223,7 +223,7 @@ class TestStartMarginal:
             model = tr.TiltModel(g, measure, walk)
             for theta in THETAS:
                 fast = tr.centrality(g, kind, theta=theta, walk=walk, ad_vector=z)
-                slow = tr.marginal(tr.bivariate(model, theta))
+                slow = verify.marginal(verify.bivariate(model, theta))
                 worst = max(worst, float(np.max(np.abs(fast.scores - slow.scores))))
         assert worst <= 1e-12
 
@@ -231,7 +231,7 @@ class TestStartMarginal:
     def test_large_temperatures_match_bivariate(self, theta, corpus100):
         for g, z, kind, measure, walk in configs(corpus100[:10]):
             fast = tr.centrality(g, kind, theta=theta, walk=walk, ad_vector=z)
-            slow = tr.marginal(tr.bivariate(tr.TiltModel(g, measure, walk), theta))
+            slow = verify.marginal(verify.bivariate(tr.TiltModel(g, measure, walk), theta))
             assert np.max(np.abs(fast.scores - slow.scores)) <= 1e-12
 
     def test_edgeless_graph_rejected(self):
@@ -356,19 +356,18 @@ def test_production_path_never_enumerates(monkeypatch, corpus100):
     corpus = corpus100[:12]
     targets = {}
     for i, (g, z, kind, measure, walk) in enumerate(configs(corpus)):
-        table = tr.path_table(g, measure, walk)
-        fmin, fmax = tr.achievable_range(table)
+        table = verify.path_table(g, measure, walk)
+        fmin, fmax = verify.achievable_range(table)
         if fmax - fmin >= 1e-9:
-            targets[i] = tr.twist(table, 0.4)[0].mean_measure
+            targets[i] = verify.twist(table, 0.4)[0].mean_measure
     assert len(targets) > 90
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the production path must not enumerate walks or pairs")
 
-    monkeypatch.setattr(sampling, "enumerate_paths", forbidden)
-    monkeypatch.setattr(twisting, "enumerate_paths", forbidden)
-    monkeypatch.setattr(twisting, "path_table", forbidden)
-    monkeypatch.setattr(centrality_module, "bivariate", forbidden)
+    monkeypatch.setattr(verify, "enumerate_paths", forbidden)
+    monkeypatch.setattr(verify, "path_table", forbidden)
+    monkeypatch.setattr(verify, "bivariate", forbidden)
     for i, (g, z, kind, measure, walk) in enumerate(configs(corpus)):
         if i not in targets:
             continue

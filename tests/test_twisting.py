@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import twistrank as tr
-from twistrank import twisting
+from twistrank import twisting, verify
 from twistrank.errors import GraphError, SolveError
 
 from conftest import random_signed_graph, tilted_masses, walk_masses
@@ -47,13 +47,13 @@ class TestMeasures:
     def test_block_evaluation_equals_the_per_walk_code(self, beta, corpus100):
         walk = tr.WalkConfig(*beta)
         for g, z in corpus100:
-            paths = [nodes for nodes, _ in walk_masses(tr.enumerate_paths(g, walk))]
+            paths = [nodes for nodes, _ in walk_masses(verify.enumerate_paths(g, walk))]
             blocks = [np.array([p for p in paths if len(p) == length]) for length in (2, 3)]
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
                 want = np.array([_per_walk_measure(g, measure, nodes) for nodes in paths])
                 got = np.concatenate([measure.evaluate(g, b) for b in blocks if b.size])
                 assert np.array_equal(got, want)
-                assert np.array_equal(tr.path_table(g, measure, walk).f, want)
+                assert np.array_equal(verify.path_table(g, measure, walk).f, want)
                 one = measure.evaluate(g, paths[-1])
                 assert type(one) is float and one == want[-1]
 
@@ -214,8 +214,8 @@ class TestCappedRows:
 class TestTwist:
     def test_zero_temperature_is_identity(self):
         g = random_signed_graph(np.random.default_rng(0))
-        table = tr.path_table(g, tr.SignProduct(), tr.WalkConfig(0.7, 0.3))
-        result, probs = tr.twist(table, 0.0)
+        table = verify.path_table(g, tr.SignProduct(), tr.WalkConfig(0.7, 0.3))
+        result, probs = verify.twist(table, 0.0)
         assert result.free_energy == pytest.approx(0.0, abs=1e-12)
         for base, prob in zip(table.p0.tolist(), probs.tolist()):
             assert prob == pytest.approx(base, abs=1e-14)
@@ -224,8 +224,8 @@ class TestTwist:
         # Tilting the 6 directed edges by exp(theta * sign) with theta = ln 2:
         # positive edges carry 2/6 before normalization and negative edges
         # 1/12, so the normalized masses are 2/9 and 1/18.
-        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
-        _, probs = tr.twist(table, math.log(2))
+        table = verify.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
+        _, probs = verify.twist(table, math.log(2))
         masses = {}
         for prob in probs.tolist():
             masses.setdefault(round(prob, 14), 0)
@@ -234,8 +234,8 @@ class TestTwist:
 
     def test_normalization_and_mean_in_hull(self, corpus100):
         for g, z in corpus100[:20]:
-            table = tr.path_table(g, tr.MinInnerProduct(z), tr.WalkConfig(0.7, 0.3))
-            result, probs = tr.twist(table, 1.5)
+            table = verify.path_table(g, tr.MinInnerProduct(z), tr.WalkConfig(0.7, 0.3))
+            result, probs = verify.twist(table, 1.5)
             values = np.array([tr.MinInnerProduct(z).evaluate(g, nodes)
                                for nodes in tilted_masses(table, probs)])
             assert abs(probs.sum() - 1.0) <= 1e-12
@@ -243,26 +243,26 @@ class TestTwist:
 
     def test_kl_nonnegative_and_zero_iff_constant_exponent(self, triangle_one_neg, triangle_pos):
         walk = tr.WalkConfig(1.0, 0.0)
-        table = tr.path_table(triangle_one_neg, tr.SignProduct(), walk)
-        result, p = tr.twist(table, 1.2)
+        table = verify.path_table(triangle_one_neg, tr.SignProduct(), walk)
+        result, p = verify.twist(table, 1.2)
         d = _kl(p, table.p0)
         assert d > 0
         assert d == pytest.approx(1.2 * result.mean_measure - result.free_energy, abs=1e-12)
         # Constant measure: the tilt cancels and the divergence vanishes.
-        table0 = tr.path_table(triangle_pos, tr.SignProduct(), walk)
-        result0, q = tr.twist(table0, 1.2)
+        table0 = verify.path_table(triangle_pos, tr.SignProduct(), walk)
+        result0, q = verify.twist(table0, 1.2)
         assert _kl(q, table0.p0) == pytest.approx(0.0, abs=1e-12)
 
     def test_survives_large_temperatures(self, triangle_one_neg):
-        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
-        _, probs = tr.twist(table, 400.0)
+        table = verify.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
+        _, probs = verify.twist(table, 400.0)
         total = sum(probs.tolist())
         assert abs(total - 1.0) <= 1e-12
 
     def test_theta_dimension_validated(self, triangle_one_neg):
-        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
+        table = verify.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
         with pytest.raises(ValueError, match="dimension"):
-            tr.twist(table, np.array([1.0, 2.0]))
+            verify.twist(table, np.array([1.0, 2.0]))
 
 
 class TestLogSumExp:
@@ -281,7 +281,7 @@ class TestLogSumExp:
 class TestFreeEnergyGradient:
     def test_balanced_graph_gradient_zero(self):
         g = tr.load_graph([(0, 1, 1), (2, 3, -1)])
-        grad = tr.twist(tr.path_table(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)[0].mean_measure
+        grad = verify.twist(verify.path_table(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.0)[0].mean_measure
         assert grad == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_finite_differences(self):
@@ -291,22 +291,22 @@ class TestFreeEnergyGradient:
             g = random_signed_graph(rng)
             theta = float(rng.uniform(-2, 2))
             walk = tr.WalkConfig(0.7, 0.3)
-            table = tr.path_table(g, tr.SignMin(), walk)
-            grad = tr.twist(table, theta)[0].mean_measure
-            hi, _ = tr.twist(table, theta + step)
-            lo, _ = tr.twist(table, theta - step)
+            table = verify.path_table(g, tr.SignMin(), walk)
+            grad = verify.twist(table, theta)[0].mean_measure
+            hi, _ = verify.twist(table, theta + step)
+            lo, _ = verify.twist(table, theta - step)
             fd = (hi.free_energy - lo.free_energy) / (2 * step)
             assert abs(grad - fd) <= 1e-6 * max(1.0, abs(grad))
 
     def test_saturates_to_plus_one(self, triangle_one_neg):
-        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
-        grad = tr.twist(table, 20.0)[0].mean_measure
+        table = verify.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
+        grad = verify.twist(table, 20.0)[0].mean_measure
         assert abs(grad - 1.0) <= 1e-6
 
     def test_monotone_in_theta(self):
         g = random_signed_graph(np.random.default_rng(21))
-        table = tr.path_table(g, tr.SignProduct(), tr.WalkConfig(0.5, 0.5))
-        grads = [tr.twist(table, t)[0].mean_measure for t in np.linspace(-6, 6, 50)]
+        table = verify.path_table(g, tr.SignProduct(), tr.WalkConfig(0.5, 0.5))
+        grads = [verify.twist(table, t)[0].mean_measure for t in np.linspace(-6, 6, 50)]
         assert np.all(np.diff(grads) >= -1e-12)
 
 
@@ -332,25 +332,25 @@ class TestSolveThetaClosed:
 
     @pytest.mark.parametrize("gamma,expected", CASES)
     def test_blog_network_regression(self, gamma, expected):
-        theta = tr.solve_theta_closed(self._stats(15225, 1425), gamma)
+        theta = verify.solve_theta_closed(self._stats(15225, 1425), gamma)
         assert theta == pytest.approx(expected, abs=5e-5)
 
     def test_balanced_graph_gives_zero(self):
-        assert tr.solve_theta_closed(self._stats(10, 10), 0.0) == pytest.approx(0.0)
+        assert verify.solve_theta_closed(self._stats(10, 10), 0.0) == pytest.approx(0.0)
 
     def test_single_sign_rejected(self):
         with pytest.raises(SolveError, match="positive and negative"):
-            tr.solve_theta_closed(self._stats(10, 0), 0.0)
+            verify.solve_theta_closed(self._stats(10, 0), 0.0)
 
     @pytest.mark.parametrize("gamma", [-1.0, 1.0, 1.5])
     def test_gamma_out_of_range_rejected(self, gamma):
         with pytest.raises(SolveError, match="strictly"):
-            tr.solve_theta_closed(self._stats(10, 10), gamma)
+            verify.solve_theta_closed(self._stats(10, 10), gamma)
 
     def test_consistent_with_mean_sign(self):
         s = self._stats(7, 3)
         for gamma in (-0.8, -0.2, 0.0, 0.4, 0.95):
-            theta = tr.solve_theta_closed(s, gamma)
+            theta = verify.solve_theta_closed(s, gamma)
             mean = (s.m_pos * math.exp(theta) - s.m_neg * math.exp(-theta)) / (
                 s.m_pos * math.exp(theta) + s.m_neg * math.exp(-theta)
             )
@@ -361,29 +361,29 @@ class TestSolveThetaNumeric:
     def test_matches_closed_form(self, corpus100):
         for g, _ in corpus100[:15]:
             s = tr.stats(g)
-            table = tr.path_table(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
+            table = verify.path_table(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
             for gamma in (-0.7, 0.0, 0.6, 0.99):
-                closed = tr.solve_theta_closed(s, gamma)
-                numeric = tr.solve_theta_numeric(table, gamma)
+                closed = verify.solve_theta_closed(s, gamma)
+                numeric = verify.solve_theta_numeric(table, gamma)
                 assert abs(closed - numeric) <= 1e-10
 
     def test_fixed_point_at_zero(self):
         g = random_signed_graph(np.random.default_rng(8))
-        table = tr.path_table(g, tr.SignProduct(), tr.WalkConfig(0.7, 0.3))
-        gamma = tr.twist(table, 0.0)[0].mean_measure
-        assert abs(tr.solve_theta_numeric(table, gamma)) <= 1e-10
+        table = verify.path_table(g, tr.SignProduct(), tr.WalkConfig(0.7, 0.3))
+        gamma = verify.twist(table, 0.0)[0].mean_measure
+        assert abs(verify.solve_theta_numeric(table, gamma)) <= 1e-10
 
     def test_sign_min_round_trip(self):
         g = tr.load_graph([(0, 1, 1), (1, 2, 1), (2, 3, -1), (3, 4, 1), (0, 4, 1), (1, 3, -1)])
-        table = tr.path_table(g, tr.SignMin(), tr.WalkConfig(0.5, 0.5))
-        theta = tr.solve_theta_numeric(table, 0.5)
-        back = tr.twist(table, theta)[0].mean_measure
+        table = verify.path_table(g, tr.SignMin(), tr.WalkConfig(0.5, 0.5))
+        theta = verify.solve_theta_numeric(table, 0.5)
+        back = verify.twist(table, theta)[0].mean_measure
         assert abs(back - 0.5) <= 1e-10
 
     def test_unachievable_target_names_range(self, triangle_one_neg):
         with pytest.raises(SolveError, match="achievable range") as info:
-            tr.solve_theta_numeric(
-                tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 1.5
+            verify.solve_theta_numeric(
+                verify.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 1.5
             )
         assert str(info.value) == (
             "target mean 1.5 is outside the achievable range (-1.0, 1.0) (open interval)"
@@ -391,14 +391,14 @@ class TestSolveThetaNumeric:
 
     def test_constant_measure_rejected(self, triangle_pos):
         with pytest.raises(SolveError, match="constant") as info:
-            tr.solve_theta_numeric(
-                tr.path_table(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.5
+            verify.solve_theta_numeric(
+                verify.path_table(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0)), 0.5
             )
         assert str(info.value).startswith("measure is constant (1.0) on the support")
 
     def test_achievable_range_brackets_sign_measure(self, triangle_one_neg):
-        table = tr.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(0.5, 0.5))
-        fmin, fmax = tr.achievable_range(table)
+        table = verify.path_table(triangle_one_neg, tr.SignProduct(), tr.WalkConfig(0.5, 0.5))
+        fmin, fmax = verify.achievable_range(table)
         assert (fmin, fmax) == (-1.0, 1.0)
 
 
@@ -407,8 +407,8 @@ class TestTwistedStructure:
         walk = tr.WalkConfig(0.4, 0.6)
         for g, z in corpus100[:10]:
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
-                table = tr.path_table(g, measure, walk)
-                _, probs = tr.twist(table, 1.3)
+                table = verify.path_table(g, measure, walk)
+                _, probs = verify.twist(table, 1.3)
                 by_nodes = tilted_masses(table, probs)
                 for nodes, prob in by_nodes.items():
                     assert abs(prob - by_nodes[nodes[::-1]]) <= 1e-12
@@ -421,9 +421,9 @@ class TestKLOptimality:
         # sign is exactly the target; none may beat the tilted distribution.
         gamma = 0.3
         walk = tr.WalkConfig(1.0, 0.0)
-        table = tr.path_table(path3, tr.SignProduct(), walk)
-        theta = tr.solve_theta_numeric(table, gamma)
-        _, p = tr.twist(table, theta)
+        table = verify.path_table(path3, tr.SignProduct(), walk)
+        theta = verify.solve_theta_numeric(table, gamma)
+        _, p = verify.twist(table, theta)
         p0 = table.p0
         f = np.array([tr.SignProduct().evaluate(path3, nodes)
                       for nodes in tilted_masses(table, p)])

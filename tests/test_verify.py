@@ -51,7 +51,7 @@ def test_pair_mass_deviation_equals_the_union_formula():
         for _ in range(2):
             codes = np.sort(rng.choice(n * n, size=int(rng.integers(0, n * n + 1)), replace=False))
             masses = rng.choice(pool, size=codes.size) if trial % 2 else rng.random(codes.size)
-            pair.append(centrality_module.BivariateDistribution(n, codes, masses))
+            pair.append(verify.BivariateDistribution(n, codes, masses))
         with np.errstate(invalid="ignore"):  # inf - inf
             got, want = verify.pair_mass_deviation(*pair), _union_deviation(*pair)
         assert float.hex(got) == float.hex(want), (trial, got, want)
@@ -77,7 +77,7 @@ def test_reversibility_check_fails_on_an_irreversible_measure():
 def _count_tables(monkeypatch):
     """Count walk enumerations, and check that no earlier path table is alive at a new build."""
     calls = Counter()
-    enumerate_paths = twisting.enumerate_paths
+    enumerate_paths = verify.enumerate_paths
     path_table = verify.path_table
     built = []
 
@@ -93,9 +93,7 @@ def _count_tables(monkeypatch):
         built.append(weakref.ref(table))
         return table
 
-    for module in (sampling, twisting, verify):
-        if getattr(module, "enumerate_paths", None) is enumerate_paths:
-            monkeypatch.setattr(module, "enumerate_paths", counted_enumerate)
+    monkeypatch.setattr(verify, "enumerate_paths", counted_enumerate)
     monkeypatch.setattr(verify, "path_table", counted_table)
     return calls
 
