@@ -93,9 +93,15 @@ def _min_inner_scores(g, walk: WalkConfig, theta: float, rows: CappedRows) -> np
     indptr, middles, starts, level = rows.indptr, rows.middle, rows.neighbour, rows.level
     # Every walk's exponent is theta times some entry's level (a two-step walk
     # u-v-u reaches the extreme), and every level is an entry's, so shifting by
-    # the largest keeps all <= 0.
-    x = theta * rows.levels
-    weight = np.exp(x - x.max())[level]
+    # the largest keeps all <= 0.  An exponent of -inf is a weight of 0, but
+    # the largest must be finite.
+    with np.errstate(over="ignore"):
+        x = theta * rows.levels
+    top = x.max()
+    if not np.isfinite(top):
+        raise ValueError(f"theta = {theta} is out of range for these node scores: "
+                         "theta times a score overflows")
+    weight = np.exp(x - top)[level]
     scores = walk.beta1 * np.bincount(starts, weights=weight, minlength=g.n)
     if walk.beta2 > 0:
         k = np.diff(indptr)[middles]
@@ -157,17 +163,7 @@ class TiltModel:
 
     @cached_property
     def capped_rows(self) -> CappedRows:
-        """The measure's capped rows, read from the graph's sorted pairs; a
-        node score that is not finite is a :class:`GraphError` naming the
-        first such node by its original id."""
-        z = self.measure.node_scores(self.graph)
-        bad = np.flatnonzero(~np.isfinite(z))
-        if bad.size:
-            u = bad[0]
-            raise GraphError(
-                f"the score of node {self.graph.original_ids[u]} is {z[u]}: the inner "
-                "product of its attributes with the score vector is not finite"
-            )
+        """The measure's :meth:`~twistrank.twisting.MinInnerProduct.capped_rows`."""
         return self.measure.capped_rows(self.graph)
 
     @cached_property

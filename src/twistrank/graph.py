@@ -421,16 +421,14 @@ def _record_rows(records) -> tuple[np.ndarray, GraphError | None]:
     """``(u, w, sign)`` rows of the records before the first one whose fields
     fail a check, and that record's error (``None`` if every record passes).
 
-    An integer array of 2 or 3 columns, and a list of records of one field
-    count holding only plain ints, are checked as one array; any other input,
-    and input that fails, is walked record by record as Python values.
+    An integer array of 2 or 3 columns is checked as one array; any other
+    input, lists of records included, and an array that fails, is walked
+    record by record as Python values.
     """
-    if not isinstance(records, np.ndarray):
-        records = list(records)
-    rows = _int_rows(records)
-    if rows is not None and (rows[:, :2] >= 0).all() and (np.abs(rows[:, 2]) == 1).all():
-        return rows, None
     if isinstance(records, np.ndarray):
+        rows = _int_rows(records)
+        if rows is not None and (rows[:, :2] >= 0).all() and (np.abs(rows[:, 2]) == 1).all():
+            return rows, None
         records = records.tolist()
     checked = []
     error = None
@@ -440,30 +438,16 @@ def _record_rows(records) -> tuple[np.ndarray, GraphError | None]:
         except GraphError as exc:
             error = exc
             break
-    try:
-        return np.array(checked, dtype=np.int64).reshape(-1, 3), error
-    except OverflowError:  # node ids beyond int64 stay Python ints
-        return np.array(checked, dtype=object).reshape(-1, 3), error
+    return _id_array(checked).reshape(-1, 3), error
 
 
-def _int_rows(records) -> np.ndarray | None:
-    """``records`` as a ``(k, 3)`` int64 array, or ``None`` unless they are an
-    integer array of 2 or 3 columns whose values fit, or a list of records of
-    one field count holding only ints that fit."""
-    if isinstance(records, np.ndarray):
-        fits = records.dtype.kind in "iu" and np.can_cast(records.dtype, np.int64)
-        if records.ndim != 2 or not fits:
-            return None
-        rows = records.astype(np.int64, copy=False)
-    else:
-        if set(map(len, records)) not in ({2}, {3}):
-            return None
-        if {type(x) for rec in records for x in rec} != {int}:
-            return None
-        try:
-            rows = np.array(records, dtype=np.int64)
-        except OverflowError:
-            return None
+def _int_rows(records: np.ndarray) -> np.ndarray | None:
+    """``records`` as a ``(k, 3)`` int64 array, or ``None`` unless they are
+    integers of 2 or 3 columns whose values fit."""
+    fits = records.dtype.kind in "iu" and np.can_cast(records.dtype, np.int64)
+    if records.ndim != 2 or not fits:
+        return None
+    rows = records.astype(np.int64, copy=False)
     if rows.shape[1] == 2:
         rows = np.column_stack((rows, np.ones(len(rows), dtype=np.int64)))
     return rows if rows.shape[1] == 3 else None
@@ -531,8 +515,8 @@ def _attr_rows(records) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _id_array(nodes: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Node ids as a new int64 array, or as Python ints in an object array if
-    one is beyond int64.
+    """Node ids, or records of them, as a new int64 array, or as Python ints
+    in an object array if one is beyond int64.
 
     An array that does not cast safely to int64 (unsigned, object) is read as
     its Python ints, so that no id wraps around or turns into a float.

@@ -63,11 +63,7 @@ def read_edge_list(path) -> np.ndarray:
     """
     rows = _loadtxt(path, np.int64, ndmin=2)
     if rows is None or rows.shape[1] not in (2, 3):
-        records = _read_edge_lines(path)
-        try:
-            return np.array(records, dtype=np.int64).reshape(-1, 3)
-        except OverflowError:
-            return np.array(records, dtype=object).reshape(-1, 3)
+        return _id_array(_read_edge_lines(path)).reshape(-1, 3)
     if rows.shape[1] == 2:
         rows = np.column_stack((rows, np.ones(len(rows), dtype=np.int64)))
     return rows

@@ -128,8 +128,7 @@ class MinInnerProduct:
         It is a numpy multiply-and-sum, not a BLAS product, so neither the BLAS
         kernel nor its thread count decides a bit of it.  Finite attributes
         can still overflow it: such a score is +-inf or NaN, without a
-        warning.  :attr:`~twistrank.centrality.TiltModel.capped_rows` rejects
-        them.
+        warning.  :meth:`capped_rows` rejects them.
         """
         self._check_dim(graph)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -141,26 +140,34 @@ class MinInnerProduct:
         An edge's measure min(z[middle], z[neighbour]) caps the neighbour's
         score at the middle node's.  The rows are those of ``graph.csr()``,
         built from ``graph.pairs()`` without placing it; each is sorted by
-        ascending measure, ties in ``csr()`` order.
+        ascending measure, ties in ``csr()`` order.  A node score that is not
+        finite, on any node, is a :class:`GraphError` naming the first such
+        node by its original id.
 
         An entry's level is ``min(rank[middle], rank[neighbour])``, where
-        ``rank`` numbers the distinct node scores in ascending order; an entry
-        with a NaN end takes the top level, which ``np.unique`` gives NaN.  The
+        ``rank`` numbers the distinct node scores in ascending order.  The
         levels no entry takes are dropped, and the rows are one stable argsort
-        of the int64 key ``middle * r + level`` over the r levels left.
+        of the int64 key ``middle * r + level`` over the r levels left.  The
+        zero level is 0.0, never -0.0.
         """
         z = self.node_scores(graph)
+        bad = np.flatnonzero(~np.isfinite(z))
+        if bad.size:
+            u = bad[0]
+            raise GraphError(
+                f"the score of node {graph.original_ids[u]} is {z[u]}: the inner "
+                "product of its attributes with the score vector is not finite"
+            )
         indptr, middle, neighbour = _row_entries(graph)
         levels, rank = np.unique(z, return_inverse=True)
         # Ranks are below n, so they take the node ids' width (int32 below 2**31).
         rank = rank.astype(middle.dtype)
         level = np.minimum(rank[middle], rank[neighbour])
-        nan = np.isnan(z)
-        level[nan[middle] | nan[neighbour]] = levels.size - 1
         used = np.zeros(levels.size, dtype=bool)
         used[level] = True
         level = (np.cumsum(used, dtype=level.dtype) - 1)[level]
-        levels = levels[used]
+        # np.unique keeps whichever zero its sort puts first; + 0.0 makes it 0.0.
+        levels = levels[used] + 0.0
         order = np.argsort(middle.astype(np.int64) * levels.size + level, kind="stable")
         return CappedRows(indptr, middle[order], neighbour[order], level[order], levels)
 
@@ -268,9 +275,9 @@ class AtomSolver:
     """The positive-mass atoms of a :func:`measure_atoms` table, ready for any target.
 
     The atoms are filtered and their masses logged once, and the tilted
-    ``(mean, variance)`` is kept at every theta a solve visits.  The targets
-    of a sweep then share the bracket points 0, +-1, +-2, ... rather than
-    recomputing them.  A memo entry is the value a fresh evaluation would
+    ``(mean, variance)`` is kept at every theta a solve visits (scaled, as in
+    :func:`_solve_scalar`).  The targets of a sweep then share the bracket
+    points 0, +-1, +-2, ... rather than recomputing them.  A memo entry is the value a fresh evaluation would
     give, so each target's Newton path and theta are those of its own solve.
     """
 
@@ -291,14 +298,7 @@ class AtomSolver:
         if self.f.size == 2:
             (lo, hi), (mass_lo, mass_hi) = self.f.tolist(), self.p.tolist()
             return _two_atom_theta(lo, hi, mass_lo, mass_hi, gamma)
-        return _solve_scalar(self._grad_var, gamma)
-
-    def _grad_var(self, theta: float) -> tuple[float, float]:
-        # -0.0 and 0.0 share a key; both give logw = theta * f + logp bit for bit.
-        moments = self.moments.get(theta)
-        if moments is None:
-            moments = self.moments[theta] = _scalar_grad_var(self.f, self.logp, theta)
-        return moments
+        return _solve_scalar(self.f, self.logp, gamma, self.moments)
 
 
 def _check_target(fmin: float, fmax: float, gamma: float) -> None:
@@ -324,17 +324,36 @@ def _scalar_grad_var(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[fl
     return grad, var
 
 
-def _solve_scalar(grad_var, gamma: float) -> float:
-    """Root of mean(theta) = gamma, where ``grad_var(theta)`` is the tilted
-    ``(mean, variance)`` of the measure."""
+def _solve_scalar(f: np.ndarray, logp: np.ndarray, gamma: float, moments: dict) -> float:
+    """Root of mean(theta) = gamma on the atoms ``f`` with log masses ``logp``,
+    by Newton iteration inside a bracket, with a bisection fallback.
+
+    The solve runs on the atoms and gamma times 2^-k, the power of two that
+    puts the atoms' width in [0.5, 1), and its root times 2^-k is theta: a
+    power of two scales exactly, so theta times an atom is the scaled root
+    times the scaled atom.  So ``NEWTON_TOL`` and the bracket limits hold at
+    any scale of the atoms.  A width in [2^-10, 2^10) is left as it is
+    (k = 0), which keeps theta's bits at ordinary scales.  ``moments`` keeps
+    the tilted ``(mean, variance)`` at every scaled root visited.  A failure
+    reports its residual in the atoms' own scale.
+    """
+    width = float(f.max()) - float(f.min())
+    # Finite atoms are below 2^1024 in size, so a width that overflows is below 2^1025.
+    k = math.frexp(width)[1] if math.isfinite(width) else 1025
+    k = 0 if -9 <= k <= 10 else k
+    f, gamma = np.ldexp(f, -k), math.ldexp(gamma, -k)
+
     def residual(t: float) -> tuple[float, float]:
-        grad, var = grad_var(t)
+        # -0.0 and 0.0 share a key; both give logw = theta * f + logp bit for bit.
+        if t not in moments:
+            moments[t] = _scalar_grad_var(f, logp, t)
+        grad, var = moments[t]
         return grad - gamma, var
 
     theta = 0.0
     r, var = residual(theta)
     if abs(r) <= NEWTON_TOL:
-        return _polish_scalar(grad_var, gamma, theta, r, var)
+        return math.ldexp(_polish_scalar(residual, theta, r, var), -k)
 
     # Bracket the root: the gradient is nondecreasing in theta.
     lo, hi = -1.0, 1.0
@@ -342,13 +361,15 @@ def _solve_scalar(grad_var, gamma: float) -> float:
     while r_lo > 0.0:
         lo *= 2.0
         if lo < -1e6:
-            raise ConvergenceError("failed to bracket the temperature from below", r_lo)
+            raise ConvergenceError("failed to bracket the temperature from below",
+                                   math.ldexp(r_lo, k))
         r_lo, _ = residual(lo)
     r_hi, _ = residual(hi)
     while r_hi < 0.0:
         hi *= 2.0
         if hi > 1e6:
-            raise ConvergenceError("failed to bracket the temperature from above", r_hi)
+            raise ConvergenceError("failed to bracket the temperature from above",
+                                   math.ldexp(r_hi, k))
         r_hi, _ = residual(hi)
 
     if r > 0.0:
@@ -363,23 +384,23 @@ def _solve_scalar(grad_var, gamma: float) -> float:
         theta = candidate
         r, var = residual(theta)
         if abs(r) <= NEWTON_TOL:
-            return _polish_scalar(grad_var, gamma, theta, r, var)
+            return math.ldexp(_polish_scalar(residual, theta, r, var), -k)
         if r > 0.0:
             hi = theta
         else:
             lo = theta
         if hi - lo <= 1e-16 * max(1.0, abs(theta)):
             break
-    raise ConvergenceError("temperature solve did not converge", abs(r))
+    raise ConvergenceError("temperature solve did not converge", math.ldexp(abs(r), k))
 
 
-def _polish_scalar(grad_var, gamma, theta, r, var) -> float:
+def _polish_scalar(residual, theta, r, var) -> float:
     # One extra Newton step tightens the residual to machine precision,
     # which keeps theta accurate even where the gradient saturates.
     if var > 0.0 and r != 0.0:
         candidate = theta - r / var
-        grad2, _ = grad_var(candidate)
-        if abs(grad2 - gamma) < abs(r):
+        r2, _ = residual(candidate)
+        if abs(r2) < abs(r):
             return candidate
     return theta
 

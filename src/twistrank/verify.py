@@ -17,8 +17,8 @@ import numpy as np
 from .errors import GraphError, SolveError, TwistrankError
 from .graph import AttributedGraph, GraphStats, _contains, _index_dtype
 from .sampling import WalkConfig, _check_budget
-from .twisting import (MinInnerProduct, SignMin, SignProduct, _check_target, _scalar_grad_var,
-                       _solve_scalar, _tilt, _two_atom_theta, theta_value)
+from .twisting import (MinInnerProduct, SignMin, SignProduct, _check_target, _solve_scalar,
+                       _tilt, _two_atom_theta, theta_value)
 from .centrality import CentralityRanking, TiltModel, _out_weights
 
 WALK_MIXES = (WalkConfig(1.0, 0.0), WalkConfig(0.7, 0.3), WalkConfig(0.0, 1.0))
@@ -62,7 +62,7 @@ def run_checks(g: AttributedGraph, ad_vector=None) -> list[CheckResult]:
     measures = [SignProduct(), SignMin()]
     if g.attr_dim > 0 or ad_vector is not None:
         ad = MinInnerProduct(ad_vector if ad_vector is not None else np.ones(g.attr_dim))
-        TiltModel(g, ad).capped_rows  # a score that is not finite fails before the oracle
+        ad.capped_rows(g)  # a score that is not finite fails before the oracle
         measures.append(ad)
     worst: dict[str, float] = {}
     details: dict[str, str] = {}
@@ -289,11 +289,12 @@ def solve_theta_numeric(table: PathTable, gamma: float) -> float:
     under the tilt, so the mean is monotone in theta and admits a bisection
     fallback.  The target must lie strictly inside the achievable range
     (see :func:`achievable_range`).  Convergence is declared when the mean
-    matches gamma within ``twisting.NEWTON_TOL``, followed by one polishing step.
+    matches gamma within ``twisting.NEWTON_TOL``, followed by one polishing step;
+    the atoms are scaled by a power of two first, as for ``TiltModel.theta``.
     """
     gamma = float(gamma)
     _check_target(*achievable_range(table), gamma)
-    return _solve_scalar(lambda t: _scalar_grad_var(table.f, table.logp0, t), gamma)
+    return _solve_scalar(table.f, table.logp0, gamma, {})
 
 
 @dataclass(frozen=True, eq=False)

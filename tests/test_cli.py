@@ -371,6 +371,32 @@ class TestRankCommand:
         ]
         assert not (tmp_path / "rank" / "ranking.csv").exists()
 
+    @pytest.mark.parametrize("vector, theta, beta2", [
+        ("3 3", "1e308", "0"), ("3 3", "-1e308", "0.5"), ("1e300 1e300", "1e10", "0"),
+    ], ids=["positive", "negative-two-step", "large-scores"])
+    def test_theta_that_overflows_is_a_data_error(self, tmp_path, capsys, vector, theta,
+                                                  beta2):
+        """theta times a node score beyond the float range: exit 2 with one
+        line naming theta, no warning and no ranking."""
+        edges, attrs, z = tmp_path / "edges.txt", tmp_path / "attrs.txt", tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 1\n3 4 -1\n")
+        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.5 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
+        write(z, vector + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "rank", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
+                "--measure", "ad", f"--theta={theta}", "--beta1", str(1 - float(beta2)),
+                "--beta2", beta2, "--out", str(tmp_path / "rank"),
+            ])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: theta = {float(theta)} is out of range for these node scores: "
+            "theta times a score overflows"
+        ]
+        assert not (tmp_path / "rank").exists()
+
     @pytest.mark.parametrize("flag", ["--beta1", "--beta2"])
     def test_nan_walk_weight_is_a_data_error(self, tmp_path, small_edges, capsys, flag):
         code = main([
@@ -721,6 +747,26 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "rank").exists()
+
+    def test_theta_that_overflows_gives_its_own_error_row(self, tmp_path, capsys):
+        edges, attrs, z = tmp_path / "edges.txt", tmp_path / "attrs.txt", tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n0 2 -1\n2 3 1\n3 4 -1\n")
+        write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.5 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
+        write(z, "3 3\n")
+        code = main([
+            "sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
+            "--measure", "ad", "--thetas=1e308,1", "--beta1", "1", "--k", "2",
+            "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["sweep"]
+        error = ("theta = 1e+308 is out of range for these node scores: "
+                 "theta times a score overflows")
+        assert [row["error"] for row in rows] == [error, None]
+        assert rows[1]["theta"] == 1.0 and rows[1]["jaccard_total"] is not None
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"target 1e+308: {error}"]
+        assert captured.out == "swept 2 targets, 1 failed\n"
 
     def test_requires_exactly_one_target_list(self, tmp_path, small_edges, capsys):
         code = main([

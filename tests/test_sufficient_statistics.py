@@ -216,6 +216,39 @@ class TestSharedSolver:
                 assert shared == fresh
 
 
+def _ad_model(power, walk):
+    """An ad model whose node scores are those of ``power`` = 0 times 2^power, exactly."""
+    rng = np.random.default_rng(5)
+    n = 30
+    u, w = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < 0.3
+    attrs = np.ldexp(rng.uniform(0.0, 1.0, (n, 3)), power)
+    g = tr.load_graph(np.column_stack([u[keep], w[keep]]), (np.arange(n), attrs))
+    return tr.TiltModel(g, tr.MinInnerProduct([1.0, 0.5, 0.25]), walk)
+
+
+class TestScoreScale:
+    """A Newton solve runs on the atoms scaled by a power of two, so a target
+    lands at the same place in the range whatever the scale of the scores."""
+
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3)], ids=["beta-1-0", "beta-0.7-0.3"])
+    @pytest.mark.parametrize("power", [40, -40, 900, -900])
+    def test_achieved_mean_and_scores_at_any_scale(self, beta, power):
+        walk = tr.WalkConfig(*beta)
+        unit, model = _ad_model(0, walk), _ad_model(power, walk)
+        table = verify.path_table(model.graph, model.measure, walk)
+        lo, hi = model.solver.range
+        assert model.solver.f.size > 2
+        for frac in (0.1, 0.5, 0.9):
+            gamma = lo + frac * (hi - lo)
+            theta = model.theta(gamma)
+            assert abs(verify.twist(table, theta)[0].mean_measure - gamma) <= 1e-9 * (hi - lo)
+            want = unit.ranking(unit.theta(math.ldexp(gamma, -power)))
+            got = model.ranking(theta)
+            np.testing.assert_allclose(got.scores, want.scores, rtol=1e-9)
+            assert np.array_equal(got.order, want.order)
+
+
 class TestStartMarginal:
     def test_matches_bivariate_marginal(self, corpus100):
         worst = 0.0

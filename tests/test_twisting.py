@@ -127,7 +127,8 @@ class TestCappedRows:
     # Rows of 20 and more entries with few distinct scores: an unstable sort
     # reorders the ties, and a key on the neighbour's rank alone misplaces
     # every neighbour scored above its middle node.
-    SPECIALS = (-0.0, 0.0, np.inf, -np.inf, np.nan)
+    SPECIALS = (-0.0, 0.0)
+    NON_FINITE = (np.inf, -np.inf, np.nan)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_the_float_lexsort(self, seed):
@@ -146,19 +147,26 @@ class TestCappedRows:
         assert got.middle.dtype == g.pairs()[0].dtype == np.int32
         assert got.neighbour.dtype == want[1].dtype
         for a, b in zip((got.middle, got.neighbour, got.levels[got.level]), want):
-            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(a, b)
         np.testing.assert_array_equal(got.indptr, g.csr()[0])
-        # The levels ascend strictly, a NaN only last, and every one is an entry's.
-        numbers = got.levels[~np.isnan(got.levels)]
-        assert got.levels.size - numbers.size <= 1
-        assert np.array_equal(got.levels[:numbers.size], numbers)
-        assert np.all(numbers[:-1] < numbers[1:])
+        # The levels ascend strictly, and every one is an entry's.
+        assert np.all(got.levels[:-1] < got.levels[1:])
         assert np.array_equal(np.unique(got.level), np.arange(got.levels.size))
+        # A score that is not finite, at any node, is a data error naming the first.
+        if seed % 2:
+            for value in self.NON_FINITE:
+                bad = z.copy()
+                at = np.sort(rng.choice(g.n, size=2, replace=False))
+                bad[at] = value
+                with pytest.raises(GraphError, match=f"score of node {g.original_ids[at[0]]} "
+                                                     f"is {value}: the inner product"):
+                    _GivenScores(bad).capped_rows(g)
 
     def test_overflowing_attributes(self):
         # Finite attributes whose products with the score vector overflow:
         # rows of one sign give +-inf, and rows of both signs give inf - inf
-        # = nan, or +-inf, depending on how the matrix product sums them.
+        # = nan, or +-inf, depending on how the sum adds them.  The first such
+        # node is named.
         rng = np.random.default_rng(3)
         n = 40
         u, w = np.triu_indices(n, 1)
@@ -169,19 +177,37 @@ class TestCappedRows:
         attrs = rows[rng.integers(0, len(rows), n + 2)]
         g = tr.load_graph(np.column_stack([u[keep], w[keep]]), (np.arange(n + 2), attrs))
         measure = tr.MinInnerProduct([2.0] * 4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = measure.node_scores(g)
-            got = measure.capped_rows(g)
-            want = _lexsorted_capped_rows(measure, g)
+        z = measure.node_scores(g)
         assert np.isposinf(z).any() and np.isneginf(z).any()
-        for a, b in zip((got.middle, got.neighbour, got.levels[got.level]), want):
-            assert np.array_equal(a, b, equal_nan=True)
+        first = int(np.flatnonzero(~np.isfinite(z))[0])
+        with pytest.raises(GraphError, match=f"^the score of node {g.original_ids[first]} is "
+                                             f"{z[first]}: the inner product"):
+            measure.capped_rows(g)
 
     def test_edgeless_and_empty_rows(self):
         g = tr.load_graph([], [(u, [1.0]) for u in range(3)])
-        rows = _GivenScores([np.nan, 1.0, 1.0]).capped_rows(g)
+        rows = _GivenScores([0.5, 1.0, 1.0]).capped_rows(g)
         assert rows.middle.size == rows.neighbour.size == rows.level.size == rows.levels.size == 0
         assert rows.indptr.tolist() == [0, 0, 0, 0]
+
+    def test_zero_level_is_positive_zero(self):
+        """With -0.0 and 0.0 node scores the zero level is 0.0, so no
+        "achievable range" message prints -0.0."""
+        zeros = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            g = _graph_with_isolated_nodes(rng, int(rng.integers(5, 40)), 0.4, 1)
+            z = rng.choice(np.array([-0.0, 0.0, 0.5, 2.0]), size=g.n)
+            model = tr.TiltModel(g, _GivenScores(z), tr.WalkConfig(0.7, 0.3))
+            levels = model.capped_rows.levels
+            assert not np.signbit(levels).any()
+            if g.m == 0:
+                continue
+            with pytest.raises(SolveError) as exc:
+                model.theta(-1.0)
+            assert "-0.0" not in str(exc.value)
+            zeros += "achievable range (0.0, " in str(exc.value)
+        assert zeros >= 20
 
     @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)],
                              ids=["beta-1-0", "beta-0.7-0.3", "beta-0-1"])
