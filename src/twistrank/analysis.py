@@ -2,7 +2,9 @@
 
 A sweep ranks one graph at many targets through a single
 :class:`~twistrank.centrality.TiltModel`, so the work shared by the targets is
-done once.
+done once.  A top-k set is the first k nodes of the (descending score,
+ascending id) order of :meth:`CentralityRanking.from_scores`, NaN last, but it
+is selected in O(n) by a partition rather than a sort.
 """
 
 from __future__ import annotations
@@ -27,17 +29,36 @@ class TopKSet:
     members: frozenset[int]
 
 
-def top_k(ranking: CentralityRanking, k: int) -> TopKSet:
-    return TopKSet(k=k, members=frozenset(ranking.top(k)))
+def _top_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the first k nodes of the (-score, id) lexsort order.
 
-
-def degree_ranking(graph_stats: GraphStats, kind: str) -> CentralityRanking:
-    """Baseline ranking by positive, negative, or total degree.
-
-    Scores are normalized to sum to 1 purely for interface uniformity; when
-    the selected degree is zero everywhere the scores stay zero and the
-    order falls back to ascending node id.
+    The k-th key comes from a partition; the nodes keyed strictly before it
+    are taken, and its ties fill the rest in ascending id.  The key is the
+    negated score with NaN last, as the lexsort orders it, so -0.0 ties 0.0.
     """
+    key = -np.asarray(scores, dtype=float)
+    if k >= key.size:
+        return np.ones(key.size, dtype=bool)
+    if k <= 0:
+        return np.zeros(key.size, dtype=bool)
+    kth = np.partition(key, k - 1)[k - 1]
+    if np.isnan(kth):
+        tied = np.isnan(key)
+        mask = ~tied
+    else:
+        mask, tied = key < kth, key == kth
+    mask[np.flatnonzero(tied)[: k - np.count_nonzero(mask)]] = True
+    return mask
+
+
+def top_k(ranking: CentralityRanking, k: int) -> TopKSet:
+    """The set of ``ranking.top(k)`` for a ranking built by ``from_scores``,
+    selected from its scores in O(n)."""
+    members = np.flatnonzero(_top_mask(ranking.scores, k))
+    return TopKSet(k=k, members=frozenset(members.tolist()))
+
+
+def _degree_scores(graph_stats: GraphStats, kind: str) -> np.ndarray:
     if graph_stats.n == 0:
         raise TwistrankError("degree ranking is undefined on an empty graph")
     if kind == "positive":
@@ -49,8 +70,17 @@ def degree_ranking(graph_stats: GraphStats, kind: str) -> CentralityRanking:
     else:
         raise ValueError(f"unknown degree kind {kind!r}; expected one of {DEGREE_KINDS}")
     total = raw.sum()
-    scores = raw / total if total > 0 else np.zeros(graph_stats.n)
-    return CentralityRanking.from_scores(scores)
+    return raw / total if total > 0 else np.zeros(graph_stats.n)
+
+
+def degree_ranking(graph_stats: GraphStats, kind: str) -> CentralityRanking:
+    """Baseline ranking by positive, negative, or total degree.
+
+    Scores are normalized to sum to 1 purely for interface uniformity; when
+    the selected degree is zero everywhere the scores stay zero and the
+    order falls back to ascending node id.
+    """
+    return CentralityRanking.from_scores(_degree_scores(graph_stats, kind))
 
 
 def jaccard(s1, s2) -> float:
@@ -91,31 +121,32 @@ def sweep(
     carrying the error message; the other rows are unaffected.  Output
     order follows the input order.  One :class:`TiltModel` serves every
     target, so the graph statistics, the measure's atoms and its sorted rows
-    are built at most once.
+    are built at most once.  Each target's top-k, and each baseline's, is
+    selected from the normalized scores in O(n), ties in ascending node id,
+    with no full ranking; the overlaps are integer counts, so every Jaccard
+    value equals :func:`jaccard` of the ``top(k)`` sets of
+    :meth:`TiltModel.ranking` and :func:`degree_ranking`.
     """
     if mode not in ("gamma", "theta"):
         raise ValueError(f"mode must be 'gamma' or 'theta', got {mode!r}")
     if k < 1:
         raise ValueError(f"top-k size must be at least 1, got {k}")
     model = TiltModel(g, measure_for(kind, ad_vector), walk)
-    baselines = {
-        name: top_k(degree_ranking(model.stats, name), k) for name in DEGREE_KINDS
-    }
+    baselines = [_top_mask(_degree_scores(model.stats, name), k) for name in DEGREE_KINDS]
+    # Both sets hold min(k, n) nodes, so the union is 2 min(k, n) - |both|.
+    sizes = 2 * min(k, g.n)
     rows: list[SweepRow] = []
     for value in values:
         gamma = float(value) if mode == "gamma" else None
         given_theta = float(value) if mode == "theta" else None
         try:
             theta = resolve_theta(model, theta=given_theta, gamma=gamma)
-            mine = top_k(model.ranking(theta), k)
+            mine = _top_mask(model.scores(theta), k)
+            both = [int(np.count_nonzero(mine & base)) for base in baselines]
+            pos, neg, total = (b / (sizes - b) for b in both)
             rows.append(
-                SweepRow(
-                    gamma=gamma,
-                    theta=theta,
-                    jaccard_pos=jaccard(mine, baselines["positive"]),
-                    jaccard_neg=jaccard(mine, baselines["negative"]),
-                    jaccard_total=jaccard(mine, baselines["total"]),
-                )
+                SweepRow(gamma=gamma, theta=theta, jaccard_pos=pos,
+                         jaccard_neg=neg, jaccard_total=total)
             )
         except (TwistrankError, ValueError) as exc:
             rows.append(

@@ -185,8 +185,9 @@ class TiltModel:
         """
         return self.solver.theta(gamma)
 
-    def ranking(self, theta: float) -> CentralityRanking:
-        """Start-node marginal of the tilted walk distribution, as a ranking.
+    def scores(self, theta: float) -> np.ndarray:
+        """Start-node marginal of the tilted walk distribution, normalized to
+        sum to 1, in node-id order.
 
         Equals the start marginal of the oracle's pair masses without building
         them.  For the sign measures a walk's tilt depends only on its edge
@@ -204,7 +205,11 @@ class TiltModel:
             scores = _sign_scores(g, self.stats, self.walk, theta, self.is_min)
         else:
             scores = _min_inner_scores(g, self.walk, theta, self.capped_rows)
-        return CentralityRanking.from_scores(scores / scores.sum())
+        return scores / scores.sum()
+
+    def ranking(self, theta: float) -> CentralityRanking:
+        """:meth:`scores` at ``theta``, ordered by descending score, then id."""
+        return CentralityRanking.from_scores(self.scores(theta))
 
 
 def resolve_theta(

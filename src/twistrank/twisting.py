@@ -210,10 +210,21 @@ def _tilt(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, np.nda
     return log_z, np.exp(logw - log_z)
 
 
+def _width_exponent(width: float) -> int:
+    # The k for which width * 2^-k lies in [0.5, 1), or 0 while the width lies
+    # in [2^-10, 2^10).  Finite atoms are below 2^1024 in size, so a width that
+    # overflows is below 2^1025.
+    k = math.frexp(width)[1] if math.isfinite(width) else 1025
+    return 0 if -9 <= k <= 10 else k
+
+
 def _two_atom_theta(lo: float, hi: float, mass_lo: float, mass_hi: float, gamma: float) -> float:
     # With Z = mass_lo e^(theta lo) + mass_hi e^(theta hi), the mean hits gamma
     # where mass_lo e^(theta lo) (gamma - lo) = mass_hi e^(theta hi) (hi - gamma).
-    return math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo)
+    # Solved on the atoms scaled as in _solve_scalar, so hi - lo cannot overflow.
+    k = _width_exponent(hi - lo)
+    lo, hi, gamma = math.ldexp(lo, -k), math.ldexp(hi, -k), math.ldexp(gamma, -k)
+    return math.ldexp(math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo), -k)
 
 
 def measure_atoms(model) -> tuple[np.ndarray, np.ndarray]:
@@ -333,14 +344,20 @@ def _solve_scalar(f: np.ndarray, logp: np.ndarray, gamma: float, moments: dict) 
     power of two scales exactly, so theta times an atom is the scaled root
     times the scaled atom.  So ``NEWTON_TOL`` and the bracket limits hold at
     any scale of the atoms.  A width in [2^-10, 2^10) is left as it is
-    (k = 0), which keeps theta's bits at ordinary scales.  ``moments`` keeps
-    the tilted ``(mean, variance)`` at every scaled root visited.  A failure
-    reports its residual in the atoms' own scale.
+    (k = 0), which keeps theta's bits at ordinary scales.  Atoms more than
+    2^5 widths from 0 are first shifted by their end nearest 0, which leaves
+    theta unchanged: otherwise theta times an atom rounds at the offset's
+    scale and the mean cannot settle within ``NEWTON_TOL``.  Both ends then
+    have one sign and are within a factor of 2, so the shift is exact.
+    ``moments`` keeps the tilted ``(mean, variance)`` at every scaled root
+    visited.  A failure reports its residual in the atoms' own scale.
     """
-    width = float(f.max()) - float(f.min())
-    # Finite atoms are below 2^1024 in size, so a width that overflows is below 2^1025.
-    k = math.frexp(width)[1] if math.isfinite(width) else 1025
-    k = 0 if -9 <= k <= 10 else k
+    lo, hi = float(f.min()), float(f.max())
+    width = hi - lo
+    shift = lo if lo > 32 * width else hi if hi < -32 * width else 0.0
+    if shift:
+        f, gamma = f - shift, gamma - shift
+    k = _width_exponent(width)
     f, gamma = np.ldexp(f, -k), math.ldexp(gamma, -k)
 
     def residual(t: float) -> tuple[float, float]:

@@ -111,7 +111,7 @@ def _pair_errors(g, measure, walk, base):
         if isinstance(measure, SignProduct) and walk == WalkConfig(1.0, 0.0):
             closed = influence_closed_form(model.stats, theta).scores
             yield "closed_form_marginal", float(np.max(np.abs(closed - piped))), ""
-        fast = model.ranking(theta).scores
+        fast = model.scores(theta)
         yield "ranking_vs_pair_marginal", float(np.max(np.abs(fast - piped))), ""
         grad = result.mean_measure
         f_hi, _ = twist(table, theta + FD_STEP)
@@ -290,7 +290,8 @@ def solve_theta_numeric(table: PathTable, gamma: float) -> float:
     fallback.  The target must lie strictly inside the achievable range
     (see :func:`achievable_range`).  Convergence is declared when the mean
     matches gamma within ``twisting.NEWTON_TOL``, followed by one polishing step;
-    the atoms are scaled by a power of two first, as for ``TiltModel.theta``.
+    the atoms are scaled by a power of two first, and shifted when far from 0,
+    as for ``TiltModel.theta``.
     """
     gamma = float(gamma)
     _check_target(*achievable_range(table), gamma)

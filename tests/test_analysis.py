@@ -1,12 +1,21 @@
 """Degree baselines, Jaccard overlap, and sweep tables."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import twistrank as tr
-from twistrank.analysis import SweepRow
+from twistrank.analysis import DEGREE_KINDS, SweepRow, _top_mask
 
 from conftest import random_signed_graph
+
+SPECIAL_SCORES = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, 1.0, -2.0]
+SCORE_LISTS = st.one_of(
+    st.lists(st.one_of(st.sampled_from(SPECIAL_SCORES), st.floats()), min_size=1, max_size=40),
+    st.tuples(st.sampled_from(SPECIAL_SCORES), st.integers(1, 40)).map(lambda t: [t[0]] * t[1]),
+)
 
 
 class TestDegreeRanking:
@@ -75,6 +84,24 @@ class TestTopK:
         assert tr.top_k(ranking, 1).members == frozenset({0})
 
 
+class TestTopKSelection:
+    """The O(n) selection takes exactly the first k nodes of the lexsort order."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(SCORE_LISTS, st.integers(-1, 45))
+    @example([0.25] * 7, 3)
+    @example([0.0, -0.0, 0.0, -0.0], 1)
+    @example([math.nan, 1.0, math.nan, -math.inf, math.inf], 4)
+    @example([1.0, 2.0, 3.0], 1)
+    @example([1.0, 2.0, 3.0], 9)
+    def test_equals_the_lexsort_prefix(self, values, k):
+        scores = np.array(values, dtype=float)
+        ranking = tr.CentralityRanking.from_scores(scores)
+        want = set(ranking.order[: max(k, 0)].tolist())
+        assert set(np.flatnonzero(_top_mask(scores, k)).tolist()) == want
+        assert tr.top_k(ranking, k).members == want
+
+
 class TestSweep:
     GAMMAS = [-0.99, -0.9, -0.5, 0.0, 0.5, 0.9, 0.99]
     THETAS = [-3.8310, -2.6566, -1.7337, -1.1844, -0.6351, 0.2878, 1.4623]
@@ -138,3 +165,36 @@ class TestSweep:
     def test_row_shape(self):
         row = SweepRow(gamma=0.0, theta=-1.0, jaccard_pos=1.0, jaccard_neg=0.0, jaccard_total=1.0)
         assert row.error is None
+
+    @pytest.mark.parametrize("kind", ["influence", "trust", "advertisement"])
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3)], ids=["beta-1-0", "beta-0.7-0.3"])
+    @pytest.mark.parametrize("mode", ["gamma", "theta"])
+    def test_jaccard_equals_the_sets_of_the_full_rankings(self, kind, beta, mode):
+        """Every overlap equals, bit for bit, the frozenset Jaccard of the
+        ``top(k)`` sets of the lexsorted target and baseline rankings."""
+        walk = tr.WalkConfig(*beta)
+        compared = 0
+        for seed in range(40):
+            rng = np.random.default_rng(900 + seed)
+            g = random_signed_graph(rng, n_max=16)
+            z = rng.uniform(0.1, 1.0, 2)
+            k = int(rng.integers(1, g.n + 3))
+            model = tr.TiltModel(g, tr.measure_for(kind, z), walk)
+            if mode == "theta":
+                values = [-1.5, 0.0, 0.8]
+            else:
+                lo, hi = model.solver.range
+                values = [lo + frac * (hi - lo) for frac in (0.1, 0.5, 0.9)]
+            rows = tr.sweep(g, kind, mode, values, walk=walk, k=k, ad_vector=z)
+            gs = tr.stats(g)
+            bases = [frozenset(tr.degree_ranking(gs, name).top(k)) for name in DEGREE_KINDS]
+            for row in rows:
+                if row.error is not None:
+                    continue
+                mine = frozenset(model.ranking(row.theta).top(k))
+                got = (row.jaccard_pos, row.jaccard_neg, row.jaccard_total)
+                want = tuple(tr.jaccard(mine, base) for base in bases)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+                assert all(type(x) is float for x in got)
+                compared += 1
+        assert compared >= 100

@@ -315,6 +315,27 @@ class TestRankCommand:
         assert code == 0
         assert (tmp_path / "rank" / "ranking.csv").exists()
 
+    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e9])
+    def test_gamma_on_ad_scores_far_from_zero(self, tmp_path, capsys, offset):
+        """A path whose edges cap the scores at offset + 0, .3, .7 and 1 has
+        four atoms of mass 1/4; the solve converges at any offset."""
+        scores = offset + np.array([0.0, 0.3, 0.7, 1.0, 1.0])
+        edges, attrs, z = tmp_path / "edges.txt", tmp_path / "attrs.txt", tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n2 3 -1\n3 4 1\n")
+        write(attrs, "".join(f"{u} {x!r}\n" for u, x in enumerate(scores.tolist())))
+        write(z, "1\n")
+        gamma = offset + 0.9
+        code = main([
+            "rank", "--edges", str(edges), "--attrs", str(attrs), "--measure", "ad",
+            "--ad-vector", str(z), f"--gamma={gamma!r}", "--out", str(tmp_path / "rank"),
+        ])
+        assert code == 0, capsys.readouterr().err
+        g = tr.load_graph([(0, 1, 1), (1, 2, 1), (2, 3, -1), (3, 4, 1)],
+                          (np.arange(5), scores[:, None]))
+        theta = tr.TiltModel(g, tr.MinInnerProduct([1.0])).theta(gamma)
+        manifest = json.loads((tmp_path / "rank" / "manifest.json").read_text())
+        assert manifest["parameters"]["resolved_theta"] == float(tio.format_score(theta))
+
     @pytest.mark.parametrize(
         "attrs_text, z_text, bad_file",
         [

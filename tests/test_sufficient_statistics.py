@@ -249,6 +249,36 @@ class TestScoreScale:
             assert np.array_equal(got.order, want.order)
 
 
+class TestAtomOffset:
+    """Atoms far from 0 relative to their width, and two atoms whose width
+    overflows, are solved where theta times an atom stays exact."""
+
+    UNIT = np.array([0.0, 0.3, 0.7, 1.0])
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e9, -1e3, -1e9])
+    def test_shifted_atoms_give_the_theta_of_the_atoms_at_zero(self, offset):
+        atoms, masses, gamma = offset + self.UNIT, np.full(4, 0.25), offset + 0.9
+        theta = twisting.AtomSolver(atoms, masses).theta(gamma)
+        # The atoms' end nearest 0; both subtractions are exact, so this is
+        # the shifted solve itself.
+        shift = atoms[0] if offset > 0 else atoms[-1]
+        at_zero = atoms - shift
+        assert theta == twisting.AtomSolver(at_zero, masses).theta(gamma - shift)
+        p = masses * np.exp(theta * (at_zero - at_zero.max()))
+        assert abs((p * at_zero).sum() / p.sum() - (gamma - shift)) <= 1e-10
+
+    def test_two_atoms_whose_width_overflows(self):
+        lo, hi, gamma = -1.5e308, 1.5e308, 1e307
+        theta = twisting.AtomSolver(np.array([lo, hi]), np.array([0.5, 0.5])).theta(gamma)
+        p_hi = 1.0 / (1.0 + math.exp(theta * lo - theta * hi))
+        assert lo * (1.0 - p_hi) + hi * p_hi == pytest.approx(gamma, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [-0.9, -0.2, 0.0, 0.35, 0.99])
+    def test_sign_atoms_keep_the_unscaled_closed_form(self, gamma):
+        theta = twisting.AtomSolver(np.array([-1.0, 1.0]), np.array([0.3, 0.7])).theta(gamma)
+        assert theta == math.log(0.3 * (gamma + 1.0) / (0.7 * (1.0 - gamma))) / 2.0
+
+
 class TestStartMarginal:
     def test_matches_bivariate_marginal(self, corpus100):
         worst = 0.0
