@@ -36,7 +36,6 @@ from .twisting import (
     MinInnerProduct,
     SignMin,
     SignProduct,
-    measure_atoms,
 )
 from .centrality import (
     CentralityRanking,
@@ -78,7 +77,6 @@ __all__ = [
     "degree_ranking",
     "jaccard",
     "load_graph",
-    "measure_atoms",
     "measure_for",
     "path_count",
     "preprocess",

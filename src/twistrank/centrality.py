@@ -7,6 +7,11 @@ marginal is the centrality score.  Centralities skip the pairs: a
 each temperature on the measure's atoms and sums each start node's tilted
 mass from per-node statistics, in O(m) for the sign measures and in
 O(m log m), once, for the advertisement measure.
+
+The tilt sees a walk only through its measure value, so pushing the base
+walk distribution forward through the measure (:attr:`TiltModel.atoms`)
+gives a table of at most n atoms on which every solve runs: in closed form
+for the two sign atoms, by Newton iteration otherwise.
 """
 
 from __future__ import annotations
@@ -14,21 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GraphError
-from .graph import AttributedGraph, GraphStats, stats
+from .graph import AttributedGraph, GraphStats, _row_entries, stats
 from .sampling import WalkConfig
-from .twisting import (
-    AtomSolver,
-    CappedRows,
-    MinInnerProduct,
-    SignMin,
-    SignProduct,
-    measure_atoms,
-    theta_value,
-)
+from .twisting import AtomSolver, MinInnerProduct, SignMin, SignProduct, theta_value
 
 CENTRALITY_KINDS = ("influence", "trust", "advertisement")
 
@@ -67,6 +65,27 @@ def _out_weights(gs: GraphStats, theta: float) -> np.ndarray:
     return gs.pos_degree * ep + gs.neg_degree * en
 
 
+def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
+    pos = walk.beta1 * gs.m_pos / gs.m
+    neg = walk.beta1 * gs.m_neg / gs.m
+    if walk.beta2 > 0:
+        live = gs.degree > 0
+        k = gs.degree[live].astype(float)
+        kp = gs.pos_degree[live].astype(float)
+        kn = gs.neg_degree[live].astype(float)
+        # Each ordered neighbour pair of v is one walk of mass beta2 / (2 m k_v).
+        unit = walk.beta2 / (2 * gs.m * k)
+        if is_min:
+            plus, minus = kp * kp, k * k - kp * kp
+        else:
+            plus, minus = kp * kp + kn * kn, 2.0 * kp * kn
+        # Summed by numpy, not by a BLAS dot product, whose order depends on
+        # the BLAS kernel and thread count.
+        pos += float((unit * plus).sum())
+        neg += float((unit * minus).sum())
+    return np.array([-1.0, 1.0]), np.array([neg, pos])
+
+
 def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool) -> np.ndarray:
     # Unnormalized start masses, without the common factor 1 / (2 m).
     out = _out_weights(gs, theta)
@@ -86,6 +105,57 @@ def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool
             np.add.at(two_step, start, np.where(signs > 0, after_pos[middle], after_neg[middle]))
         scores = scores + walk.beta2 * two_step
     return scores
+
+
+class CappedRows(NamedTuple):
+    """Entry ``j`` of row ``v`` (``indptr[v] <= j < indptr[v + 1]``) is the edge
+    from ``middle[j]`` = v to ``neighbour[j]``, of measure ``levels[level[j]]``,
+    where ``levels`` holds the distinct measures of the entries, ascending."""
+
+    indptr: np.ndarray
+    middle: np.ndarray
+    neighbour: np.ndarray
+    level: np.ndarray
+    levels: np.ndarray
+
+
+def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows:
+    """An entry's level is ``min(rank[middle], rank[neighbour])``, where
+    ``rank`` numbers the distinct node scores in ascending order.  The
+    levels no entry takes are dropped, and the rows are one stable argsort
+    of the int64 key ``middle * r + level`` over the r levels left.  The
+    zero level is 0.0, never -0.0.
+    """
+    z = measure.node_scores(graph)
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        u = bad[0]
+        raise GraphError(
+            f"the score of node {graph.original_ids[u]} is {z[u]}: the inner "
+            "product of its attributes with the score vector is not finite"
+        )
+    indptr, middle, neighbour = _row_entries(graph)
+    levels, rank = np.unique(z, return_inverse=True)
+    # Ranks are below n, so they take the node ids' width (int32 below 2**31).
+    rank = rank.astype(middle.dtype)
+    level = np.minimum(rank[middle], rank[neighbour])
+    used = np.zeros(levels.size, dtype=bool)
+    used[level] = True
+    level = (np.cumsum(used, dtype=level.dtype) - 1)[level]
+    # np.unique keeps whichever zero its sort puts first; + 0.0 makes it 0.0.
+    levels = levels[used] + 0.0
+    order = np.argsort(middle.astype(np.int64) * levels.size + level, kind="stable")
+    return CappedRows(indptr, middle[order], neighbour[order], level[order], levels)
+
+
+def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, rows: CappedRows):
+    k = np.diff(rows.indptr)[rows.middle]
+    i = np.arange(rows.level.size) - rows.indptr[rows.middle]
+    # The edge (v, u) is one length-1 walk of its level.  The i-th lowest
+    # level of row v is the measure of the 2 (k - 1 - i) + 1 ordered pairs
+    # through v whose lower-ranked end it is; every level is an atom.
+    masses = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
+    return rows.levels, np.bincount(rows.level, weights=masses)
 
 
 def _min_inner_scores(g, walk: WalkConfig, theta: float, rows: CappedRows) -> np.ndarray:
@@ -139,10 +209,9 @@ class TiltModel:
     The work that does not depend on theta is built lazily, at most once, and
     shared by every temperature: the signed degrees (``stats``), the
     advertisement measure's capped rows and score levels (``capped_rows``),
-    the measure's atoms (``atoms``, see :func:`measure_atoms`) and their
-    positive-mass part with its log masses (``solver``), which also keeps the
-    moments at every temperature a solve visits.  A build that fails raises
-    again on the next use.
+    the measure's atoms (``atoms``) and their positive-mass part with its log
+    masses (``solver``), which also keeps the moments at every temperature a
+    solve visits.  A build that fails raises again on the next use.
     """
 
     def __init__(self, g: AttributedGraph, measure, walk: WalkConfig | None = None):
@@ -163,12 +232,40 @@ class TiltModel:
 
     @cached_property
     def capped_rows(self) -> CappedRows:
-        """The measure's :meth:`~twistrank.twisting.MinInnerProduct.capped_rows`."""
-        return self.measure.capped_rows(self.graph)
+        """Every edge in both directions, as the rows of :class:`CappedRows`.
+
+        An edge's measure min(z[middle], z[neighbour]) caps the neighbour's
+        score at the middle node's, where z is the advertisement measure's
+        ``node_scores``.  The rows are those of ``graph.csr()``, built from
+        ``graph.pairs()`` without placing it; each is sorted by ascending
+        measure, ties in ``csr()`` order.  A node score that is not finite,
+        on any node, is a :class:`GraphError` naming the first such node by
+        its original id.
+        """
+        return _capped_rows(self.graph, self.measure)
 
     @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        return measure_atoms(self)
+        """The base walk distribution pushed forward through the measure.
+
+        Returns ``(values, masses)``: ascending measure values and the total
+        base mass of the walks taking each, summing to 1.  Since the tilt
+        sees a walk only through its measure, Z(theta) = sum(masses *
+        exp(theta * values)), so a temperature solve needs only this table.
+
+        The sign measures have the two atoms -1 and +1, whose masses follow
+        from the signed degrees k+ and k- in O(m): a middle node v splits the
+        k_v^2 two-step walks through it by the signs of their two edges.  The
+        advertisement measure takes at most n values, the node scores; its
+        atoms come from ``capped_rows``, sorted once in O(m log m), summed by
+        integer score level with no float sort.  Atoms of zero mass may be
+        present.
+        """
+        if self.graph.m == 0:
+            raise GraphError("cannot push the walk distribution forward on an edgeless graph")
+        if self.is_sign:
+            return _sign_atoms(self.stats, self.walk, self.is_min)
+        return _min_inner_atoms(self.graph, self.walk, self.capped_rows)
 
     @cached_property
     def solver(self) -> AtomSolver:

@@ -421,14 +421,17 @@ def _record_rows(records) -> tuple[np.ndarray, GraphError | None]:
     """``(u, w, sign)`` rows of the records before the first one whose fields
     fail a check, and that record's error (``None`` if every record passes).
 
-    An integer array of 2 or 3 columns is checked as one array; any other
-    input, lists of records included, and an array that fails, is walked
-    record by record as Python values.
+    An integer array of 2 or 3 columns is checked as one array, and its
+    first bad row, if any, is checked alone as a record for its error; any
+    other input, lists of records included, is walked record by record as
+    Python values.
     """
     if isinstance(records, np.ndarray):
         rows = _int_rows(records)
-        if rows is not None and (rows[:, :2] >= 0).all() and (np.abs(rows[:, 2]) == 1).all():
-            return rows, None
+        if rows is not None:
+            bad = np.flatnonzero((rows[:, 0] < 0) | (rows[:, 1] < 0) | (np.abs(rows[:, 2]) != 1))
+            first = int(bad[0]) if bad.size else len(rows)
+            return rows[:first], _record_rows(records[first:first + 1].tolist())[1]
         records = records.tolist()
     checked = []
     error = None
@@ -470,9 +473,10 @@ def _validate_attrs(attrs) -> tuple[np.ndarray, np.ndarray]:
 
     ``attrs`` is ``None``, an ``(ids, values)`` pair of arrays, or
     ``(node, vector)`` records; a later record for a node replaces earlier
-    ones.  Integer ids with a 2-D block of values are checked in one pass.
-    Any other input, and input that fails, is walked record by record as
-    Python values, so the first bad record raises its :class:`GraphError`.
+    ones.  Integer ids with a 2-D block of values are checked in one pass,
+    and only their first bad row, if any, as a record.  Any other input is
+    walked record by record as Python values.  Either way the first bad
+    record raises its :class:`GraphError`.
     """
     if attrs is None:
         return np.empty(0, dtype=np.int64), np.empty((0, 0))
@@ -487,8 +491,9 @@ def _validate_attrs(attrs) -> tuple[np.ndarray, np.ndarray]:
         fits = ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)
         if fits and ids.ndim == 1 and values.ndim == 2 and values.dtype.kind in "iuf":
             values = values.astype(float, copy=False)
-            if (ids >= 0).all() and np.isfinite(values).all():
-                return _last_rows(ids.astype(np.int64, copy=False), values)
+            first = np.flatnonzero((ids < 0) | ~np.isfinite(values).all(axis=1))[:1]
+            _attr_rows(zip(ids[first].tolist(), values[first].tolist()))  # raises if bad
+            return _last_rows(ids.astype(np.int64, copy=False), values)
         attrs = zip(ids.tolist(), values.tolist())
     return _last_rows(*_attr_rows(attrs))
 

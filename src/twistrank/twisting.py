@@ -7,24 +7,18 @@ path measure hits a prescribed target.  This module evaluates path
 measures, on one walk or on an ``(N, L)`` block of walks with one walk per
 row, computes the tilt in the log domain, and solves for the scalar
 temperature theta at which the mean measure, the derivative of the free
-energy F = log(1/C), hits a target.
-
-The tilt sees a walk only through its measure value, so pushing the base
-walk distribution forward through the measure (:func:`measure_atoms`) gives
-a table of at most n atoms on which every solve runs: in closed form for
-the two sign atoms, by Newton iteration otherwise.
+energy F = log(1/C), hits a target: on a table of atoms (values and
+masses), in closed form for two atoms, by Newton iteration otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, GraphError, SolveError
-from .graph import AttributedGraph, GraphStats, _row_entries
-from .sampling import WalkConfig
+from .graph import AttributedGraph
 
 # Newton iteration: tolerance on the mean measure, and step limit.
 NEWTON_TOL = 1e-11
@@ -87,18 +81,6 @@ def _per_walk(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values.astype(float)
 
 
-class CappedRows(NamedTuple):
-    """Entry ``j`` of row ``v`` (``indptr[v] <= j < indptr[v + 1]``) is the edge
-    from ``middle[j]`` = v to ``neighbour[j]``, of measure ``levels[level[j]]``,
-    where ``levels`` holds the distinct measures of the entries, ascending."""
-
-    indptr: np.ndarray
-    middle: np.ndarray
-    neighbour: np.ndarray
-    level: np.ndarray
-    levels: np.ndarray
-
-
 class MinInnerProduct:
     """Minimum, over the path's nodes, of the inner product with a score vector.
 
@@ -128,48 +110,11 @@ class MinInnerProduct:
         It is a numpy multiply-and-sum, not a BLAS product, so neither the BLAS
         kernel nor its thread count decides a bit of it.  Finite attributes
         can still overflow it: such a score is +-inf or NaN, without a
-        warning.  :meth:`capped_rows` rejects them.
+        warning.  ``TiltModel.capped_rows`` rejects them.
         """
         self._check_dim(graph)
         with np.errstate(over="ignore", invalid="ignore"):
             return (graph.node_attrs * self.scores).sum(axis=1)
-
-    def capped_rows(self, graph: AttributedGraph) -> CappedRows:
-        """Every edge in both directions, as the rows of :class:`CappedRows`.
-
-        An edge's measure min(z[middle], z[neighbour]) caps the neighbour's
-        score at the middle node's.  The rows are those of ``graph.csr()``,
-        built from ``graph.pairs()`` without placing it; each is sorted by
-        ascending measure, ties in ``csr()`` order.  A node score that is not
-        finite, on any node, is a :class:`GraphError` naming the first such
-        node by its original id.
-
-        An entry's level is ``min(rank[middle], rank[neighbour])``, where
-        ``rank`` numbers the distinct node scores in ascending order.  The
-        levels no entry takes are dropped, and the rows are one stable argsort
-        of the int64 key ``middle * r + level`` over the r levels left.  The
-        zero level is 0.0, never -0.0.
-        """
-        z = self.node_scores(graph)
-        bad = np.flatnonzero(~np.isfinite(z))
-        if bad.size:
-            u = bad[0]
-            raise GraphError(
-                f"the score of node {graph.original_ids[u]} is {z[u]}: the inner "
-                "product of its attributes with the score vector is not finite"
-            )
-        indptr, middle, neighbour = _row_entries(graph)
-        levels, rank = np.unique(z, return_inverse=True)
-        # Ranks are below n, so they take the node ids' width (int32 below 2**31).
-        rank = rank.astype(middle.dtype)
-        level = np.minimum(rank[middle], rank[neighbour])
-        used = np.zeros(levels.size, dtype=bool)
-        used[level] = True
-        level = (np.cumsum(used, dtype=level.dtype) - 1)[level]
-        # np.unique keeps whichever zero its sort puts first; + 0.0 makes it 0.0.
-        levels = levels[used] + 0.0
-        order = np.argsort(middle.astype(np.int64) * levels.size + level, kind="stable")
-        return CappedRows(indptr, middle[order], neighbour[order], level[order], levels)
 
     def _check_dim(self, graph: AttributedGraph) -> None:
         if graph.attr_dim != self.scores.size:
@@ -227,63 +172,8 @@ def _two_atom_theta(lo: float, hi: float, mass_lo: float, mass_hi: float, gamma:
     return math.ldexp(math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo), -k)
 
 
-def measure_atoms(model) -> tuple[np.ndarray, np.ndarray]:
-    """Push a tilt model's base walk distribution forward through its measure.
-
-    ``model`` is a :class:`~twistrank.centrality.TiltModel`, whose signed
-    degrees and capped rows are built once and reused here.  Returns
-    ``(values, masses)``: ascending measure values and the total base mass of
-    the walks taking each, summing to 1.  Since the tilt sees a walk only
-    through its measure, Z(theta) = sum(masses * exp(theta * values)), so a
-    temperature solve needs only this table.
-
-    The sign measures have the two atoms -1 and +1, whose masses follow from
-    the signed degrees k+ and k- in O(m): a middle node v splits the k_v^2
-    two-step walks through it by the signs of their two edges.  The
-    advertisement measure takes at most n values, the node scores; its
-    atoms come from the capped rows, sorted once in O(m log m), summed by
-    integer score level with no float sort.  Atoms of zero mass may be present.
-    """
-    if model.graph.m == 0:
-        raise GraphError("cannot push the walk distribution forward on an edgeless graph")
-    if model.is_sign:
-        return _sign_atoms(model.stats, model.walk, model.is_min)
-    return _min_inner_atoms(model.graph, model.walk, model.capped_rows)
-
-
-def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
-    pos = walk.beta1 * gs.m_pos / gs.m
-    neg = walk.beta1 * gs.m_neg / gs.m
-    if walk.beta2 > 0:
-        live = gs.degree > 0
-        k = gs.degree[live].astype(float)
-        kp = gs.pos_degree[live].astype(float)
-        kn = gs.neg_degree[live].astype(float)
-        # Each ordered neighbour pair of v is one walk of mass beta2 / (2 m k_v).
-        unit = walk.beta2 / (2 * gs.m * k)
-        if is_min:
-            plus, minus = kp * kp, k * k - kp * kp
-        else:
-            plus, minus = kp * kp + kn * kn, 2.0 * kp * kn
-        # Summed by numpy, not by a BLAS dot product, whose order depends on
-        # the BLAS kernel and thread count.
-        pos += float((unit * plus).sum())
-        neg += float((unit * minus).sum())
-    return np.array([-1.0, 1.0]), np.array([neg, pos])
-
-
-def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, rows: CappedRows):
-    k = np.diff(rows.indptr)[rows.middle]
-    i = np.arange(rows.level.size) - rows.indptr[rows.middle]
-    # The edge (v, u) is one length-1 walk of its level.  The i-th lowest
-    # level of row v is the measure of the 2 (k - 1 - i) + 1 ordered pairs
-    # through v whose lower-ranked end it is; every level is an atom.
-    masses = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
-    return rows.levels, np.bincount(rows.level, weights=masses)
-
-
 class AtomSolver:
-    """The positive-mass atoms of a :func:`measure_atoms` table, ready for any target.
+    """The positive-mass atoms of a ``TiltModel.atoms`` table, ready for any target.
 
     The atoms are filtered and their masses logged once, and the tilted
     ``(mean, variance)`` is kept at every theta a solve visits (scaled, as in
@@ -345,16 +235,17 @@ def _solve_scalar(f: np.ndarray, logp: np.ndarray, gamma: float, moments: dict) 
     times the scaled atom.  So ``NEWTON_TOL`` and the bracket limits hold at
     any scale of the atoms.  A width in [2^-10, 2^10) is left as it is
     (k = 0), which keeps theta's bits at ordinary scales.  Atoms more than
-    2^5 widths from 0 are first shifted by their end nearest 0, which leaves
+    one width from 0 are first shifted by their end nearest 0, which leaves
     theta unchanged: otherwise theta times an atom rounds at the offset's
-    scale and the mean cannot settle within ``NEWTON_TOL``.  Both ends then
-    have one sign and are within a factor of 2, so the shift is exact.
+    scale and the mean cannot settle within ``NEWTON_TOL``.  Every atom and
+    the target then lie within a factor of 2 of that end, so by Sterbenz's
+    lemma the shift is exact.
     ``moments`` keeps the tilted ``(mean, variance)`` at every scaled root
     visited.  A failure reports its residual in the atoms' own scale.
     """
     lo, hi = float(f.min()), float(f.max())
     width = hi - lo
-    shift = lo if lo > 32 * width else hi if hi < -32 * width else 0.0
+    shift = lo if lo > width else hi if hi < -width else 0.0
     if shift:
         f, gamma = f - shift, gamma - shift
     k = _width_exponent(width)

@@ -62,7 +62,7 @@ def run_checks(g: AttributedGraph, ad_vector=None) -> list[CheckResult]:
     measures = [SignProduct(), SignMin()]
     if g.attr_dim > 0 or ad_vector is not None:
         ad = MinInnerProduct(ad_vector if ad_vector is not None else np.ones(g.attr_dim))
-        ad.capped_rows(g)  # a score that is not finite fails before the oracle
+        TiltModel(g, ad).capped_rows  # a score that is not finite fails before the oracle
         measures.append(ad)
     worst: dict[str, float] = {}
     details: dict[str, str] = {}

@@ -626,23 +626,23 @@ class TestSweepCommand:
 
     def test_resolves_each_target_once_and_stats_once(self, tmp_path, small_edges,
                                                       monkeypatch, capsys):
-        calls = count_calls(monkeypatch, ("resolve_theta", "stats", "measure_atoms"))
+        calls = count_calls(monkeypatch, ("resolve_theta", "stats", "_sign_atoms"))
         assert main([
             "sweep", "--edges", str(small_edges), "--measure", "influence",
             "--gammas=-0.2,0,0.3", "--beta1", "0.5", "--beta2", "0.5", "--k", "2",
             "--out", str(tmp_path / "sweep"),
         ]) == 0
-        assert calls == {"resolve_theta": 3, "stats": 1, "measure_atoms": 1}
+        assert calls == {"resolve_theta": 3, "stats": 1, "_sign_atoms": 1}
 
     def test_one_step_sign_sweep_builds_atoms_once(self, tmp_path, small_edges,
                                                    monkeypatch, capsys):
-        calls = count_calls(monkeypatch, ("resolve_theta", "measure_atoms"))
+        calls = count_calls(monkeypatch, ("resolve_theta", "_sign_atoms"))
         assert main([
             "sweep", "--edges", str(small_edges), "--measure", "trust",
             "--gammas=-0.2,0,0.3", "--beta1", "1", "--beta2", "0", "--k", "2",
             "--out", str(tmp_path / "sweep"),
         ]) == 0
-        assert calls == {"resolve_theta": 3, "measure_atoms": 1}
+        assert calls == {"resolve_theta": 3, "_sign_atoms": 1}
 
     def test_ad_sweep_sorts_capped_rows_once(self, tmp_path, monkeypatch, capsys):
         edges = tmp_path / "edges.txt"
@@ -653,9 +653,9 @@ class TestSweepCommand:
         write(attrs, "0 0.9 0.1\n1 0.4 0.8\n2 0.5 0.3\n3 0.7 0.6\n4 0.1 0.5\n")
         write(z, "1.0 0.5\n")
         calls = Counter()
-        capped_rows = tr.MinInnerProduct.capped_rows
-        monkeypatch.setattr(tr.MinInnerProduct, "capped_rows",
-                            _counted(calls, "capped_rows", capped_rows))
+        centrality_module = sys.modules["twistrank.centrality"]
+        monkeypatch.setattr(centrality_module, "_capped_rows",
+                            _counted(calls, "capped_rows", centrality_module._capped_rows))
         # The three targets share the Newton start at 0 and the bracket points.
         thetas = []
         grad_var = twisting._scalar_grad_var

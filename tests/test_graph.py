@@ -485,6 +485,57 @@ class TestRecordValidation:
             )
         assert seen == {"graph", "self-loop", "node", "edge", "conflicting"}
 
+    def test_array_with_bad_rows_fails_as_its_list_does(self, monkeypatch):
+        """Bad ids and signs planted at random rows, some behind an earlier
+        self-loop or sign conflict, give the error of the same records as a
+        list, and an int64 array checks at most its first bad row as a record."""
+        checked = []
+        check = tg._check_record
+        monkeypatch.setattr(tg, "_check_record", lambda rec: checked.append(rec) or check(rec))
+        seen = set()
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(3, 30)), int(rng.integers(1, 60))
+            rows = np.column_stack([rng.integers(0, n, (k, 2)), rng.choice([-1, 1], k)])
+            for at in rng.choice(k, size=int(rng.integers(0, 3)), replace=False):
+                col = int(rng.integers(0, 3))
+                rows[at, col] = rng.choice([-2, 0, 2]) if col == 2 else -rng.integers(1, 10)
+            for build in (tr.load_graph, lambda records: tr.preprocess(records).graph):
+                want = _load_outcome(rows.tolist(), build)
+                seen.add(want.split(" ")[0] if isinstance(want, str) else "graph")
+                for dtype in (np.int64, np.int32):
+                    checked.clear()
+                    assert _load_outcome(rows.astype(dtype), build) == want
+                    assert len(checked) <= 1
+        assert seen == {"graph", "self-loop", "node", "edge", "conflicting"}
+
+    def test_attribute_array_with_a_bad_row_fails_as_its_records_do(self, monkeypatch):
+        """A negative id or a non-finite value planted at a random row gives the
+        error of the same records, and only that row is checked as a record."""
+        checked = []
+        attr_rows = tg._attr_rows
+
+        def counted(records):
+            records = list(records)
+            checked.append(len(records))
+            return attr_rows(records)
+
+        monkeypatch.setattr(tg, "_attr_rows", counted)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 40))
+            ids, values = rng.integers(0, 8, k), rng.normal(size=(k, 3))
+            for at in rng.choice(k, size=int(rng.integers(0, 3)), replace=False):
+                if rng.random() < 0.5:
+                    ids[at] = -rng.integers(1, 10)
+                else:
+                    values[at, rng.integers(0, 3)] = rng.choice([np.nan, np.inf, -np.inf])
+            for build in ATTR_BUILDS.values():
+                want = _built(build, list(zip(ids.tolist(), values.tolist())))
+                checked.clear()
+                assert _built(build, (ids, values)) == want
+                assert sum(checked) <= 1
+
     def test_arrays_that_are_not_int64_are_walked(self):
         big = 2**64 - 1
         rows = np.array([[big, 3, 1], [3, 4, 1]], dtype=np.uint64)
@@ -773,10 +824,10 @@ class TestAttributeArrays:
         assert got.report.removed_nodes == want.report.removed_nodes
 
 
-def _load_outcome(records):
-    """The loaded graph's ids and edges, or the text of its GraphError."""
+def _load_outcome(records, build=tr.load_graph):
+    """The built graph's ids and edges, or the text of its GraphError."""
     try:
-        g = tr.load_graph(records)
+        g = build(records)
     except GraphError as exc:
         return str(exc)
     return g.original_ids.dtype, g.original_ids.tolist(), edge_list(g, original_ids=True)

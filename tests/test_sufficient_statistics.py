@@ -39,7 +39,7 @@ class TestMeasureAtoms:
     def test_free_energy_matches_enumeration(self, corpus100):
         worst = 0.0
         for g, _, kind, measure, walk in configs(corpus100[:20]):
-            values, masses = tr.measure_atoms(tr.TiltModel(g, measure, walk))
+            values, masses = tr.TiltModel(g, measure, walk).atoms
             table = verify.path_table(g, measure, walk)
             assert np.all(np.diff(values) > 0)
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
@@ -58,7 +58,7 @@ class TestMeasureAtoms:
     def test_sign_atoms_by_hand(self, star_two_neg):
         # Center 0 with spokes +, +, -, -; every spoke node has degree 1.
         walk = tr.WalkConfig(0.5, 0.5)
-        values, masses = tr.measure_atoms(tr.TiltModel(star_two_neg, tr.SignProduct(), walk))
+        values, masses = tr.TiltModel(star_two_neg, tr.SignProduct(), walk).atoms
         # Length 1: m+ / m = 2 / 4.  Length 2: the center is the middle node
         # with probability 4 / 8, and 8 of its 16 ordered neighbour pairs
         # agree in sign; a spoke middle node makes the walk backtrack over
@@ -70,12 +70,12 @@ class TestMeasureAtoms:
     def test_edgeless_graph_rejected(self):
         g = tr.load_graph([], [(0, [1.0])])
         with pytest.raises(tr.GraphError, match="edgeless"):
-            tr.measure_atoms(tr.TiltModel(g, tr.SignMin(), tr.WalkConfig(0.7, 0.3)))
+            tr.TiltModel(g, tr.SignMin(), tr.WalkConfig(0.7, 0.3)).atoms
 
     def test_ad_dimension_mismatch_rejected(self, corpus100):
         g, _ = corpus100[0]
         with pytest.raises(tr.GraphError, match="dimension"):
-            tr.measure_atoms(tr.TiltModel(g, tr.MinInnerProduct([1.0, 2.0, 3.0]), tr.WalkConfig()))
+            tr.TiltModel(g, tr.MinInnerProduct([1.0, 2.0, 3.0]), tr.WalkConfig()).atoms
 
 
 class TestSolveFromAtoms:
@@ -89,7 +89,7 @@ class TestSolveFromAtoms:
             if fmax - fmin < 1e-9:
                 continue
             gamma = fmin + FRACTIONS[i % 3] * (fmax - fmin)
-            atoms = tr.measure_atoms(tr.TiltModel(g, measure, walk))
+            atoms = tr.TiltModel(g, measure, walk).atoms
             theta = twisting.AtomSolver(*atoms).theta(gamma)
             back = verify.twist(table, theta)[0].mean_measure
             numeric = verify.solve_theta_numeric(table, gamma)
@@ -108,7 +108,7 @@ class TestSolveFromAtoms:
         g, z = corpus100[9]
         measure = tr.measure_for(kind, z)
         walk = tr.WalkConfig(0.7, 0.3)
-        atoms = tr.measure_atoms(tr.TiltModel(g, measure, walk))
+        atoms = tr.TiltModel(g, measure, walk).atoms
         table = verify.path_table(g, measure, walk)
         _, fmax = verify.achievable_range(table)
         for solve in (
@@ -203,14 +203,14 @@ class TestSharedSolver:
         walk = tr.WalkConfig(*beta)
         for g, z in corpus100[:25]:
             measure = tr.MinInnerProduct(z)
-            values, masses = tr.measure_atoms(tr.TiltModel(g, measure, walk))
+            values, masses = tr.TiltModel(g, measure, walk).atoms
             live = values[masses > 0]
             for gammas in _target_lists(rng, float(live.min()), float(live.max())):
                 model = tr.TiltModel(g, measure, walk)
                 shared = [_outcome(model.theta, gamma) for gamma in gammas]
                 fresh = [
                     _outcome(lambda gamma: twisting.AtomSolver(
-                        *tr.measure_atoms(tr.TiltModel(g, measure, walk))).theta(gamma), gamma)
+                        *tr.TiltModel(g, measure, walk).atoms).theta(gamma), gamma)
                     for gamma in gammas
                 ]
                 assert shared == fresh
@@ -266,6 +266,28 @@ class TestAtomOffset:
         assert theta == twisting.AtomSolver(at_zero, masses).theta(gamma - shift)
         p = masses * np.exp(theta * (at_zero - at_zero.max()))
         assert abs((p * at_zero).sum() / p.sum() - (gamma - shift)) <= 1e-10
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_targets_near_an_end_at_2_to_31_widths(self, sign):
+        """Random 3-30-atom tables of unit width, with targets 1e-4 to 1e-3
+        from either end: each solve converges, and its mean is within 1e-10
+        of the target however many widths the atoms lie from 0."""
+        rng = np.random.default_rng(0)
+        for offset in (2, 8, 16, 24, 28, 31):
+            for _ in range(50):
+                size = int(rng.integers(3, 31))
+                unit = np.concatenate([[0.0, 1.0], rng.random(size - 2)])
+                masses = rng.dirichlet(np.ones(size))
+                atoms = sign * (offset + unit)
+                shift = atoms.min() if sign > 0 else atoms.max()
+                at_zero = atoms - shift
+                solver = twisting.AtomSolver(atoms, masses)
+                for d in (1e-4, 3e-4, 1e-3):
+                    for gamma in (atoms.min() + d, atoms.max() - d):
+                        theta = solver.theta(gamma)
+                        x = theta * at_zero + np.log(masses)
+                        p = np.exp(x - x.max())
+                        assert abs((p * at_zero).sum() / p.sum() - (gamma - shift)) <= 1e-10
 
     def test_two_atoms_whose_width_overflows(self):
         lo, hi, gamma = -1.5e308, 1.5e308, 1e307

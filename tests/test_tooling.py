@@ -59,3 +59,18 @@ def test_production_module_holds_no_oracle_copy(module):
     assert {name for name in MOVED if hasattr(mod, name)} == {
         name for m, name in FORWARDED if m == module
     }
+
+
+# Per-measure production kernels that TiltModel owns in twistrank.centrality.
+KERNELS = ("measure_atoms", "CappedRows", "_sign_atoms", "_min_inner_atoms", "_capped_rows")
+
+
+def test_twisting_holds_no_per_measure_kernel():
+    """twisting keeps the measures, the tilt and the solver: it defines no
+    kernel of TiltModel, and binds nothing from sampling, the walk module."""
+    twisting = importlib.import_module("twistrank.twisting")
+    assert [name for name in KERNELS if name in vars(twisting)] == []
+    assert not hasattr(twisting.MinInnerProduct, "capped_rows")
+    assert [name for name, value in vars(twisting).items()
+            if getattr(value, "__module__", None) == "twistrank.sampling"
+            or getattr(value, "__name__", None) == "twistrank.sampling"] == []

@@ -141,7 +141,7 @@ class TestCappedRows:
         if seed % 2:
             z[:len(self.SPECIALS)] = self.SPECIALS
         measure = _GivenScores(z)
-        got = measure.capped_rows(g)
+        got = tr.TiltModel(g, measure).capped_rows
         want = _lexsorted_capped_rows(measure, g)
         # The middle ids come from the graph's pairs, so they are int32.
         assert got.middle.dtype == g.pairs()[0].dtype == np.int32
@@ -160,7 +160,7 @@ class TestCappedRows:
                 bad[at] = value
                 with pytest.raises(GraphError, match=f"score of node {g.original_ids[at[0]]} "
                                                      f"is {value}: the inner product"):
-                    _GivenScores(bad).capped_rows(g)
+                    tr.TiltModel(g, _GivenScores(bad)).capped_rows
 
     def test_overflowing_attributes(self):
         # Finite attributes whose products with the score vector overflow:
@@ -182,11 +182,11 @@ class TestCappedRows:
         first = int(np.flatnonzero(~np.isfinite(z))[0])
         with pytest.raises(GraphError, match=f"^the score of node {g.original_ids[first]} is "
                                              f"{z[first]}: the inner product"):
-            measure.capped_rows(g)
+            tr.TiltModel(g, measure).capped_rows
 
     def test_edgeless_and_empty_rows(self):
         g = tr.load_graph([], [(u, [1.0]) for u in range(3)])
-        rows = _GivenScores([0.5, 1.0, 1.0]).capped_rows(g)
+        rows = tr.TiltModel(g, _GivenScores([0.5, 1.0, 1.0])).capped_rows
         assert rows.middle.size == rows.neighbour.size == rows.level.size == rows.levels.size == 0
         assert rows.indptr.tolist() == [0, 0, 0, 0]
 
@@ -225,7 +225,7 @@ class TestCappedRows:
                 continue
             z = rng.choice(np.array([-0.0, 0.0, 0.5, -1.5, 2.0, 0.25]), size=g.n)
             model = tr.TiltModel(g, _GivenScores(z), walk)
-            values, masses = tr.measure_atoms(model)
+            values, masses = model.atoms
             rows = model.capped_rows
             k = np.diff(rows.indptr)[rows.middle]
             i = np.arange(rows.level.size) - rows.indptr[rows.middle]
