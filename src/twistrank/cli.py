@@ -3,6 +3,12 @@
 Every command writes its outputs plus a manifest.json into --out; re-running
 the same invocation reproduces the outputs byte for byte.  Exit codes:
 0 success, 1 usage error, 2 bad data or out of memory, 3 failed verification.
+
+A call builds the parser of the command it names and no other: when that
+parser takes the rest of the arguments, nothing else is parsed.  Anything
+else (no command, --help, --version, an unknown command, leftover or bad
+arguments) is parsed again by build_parser(), so it prints and exits exactly
+as the full parser does.  Each command is declared once, in _COMMANDS.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
 
+# ``twistrank --help`` prints the docstring's first two paragraphs.
+_DESCRIPTION = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the contract here is 1.
@@ -33,9 +42,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _Unparsed(Exception):
+    """A command's own parser met an argv that only the full parser may report."""
+
+
+class _CommandParser(_Parser):
+    # Usage errors go back to build_parser(), whose report can differ: the
+    # top level rejects a token such as "--=x" before the command sees it.
+    def error(self, message):
+        raise _Unparsed(message)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.handler(args)
     except (TwistrankError, ValueError, OSError, MemoryError) as exc:
@@ -45,12 +64,40 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named command's
+    parser when that one parses ``argv`` in full."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        _, flags, handler = _COMMANDS[name]
+        parser = _CommandParser(prog=f"twistrank {name}")
+        flags(parser)
+        parser.set_defaults(handler=handler)
+        try:
+            args, rest = parser.parse_known_args(argv[1:])
+        except _Unparsed:
+            rest = True
+        if not rest:
+            args.command = name
+            return args
+    # No command, a top-level flag, an unknown command, leftover or bad
+    # arguments: the full parser prints the help, version or usage error.
+    return build_parser().parse_args(argv)
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="twistrank", description=__doc__)
+    parser = _Parser(prog="twistrank", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"twistrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (summary, flags, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        flags(p)
+        p.set_defaults(handler=handler)
+    return parser
 
-    p = sub.add_parser("preprocess", help="clean an edge list into a validated graph")
+
+def _preprocess_flags(p):
     p.add_argument("--edges", required=True, help="raw edge-list file (u w [sign])")
     p.add_argument("--attrs", help="node-attribute file (u v1 ... vp)")
     p.add_argument("--min-degree", type=int, default=0,
@@ -60,27 +107,25 @@ def build_parser() -> _Parser:
     p.add_argument("--partition", help="partition-label file (u label), required when injecting")
     p.add_argument("--seed", type=int, default=0, help="seed for negative-edge injection")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(handler=cmd_preprocess)
 
-    p = sub.add_parser("rank", help="compute a centrality ranking")
+
+def _rank_flags(p):
     _ranking_flags(p)
     p.add_argument("--theta", type=float, help="temperature (exclusive with --gamma)")
     p.add_argument("--gamma", type=float, help="target mean path measure (exclusive with --theta)")
-    p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("sweep", help="rank over a grid of targets and compare to degree baselines")
+
+def _sweep_flags(p):
     _ranking_flags(p)
     p.add_argument("--gammas", help="comma-separated gamma targets (exclusive with --thetas)")
     p.add_argument("--thetas", help="comma-separated temperatures (exclusive with --gammas)")
     p.add_argument("--k", type=int, default=None,
                    help="top-k size (default 100, or 250 for --measure ad)")
-    p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("verify", help="run the oracle cross-checks on a graph")
+
+def _verify_flags(p):
     _input_flags(p)
     p.add_argument("--out", help="optional output directory for the JSON report")
-    p.set_defaults(handler=cmd_verify)
-    return parser
 
 
 def _input_flags(p):
@@ -244,6 +289,18 @@ def _manifest_params(args) -> dict:
             continue
         params[key] = value
     return params
+
+
+# Every command once, in ``twistrank --help`` order: its name, its help line
+# there, the function that adds its flags, and its handler.
+_COMMANDS = {
+    "preprocess": ("clean an edge list into a validated graph", _preprocess_flags,
+                   cmd_preprocess),
+    "rank": ("compute a centrality ranking", _rank_flags, cmd_rank),
+    "sweep": ("rank over a grid of targets and compare to degree baselines", _sweep_flags,
+              cmd_sweep),
+    "verify": ("run the oracle cross-checks on a graph", _verify_flags, cmd_verify),
+}
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import platform
@@ -12,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twistrank as tr
-from twistrank import io as tio, twisting, verify
+from twistrank import cli, io as tio, twisting, verify
 from twistrank.cli import main
 
 from conftest import edge_list, skewed_signed_graph, walk_masses
@@ -1013,3 +1016,171 @@ class TestUsageErrors:
             main(["--version"])
         assert err.value.code == 0
         assert "twistrank" in capsys.readouterr().out
+
+
+def _parse_outcome(parse, argv):
+    """Exit code (None when the parse succeeds), stdout, stderr and the
+    namespace's ``vars`` of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code = args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+def _main_outcome(argv):
+    """``main(argv)`` with every handler replaced by one that keeps its
+    namespace, against ``build_parser().parse_args(argv)`` on the same table."""
+    def keep(args):
+        kept.append(args)
+        return 0
+
+    def parse_by_main(argv):
+        assert main(argv) == 0
+        return kept[-1]
+
+    kept = []
+    stubbed = {name: (summary, flags, keep)
+               for name, (summary, flags, _) in cli._COMMANDS.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_COMMANDS", stubbed)
+        got = _parse_outcome(parse_by_main, argv)
+        want = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    return got, want
+
+
+_RANK = ["rank", "--edges", "e.txt", "--measure", "trust", "--theta", "0.5", "--out", "o"]
+PARSE_CORPUS = {
+    "preprocess": ["preprocess", "--edges", "e.txt", "--out", "o"],
+    "preprocess-all-flags": ["preprocess", "--edges", "e.txt", "--attrs", "a.txt",
+                             "--min-degree", "3", "--inject-negative", "5",
+                             "--partition", "p.txt", "--seed", "7", "--out", "o"],
+    "rank": ["rank", "--edges", "e.txt", "--measure", "trust", "--gamma", "0.3",
+             "--beta1", "0.7", "--beta2", "0.3", "--out", "o"],
+    "sweep": ["sweep", "--edges", "e.txt", "--measure", "influence",
+              "--gammas=-0.5,0,0.5", "--k", "10", "--out", "o"],
+    "verify": ["verify", "--edges", "e.txt"],
+    "verify-ad": ["verify", "--edges", "e.txt", "--attrs", "a.txt", "--ad-vector", "z.txt",
+                  "--out", "o"],
+    "preprocess-h": ["preprocess", "-h"],
+    "rank-h": ["rank", "-h"],
+    "sweep-h": ["sweep", "-h"],
+    "verify-h": ["verify", "-h"],
+    "help-after-flags": [*_RANK, "--help"],
+    "top-level-h": ["-h"],
+    "top-level-help": ["--help"],
+    "version": ["--version"],
+    "version-before-command": ["--version", *_RANK],
+    "version-after-command": [*_RANK, "--version"],
+    "empty": [],
+    "unknown-command": ["frobnicate", "--edges", "e.txt"],
+    "abbreviated-command": ["ran", "--edges", "e.txt"],
+    "unknown-flag-before-command": ["--bogus", *_RANK],
+    "unknown-flag-after-command": [*_RANK, "--bogus"],
+    "unknown-flag-after-dashes": [*_RANK, "--", "--bogus"],
+    "dashes-before-command": ["--", *_RANK],
+    "trailing-dashes": [*_RANK, "--"],
+    "stray-value": [*_RANK, "extra"],
+    "flag-equals-value": ["rank", "--edges=e.txt", "--measure=ad", "--ad-vector=z.txt",
+                          "--theta=-1", "--out=o"],
+    "abbreviated-flag": ["rank", "--edges", "e.txt", "--measure", "influence",
+                         "--gam", "0.3", "--out", "o"],
+    "ambiguous-abbreviation": ["sweep", "--edges", "e.txt", "--measure", "trust",
+                               "--gam", "0", "--out", "o"],
+    "repeated-ad-vector": ["rank", "--edges", "e.txt", "--measure", "ad", "--ad-vector",
+                           "z1.txt", "--ad-vector", "z2.txt", "--theta", "0.2", "--out", "o"],
+    "top-level-ambiguous-token": [*_RANK, "--=x"],
+    "missing-required-flag": ["rank", "--edges", "e.txt", "--out", "o"],
+    "missing-value": ["rank", "--edges"],
+    "bad-measure-choice": ["rank", "--edges", "e.txt", "--measure", "pagerank",
+                           "--theta", "1", "--out", "o"],
+    "bad-theta": ["rank", "--edges", "e.txt", "--measure", "trust", "--theta", "abc",
+                  "--out", "o"],
+    "bad-k": ["sweep", "--edges", "e.txt", "--measure", "ad", "--k", "x", "--out", "o"],
+    "negative-value-as-flag": ["sweep", "--edges", "e.txt", "--measure", "trust",
+                               "--gammas", "-0.5,0", "--out", "o"],
+    "walk-flag-on-verify": ["verify", "--edges", "e.txt", "--beta2", "nan"],
+}
+
+# Flag-value units that a command may take, and single tokens that break a
+# parse in most places they land.
+_UNITS = [["--edges", "e.txt"], ["--attrs", "a.txt"], ["--ad-vector", "z.txt"],
+          ["--ad-vector=y.txt"], ["--beta1", "0.7"], ["--beta2=0.3"], ["--measure", "ad"],
+          ["--measure", "influence"], ["--out", "o"], ["--theta", "-1"], ["--gamma", "0.3"],
+          ["--gam", "0.3"], ["--gammas=-1,0"], ["--thetas", "0,1"], ["--k", "5"],
+          ["--min-degree", "2"], ["--inject-negative", "3"], ["--partition", "p.txt"],
+          ["--seed", "7"]]
+_TOKENS = ["-h", "--help", "--version", "--ver", "--", "--bogus", "-x", "--=x", "--the",
+           "--be", "--in", "--measure", "pagerank", "abc", "-0.5,0", "", "a b", "rank"]
+_REQUIRED = {
+    "preprocess": [["--edges", "e.txt"], ["--out", "o"]],
+    "rank": [["--edges", "e.txt"], ["--measure", "trust"], ["--out", "o"]],
+    "sweep": [["--edges", "e.txt"], ["--measure", "trust"], ["--out", "o"]],
+    "verify": [["--edges", "e.txt"]],
+}
+_HEADS = [*cli._COMMANDS, *cli._COMMANDS, "-h", "--version", "--bogus", "bogus", "--"]
+
+
+@st.composite
+def _argvs(draw):
+    """A head token, then a command's required flags (or not) and other flag
+    units and tokens, in any order."""
+    head = draw(st.sampled_from(_HEADS))
+    units = list(_REQUIRED.get(head, [])) if draw(st.integers(0, 3)) else []
+    flag_unit = st.sampled_from(_UNITS)
+    stray = st.sampled_from(_TOKENS).map(lambda t: [t])
+    units += draw(st.lists(st.one_of(flag_unit, flag_unit, stray), max_size=4))
+    return [head, *(token for unit in draw(st.permutations(units)) for token in unit)]
+
+
+class TestParsing:
+    """``main`` builds only the named command's parser, and parses exactly as
+    ``build_parser()`` does: the same exit code, output and namespace."""
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
+    def test_matches_the_full_parser(self, argv):
+        got, want = _main_outcome(argv)
+        assert got == want
+        assert want[1] or want[2] or want[3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_argvs())
+    def test_any_token_sequence_matches_the_full_parser(self, argv):
+        got, want = _main_outcome(argv)
+        assert got == want
+
+    def test_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["twistrank", *PARSE_CORPUS["rank"]])
+        assert vars(cli._parse_args(None)) == vars(
+            cli.build_parser().parse_args(PARSE_CORPUS["rank"]))
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--out", "{out}"],
+        ["rank", "--measure", "influence", "--theta", "0.5", "--out", "{out}"],
+        ["sweep", "--measure", "trust", "--thetas", "0,0.5", "--out", "{out}"],
+        ["verify", "--out", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_a_valid_call_builds_one_parser(self, tmp_path, small_edges, monkeypatch,
+                                            capsys, argv):
+        def refuse():
+            raise AssertionError("build_parser() was called")
+
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        argv = [argv[0], "--edges", str(small_edges),
+                *(arg.format(out=tmp_path / "out") for arg in argv[1:])]
+        assert main(argv) == 0
+        assert built == [f"twistrank {argv[0]}"]
+
+    def test_the_full_parser_lists_the_commands_in_order(self):
+        assert "{preprocess,rank,sweep,verify}" in cli.build_parser().format_usage()

@@ -1,14 +1,18 @@
-"""The documented library surface must match the package.
+"""The documented surface must match the package.
 
-The README's "Library use" example is run as written, and every exported
-name must resolve, so a renamed or removed function fails here before a
-reader meets a stale example.
+The README's "Library use" example is run as written, every exported name
+must resolve, and every documented command line must parse, so a renamed or
+removed function or flag fails here before a reader meets a stale example.
 """
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import twistrank as tr
+from twistrank import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +34,26 @@ def test_every_export_resolves():
     missing = [name for name in tr.__all__ if not hasattr(tr, name)]
     assert missing == []
     assert len(set(tr.__all__)) == len(tr.__all__)
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The argv of every ``twistrank …`` line in the README's ``sh`` blocks,
+    continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    argvs = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["twistrank"]:
+                argvs.append(words[1:])
+    return argvs
+
+
+def test_readme_documents_every_command():
+    assert {argv[0] for argv in _readme_command_lines()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda argv: " ".join(argv[:4]))
+def test_readme_command_line_parses(argv):
+    args = cli._parse_args(argv)
+    assert args.handler is getattr(cli, f"cmd_{argv[0]}")
