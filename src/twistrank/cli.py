@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import TwistrankError
-from .graph import NegativeInjection, load_graph, preprocess, stats
+from .graph import NegativeInjection, load_graph, preprocess
 from .sampling import WalkConfig
 from .analysis import sweep
 from .centrality import TiltModel, measure_for, resolve_theta
@@ -199,10 +199,11 @@ def cmd_preprocess(args) -> int:
         tio.write_attributes(out / "attrs.txt", result.graph)
     tio.write_json(out / "report.json", result.report.to_dict())
     tio.write_manifest(out, "preprocess", _manifest_params(args))
-    s = stats(result.graph)
+    g = result.graph
+    m_neg = int((g.pairs()[2] < 0).sum())
     print(
-        f"preprocessed graph: n={result.graph.n} m={s.m} "
-        f"(m+={s.m_pos}, m-={s.m_neg}); removed {len(result.report.removed_nodes)} nodes"
+        f"preprocessed graph: n={g.n} m={g.m} "
+        f"(m+={g.m - m_neg}, m-={m_neg}); removed {len(result.report.removed_nodes)} nodes"
     )
     return EXIT_OK
 

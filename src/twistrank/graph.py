@@ -19,6 +19,7 @@ between partitions, and iteratively removes low-degree nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -178,7 +179,8 @@ class NegativeInjection:
 
     ``partition`` maps every (original) node id to a partition label; the
     injected edges are a uniformly random set of ``count`` non-adjacent node
-    pairs whose labels differ.
+    pairs whose labels differ.  ``count`` and ``seed`` must be nonnegative
+    integers.
     """
 
     count: int
@@ -186,10 +188,13 @@ class NegativeInjection:
     partition: Mapping[int, object]
 
     def __post_init__(self):
-        if self.count < 0:
+        if not _is_nonnegative_int(self.count):
             raise GraphError(
-                f"cannot inject {self.count} negative edges: the count must be nonnegative"
+                f"cannot inject {self.count!r} negative edges: "
+                "the count must be a nonnegative integer"
             )
+        if not _is_nonnegative_int(self.seed):
+            raise GraphError(f"injection seed {self.seed!r} must be a nonnegative integer")
 
 
 @dataclass
@@ -236,8 +241,12 @@ def preprocess(
     terms of the original ids.
 
     Records are checked exactly as :func:`load_graph` checks them, except
-    that self-loops are counted and dropped.  Time and memory are
-    O(m + inject.count) for m input records.
+    that self-loops are counted and dropped.  Memory is O(m + inject.count)
+    for m input records, and so is time, up to the sorts: one of the
+    records unless they already ascend, those of the injection's batches,
+    and one of the surviving edges by endpoint, made only when the peel
+    takes a second round.  The injected pairs are merged into the ascending
+    kept pairs, so the graph is built without a sort.
 
     ``source`` may be raw ``(u, w[, sign])`` records or an already validated
     :class:`AttributedGraph` (whose records are then re-filtered, which makes
@@ -268,8 +277,11 @@ def preprocess(
     if inject is not None:
         new_lo, new_hi = _inject_negative_edges(ids, lo, hi, inject)
         report.injected_edges = list(zip(ids[new_lo].tolist(), ids[new_hi].tolist()))
-        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
-        signs = np.concatenate((signs, np.full(new_lo.size, -1, dtype=np.int8)))
+        # Both pair lists ascend: merged, the pairs reach the graph in order.
+        n = ids.size
+        at = np.searchsorted(_pair_codes(lo, hi, n), _pair_codes(new_lo, new_hi, n))
+        lo, hi = np.insert(lo, at, new_lo), np.insert(hi, at, new_hi)
+        signs = np.insert(signs, at, np.int8(-1))
 
     alive, report.filter_rounds = _peel(ids.size, lo, hi, min_degree)
     report.removed_nodes = ids[~alive].tolist()
@@ -576,32 +588,42 @@ def _peel(n: int, lo: np.ndarray, hi: np.ndarray, min_degree: int) -> tuple[np.n
     """Nodes that survive removing, in synchronous rounds, every node of degree
     below ``min_degree``; and the number of rounds that removed any.
 
-    Each round looks only at the edges of the nodes it removes, so all rounds
-    together take O(n + m).
+    The first round finds its dying edges with one O(m) mask.  Only if a
+    second round is needed are the surviving edges grouped by endpoint, in
+    one sort, into each node's neighbours; each later round then reads only
+    the neighbours of the nodes it removes, so all rounds together take
+    O(n + m) after that sort.  A round counts a node's neighbours and does not
+    depend on their order, which an unstable sort leaves open.
     """
     alive = np.ones(n, dtype=bool)
-    ends = np.concatenate((lo, hi))
-    degree = np.bincount(ends, minlength=n)
-    doomed = np.flatnonzero(degree < min_degree)
-    if doomed.size == 0:
+    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    doomed = degree < min_degree
+    if not doomed.any():
         return alive, 0
+    alive[doomed] = False
+    live = alive[lo] & alive[hi]
+    dying = ~live
+    degree -= np.bincount(lo[dying], minlength=n) + np.bincount(hi[dying], minlength=n)
+    doomed = np.flatnonzero(alive & (degree < min_degree))
+    if doomed.size == 0:
+        return alive, 1
+    # A dead node has no surviving edge, so ``degree`` is each node's row length.
+    lo, hi = lo[live], hi[live]
     row_len = degree.copy()
     row_start = np.cumsum(row_len) - row_len
-    edge_at = np.argsort(ends, kind="stable") % lo.size
-    live = np.ones(lo.size, dtype=bool)
-    rounds = 0
+    neighbour = np.concatenate((hi, lo))[np.argsort(np.concatenate((lo, hi)))]
+    rounds = 1
     while doomed.size:
         rounds += 1
         alive[doomed] = False
         counts = row_len[doomed]
         slots = np.repeat(row_start[doomed] - np.cumsum(counts) + counts, counts)
-        dying = np.unique(edge_at[slots + np.arange(slots.size)])
-        dying = dying[live[dying]]
-        live[dying] = False
-        touched = np.concatenate((lo[dying], hi[dying]))
+        # Each neighbour of a removed node loses an edge.  Neighbours that died
+        # in an earlier round, or die in this one, lose it too, but the degree
+        # of a dead node is not read again.
+        touched = neighbour[slots + np.arange(slots.size)]
         np.subtract.at(degree, touched, 1)
-        touched = np.unique(touched)
-        doomed = touched[alive[touched] & (degree[touched] < min_degree)]
+        doomed = np.unique(touched[alive[touched] & (degree[touched] < min_degree)])
     return alive, rounds
 
 
@@ -610,6 +632,9 @@ def _peel(n: int, lo: np.ndarray, hi: np.ndarray, min_degree: int) -> tuple[np.n
 # count is close to all available pairs.
 _DRAW_SLACK = 1.25
 _MAX_DRAWS_PER_PAIR = 3.0
+
+# The label of a node that the partition does not list.
+_NO_LABEL = object()
 
 
 def _inject_negative_edges(
@@ -626,19 +651,21 @@ def _inject_negative_edges(
     capped at a few per cross pair: O(m + count) draws.
     """
     original_ids = ids.tolist()
-    missing = [v for v in original_ids if v not in inject.partition]
-    if missing:
+    # ``get`` neither adds a key to nor defaults from a dict subclass such as
+    # ``defaultdict``: a node it does not list has no label.
+    labels = list(map(inject.partition.get, original_ids, repeat(_NO_LABEL)))
+    # Label codes in order of first appearance over the ascending ids.
+    code_of = {lab: code for code, lab in enumerate(dict.fromkeys(labels))}
+    if _NO_LABEL in code_of:
+        missing = [v for v, lab in zip(original_ids, labels) if lab is _NO_LABEL]
         raise GraphError(
             f"partition labels missing for {len(missing)} nodes (first: {missing[:5]})"
         )
-    label_of: dict = {}
-    label = np.array(
-        [label_of.setdefault(inject.partition[v], len(label_of)) for v in original_ids],
-        dtype=np.int64,
-    )
     n = ids.size
+    label = np.fromiter(map(code_of.__getitem__, labels), dtype=np.int64, count=n)
     size = np.bincount(label)
-    existing = np.sort(_pair_codes(lo, hi, n)[label[lo] != label[hi]])
+    # The pairs ascend, so their codes do.
+    existing = _pair_codes(lo, hi, n)[label[lo] != label[hi]]
     cross = (n * n - int(size @ size)) // 2
     available = cross - existing.size
     if inject.count > available:
@@ -681,6 +708,10 @@ def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     hit = pos < sorted_codes.size
     hit[hit] = sorted_codes[pos[hit]] == codes[hit]
     return hit
+
+
+def _is_nonnegative_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
 
 
 def _check_node_id(u) -> int:

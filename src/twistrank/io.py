@@ -365,9 +365,12 @@ def _int_texts(values: np.ndarray) -> np.ndarray:
 
 
 def _int8_column(values: np.ndarray) -> _Column:
-    """The texts of int8 values, gathered by their bytes from a table of all 256."""
-    table = _text_block([str(b - 256 if b > 127 else b) for b in range(256)])
-    return _Column(table, values.astype(np.int8, copy=False).view(np.uint8))
+    """The texts of int8 values, gathered from a table of the range they span."""
+    values = values.astype(np.int8, copy=False)
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    table = _text_block([str(v) for v in range(low, high + 1)])
+    # Each value's offset from ``low``, below 256, is its byte less ``low``'s.
+    return _Column(table, values.view(np.uint8) - np.uint8(low % 256))
 
 
 def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -65,6 +66,13 @@ def paper_scale_edges(tmp_path, paper_scale_graph):
     return path
 
 
+# The files besides manifest.json that each command writes (preprocess
+# without --attrs).
+_COMMAND_FILES = {"preprocess": ["edges.txt", "report.json"],
+                  "rank": ["ranking.csv", "ranking.json"],
+                  "sweep": ["sweep.csv", "sweep.json"]}
+
+
 def _child_runs(tmp_path, argv, settings):
     """``twistrank argv`` in one child interpreter per entry of ``settings``, a
     name mapped to the environment variables to set on top of this process's,
@@ -81,8 +89,7 @@ def _child_runs(tmp_path, argv, settings):
                               env=env, capture_output=True)
         assert done.returncode == 0, done.stderr
         runs[name] = (done.stdout, read_tree(out))
-    files = ["manifest.json", *(["sweep.csv", "sweep.json"] if argv[0] == "sweep"
-                                else ["ranking.csv", "ranking.json"])]
+    files = sorted(["manifest.json", *_COMMAND_FILES[argv[0]]])
     assert all(sorted(tree) == files for _, tree in runs.values())
     return runs
 
@@ -93,7 +100,11 @@ def machine_inputs(tmp_path_factory):
     skewed 2,000-node graph and of a 9-target ad ``sweep`` on a skewed
     1,000-node graph with 8 topic weights per node.  Both are large enough
     that a theta sum whose order depends on the BLAS kernel or the CPU
-    dispatch moves a printed byte."""
+    dispatch moves a printed byte.  Also a ``preprocess`` of a skewed
+    3,000-node graph's records, reversed, with 2,000 injected edges, whose
+    peel at min-degree 5 takes three rounds: its grouping sort of about
+    30,000 endpoints over 3,000 nodes is tied enough that, on a CPU with
+    AVX-512, numpy's unstable sort orders the ties by the CPU dispatch."""
     root = tmp_path_factory.mktemp("machine")
     rng = np.random.default_rng(1)
     skewed = root / "skewed.txt"
@@ -112,7 +123,13 @@ def machine_inputs(tmp_path_factory):
     lo, hi, _ = g.pairs()
     f = np.minimum(scores[lo], scores[hi])
     gammas = f.min() + np.arange(1, 10) / 10 * (f.max() - f.min())
+    raw, labels = root / "raw.txt", root / "labels.txt"
+    peeled = skewed_signed_graph(np.random.default_rng(2), 3000, 14000)
+    write(raw, "".join(f"{w} {u} {s}\n" for u, w, s in edge_list(peeled)[::-1]))
+    write(labels, "".join(f"{v} L{v * 7 % 4}\n" for v in range(3000)))
     return {
+        "preprocess": ["preprocess", "--edges", str(raw), "--partition", str(labels),
+                       "--inject-negative", "2000", "--seed", "4", "--min-degree", "5"],
         "trust-rank": ["rank", "--edges", str(skewed), "--measure", "trust", "--gamma", "0.3",
                        "--beta1", "0.7", "--beta2", "0.3"],
         "ad-sweep": ["sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
@@ -229,6 +246,62 @@ class TestPreprocessCommand:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("labels", ["a a b", "a a a"], ids=["non-edge", "none-available"])
+    def test_negative_seed_is_a_data_error(self, tmp_path, capsys, labels):
+        """One line naming the seed, whether or not a non-edge could be drawn."""
+        edges, part = tmp_path / "edges.txt", tmp_path / "part.txt"
+        write(edges, "0 1 1\n1 2 1\n")
+        write(part, "".join(f"{v} {lab}\n" for v, lab in enumerate(labels.split())))
+        code = main(["preprocess", "--edges", str(edges), "--partition", str(part),
+                     "--inject-negative", "1", "--seed", "-3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: injection seed -3 must be a nonnegative integer\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_injected_set_is_pinned(self, tmp_path, monkeypatch, capsys):
+        """300 scattered ids in 5 labels, whose first appearance over the
+        ascending ids (q m h z c) is not their sorted order; the partition
+        file lists its ids in descending order, and ten that are not on the
+        graph.  The label codes order the draws, so the injected set pins
+        them.  The peel takes two rounds."""
+        monkeypatch.chdir(tmp_path)
+        ident = [7 * i + i % 3 for i in range(300)]
+        pairs = {}
+        for i in range(300):
+            for j in ((i * 37 + 11) % 300, (i + 1) % 300)[i % 4 == 0:]:
+                a, b = ident[i], ident[j]
+                pairs[a, b] = -1 if (a + b) % 5 == 0 else 1
+        write(tmp_path / "edges.txt", "".join(f"{a} {b} {s}\n" for (a, b), s in pairs.items()))
+        names = ["q", "m", "z", "c", "h"]
+        labels = {ident[i]: names[(i * i + i // 7) % 5] for i in range(300)}
+        labels.update({5000 + 3 * j: names[j % 5] for j in range(10)})
+        write(tmp_path / "part.txt",
+              "".join(f"{v} {labels[v]}\n" for v in sorted(labels, reverse=True)))
+        assert main(["preprocess", "--edges", "edges.txt", "--partition", "part.txt",
+                     "--inject-negative", "24", "--seed", "9", "--min-degree", "3",
+                     "--out", "out"]) == 0
+        assert capsys.readouterr().out == (
+            "preprocessed graph: n=286 m=512 (m+=387, m-=125); removed 14 nodes\n"
+        )
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["filter_rounds"] == 2
+        assert report["injected_edges"] == [
+            [21, 1877], [50, 1087], [134, 1276], [239, 1113], [323, 1499], [478, 1016],
+            [533, 1927], [554, 1344], [604, 1087], [617, 1919], [646, 1512], [730, 1570],
+            [764, 1806], [882, 1465], [898, 1675], [919, 1596], [1008, 2016], [1045, 1402],
+            [1121, 1890], [1260, 1423], [1381, 1940], [1457, 1919], [1617, 1633],
+            [1827, 1906],
+        ]
+        digests = {name: hashlib.sha256(data).hexdigest()[:16]
+                   for name, data in read_tree(tmp_path / "out").items()}
+        assert digests == {
+            "edges.txt": "7ad2bc417874221c",
+            "manifest.json": "34ad6b7e4f1b3f5b",
+            "report.json": "23f6d122cc99a4b8",
+        }
 
     def test_reads_and_writes_through_the_traced_names(self, tmp_path, monkeypatch, capsys):
         names = ("read_edge_list", "read_partition", "write_edge_list", "write_json")
@@ -558,17 +631,19 @@ class TestRankCommand:
             assert calls == {"format_score": distinct + 2}
             assert len((out / "ranking.csv").read_text().splitlines()) == g.n + 1
 
-    @pytest.mark.parametrize("case", ["beta-1-0", "beta-0.7-0.3", "ad-sweep"])
+    @pytest.mark.parametrize("case", ["beta-1-0", "beta-0.7-0.3", "ad-sweep", "preprocess"])
     def test_bytes_do_not_depend_on_the_cpu_dispatch(self, tmp_path, paper_scale_edges,
                                                      machine_inputs, case):
-        """A trust ``rank`` at two walk mixes and an ad ``sweep``, each in two
-        child interpreters, one with numpy's AVX-512 kernels disabled, write
-        the same bytes: a first check that reruns on another machine
-        reproduce the outputs.  The last bits of a Newton solve can depend on
-        the kernels, so sweep.json prints theta at 12 digits, as sweep.csv
-        does."""
-        if case == "ad-sweep":
-            argv = machine_inputs["ad-sweep"]
+        """A trust ``rank`` at two walk mixes, an ad ``sweep`` and a
+        ``preprocess`` that injects and peels, each in two child
+        interpreters, one with numpy's AVX-512 kernels disabled, write the
+        same bytes: a first check that reruns on another machine reproduce
+        the outputs.  The last bits of a Newton solve can depend on the
+        kernels, so sweep.json prints theta at 12 digits, as sweep.csv does.
+        The tie order of an unstable sort can depend on them too, so none may
+        reach the bytes."""
+        if case in ("ad-sweep", "preprocess"):
+            argv = machine_inputs[case]
         else:
             beta1, beta2 = case.split("-")[1:]
             argv = ["rank", "--edges", str(paper_scale_edges), "--measure", "trust",
@@ -576,6 +651,9 @@ class TestRankCommand:
         no_avx512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
         runs = _child_runs(tmp_path, argv, {"default": {}, "no-avx512": no_avx512})
         assert runs["default"] == runs["no-avx512"]
+        if case == "preprocess":
+            report = json.loads(runs["default"][1]["report.json"])
+            assert report["filter_rounds"] == 3
 
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                         reason="OPENBLAS_CORETYPE names x86 cores")

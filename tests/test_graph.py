@@ -1,5 +1,6 @@
 """Graph loading, statistics, and the preprocessing pipeline."""
 
+import collections
 import itertools
 import json
 import re
@@ -249,6 +250,18 @@ class TestPreprocess:
         with pytest.raises(GraphError, match="partition labels missing"):
             tr.preprocess([(0, 1, 1)], inject=inject)
 
+    @pytest.mark.parametrize("partition", [
+        collections.defaultdict(lambda: "a", {0: "b"}), collections.Counter({0: 3}),
+    ], ids=["defaultdict", "counter"])
+    def test_a_dict_subclass_default_is_no_label(self, partition):
+        """A node the partition does not list is missing, whatever the
+        mapping's default, and the partition gains no key."""
+        inject = tr.NegativeInjection(count=1, seed=0, partition=partition)
+        with pytest.raises(GraphError, match=r"^partition labels missing for 2 nodes "
+                                             r"\(first: \[1, 2\]\)$"):
+            tr.preprocess([(0, 1, 1), (1, 2, 1)], inject=inject)
+        assert list(partition) == [0]
+
     def test_report_serializes(self):
         result = tr.preprocess([(0, 1, 1), (1, 2, 1)], min_degree=2)
         payload = json.dumps(result.report.to_dict())
@@ -291,10 +304,28 @@ def _reference_preprocess(records, min_degree):
         if prev != s:
             return f"conflicting signs for edge {key}: {prev} and {s}"
     dups = len(records) - loops - len(pair_signs)
+    adjacency = _adjacency(nodes, pair_signs)
+    removed, rounds = _reference_peel(adjacency, min_degree)
+    edges = sorted(
+        (u, w, s) for (u, w), s in pair_signs.items() if u in adjacency and w in adjacency
+    )
+    report = {"self_loops_removed": loops, "duplicate_edges_collapsed": dups,
+              "injected_edges": [], "removed_nodes": sorted(removed), "filter_rounds": rounds}
+    return edges, tuple(sorted(adjacency)), report
+
+
+def _adjacency(nodes, pairs):
+    """Each of ``nodes`` mapped to the set of its neighbours along ``pairs``."""
     adjacency = {v: set() for v in nodes}
-    for u, w in pair_signs:
+    for u, w in pairs:
         adjacency[u].add(w)
         adjacency[w].add(u)
+    return adjacency
+
+
+def _reference_peel(adjacency, min_degree):
+    """Per-node peeling of ``adjacency`` in place, in synchronous rounds:
+    the removed nodes and the number of rounds that removed any."""
     removed, rounds = [], 0
     while doomed := sorted(v for v in adjacency if len(adjacency[v]) < min_degree):
         rounds += 1
@@ -302,12 +333,7 @@ def _reference_preprocess(records, min_degree):
             for w in adjacency.pop(v):
                 adjacency.get(w, set()).discard(v)
         removed += doomed
-    edges = sorted(
-        (u, w, s) for (u, w), s in pair_signs.items() if u in adjacency and w in adjacency
-    )
-    report = {"self_loops_removed": loops, "duplicate_edges_collapsed": dups,
-              "injected_edges": [], "removed_nodes": sorted(removed), "filter_rounds": rounds}
-    return edges, tuple(sorted(adjacency)), report
+    return removed, rounds
 
 
 def _cross_non_edges(records, partition):
@@ -387,6 +413,29 @@ class TestInjectionSampling:
         with pytest.raises(GraphError, match="cannot inject -1 negative edges"):
             tr.NegativeInjection(count=-1, seed=0, partition={})
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2", None])
+    def test_count_that_is_not_an_int_is_rejected(self, count):
+        """Rejected on construction, not as a TypeError while drawing."""
+        with pytest.raises(GraphError, match=f"^cannot inject {re.escape(repr(count))} negative "
+                                             "edges: the count must be a nonnegative integer$"):
+            tr.NegativeInjection(count=count, seed=0, partition={v: v % 2 for v in range(8)})
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, 2.0, True, "7", None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        """Rejected on construction, whether or not any pair could be drawn."""
+        with pytest.raises(GraphError, match=f"^injection seed {re.escape(repr(seed))} "
+                                             "must be a nonnegative integer$"):
+            tr.NegativeInjection(count=1, seed=seed, partition={0: "a", 1: "b"})
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        records, partition = [(v, v + 1, 1) for v in range(7)], {v: v % 2 for v in range(8)}
+        drawn = [
+            tr.preprocess(records, inject=tr.NegativeInjection(
+                count=5, seed=seed, partition=partition)).report.injected_edges
+            for seed in (11, np.int64(11), np.uint8(11))
+        ]
+        assert drawn[0] == drawn[1] == drawn[2]
+
     def test_existing_edges_are_found_on_more_than_46341_nodes(self):
         """n * n > 2**31: a star whose centre is the only node of its label has
         every cross pair but ten as an edge, so only those ten can be injected."""
@@ -399,6 +448,91 @@ class TestInjectionSampling:
             records, inject=tr.NegativeInjection(count=10, seed=3, partition=partition)
         )
         assert sorted(result.report.injected_edges) == [(v, centre) for v in missing]
+
+
+def _path(k):
+    return [(v, v + 1) for v in range(k - 1)]
+
+
+def _caterpillar(spine, legs):
+    """A path of ``spine`` nodes, each with ``legs`` leaves of its own."""
+    leaves = ((s, spine + s * legs + j) for s in range(spine) for j in range(legs))
+    return _path(spine) + list(leaves)
+
+
+def _spider(legs, length):
+    """``legs`` paths of ``length`` nodes into hub 0, and the hub's edge to a
+    triangle: peeled at min-degree 2, the legs reach the hub in one round."""
+    pairs = [(0, 1), (1, 2), (1, 3), (2, 3)]
+    for leg in range(legs):
+        nodes = [0, *range(4 + leg * length, 4 + (leg + 1) * length)]
+        pairs += zip(nodes, nodes[1:])
+    return pairs
+
+
+def _random_pairs(rng, n, m):
+    pairs = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(m)}
+    return sorted(pairs)
+
+
+class TestPeel:
+    def _cases(self):
+        """``(n, pairs, min_degree)``: cascades of 0, 1 and many rounds, and
+        nodes that lose several edges in one round; some nodes have no edge
+        at all."""
+        for k in (1, 2, 3, 4, 5, 8, 31):
+            for min_degree in range(4):
+                yield k + 2, _path(k), min_degree
+        for spine, legs in ((1, 3), (4, 1), (6, 2), (15, 3)):
+            pairs = _caterpillar(spine, legs)
+            for min_degree in range(5):
+                yield spine * (legs + 1), pairs, min_degree
+        for legs, length in ((1, 3), (2, 1), (2, 4), (3, 6)):
+            for min_degree in range(4):
+                yield 4 + legs * length, _spider(legs, length), min_degree
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 80))
+            pairs = _random_pairs(rng, n, int(rng.integers(0, 3 * n)))
+            yield n, pairs, int(rng.integers(0, 5))
+
+    def test_matches_the_per_node_reference(self):
+        rounds_seen = set()
+        for n, pairs, min_degree in self._cases():
+            removed, rounds = _reference_peel(_adjacency(range(n), pairs), min_degree)
+            rng = np.random.default_rng(len(pairs))
+            # The pairs in order, then shuffled and each turned either way.
+            order = [np.arange(len(pairs)), rng.permutation(len(pairs))]
+            for k, at in enumerate(order):
+                ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)[at]
+                if k:
+                    ends = np.where(rng.random((len(ends), 1)) < 0.5, ends, ends[:, ::-1])
+                alive, got_rounds = tg._peel(n, ends[:, 0], ends[:, 1], min_degree)
+                assert np.flatnonzero(~alive).tolist() == sorted(removed), (n, pairs, min_degree)
+                assert got_rounds == rounds
+            rounds_seen.add(rounds)
+        assert {0, 1, 2}.issubset(rounds_seen) and max(rounds_seen) >= 8
+
+    def test_graph_receives_ascending_pairs_after_injection(self, monkeypatch):
+        """The injected pairs are merged into the kept ones, so the graph is
+        handed pairs that already ascend and needs no sort of its own."""
+        handed = []
+
+        class Recorded(tg.AttributedGraph):
+            def __init__(self, ids, lo, hi, signs, node_attrs):
+                handed.append(bool((lo < hi).all()) and tg._ascending(lo, hi))
+                super().__init__(ids, lo, hi, signs, node_attrs)
+
+        monkeypatch.setattr(tg, "AttributedGraph", Recorded)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(20, 60))
+            records = [(u, w, 1) for u, w in _random_pairs(rng, n, 2 * n)]
+            partition = {v: int(rng.integers(0, 3)) for v in range(n)}
+            inject = tr.NegativeInjection(count=n // 2, seed=seed, partition=partition)
+            result = tr.preprocess(records[::-1], min_degree=seed % 4, inject=inject)
+            assert len(result.report.injected_edges) == n // 2
+        assert handed == [True] * 10
 
 
 class TestRecordValidation:

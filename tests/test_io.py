@@ -913,6 +913,16 @@ RENDER_IDS = {
              + [10**k for k in range(19) if k not in (9, 12, 18)],
     "beyond-int64": [0, 2**32, 7, 2**63, 10**25, 2**63 - 1, 2**64 + 1, 10**19, 10**20 + 3],
 }
+@pytest.mark.parametrize("values", [[], [1], [-1], [1, -1, 1], [-128, 127, 0], [5, 3, 4],
+                                    list(range(-128, 128))[::-1]])
+def test_int8_texts_cover_the_range_of_the_values(values):
+    """Gathered from a table of the range the values span, the texts are
+    those of ``str``, at both ends of int8 too."""
+    column = tio._int8_column(np.array(values, dtype=np.int8))
+    assert len(column.texts) == (max(values) - min(values) + 1 if values else 1)
+    assert _block_texts(column.texts[column.index]) == [str(v) for v in values]
+
+
 RENDER_SCORES = [-0.0, 1e-320, 1e300, math.nan, math.inf, -math.inf, 0.0, 0.25, 5.0, -1e-5]
 RENDER_VALUES = [-0.0, 1e-320, 1e300, -1e300, 5e-324, 0.1, 1 / 3, 7.0]
 
