@@ -28,10 +28,7 @@ from .graph import (
     preprocess,
     stats,
 )
-from .sampling import (
-    WalkConfig,
-    path_count,
-)
+from .sampling import WalkConfig
 from .twisting import (
     MinInnerProduct,
     SignMin,
@@ -78,7 +75,6 @@ __all__ = [
     "jaccard",
     "load_graph",
     "measure_for",
-    "path_count",
     "preprocess",
     "resolve_theta",
     "stats",

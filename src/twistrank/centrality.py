@@ -58,13 +58,6 @@ def _step_weights(theta: float) -> tuple[float, float]:
     return math.exp(theta - abs(theta)), math.exp(-theta - abs(theta))
 
 
-def _out_weights(gs: GraphStats, theta: float) -> np.ndarray:
-    # Tilted weight k+ e^theta + k- e^-theta of the steps out of each node,
-    # scaled as in _step_weights; also each node's length-1 start mass.
-    ep, en = _step_weights(theta)
-    return gs.pos_degree * ep + gs.neg_degree * en
-
-
 def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
     pos = walk.beta1 * gs.m_pos / gs.m
     neg = walk.beta1 * gs.m_neg / gs.m
@@ -88,11 +81,13 @@ def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
 
 def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool) -> np.ndarray:
     # Unnormalized start masses, without the common factor 1 / (2 m).
-    out = _out_weights(gs, theta)
+    ep, en = _step_weights(theta)
+    kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
+    # Tilted weight k+ e^theta + k- e^-theta of the steps out of each node,
+    # scaled as in _step_weights; also each node's length-1 start mass.
+    out = kp * ep + kn * en
     scores = walk.beta1 * out
     if walk.beta2 > 0:
-        ep, en = _step_weights(theta)
-        kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
         # The second step's weight after a positive or a negative first edge
         # u-v, over k_v; an isolated node is no middle node.
         after_pos, after_neg = np.divide([out, k * en if is_min else kn * ep + kp * en], k,

@@ -236,9 +236,9 @@ def preprocess(
     duplicate records with conflicting signs are rejected), drop self-loops,
     optionally inject ``inject.count`` negative edges between uniformly
     random cross-partition non-adjacent pairs (seeded, reproducible), then
-    repeatedly remove nodes of degree below ``min_degree`` until the graph is
-    stable.  Surviving nodes are compacted; the report lists the removals in
-    terms of the original ids.
+    repeatedly remove nodes of degree below ``min_degree``, a nonnegative
+    int, until the graph is stable.  Surviving nodes are compacted; the
+    report lists the removals in terms of the original ids.
 
     Records are checked exactly as :func:`load_graph` checks them, except
     that self-loops are counted and dropped.  Memory is O(m + inject.count)
@@ -252,8 +252,8 @@ def preprocess(
     :class:`AttributedGraph` (whose records are then re-filtered, which makes
     the operation idempotent when injection is disabled).
     """
-    if min_degree < 0:
-        raise ValueError("min_degree must be nonnegative")
+    if not _is_nonnegative_int(min_degree):
+        raise ValueError(f"min_degree {min_degree!r} must be a nonnegative integer")
     if isinstance(source, AttributedGraph):
         if attr_records is not None:
             raise ValueError("attr_records cannot be combined with a graph source")
@@ -715,9 +715,13 @@ def _is_nonnegative_int(x) -> bool:
 
 
 def _check_node_id(u) -> int:
-    if isinstance(u, bool) or int(u) != u or int(u) < 0:
+    try:
+        node = None if isinstance(u, bool) else int(u)
+    except (OverflowError, TypeError, ValueError):  # int() of inf, NaN, None or text
+        node = None
+    if node is None or node != u or node < 0:
         raise GraphError(f"node id {u!r} must be a nonnegative integer")
-    return int(u)
+    return node
 
 
 def _check_sign(s, u, w) -> int:

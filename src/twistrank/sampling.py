@@ -2,20 +2,14 @@
 
 The short random walk picks a start node proportionally to degree and then
 walks one step with probability beta1 or two steps with probability beta2.
-It is the distribution every centrality tilts.
+It is the distribution every centrality tilts.  Its walks are enumerated,
+counted and budgeted by the oracle in :mod:`twistrank.verify`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import EnumerationBudgetError
-from .graph import AttributedGraph
-
-DEFAULT_PATH_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -40,29 +34,12 @@ class WalkConfig:
             )
 
 
-def path_count(g: AttributedGraph, cfg: WalkConfig) -> int:
-    """Number of walks :func:`twistrank.verify.enumerate_paths` would yield."""
-    count = 0
-    if cfg.beta1 > 0:
-        count += 2 * g.m
-    if cfg.beta2 > 0:
-        degree = np.bincount(np.concatenate(g.pairs()[:2]), minlength=g.n)
-        count += int(degree @ degree)
-    return count
-
-
-def _check_budget(g: AttributedGraph, cfg: WalkConfig) -> None:
-    """Raise if ``g`` has more walks than ``DEFAULT_PATH_BUDGET`` (read at call time)."""
-    required = path_count(g, cfg)
-    if required > DEFAULT_PATH_BUDGET:
-        raise EnumerationBudgetError(required, DEFAULT_PATH_BUDGET)
-
-
-# perfbench/spans.py still looks oracle functions up in sampling, twisting and
-# centrality.  Their forwards to twistrank.verify, where the oracle lives, go
-# once ROADMAP item 1 names that module in SPANS.
+# perfbench/spans.py and perfbench/child.py still look these oracle functions
+# up in sampling, twisting and centrality.  Their forwards to twistrank.verify,
+# where the oracle lives, go once ROADMAP item 1 names that module in SPANS.
+# DEFAULT_PATH_BUDGET is not forwarded: setting it here would change nothing.
 def __getattr__(name):
-    if name == "enumerate_paths":
+    if name in ("enumerate_paths", "path_count"):
         from . import verify
         return getattr(verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

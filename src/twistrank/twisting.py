@@ -3,12 +3,13 @@
 Given the base short-walk distribution p0 and a scalar path measure f, the
 tilted distribution p(r) = C * exp(theta * f(r)) * p0(r) is the closest
 distribution to p0 in Kullback-Leibler divergence among those whose mean
-path measure hits a prescribed target.  This module evaluates path
-measures, on one walk or on an ``(N, L)`` block of walks with one walk per
-row, computes the tilt in the log domain, and solves for the scalar
+path measure hits a prescribed target.  This module defines the path
+measures, computes the tilt in the log domain, and solves for the scalar
 temperature theta at which the mean measure, the derivative of the free
 energy F = log(1/C), hits a target: on a table of atoms (values and
 masses), in closed form for two atoms, by Newton iteration otherwise.
+Production never evaluates a measure on a walk; the enumeration oracle
+in :mod:`twistrank.verify` does.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ class SignProduct:
     scoring.
     """
 
-    def evaluate(self, graph: AttributedGraph, nodes) -> float | np.ndarray:
-        return _per_walk(_step_signs(graph, nodes).prod(axis=-1))
-
 
 class SignMin:
     """Minimum edge sign along a path: -1 unless every traversed edge is positive.
@@ -43,42 +41,6 @@ class SignMin:
     A path counts as fully trusted only when it is a chain of positive
     edges, so one negative edge poisons the whole walk.
     """
-
-    def evaluate(self, graph: AttributedGraph, nodes) -> float | np.ndarray:
-        return _per_walk(_step_signs(graph, nodes).min(axis=-1))
-
-
-def _step_signs(graph: AttributedGraph, nodes) -> np.ndarray:
-    """Edge signs of the steps of one walk, or of each walk of a block."""
-    return graph.csr()[2][_step_entries(graph, nodes)]
-
-
-def _step_entries(graph: AttributedGraph, nodes) -> np.ndarray:
-    """CSR entry of each step of one walk, or of each walk of a block.
-
-    Each step ``u -> w`` is found among the CSR entry codes ``row * n + col``,
-    which ascend because the rows do and so does each row.  A step that is
-    not an edge between graph nodes raises :class:`GraphError`.
-    """
-    n = graph.n
-    indptr, indices, _ = graph.csr()
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    # The int64 maximum follows every code, so each step lands on an entry.
-    codes = np.append(rows * n + indices, np.iinfo(np.int64).max)
-    nodes = np.asarray(nodes, dtype=np.int64)
-    u, w = nodes[..., :-1], nodes[..., 1:]
-    steps = u * n + w
-    at = np.searchsorted(codes, steps)
-    # A node outside 0..n-1 would read another row: (0, n + w) is coded as (1, w).
-    missing = (codes[at] != steps) | (np.minimum(u, w) < 0) | (np.maximum(u, w) >= n)
-    if missing.any():
-        raise GraphError(f"no edge between nodes {u[missing][0]} and {w[missing][0]}")
-    return at
-
-
-def _per_walk(values: np.ndarray) -> float | np.ndarray:
-    # A float for one walk, an array of floats for a block of them.
-    return float(values) if values.ndim == 0 else values.astype(float)
 
 
 class MinInnerProduct:
@@ -94,15 +56,6 @@ class MinInnerProduct:
             raise ValueError("score vector must be a nonempty one-dimensional array")
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("score vector must be finite")
-
-    def evaluate(self, graph: AttributedGraph, nodes) -> float | np.ndarray:
-        self._check_dim(graph)
-        nodes = np.asarray(nodes)
-        _step_entries(graph, nodes)  # each step must be an edge, as for the sign measures
-        # One BLAS dot product per node, not node_scores' multiply-and-sum, so
-        # that the oracle shares no kernel with production.
-        z = np.array([row @ self.scores for row in graph.node_attrs])
-        return _per_walk(z[nodes].min(axis=-1))
 
     def node_scores(self, graph: AttributedGraph) -> np.ndarray:
         """Inner product of every node's attribute vector with the score vector.

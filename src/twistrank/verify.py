@@ -1,7 +1,9 @@
 """Self-verification: the enumeration oracle and the cross-checks against it.
 
 The oracle computes each quantity from every walk or endpoint pair; ``rank``,
-``sweep`` and ``preprocess`` never import it.  Each check recomputes a
+``sweep`` and ``preprocess`` never import it.  It alone counts and enumerates
+the walks, within a budget, and evaluates the path measures on them
+(:func:`walk_values`).  Each check recomputes a
 quantity along two independent routes (structural summation vs path
 enumeration, analytic gradient vs finite differences, closed form vs
 pipeline) and reports the largest observed deviation.
@@ -14,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphError, SolveError, TwistrankError
+from .errors import EnumerationBudgetError, GraphError, SolveError, TwistrankError
 from .graph import AttributedGraph, GraphStats, _contains, _index_dtype
-from .sampling import WalkConfig, _check_budget
+from .sampling import WalkConfig
 from .twisting import (MinInnerProduct, SignMin, SignProduct, _check_target, _solve_scalar,
                        _tilt, _two_atom_theta, theta_value)
-from .centrality import CentralityRanking, TiltModel, _out_weights
+from .centrality import CentralityRanking, TiltModel
+
+DEFAULT_PATH_BUDGET = 20_000_000
 
 WALK_MIXES = (WalkConfig(1.0, 0.0), WalkConfig(0.7, 0.3), WalkConfig(0.0, 1.0))
 THETAS = (-2.0, 0.0, 1.5)
@@ -152,6 +156,24 @@ def _reverse_index(table) -> np.ndarray:
                           dtype=_index_dtype(len(one) + len(two)))
 
 
+def path_count(g: AttributedGraph, cfg: WalkConfig) -> int:
+    """Number of walks :func:`enumerate_paths` would yield."""
+    count = 0
+    if cfg.beta1 > 0:
+        count += 2 * g.m
+    if cfg.beta2 > 0:
+        degree = np.bincount(np.concatenate(g.pairs()[:2]), minlength=g.n)
+        count += int(degree @ degree)
+    return count
+
+
+def _check_budget(g: AttributedGraph, cfg: WalkConfig) -> None:
+    """Raise if ``g`` has more walks than ``DEFAULT_PATH_BUDGET`` (read at call time)."""
+    required = path_count(g, cfg)
+    if required > DEFAULT_PATH_BUDGET:
+        raise EnumerationBudgetError(required, DEFAULT_PATH_BUDGET)
+
+
 def enumerate_paths(g: AttributedGraph, cfg: WalkConfig) -> tuple:
     """Every ordered walk of positive base mass once, as ``((one, p1), (two, p2))``.
 
@@ -162,7 +184,7 @@ def enumerate_paths(g: AttributedGraph, cfg: WalkConfig) -> tuple:
     sum to 1 together.  A walk whose mass underflows to 0 (as at beta1 =
     5e-324) is left out, and with it its reverse, which has the same middle node
     and mass.  Raises before allocating any walk if there are more than
-    ``sampling.DEFAULT_PATH_BUDGET``.
+    ``DEFAULT_PATH_BUDGET``.
     """
     if g.m == 0:
         raise GraphError("cannot enumerate paths of an edgeless graph")
@@ -231,7 +253,7 @@ def path_table(g: AttributedGraph, measure, walk: WalkConfig) -> PathTable:
     exceeds the default budget of :func:`enumerate_paths`.
     """
     (one, p1), (two, p2) = enumerate_paths(g, walk)
-    f = np.concatenate([measure.evaluate(g, one), measure.evaluate(g, two)])
+    f = np.concatenate([walk_values(g, measure, one), walk_values(g, measure, two)])
     p0 = np.concatenate([p1, p2])
     # math.log rather than np.log, which can differ from it in the last bit.
     # The masses come in runs, one for the length-1 walks and one per middle
@@ -240,6 +262,40 @@ def path_table(g: AttributedGraph, measure, walk: WalkConfig) -> PathTable:
     logs = [math.log(p) for p in p0[start].tolist()]
     logp0 = np.repeat(logs, np.diff(start, append=p0.size))
     return PathTable(n=g.n, walks=(one, two), f=f, p0=p0, logp0=logp0)
+
+
+def walk_values(g: AttributedGraph, measure, walks) -> np.ndarray:
+    """The measure of each walk of an ``(N, L)`` block of node ids, one walk per row.
+
+    Each step ``u -> w`` is looked up among the CSR entry codes ``row * n +
+    col``, which ascend because the rows do and so does each row; a step
+    that is not an edge between graph nodes raises :class:`GraphError`, so
+    a misindexed enumeration fails here.  The sign measures take the product
+    or the minimum of the steps' edge signs.  The advertisement measure
+    takes one BLAS dot product per node, not ``node_scores``' multiply-and-sum,
+    so that the oracle shares no kernel with production.
+    """
+    if isinstance(measure, MinInnerProduct):
+        measure._check_dim(g)
+    walks = np.asarray(walks, dtype=np.int64)
+    n = g.n
+    indptr, indices, signs = g.csr()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # The int64 maximum follows every code, so each step lands on an entry.
+    codes = np.append(rows * n + indices, np.iinfo(np.int64).max)
+    u, w = walks[:, :-1], walks[:, 1:]
+    steps = u * n + w
+    at = np.searchsorted(codes, steps)
+    # A node outside 0..n-1 would read another row: (0, n + w) is coded as (1, w).
+    missing = (codes[at] != steps) | (np.minimum(u, w) < 0) | (np.maximum(u, w) >= n)
+    if missing.any():
+        raise GraphError(f"no edge between nodes {u[missing][0]} and {w[missing][0]}")
+    if isinstance(measure, SignProduct):
+        return signs[at].prod(axis=1).astype(float)
+    if isinstance(measure, SignMin):
+        return signs[at].min(axis=1).astype(float)
+    z = np.array([row @ measure.scores for row in g.node_attrs])
+    return z[walks].min(axis=1)
 
 
 def twist(table: PathTable, theta: float) -> tuple[TwistResult, np.ndarray]:
@@ -332,7 +388,7 @@ def bivariate(model: TiltModel, theta: float) -> BivariateDistribution:
     exp(theta * f(u, v, w)) * beta2 / (2 m * deg(v))].  Exponents are shifted
     by their maximum before exponentiation, so the normalization survives
     large |theta|.  The pair count grows like the walk count, so a walk mix
-    with more than ``sampling.DEFAULT_PATH_BUDGET`` walks is rejected.
+    with more than ``DEFAULT_PATH_BUDGET`` walks is rejected.
     """
     g = model.graph
     if g.m == 0:
@@ -405,7 +461,10 @@ def influence_closed_form(graph_stats: GraphStats, theta: float) -> CentralityRa
     """
     if graph_stats.m == 0:
         raise GraphError("closed-form scores are undefined on an edgeless graph")
-    scores = _out_weights(graph_stats, float(theta))
+    theta = float(theta)
+    # e^theta and e^-theta, both scaled by e^-|theta| so that neither overflows.
+    ep, en = math.exp(theta - abs(theta)), math.exp(-theta - abs(theta))
+    scores = graph_stats.pos_degree * ep + graph_stats.neg_degree * en
     return CentralityRanking.from_scores(scores / scores.sum())
 
 

@@ -55,7 +55,7 @@ class TestBivariate:
             assert b.pair_mass(w, u) == pytest.approx(mass, abs=1e-13)
 
     def test_budget_propagates(self, triangle_pos, monkeypatch):
-        monkeypatch.setattr(tr.sampling, "DEFAULT_PATH_BUDGET", 2)
+        monkeypatch.setattr(verify, "DEFAULT_PATH_BUDGET", 2)
         model = tr.TiltModel(triangle_pos, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
         with pytest.raises(EnumerationBudgetError):
             verify.bivariate(model, 0.0)
@@ -68,9 +68,6 @@ class TestBivariate:
     def test_unknown_measure_rejected(self, triangle_pos):
         class Odd:
             dim = 1
-
-            def evaluate(self, g, nodes):
-                return 0.0
 
         with pytest.raises(TypeError, match="structural pair assembly"):
             verify.bivariate(tr.TiltModel(triangle_pos, Odd(), tr.WalkConfig(1.0, 0.0)), 0.0)

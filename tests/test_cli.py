@@ -261,6 +261,17 @@ class TestPreprocessCommand:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_negative_min_degree_is_a_data_error(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        write(edges, "0 1 1\n1 2 1\n")
+        code = main(["preprocess", "--edges", str(edges), "--min-degree", "-1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: min_degree -1 must be a nonnegative integer\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_injected_set_is_pinned(self, tmp_path, monkeypatch, capsys):
         """300 scattered ids in 5 labels, whose first appearance over the
         ascending ids (q m h z c) is not their sorted order; the partition

@@ -174,6 +174,20 @@ class TestPreprocess:
         result = tr.preprocess(g, min_degree=3)
         assert (tr.stats(result.graph).degree >= 3).all()
 
+    @pytest.mark.parametrize("min_degree", [float("nan"), 1.5, True, -1, "2", None])
+    def test_min_degree_must_be_a_nonnegative_int(self, min_degree):
+        # NaN would peel nothing, 1.5 would act as 2 and True as 1.
+        message = f"^min_degree {re.escape(repr(min_degree))} must be a nonnegative integer$"
+        with pytest.raises(ValueError, match=message):
+            tr.preprocess([(0, 1, 1), (1, 2, 1)], min_degree=min_degree)
+
+    def test_numpy_integer_min_degree_peels_as_its_int(self):
+        records = [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1)]
+        want = tr.preprocess(records, min_degree=2)
+        got = tr.preprocess(records, min_degree=np.int64(2))
+        assert got.graph == want.graph
+        assert got.report.to_dict() == want.report.to_dict() != tr.preprocess(records).report.to_dict()
+
     def test_idempotent_without_injection(self):
         g = random_signed_graph(np.random.default_rng(7))
         once = tr.preprocess(g, min_degree=3)
@@ -550,15 +564,34 @@ class TestRecordValidation:
             (np.array([[0, 1, 1, 1]]), r"edge record \(0, 1, 1, 1\) must have 2 or 3 fields"),
             (np.array([[0, 1, 1], [-3, 2, 1]]), "node id -3 must be a nonnegative integer"),
             (np.array([[0, 1, 1], [2, 3, 4]]), r"edge \(2, 3\) has sign 4; signs must be \+1 or -1"),
+            # int() of these raises OverflowError, ValueError or TypeError.
+            ([(0, 1, 1), (0, float("inf"), 1)], "node id inf must be a nonnegative integer"),
+            ([(0, 1, 1), (float("nan"), 2, 1)], "node id nan must be a nonnegative integer"),
+            (np.array([[0, 1, 1], [0, np.inf, 1]]), "node id inf must be a nonnegative integer"),
+            (np.array([[0, 1, 1], [np.nan, 2, 1]]), "node id nan must be a nonnegative integer"),
+            ([(0, 1, 1), (0, None, 1)], "node id None must be a nonnegative integer"),
+            ([(0, 1, 1), ("x", 2, 1)], "node id 'x' must be a nonnegative integer"),
         ],
         ids=["fields", "node-id", "float-id", "bool-id", "sign", "conflict", "mixed-conflict",
-             "array-fields", "array-node-id", "array-sign"],
+             "array-fields", "array-node-id", "array-sign", "inf-id", "nan-id", "array-inf-id",
+             "array-nan-id", "none-id", "text-id"],
     )
     def test_load_graph_and_preprocess_report_the_same_error(self, records, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
             tr.load_graph(records)
         with pytest.raises(GraphError, match=f"^{message}$"):
             tr.preprocess(records)
+
+    @pytest.mark.parametrize("attrs", [
+        [(0, [1.0]), (float("inf"), [2.0])],
+        (np.array([0.0, np.inf]), np.ones((2, 1))),
+    ], ids=["records", "arrays"])
+    def test_non_finite_attribute_node_id_is_a_graph_error(self, attrs):
+        message = "^node id inf must be a nonnegative integer$"
+        with pytest.raises(GraphError, match=message):
+            tr.load_graph([(0, 1, 1)], attrs)
+        with pytest.raises(GraphError, match=message):
+            tr.preprocess([(0, 1, 1)], attr_records=attrs)
 
     def test_self_loop_is_an_error_only_in_load_graph(self):
         with pytest.raises(GraphError, match="^self-loop on node 7 is not allowed$"):

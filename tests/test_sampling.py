@@ -50,10 +50,10 @@ class TestEnumeration:
         g = random_signed_graph(np.random.default_rng(4))
         blocks = verify.enumerate_paths(g, tr.WalkConfig(0.5, 0.5))
         paths = [tuple(row) for nodes, _ in blocks for row in nodes.tolist()]
-        assert len(paths) == len(set(paths)) == tr.path_count(g, tr.WalkConfig(0.5, 0.5))
+        assert len(paths) == len(set(paths)) == verify.path_count(g, tr.WalkConfig(0.5, 0.5))
 
     def test_budget_enforced_before_yielding(self, triangle_pos, monkeypatch):
-        monkeypatch.setattr(tr.sampling, "DEFAULT_PATH_BUDGET", 3)
+        monkeypatch.setattr(verify, "DEFAULT_PATH_BUDGET", 3)
         with pytest.raises(EnumerationBudgetError) as err:
             verify.enumerate_paths(triangle_pos, tr.WalkConfig(1.0, 0.0))
         assert (err.value.required, err.value.budget) == (6, 3)

@@ -349,10 +349,10 @@ class TestStartMarginal:
 def _csr_order_sign_scores(g, gs, walk, theta, is_min):
     """The unnormalized sign scores as one bincount over the CSR entries in
     row order: the two-step kernel that ran on the CSR before the pairs."""
-    out = centrality_module._out_weights(gs, theta)
-    scores = walk.beta1 * out
     ep, en = centrality_module._step_weights(theta)
     kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
+    out = kp * ep + kn * en
+    scores = walk.beta1 * out
     _, starts, signs = g.csr()
     after_neg = k * en if is_min else kn * ep + kp * en
     inner = np.where(signs > 0, np.repeat(out, k), np.repeat(after_neg, k))

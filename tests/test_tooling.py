@@ -30,13 +30,14 @@ def test_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(module), name, None))
 
 
-# Oracle names that moved into twistrank.verify, and the five that the tracer
+# Oracle names that moved into twistrank.verify, and the six that perfbench
 # still looks up at their old homes, where a module ``__getattr__`` forwards
 # them.
 MOVED = ("enumerate_paths", "PathTable", "TwistResult", "achievable_range", "path_table",
          "solve_theta_closed", "solve_theta_numeric", "twist", "BivariateDistribution",
-         "_pair_terms", "bivariate", "influence_closed_form", "marginal")
+         "_pair_terms", "bivariate", "influence_closed_form", "marginal", "path_count")
 FORWARDED = [("twistrank.sampling", "enumerate_paths"),
+             ("twistrank.sampling", "path_count"),
              ("twistrank.twisting", "solve_theta_closed"),
              ("twistrank.twisting", "solve_theta_numeric"),
              ("twistrank.centrality", "bivariate"),
@@ -74,3 +75,32 @@ def test_twisting_holds_no_per_measure_kernel():
     assert [name for name, value in vars(twisting).items()
             if getattr(value, "__module__", None) == "twistrank.sampling"
             or getattr(value, "__name__", None) == "twistrank.sampling"] == []
+
+
+# The oracle's half of the measures: walk evaluation, and the walk budget.
+WALK_CODE = ("evaluate", "_step_entries", "_step_signs", "_per_walk")
+
+
+def test_twisting_holds_no_walk_evaluation():
+    twisting = importlib.import_module("twistrank.twisting")
+    assert [name for name in WALK_CODE if name in vars(twisting)] == []
+
+
+@pytest.mark.parametrize("measure", ["SignProduct", "SignMin", "MinInnerProduct"])
+def test_no_measure_evaluates_a_walk(measure):
+    assert not hasattr(getattr(importlib.import_module("twistrank"), measure), "evaluate")
+
+
+def test_sampling_holds_no_walk_budget():
+    sampling = importlib.import_module("twistrank.sampling")
+    assert [name for name in ("DEFAULT_PATH_BUDGET", "_check_budget")
+            if hasattr(sampling, name)] == []
+
+
+def test_verify_binds_no_private_name_of_centrality():
+    """The oracle shares no kernel with the production routes it checks."""
+    centrality = importlib.import_module("twistrank.centrality")
+    verify = importlib.import_module("twistrank.verify")
+    private = {id(value) for name, value in vars(centrality).items()
+               if name.startswith("_") and not name.startswith("__") and callable(value)}
+    assert [name for name, value in vars(verify).items() if id(value) in private] == []

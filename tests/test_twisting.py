@@ -21,27 +21,33 @@ def _kl(p, q):
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
+def _value(g, measure, nodes):
+    """The measure of one walk, through a one-row block."""
+    (value,) = verify.walk_values(g, measure, [nodes])
+    return value
+
+
 class TestMeasures:
     def test_sign_product_two_negatives_is_positive(self):
         g = tr.load_graph([(0, 1, -1), (1, 2, -1)])
-        assert tr.SignProduct().evaluate(g, (0, 1, 2)) == 1.0
+        assert _value(g, tr.SignProduct(), (0, 1, 2)) == 1.0
 
     def test_sign_min_one_negative_poisons(self):
         g = tr.load_graph([(0, 1, 1), (1, 2, -1)])
-        assert tr.SignMin().evaluate(g, (0, 1, 2)) == -1.0
+        assert _value(g, tr.SignMin(), (0, 1, 2)) == -1.0
 
     def test_min_inner_product(self):
         g = tr.load_graph([(0, 1, 1)], [(0, [0.2, 0.9]), (1, [0.5, 0.1])])
         measure = tr.MinInnerProduct([1.0, 0.0])
-        assert measure.evaluate(g, (0, 1)) == pytest.approx(0.2)
+        assert _value(g, measure, (0, 1)) == pytest.approx(0.2)
 
     def test_min_inner_product_requires_attributes(self, triangle_pos):
         with pytest.raises(GraphError, match="dimension"):
-            tr.MinInnerProduct([1.0]).evaluate(triangle_pos, (0, 1))
+            _value(triangle_pos, tr.MinInnerProduct([1.0]), (0, 1))
 
     def test_single_edge_signs_agree_across_measures(self, path3):
         for nodes in [(0, 1), (1, 2)]:
-            assert tr.SignProduct().evaluate(path3, nodes) == tr.SignMin().evaluate(path3, nodes)
+            assert _value(path3, tr.SignProduct(), nodes) == _value(path3, tr.SignMin(), nodes)
 
     @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)])
     def test_block_evaluation_equals_the_per_walk_code(self, beta, corpus100):
@@ -51,11 +57,10 @@ class TestMeasures:
             blocks = [np.array([p for p in paths if len(p) == length]) for length in (2, 3)]
             for measure in (tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct(z)):
                 want = np.array([_per_walk_measure(g, measure, nodes) for nodes in paths])
-                got = np.concatenate([measure.evaluate(g, b) for b in blocks if b.size])
+                got = np.concatenate([verify.walk_values(g, measure, b) for b in blocks if b.size])
                 assert np.array_equal(got, want)
                 assert np.array_equal(verify.path_table(g, measure, walk).f, want)
-                one = measure.evaluate(g, paths[-1])
-                assert type(one) is float and one == want[-1]
+                assert _value(g, measure, paths[-1]) == want[-1]
 
     @pytest.mark.parametrize("measure", [tr.SignProduct(), tr.SignMin(), tr.MinInnerProduct([1.0, 0.5])],
                              ids=["prod", "min", "ad"])
@@ -69,9 +74,9 @@ class TestMeasures:
         path3 = tr.load_graph([(0, 1, 1), (1, 2, -1)], [(u, [0.2, 0.1 * u]) for u in range(3)])
         message = f"^no edge between nodes {bad[0]} and {bad[1]}$"
         with pytest.raises(GraphError, match=message):
-            measure.evaluate(path3, np.array([(1, 2), bad]))
+            verify.walk_values(path3, measure, np.array([(1, 2), bad]))
         with pytest.raises(GraphError, match=message):
-            measure.evaluate(path3, bad)
+            _value(path3, measure, bad)
 
 
 def _per_walk_measure(g, measure, nodes):
@@ -262,7 +267,7 @@ class TestTwist:
         for g, z in corpus100[:20]:
             table = verify.path_table(g, tr.MinInnerProduct(z), tr.WalkConfig(0.7, 0.3))
             result, probs = verify.twist(table, 1.5)
-            values = np.array([tr.MinInnerProduct(z).evaluate(g, nodes)
+            values = np.array([_value(g, tr.MinInnerProduct(z), nodes)
                                for nodes in tilted_masses(table, probs)])
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert values.min() - 1e-12 <= result.mean_measure <= values.max() + 1e-12
@@ -451,7 +456,7 @@ class TestKLOptimality:
         theta = verify.solve_theta_numeric(table, gamma)
         _, p = verify.twist(table, theta)
         p0 = table.p0
-        f = np.array([tr.SignProduct().evaluate(path3, nodes)
+        f = np.array([_value(path3, tr.SignProduct(), nodes)
                       for nodes in tilted_masses(table, p)])
         d_twist = _kl(p, p0)
 

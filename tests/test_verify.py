@@ -57,18 +57,18 @@ def test_pair_mass_deviation_equals_the_union_formula():
         assert float.hex(got) == float.hex(want), (trial, got, want)
 
 
-class _StartParityProduct(twisting.SignProduct):
-    """The sign product, negated on walks from an odd node: its value on a walk
-    and on the walk's reverse differ, so the tilt is not reversible."""
+def test_reversibility_check_fails_on_an_irreversible_measure(monkeypatch):
+    # The sign product, negated on walks from an odd node: its value on a walk
+    # and on the walk's reverse differ, so the tilt is not reversible.
+    walk_values = verify.walk_values
 
-    def evaluate(self, graph, nodes):
-        nodes = np.asarray(nodes)
-        return super().evaluate(graph, nodes) * np.where(nodes[..., 0] % 2, -1.0, 1.0)
+    def start_parity_product(graph, measure, walks):
+        walks = np.asarray(walks)
+        return walk_values(graph, measure, walks) * np.where(walks[:, 0] % 2, -1.0, 1.0)
 
-
-def test_reversibility_check_fails_on_an_irreversible_measure():
+    monkeypatch.setattr(verify, "walk_values", start_parity_product)
     g = random_signed_graph(np.random.default_rng(5), n_min=8, attr_dim=0)
-    checks = verify._pair_errors(g, _StartParityProduct(), sampling.WalkConfig(0.7, 0.3), True)
+    checks = verify._pair_errors(g, twisting.SignProduct(), sampling.WalkConfig(0.7, 0.3), True)
     errors = [error for name, error, _ in checks if name == "twisted_reversibility"]
     assert len(errors) == len(verify.THETAS)
     assert max(errors) > 100 * verify.BOUNDS["twisted_reversibility"]
@@ -114,7 +114,8 @@ def test_checks_are_reported_in_bound_order(triangle_one_neg):
 
 
 def _drop_two_step_term(g, gs, walk, theta, is_min):
-    return walk.beta1 * centrality_module._out_weights(gs, theta)
+    ep, en = centrality_module._step_weights(theta)
+    return walk.beta1 * (gs.pos_degree * ep + gs.neg_degree * en)
 
 
 def _nan_scores(g, gs, walk, theta, is_min):
