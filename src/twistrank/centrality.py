@@ -5,8 +5,8 @@ total tilted mass of the walks that start at u and end at w; its start
 marginal is the centrality score.  Centralities skip the pairs: a
 :class:`TiltModel` prepares one graph, measure and walk, then solves
 each temperature on the measure's atoms and sums each start node's tilted
-mass from per-node statistics, in O(m) for the sign measures and in
-O(m log m), once, for the advertisement measure.
+mass from per-node statistics built once: in O(m) for the sign measures,
+then O(n) per temperature, and in O(m log m) for the advertisement measure.
 
 The tilt sees a walk only through its measure value, so pushing the base
 walk distribution forward through the measure (:attr:`TiltModel.atoms`)
@@ -52,54 +52,39 @@ class CentralityRanking:
         return [int(u) for u in self.order[: max(0, k)]]
 
 
-def _step_weights(theta: float) -> tuple[float, float]:
-    # e^theta and e^-theta, both scaled by e^-|theta|: exp(theta) overflows
-    # past ~709, and the common scale cancels on normalizing.
-    return math.exp(theta - abs(theta)), math.exp(-theta - abs(theta))
+def _tilt_weights(theta: float, masses) -> tuple[float, float]:
+    # e^-theta and e^theta, the tilts of the atoms -1 and +1, scaled by
+    # e^-|theta| against overflow; the scale cancels on normalizing.  A massless
+    # atom weighs 0 and the other 1, which no underflow can turn into 0.
+    neg, pos = masses != 0
+    if neg and pos:
+        return math.exp(-theta - abs(theta)), math.exp(theta - abs(theta))
+    return float(neg), float(pos)
 
 
-def _sign_atoms(gs: GraphStats, walk: WalkConfig, is_min: bool):
-    pos = walk.beta1 * gs.m_pos / gs.m
-    neg = walk.beta1 * gs.m_neg / gs.m
-    if walk.beta2 > 0:
-        live = gs.degree > 0
-        k = gs.degree[live].astype(float)
-        kp = gs.pos_degree[live].astype(float)
-        kn = gs.neg_degree[live].astype(float)
-        # Each ordered neighbour pair of v is one walk of mass beta2 / (2 m k_v).
-        unit = walk.beta2 / (2 * gs.m * k)
-        if is_min:
-            plus, minus = kp * kp, k * k - kp * kp
-        else:
-            plus, minus = kp * kp + kn * kn, 2.0 * kp * kn
-        # Summed by numpy, not by a BLAS dot product, whose order depends on
-        # the BLAS kernel and thread count.
-        pos += float((unit * plus).sum())
-        neg += float((unit * minus).sum())
-    return np.array([-1.0, 1.0]), np.array([neg, pos])
-
-
-def _sign_scores(g, gs: GraphStats, walk: WalkConfig, theta: float, is_min: bool) -> np.ndarray:
-    # Unnormalized start masses, without the common factor 1 / (2 m).
-    ep, en = _step_weights(theta)
+def _sign_masses(g, gs: GraphStats, walk: WalkConfig, is_min: bool):
     kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
-    # Tilted weight k+ e^theta + k- e^-theta of the steps out of each node,
-    # scaled as in _step_weights; also each node's length-1 start mass.
-    out = kp * ep + kn * en
-    scores = walk.beta1 * out
-    if walk.beta2 > 0:
-        # The second step's weight after a positive or a negative first edge
-        # u-v, over k_v; an isolated node is no middle node.
-        after_pos, after_neg = np.divide([out, k * en if is_min else kn * ep + kp * en], k,
-                                         out=np.zeros((2, g.n)), where=k > 0)
-        lo, hi, signs = g.pairs()
-        two_step = np.zeros(g.n)
-        # Each start u adds its middles v in ascending order, the v < u (pairs
-        # with hi == u) first: the order of a bincount over the CSR entries.
-        for middle, start in ((lo, hi), (hi, lo)):
-            np.add.at(two_step, start, np.where(signs > 0, after_pos[middle], after_neg[middle]))
-        scores = scores + walk.beta2 * two_step
-    return scores
+    if walk.beta2 == 0:
+        return walk.beta1 * kp, walk.beta1 * kn
+    n = g.n
+    # Entry v (n + v) splits the second steps out of v after a positive
+    # (negative) first edge into their shares of measure +1, the real part,
+    # and -1, the imaginary part.  An isolated node is no middle node.
+    k1 = np.maximum(k, 1)
+    table = np.empty((2, n), dtype=complex)
+    for row, (plus, minus) in zip(table, ((kp, kn), (0, k) if is_min else (kn, kp))):
+        row.real, row.imag = plus / k1, minus / k1
+    lo, hi, signs = g.pairs()
+    two_step = np.zeros(n, dtype=complex)
+    # Each start u adds its middles v in ascending order, the v < u (pairs
+    # with hi == u) first, as a bincount over the CSR entries would; the parts
+    # of a complex sum are two real sums in that order.
+    for middle, start in ((lo, hi), (hi, lo)):
+        entry = (signs < 0).astype(np.int32 if 2 * n < 2**31 else np.int64) * n
+        entry += middle
+        np.add.at(two_step, start, table.ravel()[entry])
+    return (walk.beta1 * kp + walk.beta2 * two_step.real,
+            walk.beta1 * kn + walk.beta2 * two_step.imag)
 
 
 class CappedRows(NamedTuple):
@@ -202,11 +187,12 @@ class TiltModel:
     """One graph, path measure and walk mix, ready to be tilted at any temperature.
 
     The work that does not depend on theta is built lazily, at most once, and
-    shared by every temperature: the signed degrees (``stats``), the
-    advertisement measure's capped rows and score levels (``capped_rows``),
-    the measure's atoms (``atoms``) and their positive-mass part with its log
-    masses (``solver``), which also keeps the moments at every temperature a
-    solve visits.  A build that fails raises again on the next use.
+    shared by every temperature: the signed degrees (``stats``), the sign
+    measures' start masses (``sign_masses``), the advertisement measure's
+    capped rows and score levels (``capped_rows``), the measure's atoms
+    (``atoms``) and their positive-mass part with its log masses
+    (``solver``), which also keeps the moments at every temperature a solve
+    visits.  A build that fails raises again on the next use.
     """
 
     def __init__(self, g: AttributedGraph, measure, walk: WalkConfig | None = None):
@@ -240,6 +226,14 @@ class TiltModel:
         return _capped_rows(self.graph, self.measure)
 
     @cached_property
+    def sign_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(a, b)``: a_u (b_u) is 2 m times the base mass of the walks from u
+        of measure +1 (-1), so u's tilted mass is e^theta a_u + e^-theta b_u.
+        Each is summed directly, never as a difference that could round below
+        0, in one pass over the edges each way."""
+        return _sign_masses(self.graph, self.stats, self.walk, self.is_min)
+
+    @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The base walk distribution pushed forward through the measure.
 
@@ -248,9 +242,8 @@ class TiltModel:
         sees a walk only through its measure, Z(theta) = sum(masses *
         exp(theta * values)), so a temperature solve needs only this table.
 
-        The sign measures have the two atoms -1 and +1, whose masses follow
-        from the signed degrees k+ and k- in O(m): a middle node v splits the
-        k_v^2 two-step walks through it by the signs of their two edges.  The
+        The sign measures have the two atoms -1 and +1, whose masses are the
+        sums of ``sign_masses`` b and a over 2 m.  The
         advertisement measure takes at most n values, the node scores; its
         atoms come from ``capped_rows``, sorted once in O(m log m), summed by
         integer score level with no float sort.  Atoms of zero mass may be
@@ -259,7 +252,8 @@ class TiltModel:
         if self.graph.m == 0:
             raise GraphError("cannot push the walk distribution forward on an edgeless graph")
         if self.is_sign:
-            return _sign_atoms(self.stats, self.walk, self.is_min)
+            a, b = self.sign_masses
+            return np.array([-1.0, 1.0]), np.array([b.sum(), a.sum()]) / (2 * self.graph.m)
         return _min_inner_atoms(self.graph, self.walk, self.capped_rows)
 
     @cached_property
@@ -282,19 +276,20 @@ class TiltModel:
         sum to 1, in node-id order.
 
         Equals the start marginal of the oracle's pair masses without building
-        them.  For the sign measures a walk's tilt depends only on its edge
-        signs, so each start node's mass follows from the signed degrees of
-        itself and its neighbours, in O(m).  For the advertisement measure, a
-        two-step walk u-v-w has measure min(t, z_w) with t = min(z_u, z_v), so
-        its sum over w is a prefix sum of exp(theta z_w) below t along v's
-        sorted capped row plus a count at or above it.
+        them.  For the sign measures each start node's mass is e^theta a +
+        e^-theta b from ``sign_masses``, in O(n).  For the advertisement
+        measure, a two-step walk u-v-w has measure min(t, z_w) with t =
+        min(z_u, z_v), so its sum over w is a prefix sum of exp(theta z_w)
+        below t along v's sorted capped row plus a count at or above it.
         """
         g = self.graph
         if g.m == 0:
             raise GraphError("cannot compute start marginals on an edgeless graph")
         theta = theta_value(theta)
         if self.is_sign:
-            scores = _sign_scores(g, self.stats, self.walk, theta, self.is_min)
+            en, ep = _tilt_weights(theta, self.atoms[1])
+            a, b = self.sign_masses
+            scores = ep * a + en * b
         else:
             scores = _min_inner_scores(g, self.walk, theta, self.capped_rows)
         return scores / scores.sum()

@@ -462,8 +462,11 @@ def influence_closed_form(graph_stats: GraphStats, theta: float) -> CentralityRa
     if graph_stats.m == 0:
         raise GraphError("closed-form scores are undefined on an edgeless graph")
     theta = float(theta)
-    # e^theta and e^-theta, both scaled by e^-|theta| so that neither overflows.
-    ep, en = math.exp(theta - abs(theta)), math.exp(-theta - abs(theta))
+    # e^theta and e^-theta, both scaled by e^-|theta| so that neither
+    # overflows; with edges of one sign, that sign weighs 1 and the other 0.
+    ep, en = float(graph_stats.m_pos > 0), float(graph_stats.m_neg > 0)
+    if ep and en:
+        ep, en = math.exp(theta - abs(theta)), math.exp(-theta - abs(theta))
     scores = graph_stats.pos_degree * ep + graph_stats.neg_degree * en
     return CentralityRanking.from_scores(scores / scores.sum())
 

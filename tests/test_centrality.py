@@ -127,6 +127,20 @@ class TestClosedForm:
                 piped = verify.marginal(verify.bivariate(model, theta))
                 assert np.max(np.abs(closed.scores - piped.scores)) <= 1e-12
 
+    @pytest.mark.parametrize("sign, thetas", [(-1, (373.0, 800.0, 1e4, -800.0)),
+                                              (1, (-400.0, -800.0, -1e4, 800.0))])
+    def test_one_signed_graph_matches_enumeration_at_extreme_temperatures(self, sign, thetas):
+        """With edges of one sign, one atom's factor underflows past |theta| =
+        372.5; the closed form must not divide 0 by 0 there."""
+        g = tr.load_graph([(0, 1, sign), (0, 2, sign), (0, 3, sign), (1, 2, sign), (3, 4, sign)])
+        s = tr.stats(g)
+        model = tr.TiltModel(g, tr.SignProduct(), tr.WalkConfig(1.0, 0.0))
+        for theta in thetas:
+            closed = verify.influence_closed_form(s, theta)
+            piped = verify.marginal(verify.bivariate(model, theta))
+            assert np.max(np.abs(closed.scores - piped.scores)) <= 1e-12
+            assert closed.scores == pytest.approx(s.degree / (2 * s.m), rel=1e-15)
+
     def test_extreme_temperature_does_not_overflow(self, star_two_neg):
         ranking = verify.influence_closed_form(tr.stats(star_two_neg), 800.0)
         assert np.isfinite(ranking.scores).all()
@@ -136,6 +150,23 @@ class TestClosedForm:
         g = tr.load_graph([], [(0, [1.0])])
         with pytest.raises(GraphError, match="edgeless"):
             verify.influence_closed_form(tr.stats(g), 0.0)
+
+
+class TestOneSignedGraph:
+    """Only one sign atom has mass, so the other's weight e^-2|theta| may
+    underflow to 0 without leaving any start node's mass at 0."""
+
+    @pytest.mark.parametrize("sign, thetas", [(-1, (373.0, 800.0, 1e4)),
+                                              (1, (-373.0, -400.0, -800.0, -1e4))])
+    @pytest.mark.parametrize("kind", ["influence", "trust"])
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)])
+    def test_extreme_temperatures_score_degree_over_2m(self, sign, thetas, kind, beta):
+        g = tr.load_graph([(0, 1, sign), (0, 2, sign), (0, 3, sign), (1, 2, sign), (3, 4, sign)])
+        s = tr.stats(g)
+        model = tr.TiltModel(g, tr.measure_for(kind), tr.WalkConfig(*beta))
+        with np.errstate(all="raise"):
+            for theta in thetas:
+                assert model.scores(theta) == pytest.approx(s.degree / (2 * s.m), rel=1e-15)
 
 
 class TestCentralityDispatch:

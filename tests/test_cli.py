@@ -372,6 +372,20 @@ class TestRankCommand:
         payload = json.loads((tmp_path / "rank" / "ranking.json").read_text())
         assert [row["rank"] for row in payload["ranking"]] == [1, 2, 3]
 
+    def test_one_signed_graph_at_a_large_theta_scores_degree_over_2m(self, tmp_path, capsys):
+        # Only the -1 atom has mass, and e^-2 theta underflows past theta = 372.5.
+        edges = tmp_path / "edges.txt"
+        write(edges, "0 1 -1\n1 2 -1\n2 3 -1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rank", "--edges", str(edges), "--measure", "influence",
+                         "--theta", "800", "--out", str(tmp_path / "rank")])
+        assert code == 0
+        rows = json.loads((tmp_path / "rank" / "ranking.json").read_text())["ranking"]
+        assert [(row["node_id"], row["score"]) for row in rows] == [
+            (1, 0.333333333333), (2, 0.333333333333), (0, 0.166666666667), (3, 0.166666666667)
+        ]
+
     def test_trust_zero_theta_matches_untwisted(self, tmp_path, small_edges, capsys):
         code = main([
             "rank", "--edges", str(small_edges), "--measure", "trust",
@@ -718,23 +732,38 @@ class TestSweepCommand:
 
     def test_resolves_each_target_once_and_stats_once(self, tmp_path, small_edges,
                                                       monkeypatch, capsys):
-        calls = count_calls(monkeypatch, ("resolve_theta", "stats", "_sign_atoms"))
+        calls = count_calls(monkeypatch, ("resolve_theta", "stats", "_sign_masses"))
         assert main([
             "sweep", "--edges", str(small_edges), "--measure", "influence",
             "--gammas=-0.2,0,0.3", "--beta1", "0.5", "--beta2", "0.5", "--k", "2",
             "--out", str(tmp_path / "sweep"),
         ]) == 0
-        assert calls == {"resolve_theta": 3, "stats": 1, "_sign_atoms": 1}
+        assert calls == {"resolve_theta": 3, "stats": 1, "_sign_masses": 1}
 
     def test_one_step_sign_sweep_builds_atoms_once(self, tmp_path, small_edges,
                                                    monkeypatch, capsys):
-        calls = count_calls(monkeypatch, ("resolve_theta", "_sign_atoms"))
+        calls = count_calls(monkeypatch, ("resolve_theta", "_sign_masses"))
         assert main([
             "sweep", "--edges", str(small_edges), "--measure", "trust",
             "--gammas=-0.2,0,0.3", "--beta1", "1", "--beta2", "0", "--k", "2",
             "--out", str(tmp_path / "sweep"),
         ]) == 0
-        assert calls == {"resolve_theta": 3, "_sign_atoms": 1}
+        assert calls == {"resolve_theta": 3, "_sign_masses": 1}
+
+    def test_one_signed_graph_sweeps_a_large_theta_as_a_small_one(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        write(edges, "0 1 -1\n1 2 -1\n2 3 -1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--edges", str(edges), "--measure", "influence",
+                         "--thetas", "1,800", "--k", "2", "--out", str(tmp_path / "sweep")])
+        assert code == 0
+        rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["sweep"]
+        assert [row["theta"] for row in rows] == [1.0, 800.0]
+        assert rows[0]["error"] is None and rows[0]["jaccard_total"] == 1.0
+        assert {**rows[1], "theta": 1.0} == rows[0]
+        csv_lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert csv_lines[1:] == [",1,0.333333333333,1,1", ",800,0.333333333333,1,1"]
 
     def test_ad_sweep_sorts_capped_rows_once(self, tmp_path, monkeypatch, capsys):
         edges = tmp_path / "edges.txt"

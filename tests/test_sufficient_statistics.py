@@ -346,10 +346,31 @@ class TestStartMarginal:
                         assert position[u] < position[w]
 
 
+def _two_pass_sign_masses(g, gs, walk, is_min):
+    """The sign masses a and b from two plain real np.add.at passes each, one
+    per direction over the pairs, in the order of the production kernel."""
+    kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
+    masses = [walk.beta1 * kp, walk.beta1 * kn]
+    if walk.beta2 > 0:
+        def share(x):
+            return np.divide(x, k, out=np.zeros(g.n), where=k > 0)
+
+        after_pos = share(kp), share(kn)
+        after_neg = (np.zeros(g.n), share(k)) if is_min else (share(kn), share(kp))
+        lo, hi, signs = g.pairs()
+        for part in range(2):
+            two_step = np.zeros(g.n)
+            for middle, start in ((lo, hi), (hi, lo)):
+                np.add.at(two_step, start, np.where(signs > 0, after_pos[part][middle],
+                                                    after_neg[part][middle]))
+            masses[part] = masses[part] + walk.beta2 * two_step
+    return masses
+
+
 def _csr_order_sign_scores(g, gs, walk, theta, is_min):
     """The unnormalized sign scores as one bincount over the CSR entries in
     row order: the two-step kernel that ran on the CSR before the pairs."""
-    ep, en = centrality_module._step_weights(theta)
+    ep, en = math.exp(theta - abs(theta)), math.exp(-theta - abs(theta))
     kp, kn, k = gs.pos_degree, gs.neg_degree, gs.degree
     out = kp * ep + kn * en
     scores = walk.beta1 * out
@@ -361,26 +382,47 @@ def _csr_order_sign_scores(g, gs, walk, theta, is_min):
     )
 
 
+def _sign_graphs(rng):
+    graphs = [skewed_signed_graph(rng, 70_000, 150_000),
+              tr.load_graph([(1, 2, 1), (1, 3, -1), (2, 3, 1), (3, 4, -1), (6, 7, -1)],
+                            [(v, []) for v in range(9)])]
+    return graphs + [random_signed_graph(np.random.default_rng(seed)) for seed in range(4)]
+
+
 class TestSignScoreBits:
     @pytest.mark.parametrize("beta", [(0.7, 0.3), (0.0, 1.0), (0.2, 0.8)])
-    def test_pair_kernel_keeps_every_bit_of_the_csr_kernel(self, beta):
-        """Over the pairs, each start still adds its middle nodes in ascending
-        order, so every score has the bits of the CSR-order bincount."""
-        rng = np.random.default_rng(31)
+    def test_complex_pass_keeps_every_bit_of_two_real_passes(self, beta):
+        """The real and imaginary parts of one complex np.add.at per direction
+        are a and b bit for bit as two real passes each sum them, and neither
+        takes a negative value."""
         walk = tr.WalkConfig(*beta)
-        graphs = [skewed_signed_graph(rng, 70_000, 150_000),
-                  tr.load_graph([(1, 2, 1), (1, 3, -1), (2, 3, 1), (3, 4, -1), (6, 7, -1)],
-                                [(v, []) for v in range(9)])]
-        graphs += [random_signed_graph(np.random.default_rng(seed)) for seed in range(4)]
-        for g in graphs:
+        for g in _sign_graphs(np.random.default_rng(31)):
             gs = tr.stats(g)
             for is_min in (False, True):
-                for theta in (-3.0, -0.4, 0.0, 0.9, 2.5):
-                    got = centrality_module._sign_scores(g, gs, walk, theta, is_min)
-                    want = _csr_order_sign_scores(g, gs, walk, theta, is_min)
-                    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-                    assert [(u, float.hex(got[u]), float.hex(want[u]))
+                got = centrality_module._sign_masses(g, gs, walk, is_min)
+                want = _two_pass_sign_masses(g, gs, walk, is_min)
+                for mine, ref in zip(got, want):
+                    assert (mine >= 0).all()
+                    differ = np.flatnonzero(mine.view(np.int64) != ref.view(np.int64))
+                    assert [(u, float.hex(mine[u]), float.hex(ref[u]))
                             for u in differ[:5].tolist()] == []
+
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)])
+    def test_scores_match_the_csr_kernel(self, beta):
+        """e^theta a + e^-theta b, normalized, is the CSR-order kernel's score
+        to rounding.  Both sum a node's k_u neighbour terms in sequence, each
+        within (k_u - 1) ulp, so a hub's score may differ by about 2 k_u ulp."""
+        walk = tr.WalkConfig(*beta)
+        for g in _sign_graphs(np.random.default_rng(31)):
+            gs = tr.stats(g)
+            bound = (2 * gs.degree + 32) * np.finfo(float).eps
+            for measure in (tr.SignProduct(), tr.SignMin()):
+                model = tr.TiltModel(g, measure, walk)
+                for theta in (-3.0, -0.4, 0.0, 0.9, 2.5):
+                    want = _csr_order_sign_scores(g, gs, walk, theta, model.is_min)
+                    want = want / want.sum()
+                    got = model.scores(theta)
+                    assert np.all(np.abs(got - want) <= bound * want)
 
 
 def _float_capped_ad_scores(g, walk, theta):

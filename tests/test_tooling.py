@@ -63,7 +63,7 @@ def test_production_module_holds_no_oracle_copy(module):
 
 
 # Per-measure production kernels that TiltModel owns in twistrank.centrality.
-KERNELS = ("measure_atoms", "CappedRows", "_sign_atoms", "_min_inner_atoms", "_capped_rows")
+KERNELS = ("measure_atoms", "CappedRows", "_sign_masses", "_min_inner_atoms", "_capped_rows")
 
 
 def test_twisting_holds_no_per_measure_kernel():
@@ -75,6 +75,15 @@ def test_twisting_holds_no_per_measure_kernel():
     assert [name for name, value in vars(twisting).items()
             if getattr(value, "__module__", None) == "twistrank.sampling"
             or getattr(value, "__name__", None) == "twistrank.sampling"] == []
+
+
+def test_centrality_holds_one_sign_kernel():
+    """The sign atoms and every theta's sign scores come from _sign_masses
+    alone: no second kernel sums the atoms or the scores."""
+    centrality = importlib.import_module("twistrank.centrality")
+    assert callable(centrality._sign_masses)
+    assert [name for name in ("_sign_atoms", "_sign_scores", "_step_weights")
+            if name in vars(centrality)] == []
 
 
 # The oracle's half of the measures: walk evaluation, and the walk budget.

@@ -113,19 +113,18 @@ def test_checks_are_reported_in_bound_order(triangle_one_neg):
     assert names[-1] == "ranking_vs_pair_marginal"
 
 
-def _drop_two_step_term(g, gs, walk, theta, is_min):
-    ep, en = centrality_module._step_weights(theta)
-    return walk.beta1 * (gs.pos_degree * ep + gs.neg_degree * en)
+def _drop_two_step_term(g, gs, walk, is_min):
+    return walk.beta1 * gs.pos_degree, walk.beta1 * gs.neg_degree
 
 
-def _nan_scores(g, gs, walk, theta, is_min):
-    return np.full(g.n, np.nan)
+def _nan_masses(g, gs, walk, is_min):
+    return np.full(g.n, np.nan), np.full(g.n, np.nan)
 
 
-@pytest.mark.parametrize("plant", [_drop_two_step_term, _nan_scores])
+@pytest.mark.parametrize("plant", [_drop_two_step_term, _nan_masses])
 def test_planted_ranking_bug_fails_verify(monkeypatch, plant):
     g = random_signed_graph(np.random.default_rng(11), attr_dim=0)
-    monkeypatch.setattr(centrality_module, "_sign_scores", plant)
+    monkeypatch.setattr(centrality_module, "_sign_masses", plant)
     with np.errstate(invalid="ignore"):
         results = {r.name: r for r in verify.run_checks(g)}
     assert not results["ranking_vs_pair_marginal"].passed
