@@ -129,6 +129,14 @@ def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows
 
 
 def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, rows: CappedRows):
+    if walk.beta2 == 0:
+        # Every entry weighs beta1 / (2 m), the bits of the expression below.
+        # bincount would add a level's c weights one at a time from 0.0,
+        # which gives entry c - 1 of the running sum of that weight; this
+        # needs no 2m-entry array.  Every level is some entry's, so c >= 1.
+        count = np.bincount(rows.level)
+        running = np.add.accumulate(np.full(count.max(), walk.beta1 / (2 * g.m)))
+        return rows.levels, running[count - 1]
     k = np.diff(rows.indptr)[rows.middle]
     i = np.arange(rows.level.size) - rows.indptr[rows.middle]
     # The edge (v, u) is one length-1 walk of its level.  The i-th lowest

@@ -12,11 +12,21 @@ fixed number of rows at a time, the columns and the row template's literal
 pieces are laid side by side, and the block's non-NUL bytes are written in
 order.  Invariant: no text or literal holds a NUL byte, so dropping the
 padding leaves exactly the per-line text.
+
+Every writer rewrites its file in place (:func:`_rewrite`): an existing
+file is opened without truncation, overwritten from its first byte, and
+cut at the end of what was written.  The file keeps its inode, mode and
+symlink target, and its bytes are those a fresh file would get.  A process
+killed between its first write and the cut leaves the new bytes over the
+old file's tail, where truncating first would leave the new bytes alone.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -183,9 +193,25 @@ def _read_partition_lines(path) -> dict[int, str]:
     return labels
 
 
+@contextmanager
+def _rewrite(path):
+    """A binary file object that writes ``path`` from its first byte; on
+    exit, failed or not, a regular file is cut at the end of what was
+    written.  Anything else (``/dev/null``, a FIFO) is written as is."""
+    # ``open``'s own flags hold O_TRUNC, which these leave out: refilling a
+    # file in place costs less than emptying it first.
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(path, "wb", opener=lambda name, _: os.open(name, flags, 0o666)) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with _rewrite(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def format_score(x: float) -> str:
@@ -320,7 +346,7 @@ def _write_rows(path, row: list, count: int, head: str = "", tail: str = "",
         else:
             items, index = piece
             columns.append((items, index, block[:, cols].view(items.dtype)))
-    with open(path, "wb") as fh:
+    with _rewrite(path) as fh:
         fh.write(head.encode("ascii"))
         for start in range(0, count, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, count)

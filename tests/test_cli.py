@@ -1033,6 +1033,51 @@ class TestVerifyCommand:
         assert "sign" in capsys.readouterr().err
 
 
+class TestRerunOverOlderOutputs:
+    """A command run into a directory that holds longer files of the same
+    names, from an earlier run on a bigger graph, leaves the bytes it writes
+    into a fresh directory: each file is rewritten in place and cut."""
+
+    @staticmethod
+    def _inputs(root, g, name, isolated=0):
+        """The graph's edge and attribute files under ``root``; the attribute
+        file adds ``isolated`` nodes with no edge."""
+        paths = {kind: root / f"{name}-{kind}.txt" for kind in ("edges", "attrs")}
+        write(paths["edges"], "".join(f"{u} {w} {s}\n" for u, w, s in edge_list(g)))
+        write(paths["attrs"], "".join(f"{u} {(u % 7) / 7} {(u % 3) / 3}\n"
+                                      for u in range(g.n + isolated)))
+        return paths
+
+    @staticmethod
+    def _argv(command, paths, out):
+        flags = {
+            "rank": ["--measure", "trust", "--theta", "0.5", "--beta1", "0.7", "--beta2", "0.3"],
+            "sweep": ["--measure", "influence", "--thetas=0.2,-0.5,1.5", "--k", "2"],
+            "preprocess": ["--min-degree", "1"],
+            "verify": [],
+        }[command]
+        return [command, "--edges", str(paths["edges"]), "--attrs", str(paths["attrs"]),
+                *flags, "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["rank", "sweep", "preprocess", "verify"])
+    def test_writes_the_bytes_of_a_fresh_directory(self, tmp_path, capsys, command):
+        # verify.json lists the same checks whatever the graph, so the small
+        # graph is one edge, whose zero errors print shortest.
+        small = self._inputs(tmp_path, tr.load_graph([(0, 1, -1)]), "g")
+        big = self._inputs(tmp_path, skewed_signed_graph(np.random.default_rng(1), 40, 160),
+                           "an-earlier-bigger-graph", isolated=20)
+        assert main(self._argv(command, small, tmp_path / "fresh")) == 0
+        fresh = read_tree(tmp_path / "fresh")
+        assert main(self._argv(command, big, tmp_path / "rerun")) == 0
+        older = read_tree(tmp_path / "rerun")
+        assert older.keys() == fresh.keys()
+        assert all(len(older[name]) > len(fresh[name]) for name in fresh), {
+            name: (len(older[name]), len(fresh[name])) for name in fresh}
+        assert main(self._argv(command, small, tmp_path / "rerun")) == 0
+        assert read_tree(tmp_path / "rerun") == fresh
+        capsys.readouterr()
+
+
 class TestImport:
     def test_cli_import_loads_no_scipy(self):
         # A fresh interpreter: this test process may have imported scipy already.

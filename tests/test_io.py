@@ -9,6 +9,8 @@ the CSV layout.  A faster route through either must reproduce them exactly.
 
 import json
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -988,3 +990,108 @@ def test_writing_a_ranking_peaks_below_the_size_of_its_file(tmp_path):
         tracemalloc.stop()
     size = (tmp_path / "ranking.json").stat().st_size
     assert peak < size, (peak, size)
+
+
+# -- rewriting in place ----------------------------------------------------------
+
+
+def _writers():
+    """Every file writer, as ``{file name: write(path)}``, on small data."""
+    g = tr.load_graph([(0, 1, 1), (1, 2, -1), (5, 2, 1)],
+                      [(0, [0.5, -0.0]), (2, [1e300, 1 / 3])])
+    rows = tio.ranking_rows(CentralityRanking.from_scores([0.5, 0.25, 0.25, 0.0]),
+                            _id_array([3, 10**12, 7, BIG]))
+    empty = tio.ranking_rows(CentralityRanking.from_scores([]))
+    sweep = [tr.SweepRow(0.25, -1.5, 0.5, 1 / 3, 0.0),
+             tr.SweepRow(math.nan, None, None, None, None, error="gamma must be finite")]
+    return {
+        "edges.txt": lambda path: tio.write_edge_list(path, g),
+        "attrs.txt": lambda path: tio.write_attributes(path, g),
+        "no-attrs.txt": lambda path: tio.write_attributes(path, tr.load_graph([(0, 1, 1)])),
+        "ranking.csv": lambda path: tio.write_ranking_csv(path, rows),
+        "ranking.json": lambda path: tio.write_ranking_json(path, rows),
+        "empty-ranking.json": lambda path: tio.write_ranking_json(path, empty),
+        "sweep.csv": lambda path: tio.write_sweep_csv(path, sweep),
+        "sweep.json": lambda path: tio.write_sweep_json(path, sweep),
+        "manifest.json": lambda path: tio.write_manifest(path.parent, "rank", {"theta": 0.5}),
+        "report.json": lambda path: tio.write_json(path, {"kept": [1, 2], "name": "θ"}),
+        "text.txt": lambda path: tio._write_text(path, "θ é\nline\n"),
+    }
+
+
+WRITERS = sorted(_writers())
+
+
+def _fresh_bytes(tmp_path_factory, name):
+    out = tmp_path_factory.mktemp("fresh") / name
+    _writers()[name](out)
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_rewriting_gives_the_bytes_of_a_fresh_file(tmp_path_factory, name):
+    """Over a longer old file of random bytes, a shorter one and an empty
+    one, each writer leaves exactly what it writes into a fresh file."""
+    fresh = _fresh_bytes(tmp_path_factory, name)
+    rng = np.random.default_rng(len(fresh))
+    for old in (rng.bytes(len(fresh) + 4099), fresh[: len(fresh) // 2], b"",
+                rng.bytes(max(len(fresh) - 1, 0))):
+        path = tmp_path_factory.mktemp("old") / name
+        path.write_bytes(old)
+        _writers()[name](path)
+        assert path.read_bytes() == fresh
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits and inodes")
+@pytest.mark.parametrize("name", WRITERS)
+def test_rewriting_keeps_the_inode_and_the_mode(tmp_path_factory, name):
+    fresh = _fresh_bytes(tmp_path_factory, name)
+    path = tmp_path_factory.mktemp("old") / name
+    path.write_bytes(b"x" * (len(fresh) + 100))
+    path.chmod(0o640)
+    before = path.stat()
+    _writers()[name](path)
+    after = path.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert path.read_bytes() == fresh
+
+
+@pytest.mark.skipif(os.name != "posix", reason="symlinks")
+def test_a_symlinked_output_is_written_through_its_link(tmp_path_factory):
+    for name in WRITERS:
+        fresh = _fresh_bytes(tmp_path_factory, name)
+        out, elsewhere = tmp_path_factory.mktemp("out"), tmp_path_factory.mktemp("target")
+        target = elsewhere / "kept.dat"
+        target.write_bytes(b"stale " * 1000)
+        (out / name).symlink_to(target)
+        # A dangling link creates its target, as opening for writing does.
+        (out / "dangling").symlink_to(elsewhere / "created.dat")
+        _writers()[name](out / name)
+        tio._write_text(out / "dangling", "new\n")
+        assert (out / name).is_symlink() and target.read_bytes() == fresh
+        assert (elsewhere / "created.dat").read_bytes() == b"new\n"
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
+                    reason="a character device to write into")
+def test_a_symlink_to_dev_null_writes_without_error(tmp_path):
+    """Only a regular file is cut at the end of what was written."""
+    for name in WRITERS:
+        (tmp_path / name).symlink_to(os.devnull)
+        _writers()[name](tmp_path / name)
+        assert stat.S_ISCHR((tmp_path / name).stat().st_mode)
+
+
+def test_a_failed_writer_leaves_only_what_it_wrote(tmp_path, monkeypatch):
+    """A writer that fails in its second block leaves the head and the first
+    block, and no byte of the longer file it was writing over."""
+    monkeypatch.setattr(tio, "_BLOCK_ROWS", 4)
+    texts = tio._text_block(["a", "bb", "ccc"])
+    # Row 5, in the second block, gathers a text that does not exist.
+    index = np.array([0, 1, 2, 0, 1, 7, 0, 0])
+    path = tmp_path / "ranking.csv"
+    path.write_bytes(np.random.default_rng(5).bytes(10_000))
+    with pytest.raises(IndexError):
+        tio._write_rows(path, [tio._Column(texts, index), "\n"], index.size, head="head\n",
+                        tail="tail\n")
+    assert path.read_bytes() == b"head\na\nbb\nccc\na\n"

@@ -479,6 +479,33 @@ class TestAdScoreBits:
                         for u in differ[:5].tolist()] == []
 
 
+def _per_entry_ad_atoms(g, walk, rows):
+    """The ad atoms from each entry's own mass (beta1 + beta2 (2 (k - 1 - i)
+    + 1) / k) / (2 m), where entry i of a row of length k is its i-th lowest."""
+    k = np.diff(rows.indptr)[rows.middle]
+    i = np.arange(rows.level.size) - rows.indptr[rows.middle]
+    masses = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
+    return rows.levels, np.bincount(rows.level, weights=masses)
+
+
+class TestAdAtomBits:
+    def test_one_step_atoms_keep_the_bits_of_the_per_entry_masses(self):
+        """At beta = (1, 0) every entry weighs beta1 / (2 m); summing that
+        constant by level gives the bits of the per-entry expression."""
+        rng = np.random.default_rng(47)
+        walk = tr.WalkConfig(1.0, 0.0)
+        graphs = [skewed_signed_graph(rng, 20_000, 60_000)]
+        graphs += [random_signed_graph(np.random.default_rng(seed)) for seed in range(30)]
+        for g in graphs:
+            z = rng.choice(np.array([-0.0, 0.0, 0.5, -1.5, 2.0, 0.25]), size=g.n)
+            g = tr.AttributedGraph(g.original_ids, *g.pairs(), z[:, None])
+            rows = tr.TiltModel(g, tr.MinInnerProduct([1.0]), walk).capped_rows
+            got = centrality_module._min_inner_atoms(g, walk, rows)
+            want = _per_entry_ad_atoms(g, walk, rows)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
 def test_production_path_never_enumerates(monkeypatch, corpus100):
     corpus = corpus100[:12]
     targets = {}
