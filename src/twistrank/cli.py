@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -182,6 +183,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_preprocess(args) -> int:
+    # The seed is checked before any file is read, with or without injection.
+    NegativeInjection.check_seed(args.seed)
     if args.inject_negative and not args.partition:
         raise TwistrankError("--inject-negative requires --partition")
     edges, attrs = _records(args)
@@ -262,20 +265,8 @@ def cmd_verify(args) -> int:
         print(result.line())
     if args.out:
         out = _out_dir(args)
-        tio.write_json(
-            out / "verify.json",
-            {
-                "checks": [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "max_error": tio.finite_or_none(r.max_error),
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ]
-            },
-        )
+        checks = [{**asdict(r), "max_error": tio.finite_or_none(r.max_error)} for r in results]
+        tio.write_json(out / "verify.json", {"checks": checks})
         tio.write_manifest(out, "verify", _manifest_params(args))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 

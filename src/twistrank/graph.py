@@ -193,8 +193,12 @@ class NegativeInjection:
                 f"cannot inject {self.count!r} negative edges: "
                 "the count must be a nonnegative integer"
             )
-        if not _is_nonnegative_int(self.seed):
-            raise GraphError(f"injection seed {self.seed!r} must be a nonnegative integer")
+        self.check_seed(self.seed)
+
+    @staticmethod
+    def check_seed(seed) -> None:
+        if not _is_nonnegative_int(seed):
+            raise GraphError(f"injection seed {seed!r} must be a nonnegative integer")
 
 
 @dataclass

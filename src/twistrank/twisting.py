@@ -180,7 +180,10 @@ def _scalar_grad_var(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[fl
 
 def _solve_scalar(f: np.ndarray, logp: np.ndarray, gamma: float, moments: dict) -> float:
     """Root of mean(theta) = gamma on the atoms ``f`` with log masses ``logp``,
-    by Newton iteration inside a bracket, with a bisection fallback.
+    by Newton iteration inside a bracket, with a bisection fallback.  The
+    bracket runs from 0 to the first of +-1, +-2, +-4, ... on the root's side
+    where the mean passes gamma; a root beyond 10^6 on the scaled atoms fails
+    to bracket, with a ``ConvergenceError``.
 
     The solve runs on the atoms and gamma times 2^-k, the power of two that
     puts the atoms' width in [0.5, 1), and its root times 2^-k is theta: a
@@ -216,27 +219,19 @@ def _solve_scalar(f: np.ndarray, logp: np.ndarray, gamma: float, moments: dict) 
     if abs(r) <= NEWTON_TOL:
         return math.ldexp(_polish_scalar(residual, theta, r, var), -k)
 
-    # Bracket the root: the gradient is nondecreasing in theta.
-    lo, hi = -1.0, 1.0
-    r_lo, _ = residual(lo)
-    while r_lo > 0.0:
-        lo *= 2.0
-        if lo < -1e6:
-            raise ConvergenceError("failed to bracket the temperature from below",
-                                   math.ldexp(r_lo, k))
-        r_lo, _ = residual(lo)
-    r_hi, _ = residual(hi)
-    while r_hi < 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ConvergenceError("failed to bracket the temperature from above",
-                                   math.ldexp(r_hi, k))
-        r_hi, _ = residual(hi)
-
-    if r > 0.0:
-        hi = min(hi, theta)
-    else:
-        lo = max(lo, theta)
+    # Bracket the root on its side of 0: the gradient is nondecreasing in
+    # theta, so double a step of -1 (r > 0) or +1 until r changes sign.
+    step = -1.0 if r > 0.0 else 1.0
+    far = step
+    r_far, _ = residual(far)
+    while r_far * step < 0.0:
+        far *= 2.0
+        if abs(far) > 1e6:
+            side = "below" if step < 0.0 else "above"
+            raise ConvergenceError(f"failed to bracket the temperature from {side}",
+                                   math.ldexp(r_far, k))
+        r_far, _ = residual(far)
+    lo, hi = sorted((far, theta))
 
     for _ in range(NEWTON_MAX_ITER):
         candidate = theta - r / var if var > 0.0 else None

@@ -23,6 +23,12 @@ class TestDegreeRanking:
         ranking = tr.degree_ranking(tr.stats(star_two_neg), "negative")
         assert ranking.order[0] == 0
 
+    @pytest.mark.parametrize("kind", DEGREE_KINDS)
+    def test_empty_graph_has_no_degree_ranking(self, kind):
+        with pytest.raises(tr.TwistrankError,
+                           match="^degree ranking is undefined on an empty graph$"):
+            tr.degree_ranking(tr.stats(tr.load_graph([])), kind)
+
     def test_all_positive_negative_ranking_degenerates(self, triangle_pos):
         ranking = tr.degree_ranking(tr.stats(triangle_pos), "negative")
         assert np.all(ranking.scores == 0.0)
@@ -85,7 +91,8 @@ class TestTopK:
 
 
 class TestTopKSelection:
-    """The O(n) selection takes exactly the first k nodes of the lexsort order."""
+    """The O(n) selection takes exactly the first k nodes of the ranking order,
+    which is the (-score, id) lexsort order."""
 
     @settings(max_examples=600, deadline=None)
     @given(SCORE_LISTS, st.integers(-1, 45))
@@ -97,6 +104,7 @@ class TestTopKSelection:
     def test_equals_the_lexsort_prefix(self, values, k):
         scores = np.array(values, dtype=float)
         ranking = tr.CentralityRanking.from_scores(scores)
+        assert np.array_equal(ranking.order, np.lexsort((np.arange(scores.size), -scores)))
         want = set(ranking.order[: max(k, 0)].tolist())
         assert set(np.flatnonzero(_top_mask(scores, k)).tolist()) == want
         assert tr.top_k(ranking, k).members == want

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import platform
 import re
 import subprocess
 import sys
+import textwrap
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -64,6 +66,18 @@ def paper_scale_edges(tmp_path, paper_scale_graph):
     lines = [f"{u} {w} {s}" for u, w, s in edge_list(paper_scale_graph, original_ids=True)]
     write(path, "\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture(scope="module")
+def benchmark_workloads():
+    """``perfbench/workloads.py``, which generates the benchmark's seeded inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclass looks its own module up by name.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 # The files besides manifest.json that each command writes (preprocess
@@ -258,6 +272,18 @@ class TestPreprocessCommand:
         assert code == 2
         assert capsys.readouterr() == (
             "", "error: injection seed -3 must be a nonnegative integer\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("inject", [[], ["--inject-negative", "1", "--partition", "p.txt"]],
+                             ids=["no-injection", "injection"])
+    def test_negative_seed_is_rejected_before_any_file_is_read(self, tmp_path, capsys, inject):
+        """No input file exists, yet the one line names the seed."""
+        code = main(["preprocess", "--edges", str(tmp_path / "missing.txt"), *inject,
+                     "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: injection seed -1 must be a nonnegative integer\n"
         )
         assert not (tmp_path / "o").exists()
 
@@ -549,6 +575,32 @@ class TestRankCommand:
         payload = json.loads((tmp_path / "combined" / "ranking.json").read_text())
         for row in payload["ranking"]:
             assert row["score"] == pytest.approx(expected.scores[row["node_id"]], abs=1e-9)
+
+    @pytest.mark.parametrize("text, error", [
+        ("0.1 x\n", "a.txt:1: non-numeric field in '0.1 x'"),
+        ("# only\n# comments\n", "a.txt:0: vector file contains no values"),
+    ], ids=["non-numeric", "comments-only"])
+    def test_bad_ad_vector_file_is_a_data_error(self, tmp_path, small_edges, capsys, text,
+                                                error, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "a.txt", text)
+        code = main(["rank", "--edges", str(small_edges), "--measure", "trust", "--theta", "1",
+                     "--ad-vector", "a.txt", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_ad_vectors_of_different_dimensions_are_a_data_error(self, tmp_path, small_edges,
+                                                                 capsys):
+        write(tmp_path / "z2.txt", "0.1 0.2\n")
+        write(tmp_path / "z3.txt", "0.1 0.2 0.3\n")
+        code = main(["rank", "--edges", str(small_edges), "--measure", "trust", "--theta", "1",
+                     "--ad-vector", str(tmp_path / "z2.txt"),
+                     "--ad-vector", str(tmp_path / "z3.txt"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: advertisement vectors disagree in dimension: 2 vs 3\n")
+        assert not (tmp_path / "o").exists()
 
     def test_beta_weights_must_sum_to_one(self, tmp_path, small_edges, capsys):
         code = main([
@@ -910,6 +962,43 @@ class TestSweepCommand:
         assert captured.err.splitlines() == [f"target 1e+308: {error}"]
         assert captured.out == "swept 2 targets, 1 failed\n"
 
+    def test_unparsable_target_list_is_a_data_error(self, tmp_path, small_edges, capsys):
+        code = main(["sweep", "--edges", str(small_edges), "--measure", "influence",
+                     "--gammas", "0.1,abc", "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: could not parse target list '0.1,abc'\n")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_empty_graph_is_a_data_error(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        write(edges, "# no edges\n# and no nodes\n")
+        code = main(["sweep", "--edges", str(edges), "--measure", "influence",
+                     "--thetas", "0.1", "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: degree ranking is undefined on an empty graph\n")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_a_root_beyond_the_bracket_limit_gives_its_own_error_row(self, tmp_path, capsys):
+        # Three edges of equal mass, whose minimum scores are the atoms 0,
+        # 0.99999 and 1: a target 1e-15 below the top needs theta beyond 10^6.
+        edges, attrs, z = tmp_path / "edges.txt", tmp_path / "attrs.txt", tmp_path / "z.txt"
+        write(edges, "0 1 1\n2 3 1\n3 4 -1\n")
+        write(attrs, "0 0\n1 1\n2 0.99999\n3 1\n4 1\n")
+        write(z, "1\n")
+        code = main([
+            "sweep", "--edges", str(edges), "--attrs", str(attrs), "--ad-vector", str(z),
+            "--measure", "ad", f"--gammas=0.5,{1 - 1e-15!r}", "--beta1", "1",
+            "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["sweep"]
+        error = "failed to bracket the temperature from above (final residual -5.255e-08)"
+        assert [row["error"] for row in rows] == [None, error]
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"target {1 - 1e-15!r}: {error}"]
+        assert captured.out == "swept 2 targets, 1 failed\n"
+
     def test_requires_exactly_one_target_list(self, tmp_path, small_edges, capsys):
         code = main([
             "sweep", "--edges", str(small_edges), "--measure", "influence",
@@ -1025,6 +1114,17 @@ class TestVerifyCommand:
             "error: score vector has dimension 1 but node attributes have dimension 0"
         ]
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("workload", ["rank-onestep", "rank-twostep", "sweep-ad"])
+    def test_benchmark_smoke_inputs_pass(self, tmp_path, capsys, benchmark_workloads, workload,
+                                         seed):
+        """The enumeration oracle on the benchmark's seeded smoke inputs: the
+        heavy-tailed two-step graph and the attributed one among them."""
+        argv = benchmark_workloads.build(workload, seed, "smoke", tmp_path).argv
+        inputs = [arg for flag, value in zip(argv[1::2], argv[2::2])
+                  if flag in ("--edges", "--attrs", "--ad-vector") for arg in (flag, value)]
+        assert main(["verify", *inputs]) == 0, capsys.readouterr().out
+
     def test_tampered_sign_is_a_data_error(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         write(edges, "0 1 2\n")
@@ -1076,6 +1176,84 @@ class TestRerunOverOlderOutputs:
         assert main(self._argv(command, small, tmp_path / "rerun")) == 0
         assert read_tree(tmp_path / "rerun") == fresh
         capsys.readouterr()
+
+    @pytest.mark.parametrize("workload", ["rank-onestep", "rank-twostep", "sweep-ad",
+                                          "preprocess-inject"])
+    def test_rewrites_outputs_padded_with_junk(self, tmp_path, capsys, benchmark_workloads,
+                                               workload):
+        """On the benchmark's seed-1 smoke inputs, each output file padded
+        with junk before the rerun."""
+        out = tmp_path / "out"
+        argv = [*benchmark_workloads.build(workload, 1, "smoke", tmp_path).argv,
+                "--out", str(out)]
+        code = main(argv)
+        fresh = read_tree(out)
+        for path in out.iterdir():
+            with open(path, "ab") as fh:
+                fh.write(b"junk\0\n" * 5000)
+        assert main(argv) == code
+        assert read_tree(out) == fresh
+        capsys.readouterr()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+class TestAddressSpaceLimit:
+    """Each command runs in a child whose address space is capped, by
+    RLIMIT_AS, a few MiB above what importing the CLI took.  It exits 2 with
+    one line and writes no --out.  With 32 MiB to spare, the commands that
+    fit succeed, so it is the limit that stops them."""
+
+    CHILD = textwrap.dedent("""
+        import resource, sys
+        from twistrank.cli import main
+        with open("/proc/self/status") as fh:
+            size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+        limit = size * 1024 + int(sys.argv[1]) * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        sys.exit(main(sys.argv[2:]))
+    """)
+
+    FLAGS = {
+        "rank": ["--measure", "influence", "--gamma", "0.3"],
+        "sweep": ["--measure", "influence", "--gammas", "0.1,0.3"],
+        "preprocess": [],
+        "verify": [],
+    }
+
+    @pytest.fixture(scope="class")
+    def edges(self, tmp_path_factory):
+        """200,000 distinct uniform edges over 50,000 nodes, a tenth negative."""
+        rng = np.random.default_rng(3)
+        n, m = 50_000, 200_000
+        u, w = rng.integers(0, n, (2, 3 * m))
+        lo, hi = np.minimum(u, w)[u != w], np.maximum(u, w)[u != w]
+        codes = rng.choice(np.unique(lo * n + hi), m, replace=False)
+        signs = np.where(rng.random(m) < 0.1, -1, 1)
+        path = tmp_path_factory.mktemp("big") / "edges.txt"
+        write(path, "".join(f"{a} {b} {s}\n" for a, b, s in
+                            zip((codes // n).tolist(), (codes % n).tolist(), signs.tolist())))
+        return path
+
+    def _run(self, tmp_path, edges, command, spare_mib):
+        src = str(Path(tr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        argv = [command, "--edges", str(edges), *self.FLAGS[command],
+                "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-c", self.CHILD, str(spare_mib), *argv],
+                              env=env, capture_output=True, text=True)
+        return done.returncode, done.stderr
+
+    @pytest.mark.parametrize("command", ["rank", "sweep", "preprocess", "verify"])
+    def test_out_of_memory_is_one_line(self, tmp_path, edges, command):
+        code, err = self._run(tmp_path, edges, command, 4)
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: "), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["rank", "sweep", "preprocess"])
+    def test_32_mib_to_spare_is_enough(self, tmp_path, edges, command):
+        assert self._run(tmp_path, edges, command, 32) == (0, "")
+        assert (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestImport:

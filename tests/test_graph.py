@@ -973,6 +973,17 @@ class TestAttributeArrays:
         for attrs in ([(9, [1.0, 2.0])], _attr_pair([(9, [1.0, 2.0])])):
             assert tr.preprocess(ATTR_EDGES, min_degree=1, attr_records=attrs).graph.attr_dim == 0
 
+    def test_a_two_dimensional_vector_is_rejected(self):
+        for build in ATTR_BUILDS.values():
+            assert _built(build, [(0, [[0.5, 1.0]]), (1, [0.25])]) == (
+                "attribute vector for node 0 must be one-dimensional")
+
+    def test_preprocess_of_a_graph_takes_no_attribute_records(self):
+        g = tr.load_graph(ATTR_EDGES, [(0, [0.5])])
+        message = "^attr_records cannot be combined with a graph source$"
+        with pytest.raises(ValueError, match=message):
+            tr.preprocess(g, attr_records=[(0, [0.5])])
+
     def test_ids_and_values_of_different_lengths_are_rejected(self):
         pair = (np.array([0, 1, 2]), np.ones((2, 3)))
         with pytest.raises(GraphError, match="^3 attribute node ids but 2 attribute vectors$"):

@@ -9,7 +9,7 @@ import pytest
 
 import twistrank as tr
 from twistrank import twisting, verify
-from twistrank.errors import GraphError, SolveError
+from twistrank.errors import ConvergenceError, GraphError, SolveError
 
 from conftest import random_signed_graph, tilted_masses, walk_masses
 
@@ -40,6 +40,12 @@ class TestMeasures:
         g = tr.load_graph([(0, 1, 1)], [(0, [0.2, 0.9]), (1, [0.5, 0.1])])
         measure = tr.MinInnerProduct([1.0, 0.0])
         assert _value(g, measure, (0, 1)) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("scores", [[], [[1.0, 0.5]]], ids=["empty", "2-D"])
+    def test_min_inner_product_takes_a_nonempty_vector(self, scores):
+        with pytest.raises(ValueError,
+                           match="^score vector must be a nonempty one-dimensional array$"):
+            tr.MinInnerProduct(scores)
 
     def test_min_inner_product_requires_attributes(self, triangle_pos):
         with pytest.raises(GraphError, match="dimension"):
@@ -432,6 +438,30 @@ class TestSolveThetaNumeric:
         fmin, fmax = verify.achievable_range(table)
         assert (fmin, fmax) == (-1.0, 1.0)
 
+
+class TestBracket:
+    """A solve brackets its root by doubling a step of +-1 away from 0 on
+    the side where the root lies, and gives up past 10^6 on the scaled atoms."""
+
+    @pytest.mark.parametrize("atoms, gamma, message", [
+        ([0.0, 0.99999, 1.0], 1 - 1e-15,
+         "failed to bracket the temperature from above (final residual -5.255e-08)"),
+        ([0.0, 1e-5, 1.0], 1e-15,
+         "failed to bracket the temperature from below (final residual 5.257e-08)"),
+    ], ids=["above", "below"])
+    def test_a_root_beyond_the_limit_fails_to_bracket(self, atoms, gamma, message):
+        solver = twisting.AtomSolver(np.array(atoms), np.full(3, 1 / 3))
+        with pytest.raises(ConvergenceError) as info:
+            solver.theta(gamma)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.45, 0.9])
+    def test_a_solve_visits_only_its_root_side(self, gamma):
+        solver = twisting.AtomSolver(np.array([0.0, 0.3, 0.7, 1.0]), np.full(4, 0.25))
+        theta = solver.theta(gamma)
+        assert theta != 0.0
+        assert all(t * theta >= 0.0 for t in solver.moments)
+        assert math.copysign(1.0, theta) in solver.moments
 
 class TestTwistedStructure:
     def test_reversibility(self, corpus100):
