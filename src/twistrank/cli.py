@@ -200,7 +200,8 @@ def cmd_preprocess(args) -> int:
     tio.write_edge_list(out / "edges.txt", result.graph)
     if attrs is not None:
         tio.write_attributes(out / "attrs.txt", result.graph)
-    tio.write_json(out / "report.json", result.report.to_dict())
+    # The report's own fields: write_json prints its arrays as to_dict()'s lists.
+    tio.write_json(out / "report.json", vars(result.report))
     tio.write_manifest(out, "preprocess", _manifest_params(args))
     g = result.graph
     m_neg = int((g.pairs()[2] < 0).sum())

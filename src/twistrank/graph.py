@@ -201,22 +201,36 @@ class NegativeInjection:
             raise GraphError(f"injection seed {seed!r} must be a nonnegative integer")
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
 @dataclass
 class PreprocessReport:
-    """What preprocessing changed, in terms of the original node ids."""
+    """What preprocessing changed, in terms of the original node ids.
+
+    ``injected_edges`` is a read-only ``(k, 2)`` array, one injected pair per
+    row, and ``removed_nodes`` a read-only 1-D array: int64, or Python ints in
+    an object array once an id is beyond int64, as
+    :attr:`AttributedGraph.original_ids`.  :meth:`to_dict` gives them as
+    plain lists.
+    """
 
     self_loops_removed: int = 0
     duplicate_edges_collapsed: int = 0
-    injected_edges: list[tuple[int, int]] = field(default_factory=list)
-    removed_nodes: list[int] = field(default_factory=list)
+    injected_edges: np.ndarray = field(
+        default_factory=lambda: _read_only(np.empty((0, 2), dtype=np.int64)))
+    removed_nodes: np.ndarray = field(
+        default_factory=lambda: _read_only(np.empty(0, dtype=np.int64)))
     filter_rounds: int = 0
 
     def to_dict(self) -> dict:
         return {
             "self_loops_removed": self.self_loops_removed,
             "duplicate_edges_collapsed": self.duplicate_edges_collapsed,
-            "injected_edges": [list(e) for e in self.injected_edges],
-            "removed_nodes": list(self.removed_nodes),
+            "injected_edges": self.injected_edges.tolist(),
+            "removed_nodes": self.removed_nodes.tolist(),
             "filter_rounds": self.filter_rounds,
         }
 
@@ -280,7 +294,7 @@ def preprocess(
 
     if inject is not None:
         new_lo, new_hi = _inject_negative_edges(ids, lo, hi, inject)
-        report.injected_edges = list(zip(ids[new_lo].tolist(), ids[new_hi].tolist()))
+        report.injected_edges = _read_only(np.column_stack((ids[new_lo], ids[new_hi])))
         # Both pair lists ascend: merged, the pairs reach the graph in order.
         n = ids.size
         at = np.searchsorted(_pair_codes(lo, hi, n), _pair_codes(new_lo, new_hi, n))
@@ -288,7 +302,7 @@ def preprocess(
         signs = np.insert(signs, at, np.int8(-1))
 
     alive, report.filter_rounds = _peel(ids.size, lo, hi, min_degree)
-    report.removed_nodes = ids[~alive].tolist()
+    report.removed_nodes = _read_only(ids[~alive])
     kept = alive[lo] & alive[hi]
     new_index = np.cumsum(alive) - 1
     graph = _build_graph(

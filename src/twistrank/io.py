@@ -3,14 +3,16 @@
 All text is UTF-8 with LF line endings; ``#`` starts a comment.  Scores are
 printed with 12 significant digits.
 
-The bulk writers (edge lists, attribute tables, both ranking files) render
-their rows with one block renderer, :func:`_write_rows`.  Each column is a
+The bulk writers (edge lists, attribute tables, both ranking files, the
+integer arrays of a JSON payload such as the preprocessing report) render
+their rows with one block renderer, :func:`_row_blocks`.  Each column is a
 NUL-padded ``(n, width)`` uint8 block of ASCII texts: vectorised base-10
 digits for nonnegative integers, or rows gathered by index from a table of
 distinct texts (scores, attribute values, signs, ids beyond int64).  A
 fixed number of rows at a time, the columns and the row template's literal
 pieces are laid side by side, and the block's non-NUL bytes are written in
-order.  Invariant: no text or literal holds a NUL byte, so dropping the
+order; the digits of an integer array's column are made one block at a
+time too.  Invariant: no text or literal holds a NUL byte, so dropping the
 padding leaves exactly the per-line text.
 
 Every writer rewrites its file in place (:func:`_rewrite`): an existing
@@ -27,8 +29,9 @@ import json
 import os
 import stat
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -315,26 +318,46 @@ class _Column(NamedTuple):
     index: np.ndarray | None = None
 
 
+class _IntColumn(NamedTuple):
+    """Row ``i`` is the base-10 text of ``values[i]``, made by
+    :func:`_int_texts` a block of rows at a time."""
+
+    values: np.ndarray
+
+
 def _write_rows(path, row: list, count: int, head: str = "", tail: str = "",
                 trim: int = 0) -> None:
-    """Write ``head``, ``count`` rows of the template ``row``, then ``tail``.
+    """Write ``head``, ``count`` rows of the template ``row``, then ``tail``."""
+    with _rewrite(path) as fh:
+        fh.write(head.encode("ascii"))
+        fh.writelines(_row_blocks(row, count, trim))
+        fh.write(tail.encode("ascii"))
 
-    ``row`` lists the row's pieces in order: ``str`` literals and
-    :class:`_Column` s with at least ``count`` rows.  The literals are placed
-    in a block once, the columns' texts each block of rows; the last
-    ``trim`` bytes of the rows are left out.
+
+def _row_blocks(row: list, count: int, trim: int = 0) -> Iterator[np.ndarray]:
+    """The bytes of ``count`` rows of the template ``row``, a block of rows at
+    a time.
+
+    ``row`` lists the row's pieces in order: ``str`` literals, and
+    :class:`_Column` s and :class:`_IntColumn` s with at least ``count``
+    rows.  The literals are placed in a block once, the columns' texts each
+    block of rows; the last ``trim`` bytes of the rows are left out.
     """
     pieces, offset = [], 0
     for piece in row:
         if isinstance(piece, str):
             piece = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
             width = piece.size
+        elif isinstance(piece, _IntColumn):
+            # The longest text is that of the least or the greatest value.
+            values = piece.values
+            width = max(len(str(values.min())), len(str(values.max()))) if values.size else 0
         else:
             # Each text as one opaque item, so that a gather moves whole texts.
             texts = np.ascontiguousarray(piece.texts)
             items = texts.view(f"V{texts.shape[1]}")[:, 0]
             per_row = 1 if piece.index is None or piece.index.ndim == 1 else piece.index.shape[1]
-            piece = (items, piece.index)
+            piece = _Column(items, piece.index)
             width = items.itemsize * per_row
         pieces.append((piece, slice(offset, offset + width)))
         offset += width
@@ -343,21 +366,26 @@ def _write_rows(path, row: list, count: int, head: str = "", tail: str = "",
     for piece, cols in pieces:
         if isinstance(piece, np.ndarray):
             block[:, cols] = piece
+        elif isinstance(piece, _IntColumn):
+            columns.append((piece, block[:, cols]))
         else:
-            items, index = piece
-            columns.append((items, index, block[:, cols].view(items.dtype)))
-    with _rewrite(path) as fh:
-        fh.write(head.encode("ascii"))
-        for start in range(0, count, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, count)
-            size = stop - start
-            for items, index, slot in columns:
+            columns.append((piece, block[:, cols].view(piece.texts.dtype)))
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        size = stop - start
+        for piece, slot in columns:
+            if isinstance(piece, _IntColumn):
+                # A block's texts may be narrower than the column: NULs pad them.
+                texts = _int_texts(piece.values[start:stop])
+                slot[:size, : texts.shape[1]] = texts
+                slot[:size, texts.shape[1]:] = 0
+            else:
+                items, index = piece
                 texts = items[start:stop] if index is None else items[index[start:stop]]
                 slot[:size] = texts.reshape(size, -1)
-            flat = block[:size].ravel()
-            text = flat[flat != 0]
-            fh.write(text[: text.size - trim] if stop == count else text)
-        fh.write(tail.encode("ascii"))
+        flat = block[:size].ravel()
+        text = flat[flat != 0]
+        yield text[: text.size - trim] if stop == count else text
 
 
 def _text_block(texts: list[str]) -> np.ndarray:
@@ -484,7 +512,11 @@ def write_manifest(out_dir, command: str, parameters: dict) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    _write_text(path, _dumps(payload))
+    """``payload`` with the bytes of :func:`_dumps`; integer arrays among its
+    values are written a block of rows at a time."""
+    chunks = _json_chunks(payload)
+    with _rewrite(path) as fh:
+        fh.writelines(chunks)
 
 
 def finite_or_none(x: float | None) -> float | None:
@@ -494,51 +526,70 @@ def finite_or_none(x: float | None) -> float | None:
 
 
 def _dumps(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"``.
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
+    where an integer array value is printed as its ``tolist()``.
 
     allow_nan=False: a writer that leaves a NaN or infinity in fails loudly.
-    Top-level values that are lists of plain ints, or lists of equally long
-    lists of them, are filled from one template (:func:`_int_list_json`);
-    every other value is left to ``json.dumps``.  Only dicts with str keys are
-    entered, so that the keys sort and print as ``json.dumps`` sorts and
-    prints them.
     """
-    texts = {}
+    return b"".join(_json_chunks(payload)).decode("utf-8")
+
+
+def _json_chunks(payload: dict) -> Iterator:
+    """The bytes of :func:`_dumps`, in chunks.
+
+    A top-level value that is a 1-D or 2-D array of integers, or of Python
+    ints, is printed from :func:`_int_texts` digit blocks, :data:`_BLOCK_ROWS`
+    rows at a time; every other value is left to ``json.dumps``, which
+    rejects arrays and numpy scalars.  Only dicts with str keys are entered,
+    so that the keys sort and print as ``json.dumps`` sorts and prints them.
+    Every ``json.dumps`` text is made before this returns, so a payload
+    that fails does so before a byte is written.
+    """
+    arrays = {}
     if type(payload) is dict and all(type(k) is str for k in payload):
-        texts = {k: _int_list_json(v) for k, v in payload.items()}
-    if all(text is None for text in texts.values()):
-        return _plain_json(payload) + "\n"
+        arrays = {k: v for k, v in payload.items() if _is_int_array(v)}
+    if not arrays:
+        return iter([(_plain_json(payload) + "\n").encode("utf-8")])
     # In key order, so that the first value json.dumps rejects is the one it
     # would reject in the whole payload.
-    items = ((k, texts[k] or _plain_json(payload[k]).replace("\n", "\n  "))
-             for k in sorted(payload))
-    return "{" + ",".join(f"\n  {json.dumps(k)}: {text}" for k, text in items) + "\n}\n"
+    chunks, sep = [], "{"
+    for k in sorted(payload):
+        text = "" if k in arrays else _plain_json(payload[k]).replace("\n", "\n  ")
+        chunks.append([f"{sep}\n  {json.dumps(k)}: {text}".encode("utf-8")])
+        if k in arrays:
+            chunks.append(_int_array_json(arrays[k]))
+        sep = ","
+    chunks.append([b"\n}\n"])
+    return chain.from_iterable(chunks)
 
 
 def _plain_json(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _int_list_json(value) -> str | None:
-    """The JSON of a non-empty list of plain ints, or of equally long non-empty
-    lists of them, as a top-level dict value, from one ``%`` template; else
-    ``None``.
+def _is_int_array(value) -> bool:
+    if type(value) is not np.ndarray or value.ndim not in (1, 2):
+        return False
+    if value.dtype == object:
+        return all(type(x) is int for x in value.flat)
+    return value.dtype.kind in "iu"
 
-    ``bool`` is not a plain int here, and numpy scalars are left to
-    ``json.dumps``, which rejects them.
-    """
-    if type(value) is not list or not value:
-        return None
-    width = len(value[0]) if type(value[0]) is list else 0
-    if width:
-        if not all(type(row) is list and len(row) == width for row in value):
-            return None
-        cells = [x for row in value for x in row]
+
+def _int_array_json(values: np.ndarray) -> Iterator:
+    """The JSON of the ``tolist()`` of a 1-D or 2-D integer array as a
+    top-level dict value, a block of rows at a time."""
+    count = len(values)
+    if not count:
+        yield b"[]"
+        return
+    if values.ndim == 1:
+        row = ["\n    ", _IntColumn(values), ","]
     else:
-        cells = value
-    if not all(type(x) is int for x in cells):
-        return None
-    item = "\n    %d"
-    if width:
-        item = "\n    [" + ",".join(["\n      %d"] * width) + "\n    ]"
-    return "[" + ",".join([item] * len(value)) % tuple(cells) + "\n  ]"
+        row = ["\n    ["]
+        for j in range(values.shape[1]):
+            row += [",\n      " if j else "\n      ", _IntColumn(values[:, j])]
+        row.append("\n    ]," if values.shape[1] else "],")
+    # The last row drops its ",".
+    yield b"["
+    yield from _row_blocks(row, count, trim=1)
+    yield b"\n  ]"

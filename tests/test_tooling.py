@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -113,3 +114,19 @@ def test_verify_binds_no_private_name_of_centrality():
     private = {id(value) for name, value in vars(centrality).items()
                if name.startswith("_") and not name.startswith("__") and callable(value)}
     assert [name for name, value in vars(verify).items() if id(value) in private] == []
+
+
+def test_the_preprocess_report_holds_no_object_per_edge():
+    """report.json is printed from the report's arrays: io keeps no template
+    for lists of ints, and preprocess hands back no Python container per
+    injected pair or removed node."""
+    assert "_int_list_json" not in vars(importlib.import_module("twistrank.io"))
+    tr = importlib.import_module("twistrank")
+    records = [(v, v + 1, 1) for v in range(7)] + [(20, 21, 1)]
+    partition = {v: v % 2 for v in [*range(8), 20, 21]}
+    report = tr.preprocess(records, min_degree=2, inject=tr.NegativeInjection(
+        count=3, seed=1, partition=partition)).report
+    for value in (report.injected_edges, report.removed_nodes):
+        assert type(value) is np.ndarray and value.dtype == np.int64
+        assert not value.flags.writeable
+    assert report.injected_edges.shape == (3, 2) and report.removed_nodes.ndim == 1
