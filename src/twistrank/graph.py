@@ -54,7 +54,9 @@ class AttributedGraph:
         node_attrs: np.ndarray,
     ):
         """Edge ``k`` joins compact nodes ``lo[k]`` and ``hi[k]`` with sign
-        ``signs[k]``; the pairs are distinct, in any order and orientation."""
+        ``signs[k]``, +1 or -1 (``1.0`` is, ``True`` is not, and any other is a
+        :class:`GraphError` naming the edge); the pairs are distinct, in any
+        order and orientation."""
         self.original_ids = _id_array(original_ids)
         self.original_ids.setflags(write=False)
         self.n = n = self.original_ids.size
@@ -63,6 +65,13 @@ class AttributedGraph:
         # New arrays, so that the graph shares no memory with the caller's.
         node = _index_dtype(n)
         lo, hi = np.minimum(lo, hi, dtype=node), np.maximum(lo, hi, dtype=node)
+        # Checked before the int8 cast, which would wrap 257 to 1.  Bools,
+        # objects and text are checked a value at a time, by a record's rule.
+        signs = np.asarray(signs)
+        bad = np.flatnonzero(np.abs(signs) != 1 if signs.dtype.kind in "iuf" else
+                             [_int_value(s) not in (1, -1) for s in signs.tolist()])
+        for k in bad[:1]:
+            _check_sign(signs.tolist()[k], *self.original_ids[[lo[k], hi[k]]].tolist())  # raises
         signs = np.array(signs, dtype=np.int8)
         if not _ascending(lo, hi):
             order = np.argsort(_pair_codes(lo, hi, n))
@@ -732,17 +741,25 @@ def _is_nonnegative_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
 
 
-def _check_node_id(u) -> int:
+def _int_value(x) -> int | None:
+    """``x`` as an int if it is an integer value (``2.0`` included), else
+    ``None``; a bool, Python's or numpy's, is not one."""
     try:
-        node = None if isinstance(u, bool) else int(u)
+        value = None if isinstance(x, (bool, np.bool_)) else int(x)
     except (OverflowError, TypeError, ValueError):  # int() of inf, NaN, None or text
-        node = None
-    if node is None or node != u or node < 0:
+        return None
+    return value if value == x else None
+
+
+def _check_node_id(u) -> int:
+    node = _int_value(u)
+    if node is None or node < 0:
         raise GraphError(f"node id {u!r} must be a nonnegative integer")
     return node
 
 
 def _check_sign(s, u, w) -> int:
-    if s not in (1, -1):
+    sign = _int_value(s)
+    if sign not in (1, -1):
         raise GraphError(f"edge ({u}, {w}) has sign {s!r}; signs must be +1 or -1")
-    return int(s)
+    return sign

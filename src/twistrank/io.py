@@ -3,6 +3,11 @@
 All text is UTF-8 with LF line endings; ``#`` starts a comment.  Scores are
 printed with 12 significant digits.
 
+Each reader parses a clean file in one ``np.loadtxt`` call and any other
+file through one line loop, :func:`_line_records`, which owns the data
+lines, the field-count check and both forms of :class:`ParseError`; a
+reader hands it only its grammar.
+
 The bulk writers (edge lists, attribute tables, both ranking files, the
 integer arrays of a JSON payload such as the preprocessing report) render
 their rows with one block renderer, :func:`_row_blocks`.  Each column is a
@@ -50,6 +55,24 @@ def _data_lines(path):
                 yield line_no, line
 
 
+def _line_records(path, shape: str, fields, bad: str, parse) -> Iterator[tuple[int, object]]:
+    """``(line_no, parse(tokens))`` for each data line of ``path``, in order.
+
+    ``fields`` tells whether a line may have its count of tokens (``None``:
+    any count); a line it refuses raises ``expected '<shape>', got '<line>'``,
+    and one on which ``parse`` raises ``ValueError`` ``<bad> in '<line>'``.
+    """
+    for line_no, line in _data_lines(path):
+        tokens = line.split()
+        if fields is not None and not fields(len(tokens)):
+            raise ParseError(path, line_no, f"expected '{shape}', got {line!r}")
+        try:
+            record = parse(tokens)
+        except ValueError:
+            raise ParseError(path, line_no, f"{bad} in {line!r}") from None
+        yield line_no, record
+
+
 def _loadtxt(path, dtype, ndmin: int) -> np.ndarray | None:
     """The rows of one ``np.loadtxt`` call, or ``None`` if it fails or warns,
     in which case a line loop gives the records or the error."""
@@ -76,25 +99,12 @@ def read_edge_list(path) -> np.ndarray:
     """
     rows = _loadtxt(path, np.int64, ndmin=2)
     if rows is None or rows.shape[1] not in (2, 3):
-        return _id_array(_read_edge_lines(path)).reshape(-1, 3)
+        records = _line_records(path, "u w [sign]", lambda k: k in (2, 3), "non-integer field",
+                                lambda t: (int(t[0]), int(t[1]), int(t[2]) if len(t) == 3 else 1))
+        return _id_array([rec for _, rec in records]).reshape(-1, 3)
     if rows.shape[1] == 2:
         rows = np.column_stack((rows, np.ones(len(rows), dtype=np.int64)))
     return rows
-
-
-def _read_edge_lines(path) -> list[tuple[int, int, int]]:
-    records = []
-    for line_no, line in _data_lines(path):
-        tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise ParseError(path, line_no, f"expected 'u w [sign]', got {line!r}")
-        try:
-            u, w = int(tokens[0]), int(tokens[1])
-            sign = int(tokens[2]) if len(tokens) == 3 else 1
-        except ValueError:
-            raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
-        records.append((u, w, sign))
-    return records
 
 
 def read_attributes(path) -> tuple[np.ndarray, np.ndarray]:
@@ -122,8 +132,11 @@ def read_attributes(path) -> tuple[np.ndarray, np.ndarray]:
         rows = _loadtxt(path, [("id", np.int64), ("values", np.float64, (dim,))], ndmin=1)
         if rows is not None:
             return rows["id"], rows["values"]
-    nodes, vectors = _read_attribute_lines(path)
-    ids = _id_array(nodes)
+    records = [rec for _, rec in _line_records(
+        path, "u v1 ... vp", lambda k: k >= 2, "non-numeric field",
+        lambda t: (int(t[0]), [float(v) for v in t[1:]]))]
+    ids = _id_array([node for node, _ in records])
+    vectors = [vector for _, vector in records]
     try:
         values = np.array(vectors, dtype=float).reshape(len(vectors), -1 if vectors else 0)
     except ValueError:  # lines of differing lengths
@@ -132,30 +145,10 @@ def read_attributes(path) -> tuple[np.ndarray, np.ndarray]:
     return ids, values
 
 
-def _read_attribute_lines(path) -> tuple[list[int], list[list[float]]]:
-    nodes, vectors = [], []
-    for line_no, line in _data_lines(path):
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise ParseError(path, line_no, f"expected 'u v1 ... vp', got {line!r}")
-        try:
-            node = int(tokens[0])
-            vector = [float(t) for t in tokens[1:]]
-        except ValueError:
-            raise ParseError(path, line_no, f"non-numeric field in {line!r}") from None
-        nodes.append(node)
-        vectors.append(vector)
-    return nodes, vectors
-
-
 def read_vector(path) -> np.ndarray:
     """Parse a single whitespace-separated vector of reals."""
-    values = []
-    for line_no, line in _data_lines(path):
-        try:
-            values.extend(float(t) for t in line.split())
-        except ValueError:
-            raise ParseError(path, line_no, f"non-numeric field in {line!r}") from None
+    lines = _line_records(path, "", None, "non-numeric field", lambda t: [float(v) for v in t])
+    values = [v for _, line in lines for v in line]
     if not values:
         raise ParseError(path, 0, "vector file contains no values")
     return np.asarray(values, dtype=float)
@@ -175,23 +168,13 @@ def read_partition(path) -> dict[int, str]:
         labels = dict(zip(rows["id"].tolist(), rows["label"].tolist()))
         if len(labels) == len(rows):  # else a node is listed again
             return labels
-    return _read_partition_lines(path)
-
-
-def _read_partition_lines(path) -> dict[int, str]:
-    labels: dict[int, str] = {}
-    for line_no, line in _data_lines(path):
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(path, line_no, f"expected 'u label', got {line!r}")
-        try:
-            node = int(tokens[0])
-        except ValueError:
-            raise ParseError(path, line_no, f"non-integer node id in {line!r}") from None
-        label = labels.setdefault(node, tokens[1])
-        if label != tokens[1]:
+    labels = {}
+    for line_no, (node, label) in _line_records(path, "u label", lambda k: k == 2,
+                                                "non-integer node id", lambda t: (int(t[0]), t[1])):
+        known = labels.setdefault(node, label)
+        if known != label:
             raise ParseError(
-                path, line_no, f"node {node} has label {tokens[1]!r} here but {label!r} earlier"
+                path, line_no, f"node {node} has label {label!r} here but {known!r} earlier"
             )
     return labels
 
@@ -227,7 +210,7 @@ def write_edge_list(path, graph: AttributedGraph) -> None:
     # Each id's text is made once; the original ids ascend, so mapping keeps
     # u < w and the order.
     names = _int_texts(graph.original_ids)
-    row = [_Column(names, u), " ", _Column(names, w), " ", _int8_column(signs), "\n"]
+    row = [_Column(names, u), " ", _Column(names, w), " ", _sign_column(signs), "\n"]
     _write_rows(path, row, u.size)
 
 
@@ -418,13 +401,9 @@ def _int_texts(values: np.ndarray) -> np.ndarray:
     return block
 
 
-def _int8_column(values: np.ndarray) -> _Column:
-    """The texts of int8 values, gathered from a table of the range they span."""
-    values = values.astype(np.int8, copy=False)
-    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
-    table = _text_block([str(v) for v in range(low, high + 1)])
-    # Each value's offset from ``low``, below 256, is its byte less ``low``'s.
-    return _Column(table, values.view(np.uint8) - np.uint8(low % 256))
+def _sign_column(signs: np.ndarray) -> _Column:
+    """The texts of ±1 signs, gathered from the two texts ``-1`` and ``1``."""
+    return _Column(_text_block(["-1", "1"]), (signs > 0).view(np.uint8))
 
 
 def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -147,6 +147,43 @@ class TestPairs:
         assert [a.tolist() for a in g.pairs()] == [[0, 1], [1, 2], [1, -1]]
 
 
+class TestConstructorSigns:
+    """The constructor holds every graph to signs of +1 and -1, which stats,
+    the kernels, the oracle and the writers assume."""
+
+    @pytest.mark.parametrize("signs, shown", [
+        (np.array([1, 0]), "0"),
+        (np.array([-1, 2]), "2"),
+        (np.array([1.0, 1.5]), "1.5"),
+        (np.array([1, 257], dtype=np.int64), "257"),  # 1 once cast to int8
+        (np.array([-1, -129], dtype=np.int64), "-129"),  # 127 once cast to int8
+        (np.array([1, np.nan]), "nan"),
+    ], ids=["zero", "two", "fraction", "int64-257", "int64-minus-129", "nan"])
+    def test_a_sign_other_than_plus_or_minus_one_names_its_edge(self, signs, shown):
+        # The second edge is given high end first; the error names it low end first.
+        with pytest.raises(GraphError, match=rf"^edge \(20, 30\) has sign {shown}; "
+                                             r"signs must be \+1 or -1$"):
+            tr.AttributedGraph([10, 20, 30], np.array([0, 2]), np.array([1, 1]), signs,
+                               np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("signs", [np.array([True, False]), np.array([True, True]),
+                                       np.array([True, 1], dtype=object)])
+    def test_bool_signs_are_rejected(self, signs):
+        with pytest.raises(GraphError, match=r"^edge \(10, 20\) has sign True; "
+                                             r"signs must be \+1 or -1$"):
+            tr.AttributedGraph([10, 20, 30], np.array([0, 1]), np.array([1, 2]), signs,
+                               np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("signs", [np.array([1.0, -1.0]), np.array([1, -1], dtype=object),
+                                       [1, -1], np.array([1, 1], dtype=np.uint64)])
+    def test_numeric_plus_and_minus_one_load(self, signs):
+        g = tr.AttributedGraph([10, 20, 30], np.array([0, 1]), np.array([1, 2]), signs,
+                               np.zeros((3, 0)))
+        want = [(10, 20, int(signs[0])), (20, 30, int(signs[1]))]
+        assert g == tr.load_graph(want)
+        assert g.pairs()[2].dtype == np.int8
+
+
 class TestPreprocess:
     def test_cascade_empties_path_graph(self):
         result = tr.preprocess([(0, 1, 1), (1, 2, 1)], min_degree=2)
@@ -559,7 +596,12 @@ class TestRecordValidation:
             ([(0, 1, 1), (-1, 2, 1)], "node id -1 must be a nonnegative integer"),
             ([(0, 1, 1), (2.5, 1, 1)], "node id 2.5 must be a nonnegative integer"),
             ([(0, 1, 1), (True, 2, 1)], "node id True must be a nonnegative integer"),
+            ([(0, 1, 1), (np.True_, 2, 1)],
+             f"node id {re.escape(repr(np.True_))} must be a nonnegative integer"),
             ([(0, 1, 1), (1, 2, 2)], r"edge \(1, 2\) has sign 2; signs must be \+1 or -1"),
+            ([(0, 1, 1), (1, 2, True)], r"edge \(1, 2\) has sign True; signs must be \+1 or -1"),
+            ([(0, 1, 1), (1, 2, np.True_)],
+             rf"edge \(1, 2\) has sign {re.escape(repr(np.True_))}; signs must be \+1 or -1"),
             ([(0, 1, 1), (3, 4), (1, 0, -1)], r"conflicting signs for edge \(0, 1\): 1 and -1"),
             ([(0, 1), (1.0, 0, -1)], r"conflicting signs for edge \(0, 1\): 1 and -1"),
             # Arrays name plain ints in their errors, as lists do.
@@ -574,7 +616,8 @@ class TestRecordValidation:
             ([(0, 1, 1), (0, None, 1)], "node id None must be a nonnegative integer"),
             ([(0, 1, 1), ("x", 2, 1)], "node id 'x' must be a nonnegative integer"),
         ],
-        ids=["fields", "node-id", "float-id", "bool-id", "sign", "conflict", "mixed-conflict",
+        ids=["fields", "node-id", "float-id", "bool-id", "numpy-bool-id", "sign", "bool-sign",
+             "numpy-bool-sign", "conflict", "mixed-conflict",
              "array-fields", "array-node-id", "array-sign", "inf-id", "nan-id", "array-inf-id",
              "array-nan-id", "none-id", "text-id"],
     )

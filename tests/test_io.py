@@ -280,10 +280,10 @@ def test_clean_attribute_file_is_parsed_without_the_line_loop(tmp_path, monkeypa
     path = tmp_path / "attrs.txt"
     _write(path, "# c\n3 0.5 0.25\n1 1e-3 -2\n3 7 8\n")
 
-    def no_loop(path):
+    def no_loop(*args):
         raise AssertionError("the line loop ran on a clean file")
 
-    monkeypatch.setattr(tio, "_read_attribute_lines", no_loop)
+    monkeypatch.setattr(tio, "_line_records", no_loop)
     ids, values = tio.read_attributes(path)
     assert ids.dtype == np.int64 and values.dtype == np.float64
     assert ids.tolist() == [3, 1, 3]
@@ -466,10 +466,10 @@ def test_clean_partition_file_is_parsed_without_the_line_loop(tmp_path, monkeypa
     path = tmp_path / "partition.txt"
     _write(path, "# c\n3 a\n1 b # x\r\n\n2 a\n")
 
-    def no_loop(path):
+    def no_loop(*args):
         raise AssertionError("the line loop ran on a clean file")
 
-    monkeypatch.setattr(tio, "_read_partition_lines", no_loop)
+    monkeypatch.setattr(tio, "_line_records", no_loop)
     monkeypatch.setattr(tio, "_data_lines", no_loop)
     assert _partition_outcome(tio.read_partition, path) == [(3, "a"), (1, "b"), (2, "a")]
 
@@ -538,6 +538,85 @@ def test_any_partition_text_gives_the_line_loop_outcome(tmp_path_factory, text):
     assert _partition_outcome(tio.read_partition, path) == _partition_outcome(
         _partition_line_loop, path
     )
+
+
+# -- advertisement vector files ----------------------------------------------------
+
+
+def _vector_line_loop(path):
+    """The reference vector reader: one line at a time, ``float`` on every token."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                values.extend(float(t) for t in line.split())
+            except ValueError:
+                raise ParseError(path, line_no, f"non-numeric field in {line!r}") from None
+    if not values:
+        raise ParseError(path, 0, "vector file contains no values")
+    return np.asarray(values, dtype=float)
+
+
+def _vector_outcome(reader, path):
+    """The values as their ``repr`` (so ``-0.0`` and ``nan`` compare exactly),
+    or the ``(line_no, message)`` of the ParseError."""
+    try:
+        values = reader(path)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+    assert values.dtype == np.float64 and values.ndim == 1
+    return [repr(v) for v in values.tolist()]
+
+
+VECTOR_PARSED = {
+    "one-line": ("0.5 -1 2e3\n", [0.5, -1.0, 2000.0]),
+    "several-lines": ("# ad\n0.5 1\n\n-2 # note\n3\n", [0.5, 1.0, -2.0, 3.0]),
+    "crlf": ("0.5\r\n\r\n1 2\r\n", [0.5, 1.0, 2.0]),
+    "tab-and-nbsp": ("1\t2\xa03\n4 \t 5\xa0\n", [1.0, 2.0, 3.0, 4.0, 5.0]),
+    "underscore-and-unicode-digits": ("1_0 \u0661.5\n", [10.0, 1.5]),
+    "non-finite": ("nan -inf -0.0\n", [float("nan"), float("-inf"), -0.0]),
+    "no-final-newline": ("1 2", [1.0, 2.0]),
+}
+
+VECTOR_FAILED = {
+    "empty": ("", 0, "vector file contains no values"),
+    "comments-only": ("# a\n\n   # b\n", 0, "vector file contains no values"),
+    "hex": ("0x1\n", 1, "non-numeric field in '0x1'"),
+    "word-on-a-later-line": ("1 2\n# c\n3 abc 4\n", 3, "non-numeric field in '3 abc 4'"),
+    "comma": ("1,2\n", 1, "non-numeric field in '1,2'"),
+    "crlf-line-number": ("1\r\n\r\nx\r\n", 3, "non-numeric field in 'x'"),
+}
+
+
+@pytest.mark.parametrize("text, values", VECTOR_PARSED.values(), ids=VECTOR_PARSED.keys())
+def test_vector_values(tmp_path, text, values):
+    path = tmp_path / "ad.txt"
+    _write(path, text)
+    assert _vector_outcome(tio.read_vector, path) == [repr(v) for v in values]
+    assert _vector_outcome(_vector_line_loop, path) == [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("text, line_no, message", VECTOR_FAILED.values(),
+                         ids=VECTOR_FAILED.keys())
+def test_vector_parse_errors(tmp_path, text, line_no, message):
+    path = tmp_path / "ad.txt"
+    _write(path, text)
+    with pytest.raises(ParseError) as err:
+        tio.read_vector(path)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"{path}:{line_no}: {message}"
+    assert _vector_outcome(_vector_line_loop, path) == (line_no, str(err.value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(HOSTILE_ATTRS)
+def test_any_vector_text_gives_the_line_loop_outcome(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("hostile-vector") / "ad.txt"
+    _write(path, text)
+    assert _vector_outcome(tio.read_vector, path) == _vector_outcome(_vector_line_loop, path)
 
 
 # -- graph writers ----------------------------------------------------------------
@@ -1034,13 +1113,11 @@ RENDER_IDS = {
              + [10**k for k in range(19) if k not in (9, 12, 18)],
     "beyond-int64": [0, 2**32, 7, 2**63, 10**25, 2**63 - 1, 2**64 + 1, 10**19, 10**20 + 3],
 }
-@pytest.mark.parametrize("values", [[], [1], [-1], [1, -1, 1], [-128, 127, 0], [5, 3, 4],
-                                    list(range(-128, 128))[::-1]])
-def test_int8_texts_cover_the_range_of_the_values(values):
-    """Gathered from a table of the range the values span, the texts are
-    those of ``str``, at both ends of int8 too."""
-    column = tio._int8_column(np.array(values, dtype=np.int8))
-    assert len(column.texts) == (max(values) - min(values) + 1 if values else 1)
+@pytest.mark.parametrize("values", [[], [1], [-1], [1, -1, 1]])
+def test_sign_texts_are_gathered_from_two_texts(values):
+    """Every graph's signs are +1 or -1, so the texts, those of ``str``, come
+    from the two texts ``-1`` and ``1``."""
+    column = tio._sign_column(np.array(values, dtype=np.int8))
     assert _block_texts(column.texts[column.index]) == [str(v) for v in values]
 
 

@@ -130,3 +130,15 @@ def test_the_preprocess_report_holds_no_object_per_edge():
         assert type(value) is np.ndarray and value.dtype == np.int64
         assert not value.flags.writeable
     assert report.injected_edges.shape == (3, 2) and report.removed_nodes.ndim == 1
+
+
+def test_io_holds_one_line_loop_and_two_sign_texts():
+    """The readers share one line loop: io keeps no per-format copy of it.
+    Every graph's signs are +1 or -1, so the sign column's table holds
+    exactly the texts of those two."""
+    io = importlib.import_module("twistrank.io")
+    assert [name for name in ("_read_edge_lines", "_read_attribute_lines",
+                              "_read_partition_lines") if name in vars(io)] == []
+    assert callable(io._line_records)
+    table = io._sign_column(np.array([1, -1, 1], dtype=np.int8)).texts
+    assert [row.tobytes().rstrip(b"\0") for row in table] == [b"-1", b"1"]
