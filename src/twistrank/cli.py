@@ -183,8 +183,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_preprocess(args) -> int:
-    # The seed is checked before any file is read, with or without injection.
-    NegativeInjection.check_seed(args.seed)
+    # The count and seed are checked before any file is read, with or without injection.
+    NegativeInjection.check(args.inject_negative, args.seed)
     if args.inject_negative and not args.partition:
         raise TwistrankError("--inject-negative requires --partition")
     edges, attrs = _records(args)

@@ -4,7 +4,8 @@ Graphs are undirected, carry one sign (+1 or -1) per edge, and optionally a
 real-valued attribute vector per node.  An :class:`AttributedGraph` is
 immutable after construction.  Its edges are stored once, as read-only
 arrays of its sorted pairs (low end, high end, sign), from which the degree
-counts, every centrality kernel and the writers work.  The CSR arrays (row
+counts, every centrality kernel and the writers work; its attributes are
+one read-only matrix.  The CSR arrays (row
 pointers, neighbour ids, signs) are placed on first use by the oracle that
 :mod:`twistrank.verify` runs, and kept.  Both can be shared freely between
 workers: threads that race on the first :meth:`AttributedGraph.csr` call
@@ -37,10 +38,10 @@ class AttributedGraph:
     in ascending order, in the read-only array :attr:`original_ids`: int64,
     or Python ints in an object array once an id is beyond int64.  The edges
     are the sorted pairs of :meth:`pairs`; :meth:`csr` places the neighbour
-    lists from them on its first call, for the oracle.  Build instances through
-    :func:`load_graph` or :func:`preprocess`, which validate the invariants
-    (no self-loops, one sign per unordered pair, signs exactly +1 or -1, a
-    single attribute dimension shared by all nodes).
+    lists from them on its first call, for the oracle.  :attr:`node_attrs` is
+    a read-only ``(n, p)`` float array.  The constructor takes the canonical
+    form only and sorts nothing; :func:`load_graph` and :func:`preprocess`
+    build it from raw records.
     """
 
     __slots__ = ("n", "original_ids", "node_attrs", "_pairs", "_csr")
@@ -53,32 +54,43 @@ class AttributedGraph:
         signs: np.ndarray,
         node_attrs: np.ndarray,
     ):
-        """Edge ``k`` joins compact nodes ``lo[k]`` and ``hi[k]`` with sign
-        ``signs[k]``, +1 or -1 (``1.0`` is, ``True`` is not, and any other is a
-        :class:`GraphError` naming the edge); the pairs are distinct, in any
-        order and orientation."""
-        self.original_ids = _id_array(original_ids)
-        self.original_ids.setflags(write=False)
-        self.n = n = self.original_ids.size
-        self.node_attrs = node_attrs
-
-        # New arrays, so that the graph shares no memory with the caller's.
-        node = _index_dtype(n)
-        lo, hi = np.minimum(lo, hi, dtype=node), np.maximum(lo, hi, dtype=node)
+        """Edge ``k`` joins compact nodes ``lo[k] < hi[k]`` with sign
+        ``signs[k]``, in the form :meth:`pairs` returns: 1-D arrays of one
+        length, integer ends in ``0..n-1``, the pairs strictly ascending in
+        ``(lo, hi)`` order.  The original ids are nonnegative and strictly
+        ascend; ``node_attrs`` is ``(n, p)`` and finite.  A sign other than
+        +1 or -1 (``1.0`` is one, ``True`` is not) is checked first; it, and
+        any other violation, is a :class:`GraphError` naming the first bad
+        edge or node.  Every array is copied, so the graph shares none with
+        its caller.
+        """
+        self.original_ids = ids = _id_array(original_ids)
+        ids.setflags(write=False)
+        self.n = n = ids.size
+        _check_ids(ids)
+        lo, hi, signs = np.asarray(lo), np.asarray(hi), np.asarray(signs)
+        if not (lo.ndim == hi.ndim == signs.ndim == 1 and lo.size == hi.size == signs.size
+                and lo.dtype.kind in "iu" and hi.dtype.kind in "iu"):
+            raise GraphError(
+                f"lo, hi and signs must be 1-D arrays of one length, lo and hi of integers; "
+                f"got {lo.dtype} {lo.shape}, {hi.dtype} {hi.shape} and {signs.dtype} {signs.shape}"
+            )
         # Checked before the int8 cast, which would wrap 257 to 1.  Bools,
         # objects and text are checked a value at a time, by a record's rule.
-        signs = np.asarray(signs)
         bad = np.flatnonzero(np.abs(signs) != 1 if signs.dtype.kind in "iuf" else
                              [_int_value(s) not in (1, -1) for s in signs.tolist()])
         for k in bad[:1]:
-            _check_sign(signs.tolist()[k], *self.original_ids[[lo[k], hi[k]]].tolist())  # raises
-        signs = np.array(signs, dtype=np.int8)
-        if not _ascending(lo, hi):
-            order = np.argsort(_pair_codes(lo, hi, n))
-            lo, hi, signs = lo[order], hi[order], signs[order]
-        self._pairs = (lo, hi, signs)
+            _check_sign(signs.tolist()[k], *_ends(ids, lo[k], hi[k]))  # raises
+        ok = (lo >= 0) & (lo < hi) & (hi < n)
+        ok[1:] &= _ascends(lo, hi)
+        if not ok.all():
+            _check_pair(ids, lo, hi, int(np.argmin(ok)))  # raises
+        node = _index_dtype(n)
+        self._pairs = (np.array(lo, dtype=node), np.array(hi, dtype=node),
+                       np.array(signs, dtype=np.int8))
         for arr in self._pairs:
             arr.setflags(write=False)
+        self.node_attrs = _attr_matrix(ids, node_attrs)
         self._csr = None
 
     @property
@@ -197,15 +209,15 @@ class NegativeInjection:
     partition: Mapping[int, object]
 
     def __post_init__(self):
-        if not _is_nonnegative_int(self.count):
-            raise GraphError(
-                f"cannot inject {self.count!r} negative edges: "
-                "the count must be a nonnegative integer"
-            )
-        self.check_seed(self.seed)
+        self.check(self.count, self.seed)
 
     @staticmethod
-    def check_seed(seed) -> None:
+    def check(count, seed) -> None:
+        """Raise the :class:`GraphError` of a bad count, else of a bad seed."""
+        if not _is_nonnegative_int(count):
+            raise GraphError(
+                f"cannot inject {count!r} negative edges: the count must be a nonnegative integer"
+            )
         if not _is_nonnegative_int(seed):
             raise GraphError(f"injection seed {seed!r} must be a nonnegative integer")
 
@@ -358,7 +370,7 @@ def _validate_edges(records: Iterable[Sequence[int]], *, drop_self_loops: bool) 
         pair = ~loops
         lo, hi, signs = lo[pair], hi[pair], signs[pair]
     records = lo.size
-    if not _ascending(lo, hi):  # else the pairs are distinct and in order
+    if not _ascends(lo, hi).all():  # else the pairs are distinct and in order
         codes = _pair_codes(lo, hi, ids.size)
         order = np.argsort(codes)
         codes = codes[order]
@@ -418,11 +430,12 @@ def _pair_codes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return codes
 
 
-def _ascending(lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether the pairs strictly ascend in ``(lo, hi)`` order, checked
-    without their 8-byte codes, which would set the peak memory of a load."""
+def _ascends(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each pair after the first is above the one before it in
+    ``(lo, hi)`` order, checked without the pairs' 8-byte codes, which would
+    set the peak memory of a load."""
     same = lo[1:] == lo[:-1]
-    return bool(((lo[1:] > lo[:-1]) | (same & (hi[1:] > hi[:-1]))).all())
+    return (lo[1:] > lo[:-1]) | (same & (hi[1:] > hi[:-1]))
 
 
 def _index_dtype(bound: int):
@@ -749,6 +762,57 @@ def _int_value(x) -> int | None:
     except (OverflowError, TypeError, ValueError):  # int() of inf, NaN, None or text
         return None
     return value if value == x else None
+
+
+def _ends(ids: np.ndarray, a, b) -> tuple:
+    """The ends of an edge, low end first: original ids if both are nodes,
+    else the node indices as given."""
+    a, b = sorted((int(a), int(b)))
+    return tuple(ids[[a, b]].tolist()) if 0 <= a and b < ids.size else (a, b)
+
+
+def _check_pair(ids: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> None:
+    """Raise the :class:`GraphError` of pair ``k``, the first that is not in
+    canonical form; the pairs before it are."""
+    a, b = int(lo[k]), int(hi[k])
+    edge = _ends(ids, a, b)
+    if not (0 <= min(a, b) and max(a, b) < ids.size):
+        raise GraphError(f"edge {edge} has a node index outside range({ids.size})")
+    if a == b:
+        raise GraphError(f"self-loop on node {edge[0]} is not allowed")
+    if a > b:
+        raise GraphError(f"edge {edge} is given high end first")
+    if (a, b) == (lo[k - 1], hi[k - 1]):
+        raise GraphError(f"edge {edge} is given twice")
+    raise GraphError(f"edge {edge} comes after edge {_ends(ids, lo[k - 1], hi[k - 1])}; "
+                     "pairs must ascend")
+
+
+def _check_ids(ids: np.ndarray) -> None:
+    """Raise a :class:`GraphError` unless ``ids`` are 1-D, nonnegative and
+    strictly ascending."""
+    if ids.ndim != 1:
+        raise GraphError(f"original ids must be 1-D, got shape {ids.shape}")
+    if ids.size and ids[0] < 0:
+        raise GraphError(f"node 0 has the negative original id {ids[0]}")
+    rises = ids[1:] > ids[:-1]
+    if not rises.all():
+        k = int(np.argmin(rises)) + 1
+        raise GraphError(f"original ids must strictly ascend: node {k} has id "
+                         f"{ids[k]} after {ids[k - 1]}")
+
+
+def _attr_matrix(ids: np.ndarray, node_attrs) -> np.ndarray:
+    """A read-only float copy of ``node_attrs``, checked to be ``(n, p)`` and finite."""
+    attrs = np.array(node_attrs, dtype=float)
+    if attrs.ndim != 2 or len(attrs) != ids.size:
+        raise GraphError(f"node_attrs must have one row per node, shape ({ids.size}, p); "
+                         f"got {attrs.shape}")
+    if not np.isfinite(attrs).all():
+        k = int(np.argmin(np.isfinite(attrs).all(axis=1)))
+        raise GraphError(f"attribute vector for node {ids[k]} must be finite")
+    attrs.setflags(write=False)
+    return attrs
 
 
 def _check_node_id(u) -> int:

@@ -481,13 +481,13 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> None:
 
 
 def write_sweep_json(path, rows: list[SweepRow]) -> None:
-    _write_text(path, _dumps({"sweep": sweep_rows(rows)}))
+    write_json(path, {"sweep": sweep_rows(rows)})
 
 
 def write_manifest(out_dir, command: str, parameters: dict) -> None:
     """``manifest.json``: everything needed to reproduce one CLI invocation bit-for-bit."""
     manifest = {"command": command, "version": __version__, "parameters": parameters}
-    _write_text(Path(out_dir) / "manifest.json", _dumps(manifest))
+    write_json(Path(out_dir) / "manifest.json", manifest)
 
 
 def write_json(path, payload: dict) -> None:

@@ -287,6 +287,21 @@ class TestPreprocessCommand:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("partition", [[], ["--partition", "p.txt"]],
+                             ids=["no-partition", "partition"])
+    def test_negative_count_is_rejected_before_any_file_is_read(self, tmp_path, capsys,
+                                                                partition):
+        """No input file exists and no partition may be given, yet the one
+        line names the count, ahead of a bad seed."""
+        code = main(["preprocess", "--edges", str(tmp_path / "missing.txt"), *partition,
+                     "--inject-negative", "-1", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot inject -1 negative edges: the count must be a nonnegative "
+                "integer\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_negative_min_degree_is_a_data_error(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         write(edges, "0 1 1\n1 2 1\n")
@@ -344,7 +359,8 @@ class TestPreprocessCommand:
         names = ("read_edge_list", "read_partition", "write_edge_list", "write_json")
         calls = count_calls(monkeypatch, names)
         assert main(self._args(tmp_path, "out")) == 0
-        assert calls == dict.fromkeys(names, 1)
+        # write_json writes report.json, and manifest.json for write_manifest.
+        assert calls == {**dict.fromkeys(names, 1), "write_json": 2}
 
     @pytest.mark.parametrize("flags, expected", PREPROCESS_EXPECTED.values(),
                              ids=PREPROCESS_EXPECTED.keys())

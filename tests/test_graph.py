@@ -184,6 +184,138 @@ class TestConstructorSigns:
         assert g.pairs()[2].dtype == np.int8
 
 
+# The graph 10-20 (+), 10-30 (-), 20-40 (+), 30-40 (-) in canonical form.
+_IDS, _LO, _HI, _SIGNS = [10, 20, 30, 40], [0, 0, 1, 2], [1, 2, 3, 3], [1, -1, 1, -1]
+
+# Arguments that break the canonical form, each with the one error it gives.
+CORRUPT = {
+    "swapped": ((_IDS, [0, 1, 0, 2], [1, 3, 2, 3], _SIGNS),
+                r"edge \(10, 30\) comes after edge \(20, 40\); pairs must ascend"),
+    "flipped": ((_IDS, [0, 2, 1, 2], [1, 0, 3, 3], _SIGNS),
+                r"edge \(10, 30\) is given high end first"),
+    "repeated": ((_IDS, [0, 0, 0, 1, 2], [1, 2, 2, 3, 3], [1, -1, 1, 1, -1]),
+                 r"edge \(10, 30\) is given twice"),
+    "self-loop": ((_IDS, [0, 0, 1, 1, 2], [1, 2, 1, 3, 3], [1, -1, 1, 1, -1]),
+                  "self-loop on node 20 is not allowed"),
+    "hi-is-n": ((_IDS, _LO, [1, 2, 3, 4], _SIGNS),
+                r"edge \(2, 4\) has a node index outside range\(4\)"),
+    "lo-is-minus-one": ((_IDS, [-1, 0, 1, 2], _HI, _SIGNS),
+                        r"edge \(-1, 1\) has a node index outside range\(4\)"),
+    "fewer-signs": ((_IDS, _LO, _HI, _SIGNS[:3]),
+                    r"lo, hi and signs must be 1-D arrays of one length, lo and hi of "
+                    r"integers; got int64 \(4,\), int64 \(4,\) and int64 \(3,\)"),
+    "2-d-pairs": ((_IDS, [_LO], [_HI], [_SIGNS]),
+                  r"lo, hi and signs must be 1-D arrays of one length, lo and hi of "
+                  r"integers; got int64 \(1, 4\), int64 \(1, 4\) and int64 \(1, 4\)"),
+    "float-ends": ((_IDS, np.array(_LO, dtype=float), _HI, _SIGNS),
+                   r"lo, hi and signs must be 1-D arrays of one length, lo and hi of "
+                   r"integers; got float64 \(4,\), int64 \(4,\) and int64 \(4,\)"),
+    "ids-unsorted": (([10, 30, 20, 40], _LO, _HI, _SIGNS),
+                     "original ids must strictly ascend: node 2 has id 20 after 30"),
+    "ids-repeated": (([10, 20, 20, 40], _LO, _HI, _SIGNS),
+                     "original ids must strictly ascend: node 2 has id 20 after 20"),
+    "id-negative": (([-10, 20, 30, 40], _LO, _HI, _SIGNS),
+                    "node 0 has the negative original id -10"),
+    "ids-2-d": (([[10, 20], [30, 40]], _LO, _HI, _SIGNS),
+                r"original ids must be 1-D, got shape \(2, 2\)"),
+}
+
+# Attribute matrices for the four nodes that the constructor refuses.
+BAD_ATTRS = {
+    "three-rows": (np.zeros((3, 2)),
+                   r"node_attrs must have one row per node, shape \(4, p\); got \(3, 2\)"),
+    "one-dimensional": (np.zeros(4),
+                        r"node_attrs must have one row per node, shape \(4, p\); got \(4,\)"),
+    "nan": (np.array([[0.0], [1.0], [np.nan], [2.0]]),
+            "attribute vector for node 30 must be finite"),
+    "inf": (np.array([[0.0, 1.0], [1.0, -np.inf], [np.inf, 2.0], [0.0, 0.0]]),
+            "attribute vector for node 20 must be finite"),
+}
+
+
+class TestCanonicalForm:
+    """The constructor takes only the form that ``pairs()`` returns, with
+    ascending original ids and an ``(n, p)`` finite attribute matrix, and
+    sorts nothing: any other input is one GraphError naming the first bad
+    edge or node."""
+
+    def _graph(self, ids, lo, hi, signs, attrs=None):
+        attrs = np.zeros((len(ids), 0)) if attrs is None else attrs
+        return tr.AttributedGraph(ids, np.array(lo), np.array(hi), np.array(signs), attrs)
+
+    @pytest.mark.parametrize("args, message", CORRUPT.values(), ids=CORRUPT.keys())
+    def test_a_broken_form_names_its_first_bad_edge_or_node(self, args, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            self._graph(*args)
+
+    @pytest.mark.parametrize("attrs, message", BAD_ATTRS.values(), ids=BAD_ATTRS.keys())
+    def test_attributes_are_one_finite_row_per_node(self, attrs, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            self._graph(_IDS, _LO, _HI, _SIGNS, attrs)
+
+    def test_a_sign_is_checked_before_the_form(self):
+        """A bad sign on a flipped, out-of-order edge is reported as a sign."""
+        with pytest.raises(GraphError, match=r"^edge \(20, 30\) has sign 0; "):
+            self._graph([10, 20, 30], [1, 2, 0], [2, 1, 1], [1, 0, 1])
+        with pytest.raises(GraphError, match=r"^edge \(0, 7\) has sign 3; "):
+            self._graph([10, 20, 30], [0, 7], [1, 0], [1, 3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.sampled_from([1, -1])),
+                 max_size=30),
+        st.lists(st.integers(0, 15), max_size=6),
+        st.integers(0, 2),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from([0, 10**12, 2**63 - 8]),
+    )
+    def test_any_built_graph_rebuilds_from_its_own_arrays(self, records, attr_nodes, dim,
+                                                          min_degree, count, offset):
+        """Whatever load_graph or preprocess builds, ids beyond int64 and
+        injected edges included, is already the constructor's form."""
+        signs = {(min(u, w), max(u, w)): s for u, w, s in records}
+        records = [(u + offset, w + offset, signs[min(u, w), max(u, w)]) for u, w, _ in records]
+        attrs = [(v + offset, [v / 7.0 - j for j in range(dim)]) for v in attr_nodes]
+        nodes = {v for u, w, _ in records for v in (u, w)} | {v for v, _ in attrs}
+        inject = tr.NegativeInjection(count=count, seed=count,
+                                      partition={v: v % 3 for v in nodes})
+        graphs = [tr.load_graph([r for r in records if r[0] != r[1]], attrs),
+                  tr.preprocess(records, min_degree=min_degree, attr_records=attrs).graph]
+        try:
+            graphs.append(tr.preprocess(records, inject=inject, attr_records=attrs).graph)
+        except GraphError as exc:  # fewer cross-partition non-edges than the count
+            assert "cross-partition non-edges are available" in str(exc)
+        for g in graphs:
+            rebuilt = tr.AttributedGraph(g.original_ids, *g.pairs(), g.node_attrs)
+            assert rebuilt == g
+            assert repr(rebuilt.original_ids) == repr(g.original_ids)
+            assert [a.dtype for a in rebuilt.pairs()] == [a.dtype for a in g.pairs()]
+
+
+class TestNodeAttrs:
+    """A graph owns its attribute matrix: read-only floats, shared with no
+    caller, so a model's cached builds cannot go stale."""
+
+    def test_every_route_gives_a_read_only_float_matrix(self):
+        loaded = tr.load_graph([(0, 1, 1), (1, 2, -1)], [(0, [1, 2]), (2, [3, 4])])
+        built = tr.AttributedGraph([0, 1], np.array([0]), np.array([1]), np.array([1]),
+                                   np.array([[1], [2]]))
+        for g in (loaded, tr.preprocess(loaded).graph, built):
+            assert g.node_attrs.dtype == np.float64
+            assert not g.node_attrs.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g.node_attrs[0, 0] = 9.0
+        assert built.node_attrs.tolist() == [[1.0], [2.0]]
+
+    def test_the_callers_matrix_is_copied(self):
+        attrs = np.ones((3, 2))
+        g = tr.AttributedGraph([10, 20, 30], np.array([0]), np.array([2]), np.array([1]), attrs)
+        assert attrs.flags.writeable and not np.shares_memory(attrs, g.node_attrs)
+        attrs[0, 0] = 5.0
+        assert g.node_attrs.tolist() == [[1.0, 1.0]] * 3
+
+
 class TestPreprocess:
     def test_cascade_empties_path_graph(self):
         result = tr.preprocess([(0, 1, 1), (1, 2, 1)], min_degree=2)
@@ -573,7 +705,7 @@ class TestPeel:
 
         class Recorded(tg.AttributedGraph):
             def __init__(self, ids, lo, hi, signs, node_attrs):
-                handed.append(bool((lo < hi).all()) and tg._ascending(lo, hi))
+                handed.append(bool((lo < hi).all() and tg._ascends(lo, hi).all()))
                 super().__init__(ids, lo, hi, signs, node_attrs)
 
         monkeypatch.setattr(tg, "AttributedGraph", Recorded)
@@ -878,8 +1010,8 @@ class TestIngestRoutes:
     def test_csr_matches_a_lexsort_reference(self, n):
         """The placement (one stable sort by row) gives the CSR of a
         row-major sort of both directions of every edge, and the pairs are
-        those in order, from pairs in order, shuffled and reversed, or those
-        of another graph."""
+        those in order, from pairs in order or those of another graph.
+        Shuffled and partly reversed, the pairs are refused."""
         rng = np.random.default_rng(n)
         codes = np.unique(rng.integers(0, n * n, size=2 * n))
         lo, hi = np.divmod(codes, n)
@@ -891,12 +1023,15 @@ class TestIngestRoutes:
         want = (indptr, cols[order], np.concatenate((signs, signs))[order])
         shuffle = rng.permutation(lo.size)
         flip = rng.random(lo.size) < 0.5
+        flip[:1] = True  # at least one pair high end first
+        if lo.size:
+            with pytest.raises(GraphError, match="is given high end first|pairs must ascend"):
+                tr.AttributedGraph(range(n), np.where(flip, hi, lo)[shuffle],
+                                   np.where(flip, lo, hi)[shuffle], signs[shuffle],
+                                   np.zeros((n, 0)))
         # A graph's own pairs are read-only, narrow and in order.
         own = tr.AttributedGraph(range(n), lo, hi, signs, np.zeros((n, 0))).pairs()
-        for pairs in ((lo, hi, signs),
-                      (np.where(flip, hi, lo)[shuffle], np.where(flip, lo, hi)[shuffle],
-                       signs[shuffle]),
-                      own):
+        for pairs in ((lo, hi, signs), own):
             g = tr.AttributedGraph(range(n), *pairs, np.zeros((n, 0)))
             indptr, indices, entry_signs = g.csr()
             assert (indices.dtype, entry_signs.dtype) == (np.int32, np.int8)
@@ -1071,15 +1206,19 @@ def _check_csr_accessors(g, edges, nodes, removed, rng):
     assert g.original_ids.tolist() == list(nodes)
     assert not np.isin([*removed, 40], g.original_ids).any()
 
-    # Rebuilt from the reference pairs, shuffled and half of them reversed.
+    # Rebuilt from the reference pairs, which ascend.  Shuffled and half of
+    # them reversed, they are refused unless that left them as they were.
     pairs = np.array(list(pair_signs), dtype=np.int64).reshape(-1, 2)
     signs = np.array(list(pair_signs.values()), dtype=np.int64)
     order = rng.permutation(signs.size)
     flip = rng.random(signs.size) < 0.5
-    pairs[flip] = pairs[flip, ::-1]
-    lo, hi, signs = pairs[order, 0], pairs[order, 1], signs[order]
+    lo, hi = pairs[:, 0], pairs[:, 1]
     attrs = np.zeros((g.n, 0))
     assert tr.AttributedGraph(nodes, lo, hi, signs, attrs) == g
+    if flip.any() or (order != np.arange(signs.size)).any():
+        with pytest.raises(GraphError, match="is given high end first$|; pairs must ascend$"):
+            tr.AttributedGraph(nodes, np.where(flip, hi, lo)[order],
+                               np.where(flip, lo, hi)[order], signs[order], attrs)
     if signs.size:
         signs[0] = -signs[0]
         assert tr.AttributedGraph(nodes, lo, hi, signs, attrs) != g

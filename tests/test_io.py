@@ -693,8 +693,8 @@ def _id_graphs(ids):
     attrs = [(v, [j + 0.5, -j]) for j, v in enumerate(ids)]
     loaded = tr.load_graph(edges, attrs)
     node_attrs = np.array([vec for _, vec in attrs])
-    direct = tr.AttributedGraph(list(ids), np.array([3, 0, 1]), np.array([0, 1, 3]),
-                                np.array([1, -1, 1], dtype=np.int8), node_attrs)
+    direct = tr.AttributedGraph(list(ids), np.array([0, 0, 1]), np.array([1, 3, 3]),
+                                np.array([-1, 1, 1], dtype=np.int8), node_attrs)
     return {"load_graph": loaded, "constructor": direct,
             "preprocess": tr.preprocess(loaded).graph}
 

@@ -142,3 +142,23 @@ def test_io_holds_one_line_loop_and_two_sign_texts():
     assert callable(io._line_records)
     table = io._sign_column(np.array([1, -1, 1], dtype=np.int8)).texts
     assert [row.tobytes().rstrip(b"\0") for row in table] == [b"-1", b"1"]
+
+
+def test_the_constructor_sorts_nothing(monkeypatch):
+    """Canonical arrays become a graph without a sort or pair codes: the
+    constructor checks the form, and _validate_edges holds the only pair sort."""
+    tr = importlib.import_module("twistrank")
+    graph = importlib.import_module("twistrank.graph")
+    g = tr.load_graph([(5, 9, 1), (2, 5, -1), (9, 2, 1), (7, 2, -1)], [(3, [0.5])])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the constructor sorted")
+
+    for name in ("argsort", "lexsort", "sort"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(graph, "_pair_codes", refuse)
+    assert tr.AttributedGraph(g.original_ids, *g.pairs(), g.node_attrs) == g
+    # Pairs out of order are refused, not sorted.
+    lo, hi, signs = g.pairs()
+    with pytest.raises(graph.GraphError, match="pairs must ascend$"):
+        tr.AttributedGraph(g.original_ids, lo[::-1], hi[::-1], signs[::-1], g.node_attrs)
