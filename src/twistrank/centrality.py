@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import GraphError
 from . import graph as _graph
-from .graph import AttributedGraph, GraphStats, _row_entries, stats
+from .graph import AttributedGraph, GraphStats, _row_pointers, stats
 from .sampling import WalkConfig
 from .twisting import AtomSolver, MinInnerProduct, SignMin, SignProduct, theta_value
 
@@ -104,11 +104,22 @@ class CappedRows(NamedTuple):
 
 def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows:
     """An entry's level is ``min(rank[middle], rank[neighbour])``, where
-    ``rank`` numbers the distinct node scores in ascending order.  The
-    levels no entry takes are dropped, and the rows are one stable argsort
-    of the int64 key ``middle * r + level`` over the r levels left.  The
-    zero level is 0.0, never -0.0.
+    ``rank`` numbers the distinct node scores in ascending order; the levels
+    no entry takes are dropped.  The zero level is 0.0, never -0.0.
+
+    Row v lists first its neighbours u with ``rank[u] < rank[v]``, by (rank,
+    id), then the others, whose level is v's own, by id: the order of a
+    stable sort by level of the row's entries in ``csr()`` order.  So each
+    entry has a distinct int64 key, ``v * 2n + place[u]`` or ``v * 2n + n +
+    u``, where ``place`` numbers the nodes in (rank, id) order, and one
+    plain sort of the keys gives the rows; each sorted key is decoded back
+    into its entry.  The keys are below 2n**2, so a graph of 2**31 nodes or
+    more is a GraphError, raised before anything is built.
     """
+    n = graph.n
+    if n >= 2**31:
+        raise GraphError(f"cannot sort the capped rows of {n} nodes: their int64 row "
+                         "keys hold at most 2**31 - 1 nodes")
     z = measure.node_scores(graph)
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
@@ -117,18 +128,50 @@ def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows
             f"the score of node {graph.original_ids[u]} is {z[u]}: the inner "
             "product of its attributes with the score vector is not finite"
         )
-    indptr, middle, neighbour = _row_entries(graph)
+    lo, hi, _ = graph.pairs()
+    node, m = lo.dtype, lo.size
+    indptr = _row_pointers(graph)
+    degree = np.diff(indptr)
     levels, rank = np.unique(z, return_inverse=True)
     # Ranks are below n, so they take the node ids' width (int32 below 2**31).
-    rank = rank.astype(middle.dtype)
-    level = np.minimum(rank[middle], rank[neighbour])
+    rank = rank.astype(node)
+    # The keys rank * n + id are distinct, so a plain sort lists the nodes by
+    # (rank, id) as a stable one would.  Every key sum and product is taken
+    # in int64 by dtype=: numpy would take it in int32 with a Python int.
+    by_place = np.sort(np.multiply(rank, n, dtype=np.int64) + np.arange(n))
+    by_place %= n
+    place = np.empty(n, dtype=node)
+    place[by_place] = np.arange(n, dtype=node)
+    # The keys of the entries (hi, lo), then (lo, hi), from middle v to
+    # neighbour u.
+    rank_lo, rank_hi = rank[lo], rank[hi]
+    key = np.empty(2 * m, dtype=np.int64)
+    for part, v, u, below in ((key[:m], hi, lo, rank_lo < rank_hi),
+                              (key[m:], lo, hi, rank_hi < rank_lo)):
+        np.add(u, n, out=part, dtype=np.int64)
+        np.copyto(part, place[u], where=below)
+        part += np.multiply(v, 2 * n, dtype=np.int64)
     used = np.zeros(levels.size, dtype=bool)
-    used[level] = True
-    level = (np.cumsum(used, dtype=level.dtype) - 1)[level]
+    used[np.minimum(rank_lo, rank_hi)] = True
+    del rank_lo, rank_hi, place, part, below
+    key.sort()
+    # Sorted, the keys run through the rows in turn: the middle nodes are the
+    # row numbers, each repeated over its row, and what is left of a key is
+    # the place of a neighbour ranked below, or n + the neighbour's id.
+    middle = np.repeat(np.arange(n, dtype=node), degree)
+    key -= np.multiply(middle, 2 * n, dtype=np.int64)
+    neighbour = np.concatenate((by_place.astype(node), np.arange(n, dtype=node)))[key]
+    # Each node's rank among the used levels.  The renumbering is monotone, so
+    # it commutes with min; a node with an edge ranks at or above that edge's
+    # level, which is used, so no entry reads the -1 of a rank below them all.
+    used_rank = (np.cumsum(used, dtype=node) - 1)[rank]
+    # A neighbour ranked below caps the entry at its level, any other
+    # neighbour at the middle node's (n is above every level).
+    level = np.concatenate((used_rank[by_place], np.full(n, n, dtype=node)))[key]
+    del key
+    np.minimum(level, np.repeat(used_rank, degree), out=level)
     # np.unique keeps whichever zero its sort puts first; + 0.0 makes it 0.0.
-    levels = levels[used] + 0.0
-    order = np.argsort(middle.astype(np.int64) * levels.size + level, kind="stable")
-    return CappedRows(indptr, middle[order], neighbour[order], level[order], levels)
+    return CappedRows(indptr, middle, neighbour, level, levels[used] + 0.0)
 
 
 def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, rows: CappedRows):
@@ -188,7 +231,8 @@ def _row_cumsum(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """
     out = np.empty_like(x)
     lengths = np.diff(indptr)
-    for length in np.unique(lengths[lengths > 0]):
+    # The row lengths that occur, ascending, from a count: no sort, no hash.
+    for length in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
         cols = indptr[:-1][lengths == length][:, None] + np.arange(length)
         out[cols] = np.cumsum(x[cols], axis=1)
     return out
@@ -230,7 +274,8 @@ class TiltModel:
         score at the middle node's, where z is the advertisement measure's
         ``node_scores``.  The rows are those of ``graph.csr()``, built from
         ``graph.pairs()`` without placing it; each is sorted by ascending
-        measure, ties in ``csr()`` order.  A node score that is not finite,
+        measure, ties in ``csr()`` order, by one plain sort of a distinct
+        int64 key per entry, not a stable sort.  A node score that is not finite,
         on any node, is a :class:`GraphError` naming the first such node by
         its original id.
         """

@@ -57,14 +57,15 @@ class AttributedGraph:
         """Edge ``k`` joins compact nodes ``lo[k] < hi[k]`` with sign
         ``signs[k]``, in the form :meth:`pairs` returns: 1-D arrays of one
         length, integer ends in ``0..n-1``, the pairs strictly ascending in
-        ``(lo, hi)`` order.  The original ids are nonnegative and strictly
-        ascend; ``node_attrs`` is ``(n, p)`` and finite.  A sign other than
+        ``(lo, hi)`` order.  The original ids are nonnegative integers
+        (``2.0`` is one, ``1.5`` and ``True`` are not) and strictly ascend;
+        ``node_attrs`` is ``(n, p)`` and finite.  A sign other than
         +1 or -1 (``1.0`` is one, ``True`` is not) is checked first; it, and
         any other violation, is a :class:`GraphError` naming the first bad
         edge or node.  Every array is copied, so the graph shares none with
         its caller.
         """
-        self.original_ids = ids = _id_array(original_ids)
+        self.original_ids = ids = _original_ids(original_ids)
         ids.setflags(write=False)
         self.n = n = ids.size
         _check_ids(ids)
@@ -422,6 +423,22 @@ def _compact_ids(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return ids, index[: u.size], index[u.size :]
 
 
+def _distinct(values: np.ndarray, kind: str = "stable") -> np.ndarray:
+    """The distinct ``values`` in ascending order, found by a sort of ``kind``.
+
+    numpy's ``unique`` and ``union1d`` hash instead from numpy 2.3 on,
+    which was 10 to 100 times slower on ids.  The stable sort merges runs,
+    so ascending runs one after another (the edge ids, then the attribute
+    ids) take one merge; values in no order sort about 20 times faster by
+    numpy's vectorised ``"quicksort"``.  Python ints in an object array
+    sort too.
+    """
+    values = np.sort(values, kind=kind)
+    head = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    return values[head]
+
+
 def _pair_codes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     """The int64 codes ``lo * n + hi``, whatever the width of ``lo`` and ``hi``."""
     codes = lo.astype(np.int64)
@@ -443,27 +460,26 @@ def _index_dtype(bound: int):
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _row_entries(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both directions of every pair, as ``(indptr, rows, cols)``: the
-    ``(hi, lo)`` entries, then the ``(lo, hi)`` entries.
-
-    The pairs ascend, so a stable sort of the entries by row lists each row's
-    lower neighbours, then its upper ones, each ascending: the order of
-    :meth:`AttributedGraph.csr`.  ``indptr`` delimits the rows after that sort.
-    """
+def _row_pointers(g: AttributedGraph) -> np.ndarray:
+    """The int64 row pointers of :meth:`AttributedGraph.csr`: row u is as
+    long as u's degree."""
     lo, hi, _ = g.pairs()
-    rows = np.concatenate((hi, lo))
     indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
-    return indptr, rows, np.concatenate((lo, hi))
+    np.cumsum(np.bincount(lo, minlength=g.n) + np.bincount(hi, minlength=g.n), out=indptr[1:])
+    return indptr
 
 
 def _place_csr(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only CSR arrays of ``g``: :func:`_row_entries` in one stable sort by row."""
-    indptr, rows, cols = _row_entries(g)
-    order = np.argsort(rows, kind="stable")
-    del rows
-    indices, signs = cols[order], np.tile(g.pairs()[2], 2)[order]
+    """The read-only CSR arrays of ``g``.
+
+    The pairs ascend, so a stable sort by row of the ``(hi, lo)`` entries,
+    then the ``(lo, hi)`` entries, lists each row's lower neighbours, then
+    its upper ones, each ascending.
+    """
+    lo, hi, signs = g.pairs()
+    order = np.argsort(np.concatenate((hi, lo)), kind="stable")
+    indices, signs = np.concatenate((lo, hi))[order], np.tile(signs, 2)[order]
+    indptr = _row_pointers(g)
     for arr in (indptr, indices, signs):
         arr.setflags(write=False)
     return indptr, indices, signs
@@ -586,6 +602,23 @@ def _id_array(nodes: Sequence[int] | np.ndarray) -> np.ndarray:
         return np.array(nodes, dtype=object)
 
 
+def _original_ids(ids) -> np.ndarray:
+    """``ids`` as :func:`_id_array` gives them.  Unless they are an integer
+    array, each is first checked as a record's node id is: ``2.0`` is the id
+    2, while ``1.5`` or a bool is a :class:`GraphError`."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        return _id_array(ids)
+    values = np.asarray(ids, dtype=object)
+    ints = values.ravel().tolist()
+    # Python ints (ids beyond int64 come so) pass without a call per id.
+    if not set(map(type, ints)) <= {int}:
+        ints = [_int_value(x) for x in ints]
+        if None in ints:
+            raise GraphError(
+                f"node id {values.ravel()[ints.index(None)]!r} must be a nonnegative integer")
+    return _id_array(ints).reshape(values.shape)
+
+
 def _last_rows(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``ids`` in ascending order, each with its last row of ``values``."""
     distinct, first_from_end = np.unique(ids[::-1], return_index=True)
@@ -598,7 +631,7 @@ def _with_attr_nodes(
     """Node ids of the edges and the attribute records, and the pairs re-indexed into them."""
     if attrs[0].size == 0:
         return edges.ids, edges.lo, edges.hi
-    ids = np.union1d(edges.ids, attrs[0])
+    ids = _distinct(np.concatenate((edges.ids, attrs[0])))
     remap = np.searchsorted(ids, edges.ids)
     return ids, remap[edges.lo], remap[edges.hi]
 
@@ -663,7 +696,8 @@ def _peel(n: int, lo: np.ndarray, hi: np.ndarray, min_degree: int) -> tuple[np.n
         # of a dead node is not read again.
         touched = neighbour[slots + np.arange(slots.size)]
         np.subtract.at(degree, touched, 1)
-        doomed = np.unique(touched[alive[touched] & (degree[touched] < min_degree)])
+        doomed = _distinct(touched[alive[touched] & (degree[touched] < min_degree)],
+                           kind="quicksort")
     return alive, rounds
 
 

@@ -218,6 +218,19 @@ CORRUPT = {
                     "node 0 has the negative original id -10"),
     "ids-2-d": (([[10, 20], [30, 40]], _LO, _HI, _SIGNS),
                 r"original ids must be 1-D, got shape \(2, 2\)"),
+    # An id is an integer value, by load_graph's rule, before any cast.
+    "ids-fractional": (([1.5, 2.7, 30, 40], _LO, _HI, _SIGNS),
+                       r"node id 1\.5 must be a nonnegative integer"),
+    "ids-float-array": ((np.array([10.0, 20.0, 30.5, 40.0]), _LO, _HI, _SIGNS),
+                        r"node id 30\.5 must be a nonnegative integer"),
+    "ids-nan": ((np.array([10.0, np.nan, 30.0, 40.0]), _LO, _HI, _SIGNS),
+                "node id nan must be a nonnegative integer"),
+    "ids-bool-array": ((np.array([False, True, True, True]), _LO, _HI, _SIGNS),
+                       "node id False must be a nonnegative integer"),
+    "ids-bool-in-list": (([10, True, 30, 40], _LO, _HI, _SIGNS),
+                         "node id True must be a nonnegative integer"),
+    "ids-text": ((["10", "20", "30", "40"], _LO, _HI, _SIGNS),
+                 "node id '10' must be a nonnegative integer"),
 }
 
 # Attribute matrices for the four nodes that the constructor refuses.
@@ -252,6 +265,23 @@ class TestCanonicalForm:
     def test_attributes_are_one_finite_row_per_node(self, attrs, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
             self._graph(_IDS, _LO, _HI, _SIGNS, attrs)
+
+    @pytest.mark.parametrize("ids", [
+        np.array([10.0, 20.0, 30.0, 40.0]), [10.0, 20, 30.0, 40],
+        np.array([10, 20, 30, 40], dtype=np.uint16),
+        np.array([10, 20, 30, 40], dtype=object),
+    ], ids=["float-array", "float-list", "uint16", "object"])
+    def test_integer_valued_ids_are_the_ids_load_graph_reads(self, ids):
+        g = self._graph(ids, _LO, _HI, _SIGNS)
+        want = tr.load_graph([(_IDS[a], _IDS[b], s) for a, b, s in zip(_LO, _HI, _SIGNS)])
+        assert g == want and g.original_ids.dtype == np.int64
+
+    def test_integer_valued_ids_beyond_int64_are_python_ints(self):
+        ids = [10.0, 20, 2**70, 2.0**80]
+        g = self._graph(ids, _LO, _HI, _SIGNS)
+        assert g.original_ids.dtype == object
+        assert [type(v) for v in g.original_ids] == [int] * 4
+        assert g.original_ids.tolist() == [10, 20, 2**70, 2**80]
 
     def test_a_sign_is_checked_before_the_form(self):
         """A bad sign on a flipped, out-of-order edge is reported as a sign."""
@@ -291,6 +321,62 @@ class TestCanonicalForm:
             assert rebuilt == g
             assert repr(rebuilt.original_ids) == repr(g.original_ids)
             assert [a.dtype for a in rebuilt.pairs()] == [a.dtype for a in g.pairs()]
+
+
+# Edge-endpoint ids and attribute ids, each ascending, as _with_attr_nodes merges them.
+DISTINCT_CASES = {
+    "both-empty": ([], []),
+    "edges-empty": ([], [3, 7]),
+    "attrs-empty": ([1, 4], []),
+    "disjoint": ([1, 4, 9], [2, 3, 10, 11]),
+    "overlapping": ([1, 4, 9], [0, 4, 9, 12]),
+    "attribute-only-nodes": ([5, 6], [0, 5, 6, 100]),
+    "same": ([2, 3], [2, 3]),
+}
+
+
+class TestDistinct:
+    """graph._distinct, a stable sort and a mask of adjacent !=, gives what
+    np.union1d gives, for int64 ids and for Python ints beyond int64."""
+
+    @pytest.mark.parametrize("offset", [0, 2**63 - 10, 2**64], ids=["int64", "both", "object"])
+    @pytest.mark.parametrize("a, b", DISTINCT_CASES.values(), ids=DISTINCT_CASES.keys())
+    def test_equals_union1d(self, a, b, offset):
+        a, b = (tg._id_array([v + offset for v in side]) for side in (a, b))
+        got = tg._distinct(np.concatenate((a, b)))
+        want = np.union1d(a, b)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 60) | st.integers(0, 2**65), max_size=40),
+           st.lists(st.integers(0, 60), max_size=40),
+           st.sampled_from(["stable", "quicksort"]), st.sampled_from([np.int64, np.int32]))
+    def test_unsorted_values_equal_union1d(self, a, b, kind, narrow):
+        """Either sort kind, on values in any order: the peel's nodes are
+        int32 or int64, ids beyond int64 Python ints."""
+        a, b = tg._id_array(a), tg._id_array(b)
+        if a.dtype == b.dtype == np.int64 and max(a.max(initial=0), b.max(initial=0)) < 2**31:
+            a, b = a.astype(narrow), b.astype(narrow)
+        got = tg._distinct(np.concatenate((a, b)), kind=kind)
+        want = np.union1d(a, b)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=25),
+           st.lists(st.integers(0, 40), max_size=10),
+           st.sampled_from([0, 2**63 - 20]))
+    def test_a_graph_has_the_nodes_of_its_edges_and_its_attributes(self, pairs, attr_nodes,
+                                                                    offset):
+        records = [(u + offset, w + offset) for u, w in pairs if u != w]
+        attrs = [(v + offset, [1.0]) for v in attr_nodes]
+        g = tr.load_graph(records, attrs)
+        want = np.union1d(tg._id_array([v for r in records for v in r]),
+                          tg._id_array([v for v, _ in attrs]))
+        assert g.original_ids.dtype == want.dtype
+        assert g.original_ids.tolist() == want.tolist()
+        assert edge_list(g, original_ids=True) == sorted(
+            {(min(u, w), max(u, w), 1) for u, w in records})
 
 
 class TestNodeAttrs:

@@ -5,6 +5,7 @@ rename in the package would otherwise drop that layer from the benchmark's
 trace without failing any test here.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -162,3 +163,42 @@ def test_the_constructor_sorts_nothing(monkeypatch):
     lo, hi, signs = g.pairs()
     with pytest.raises(graph.GraphError, match="pairs must ascend$"):
         tr.AttributedGraph(g.original_ids, lo[::-1], hi[::-1], signs[::-1], g.node_attrs)
+
+
+# numpy's set routines that hash their values from numpy 2.3 on; np.unique
+# hashes too, unless it is asked for indices or counts.
+HASHING = ("union1d", "intersect1d", "setdiff1d")
+SORTING_FLAGS = ("return_index", "return_inverse", "return_counts")
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twistrank"
+
+
+def _hashing_calls(source: str) -> list[str]:
+    """The calls in ``source`` of a hashing set routine, or of np.unique
+    without a flag that makes it sort, as ``name:line``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        flags = {kw.arg for kw in node.keywords
+                 if not (isinstance(kw.value, ast.Constant) and kw.value.value is False)}
+        if name in HASHING or (name == "unique" and not flags & set(SORTING_FLAGS)):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_takes_numpy_s_hash_path(path):
+    """Sorted distinct values come from graph._distinct, a sort: numpy's hash
+    set routines are several times slower on ids."""
+    assert _hashing_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_each_hashing_call():
+    source = ("np.union1d(a, b)\nnp.intersect1d(a, b)\nnumpy.setdiff1d(a, b)\n"
+              "np.unique(a)\nnp.unique(a, return_index=False)\nunique(a)\n"
+              "np.unique(a, return_inverse=True)\nnp.unique(a, return_index=True)\n"
+              "np.unique(a, return_counts=True)\n")
+    assert _hashing_calls(source) == ["union1d:1", "intersect1d:2", "setdiff1d:3", "unique:4",
+                                      "unique:5", "unique:6"]

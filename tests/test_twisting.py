@@ -1,17 +1,21 @@
 """Path measures, the exponential tilt, free energy, and temperature solving."""
 
 import bisect
+import importlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twistrank as tr
 from twistrank import twisting, verify
 from twistrank.errors import ConvergenceError, GraphError, SolveError
 
 from conftest import random_signed_graph, tilted_masses, walk_masses
+
+centrality_module = importlib.import_module("twistrank.centrality")
 
 
 def _kl(p, q):
@@ -125,6 +129,22 @@ def _lexsorted_capped_rows(measure, g):
     return middles[order], neighbours[order], capped[order]
 
 
+def _stable_capped_rows(measure, g):
+    """Capped rows as they were sorted before the unique row key: one stable
+    argsort of ``middle * r + level`` over the r used levels."""
+    z = measure.node_scores(g)
+    lo, hi, _ = g.pairs()
+    middle, neighbour = np.concatenate((hi, lo)), np.concatenate((lo, hi))
+    levels, rank = np.unique(z, return_inverse=True)
+    rank = rank.astype(middle.dtype)
+    level = np.minimum(rank[middle], rank[neighbour])
+    used = np.zeros(levels.size, dtype=bool)
+    used[level] = True
+    level = (np.cumsum(used, dtype=level.dtype) - 1)[level]
+    order = np.argsort(middle.astype(np.int64) * used.sum() + level, kind="stable")
+    return middle[order], neighbour[order], level[order], levels[used] + 0.0
+
+
 def _graph_with_isolated_nodes(rng, n, edge_prob, isolated):
     """A dense random graph on 0..n-1 plus ``isolated`` attribute-only nodes."""
     u, w = np.triu_indices(n, 1)
@@ -172,6 +192,39 @@ class TestCappedRows:
                 with pytest.raises(GraphError, match=f"score of node {g.original_ids[at[0]]} "
                                                      f"is {value}: the inner product"):
                     tr.TiltModel(g, _GivenScores(bad)).capped_rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=120),
+           st.integers(0, 4),
+           st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1.5, 2.0, 2.0 ** -30]), min_size=1,
+                    max_size=4),
+           st.randoms(use_true_random=False))
+    def test_equals_the_stable_argsort(self, pairs, isolated, pool, random):
+        """Tied scores, both zeros and isolated nodes: the rows sorted by the
+        unique key are, array for array, those of the stable argsort."""
+        records = sorted({(min(u, w), max(u, w)) for u, w in pairs if u != w})
+        ids = sorted({v for pair in records for v in pair} | set(range(25, 25 + isolated)))
+        g = tr.load_graph(records, (np.array(ids, dtype=np.int64), np.zeros((len(ids), 1))))
+        z = np.array([random.choice(pool) for _ in range(g.n)])
+        measure = _GivenScores(z)
+        got = tr.TiltModel(g, measure).capped_rows
+        want = _stable_capped_rows(measure, g)
+        for a, b in zip(got[1:], want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(got.indptr, g.csr()[0])
+
+    def test_a_row_key_beyond_int64_is_refused_before_any_allocation(self):
+        class Huge:
+            n = 2**31
+            original_ids = None
+
+        class Unread(tr.MinInnerProduct):
+            def node_scores(self, graph):
+                raise AssertionError("the node scores were computed")
+
+        with pytest.raises(GraphError, match=r"^cannot sort the capped rows of 2147483648 "
+                                             r"nodes: "):
+            centrality_module._capped_rows(Huge(), Unread([1.0]))
 
     def test_overflowing_attributes(self):
         # Finite attributes whose products with the score vector overflow:
