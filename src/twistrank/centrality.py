@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import GraphError
 from . import graph as _graph
-from .graph import AttributedGraph, GraphStats, _row_pointers, stats
+from .graph import AttributedGraph, GraphStats, _degrees, stats
 from .sampling import WalkConfig
 from .twisting import AtomSolver, MinInnerProduct, SignMin, SignProduct, theta_value
 
@@ -91,19 +91,18 @@ def _sign_masses(g, gs: GraphStats, walk: WalkConfig, is_min: bool):
 
 
 class CappedRows(NamedTuple):
-    """Entry ``j`` of row ``v`` (``indptr[v] <= j < indptr[v + 1]``) is the edge
-    from ``middle[j]`` = v to ``neighbour[j]``, of measure ``levels[level[j]]``,
+    """Entry ``j`` of row ``v`` (``indptr[v] <= j < indptr[v + 1]``, as in ``csr()``)
+    is the edge from v to ``neighbour[j]``, of measure ``levels[level[j]]``,
     where ``levels`` holds the distinct measures of the entries, ascending."""
 
     indptr: np.ndarray
-    middle: np.ndarray
     neighbour: np.ndarray
     level: np.ndarray
     levels: np.ndarray
 
 
 def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows:
-    """An entry's level is ``min(rank[middle], rank[neighbour])``, where
+    """An entry's level in row v is ``min(rank[v], rank[neighbour])``, where
     ``rank`` numbers the distinct node scores in ascending order; the levels
     no entry takes are dropped.  The zero level is 0.0, never -0.0.
 
@@ -112,9 +111,9 @@ def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows
     stable sort by level of the row's entries in ``csr()`` order.  So each
     entry has a distinct int64 key, ``v * 2n + place[u]`` or ``v * 2n + n +
     u``, where ``place`` numbers the nodes in (rank, id) order, and one
-    plain sort of the keys gives the rows; each sorted key is decoded back
-    into its entry.  The keys are below 2n**2, so a graph of 2**31 nodes or
-    more is a GraphError, raised before anything is built.
+    plain sort of the keys gives the rows; each sorted key, taken modulo 2n,
+    is decoded back into its entry.  The keys are below 2n**2, so a graph of
+    2**31 nodes or more is a GraphError, raised before anything is built.
     """
     n = graph.n
     if n >= 2**31:
@@ -130,8 +129,8 @@ def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows
         )
     lo, hi, _ = graph.pairs()
     node, m = lo.dtype, lo.size
-    indptr = _row_pointers(graph)
-    degree = np.diff(indptr)
+    degree = _degrees(lo, hi, n)
+    indptr = np.concatenate(([0], np.cumsum(degree)))
     levels, rank = np.unique(z, return_inverse=True)
     # Ranks are below n, so they take the node ids' width (int32 below 2**31).
     rank = rank.astype(node)
@@ -155,11 +154,9 @@ def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows
     used[np.minimum(rank_lo, rank_hi)] = True
     del rank_lo, rank_hi, place, part, below
     key.sort()
-    # Sorted, the keys run through the rows in turn: the middle nodes are the
-    # row numbers, each repeated over its row, and what is left of a key is
-    # the place of a neighbour ranked below, or n + the neighbour's id.
-    middle = np.repeat(np.arange(n, dtype=node), degree)
-    key -= np.multiply(middle, 2 * n, dtype=np.int64)
+    # Sorted, the keys run through the rows in turn, and what is left of a key
+    # modulo 2n is the place of a neighbour ranked below, or n + its id.
+    key %= 2 * n
     neighbour = np.concatenate((by_place.astype(node), np.arange(n, dtype=node)))[key]
     # Each node's rank among the used levels.  The renumbering is monotone, so
     # it commutes with min; a node with an edge ranks at or above that edge's
@@ -171,7 +168,7 @@ def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows
     del key
     np.minimum(level, np.repeat(used_rank, degree), out=level)
     # np.unique keeps whichever zero its sort puts first; + 0.0 makes it 0.0.
-    return CappedRows(indptr, middle, neighbour, level, levels[used] + 0.0)
+    return CappedRows(indptr, neighbour, level, levels[used] + 0.0)
 
 
 def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, rows: CappedRows):
@@ -183,8 +180,9 @@ def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, rows: CappedRows):
         count = np.bincount(rows.level)
         running = np.add.accumulate(np.full(count.max(), walk.beta1 / (2 * g.m)))
         return rows.levels, running[count - 1]
-    k = np.diff(rows.indptr)[rows.middle]
-    i = np.arange(rows.level.size) - rows.indptr[rows.middle]
+    length = np.diff(rows.indptr)
+    k = np.repeat(length, length)
+    i = np.arange(rows.level.size) - np.repeat(rows.indptr[:-1], length)
     # The edge (v, u) is one length-1 walk of its level.  The i-th lowest
     # level of row v is the measure of the 2 (k - 1 - i) + 1 ordered pairs
     # through v whose lower-ranked end it is; every level is an atom.
@@ -194,7 +192,7 @@ def _min_inner_atoms(g: AttributedGraph, walk: WalkConfig, rows: CappedRows):
 
 def _min_inner_scores(g, walk: WalkConfig, theta: float, rows: CappedRows) -> np.ndarray:
     # Unnormalized start masses, without the common factor 1 / (2 m).
-    indptr, middles, starts, level = rows.indptr, rows.middle, rows.neighbour, rows.level
+    indptr, starts, level = rows.indptr, rows.neighbour, rows.level
     # Every walk's exponent is theta times some entry's level (a two-step walk
     # u-v-u reaches the extreme), and every level is an entry's, so shifting by
     # the largest keeps all <= 0.  An exponent of -inf is a weight of 0, but
@@ -208,16 +206,18 @@ def _min_inner_scores(g, walk: WalkConfig, theta: float, rows: CappedRows) -> np
     weight = np.exp(x - top)[level]
     scores = walk.beta1 * np.bincount(starts, weights=weight, minlength=g.n)
     if walk.beta2 > 0:
-        k = np.diff(indptr)[middles]
+        length = np.diff(indptr)
         prefix = _row_cumsum(weight, indptr)
         # Entry j is the walk's first step u-v at level t = level[j]; the
         # neighbours w of v below t sit before the first entry of its run of
-        # equal levels in the row.
+        # equal levels in the row, which a new level or a new row starts.
         run = np.ones(level.size, dtype=bool)
-        run[1:] = (middles[1:] != middles[:-1]) | (level[1:] != level[:-1])
+        run[1:] = level[1:] != level[:-1]
+        run[indptr[:-1][length > 0]] = True
         first = np.maximum.accumulate(np.where(run, np.arange(level.size), 0))
-        below = first - indptr[middles]
+        below = first - np.repeat(indptr[:-1], length)
         head = np.where(below > 0, prefix[first - 1], 0.0)
+        k = np.repeat(length, length)
         inner = head + (k - below) * weight
         scores = scores + walk.beta2 * np.bincount(starts, weights=inner / k, minlength=g.n)
     return scores
@@ -272,12 +272,12 @@ class TiltModel:
 
         An edge's measure min(z[middle], z[neighbour]) caps the neighbour's
         score at the middle node's, where z is the advertisement measure's
-        ``node_scores``.  The rows are those of ``graph.csr()``, built from
-        ``graph.pairs()`` without placing it; each is sorted by ascending
-        measure, ties in ``csr()`` order, by one plain sort of a distinct
-        int64 key per entry, not a stable sort.  A node score that is not finite,
-        on any node, is a :class:`GraphError` naming the first such node by
-        its original id.
+        ``node_scores``.  The rows are those of ``graph.csr()``, with its
+        ``indptr``, built from ``graph.pairs()`` without placing it; each is
+        sorted by ascending measure, ties in ``csr()`` order, by one plain
+        sort of a distinct int64 key per entry, not a stable sort.  A node
+        score that is not finite, on any node, is a :class:`GraphError`
+        naming the first such node by its original id.
         """
         return _capped_rows(self.graph, self.measure)
 

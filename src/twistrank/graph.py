@@ -182,8 +182,8 @@ def stats(g: AttributedGraph) -> GraphStats:
     """Edge counts and per-node degrees split by sign."""
     lo, hi, signs = g.pairs()
     pos = signs > 0
-    degree = np.bincount(lo, minlength=g.n) + np.bincount(hi, minlength=g.n)
-    pos_degree = np.bincount(lo[pos], minlength=g.n) + np.bincount(hi[pos], minlength=g.n)
+    degree = _degrees(lo, hi, g.n)
+    pos_degree = _degrees(lo[pos], hi[pos], g.n)
     m_pos = int(np.count_nonzero(pos))
     return GraphStats(
         m=g.m,
@@ -460,13 +460,10 @@ def _index_dtype(bound: int):
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _row_pointers(g: AttributedGraph) -> np.ndarray:
-    """The int64 row pointers of :meth:`AttributedGraph.csr`: row u is as
-    long as u's degree."""
-    lo, hi, _ = g.pairs()
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lo, minlength=g.n) + np.bincount(hi, minlength=g.n), out=indptr[1:])
-    return indptr
+def _degrees(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """How often each of ``0..n-1`` ends an edge ``(lo[i], hi[i])``: with every
+    edge given once, the int64 degree of every node."""
+    return np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
 
 
 def _place_csr(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -479,7 +476,7 @@ def _place_csr(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo, hi, signs = g.pairs()
     order = np.argsort(np.concatenate((hi, lo)), kind="stable")
     indices, signs = np.concatenate((lo, hi))[order], np.tile(signs, 2)[order]
-    indptr = _row_pointers(g)
+    indptr = np.concatenate(([0], np.cumsum(_degrees(lo, hi, g.n))))
     for arr in (indptr, indices, signs):
         arr.setflags(write=False)
     return indptr, indices, signs
@@ -669,14 +666,14 @@ def _peel(n: int, lo: np.ndarray, hi: np.ndarray, min_degree: int) -> tuple[np.n
     depend on their order, which an unstable sort leaves open.
     """
     alive = np.ones(n, dtype=bool)
-    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    degree = _degrees(lo, hi, n)
     doomed = degree < min_degree
     if not doomed.any():
         return alive, 0
     alive[doomed] = False
     live = alive[lo] & alive[hi]
     dying = ~live
-    degree -= np.bincount(lo[dying], minlength=n) + np.bincount(hi[dying], minlength=n)
+    degree -= _degrees(lo[dying], hi[dying], n)
     doomed = np.flatnonzero(alive & (degree < min_degree))
     if doomed.size == 0:
         return alive, 1

@@ -482,8 +482,9 @@ class TestAdScoreBits:
 def _per_entry_ad_atoms(g, walk, rows):
     """The ad atoms from each entry's own mass (beta1 + beta2 (2 (k - 1 - i)
     + 1) / k) / (2 m), where entry i of a row of length k is its i-th lowest."""
-    k = np.diff(rows.indptr)[rows.middle]
-    i = np.arange(rows.level.size) - rows.indptr[rows.middle]
+    middle = np.repeat(np.arange(g.n), np.diff(rows.indptr))
+    k = np.diff(rows.indptr)[middle]
+    i = np.arange(rows.level.size) - rows.indptr[middle]
     masses = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
     return rows.levels, np.bincount(rows.level, weights=masses)
 

@@ -8,6 +8,8 @@ trace without failing any test here.
 import ast
 import importlib
 import importlib.util
+import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -202,3 +204,48 @@ def test_the_scan_finds_each_hashing_call():
               "np.unique(a, return_counts=True)\n")
     assert _hashing_calls(source) == ["union1d:1", "intersect1d:2", "setdiff1d:3", "unique:4",
                                       "unique:5", "unique:6"]
+
+
+def test_the_ad_rows_are_csr_ranges():
+    """The capped rows are the CSR with a level per entry: an entry's row is
+    read from indptr, so no per-entry row array is kept."""
+    centrality = importlib.import_module("twistrank.centrality")
+    assert centrality.CappedRows._fields == ("indptr", "neighbour", "level", "levels")
+
+
+def test_graph_holds_one_degree_kernel():
+    """graph._degrees is the one degree count of the package: the CSR row
+    pointers and stats read it, and no module writes out the two bincounts
+    again."""
+    tr = importlib.import_module("twistrank")
+    graph = importlib.import_module("twistrank.graph")
+    assert "_row_pointers" not in vars(graph)
+    pattern = re.compile(r"np\.bincount\([^()]*\)\s*\+\s*np\.bincount\(")
+    found = {path.name: len(pattern.findall(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: count for name, count in found.items() if count} == {"graph.py": 1}
+    records = [(3, 9, 1), (3, 5, -1), (9, 5, 1), (12, 3, -1)]
+    # Attribute-only nodes at both ends and between edge ends; and no edge at all.
+    for ids, edges in (([0, 4, 7, 20], records), ([1, 2], [])):
+        g = tr.load_graph(edges, (np.array(ids), np.zeros((len(ids), 1))))
+        counts = Counter(u for edge in edges for u in edge[:2])
+        want = np.array([counts[u] for u in g.original_ids.tolist()])
+        got = graph._degrees(*g.pairs()[:2], g.n)
+        assert np.array_equal(got, want) and got.dtype == np.int64
+        assert np.array_equal(got, tr.stats(g).degree)
+        assert np.array_equal(got, np.diff(g.csr()[0]))
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_the_console_script_is_cli_main():
+    """The installed ``twistrank`` command runs twistrank.cli:main.  The table
+    is read with a regex, as Python 3.10 has no tomllib."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert section is not None
+    entries = dict(re.findall(r'^([\w.-]+)\s*=\s*"([^"]*)"', section.group(1), re.M))
+    assert entries == {"twistrank": "twistrank.cli:main"}
+    module, attr = entries["twistrank"].split(":")
+    assert callable(getattr(importlib.import_module(module), attr, None))

@@ -174,10 +174,11 @@ class TestCappedRows:
         measure = _GivenScores(z)
         got = tr.TiltModel(g, measure).capped_rows
         want = _lexsorted_capped_rows(measure, g)
-        # The middle ids come from the graph's pairs, so they are int32.
-        assert got.middle.dtype == g.pairs()[0].dtype == np.int32
+        # The neighbours and levels take the width of the graph's ids, int32.
+        assert got.neighbour.dtype == got.level.dtype == g.pairs()[0].dtype == np.int32
         assert got.neighbour.dtype == want[1].dtype
-        for a, b in zip((got.middle, got.neighbour, got.levels[got.level]), want):
+        middle = np.repeat(np.arange(g.n), np.diff(got.indptr))
+        for a, b in zip((middle, got.neighbour, got.levels[got.level]), want):
             assert np.array_equal(a, b)
         np.testing.assert_array_equal(got.indptr, g.csr()[0])
         # The levels ascend strictly, and every one is an entry's.
@@ -209,7 +210,8 @@ class TestCappedRows:
         measure = _GivenScores(z)
         got = tr.TiltModel(g, measure).capped_rows
         want = _stable_capped_rows(measure, g)
-        for a, b in zip(got[1:], want):
+        assert np.array_equal(np.repeat(np.arange(g.n), np.diff(got.indptr)), want[0])
+        for a, b in zip(got[1:], want[1:]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert np.array_equal(got.indptr, g.csr()[0])
 
@@ -251,7 +253,7 @@ class TestCappedRows:
     def test_edgeless_and_empty_rows(self):
         g = tr.load_graph([], [(u, [1.0]) for u in range(3)])
         rows = tr.TiltModel(g, _GivenScores([0.5, 1.0, 1.0])).capped_rows
-        assert rows.middle.size == rows.neighbour.size == rows.level.size == rows.levels.size == 0
+        assert rows.neighbour.size == rows.level.size == rows.levels.size == 0
         assert rows.indptr.tolist() == [0, 0, 0, 0]
 
     def test_zero_level_is_positive_zero(self):
@@ -291,10 +293,11 @@ class TestCappedRows:
             model = tr.TiltModel(g, _GivenScores(z), walk)
             values, masses = model.atoms
             rows = model.capped_rows
-            k = np.diff(rows.indptr)[rows.middle]
-            i = np.arange(rows.level.size) - rows.indptr[rows.middle]
+            middle = np.repeat(np.arange(g.n), np.diff(rows.indptr))
+            k = np.diff(rows.indptr)[middle]
+            i = np.arange(rows.level.size) - rows.indptr[middle]
             weights = (walk.beta1 + walk.beta2 * (2 * (k - 1 - i) + 1) / k) / (2 * g.m)
-            capped = np.minimum(z[rows.middle], z[rows.neighbour])
+            capped = np.minimum(z[middle], z[rows.neighbour])
             want, inverse = np.unique(capped, return_inverse=True)
             want_masses = np.bincount(inverse, weights=weights, minlength=want.size)
             assert masses.tobytes() == want_masses.tobytes()
