@@ -4,16 +4,15 @@ Every command writes its outputs plus a manifest.json into --out; re-running
 the same invocation reproduces the outputs byte for byte.  Exit codes:
 0 success, 1 usage error, 2 bad data or out of memory, 3 failed verification.
 
-A call builds the parser of the command it names and no other: when that
-parser takes the rest of the arguments, nothing else is parsed.  Anything
-else (no command, --help, --version, an unknown command, leftover or bad
-arguments) is parsed again by build_parser(), so it prints and exits exactly
-as the full parser does.  Each command is declared once, in _COMMANDS.
+One parser serves every call: build_parser() builds it on first use and
+keeps it for the process, and main dispatches through _COMMANDS, where each
+command is declared once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -43,21 +42,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class _Unparsed(Exception):
-    """A command's own parser met an argv that only the full parser may report."""
-
-
-class _CommandParser(_Parser):
-    # Usage errors go back to build_parser(), whose report can differ: the
-    # top level rejects a token such as "--=x" before the command sees it.
-    def error(self, message):
-        raise _Unparsed(message)
-
-
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][2](args)
     except (TwistrankError, ValueError, OSError, MemoryError) as exc:
         # numpy's MemoryError message names the allocation but not the cause.
         oom = "out of memory: " if isinstance(exc, MemoryError) else ""
@@ -65,36 +53,15 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the named command's
-    parser when that one parses ``argv`` in full."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        _, flags, handler = _COMMANDS[name]
-        parser = _CommandParser(prog=f"twistrank {name}")
-        flags(parser)
-        parser.set_defaults(handler=handler)
-        try:
-            args, rest = parser.parse_known_args(argv[1:])
-        except _Unparsed:
-            rest = True
-        if not rest:
-            args.command = name
-            return args
-    # No command, a top-level flag, an unknown command, leftover or bad
-    # arguments: the full parser prints the help, version or usage error.
-    return build_parser().parse_args(argv)
-
-
+@functools.cache
 def build_parser() -> _Parser:
+    # Grammar only: main looks each handler up in _COMMANDS, so the parser
+    # kept for the process holds none.
     parser = _Parser(prog="twistrank", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"twistrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (summary, flags, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        flags(p)
-        p.set_defaults(handler=handler)
+    for name, (summary, flags, _) in _COMMANDS.items():
+        flags(sub.add_parser(name, help=summary))
     return parser
 
 
@@ -275,7 +242,7 @@ def cmd_verify(args) -> int:
 def _manifest_params(args) -> dict:
     # The output directory is where results land, not an input to them; keep
     # it out so reruns into different directories stay byte-identical.
-    skip = {"handler", "command", "out"}
+    skip = {"command", "out"}
     params = {}
     for key, value in sorted(vars(args).items()):
         if key in skip:

@@ -304,10 +304,20 @@ def twist(table: PathTable, theta: float) -> tuple[TwistResult, np.ndarray]:
     Returns the normalization summary and the tilted mass of each walk,
     aligned with the rows of ``table.walks`` (length-1 block first) and
     summing to 1.  All accumulation happens in the log domain, so large
-    |theta * f| values do not overflow.
+    |theta * f| values do not overflow.  Walk values more than their width
+    from 0 are shifted by the end nearest 0 before the tilt, as
+    ``_solve_scalar`` shifts its atoms (exactly, by Sterbenz's lemma), and
+    theta times the shift is added back to the free energy: otherwise, at
+    the |theta| that a narrow measure solves to, the rounding of theta * f
+    swamps the differences between walks.
     """
-    log_z, probs = _tilt(table.f, table.logp0, theta_value(theta))
-    return TwistResult(free_energy=log_z, mean_measure=float(probs @ table.f)), probs
+    theta = theta_value(theta)
+    f = table.f
+    lo, hi = float(f.min()), float(f.max())
+    width = hi - lo
+    shift = lo if lo > width else hi if hi < -width else 0.0
+    log_z, probs = _tilt(f - shift, table.logp0, theta)
+    return TwistResult(free_energy=log_z + theta * shift, mean_measure=float(probs @ f)), probs
 
 
 def achievable_range(table: PathTable) -> tuple[float, float]:

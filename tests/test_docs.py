@@ -55,5 +55,4 @@ def test_readme_documents_every_command():
 
 @pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda argv: " ".join(argv[:4]))
 def test_readme_command_line_parses(argv):
-    args = cli._parse_args(argv)
-    assert args.handler is getattr(cli, f"cmd_{argv[0]}")
+    assert cli.build_parser().parse_args(argv).command == argv[0]

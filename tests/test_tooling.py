@@ -5,6 +5,7 @@ rename in the package would otherwise drop that layer from the benchmark's
 trace without failing any test here.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -88,6 +89,17 @@ def test_centrality_holds_one_sign_kernel():
     assert callable(centrality._sign_masses)
     assert [name for name in ("_sign_atoms", "_sign_scores", "_step_weights")
             if name in vars(centrality)] == []
+
+
+def test_cli_holds_one_parse_route():
+    """Every argv goes through the one parser build_parser() keeps: no
+    per-command parser, and no second parse when it does not take the argv."""
+    cli = importlib.import_module("twistrank.cli")
+    assert [name for name in ("_parse_args", "_CommandParser", "_Unparsed")
+            if name in vars(cli)] == []
+    assert [name for name, value in vars(cli).items()
+            if isinstance(value, type) and issubclass(value, argparse.ArgumentParser)] == [
+        "_Parser"]
 
 
 # The oracle's half of the measures: walk evaluation, and the walk budget.

@@ -7,11 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import twistrank as tr
 from twistrank import sampling, twisting, verify
 from twistrank.cli import main
 from twistrank.errors import ConvergenceError
 
-from conftest import random_signed_graph
+from conftest import random_signed_graph, skewed_signed_graph
 
 # The package binds ``twistrank.centrality`` to the function of that name.
 centrality_module = importlib.import_module("twistrank.centrality")
@@ -152,3 +153,27 @@ def test_constant_measure_skips_the_round_trip(triangle_pos):
     check = results["gamma_round_trip"]
     assert check.passed
     assert check.detail == "skipped: no steerable measure on this graph"
+
+
+@pytest.mark.parametrize("walk", [(1.0, 0.0), (0.7, 0.3)])
+def test_the_tilt_holds_at_the_theta_of_a_narrow_measure(walk):
+    """An all-ones ad vector on Dirichlet rows: the walk values lie a few ulps
+    from 1, so the round-trip targets solve to |theta| near 1e16.  The tilt is
+    still that of the values less 1 (an exact difference), and returns each
+    target."""
+    rng = np.random.default_rng(3)
+    g = skewed_signed_graph(rng, 60, 200)
+    g = tr.AttributedGraph(g.original_ids, *g.pairs(), rng.dirichlet(np.ones(8), size=g.n))
+    table = verify.path_table(g, tr.MinInnerProduct(np.ones(8)), tr.WalkConfig(*walk))
+    fmin, fmax = verify.achievable_range(table)
+    assert 0 < fmax - fmin < 1e-15
+    for frac in (0.25, 0.5):
+        gamma = fmin + frac * (fmax - fmin)
+        theta = verify.solve_theta_numeric(table, gamma)
+        assert abs(theta) > 1e15
+        result, probs = verify.twist(table, theta)
+        logw = theta * (table.f - 1.0) + table.logp0
+        log_z = np.logaddexp.reduce(logw)
+        assert np.max(np.abs(probs - np.exp(logw - log_z))) <= 1e-12
+        assert result.free_energy == pytest.approx(log_z + theta, rel=1e-15)
+        assert abs(result.mean_measure - gamma) <= verify.BOUNDS["gamma_round_trip"]
