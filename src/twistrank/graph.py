@@ -81,7 +81,7 @@ class AttributedGraph:
         bad = np.flatnonzero(np.abs(signs) != 1 if signs.dtype.kind in "iuf" else
                              [_int_value(s) not in (1, -1) for s in signs.tolist()])
         for k in bad[:1]:
-            _check_sign(signs.tolist()[k], *_ends(ids, lo[k], hi[k]))  # raises
+            _check_sign(signs[k:k + 1].tolist()[0], *_ends(ids, lo[k], hi[k]))  # raises
         ok = (lo >= 0) & (lo < hi) & (hi < n)
         ok[1:] &= _ascends(lo, hi)
         if not ok.all():

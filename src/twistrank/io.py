@@ -10,10 +10,10 @@ reader hands it only its grammar.
 
 The bulk writers (edge lists, attribute tables, both ranking files, the
 integer arrays of a JSON payload such as the preprocessing report) render
-their rows with one block renderer, :func:`_row_blocks`.  Each column is a
-NUL-padded ``(n, width)`` uint8 block of ASCII texts: vectorised base-10
-digits for nonnegative integers, or rows gathered by index from a table of
-distinct texts (scores, attribute values, signs, ids beyond int64).  A
+their rows with one block renderer, :func:`_row_blocks`.  Each column is one
+text per row, in a NUL-padded ``(n, width)`` uint8 block: vectorised base-10
+digits for nonnegative integers, or texts gathered by a 1-D index from a
+table of distinct texts (scores, attribute values, signs, ids beyond int64).  A
 fixed number of rows at a time, the columns and the row template's literal
 pieces are laid side by side, and the block's non-NUL bytes are written in
 order; the digits of an integer array's column are made one block at a
@@ -220,11 +220,11 @@ def write_attributes(path, graph: AttributedGraph) -> None:
     if graph.attr_dim == 0:
         _write_text(path, "")
         return
-    # One table of " v" texts for all p columns; each row gathers its p texts
-    # side by side.
-    _, texts, index = _distinct_texts(graph.node_attrs, lambda x: " " + format_score(x))
-    row = [_Column(_int_texts(graph.original_ids)), _Column(texts, index), "\n"]
-    _write_rows(path, row, graph.n)
+    # One table of value texts serves all p columns; column j gathers its
+    # texts by index[:, j].
+    _, texts, index = _distinct_texts(graph.node_attrs, format_score)
+    values = chain.from_iterable((" ", _Column(texts, column)) for column in index.T)
+    _write_rows(path, [_Column(_int_texts(graph.original_ids)), *values, "\n"], graph.n)
 
 
 class RankingRows(NamedTuple):
@@ -292,10 +292,8 @@ _BLOCK_ROWS = 1 << 14
 
 
 class _Column(NamedTuple):
-    """Row ``i`` is ``texts[index[i]]``, or ``texts[i]`` without an index.
-
-    A 2-D ``(n, p)`` index puts ``p`` texts side by side in each row.
-    """
+    """One text per row: row ``i`` is ``texts[index[i]]`` with a 1-D index,
+    or ``texts[i]`` without one."""
 
     texts: np.ndarray
     index: np.ndarray | None = None
@@ -338,10 +336,8 @@ def _row_blocks(row: list, count: int, trim: int = 0) -> Iterator[np.ndarray]:
         else:
             # Each text as one opaque item, so that a gather moves whole texts.
             texts = np.ascontiguousarray(piece.texts)
-            items = texts.view(f"V{texts.shape[1]}")[:, 0]
-            per_row = 1 if piece.index is None or piece.index.ndim == 1 else piece.index.shape[1]
-            piece = _Column(items, piece.index)
-            width = items.itemsize * per_row
+            piece = _Column(texts.view(f"V{texts.shape[1]}")[:, 0], piece.index)
+            width = texts.shape[1]
         pieces.append((piece, slice(offset, offset + width)))
         offset += width
     block = np.empty((min(count, _BLOCK_ROWS), offset), dtype=np.uint8)
@@ -352,7 +348,7 @@ def _row_blocks(row: list, count: int, trim: int = 0) -> Iterator[np.ndarray]:
         elif isinstance(piece, _IntColumn):
             columns.append((piece, block[:, cols]))
         else:
-            columns.append((piece, block[:, cols].view(piece.texts.dtype)))
+            columns.append((piece, block[:, cols].view(piece.texts.dtype)[:, 0]))
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
         size = stop - start
@@ -365,7 +361,7 @@ def _row_blocks(row: list, count: int, trim: int = 0) -> Iterator[np.ndarray]:
             else:
                 items, index = piece
                 texts = items[start:stop] if index is None else items[index[start:stop]]
-                slot[:size] = texts.reshape(size, -1)
+                slot[:size] = texts
         flat = block[:size].ravel()
         text = flat[flat != 0]
         yield text[: text.size - trim] if stop == count else text

@@ -123,13 +123,15 @@ def _pair_errors(g, measure, walk, base):
         fd = (f_hi.free_energy - f_lo.free_energy) / (2 * FD_STEP)
         yield "free_energy_gradient_vs_finite_difference", abs(grad - fd) / max(1.0, abs(grad)), ""
 
-    # A constant measure cannot be steered, so its round trip is skipped; a
-    # solve that fails on a target inside the range fails the check.
+    # A constant measure cannot be steered, so its round trip is skipped, as
+    # is a range with no float strictly inside.  A target that rounds onto an
+    # end moves one ulp inside; a solve that fails on a target fails the check.
     fmin, fmax = achievable_range(table)
-    if fmax - fmin <= 0:
+    inner = math.nextafter(fmin, math.inf), math.nextafter(fmax, -math.inf)
+    if inner[0] >= fmax:
         return
     for frac in (0.25, 0.5, 0.8):
-        gamma = fmin + frac * (fmax - fmin)
+        gamma = min(max(fmin + frac * (fmax - fmin), inner[0]), inner[1])
         try:
             theta = solve_theta_numeric(table, gamma)
         except TwistrankError as exc:

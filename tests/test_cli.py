@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistrank as tr
-from twistrank import cli, io as tio, twisting, verify
+from twistrank import cli, graph as tgraph, io as tio, twisting, verify
 from twistrank.cli import main
 
 from conftest import edge_list, skewed_signed_graph, walk_masses
@@ -1220,6 +1220,31 @@ class TestRerunOverOlderOutputs:
         assert main(argv) == code
         assert read_tree(out) == fresh
         capsys.readouterr()
+
+
+class TestWideIndexRoute:
+    """Graphs past 2**31 - 1 nodes or entries hold their indices as int64.
+    Forced at every size, that route gives the default route's bytes."""
+
+    @pytest.mark.parametrize("workload", ["rank-onestep", "rank-twostep", "sweep-ad",
+                                          "preprocess-inject"])
+    def test_int64_indices_give_the_same_bytes(self, tmp_path, capsys, monkeypatch,
+                                                benchmark_workloads, workload):
+        argv = benchmark_workloads.build(workload, 1, "smoke", tmp_path).argv
+        code = main([*argv, "--out", str(tmp_path / "default")])
+        assert code == 0
+        default = capsys.readouterr()
+        widths = []
+
+        def wide(bound):
+            widths.append(bound)
+            return np.int64
+
+        monkeypatch.setattr(tgraph, "_index_dtype", wide)
+        assert main([*argv, "--out", str(tmp_path / "wide")]) == code
+        assert capsys.readouterr() == default
+        assert widths
+        assert read_tree(tmp_path / "wide") == read_tree(tmp_path / "default")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -166,6 +166,22 @@ class TestConstructorSigns:
             tr.AttributedGraph([10, 20, 30], np.array([0, 2]), np.array([1, 1]), signs,
                                np.zeros((3, 0)))
 
+    def test_naming_a_bad_sign_builds_no_object_per_edge(self):
+        """Every one of 10**6 int64 signs is 257, beyond CPython's small-int
+        cache: a list of them all would cost 40 bytes per edge, five times the
+        array.  The error reads the first one alone."""
+        m = 10**6
+        signs = np.full(m, 257, dtype=np.int64)
+        lo, hi = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match=r"^edge \(10, 20\) has sign 257; "):
+                tr.AttributedGraph([10, 20], lo, hi, signs, np.zeros((2, 0)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * signs.nbytes
+
     @pytest.mark.parametrize("signs", [np.array([True, False]), np.array([True, True]),
                                        np.array([True, 1], dtype=object)])
     def test_bool_signs_are_rejected(self, signs):

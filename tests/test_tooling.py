@@ -261,3 +261,39 @@ def test_the_console_script_is_cli_main():
     assert entries == {"twistrank": "twistrank.cli:main"}
     module, attr = entries["twistrank"].split(":")
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_every_text_column_holds_one_text_per_row(monkeypatch, tmp_path):
+    """The writers hand the block renderer text columns with a 1-D index or
+    none: an attribute table gathers each of its p value columns on its own."""
+    tr = importlib.import_module("twistrank")
+    io = importlib.import_module("twistrank.io")
+    rows, render = [], io._row_blocks
+
+    def recorded(row, count, trim=0):
+        rows.append(row)
+        return render(row, count, trim)
+
+    monkeypatch.setattr(io, "_row_blocks", recorded)
+    g = tr.load_graph([(3, 5, 1), (5, 9, -1), (3, 9, 1)],
+                      [(3, [0.5, -0.0, 2.0]), (5, [1.0, 0.5, 0.5]), (9, [2.0, 1.0, 0.0])])
+    io.write_attributes(tmp_path / "attrs.txt", g)
+    io.write_edge_list(tmp_path / "edges.txt", g)
+    ranking = io.ranking_rows(tr.centrality(g, "influence", theta=0.5), g.original_ids)
+    io.write_ranking_csv(tmp_path / "ranking.csv", ranking)
+    io.write_ranking_json(tmp_path / "ranking.json", ranking)
+    assert len(rows) == 4
+    columns = [piece for row in rows for piece in row if isinstance(piece, io._Column)]
+    # The id and 3 value columns, u, w and sign, and rank, id and score twice.
+    assert len(columns) == 4 + 3 + 3 + 3
+    assert [c.index is None or c.index.ndim == 1 for c in columns] == [True] * len(columns)
+    assert (tmp_path / "attrs.txt").read_text() == "3 0.5 -0 2\n5 1 0.5 0.5\n9 2 1 0\n"
+
+
+def test_the_package_version_is_the_project_version():
+    """pyproject.toml and twistrank.__version__ (which manifest.json records)
+    name one version.  Read with a regex, as Python 3.10 has no tomllib."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    match = re.search(r'^\[project\]\n(?:(?!\[).*\n)*?version\s*=\s*"([^"]*)"', text, re.M)
+    assert match is not None
+    assert match.group(1) == importlib.import_module("twistrank").__version__

@@ -177,3 +177,32 @@ def test_the_tilt_holds_at_the_theta_of_a_narrow_measure(walk):
         assert np.max(np.abs(probs - np.exp(logw - log_z))) <= 1e-12
         assert result.free_energy == pytest.approx(log_z + theta, rel=1e-15)
         assert abs(result.mean_measure - gamma) <= verify.BOUNDS["gamma_round_trip"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_target_that_rounds_onto_an_end_moves_inside(seed):
+    """An all-ones ad vector on Dirichlet rows spans a few ulps, so a
+    round-trip target fmin + frac * (fmax - fmin) can round onto fmax, which
+    no finite theta reaches; the target moves one ulp inside and solves."""
+    rng = np.random.default_rng(seed)
+    g = skewed_signed_graph(rng, 150, 500)
+    g = tr.AttributedGraph(g.original_ids, *g.pairs(), rng.dirichlet(np.ones(8), size=g.n))
+    results = verify.run_checks(g)
+    assert [r.line() for r in results if not r.passed] == []
+    check = {r.name: r for r in results}["gamma_round_trip"]
+    assert check.detail == "" and check.max_error <= verify.BOUNDS["gamma_round_trip"]
+
+
+def test_a_range_one_ulp_wide_skips_the_round_trip(triangle_pos):
+    """Node scores 1 and the next float up: the ad measure's range holds no
+    float strictly inside, so no target exists and the check is skipped, as
+    for a constant measure, rather than failed."""
+    attrs = np.array([[1.0], [np.nextafter(1.0, 2.0)], [np.nextafter(1.0, 2.0)]])
+    g = tr.AttributedGraph(triangle_pos.original_ids, *triangle_pos.pairs(), attrs)
+    for walk in verify.WALK_MIXES:
+        table = verify.path_table(g, tr.MinInnerProduct(np.ones(1)), walk)
+        fmin, fmax = verify.achievable_range(table)
+        assert fmax == np.nextafter(fmin, np.inf)
+    check = {r.name: r for r in verify.run_checks(g)}["gamma_round_trip"]
+    assert check.passed
+    assert check.detail == "skipped: no steerable measure on this graph"
