@@ -7,9 +7,11 @@ path measure hits a prescribed target.  This module defines the path
 measures, computes the tilt in the log domain, and solves for the scalar
 temperature theta at which the mean measure, the derivative of the free
 energy F = log(1/C), hits a target: on a table of atoms (values and
-masses), in closed form for two atoms, by Newton iteration otherwise.
-Production never evaluates a measure on a walk; the enumeration oracle
-in :mod:`twistrank.verify` does.
+masses), in closed form for two atoms, by Newton iteration otherwise.  One
+function, :func:`_solve_scalar`, solves every target of production and of
+the enumeration oracle in :mod:`twistrank.verify`: it checks the target,
+frames the atoms (:func:`_frame`) and picks the closed form or Newton.
+Production never evaluates a measure on a walk; the oracle does.
 """
 
 from __future__ import annotations
@@ -108,51 +110,33 @@ def _tilt(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, np.nda
     return log_z, np.exp(logw - log_z)
 
 
-def _width_exponent(width: float) -> int:
-    # The k for which width * 2^-k lies in [0.5, 1), or 0 while the width lies
-    # in [2^-10, 2^10).  Finite atoms are below 2^1024 in size, so a width that
-    # overflows is below 2^1025.
-    k = math.frexp(width)[1] if math.isfinite(width) else 1025
-    return 0 if -9 <= k <= 10 else k
-
-
 def _two_atom_theta(lo: float, hi: float, mass_lo: float, mass_hi: float, gamma: float) -> float:
     # With Z = mass_lo e^(theta lo) + mass_hi e^(theta hi), the mean hits gamma
     # where mass_lo e^(theta lo) (gamma - lo) = mass_hi e^(theta hi) (hi - gamma).
-    # Solved on the atoms scaled as in _solve_scalar, so hi - lo cannot overflow.
-    k = _width_exponent(hi - lo)
-    lo, hi, gamma = math.ldexp(lo, -k), math.ldexp(hi, -k), math.ldexp(gamma, -k)
-    return math.ldexp(math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo), -k)
+    return math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo)
 
 
 class AtomSolver:
     """The positive-mass atoms of a ``TiltModel.atoms`` table, ready for any target.
 
     The atoms are filtered and their masses logged once, and the tilted
-    ``(mean, variance)`` is kept at every theta a solve visits (scaled, as in
-    :func:`_solve_scalar`).  The targets of a sweep then share the bracket
-    points 0, +-1, +-2, ... rather than recomputing them.  A memo entry is the value a fresh evaluation would
-    give, so each target's Newton path and theta are those of its own solve.
+    ``(mean, variance)`` is kept at every theta a solve visits (framed, as in
+    :func:`_frame`).  The targets of a sweep then share the bracket points 0,
+    +-1, +-2, ... rather than recomputing them.  A memo entry is the value a
+    fresh evaluation would give, so each target's Newton path and theta are
+    those of its own solve.
     """
 
     def __init__(self, values: np.ndarray, masses: np.ndarray):
         keep = masses > 0
         self.f, self.p = values[keep], masses[keep]
         self.logp = np.log(self.p)
-        self.range = float(self.f.min()), float(self.f.max())
         self.moments: dict[float, tuple[float, float]] = {}
 
     def theta(self, gamma: float) -> float:
-        """Solve mean(theta) = gamma: in closed form on two atoms, else by the
-        Newton iteration of ``verify.solve_theta_numeric`` at O(atoms) per step.
-        The target must lie strictly inside the atoms' range.  This is the one
-        solver of ``TiltModel.theta``, for every measure and walk mix."""
-        gamma = float(gamma)
-        _check_target(*self.range, gamma)
-        if self.f.size == 2:
-            (lo, hi), (mass_lo, mass_hi) = self.f.tolist(), self.p.tolist()
-            return _two_atom_theta(lo, hi, mass_lo, mass_hi, gamma)
-        return _solve_scalar(self.f, self.logp, gamma, self.moments)
+        """Solve mean(theta) = gamma by :func:`_solve_scalar`: the one solver
+        of ``TiltModel.theta``, for every measure and walk mix."""
+        return _solve_scalar(self.f, self.p, self.logp, gamma, self.moments)
 
 
 def _check_target(fmin: float, fmax: float, gamma: float) -> None:
@@ -178,34 +162,54 @@ def _scalar_grad_var(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[fl
     return grad, var
 
 
-def _solve_scalar(f: np.ndarray, logp: np.ndarray, gamma: float, moments: dict) -> float:
-    """Root of mean(theta) = gamma on the atoms ``f`` with log masses ``logp``,
-    by Newton iteration inside a bracket, with a bisection fallback.  The
-    bracket runs from 0 to the first of +-1, +-2, +-4, ... on the root's side
-    where the mean passes gamma; a root beyond 10^6 on the scaled atoms fails
-    to bracket, with a ``ConvergenceError``.
+def _frame(lo: float, hi: float) -> tuple[float, int]:
+    """``(shift, k)``: atoms in ``[lo, hi]`` are solved and tilted as
+    ``(f - shift) * 2^-k``, and the root times 2^-k is theta.
 
-    The solve runs on the atoms and gamma times 2^-k, the power of two that
-    puts the atoms' width in [0.5, 1), and its root times 2^-k is theta: a
-    power of two scales exactly, so theta times an atom is the scaled root
-    times the scaled atom.  So ``NEWTON_TOL`` and the bracket limits hold at
-    any scale of the atoms.  A width in [2^-10, 2^10) is left as it is
-    (k = 0), which keeps theta's bits at ordinary scales.  Atoms more than
-    one width from 0 are first shifted by their end nearest 0, which leaves
-    theta unchanged: otherwise theta times an atom rounds at the offset's
-    scale and the mean cannot settle within ``NEWTON_TOL``.  Every atom and
-    the target then lie within a factor of 2 of that end, so by Sterbenz's
-    lemma the shift is exact.
-    ``moments`` keeps the tilted ``(mean, variance)`` at every scaled root
-    visited.  A failure reports its residual in the atoms' own scale.
+    ``k`` puts the width ``hi - lo`` in [0.5, 1), or is 0 while the width lies
+    in [2^-10, 2^10), which keeps theta's bits at ordinary scales.  A power of
+    two scales exactly, so ``NEWTON_TOL``, the bracket limits and the closed
+    form's ``hi - lo`` (which could overflow) hold at any scale of the atoms.
+    Finite atoms are below 2^1024 in size, so a width that overflows is below
+    2^1025.  ``shift`` is the end nearest 0 when the atoms lie more than one
+    width from 0, else 0: unshifted, theta times an atom would round at the
+    offset's scale, and the mean could not settle within ``NEWTON_TOL``, nor a
+    tilt tell the atoms apart.  Every atom and target then lies within a
+    factor of 2 of the shift, so by Sterbenz's lemma each difference from it
+    is exact: gamma - lo, hi - gamma and hi - lo are the same floats shifted
+    or not.
     """
-    lo, hi = float(f.min()), float(f.max())
     width = hi - lo
     shift = lo if lo > width else hi if hi < -width else 0.0
+    k = math.frexp(width)[1] if math.isfinite(width) else 1025
+    return shift, 0 if -9 <= k <= 10 else k
+
+
+def _solve_scalar(f: np.ndarray, p: np.ndarray, logp: np.ndarray, gamma: float,
+                  moments: dict) -> float:
+    """Root of mean(theta) = gamma on the atoms ``f`` with masses ``p`` and log
+    masses ``logp``: the one temperature solve, of production and the oracle.
+
+    The target must lie strictly inside the atoms' range (the messages of
+    :func:`_check_target`).  The solve runs on the atoms and gamma framed by
+    :func:`_frame`, and its root times 2^-k is theta.  Two atoms are solved in
+    closed form; more by Newton iteration inside a bracket, with a bisection
+    fallback.  The bracket runs from 0 to the first of +-1, +-2, +-4, ... on
+    the root's side where the mean passes gamma; a root beyond 10^6 on the
+    framed atoms fails to bracket, with a ``ConvergenceError``.  ``moments``
+    keeps the tilted ``(mean, variance)`` at every framed root visited.  A
+    failure reports its residual in the atoms' own scale.
+    """
+    gamma = float(gamma)
+    lo, hi = float(f.min()), float(f.max())
+    _check_target(lo, hi, gamma)
+    shift, k = _frame(lo, hi)
     if shift:
         f, gamma = f - shift, gamma - shift
-    k = _width_exponent(width)
     f, gamma = np.ldexp(f, -k), math.ldexp(gamma, -k)
+    if f.size == 2:
+        (lo, hi), (mass_lo, mass_hi) = f.tolist(), p.tolist()
+        return math.ldexp(_two_atom_theta(lo, hi, mass_lo, mass_hi, gamma), -k)
 
     def residual(t: float) -> tuple[float, float]:
         # -0.0 and 0.0 share a key; both give logw = theta * f + logp bit for bit.

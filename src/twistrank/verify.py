@@ -19,8 +19,8 @@ import numpy as np
 from .errors import EnumerationBudgetError, GraphError, SolveError, TwistrankError
 from .graph import AttributedGraph, GraphStats, _contains, _index_dtype
 from .sampling import WalkConfig
-from .twisting import (MinInnerProduct, SignMin, SignProduct, _check_target, _solve_scalar,
-                       _tilt, _two_atom_theta, theta_value)
+from .twisting import (MinInnerProduct, SignMin, SignProduct, _frame, _solve_scalar, _tilt,
+                       _two_atom_theta, theta_value)
 from .centrality import CentralityRanking, TiltModel
 
 DEFAULT_PATH_BUDGET = 20_000_000
@@ -306,18 +306,13 @@ def twist(table: PathTable, theta: float) -> tuple[TwistResult, np.ndarray]:
     Returns the normalization summary and the tilted mass of each walk,
     aligned with the rows of ``table.walks`` (length-1 block first) and
     summing to 1.  All accumulation happens in the log domain, so large
-    |theta * f| values do not overflow.  Walk values more than their width
-    from 0 are shifted by the end nearest 0 before the tilt, as
-    ``_solve_scalar`` shifts its atoms (exactly, by Sterbenz's lemma), and
-    theta times the shift is added back to the free energy: otherwise, at
-    the |theta| that a narrow measure solves to, the rounding of theta * f
-    swamps the differences between walks.
+    |theta * f| values do not overflow.  The walk values are shifted as
+    ``twisting._frame`` shifts the atoms of a solve, and theta times the
+    shift is added back to the free energy.
     """
     theta = theta_value(theta)
     f = table.f
-    lo, hi = float(f.min()), float(f.max())
-    width = hi - lo
-    shift = lo if lo > width else hi if hi < -width else 0.0
+    shift, _ = _frame(float(f.min()), float(f.max()))
     log_z, probs = _tilt(f - shift, table.logp0, theta)
     return TwistResult(free_energy=log_z + theta * shift, mean_measure=float(probs @ f)), probs
 
@@ -351,19 +346,17 @@ def solve_theta_closed(graph_stats: GraphStats, gamma: float) -> float:
 
 
 def solve_theta_numeric(table: PathTable, gamma: float) -> float:
-    """Solve F'(theta) = gamma by Newton iteration on a path table.
+    """Solve F'(theta) = gamma on a path table's walks, by
+    ``twisting._solve_scalar``, the solve of ``TiltModel.theta``.
 
     The second derivative of the free energy is the variance of the measure
     under the tilt, so the mean is monotone in theta and admits a bisection
     fallback.  The target must lie strictly inside the achievable range
     (see :func:`achievable_range`).  Convergence is declared when the mean
-    matches gamma within ``twisting.NEWTON_TOL``, followed by one polishing step;
-    the atoms are scaled by a power of two first, and shifted when far from 0,
-    as for ``TiltModel.theta``.
+    matches gamma within ``twisting.NEWTON_TOL``, followed by one polishing
+    step.
     """
-    gamma = float(gamma)
-    _check_target(*achievable_range(table), gamma)
-    return _solve_scalar(table.f, table.logp0, gamma, {})
+    return _solve_scalar(table.f, table.p0, table.logp0, gamma, {})
 
 
 @dataclass(frozen=True, eq=False)

@@ -191,7 +191,7 @@ class TestSweep:
             if mode == "theta":
                 values = [-1.5, 0.0, 0.8]
             else:
-                lo, hi = model.solver.range
+                lo, hi = float(model.solver.f.min()), float(model.solver.f.max())
                 values = [lo + frac * (hi - lo) for frac in (0.1, 0.5, 0.9)]
             rows = tr.sweep(g, kind, mode, values, walk=walk, k=k, ad_vector=z)
             gs = tr.stats(g)

@@ -1,5 +1,7 @@
 """Pair distributions, marginals, closed form, and the centrality dispatcher."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,81 @@ class TestClosedForm:
         g = tr.load_graph([], [(0, [1.0])])
         with pytest.raises(GraphError, match="edgeless"):
             verify.influence_closed_form(tr.stats(g), 0.0)
+
+
+class TestStarFamily:
+    """A star of N = 10^6 leaves with seeded signs, P positive and Q negative,
+    built straight through the constructor: the sign measures' scores and
+    atoms at every walk mix against their closed forms, with no enumeration.
+
+    With e^(+-theta s) for a leaf of sign s, the start masses times 2N are
+    SignProduct: leaf b1 e^(theta s) + (b2 / N)(P e^(theta s) + Q e^(-theta s)),
+    centre b1 (P e^theta + Q e^-theta) + b2 N e^theta;
+    SignMin: positive leaf b1 e^theta + (b2 / N)(P e^theta + Q e^-theta),
+    negative leaf (b1 + b2) e^-theta, centre (b1 + b2)(P e^theta + Q e^-theta).
+    """
+
+    N = 10**6
+
+    @pytest.fixture(scope="class")
+    def star(self):
+        n = self.N
+        signs = np.where(np.random.default_rng(19).random(n) < 0.3, -1, 1).astype(np.int8)
+        g = tr.AttributedGraph(np.arange(n + 1), np.zeros(n, dtype=np.int64),
+                               np.arange(1, n + 1), signs, np.zeros((n + 1, 0)))
+        return g, signs > 0
+
+    @staticmethod
+    def _closed_scores(kind, beta, positive, theta):
+        (b1, b2), n = beta, positive.size
+        p = int(np.count_nonzero(positive))
+        q = n - p
+        up, down = math.exp(theta), math.exp(-theta)
+        mix = p * up + q * down
+        if kind == "influence":
+            # A negative leaf sees e^(-theta) for its own sign and e^theta for the other.
+            pos, neg = b1 * up + b2 / n * mix, b1 * down + b2 / n * (p * down + q * up)
+            centre = b1 * mix + b2 * n * up
+        else:
+            pos, neg = b1 * up + b2 / n * mix, (b1 + b2) * down
+            centre = (b1 + b2) * mix
+        scores = np.concatenate(([centre], np.where(positive, pos, neg)))
+        return scores / scores.sum()
+
+    @staticmethod
+    def _closed_atoms(kind, beta, positive):
+        """The base masses of the walks of measure -1 and +1."""
+        (b1, b2), n = beta, positive.size
+        p = int(np.count_nonzero(positive))
+        q = n - p
+        if kind == "influence":
+            plus = b1 * p / n + b2 * (p * p + q * q) / (2 * n * n) + b2 / 2
+            minus = b1 * q / n + b2 * p * q / (n * n)
+        else:
+            plus = b1 * p / n + b2 * p * p / (2 * n * n) + b2 * p / (2 * n)
+            minus = b1 * q / n + b2 * (n * n - p * p) / (2 * n * n) + b2 * q / (2 * n)
+        return minus, plus
+
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)],
+                             ids=["beta-1-0", "beta-0.7-0.3", "beta-0-1"])
+    @pytest.mark.parametrize("kind", ["influence", "trust"])
+    def test_scores_atoms_and_theta_match_the_closed_forms(self, star, kind, beta):
+        g, positive = star
+        model = tr.TiltModel(g, tr.measure_for(kind), tr.WalkConfig(*beta))
+        for theta in (-2.0, 0.0, 1.5):
+            want = self._closed_scores(kind, beta, positive, theta)
+            np.testing.assert_allclose(model.scores(theta), want, rtol=1e-12, atol=0)
+        values, masses = model.atoms
+        minus, plus = self._closed_atoms(kind, beta, positive)
+        assert values.tolist() == [-1.0, 1.0]
+        np.testing.assert_allclose(masses, [minus, plus], rtol=1e-12, atol=0)
+        # The theta round trip on the two sign atoms.
+        for gamma in (-0.6, 0.0, 0.45):
+            theta = model.theta(gamma)
+            closed = 0.5 * math.log(minus * (1 + gamma) / (plus * (1 - gamma)))
+            assert theta == pytest.approx(closed, rel=1e-12, abs=1e-12)
+            up, down = plus * math.exp(theta), minus * math.exp(-theta)
+            assert abs((up - down) / (up + down) - gamma) <= 1e-12
 
 
 class TestOneSignedGraph:

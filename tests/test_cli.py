@@ -695,13 +695,13 @@ class TestRankCommand:
         assert first == read_tree(tmp_path / "b")
 
     def test_resolves_theta_and_stats_once(self, tmp_path, small_edges, monkeypatch, capsys):
-        calls = count_calls(monkeypatch, ("resolve_theta", "stats"))
+        calls = count_calls(monkeypatch, ("resolve_theta", "stats", "_solve_scalar"))
         assert main([
             "rank", "--edges", str(small_edges), "--measure", "trust",
             "--gamma", "0.2", "--beta1", "0.7", "--beta2", "0.3",
             "--out", str(tmp_path / "rank"),
         ]) == 0
-        assert calls == {"resolve_theta": 1, "stats": 1}
+        assert calls == {"resolve_theta": 1, "stats": 1, "_solve_scalar": 1}
 
     def test_formats_each_score_once(self, tmp_path, small_edges, monkeypatch, capsys):
         """One format per distinct score bit pattern, plus theta for the manifest
@@ -800,23 +800,24 @@ class TestSweepCommand:
 
     def test_resolves_each_target_once_and_stats_once(self, tmp_path, small_edges,
                                                       monkeypatch, capsys):
-        calls = count_calls(monkeypatch, ("resolve_theta", "stats", "_sign_masses"))
+        calls = count_calls(monkeypatch, ("resolve_theta", "stats", "_sign_masses",
+                                          "_solve_scalar"))
         assert main([
             "sweep", "--edges", str(small_edges), "--measure", "influence",
             "--gammas=-0.2,0,0.3", "--beta1", "0.5", "--beta2", "0.5", "--k", "2",
             "--out", str(tmp_path / "sweep"),
         ]) == 0
-        assert calls == {"resolve_theta": 3, "stats": 1, "_sign_masses": 1}
+        assert calls == {"resolve_theta": 3, "stats": 1, "_sign_masses": 1, "_solve_scalar": 3}
 
     def test_one_step_sign_sweep_builds_atoms_once(self, tmp_path, small_edges,
                                                    monkeypatch, capsys):
-        calls = count_calls(monkeypatch, ("resolve_theta", "_sign_masses"))
+        calls = count_calls(monkeypatch, ("resolve_theta", "_sign_masses", "_solve_scalar"))
         assert main([
             "sweep", "--edges", str(small_edges), "--measure", "trust",
             "--gammas=-0.2,0,0.3", "--beta1", "1", "--beta2", "0", "--k", "2",
             "--out", str(tmp_path / "sweep"),
         ]) == 0
-        assert calls == {"resolve_theta": 3, "_sign_masses": 1}
+        assert calls == {"resolve_theta": 3, "_sign_masses": 1, "_solve_scalar": 3}
 
     def test_one_signed_graph_sweeps_a_large_theta_as_a_small_one(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

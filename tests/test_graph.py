@@ -124,7 +124,8 @@ class TestPairs:
                    tr.load_graph([]), skewed_signed_graph(rng, 70_000, 150_000)]
         for g in graphs:
             lo, hi, signs = g.pairs()
-            assert (lo.dtype, hi.dtype, signs.dtype) == (np.int32, np.int32, np.int8)
+            node = tg._index_dtype(g.n)
+            assert (lo.dtype, hi.dtype, signs.dtype) == (node, node, np.int8)
             assert not any(a.flags.writeable for a in g.pairs())
             assert lo.size == hi.size == signs.size == g.m
             assert (lo < hi).all()
@@ -1136,7 +1137,7 @@ class TestIngestRoutes:
         for pairs in ((lo, hi, signs), own):
             g = tr.AttributedGraph(range(n), *pairs, np.zeros((n, 0)))
             indptr, indices, entry_signs = g.csr()
-            assert (indices.dtype, entry_signs.dtype) == (np.int32, np.int8)
+            assert (indices.dtype, entry_signs.dtype) == (tg._index_dtype(n), np.int8)
             for got, expected in zip(g.csr(), want):
                 np.testing.assert_array_equal(got, expected)
             for got, expected in zip(g.pairs(), (lo, hi, signs)):

@@ -237,7 +237,7 @@ class TestScoreScale:
         walk = tr.WalkConfig(*beta)
         unit, model = _ad_model(0, walk), _ad_model(power, walk)
         table = verify.path_table(model.graph, model.measure, walk)
-        lo, hi = model.solver.range
+        lo, hi = float(model.solver.f.min()), float(model.solver.f.max())
         assert model.solver.f.size > 2
         for frac in (0.1, 0.5, 0.9):
             gamma = lo + frac * (hi - lo)

@@ -9,7 +9,9 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -246,6 +248,34 @@ def test_graph_holds_one_degree_kernel():
         assert np.array_equal(got, want) and got.dtype == np.int64
         assert np.array_equal(got, tr.stats(g).degree)
         assert np.array_equal(got, np.diff(g.csr()[0]))
+
+
+def _names_read(func) -> set[str]:
+    """Every name that ``func``'s source reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_twisting_holds_one_solve():
+    """Every temperature target goes through twisting._solve_scalar: the
+    production solver and the oracle reach the target check, the atoms' frame
+    and the closed form only through it, and the frame's shift rule, the end
+    nearest 0 of atoms more than one width from it, is written once."""
+    twisting = importlib.import_module("twistrank.twisting")
+    verify = importlib.import_module("twistrank.verify")
+    assert "_width_exponent" not in vars(twisting)
+    assert not hasattr(twisting.AtomSolver(np.array([0.0, 1.0]), np.full(2, 0.5)), "range")
+    shift = re.compile(r"(\w+) if \1 > (\w+) else (\w+) if \3 < -\2 else")
+    found = {path.name: len(shift.findall(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: count for name, count in found.items() if count} == {"twisting.py": 1}
+    assert shift.search(inspect.getsource(twisting._frame))
+    inner = {"_check_target", "_frame", "_two_atom_theta"}
+    assert inner <= _names_read(twisting._solve_scalar)
+    for func in (twisting.AtomSolver.theta, verify.solve_theta_numeric):
+        names = _names_read(func)
+        assert "_solve_scalar" in names and not names & inner
+    assert "_check_target" not in vars(verify)
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

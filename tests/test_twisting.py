@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistrank as tr
-from twistrank import twisting, verify
+from twistrank import graph as tg, twisting, verify
 from twistrank.errors import ConvergenceError, GraphError, SolveError
 
 from conftest import random_signed_graph, tilted_masses, walk_masses
@@ -174,8 +174,9 @@ class TestCappedRows:
         measure = _GivenScores(z)
         got = tr.TiltModel(g, measure).capped_rows
         want = _lexsorted_capped_rows(measure, g)
-        # The neighbours and levels take the width of the graph's ids, int32.
-        assert got.neighbour.dtype == got.level.dtype == g.pairs()[0].dtype == np.int32
+        # The neighbours and levels take the width of the graph's ids.
+        node = tg._index_dtype(g.n)
+        assert got.neighbour.dtype == got.level.dtype == g.pairs()[0].dtype == node
         assert got.neighbour.dtype == want[1].dtype
         middle = np.repeat(np.arange(g.n), np.diff(got.indptr))
         for a, b in zip((middle, got.neighbour, got.levels[got.level]), want):
@@ -518,6 +519,70 @@ class TestBracket:
         assert theta != 0.0
         assert all(t * theta >= 0.0 for t in solver.moments)
         assert math.copysign(1.0, theta) in solver.moments
+
+
+def _unframed_theta(values, masses, gamma):
+    """A reference ``AtomSolver.theta`` whose closed form runs on two atoms
+    scaled by a power of two and never shifted; other tables go to the
+    Newton iteration of ``_solve_scalar``."""
+    keep = masses > 0
+    f, p = values[keep], masses[keep]
+    gamma = float(gamma)
+    lo, hi = float(f.min()), float(f.max())
+    twisting._check_target(lo, hi, gamma)
+    if f.size != 2:
+        return twisting._solve_scalar(f, p, np.log(p), gamma, {})
+    width = hi - lo
+    k = math.frexp(width)[1] if math.isfinite(width) else 1025
+    k = 0 if -9 <= k <= 10 else k
+    mass_lo, mass_hi = p.tolist()
+    lo, hi, gamma = math.ldexp(lo, -k), math.ldexp(hi, -k), math.ldexp(gamma, -k)
+    return math.ldexp(math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo), -k)
+
+
+class TestOneSolve:
+    """``AtomSolver.theta`` is one ``_solve_scalar`` call, which shifts two
+    atoms far from 0 before the closed form; by Sterbenz's lemma the shift
+    keeps every bit of the unshifted closed form."""
+
+    @staticmethod
+    def _outcome(solve, gamma):
+        # A target within a subnormal of an end at 0, once scaled onto it,
+        # reaches math.log(0.0) in the closed form: ValueError, on both sides.
+        try:
+            return solve(gamma).hex()
+        except (SolveError, ConvergenceError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_equal_the_unframed_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        solved = 0
+        for _ in range(150):
+            size = 2 if rng.random() < 0.5 else int(rng.integers(3, 13))
+            unit = np.sort(np.concatenate([[0.0, 1.0], rng.random(size - 2)]))
+            offset = float(rng.choice([0.0, 1.0, -1.0])) * 10.0 ** rng.uniform(0, 6)
+            scale = math.ldexp(rng.uniform(1, 2), int(rng.integers(-900, 901)))
+            values = (offset + unit) * scale
+            masses = rng.dirichlet(np.ones(size))
+            if size > 2 and rng.random() < 0.2:
+                masses[int(rng.integers(1, size - 1))] = 0.0  # filtered out
+            lo, hi = values[0], values[-1]
+            gammas = [lo + t * (hi - lo) for t in rng.random(3)]
+            gammas += [lo, hi, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)]
+            solver = twisting.AtomSolver(values, masses)
+            for gamma in gammas:
+                want = self._outcome(lambda g: _unframed_theta(values, masses, g), gamma)
+                assert self._outcome(solver.theta, gamma) == want
+                solved += not want.startswith(("SolveError", "ConvergenceError", "ValueError"))
+        assert solved > 300
+
+    def test_a_constant_table_gives_the_same_error(self):
+        values, masses = np.array([2.5, 2.5, 7.0]), np.array([0.5, 0.5, 0.0])
+        want = self._outcome(lambda g: _unframed_theta(values, masses, g), 2.5)
+        assert self._outcome(twisting.AtomSolver(values, masses).theta, 2.5) == want
+        assert want.startswith("SolveError: measure is constant (2.5)")
+
 
 class TestTwistedStructure:
     def test_reversibility(self, corpus100):
