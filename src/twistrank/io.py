@@ -13,12 +13,21 @@ integer arrays of a JSON payload such as the preprocessing report) render
 their rows with one block renderer, :func:`_row_blocks`.  Each column is one
 text per row, in a NUL-padded ``(n, width)`` uint8 block: vectorised base-10
 digits for nonnegative integers, or texts gathered by a 1-D index from a
-table of distinct texts (scores, attribute values, signs, ids beyond int64).  A
-fixed number of rows at a time, the columns and the row template's literal
-pieces are laid side by side, and the block's non-NUL bytes are written in
-order; the digits of an integer array's column are made one block at a
-time too.  Invariant: no text or literal holds a NUL byte, so dropping the
-padding leaves exactly the per-line text.
+table of distinct texts (scores, attribute values, signs, ids beyond int64).
+The row template becomes one template row, its literals in place and NUL in
+the columns' slots, which is copied into every row of a block once; then, a
+fixed number of rows at a time, the columns fill their slots and the
+block's non-NUL bytes are written in order.  The digits of an integer
+array's column are made one block at a time too.  Invariant: no text or
+literal holds a NUL byte, so dropping the padding leaves exactly the
+per-line text.
+
+The table of distinct float texts comes from one ``%`` conversion per block
+of values, ``"%-20.12g" * k % values``, not one :func:`format_score` call per
+value.  ``%.12g`` runs the same conversion as ``format_score``'s
+``f"{x:.12g}"`` (CPython's ``PyOS_double_to_string``, correctly rounded), so
+each text is exact by construction.  The longest such text has 19 bytes, so
+every text ends at a pad space, which becomes NUL.
 
 Every writer rewrites its file in place (:func:`_rewrite`): an existing
 file is opened without truncation, overwritten from its first byte, and
@@ -222,7 +231,7 @@ def write_attributes(path, graph: AttributedGraph) -> None:
         return
     # One table of value texts serves all p columns; column j gathers its
     # texts by index[:, j].
-    _, texts, index = _distinct_texts(graph.node_attrs, format_score)
+    _, texts, index = _distinct_texts(graph.node_attrs)
     values = chain.from_iterable((" ", _Column(texts, column)) for column in index.T)
     _write_rows(path, [_Column(_int_texts(graph.original_ids)), *values, "\n"], graph.n)
 
@@ -256,7 +265,7 @@ def ranking_rows(ranking: CentralityRanking, original_ids=None) -> RankingRows:
     """
     order = ranking.order
     node_ids = order if original_ids is None else original_ids[order]
-    scores, texts, index = _distinct_texts(ranking.scores[order], format_score)
+    scores, texts, index = _distinct_texts(ranking.scores[order])
     ranks = _int_texts(np.arange(1, order.size + 1, dtype=np.int64))
     return RankingRows(ranks, _int_texts(node_ids), scores, texts, index)
 
@@ -321,15 +330,17 @@ def _row_blocks(row: list, count: int, trim: int = 0) -> Iterator[np.ndarray]:
 
     ``row`` lists the row's pieces in order: ``str`` literals, and
     :class:`_Column` s and :class:`_IntColumn` s with at least ``count``
-    rows.  The literals are placed in a block once, the columns' texts each
-    block of rows; the last ``trim`` bytes of the rows are left out.
+    rows.  The literals are placed in a block once, from a template row, and
+    the columns' texts each block of rows; the last ``trim`` bytes of the
+    rows are left out.
     """
-    pieces, offset = [], 0
+    # One template row: the literals in place, NUL in the columns' slots.
+    pieces, template = [], b""
     for piece in row:
         if isinstance(piece, str):
-            piece = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
-            width = piece.size
-        elif isinstance(piece, _IntColumn):
+            template += piece.encode("ascii")
+            continue
+        if isinstance(piece, _IntColumn):
             # The longest text is that of the least or the greatest value.
             values = piece.values
             width = max(len(str(values.min())), len(str(values.max()))) if values.size else 0
@@ -338,17 +349,13 @@ def _row_blocks(row: list, count: int, trim: int = 0) -> Iterator[np.ndarray]:
             texts = np.ascontiguousarray(piece.texts)
             piece = _Column(texts.view(f"V{texts.shape[1]}")[:, 0], piece.index)
             width = texts.shape[1]
-        pieces.append((piece, slice(offset, offset + width)))
-        offset += width
-    block = np.empty((min(count, _BLOCK_ROWS), offset), dtype=np.uint8)
-    columns = []
-    for piece, cols in pieces:
-        if isinstance(piece, np.ndarray):
-            block[:, cols] = piece
-        elif isinstance(piece, _IntColumn):
-            columns.append((piece, block[:, cols]))
-        else:
-            columns.append((piece, block[:, cols].view(piece.texts.dtype)[:, 0]))
+        pieces.append((piece, slice(len(template), len(template) + width)))
+        template += bytes(width)
+    # The template goes into each row of the block as one opaque item.
+    block = np.empty((min(count, _BLOCK_ROWS), len(template)), dtype=np.uint8)
+    block.view(f"V{len(template)}")[:, 0] = np.void(template)
+    columns = [(piece, block[:, cols] if isinstance(piece, _IntColumn)
+                else block[:, cols].view(piece.texts.dtype)[:, 0]) for piece, cols in pieces]
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
         size = stop - start
@@ -402,10 +409,10 @@ def _sign_column(signs: np.ndarray) -> _Column:
     return _Column(_text_block(["-1", "1"]), (signs > 0).view(np.uint8))
 
 
-def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _distinct_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each distinct float64 bit pattern in ``values``, a text block of their
-    ``fmt`` texts, and, in ``values``' shape, the index of each value's text.
-    Only the first value of each run of equal bits is sorted."""
+    :func:`format_score` texts, and, in ``values``' shape, the index of each
+    value's text.  Only the first value of each run of equal bits is sorted."""
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
     head = np.ones(bits.size, dtype=bool)
     head[1:] = bits[1:] != bits[:-1]
@@ -413,7 +420,28 @@ def _distinct_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray, np
     distinct, inverse = np.unique(bits[head], return_inverse=True)
     distinct = distinct.view(np.float64)
     index = inverse[np.cumsum(head) - 1].reshape(values.shape)
-    return distinct, _text_block(list(map(fmt, distinct.tolist()))), index
+    return distinct, _score_texts(distinct), index
+
+
+# Each text's width in a `%` conversion; the longest 12-digit text,
+# "-1.23456789012e-308", has 19 bytes.
+_SCORE_WIDTH = 20
+
+
+def _score_texts(values: np.ndarray) -> np.ndarray:
+    """The :func:`format_score` texts of float64 ``values`` as a text block,
+    from one ``%`` conversion per block of :data:`_BLOCK_ROWS` values."""
+    chunks = []
+    for start in range(0, values.size, _BLOCK_ROWS):
+        chunk = values[start:start + _BLOCK_ROWS].tolist()
+        text = f"%-{_SCORE_WIDTH}.12g" * len(chunk) % tuple(chunk)
+        chunks.append(text.encode("ascii"))
+    block = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(-1, _SCORE_WIDTH)
+    filled = block != ord(" ")
+    # A text ends at its first pad, which the guard byte ensures; an empty
+    # table keeps width 1, as _text_block([]) has.
+    width = filled.argmin(axis=1).max(initial=1)
+    return block[:, :width] * filled[:, :width]
 
 
 def _json_numbers(values: np.ndarray, texts: np.ndarray) -> np.ndarray:

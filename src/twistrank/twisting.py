@@ -110,10 +110,23 @@ def _tilt(f: np.ndarray, logp0: np.ndarray, theta: float) -> tuple[float, np.nda
     return log_z, np.exp(logw - log_z)
 
 
-def _two_atom_theta(lo: float, hi: float, mass_lo: float, mass_hi: float, gamma: float) -> float:
-    # With Z = mass_lo e^(theta lo) + mass_hi e^(theta hi), the mean hits gamma
-    # where mass_lo e^(theta lo) (gamma - lo) = mass_hi e^(theta hi) (hi - gamma).
-    return math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo)
+def _two_atom_theta(lo: float, hi: float, mass_lo: float, mass_hi: float, gamma: float,
+                    gaps: tuple[float, float] | None = None) -> float:
+    """The closed form on two atoms ``lo < hi``.
+
+    With Z = mass_lo e^(theta lo) + mass_hi e^(theta hi), the mean hits gamma
+    where mass_lo e^(theta lo) (gamma - lo) = mass_hi e^(theta hi) (hi - gamma).
+    Where a product or their ratio underflows to 0, or the ratio overflows,
+    theta is the sum of the four logs instead, taken on ``gaps``: gamma - lo
+    and hi - gamma at one power-of-two scale, whose log cancels (by default
+    the gaps of the atoms given).
+    """
+    low, high = mass_lo * (gamma - lo), mass_hi * (hi - gamma)
+    ratio = low / high if high else math.inf
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio) / (hi - lo)
+    gap_lo, gap_hi = gaps or (gamma - lo, hi - gamma)
+    return (math.log(mass_lo) + math.log(gap_lo) - math.log(mass_hi) - math.log(gap_hi)) / (hi - lo)
 
 
 class AtomSolver:
@@ -206,10 +219,16 @@ def _solve_scalar(f: np.ndarray, p: np.ndarray, logp: np.ndarray, gamma: float,
     shift, k = _frame(lo, hi)
     if shift:
         f, gamma = f - shift, gamma - shift
-    f, gamma = np.ldexp(f, -k), math.ldexp(gamma, -k)
     if f.size == 2:
+        # Unscaled, the gaps to the target are nonzero (and exact, when
+        # shifted), where scaled ones can round to 0.  Only at k = 1025 can
+        # one overflow; halving loses nothing of a gap at that scale.
         (lo, hi), (mass_lo, mass_hi) = f.tolist(), p.tolist()
-        return math.ldexp(_two_atom_theta(lo, hi, mass_lo, mass_hi, gamma), -k)
+        gaps = ((gamma - lo, hi - gamma) if k <= 1024
+                else (gamma / 2 - lo / 2, hi / 2 - gamma / 2))
+        lo, hi, gamma = (math.ldexp(x, -k) for x in (lo, hi, gamma))
+        return math.ldexp(_two_atom_theta(lo, hi, mass_lo, mass_hi, gamma, gaps), -k)
+    f, gamma = np.ldexp(f, -k), math.ldexp(gamma, -k)
 
     def residual(t: float) -> tuple[float, float]:
         # -0.0 and 0.0 share a key; both give logw = theta * f + logp bit for bit.

@@ -4,8 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import twistrank as tr
+
+# CI runs with --hypothesis-profile=ci, so that a falsifying example found on
+# a runner prints the @reproduce_failure blob that replays it; local runs keep
+# the default profile.
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

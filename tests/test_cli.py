@@ -479,6 +479,22 @@ class TestRankCommand:
         manifest = json.loads((tmp_path / "rank" / "manifest.json").read_text())
         assert manifest["parameters"]["resolved_theta"] == float(tio.format_score(theta))
 
+    def test_gamma_a_subnormal_above_two_ad_atoms(self, tmp_path, capsys):
+        """Node scores 0, 1e300, 1e300 on a path cap at two atoms, 0 and 1e300;
+        scaled onto them, gamma = 1e-320 rounds onto 0, and the closed form
+        solves it from its sum of logs."""
+        edges, attrs, z = tmp_path / "edges.txt", tmp_path / "attrs.txt", tmp_path / "z.txt"
+        write(edges, "0 1 1\n1 2 1\n")
+        write(attrs, "0 0\n1 1e300\n2 1e300\n")
+        write(z, "1\n")
+        code = main([
+            "rank", "--edges", str(edges), "--attrs", str(attrs), "--measure", "ad",
+            "--ad-vector", str(z), "--gamma=1e-320", "--out", str(tmp_path / "rank"),
+        ])
+        assert code == 0, capsys.readouterr().err
+        manifest = json.loads((tmp_path / "rank" / "manifest.json").read_text())
+        assert manifest["parameters"]["resolved_theta"] < 0
+
     @pytest.mark.parametrize(
         "attrs_text, z_text, bad_file",
         [
@@ -704,24 +720,36 @@ class TestRankCommand:
         assert calls == {"resolve_theta": 1, "stats": 1, "_solve_scalar": 1}
 
     def test_formats_each_score_once(self, tmp_path, small_edges, monkeypatch, capsys):
-        """One format per distinct score bit pattern, plus theta for the manifest
-        and stdout.  Nodes 0 and 3 of small_edges share (k+, k-) = (1, 1), so
-        two of its five scores are equal; the second graph's six are all
+        """Each distinct score bit pattern reaches the bulk conversion once, in
+        one call; format_score runs only for theta, in the manifest and on
+        stdout.  Nodes 0 and 3 of small_edges share (k+, k-) = (1, 1), so two
+        of its five scores are equal; the second graph's six are all
         distinct."""
         all_distinct = tmp_path / "all_distinct.txt"
         write(all_distinct, "0 1 1\n0 2 1\n0 3 1\n0 4 -1\n1 2 1\n1 3 -1\n1 4 -1\n2 5 1\n3 5 -1\n")
         calls = count_calls(monkeypatch, ("format_score",))
+        converted, convert = [], tio._score_texts
+
+        def recorded(values):
+            converted.append(values.copy())
+            return convert(values)
+
+        monkeypatch.setattr(tio, "_score_texts", recorded)
         for edges, distinct in ((small_edges, 4), (all_distinct, 6)):
             g = tr.load_graph(tio.read_edge_list(edges))
             scores = tr.centrality(g, "influence", theta=0.5).scores
             assert np.unique(scores.view(np.int64)).size == distinct
             calls.clear()
+            converted.clear()
             out = tmp_path / edges.stem
             assert main([
                 "rank", "--edges", str(edges), "--measure", "influence",
                 "--theta", "0.5", "--out", str(out),
             ]) == 0
-            assert calls == {"format_score": distinct + 2}
+            assert calls == {"format_score": 2}
+            (values,) = converted
+            assert np.array_equal(np.sort(values.view(np.int64)),
+                                  np.unique(scores.view(np.int64)))
             assert len((out / "ranking.csv").read_text().splitlines()) == g.n + 1
 
     @pytest.mark.parametrize("case", ["beta-1-0", "beta-0.7-0.3", "ad-sweep", "preprocess"])

@@ -1053,6 +1053,60 @@ def test_any_finite_scores_match_the_generic_encoders(tmp_path_factory, scores):
     assert (out / "ranking.csv").read_bytes() == _reference_csv(ranking, ids).encode()
 
 
+# -- bulk score texts ------------------------------------------------------------
+
+
+def _check_score_texts(values):
+    block = tio._score_texts(values)
+    want = [tio.format_score(x) for x in values.tolist()]
+    assert _block_texts(block) == want
+    assert block.shape == (len(want), max(map(len, want), default=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_any_bit_patterns_get_the_texts_of_format_score(patterns):
+    """Any float64 bit pattern, NaN payloads, signed zeros, subnormals and
+    infinities included, gets format_score's text from the bulk conversion."""
+    _check_score_texts(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 8, 9, 13])
+def test_score_texts_cross_blocks(monkeypatch, count):
+    """With 4 values per conversion, the texts of every block land in their
+    rows, and the widest text of any block sets the width of all."""
+    monkeypatch.setattr(tio, "_BLOCK_ROWS", 4)
+    widths = [0.0, -1.23456789012e-308, 5e-324, 0.5, -math.inf, 1 / 3, 7.0, math.nan, 1e22,
+              -0.0, 2.5, 1e-5, 123456789012.0]
+    _check_score_texts(np.array(widths[-count:]))
+    _check_score_texts(np.array(widths[:count]))
+
+
+def test_an_empty_table_is_a_block_of_width_one():
+    """No values give a (0, 1) block, as ``_text_block([])`` does: the ranking
+    files of an empty table depend on it."""
+    assert tio._score_texts(np.array([])).shape == tio._text_block([]).shape == (0, 1)
+    distinct, texts, index = tio._distinct_texts(np.zeros((0, 3)))
+    assert distinct.shape == (0,) and texts.shape == (0, 1) and index.shape == (0, 3)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4, 5, 9])
+@pytest.mark.parametrize("trim", [0, 1, 2])
+def test_template_literals_sit_anywhere_in_a_row(monkeypatch, count, trim):
+    """A template whose literals sit first, next to each other, between two
+    columns with nothing else between them, and last; 4-row blocks."""
+    monkeypatch.setattr(tio, "_BLOCK_ROWS", 4)
+    values = np.arange(count, dtype=np.int64) ** 3
+    words = tio._text_block(["a", "bcd", "", "ef"])
+    index = np.arange(count) % 4
+    row = ["<<", tio._IntColumn(values), "|", ";", tio._Column(words, index),
+           tio._IntColumn(values[::-1].copy()), "!\n"]
+    got = b"".join(block.tobytes() for block in tio._row_blocks(row, count, trim))
+    lines = "".join(f"<<{v}|;{['a', 'bcd', '', 'ef'][i]}{w}!\n"
+                    for v, i, w in zip(values.tolist(), index.tolist(), values[::-1].tolist()))
+    assert got.decode() == lines[: len(lines) - trim if count else 0]
+
+
 # -- strict JSON ----------------------------------------------------------------
 
 

@@ -327,3 +327,40 @@ def test_the_package_version_is_the_project_version():
     match = re.search(r'^\[project\]\n(?:(?!\[).*\n)*?version\s*=\s*"([^"]*)"', text, re.M)
     assert match is not None
     assert match.group(1) == importlib.import_module("twistrank").__version__
+
+
+def test_no_writer_formats_one_value_at_a_time(monkeypatch, tmp_path):
+    """The ranking rows, both ranking writers and the attribute writer give
+    their reference bytes on 10^4 random values with format_score replaced
+    by a stub that raises: each float text comes from a bulk conversion."""
+    import json
+
+    tr = importlib.import_module("twistrank")
+    io = importlib.import_module("twistrank.io")
+    rng = np.random.default_rng(11)
+    scores = rng.random(10_000) * 10.0 ** rng.integers(-320, 300, 10_000)
+    scores[::7] = scores[3::7]  # ties
+    ids = np.arange(10_000, dtype=np.int64) * 3 + 5
+    ranking = tr.CentralityRanking.from_scores(scores)
+    ranked = [(r, int(ids[u]), float(scores[u]))
+              for r, u in enumerate(ranking.order.tolist(), start=1)]
+    csv = "rank,node_id,score\n" + "".join(f"{r},{u},{x:.12g}\n" for r, u, x in ranked)
+    payload = {"ranking": [{"node_id": u, "rank": r, "score": float(f"{x:.12g}")}
+                           for r, u, x in ranked]}
+    values = scores.reshape(1250, 8)
+    g = tr.load_graph([], (ids[:1250], values))
+    attrs = "".join(f"{u} " + " ".join(f"{x:.12g}" for x in row) + "\n"
+                    for u, row in zip(ids[:1250].tolist(), values.tolist()))
+
+    def refuse(x):
+        raise AssertionError("a value was formatted on its own")
+
+    monkeypatch.setattr(io, "format_score", refuse)
+    rows = io.ranking_rows(ranking, ids)
+    io.write_ranking_csv(tmp_path / "ranking.csv", rows)
+    io.write_ranking_json(tmp_path / "ranking.json", rows)
+    io.write_attributes(tmp_path / "attrs.txt", g)
+    assert (tmp_path / "ranking.csv").read_text() == csv
+    assert (tmp_path / "ranking.json").read_text() == json.dumps(
+        payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "attrs.txt").read_text() == attrs

@@ -4,6 +4,7 @@ import bisect
 import importlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -540,15 +541,37 @@ def _unframed_theta(values, masses, gamma):
     return math.ldexp(math.log(mass_lo * (gamma - lo) / (mass_hi * (hi - gamma))) / (hi - lo), -k)
 
 
+def _log(q):
+    """log of a positive Fraction, at any size."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _assert_solves(values, masses, gamma, theta):
+    """``theta`` solves the two-atom target: the tilted mean of the framed
+    atoms is within ``NEWTON_TOL`` of the framed target, and theta times the
+    width is the closed form's sum of logs, taken on exact gaps."""
+    (lo, hi), (mass_lo, mass_hi) = values.tolist(), masses.tolist()
+    shift, k = twisting._frame(lo, hi)
+    framed = np.ldexp(values - shift, -k)
+    mean, _ = twisting._scalar_grad_var(framed, np.log(masses), math.ldexp(theta, k))
+    assert abs(mean - math.ldexp(gamma - shift, -k)) <= twisting.NEWTON_TOL
+    terms = [math.log(mass_lo), _log(Fraction(gamma) - Fraction(lo)),
+             -math.log(mass_hi), -_log(Fraction(hi) - Fraction(gamma))]
+    got = float(Fraction(theta) * (Fraction(hi) - Fraction(lo)))
+    assert abs(got - math.fsum(terms)) <= 1e-14 * sum(map(abs, terms))
+
+
 class TestOneSolve:
     """``AtomSolver.theta`` is one ``_solve_scalar`` call, which shifts two
     atoms far from 0 before the closed form; by Sterbenz's lemma the shift
-    keeps every bit of the unshifted closed form."""
+    keeps every bit of the unshifted closed form.  Where that closed form
+    fails, a product underflowing to 0 or the scaled target rounding onto an
+    end, the solve takes the sum of logs instead."""
 
     @staticmethod
     def _outcome(solve, gamma):
         # A target within a subnormal of an end at 0, once scaled onto it,
-        # reaches math.log(0.0) in the closed form: ValueError, on both sides.
+        # reaches math.log(0.0) in the reference's closed form: ValueError.
         try:
             return solve(gamma).hex()
         except (SolveError, ConvergenceError, ValueError) as exc:
@@ -557,7 +580,7 @@ class TestOneSolve:
     @pytest.mark.parametrize("seed", range(4))
     def test_bits_equal_the_unframed_solve(self, seed):
         rng = np.random.default_rng(seed)
-        solved = 0
+        solved = logs = 0
         for _ in range(150):
             size = 2 if rng.random() < 0.5 else int(rng.integers(3, 13))
             unit = np.sort(np.concatenate([[0.0, 1.0], rng.random(size - 2)]))
@@ -573,9 +596,27 @@ class TestOneSolve:
             solver = twisting.AtomSolver(values, masses)
             for gamma in gammas:
                 want = self._outcome(lambda g: _unframed_theta(values, masses, g), gamma)
-                assert self._outcome(solver.theta, gamma) == want
-                solved += not want.startswith(("SolveError", "ConvergenceError", "ValueError"))
-        assert solved > 300
+                got = self._outcome(solver.theta, gamma)
+                if want == "ValueError: math domain error":
+                    keep = masses > 0
+                    assert keep.sum() == 2
+                    _assert_solves(values[keep], masses[keep], float(gamma), float.fromhex(got))
+                    logs += 1
+                else:
+                    assert got == want
+                    solved += not want.startswith(("SolveError", "ConvergenceError"))
+        assert solved > 300 and logs > 0
+
+    @pytest.mark.parametrize("values, masses, gamma", [
+        ([0.0, 1.0], [1e-10, 1 - 1e-10], 5e-324),  # mass_lo * (gamma - lo) underflows
+        ([-1.0, 0.0], [0.5, 0.5], -5e-324),  # mass_hi * (hi - gamma) underflows
+        ([0.0, 1e300], [0.5, 0.5], 1e-320),  # the scaled target rounds onto lo
+        ([-1e300, 0.0], [0.5, 0.5], -1e-320),  # ... and onto hi
+        ([-1e308, 1e308], [1e-320, 1 - 1e-320], -1e308 + 1e295),  # hi - gamma overflows
+    ], ids=["low-product", "high-product", "onto-lo", "onto-hi", "wide"])
+    def test_a_target_at_an_end_of_two_atoms_is_solved(self, values, masses, gamma):
+        values, masses = np.array(values), np.array(masses)
+        _assert_solves(values, masses, gamma, twisting.AtomSolver(values, masses).theta(gamma))
 
     def test_a_constant_table_gives_the_same_error(self):
         values, masses = np.array([2.5, 2.5, 7.0]), np.array([0.5, 0.5, 0.0])
