@@ -24,8 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GraphError
+# graph's private helpers through the module: the oracle in verify binds
+# them, and shares no private name with this module.
 from . import graph as _graph
-from .graph import AttributedGraph, GraphStats, _degrees, stats
+from .graph import AttributedGraph, GraphStats, stats
 from .sampling import WalkConfig
 from .twisting import AtomSolver, MinInnerProduct, SignMin, SignProduct, theta_value
 
@@ -81,8 +83,6 @@ def _sign_masses(g, gs: GraphStats, walk: WalkConfig, is_min: bool):
     # with hi == u) first, as a bincount over the CSR entries would; the parts
     # of a complex sum are two real sums in that order.
     for middle, start in ((lo, hi), (hi, lo)):
-        # graph._index_dtype through the module: the oracle in verify binds
-        # that name, and shares no private name with this module.
         entry = (signs < 0).astype(_graph._index_dtype(2 * n)) * n
         entry += middle
         np.add.at(two_step, start, table.ravel()[entry])
@@ -129,7 +129,7 @@ def _capped_rows(graph: AttributedGraph, measure: MinInnerProduct) -> CappedRows
         )
     lo, hi, _ = graph.pairs()
     node, m = lo.dtype, lo.size
-    degree = _degrees(lo, hi, n)
+    degree = _graph._degrees(lo, hi, n)
     indptr = np.concatenate(([0], np.cumsum(degree)))
     levels, rank = np.unique(z, return_inverse=True)
     # Ranks are below n, so they take the node ids' width (int32 below 2**31).

@@ -17,10 +17,10 @@ table of distinct texts (scores, attribute values, signs, ids beyond int64).
 The row template becomes one template row, its literals in place and NUL in
 the columns' slots, which is copied into every row of a block once; then, a
 fixed number of rows at a time, the columns fill their slots and the
-block's non-NUL bytes are written in order.  The digits of an integer
-array's column are made one block at a time too.  Invariant: no text or
-literal holds a NUL byte, so dropping the padding leaves exactly the
-per-line text.
+block's non-NUL bytes are written in order.  An integer array's digits are
+made by :func:`_int_array_json` one slice of that many rows at a time, and
+each slice is rendered on its own.  Invariant: no text or literal holds a
+NUL byte, so dropping the padding leaves exactly the per-line text.
 
 The table of distinct float texts comes from one ``%`` conversion per block
 of values, ``"%-20.12g" * k % values``, not one :func:`format_score` call per
@@ -51,8 +51,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError
-from .analysis import SweepRow
-from .centrality import CentralityRanking
 from .graph import AttributedGraph, _id_array
 
 
@@ -296,7 +294,7 @@ def write_ranking_json(path, rows: RankingRows) -> None:
 
 # -- the block renderer (see the module docstring) --------------------------------
 
-# Rows per rendered block; it bounds a writer's memory, whatever the row count.
+# Rows per rendered block; it bounds the block's memory, whatever the row count.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -306,13 +304,6 @@ class _Column(NamedTuple):
 
     texts: np.ndarray
     index: np.ndarray | None = None
-
-
-class _IntColumn(NamedTuple):
-    """Row ``i`` is the base-10 text of ``values[i]``, made by
-    :func:`_int_texts` a block of rows at a time."""
-
-    values: np.ndarray
 
 
 def _write_rows(path, row: list, count: int, head: str = "", tail: str = "",
@@ -329,10 +320,9 @@ def _row_blocks(row: list, count: int, trim: int = 0) -> Iterator[np.ndarray]:
     a time.
 
     ``row`` lists the row's pieces in order: ``str`` literals, and
-    :class:`_Column` s and :class:`_IntColumn` s with at least ``count``
-    rows.  The literals are placed in a block once, from a template row, and
-    the columns' texts each block of rows; the last ``trim`` bytes of the
-    rows are left out.
+    :class:`_Column` s with at least ``count`` rows.  The literals are
+    placed in a block once, from a template row, and the columns' texts each
+    block of rows; the last ``trim`` bytes of the rows are left out.
     """
     # One template row: the literals in place, NUL in the columns' slots.
     pieces, template = [], b""
@@ -340,35 +330,22 @@ def _row_blocks(row: list, count: int, trim: int = 0) -> Iterator[np.ndarray]:
         if isinstance(piece, str):
             template += piece.encode("ascii")
             continue
-        if isinstance(piece, _IntColumn):
-            # The longest text is that of the least or the greatest value.
-            values = piece.values
-            width = max(len(str(values.min())), len(str(values.max()))) if values.size else 0
-        else:
-            # Each text as one opaque item, so that a gather moves whole texts.
-            texts = np.ascontiguousarray(piece.texts)
-            piece = _Column(texts.view(f"V{texts.shape[1]}")[:, 0], piece.index)
-            width = texts.shape[1]
-        pieces.append((piece, slice(len(template), len(template) + width)))
+        # Each text as one opaque item, so that a gather moves whole texts.
+        texts = np.ascontiguousarray(piece.texts)
+        width = texts.shape[1]
+        pieces.append((texts.view(f"V{width}")[:, 0], piece.index,
+                       slice(len(template), len(template) + width)))
         template += bytes(width)
     # The template goes into each row of the block as one opaque item.
     block = np.empty((min(count, _BLOCK_ROWS), len(template)), dtype=np.uint8)
     block.view(f"V{len(template)}")[:, 0] = np.void(template)
-    columns = [(piece, block[:, cols] if isinstance(piece, _IntColumn)
-                else block[:, cols].view(piece.texts.dtype)[:, 0]) for piece, cols in pieces]
+    columns = [(items, index, block[:, cols].view(items.dtype)[:, 0])
+               for items, index, cols in pieces]
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
         size = stop - start
-        for piece, slot in columns:
-            if isinstance(piece, _IntColumn):
-                # A block's texts may be narrower than the column: NULs pad them.
-                texts = _int_texts(piece.values[start:stop])
-                slot[:size, : texts.shape[1]] = texts
-                slot[:size, texts.shape[1]:] = 0
-            else:
-                items, index = piece
-                texts = items[start:stop] if index is None else items[index[start:stop]]
-                slot[:size] = texts
+        for items, index, slot in columns:
+            slot[:size] = items[start:stop] if index is None else items[index[start:stop]]
         flat = block[:size].ravel()
         text = flat[flat != 0]
         yield text[: text.size - trim] if stop == count else text
@@ -580,19 +557,22 @@ def _is_int_array(value) -> bool:
 
 def _int_array_json(values: np.ndarray) -> Iterator:
     """The JSON of the ``tolist()`` of a 1-D or 2-D integer array as a
-    top-level dict value, a block of rows at a time."""
+    top-level dict value, a block of rows at a time: each slice of
+    :data:`_BLOCK_ROWS` rows gets its digits and is rendered on its own."""
     count = len(values)
     if not count:
         yield b"[]"
         return
-    if values.ndim == 1:
-        row = ["\n    ", _IntColumn(values), ","]
-    else:
-        row = ["\n    ["]
-        for j in range(values.shape[1]):
-            row += [",\n      " if j else "\n      ", _IntColumn(values[:, j])]
-        row.append("\n    ]," if values.shape[1] else "],")
-    # The last row drops its ",".
     yield b"["
-    yield from _row_blocks(row, count, trim=1)
+    for start in range(0, count, _BLOCK_ROWS):
+        part = values[start:start + _BLOCK_ROWS]
+        if values.ndim == 1:
+            row = ["\n    ", _Column(_int_texts(part)), ","]
+        else:
+            row = ["\n    ["]
+            for j in range(values.shape[1]):
+                row += [",\n      " if j else "\n      ", _Column(_int_texts(part[:, j]))]
+            row.append("\n    ]," if values.shape[1] else "],")
+        # The last row drops its ",".
+        yield from _row_blocks(row, len(part), trim=1 if start + len(part) == count else 0)
     yield b"\n  ]"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationBudgetError, GraphError, SolveError, TwistrankError
-from .graph import AttributedGraph, GraphStats, _contains, _index_dtype
+from .graph import AttributedGraph, GraphStats, _contains, _degrees, _index_dtype
 from .sampling import WalkConfig
 from .twisting import (MinInnerProduct, SignMin, SignProduct, _frame, _solve_scalar, _tilt,
                        _two_atom_theta, theta_value)
@@ -164,7 +164,7 @@ def path_count(g: AttributedGraph, cfg: WalkConfig) -> int:
     if cfg.beta1 > 0:
         count += 2 * g.m
     if cfg.beta2 > 0:
-        degree = np.bincount(np.concatenate(g.pairs()[:2]), minlength=g.n)
+        degree = _degrees(*g.pairs()[:2], g.n)
         count += int(degree @ degree)
     return count
 

@@ -228,6 +228,104 @@ class TestStarFamily:
             up, down = plus * math.exp(theta), minus * math.exp(-theta)
             assert abs((up - down) / (up + down) - gamma) <= 1e-12
 
+    # The advertisement measure on a star of 10^5 leaves with seeded
+    # attributes.  With z the node scores, c the centre and m_i = min(z_i,
+    # z_c), a walk's measure is the least m_i of the leaves it visits, so the
+    # start masses times 2N are
+    #   leaf i: b1 e^(theta m_i) + (b2 / N) sum_j e^(theta min(m_i, m_j)),
+    #   centre: (b1 + b2) sum_i e^(theta m_i),
+    # and the sum over j takes one sort and a prefix sum.
+    N_AD = 10**5
+
+    @pytest.fixture(scope="class")
+    def ad_star(self):
+        n, rng = self.N_AD, np.random.default_rng(23)
+        g = tr.AttributedGraph(np.arange(n + 1), np.zeros(n, dtype=np.int64),
+                               np.arange(1, n + 1), np.ones(n, dtype=np.int8),
+                               rng.random((n + 1, 4)))
+        return g, tr.MinInnerProduct(rng.random(4) - 0.25)
+
+    @staticmethod
+    def _ad_masses(beta, m, theta, weight=lambda x, e: e):
+        """The start masses times 2N of the centre, then the leaves, with
+        e^(theta m_j) replaced by ``weight(m_j, e^(theta m_j))``."""
+        (b1, b2), n = beta, m.size
+        w = weight(m, np.exp(theta * m))
+        ascending = np.sort(m)
+        below = np.searchsorted(ascending, m, side="left")
+        lower = np.concatenate(([0.0], np.cumsum(weight(ascending, np.exp(theta * ascending)))))
+        leaves = b1 * w + b2 / n * (lower[below] + (n - below) * w)
+        return np.concatenate(([(b1 + b2) * w.sum()], leaves))
+
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)],
+                             ids=["beta-1-0", "beta-0.7-0.3", "beta-0-1"])
+    def test_ad_scores_and_theta_match_the_closed_form(self, ad_star, beta):
+        g, measure = ad_star
+        z = measure.node_scores(g)
+        m = np.minimum(z[1:], z[0])
+        model = tr.TiltModel(g, measure, tr.WalkConfig(*beta))
+        for theta in (-3.0, 0.0, 2.5):
+            want = self._ad_masses(beta, m, theta)
+            np.testing.assert_allclose(model.scores(theta), want / want.sum(), rtol=1e-12, atol=0)
+            # The theta round trip: the closed form's tilted mean at theta
+            # solves back to theta.
+            gamma = (self._ad_masses(beta, m, theta, lambda x, e: x * e).sum()
+                     / self._ad_masses(beta, m, theta).sum())
+            assert abs(model.theta(gamma) - theta) <= 1e-10
+
+
+class TestCompleteBipartiteFamily:
+    """K_{1000,1000} and K_{2,5*10^5}, 10^6 edges each with seeded signs,
+    built straight through the constructor: both sign measures' scores at
+    every walk mix against the mat-vec forms of their start masses, computed
+    on the dense a x b sign block B.
+
+    With A the unsigned, S the signed and P the positive adjacency, K the
+    degree matrix, k the degrees and k+ the positive degrees, the start masses
+    times 2m are
+    SignProduct: b1 (cosh theta k + sinh theta S1) + b2 (cosh theta k + sinh theta S K^-1 S 1),
+    SignMin: b1 (e^-theta k + 2 sinh theta k+) + b2 (e^-theta k + 2 sinh theta P K^-1 k+).
+    """
+
+    @pytest.fixture(scope="class", params=[(1000, 1000), (2, 5 * 10**5)], ids=["K1000-1000", "K2-5e5"])
+    def bipartite(self, request):
+        a, b = request.param
+        block = np.where(np.random.default_rng(a).random((a, b)) < 0.35, -1, 1).astype(np.int8)
+        g = tr.AttributedGraph(np.arange(a + b), np.repeat(np.arange(a), b),
+                               np.tile(np.arange(a, a + b), a), block.ravel(),
+                               np.zeros((a + b, 0)))
+        return g, block.astype(float)
+
+    @staticmethod
+    def _matvec_masses(kind, beta, block, theta):
+        (b1, b2), (a, b) = beta, block.shape
+        k = np.concatenate((np.full(a, float(b)), np.full(b, float(a))))
+
+        def adjacency(m, x):
+            """The adjacency [[0, m], [m^T, 0]] of the a x b block m, times x."""
+            return np.concatenate((m @ x[a:], m.T @ x[:a]))
+
+        if kind == "influence":
+            one = adjacency(block, np.ones(a + b))
+            two = adjacency(block, one / k)
+            return (b1 * (math.cosh(theta) * k + math.sinh(theta) * one)
+                    + b2 * (math.cosh(theta) * k + math.sinh(theta) * two))
+        positive = (block > 0).astype(float)
+        kplus = adjacency(positive, np.ones(a + b))
+        two = adjacency(positive, kplus / k)
+        return (b1 * (math.exp(-theta) * k + 2 * math.sinh(theta) * kplus)
+                + b2 * (math.exp(-theta) * k + 2 * math.sinh(theta) * two))
+
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0)],
+                             ids=["beta-1-0", "beta-0.7-0.3", "beta-0-1"])
+    @pytest.mark.parametrize("kind", ["influence", "trust"])
+    def test_scores_match_the_matvec_forms(self, bipartite, kind, beta):
+        g, block = bipartite
+        model = tr.TiltModel(g, tr.measure_for(kind), tr.WalkConfig(*beta))
+        for theta in (-2.0, 0.0, 1.5):
+            want = self._matvec_masses(kind, beta, block, theta)
+            np.testing.assert_allclose(model.scores(theta), want / want.sum(), rtol=1e-12, atol=0)
+
 
 class TestOneSignedGraph:
     """Only one sign atom has mass, so the other's weight e^-2|theta| may

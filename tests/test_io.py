@@ -1099,8 +1099,8 @@ def test_template_literals_sit_anywhere_in_a_row(monkeypatch, count, trim):
     values = np.arange(count, dtype=np.int64) ** 3
     words = tio._text_block(["a", "bcd", "", "ef"])
     index = np.arange(count) % 4
-    row = ["<<", tio._IntColumn(values), "|", ";", tio._Column(words, index),
-           tio._IntColumn(values[::-1].copy()), "!\n"]
+    row = ["<<", tio._Column(tio._int_texts(values)), "|", ";", tio._Column(words, index),
+           tio._Column(tio._int_texts(values[::-1].copy())), "!\n"]
     got = b"".join(block.tobytes() for block in tio._row_blocks(row, count, trim))
     lines = "".join(f"<<{v}|;{['a', 'bcd', '', 'ef'][i]}{w}!\n"
                     for v, i, w in zip(values.tolist(), index.tolist(), values[::-1].tolist()))

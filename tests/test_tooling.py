@@ -294,10 +294,15 @@ def test_the_console_script_is_cli_main():
 
 
 def test_every_text_column_holds_one_text_per_row(monkeypatch, tmp_path):
-    """The writers hand the block renderer text columns with a 1-D index or
-    none: an attribute table gathers each of its p value columns on its own."""
+    """The writers hand the block renderer only literals and text columns
+    with a 1-D index or none: an attribute table gathers each of its p value
+    columns on its own, and a report's integer arrays render as text columns
+    too, so the renderer has one column kind."""
+    import json
+
     tr = importlib.import_module("twistrank")
     io = importlib.import_module("twistrank.io")
+    assert not hasattr(io, "_IntColumn")
     rows, render = [], io._row_blocks
 
     def recorded(row, count, trim=0):
@@ -312,12 +317,23 @@ def test_every_text_column_holds_one_text_per_row(monkeypatch, tmp_path):
     ranking = io.ranking_rows(tr.centrality(g, "influence", theta=0.5), g.original_ids)
     io.write_ranking_csv(tmp_path / "ranking.csv", ranking)
     io.write_ranking_json(tmp_path / "ranking.json", ranking)
-    assert len(rows) == 4
-    columns = [piece for row in rows for piece in row if isinstance(piece, io._Column)]
-    # The id and 3 value columns, u, w and sign, and rank, id and score twice.
-    assert len(columns) == 4 + 3 + 3 + 3
-    assert [c.index is None or c.index.ndim == 1 for c in columns] == [True] * len(columns)
+    big = 2**64 + 7
+    ids = np.empty(3, dtype=object)
+    ids[:] = [big, 0, 12]
+    report = {"filter_rounds": 1, "injected_edges": np.array([[3, 9], [5, 10**12]]),
+              "removed_nodes": np.array([4, 7, 2**63 - 1]), "unknown_ids": ids}
+    io.write_json(tmp_path / "report.json", report)
+    assert len(rows) == 4 + 3
+    pieces = [piece for row in rows for piece in row if not isinstance(piece, str)]
+    assert [type(piece) for piece in pieces] == [io._Column] * len(pieces)
+    # The id and 3 value columns, u, w and sign, rank, id and score twice,
+    # and the report's 2 + 1 + 1 array columns.
+    assert len(pieces) == 4 + 3 + 3 + 3 + 4
+    assert [c.index is None or c.index.ndim == 1 for c in pieces] == [True] * len(pieces)
     assert (tmp_path / "attrs.txt").read_text() == "3 0.5 -0 2\n5 1 0.5 0.5\n9 2 1 0\n"
+    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in report.items()}
+    assert (tmp_path / "report.json").read_text() == json.dumps(
+        lists, indent=2, sort_keys=True) + "\n"
 
 
 def test_the_package_version_is_the_project_version():
